@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -383,9 +384,9 @@ func BenchmarkAblationIndexes(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationParallelPipeline contrasts the sequential analyzer
-// with the worker-pool variant (the paper's corpus is 180M queries; the
-// pipeline must scale with cores).
+// BenchmarkAblationParallelPipeline contrasts the serial reference
+// analyzer with the worker-pool engine (the paper's corpus is 180M
+// queries; the pipeline must scale with cores).
 func BenchmarkAblationParallelPipeline(b *testing.B) {
 	ds := loggen.Generate(loggen.Profiles()[0], 3000, 21)
 	b.Run("sequential", func(b *testing.B) {
@@ -393,9 +394,9 @@ func BenchmarkAblationParallelPipeline(b *testing.B) {
 			core.AnalyzeLog(ds.Name, ds.Entries, core.Options{})
 		}
 	})
-	b.Run("parallel", func(b *testing.B) {
+	b.Run("stream", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			core.AnalyzeLogParallel(ds.Name, ds.Entries, core.Options{}, 0)
+			(&core.StreamAnalyzer{}).AnalyzeSeq(ds.Name, slices.Values(ds.Entries))
 		}
 	})
 }
@@ -416,10 +417,9 @@ func BenchmarkAblationDedup(b *testing.B) {
 	})
 }
 
-// BenchmarkStreamAnalyze contrasts the streaming sharded pipeline reading
-// a log from disk with slurping the file and running the batch worker
-// pool. Throughput should be at least the batch pool's while allocations
-// stay bounded by chunks instead of the whole log.
+// BenchmarkStreamAnalyze runs the streaming sharded pipeline over a log
+// read from disk, the way sparqlanalyze -log does; allocations stay
+// bounded by chunks instead of the whole log.
 func BenchmarkStreamAnalyze(b *testing.B) {
 	path := streamBenchLog(b)
 	info, err := os.Stat(path)
@@ -440,25 +440,6 @@ func BenchmarkStreamAnalyze(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if rep.Unique == 0 {
-				b.Fatal("empty report")
-			}
-		}
-	})
-	b.Run("slurp-parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		b.SetBytes(info.Size())
-		for i := 0; i < b.N; i++ {
-			f, err := os.Open(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			entries, err := core.ReadLog(f, core.FormatPlain)
-			f.Close()
-			if err != nil {
-				b.Fatal(err)
-			}
-			rep := core.AnalyzeLogParallel("bench", entries, core.Options{}, 0)
 			if rep.Unique == 0 {
 				b.Fatal("empty report")
 			}
@@ -737,12 +718,8 @@ func TestBenchHarnessSmoke(t *testing.T) {
 		streaks.Similar(a, b, 0.25)
 	}
 
-	// Parallel and streaming pipelines must agree on the tiny corpus.
-	par := core.AnalyzeLogParallel(ds.Name, ds.Entries, core.Options{}, 2)
-	if par.Unique != rep.Unique {
-		t.Errorf("parallel unique = %d, sequential = %d", par.Unique, rep.Unique)
-	}
 	core.AnalyzeLog(ds.Name, ds.Entries, core.Options{StructuralDedup: true, SkipShapes: true})
+	// The streaming pipeline must agree on the tiny corpus.
 	path := filepath.Join(t.TempDir(), "smoke.log")
 	f, err := os.Create(path)
 	if err != nil {
@@ -759,7 +736,7 @@ func TestBenchHarnessSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rf.Close()
-	sa := &core.StreamAnalyzer{Workers: 2, ChunkSize: 64}
+	sa := &core.StreamAnalyzer{Workers: 2}
 	streamed, err := sa.AnalyzeReader(ds.Name, rf, core.FormatPlain)
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,8 @@
 // Columnar-executor benchmarks: the slot-based batch pipeline
-// (internal/exec, the eval default) against the legacy materialized
-// map-binding path (Limits.Legacy) on the log study's dominant
+// (internal/exec, the eval default) on the log study's dominant
 // conjunctive shapes — chain, star, cycle — under the solution
-// modifiers real traffic hammers (DISTINCT, LIMIT). The columnar
-// entries are part of the bench-regression CI gate; the legacy entries
-// run ungated as the speedup denominator.
+// modifiers real traffic hammers (DISTINCT, LIMIT). All cells are part
+// of the bench-regression CI gate.
 package sparqlog
 
 import (
@@ -16,13 +14,12 @@ import (
 	"sparqlog/internal/sparql"
 )
 
-// execBatchQueries builds the shape × modifier matrix over the shared
+// execBatchSources builds the shape × modifier matrix over the shared
 // gMark Bib graph.
-func execBatchQueries(b *testing.B, g *gmark.Graph) map[string]*sparql.Query {
-	b.Helper()
+func execBatchSources(g *gmark.Graph) map[string]string {
 	journals := g.Nodes[gmark.Journal]
 	jname := g.Snapshot.TermOf(journals[1])
-	srcs := map[string]string{
+	return map[string]string{
 		// Selective chain: journal-anchored citation chain, projected
 		// DISTINCT on the far end — the dedup-dominated shape.
 		"chain/distinct": fmt.Sprintf(`PREFIX bib: <http://gmark.bib/p/>
@@ -57,81 +54,36 @@ func execBatchQueries(b *testing.B, g *gmark.Graph) map[string]*sparql.Query {
 				?b bib:cites ?a .
 			}`,
 	}
-	out := make(map[string]*sparql.Query, len(srcs))
-	for name, src := range srcs {
-		q, err := sparql.Parse(src)
-		if err != nil {
-			b.Fatalf("%s: %v", name, err)
-		}
-		out[name] = q
-	}
-	return out
 }
 
-// BenchmarkExecBatch is the columnar-vs-legacy matrix. Gated entries:
-// the columnar cells (BENCH_BASELINE.json); legacy cells are the
-// ablation denominator.
+// BenchmarkExecBatch is the shape × modifier matrix.
 func BenchmarkExecBatch(b *testing.B) {
 	g := plannerBenchGraph(b)
-	queries := execBatchQueries(b, g)
-	for _, name := range []string{"chain/distinct", "chain/limit", "star/distinct", "star/limit", "cycle/distinct"} {
-		q := queries[name]
-		for _, m := range []struct {
-			mode string
-			lim  eval.Limits
-		}{
-			{"columnar", eval.Limits{}},
-			{"legacy", eval.Limits{Legacy: true}},
-		} {
-			b.Run(name+"/"+m.mode, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := eval.QueryWithLimits(g.Snapshot, q, m.lim); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
+	runExecMatrix(b, g, []string{"chain/distinct", "chain/limit", "star/distinct", "star/limit", "cycle/distinct"}, execBatchSources(g))
 }
 
-// runExecMatrix runs each named query in columnar and legacy mode, the
-// same cell convention as BenchmarkExecBatch.
+// runExecMatrix runs each named query as the cell "<name>/columnar"
+// (the key BENCH_BASELINE.json knows it by).
 func runExecMatrix(b *testing.B, g *gmark.Graph, names []string, srcs map[string]string) {
 	b.Helper()
-	queries := make(map[string]*sparql.Query, len(srcs))
-	for name, src := range srcs {
-		q, err := sparql.Parse(src)
+	for _, name := range names {
+		q, err := sparql.Parse(srcs[name])
 		if err != nil {
 			b.Fatalf("%s: %v", name, err)
 		}
-		queries[name] = q
-	}
-	for _, name := range names {
-		q := queries[name]
-		for _, m := range []struct {
-			mode string
-			lim  eval.Limits
-		}{
-			{"columnar", eval.Limits{}},
-			{"legacy", eval.Limits{Legacy: true}},
-		} {
-			b.Run(name+"/"+m.mode, func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if _, err := eval.QueryWithLimits(g.Snapshot, q, m.lim); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(name+"/columnar", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := eval.Query(g.Snapshot, q); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
 // BenchmarkExecAggregate is the GROUP BY matrix: the streaming hash
-// GroupBy over ID tuples against the legacy string-keyed
-// finishAggregate. Columnar cells are CI-gated; legacy cells are the
-// speedup denominator.
+// GroupBy over ID tuples.
 func BenchmarkExecAggregate(b *testing.B) {
 	g := plannerBenchGraph(b)
 	runExecMatrix(b, g, []string{"groupcount", "grouphaving"}, map[string]string{
@@ -154,8 +106,7 @@ func BenchmarkExecAggregate(b *testing.B) {
 }
 
 // BenchmarkExecTopK is the ORDER BY + LIMIT matrix: bounded-heap
-// selection against the legacy full materialize-and-sort. Columnar
-// cells are CI-gated; legacy cells are the speedup denominator.
+// selection.
 func BenchmarkExecTopK(b *testing.B) {
 	g := plannerBenchGraph(b)
 	runExecMatrix(b, g, []string{"orderlimit", "orderoffset"}, map[string]string{

@@ -54,6 +54,23 @@ func TestLiveMatchesBatch(t *testing.T) {
 	}
 }
 
+// feedConcurrently Adds the entries from eight goroutines, each taking
+// every eighth entry; Wait on the result for them to finish.
+func feedConcurrently(la *LiveAnalyzer, entries []string) *sync.WaitGroup {
+	var wg sync.WaitGroup
+	const feeders = 8
+	for f := 0; f < feeders; f++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := f; i < len(entries); i += feeders {
+				la.Add(entries[i])
+			}
+		}()
+	}
+	return &wg
+}
+
 // TestLiveConcurrentAdds hammers Add from many goroutines (run under
 // -race in CI) and checks the order-independent counters against the
 // batch pipeline. Exact-text dedup is order-independent in full.
@@ -61,17 +78,7 @@ func TestLiveConcurrentAdds(t *testing.T) {
 	ds := loggen.Generate(loggen.Profiles()[2], 900, 7)
 	want := AnalyzeLog(ds.Name, ds.Entries, Options{})
 	la := NewLiveAnalyzer(ds.Name, Options{}, 4)
-	var wg sync.WaitGroup
-	const feeders = 8
-	for f := 0; f < feeders; f++ {
-		wg.Add(1)
-		go func(f int) {
-			defer wg.Done()
-			for i := f; i < len(ds.Entries); i += feeders {
-				la.Add(ds.Entries[i])
-			}
-		}(f)
-	}
+	wg := feedConcurrently(la, ds.Entries)
 	done := make(chan struct{})
 	go func() {
 		// Snapshot concurrently with the feeders: must not race or
@@ -87,5 +94,44 @@ func TestLiveConcurrentAdds(t *testing.T) {
 	if !reflect.DeepEqual(want, got) {
 		t.Error("concurrent live report differs from batch")
 		diffReports(t, want, got)
+	}
+}
+
+// TestLiveStructuralReportDuringAdds is TestLiveConcurrentAdds for
+// structural dedup, whose Report analyzes the class representatives
+// after releasing the slot locks: two reporters run against the feeders
+// (under -race in CI), and every snapshot must be internally
+// consistent. Which occurrence represents a class depends on arrival
+// order, so the final report is checked on the counters that do not.
+func TestLiveStructuralReportDuringAdds(t *testing.T) {
+	ds := loggen.Generate(loggen.Profiles()[2], 900, 7)
+	opts := Options{StructuralDedup: true}
+	want := AnalyzeLog(ds.Name, ds.Entries, opts)
+	la := NewLiveAnalyzer(ds.Name, opts, 4)
+	feeders := feedConcurrently(la, ds.Entries)
+	var reporters sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		reporters.Add(1)
+		go func() {
+			defer reporters.Done()
+			lastTotal := 0
+			for i := 0; i < 20; i++ {
+				rep := la.Report()
+				if rep.Unique > rep.Valid || rep.Valid > rep.Total || rep.Total < lastTotal {
+					t.Errorf("inconsistent snapshot: total=%d (previous %d) valid=%d unique=%d",
+						rep.Total, lastTotal, rep.Valid, rep.Unique)
+				}
+				lastTotal = rep.Total
+			}
+		}()
+	}
+	feeders.Wait()
+	reporters.Wait()
+	got := la.Report()
+	if got.Total != want.Total || got.Valid != want.Valid || got.Unique != want.Unique ||
+		got.NoiseRemoved != want.NoiseRemoved || !reflect.DeepEqual(got.Repeats, want.Repeats) {
+		t.Errorf("counters differ from batch: got %d/%d/%d noise %d, want %d/%d/%d noise %d",
+			got.Total, got.Valid, got.Unique, got.NoiseRemoved,
+			want.Total, want.Valid, want.Unique, want.NoiseRemoved)
 	}
 }

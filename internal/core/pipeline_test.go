@@ -194,3 +194,22 @@ func TestWikiDataProfileThroughPipeline(t *testing.T) {
 		t.Error("WikiData17 should contain subqueries")
 	}
 }
+
+// TestStructuralDedup verifies fingerprint-based deduplication catches
+// alpha-equivalent duplicates that exact-text dedup keeps.
+func TestStructuralDedup(t *testing.T) {
+	entries := []string{
+		"SELECT ?x WHERE { ?x <p> ?y }",
+		"SELECT ?a WHERE { ?a <p> ?b }",                           // alpha-equivalent
+		"PREFIX q: <p-is-not-this> SELECT ?x WHERE { ?x <p> ?y }", // same after prefix drop
+		"SELECT ?x WHERE { ?x <q> ?y }",                           // different
+	}
+	exact := AnalyzeLog("exact", entries, Options{})
+	structural := AnalyzeLog("structural", entries, Options{StructuralDedup: true})
+	if exact.Unique != 4 {
+		t.Errorf("exact dedup unique = %d, want 4", exact.Unique)
+	}
+	if structural.Unique != 2 {
+		t.Errorf("structural dedup unique = %d, want 2", structural.Unique)
+	}
+}

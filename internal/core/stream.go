@@ -1,92 +1,31 @@
 package core
 
 import (
-	"hash/maphash"
 	"io"
 	"iter"
-	"runtime"
 	"sync"
-
-	"sparqlog/internal/sparql"
 )
 
-// Streaming defaults.
-const (
-	// DefaultChunkSize is the number of raw entries handed to a worker at
-	// a time. Peak raw-entry memory is bounded by roughly
-	// (workers + channel buffer + 1) chunks.
-	DefaultChunkSize = 4096
-	// DefaultShards is the number of dedup shards. More shards means less
-	// lock contention between workers landing on distinct entries.
-	DefaultShards = 64
-)
+// chunkSize is the number of raw entries handed to a worker at a time.
+// Peak raw-entry memory is bounded by roughly (workers + channel buffer
+// + 1) chunks.
+const chunkSize = 4096
 
 // StreamAnalyzer runs the AnalyzeLog pipeline over logs too large to
-// materialize. Entries are consumed in bounded chunks from an iterator or
-// io.Reader, fanned out to a worker pool, and deduplicated through N
-// sharded occurrence maps (hash of the dedup key picks the shard), so no
-// single map serializes the workers the way AnalyzeLogParallel's
-// sequential occurrence pass does. Each worker accumulates a private
-// partial DatasetReport; partials are combined by DatasetReport.Merge.
-// The result is identical to AnalyzeLog over the same entries.
+// materialize: it is the pull-mode driver of LiveAnalyzer. Entries are
+// consumed in bounded chunks from an iterator or io.Reader and fanned
+// out to a worker pool, pool worker w draining its chunks into the
+// engine's slot w. The result is identical to AnalyzeLog over the same
+// entries, for any pool size.
 //
 // Memory: at any moment only the in-flight chunks of raw entries are
-// live (one per worker plus the small dispatch buffer); the dedup shards
-// retain one copy of each distinct valid entry's key — the floor any
-// exact deduplication needs (unparseable entries keep no state and are
-// re-parsed on repetition). In StructuralDedup mode the shards instead
-// retain one parsed representative per fingerprint class until the
-// stream drains.
+// live (one per worker plus the small dispatch buffer), on top of the
+// engine's dedup state (see LiveAnalyzer).
 type StreamAnalyzer struct {
 	// Opts configures the pipeline exactly as for AnalyzeLog.
 	Opts Options
 	// Workers is the pool size; <= 0 means GOMAXPROCS.
 	Workers int
-	// ChunkSize is the number of entries per dispatched chunk; <= 0 means
-	// DefaultChunkSize.
-	ChunkSize int
-	// Shards is the dedup shard count; <= 0 means DefaultShards.
-	Shards int
-}
-
-// dedup status of one distinct entry text.
-type entryStatus uint8
-
-const (
-	// statusPending: a worker has claimed the entry and is parsing it.
-	statusPending entryStatus = iota
-	// statusValid: the entry parsed; its first occurrence was analyzed.
-	// (Unparseable entries keep no state: their key is deleted again, so
-	// duplicates of them simply re-parse and re-fail.)
-	statusValid
-)
-
-// streamRep is the current representative of one fingerprint class:
-// the parsed query of the earliest occurrence seen so far, plus its
-// repeat-shape label (identical across the class, cached so report
-// time never re-walks the AST).
-type streamRep struct {
-	idx   uint64
-	q     *sparql.Query
-	label string
-}
-
-// seenEntry is the recorded state of one distinct entry text in exact
-// dedup: its parse status plus the repeat-shape label of the parsed
-// query, so duplicate occurrences can be counted into the repeat-rate
-// table without re-parsing.
-type seenEntry struct {
-	status entryStatus
-	label  string
-}
-
-// dedupShard is one lock-striped slice of the global seen-set.
-type dedupShard struct {
-	mu sync.Mutex
-	// seen is keyed by raw entry text (exact dedup).
-	seen map[string]seenEntry
-	// reps is keyed by fingerprint (structural dedup).
-	reps map[string]streamRep
 }
 
 // chunk is one bounded batch of raw entries; base is the global index of
@@ -113,53 +52,23 @@ func (sa *StreamAnalyzer) AnalyzeReader(name string, r io.Reader, format LogForm
 // AnalyzeSeq analyzes the entries produced by seq. The sequence is
 // consumed exactly once and is never materialized.
 func (sa *StreamAnalyzer) AnalyzeSeq(name string, seq iter.Seq[string]) *DatasetReport {
-	workers := sa.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	chunkSize := sa.ChunkSize
-	if chunkSize <= 0 {
-		chunkSize = DefaultChunkSize
-	}
-	nShards := sa.Shards
-	if nShards <= 0 {
-		nShards = DefaultShards
-	}
-	shards := make([]dedupShard, nShards)
-	for i := range shards {
-		switch {
-		case sa.Opts.KeepDuplicates:
-			// Every occurrence is analyzed; no dedup state at all.
-		case sa.Opts.StructuralDedup:
-			shards[i].reps = make(map[string]streamRep)
-		default:
-			shards[i].seen = make(map[string]seenEntry)
-		}
-	}
-	seed := maphash.MakeSeed()
+	la := NewLiveAnalyzer(name, sa.Opts, sa.Workers)
 
 	// Dispatch bounded chunks to the pool. The small buffer keeps workers
 	// fed without ever holding more than workers+buffer+1 chunks of raw
 	// entries alive.
 	chunks := make(chan chunk, 2)
-	partials := make([]*DatasetReport, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		part := NewCorpusReport(name)
-		partials[w] = part
+	for w := range la.slots {
+		// This goroutine is the only one touching slot w until wg.Wait
+		// returns, so it skips the slot lock Add takes.
+		slot := &la.slots[w]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st := &streamWorker{
-				opts:   sa.Opts,
-				rep:    part,
-				shards: shards,
-				seed:   seed,
-				parser: &sparql.Parser{},
-			}
 			for c := range chunks {
 				for i, raw := range c.entries {
-					st.process(raw, c.base+uint64(i))
+					la.process(slot, raw, c.base+uint64(i))
 				}
 			}
 		}()
@@ -170,7 +79,7 @@ func (sa *StreamAnalyzer) AnalyzeSeq(name string, seq iter.Seq[string]) *Dataset
 		buf = append(buf, entry)
 		if len(buf) == chunkSize {
 			chunks <- chunk{base: next, entries: buf}
-			next += uint64(len(buf))
+			next += chunkSize
 			buf = make([]string, 0, chunkSize)
 		}
 	}
@@ -179,154 +88,5 @@ func (sa *StreamAnalyzer) AnalyzeSeq(name string, seq iter.Seq[string]) *Dataset
 	}
 	close(chunks)
 	wg.Wait()
-
-	rep := NewCorpusReport(name)
-	for _, part := range partials {
-		rep.Merge(part)
-	}
-	if sa.Opts.StructuralDedup && !sa.Opts.KeepDuplicates {
-		sa.analyzeRepresentatives(rep, shards, workers)
-	}
-	return rep
-}
-
-// analyzeRepresentatives runs the deferred per-class analysis of
-// structural dedup: each fingerprint class's earliest occurrence (the
-// same representative AnalyzeLog's first-occurrence dedup analyzes) is
-// analyzed exactly once, fanning shards out across the pool.
-func (sa *StreamAnalyzer) analyzeRepresentatives(rep *DatasetReport, shards []dedupShard, workers int) {
-	idx := make(chan int)
-	parts := make([]*DatasetReport, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		part := NewCorpusReport(rep.Name)
-		parts[w] = part
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				for _, r := range shards[i].reps {
-					part.Unique++
-					part.noteShapeUnique(r.label)
-					part.analyzeQuery(r.q, sa.Opts)
-				}
-			}
-		}()
-	}
-	for i := range shards {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, part := range parts {
-		rep.Merge(part)
-	}
-}
-
-// streamWorker is the per-goroutine state of one pool worker.
-type streamWorker struct {
-	opts   Options
-	rep    *DatasetReport
-	shards []dedupShard
-	seed   maphash.Seed
-	parser *sparql.Parser
-}
-
-// process runs one raw entry through cleaning, dedup, parsing, and
-// analysis, mirroring the per-entry body of AnalyzeLog. idx is the
-// entry's global position in the stream.
-func (w *streamWorker) process(raw string, idx uint64) {
-	if !looksLikeQuery(raw) {
-		w.rep.NoiseRemoved++
-		return
-	}
-	w.rep.Total++
-	switch {
-	case w.opts.KeepDuplicates:
-		// The appendix corpus analyzes every duplicate: no dedup state.
-		q, err := w.parser.Parse(raw)
-		if err != nil {
-			return
-		}
-		w.rep.Valid++
-		w.rep.Unique++
-		w.rep.noteShape(RepeatShape(q), true)
-		w.rep.analyzeQuery(q, w.opts)
-	case w.opts.StructuralDedup:
-		// Structural dedup keys on the fingerprint, which needs the parse
-		// anyway; every occurrence is parsed and counted Valid. Analysis
-		// is deferred: each shard tracks the earliest occurrence of each
-		// class, because fingerprint-equal queries need not analyze
-		// identically (fingerprinting expands prefixes; the shape
-		// analyses see the original terms), and AnalyzeLog analyzes the
-		// class's first occurrence in log order.
-		q, err := w.parser.Parse(raw)
-		if err != nil {
-			return
-		}
-		w.rep.Valid++
-		label := RepeatShape(q)
-		w.rep.noteShape(label, false)
-		fp := sparql.Fingerprint(q)
-		shard := w.shard(fp)
-		shard.mu.Lock()
-		if cur, ok := shard.reps[fp]; !ok || idx < cur.idx {
-			shard.reps[fp] = streamRep{idx: idx, q: q, label: label}
-		}
-		shard.mu.Unlock()
-	default:
-		// Exact-text dedup: the first worker to claim an entry parses and
-		// analyzes it; later occurrences reuse the recorded validity, so
-		// each distinct entry is parsed once (twice in the rare race where
-		// a duplicate arrives mid-parse — identical text parses
-		// identically, so the result is unchanged).
-		shard := w.shard(raw)
-		shard.mu.Lock()
-		st, dup := shard.seen[raw]
-		if !dup {
-			shard.seen[raw] = seenEntry{status: statusPending}
-		}
-		shard.mu.Unlock()
-		if !dup {
-			q, err := w.parser.Parse(raw)
-			var label string
-			if err == nil {
-				label = RepeatShape(q)
-			}
-			shard.mu.Lock()
-			if err != nil {
-				// Keep no state for unparseable entries, mirroring
-				// AnalyzeLog: duplicates of them re-parse (and re-fail)
-				// instead of inflating the shards with invalid noise.
-				delete(shard.seen, raw)
-			} else {
-				shard.seen[raw] = seenEntry{status: statusValid, label: label}
-			}
-			shard.mu.Unlock()
-			if err != nil {
-				return
-			}
-			w.rep.Valid++
-			w.rep.Unique++
-			w.rep.noteShape(label, true)
-			w.rep.analyzeQuery(q, w.opts)
-			return
-		}
-		switch st.status {
-		case statusValid:
-			w.rep.Valid++
-			w.rep.noteShape(st.label, false)
-		case statusPending:
-			// The claimer is still parsing; parse our identical copy to
-			// learn validity (and the repeat label) without waiting on it.
-			if q, err := w.parser.Parse(raw); err == nil {
-				w.rep.Valid++
-				w.rep.noteShape(RepeatShape(q), false)
-			}
-		}
-	}
-}
-
-func (w *streamWorker) shard(key string) *dedupShard {
-	return &w.shards[maphash.String(w.seed, key)%uint64(len(w.shards))]
+	return la.Report()
 }

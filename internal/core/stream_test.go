@@ -19,9 +19,9 @@ func fixtureLogs() []loggen.Dataset {
 	}
 }
 
-// TestStreamMatchesBatch is the three-way differential test: on every
-// fixture log and option set, StreamAnalyzer must produce a DatasetReport
-// deeply equal to both AnalyzeLog and AnalyzeLogParallel.
+// TestStreamMatchesBatch is the differential test: on every fixture log
+// and option set, StreamAnalyzer must produce a DatasetReport deeply
+// equal to AnalyzeLog's.
 func TestStreamMatchesBatch(t *testing.T) {
 	optionSets := map[string]Options{
 		"default":         {},
@@ -32,16 +32,11 @@ func TestStreamMatchesBatch(t *testing.T) {
 	for _, ds := range fixtureLogs() {
 		for label, opts := range optionSets {
 			seq := AnalyzeLog(ds.Name, ds.Entries, opts)
-			par := AnalyzeLogParallel(ds.Name, ds.Entries, opts, 4)
-			sa := &StreamAnalyzer{Opts: opts, Workers: 4, ChunkSize: 64, Shards: 8}
+			sa := &StreamAnalyzer{Opts: opts, Workers: 4}
 			str := sa.AnalyzeSeq(ds.Name, slices.Values(ds.Entries))
 			if !reflect.DeepEqual(seq, str) {
 				t.Errorf("%s/%s: stream report differs from sequential", ds.Name, label)
 				diffReports(t, seq, str)
-			}
-			if !reflect.DeepEqual(seq, par) {
-				t.Errorf("%s/%s: parallel report differs from sequential", ds.Name, label)
-				diffReports(t, seq, par)
 			}
 		}
 	}
@@ -63,7 +58,7 @@ func diffReports(t *testing.T, want, got *DatasetReport) {
 // rendered as a file must equal analyzing its in-memory entries.
 func TestStreamReader(t *testing.T) {
 	ds := loggen.Generate(loggen.Profiles()[1], 500, 3)
-	sa := &StreamAnalyzer{Workers: 3, ChunkSize: 32}
+	sa := &StreamAnalyzer{Workers: 3}
 	fromSlice := sa.AnalyzeSeq(ds.Name, slices.Values(ds.Entries))
 	fromReader, err := sa.AnalyzeReader(ds.Name, strings.NewReader(strings.Join(ds.Entries, "\n")+"\n"), FormatPlain)
 	if err != nil {
@@ -75,18 +70,34 @@ func TestStreamReader(t *testing.T) {
 	}
 }
 
-// TestStreamEdgeCases covers degenerate pool configurations and inputs.
+// TestStreamCrossesChunks runs a log longer than workers × chunkSize, so
+// every worker takes several chunks and duplicates of one entry land in
+// different chunks on different workers. Shapes are skipped for time:
+// they see one query at a time, whatever the chunking.
+func TestStreamCrossesChunks(t *testing.T) {
+	const workers = 2
+	ds := loggen.Generate(loggen.Profiles()[0], 2*workers*chunkSize+chunkSize/2, 12)
+	for label, opts := range map[string]Options{
+		"default":    {SkipShapes: true},
+		"structural": {SkipShapes: true, StructuralDedup: true},
+	} {
+		want := AnalyzeLog(ds.Name, ds.Entries, opts)
+		got := (&StreamAnalyzer{Opts: opts, Workers: workers}).AnalyzeSeq(ds.Name, slices.Values(ds.Entries))
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%s: report differs", label)
+			diffReports(t, want, got)
+		}
+	}
+}
+
+// TestStreamEdgeCases covers degenerate pool sizes and inputs.
 func TestStreamEdgeCases(t *testing.T) {
 	ds := loggen.Generate(loggen.Profiles()[0], 300, 12)
 	want := AnalyzeLog(ds.Name, ds.Entries, Options{})
-	for _, cfg := range []StreamAnalyzer{
-		{Workers: 1, ChunkSize: 1, Shards: 1},
-		{Workers: 8, ChunkSize: 7, Shards: 3},
-		{Workers: 2, ChunkSize: 1 << 20, Shards: 1024},
-	} {
-		got := cfg.AnalyzeSeq(ds.Name, slices.Values(ds.Entries))
+	for _, workers := range []int{1, 8} {
+		got := (&StreamAnalyzer{Workers: workers}).AnalyzeSeq(ds.Name, slices.Values(ds.Entries))
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("config %+v: report differs", cfg)
+			t.Errorf("workers=%d: report differs", workers)
 			diffReports(t, want, got)
 		}
 	}
@@ -108,20 +119,23 @@ func TestStreamEdgeCases(t *testing.T) {
 // are fingerprint-equal but can analyze differently (shape analysis sees
 // the original terms), so the stream must analyze the class's first
 // occurrence in log order, exactly like AnalyzeLog — regardless of which
-// worker reaches it first.
+// worker reaches it first. A chunk of noise between the two forms puts
+// them in different chunks, so two workers race to them.
 func TestStreamStructuralRepresentative(t *testing.T) {
 	prefixed := "PREFIX ex: <http://e/> SELECT ?x WHERE { <http://e/p> <http://e/q> ?x . ex:p <http://e/q2> ?x }"
 	expanded := "SELECT ?x WHERE { <http://e/p> <http://e/q> ?x . <http://e/p> <http://e/q2> ?x }"
 	opts := Options{StructuralDedup: true}
-	for _, entries := range [][]string{
+	for _, pair := range [][2]string{
 		{prefixed, expanded},
 		{expanded, prefixed},
 	} {
+		entries := append([]string{pair[0]}, slices.Repeat([]string{"GET /robots.txt"}, chunkSize)...)
+		entries = append(entries, pair[1])
 		want := AnalyzeLog("fp", entries, opts)
 		if want.Unique != 1 {
 			t.Fatalf("fixture not fingerprint-equal: unique = %d", want.Unique)
 		}
-		sa := &StreamAnalyzer{Opts: opts, Workers: 4, ChunkSize: 1, Shards: 4}
+		sa := &StreamAnalyzer{Opts: opts, Workers: 4}
 		for trial := 0; trial < 20; trial++ {
 			got := sa.AnalyzeSeq("fp", slices.Values(entries))
 			if !reflect.DeepEqual(want, got) {

@@ -16,7 +16,7 @@ import (
 // but the same row sequence, because GROUP BY emission order
 // (first-encounter) and ORDER BY are part of the observable contract.
 // Every query here runs once on the columnar path and once with
-// Limits.Legacy, and rows are compared position by position.
+// Limits.legacy, and rows are compared position by position.
 
 // diffOrdered requires identical outcomes — error class, projection,
 // and the exact row sequence — between the columnar and legacy paths.
@@ -27,7 +27,7 @@ func diffOrdered(t *testing.T, sn *rdf.Snapshot, src string) {
 		t.Fatalf("parse %q: %v", src, err)
 	}
 	col, cerr := QueryWithLimits(sn, q, Limits{})
-	leg, lerr := QueryWithLimits(sn, q, Limits{Legacy: true})
+	leg, lerr := QueryWithLimits(sn, q, Limits{legacy: true})
 	if (cerr == nil) != (lerr == nil) {
 		t.Fatalf("error divergence on %q: columnar=%v legacy=%v", src, cerr, lerr)
 	}
@@ -374,7 +374,7 @@ func TestNulKeyCollision(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := QueryWithLimits(sn, q, Limits{Legacy: true})
+		res, err := QueryWithLimits(sn, q, Limits{legacy: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,7 +21,7 @@ import (
 // computed values (BIND, VALUES, subquery rows) intern into the
 // execution's Pool overflow, and projection/ORDER BY/aggregation
 // materialize text lazily per touched cell. The legacy materialized
-// path (Limits.Legacy) remains as the differential reference; the
+// path (Limits.legacy) remains as the differential reference; the
 // compiler mirrors its operator semantics — including evaluation
 // order, row-budget checkpoints, and lazy evaluation of subqueries and
 // MINUS bodies behind empty inputs — so the two produce identical
@@ -182,7 +182,7 @@ func (ev *evaluator) queryColumnar(q *sparql.Query) (*Result, error) {
 	switch {
 	case q.Where == nil:
 		// No WHERE: the unit row flows straight to the modifiers.
-	case !ev.lim.NoStatic && lint.EmptyUnder(q, ev.prefixes):
+	case !ev.lim.noStatic && lint.EmptyUnder(q, ev.prefixes):
 		// The linter proved the WHERE clause can never produce a row
 		// (unsatisfiable filter, empty VALUES, LIMIT 0 subquery, …):
 		// short-circuit to an empty source without compiling the tree
@@ -310,7 +310,7 @@ func (ce *colExec) compile(p sparql.Pattern, in exec.Operator, bound map[string]
 	switch n := p.(type) {
 	case *sparql.Group:
 		elems := n.Elems
-		if !ev.lim.NoReorder {
+		if !ev.lim.noReorder {
 			elems = ev.reorderElems(elems, copyBound(bound))
 		}
 		var filters []sparql.Expr

@@ -13,7 +13,7 @@ import (
 )
 
 // diffColumnarLegacy evaluates src on the columnar executor (default)
-// and the legacy materialized path (Limits.Legacy) and requires
+// and the legacy materialized path (Limits.legacy) and requires
 // identical results: ASK answer, projection, and the solution multiset
 // (order-insensitive; SPARQL solution sequences without ORDER BY are
 // unordered, and the comparison must not depend on internal
@@ -25,7 +25,7 @@ func diffColumnarLegacy(t *testing.T, sn *rdf.Snapshot, src string) {
 		t.Fatalf("parse %q: %v", src, err)
 	}
 	columnar, cerr := QueryWithLimits(sn, q, Limits{})
-	legacy, lerr := QueryWithLimits(sn, q, Limits{Legacy: true})
+	legacy, lerr := QueryWithLimits(sn, q, Limits{legacy: true})
 	if (cerr == nil) != (lerr == nil) {
 		t.Fatalf("error divergence on %q: columnar=%v legacy=%v", src, cerr, lerr)
 	}
@@ -262,10 +262,10 @@ func TestColumnarRowLimitParity(t *testing.T) {
 	sn2 := st2.Freeze()
 	src := `SELECT ?x ?w WHERE { ?x <urn:q> ?y . ?x <urn:p> ?w } LIMIT 2`
 	q2, _ := sparql.Parse(src)
-	if _, err := QueryWithLimits(sn2, q2, Limits{MaxRows: 1500, NoReorder: true, Legacy: true}); err == nil {
+	if _, err := QueryWithLimits(sn2, q2, Limits{MaxRows: 1500, noReorder: true, legacy: true}); err == nil {
 		t.Fatal("legacy should overflow the 1500-row budget on the 2000-row join")
 	}
-	res, err := QueryWithLimits(sn2, q2, Limits{MaxRows: 1500, NoReorder: true})
+	res, err := QueryWithLimits(sn2, q2, Limits{MaxRows: 1500, noReorder: true})
 	if err != nil || len(res.Rows) != 2 {
 		t.Fatalf("streaming limit under tight budget: rows=%v err=%v", res, err)
 	}
@@ -286,13 +286,13 @@ func TestMinusLazyBehindDeadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, lim := range []Limits{{MaxRows: 10}, {MaxRows: 10, Legacy: true}} {
+	for _, lim := range []Limits{{MaxRows: 10}, {MaxRows: 10, legacy: true}} {
 		res, err := QueryWithLimits(sn, q, lim)
 		if err != nil {
-			t.Fatalf("legacy=%v: dead input must skip the overflowing MINUS body: %v", lim.Legacy, err)
+			t.Fatalf("legacy=%v: dead input must skip the overflowing MINUS body: %v", lim.legacy, err)
 		}
 		if len(res.Rows) != 0 {
-			t.Fatalf("legacy=%v: rows = %v, want none", lim.Legacy, res.Rows)
+			t.Fatalf("legacy=%v: rows = %v, want none", lim.legacy, res.Rows)
 		}
 	}
 	// With live input the body does evaluate and the budget applies.

@@ -9,7 +9,7 @@
 // query-wide variable→slot schema and solutions flow through it as
 // rdf.ID batches, with strings only at the edges (see columnar.go).
 // The pre-refactor materialized path — per-row map bindings — survives
-// behind Limits.Legacy as the differential-testing reference.
+// behind Limits.legacy as the differential-testing reference.
 //
 // The store's dictionary is untyped text, so literals match on their
 // lexical form; language tags and datatypes are compared syntactically
@@ -115,15 +115,6 @@ type ModifierInfo struct {
 type Limits struct {
 	// MaxRows caps any intermediate binding set (0 = DefaultMaxRows).
 	MaxRows int
-	// NoReorder keeps basic graph patterns in their syntactic order
-	// instead of the cost-based planner's order — the pre-planner
-	// behaviour, kept for ablation benchmarks and differential tests.
-	NoReorder bool
-	// Legacy evaluates on the pre-columnar materialized path: per-row
-	// map[string]string bindings flowing through the pattern algebra.
-	// Kept as the differential-testing reference for the slot-based
-	// columnar executor (the default), and for ablation benchmarks.
-	Legacy bool
 	// Paths optionally shares a compiled-path cache across queries
 	// against the same snapshot (the plan.Cache pattern): a serving
 	// layer evaluating recurring path shapes compiles each shape once.
@@ -137,11 +128,6 @@ type Limits struct {
 	// variables). Only unseeded runs consult it; a BGP whose variables
 	// were pre-bound by earlier operators plans directly.
 	Plans *plan.Cache
-	// NoStatic disables the static-emptiness short circuit: by default
-	// a WHERE clause the linter proves empty (internal/lint.EmptyUnder)
-	// compiles to an empty source instead of touching the store. Kept
-	// for ablation benchmarks and the probe-count tests.
-	NoStatic bool
 	// CollapseEqualities opts into the SQL007 optimizer rewrite: group
 	// filters of the form FILTER(?x = ?y) whose dropped variable lives
 	// entirely in the group's own triples are substituted away before
@@ -167,6 +153,24 @@ type Limits struct {
 	// estimates clear a threshold, so small queries stay serial — and
 	// parallel output is row-for-row identical to serial either way.
 	Parallel int
+
+	// The switches below turn a default mechanism off. No binary sets
+	// them; this package's differential tests and ablation benchmarks do.
+
+	// noReorder keeps basic graph patterns in their syntactic order
+	// instead of the cost-based planner's order — the pre-planner
+	// behaviour.
+	noReorder bool
+	// legacy evaluates on the pre-columnar materialized path: per-row
+	// map[string]string bindings flowing through the pattern algebra —
+	// the differential-testing reference for the slot-based columnar
+	// executor (the default).
+	legacy bool
+	// noStatic disables the static-emptiness short circuit: by default
+	// a WHERE clause the linter proves empty (internal/lint.EmptyUnder)
+	// compiles to an empty source instead of touching the store. The
+	// probe-count tests compare against it.
+	noStatic bool
 }
 
 // DefaultMaxRows bounds intermediate results.
@@ -321,11 +325,11 @@ func varName(t sparql.Term) (string, bool) {
 }
 
 // query dispatches to the columnar executor (the default) or the
-// legacy materialized path (Limits.Legacy, the differential
+// legacy materialized path (Limits.legacy, the differential
 // reference). Subqueries recurse through here, so both paths stay
 // internally homogeneous.
 func (ev *evaluator) query(q *sparql.Query) (*Result, error) {
-	if ev.lim.Legacy {
+	if ev.lim.legacy {
 		return ev.queryLegacy(q)
 	}
 	return ev.queryColumnar(q)
@@ -512,7 +516,7 @@ func (ev *evaluator) pattern(p sparql.Pattern, in []binding) ([]binding, error) 
 // changes, not the solution set.
 func (ev *evaluator) group(g *sparql.Group, in []binding) ([]binding, error) {
 	elems := g.Elems
-	if !ev.lim.NoReorder {
+	if !ev.lim.noReorder {
 		elems = ev.reorderBGPs(elems, in)
 	}
 	rows := in

@@ -39,7 +39,7 @@ func FuzzExecDifferential(f *testing.F) {
 			t.Fatalf("generator produced unparsable query %q: %v", src, err)
 		}
 		columnar, cerr := QueryWithLimits(sn, q, Limits{})
-		legacy, lerr := QueryWithLimits(sn, q, Limits{Legacy: true})
+		legacy, lerr := QueryWithLimits(sn, q, Limits{legacy: true})
 		if (cerr == nil) != (lerr == nil) {
 			t.Fatalf("error divergence on %q: columnar=%v legacy=%v", src, cerr, lerr)
 		}

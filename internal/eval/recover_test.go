@@ -31,7 +31,7 @@ func TestSilentServiceRecoveryCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, legacy := range []bool{false, true} {
-		res, err := QueryWithLimits(sn, q, Limits{MaxRows: 10, Legacy: legacy})
+		res, err := QueryWithLimits(sn, q, Limits{MaxRows: 10, legacy: legacy})
 		if err != nil {
 			t.Fatalf("legacy=%v: %v", legacy, err)
 		}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"sparqlog/internal/gmark"
 	"sparqlog/internal/rdf"
 	"sparqlog/internal/sparql"
 )
@@ -33,7 +34,7 @@ func diffQueries(t *testing.T, sn *rdf.Snapshot, src string) {
 	if err != nil {
 		t.Fatalf("planned eval %q: %v", src, err)
 	}
-	baseline, err := QueryWithLimits(sn, q, Limits{NoReorder: true})
+	baseline, err := QueryWithLimits(sn, q, Limits{noReorder: true})
 	if err != nil {
 		t.Fatalf("baseline eval %q: %v", src, err)
 	}
@@ -210,6 +211,31 @@ func TestExplainPropertyPath(t *testing.T) {
 	for _, want := range []string{"est rows", "property path", "note:", "FILTER"} {
 		if !strings.Contains(text3, want) {
 			t.Errorf("mixed explain missing %q:\n%s", want, text3)
+		}
+	}
+}
+
+// BenchmarkEvalJoinOrderSyntactic is the denominator of the root
+// package's BenchmarkEvalJoinOrder/planned: the same selective-last
+// chain query over the same gMark graph, evaluated in the pre-planner
+// syntactic order.
+func BenchmarkEvalJoinOrderSyntactic(b *testing.B) {
+	g := gmark.Generate(gmark.Config{Nodes: 6000, Seed: 41})
+	jname := g.Snapshot.TermOf(g.Nodes[gmark.Journal][1])
+	q, err := sparql.Parse(fmt.Sprintf(`PREFIX bib: <http://gmark.bib/p/>
+		SELECT ?p1 ?p2 ?r WHERE {
+			?p1 bib:cites ?p2 .
+			?p2 bib:cites ?p3 .
+			?p1 bib:authoredBy ?r .
+			?p1 bib:publishedIn <%s> .
+		}`, jname))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := QueryWithLimits(g.Snapshot, q, Limits{noReorder: true}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -42,7 +42,7 @@ func TestCollapseEqualitiesDifferential(t *testing.T) {
 		}
 		plain, perr := QueryWithLimits(sn, q, Limits{})
 		opt, oerr := QueryWithLimits(sn, q, Limits{CollapseEqualities: true})
-		legacyOpt, lerr := QueryWithLimits(sn, q, Limits{CollapseEqualities: true, Legacy: true})
+		legacyOpt, lerr := QueryWithLimits(sn, q, Limits{CollapseEqualities: true, legacy: true})
 		if (perr == nil) != (oerr == nil) || (perr == nil) != (lerr == nil) {
 			t.Fatalf("error divergence on %q: plain=%v opt=%v legacy-opt=%v", src, perr, oerr, lerr)
 		}

@@ -36,18 +36,18 @@ func TestStaticShortCircuitZeroProbes(t *testing.T) {
 		if len(res.Rows) != 0 || res.Bool {
 			t.Errorf("%q: short-circuited eval produced rows", src)
 		}
-		full, err := QueryWithLimits(sn, q, Limits{NoStatic: true})
+		full, err := QueryWithLimits(sn, q, Limits{noStatic: true})
 		if err != nil {
 			t.Fatalf("full eval of %q: %v", src, err)
 		}
 		if full.Probes == 0 {
-			t.Errorf("%q: NoStatic eval reports zero probes — the meter is broken", src)
+			t.Errorf("%q: noStatic eval reports zero probes — the meter is broken", src)
 		}
 		if len(full.Rows) != 0 || full.Bool {
 			t.Errorf("%q: full eval found rows in a statically-empty query", src)
 		}
 	}
-	// A LIMIT 0 subquery short-circuits statically too; under NoStatic
+	// A LIMIT 0 subquery short-circuits statically too; under noStatic
 	// the streaming limit already pulls nothing, so only the zero-probe
 	// and emptiness contracts apply.
 	q, err := sparql.Parse(`SELECT * WHERE { { SELECT ?s WHERE { ?s ?p ?o } LIMIT 0 } }`)
@@ -118,7 +118,7 @@ func BenchmarkStaticShortCircuit(b *testing.B) {
 	})
 	b.Run("full", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := QueryWithLimits(sn, q, Limits{NoStatic: true}); err != nil {
+			if _, err := QueryWithLimits(sn, q, Limits{noStatic: true}); err != nil {
 				b.Fatal(err)
 			}
 		}

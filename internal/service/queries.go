@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"sync"
 	"time"
 
 	"sparqlog/internal/eval"
@@ -128,13 +127,7 @@ func (r *QueryReport) TotalRows() int64 {
 // Cancelling ctx stops the run; undispatched queries are marked timed
 // out.
 func RunQueries(ctx context.Context, sn *rdf.Snapshot, queries []*sparql.Query, opt QueryOptions) QueryReport {
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(queries) && len(queries) > 0 {
-		workers = len(queries)
-	}
+	workers := poolSize(opt.Workers, len(queries))
 	lim := opt.Limits
 	lim.Plans, lim.Paths, lim.Results = opt.Plans, opt.Paths, opt.Results
 	lim.Parallel = intraBudget(lim.Parallel, workers)
@@ -151,57 +144,16 @@ func RunQueries(ctx context.Context, sn *rdf.Snapshot, queries []*sparql.Query, 
 	}
 	rep := QueryReport{Outcomes: make([]QueryOutcome, len(queries))}
 	start := time.Now()
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				rep.Outcomes[i] = runOneQuery(ctx, sn, queries[i], lim, opt.Timeout)
-			}
-		}()
-	}
-dispatch:
-	for i := range queries {
-		if ctx.Err() != nil {
-			for j := i; j < len(queries); j++ {
-				rep.Outcomes[j] = QueryOutcome{Err: exec.ErrTimeout, TimedOut: true}
-			}
-			break dispatch
-		}
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			for j := i; j < len(queries); j++ {
-				rep.Outcomes[j] = QueryOutcome{Err: exec.ErrTimeout, TimedOut: true}
-			}
-			break dispatch
-		}
-	}
-	close(jobs)
-	wg.Wait()
+	dispatched := runPool(ctx, workers, len(queries), func(i int) {
+		rep.Outcomes[i] = runOneQuery(ctx, sn, queries[i], lim, opt.Timeout)
+	})
 	rep.Wall = time.Since(start)
-
-	durs := make([]time.Duration, 0, len(queries))
-	for _, o := range rep.Outcomes {
-		if o.TimedOut {
-			rep.Timeouts++
-		}
-		if o.TimedOut && o.Duration == 0 {
-			// Undispatched or pre-start cancellation: the query never
-			// ran, so a zero-duration sample would drag the percentiles
-			// toward zero exactly when the pool is overloaded. Queries
-			// that hit their own deadline carry the full budget
-			// (Figure 3) and stay in the sample.
-			continue
-		}
-		durs = append(durs, o.Duration)
+	for i := dispatched; i < len(queries); i++ {
+		rep.Outcomes[i] = QueryOutcome{Err: exec.ErrTimeout, TimedOut: true}
 	}
-	rep.Stats = Percentiles(durs)
-	if rep.Wall > 0 {
-		rep.Stats.QPS = float64(len(queries)-rep.Timeouts) / rep.Wall.Seconds()
-	}
+	rep.Timeouts, rep.Stats = summarize(len(queries), rep.Wall, func(i int) (bool, time.Duration) {
+		return rep.Outcomes[i].TimedOut, rep.Outcomes[i].Duration
+	})
 	if opt.Plans != nil {
 		rep.PlanHits = opt.Plans.Hits() - planHits0
 		rep.PlanMisses = opt.Plans.Misses() - planMisses0

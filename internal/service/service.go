@@ -81,13 +81,6 @@ func (r *Report) TotalResults() int64 {
 // queries abort via their per-query context and undispatched queries are
 // marked timed out.
 func Run(ctx context.Context, e engine.Engine, sn *rdf.Snapshot, queries []engine.CQ, opt Options) Report {
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(queries) && len(queries) > 0 {
-		workers = len(queries)
-	}
 	var hits0, misses0 int64
 	if opt.Plans != nil {
 		hits0, misses0 = opt.Plans.Hits(), opt.Plans.Misses()
@@ -95,6 +88,41 @@ func Run(ctx context.Context, e engine.Engine, sn *rdf.Snapshot, queries []engin
 	}
 	rep := Report{Engine: e.Name(), Results: make([]engine.Result, len(queries))}
 	start := time.Now()
+	dispatched := runPool(ctx, poolSize(opt.Workers, len(queries)), len(queries), func(i int) {
+		rep.Results[i] = runOne(ctx, e, sn, queries[i], opt.Timeout)
+	})
+	rep.Wall = time.Since(start)
+	for i := dispatched; i < len(queries); i++ {
+		rep.Results[i] = engine.Result{TimedOut: true}
+	}
+	rep.Timeouts, rep.Stats = summarize(len(queries), rep.Wall, func(i int) (bool, time.Duration) {
+		return rep.Results[i].TimedOut, rep.Results[i].Duration
+	})
+	if opt.Plans != nil {
+		rep.PlanHits = opt.Plans.Hits() - hits0
+		rep.PlanMisses = opt.Plans.Misses() - misses0
+	}
+	return rep
+}
+
+// poolSize resolves a requested worker count for a workload of n
+// queries: 0 means GOMAXPROCS, and a pool never outnumbers its work.
+func poolSize(requested, n int) int {
+	if requested <= 0 {
+		requested = runtime.GOMAXPROCS(0)
+	}
+	if requested > n && n > 0 {
+		requested = n
+	}
+	return requested
+}
+
+// runPool calls run(i) for i in [0, n) on a pool of workers goroutines
+// and waits for them. Cancelling ctx stops dispatch; the return value is
+// the number of indexes handed to the pool, so [dispatched, n) never ran
+// and is the caller's to mark timed out. Distinct indexes run
+// concurrently: run must only write state private to its index.
+func runPool(ctx context.Context, workers, n int, run func(i int)) (dispatched int) {
 	jobs := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -102,59 +130,50 @@ func Run(ctx context.Context, e engine.Engine, sn *rdf.Snapshot, queries []engin
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				rep.Results[i] = runOne(ctx, e, sn, queries[i], opt.Timeout)
+				run(i)
 			}
 		}()
 	}
-dispatch:
-	for i := range queries {
-		// Check cancellation before the send: when both select cases are
-		// ready Go picks randomly, which could keep dispatching after
-		// cancellation.
-		if ctx.Err() != nil {
-			for j := i; j < len(queries); j++ {
-				rep.Results[j] = engine.Result{TimedOut: true}
-			}
-			break dispatch
-		}
+	// Cancellation is checked before every send: when both select cases
+	// are ready Go picks randomly, which could keep dispatching after
+	// cancellation.
+	for dispatched < n && ctx.Err() == nil {
 		select {
-		case jobs <- i:
+		case jobs <- dispatched:
+			dispatched++
 		case <-ctx.Done():
-			// Mark everything not yet dispatched as timed out.
-			for j := i; j < len(queries); j++ {
-				rep.Results[j] = engine.Result{TimedOut: true}
-			}
-			break dispatch
 		}
 	}
 	close(jobs)
 	wg.Wait()
-	rep.Wall = time.Since(start)
+	return dispatched
+}
 
-	durs := make([]time.Duration, 0, len(queries))
-	for _, res := range rep.Results {
-		if res.TimedOut {
-			rep.Timeouts++
+// summarize counts the timed-out queries of a finished run of n queries
+// and computes its latency statistics; sample returns query i's
+// timed-out flag and duration.
+func summarize(n int, wall time.Duration, sample func(i int) (timedOut bool, d time.Duration)) (timeouts int, stats LatencyStats) {
+	durs := make([]time.Duration, 0, n)
+	for i := 0; i < n; i++ {
+		timedOut, d := sample(i)
+		if timedOut {
+			timeouts++
+			if d == 0 {
+				// Undispatched or pre-start cancellation: the query never
+				// ran, so a zero-duration sample would drag the percentiles
+				// toward zero exactly when the pool is overloaded. Queries
+				// that hit their own deadline carry the full budget
+				// (Figure 3) and stay in the sample.
+				continue
+			}
 		}
-		if res.TimedOut && res.Duration == 0 {
-			// Undispatched or pre-start cancellation: the query never
-			// ran, so a zero-duration sample would drag the percentiles
-			// toward zero exactly when the pool is overloaded. Queries
-			// that hit their own deadline carry the full budget
-			// (Figure 3) and stay in the sample.
-			continue
-		}
-		durs = append(durs, res.Duration)
+		durs = append(durs, d)
 	}
-	rep.Stats = Percentiles(durs)
-	if rep.Wall > 0 {
-		rep.Stats.QPS = float64(len(queries)-rep.Timeouts) / rep.Wall.Seconds()
+	stats = Percentiles(durs)
+	if wall > 0 {
+		stats.QPS = float64(n-timeouts) / wall.Seconds()
 	}
-	if opt.Plans != nil {
-		rep.PlanHits = opt.Plans.Hits() - hits0
-		rep.PlanMisses = opt.Plans.Misses() - misses0
-	}
-	return rep
+	return timeouts, stats
 }
 
 // withPlans returns a copy of the engine wired to the shared plan cache,
