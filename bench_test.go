@@ -22,6 +22,7 @@ import (
 	"sparqlog/internal/eval"
 	"sparqlog/internal/gmark"
 	"sparqlog/internal/graph"
+	"sparqlog/internal/lint"
 	"sparqlog/internal/loggen"
 	"sparqlog/internal/plan"
 	"sparqlog/internal/repro"
@@ -551,6 +552,21 @@ func BenchmarkParser(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLintRun measures the whole pass suite on one query, cycling
+// through the distinct valid queries of the bench corpus (the sizes and
+// operator mix of the paper's logs): what sparqld pays per request and
+// the study per analyzed query under -lint.
+func BenchmarkLintRun(b *testing.B) {
+	qs := parsedBenchQueries(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lintSink = lint.Run(qs[i%len(qs)])
+	}
+}
+
+var lintSink *lint.Result
 
 // BenchmarkSerializer measures AST-to-text throughput.
 func BenchmarkSerializer(b *testing.B) {

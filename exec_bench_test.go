@@ -11,6 +11,7 @@ import (
 
 	"sparqlog/internal/eval"
 	"sparqlog/internal/gmark"
+	"sparqlog/internal/rdf"
 	"sparqlog/internal/sparql"
 )
 
@@ -123,4 +124,47 @@ func BenchmarkExecTopK(b *testing.B) {
 				?p bib:cites ?q .
 			} ORDER BY DESC(?r) ?q OFFSET 100 LIMIT 50`,
 	})
+}
+
+// BenchmarkDescribe is DESCRIBE <iri> on the Bib graph at the paper's
+// Section 5.1 size (100k nodes), the graph bench/'s serve workloads
+// load: a leaf (the newest paper, which nothing cites) and the hub (the
+// node with the most edges). The cost should follow the size of the
+// answer, not of the store.
+func BenchmarkDescribe(b *testing.B) {
+	g := gmark.Generate(gmark.Config{Nodes: 100000, Seed: 41})
+	sn := g.Snapshot
+	papers := g.Nodes[gmark.Paper]
+	hub := papers[0]
+	for _, nodes := range g.Nodes {
+		for _, n := range nodes {
+			if sn.SubjectDegree(n)+sn.ObjectDegree(n) > sn.SubjectDegree(hub)+sn.ObjectDegree(hub) {
+				hub = n
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		node rdf.ID
+	}{{"leaf", papers[len(papers)-1]}, {"hub", hub}} {
+		q, err := sparql.Parse("DESCRIBE <" + sn.TermOf(c.node) + ">")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			rows := 0
+			for i := 0; i < b.N; i++ {
+				res, err := eval.Query(sn, q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows = len(res.Rows)
+			}
+			if rows == 0 {
+				b.Fatal("DESCRIBE returned no triples")
+			}
+			b.ReportMetric(float64(rows), "triples/op")
+		})
+	}
 }

@@ -62,3 +62,48 @@ func percentEncode(s string) string {
 	}
 	return sb.String()
 }
+
+// looksLikeQueryByToUpper is the cleaning test as it was before it
+// stopped allocating: upper-case a copy of the entry, look for a
+// query-form keyword.
+func looksLikeQueryByToUpper(entry string) bool {
+	up := strings.ToUpper(entry)
+	for _, kw := range []string{"SELECT", "ASK", "CONSTRUCT", "DESCRIBE"} {
+		if strings.Contains(up, kw) {
+			return true
+		}
+	}
+	return false
+}
+
+// FuzzLooksLikeQuery holds the allocation-free cleaning test to the
+// upper-casing one on every input, so Total and NoiseRemoved cannot
+// move: ASCII in any case, keywords cut short by the end of the entry,
+// and the non-ASCII runes whose upper case is a keyword letter.
+func FuzzLooksLikeQuery(f *testing.F) {
+	for _, s := range []string{
+		"SELECT * WHERE { ?s ?p ?o }",
+		"select ?x where { ?x a <c> }",
+		"DeScRiBe <x>",
+		"aSk {}",
+		"construct",
+		"GET /resource/Paris HTTP/1.1",
+		"no keywords here",
+		"SELEC", "AS", "DESCRIB", "xCONSTRUC",
+		"sselect", "SELESELECT", "a sk",
+		"ſelect * {}",           // ſ upper-cases to S
+		"descrıbe <x>",          // ı upper-cases to I
+		"aſk {}",                // ſ inside ASK
+		"é select",              // non-ASCII beside an ASCII keyword
+		"é nothing",             // non-ASCII, no keyword
+		"sel\xffect", "ask\xc5", // invalid UTF-8
+		"",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, entry string) {
+		if got, want := looksLikeQuery(entry), looksLikeQueryByToUpper(entry); got != want {
+			t.Fatalf("looksLikeQuery(%q) = %v, the upper-casing test says %v", entry, got, want)
+		}
+	})
+}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"sparqlog/internal/lint"
 	"sparqlog/internal/sparql"
 )
 
@@ -24,12 +25,13 @@ const dedupShards = 64
 //
 // Two drivers feed it. Add is the push side: entries arrive one at a
 // time over the lifetime of a process — a serving endpoint feeding each
-// request's query text through the paper's pipeline as it happens —
-// spread across slots round-robin by a global counter that doubles as
-// the entry's log position, and Report can be asked for the
+// request's query through the paper's pipeline as it happens (as
+// AddParsed, since it has parsed the request to answer it) — spread
+// across slots round-robin by a global counter that doubles as the
+// entry's log position, and Report can be asked for the
 // statistics-so-far at any moment. StreamAnalyzer is the pull side: it
-// drains one finite stream in chunks, pool worker w into slot w. Add
-// and Report are safe for arbitrary concurrency.
+// drains one finite stream in chunks, pool worker w into slot w. Add,
+// AddParsed and Report are safe for arbitrary concurrency.
 //
 // Memory: the shards retain one copy of each distinct valid entry's
 // text — the floor any exact deduplication needs (unparseable entries
@@ -118,15 +120,50 @@ func NewLiveAnalyzer(name string, opts Options, workers int) *LiveAnalyzer {
 	return la
 }
 
+// logEntry is one entry on its way through process: its text and, when
+// the caller parsed it already (AddParsed), the outcome of that parse
+// (one of q and err is set) and the query's lint result. Left unparsed,
+// process parses it with the slot's parser if, and only when, the dedup
+// state needs the parse.
+type logEntry struct {
+	raw  string
+	q    *sparql.Query
+	err  error
+	lint *lint.Result
+}
+
+func (e *logEntry) parse(p *sparql.Parser) (*sparql.Query, error) {
+	if e.q == nil && e.err == nil {
+		e.q, e.err = p.Parse(e.raw)
+	}
+	return e.q, e.err
+}
+
 // Add feeds one raw log entry (the decoded query text of one request)
 // through cleaning, dedup, parsing, and analysis. Concurrent Adds
 // spread across the slots; two Adds contend only when they land on the
 // same slot or dedup shard.
 func (la *LiveAnalyzer) Add(raw string) {
+	la.add(&logEntry{raw: raw})
+}
+
+// AddParsed is Add for a caller that has parsed the entry itself, as a
+// serving endpoint must before it can answer: q and perr are what
+// sparql.Parse returned for raw, and lr is lint.Run(q) if the caller
+// has it (nil otherwise, and always when the parse failed). The entry
+// is counted exactly as Add(raw) counts it, without a second parse or
+// lint. The analyzer only reads q and may retain it (structural dedup
+// keeps a class's representative), so the caller must not mutate it
+// afterwards.
+func (la *LiveAnalyzer) AddParsed(raw string, q *sparql.Query, perr error, lr *lint.Result) {
+	la.add(&logEntry{raw: raw, q: q, err: perr, lint: lr})
+}
+
+func (la *LiveAnalyzer) add(e *logEntry) {
 	idx := la.ctr.Add(1) - 1
 	slot := &la.slots[idx%uint64(len(la.slots))]
 	slot.mu.Lock()
-	la.process(slot, raw, idx)
+	la.process(slot, e, idx)
 	slot.mu.Unlock()
 }
 
@@ -169,15 +206,16 @@ func (la *LiveAnalyzer) Report() *DatasetReport {
 	for _, r := range reps {
 		rep.Unique++
 		rep.noteShapeUnique(r.label)
-		rep.analyzeQuery(r.q, la.opts)
+		rep.analyzeQuery(r.q, nil, la.opts)
 	}
 	return rep
 }
 
-// process runs one raw entry through cleaning, dedup, parsing, and
+// process runs one entry through cleaning, dedup, parsing, and
 // analysis into slot s, mirroring the per-entry body of AnalyzeLog. idx
 // is the entry's global position in the log. The caller must own s.
-func (la *LiveAnalyzer) process(s *liveSlot, raw string, idx uint64) {
+func (la *LiveAnalyzer) process(s *liveSlot, e *logEntry, idx uint64) {
+	raw := e.raw
 	if !looksLikeQuery(raw) {
 		s.rep.NoiseRemoved++
 		return
@@ -186,14 +224,14 @@ func (la *LiveAnalyzer) process(s *liveSlot, raw string, idx uint64) {
 	switch {
 	case la.opts.KeepDuplicates:
 		// The appendix corpus analyzes every duplicate: no dedup state.
-		q, err := s.parser.Parse(raw)
+		q, err := e.parse(s.parser)
 		if err != nil {
 			return
 		}
 		s.rep.Valid++
 		s.rep.Unique++
 		s.rep.noteShape(RepeatShape(q), true)
-		s.rep.analyzeQuery(q, la.opts)
+		s.rep.analyzeQuery(q, e.lint, la.opts)
 	case la.opts.StructuralDedup:
 		// Structural dedup keys on the fingerprint, which needs the parse
 		// anyway; every occurrence is parsed and counted Valid. Analysis
@@ -202,7 +240,7 @@ func (la *LiveAnalyzer) process(s *liveSlot, raw string, idx uint64) {
 		// need not analyze identically (fingerprinting expands prefixes;
 		// the shape analyses see the original terms), and AnalyzeLog
 		// analyzes the class's first occurrence in log order.
-		q, err := s.parser.Parse(raw)
+		q, err := e.parse(s.parser)
 		if err != nil {
 			return
 		}
@@ -235,7 +273,7 @@ func (la *LiveAnalyzer) process(s *liveSlot, raw string, idx uint64) {
 				// The claimer is still parsing; parse our identical copy
 				// to learn validity (and the repeat label) without
 				// waiting on it.
-				q, err := s.parser.Parse(raw)
+				q, err := e.parse(s.parser)
 				if err != nil {
 					return
 				}
@@ -245,7 +283,7 @@ func (la *LiveAnalyzer) process(s *liveSlot, raw string, idx uint64) {
 			s.rep.noteShape(label, false)
 			return
 		}
-		q, err := s.parser.Parse(raw)
+		q, err := e.parse(s.parser)
 		var label string
 		if err == nil {
 			label = RepeatShape(q)
@@ -266,7 +304,7 @@ func (la *LiveAnalyzer) process(s *liveSlot, raw string, idx uint64) {
 		s.rep.Valid++
 		s.rep.Unique++
 		s.rep.noteShape(label, true)
-		s.rep.analyzeQuery(q, la.opts)
+		s.rep.analyzeQuery(q, e.lint, la.opts)
 	}
 }
 

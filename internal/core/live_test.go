@@ -5,19 +5,24 @@ import (
 	"sync"
 	"testing"
 
+	"sparqlog/internal/lint"
 	"sparqlog/internal/loggen"
+	"sparqlog/internal/sparql"
 )
 
 // TestLiveMatchesBatch feeds a fixture log entry-by-entry through a
 // LiveAnalyzer (serially, so entry indexes match log order) and checks
 // the final Report deeply equals AnalyzeLog over the same entries, for
-// every dedup mode. Mid-stream reports must be consistent prefixes.
+// every dedup mode, whether an entry arrives as text (Add) or already
+// parsed (AddParsed). Mid-stream reports must be consistent prefixes.
 func TestLiveMatchesBatch(t *testing.T) {
 	optionSets := map[string]Options{
 		"default":         {},
 		"keep-duplicates": {KeepDuplicates: true},
 		"skip-shapes":     {SkipShapes: true},
 		"structural":      {StructuralDedup: true},
+		"lint":            {Lint: true},
+		"structural-lint": {StructuralDedup: true, Lint: true},
 	}
 	ds := loggen.Generate(loggen.Profiles()[0], 1200, 44)
 	for label, opts := range optionSets {
@@ -35,7 +40,19 @@ func TestLiveMatchesBatch(t *testing.T) {
 					diffReports(t, wantMid, mid)
 				}
 			}
-			la.Add(e)
+			// Both entries into process: as text, and as a serving
+			// endpoint hands a request over, parsed and (every other
+			// time) linted already.
+			if i%2 == 0 {
+				la.Add(e)
+				continue
+			}
+			q, err := sparql.Parse(e)
+			var lr *lint.Result
+			if err == nil && i%4 == 1 {
+				lr = lint.Run(q)
+			}
+			la.AddParsed(e, q, err, lr)
 		}
 		if la.Entries() != uint64(len(ds.Entries)) {
 			t.Errorf("%s: entries = %d, want %d", label, la.Entries(), len(ds.Entries))

@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 
 	"sparqlog/internal/analysis"
 	"sparqlog/internal/lint"
@@ -259,6 +260,34 @@ type Options struct {
 // query-form keyword at all (HTTP requests, status lines) are removed
 // before any counting.
 func looksLikeQuery(entry string) bool {
+	ascii := true
+	for i := 0; i < len(entry); i++ {
+		var kw string
+		switch c := entry[i]; {
+		case c >= utf8.RuneSelf:
+			ascii = false
+			continue
+		case c == 'S' || c == 's':
+			kw = "SELECT"
+		case c == 'A' || c == 'a':
+			kw = "ASK"
+		case c == 'C' || c == 'c':
+			kw = "CONSTRUCT"
+		case c == 'D' || c == 'd':
+			kw = "DESCRIBE"
+		default:
+			continue
+		}
+		if hasPrefixUpperASCII(entry[i:], kw) {
+			return true
+		}
+	}
+	if ascii {
+		return false
+	}
+	// Upper-casing folds some non-ASCII runes onto keyword letters
+	// (ſ to S, ı to I), so an entry holding any is judged on its
+	// upper-cased copy; the scan above spares the rest that copy.
 	up := strings.ToUpper(entry)
 	for _, kw := range []string{"SELECT", "ASK", "CONSTRUCT", "DESCRIBE"} {
 		if strings.Contains(up, kw) {
@@ -266,6 +295,24 @@ func looksLikeQuery(entry string) bool {
 		}
 	}
 	return false
+}
+
+// hasPrefixUpperASCII reports whether s starts with the upper-case
+// ASCII word kw in any letter case.
+func hasPrefixUpperASCII(s, kw string) bool {
+	if len(s) < len(kw) {
+		return false
+	}
+	for i := 0; i < len(kw); i++ {
+		c := s[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		if c != kw[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // AnalyzeLog runs the full pipeline over one log's raw entries.
@@ -298,7 +345,7 @@ func AnalyzeLog(name string, entries []string, opts Options) *DatasetReport {
 		}
 		rep.noteShape(shape, true)
 		rep.Unique++
-		rep.analyzeQuery(q, opts)
+		rep.analyzeQuery(q, nil, opts)
 	}
 	return rep
 }
@@ -312,17 +359,23 @@ func AnalyzeQueries(name string, qs []*sparql.Query, opts Options) *DatasetRepor
 		rep.Valid++
 		rep.Unique++
 		rep.noteShape(RepeatShape(q), true)
-		rep.analyzeQuery(q, opts)
+		rep.analyzeQuery(q, nil, opts)
 	}
 	return rep
 }
 
-func (rep *DatasetReport) analyzeQuery(q *sparql.Query, opts Options) {
+// analyzeQuery folds one query into the report. lr is the query's lint
+// result when the caller already has it (a serving endpoint lints every
+// request for its response header); nil means lint here if opts.Lint.
+func (rep *DatasetReport) analyzeQuery(q *sparql.Query, lr *lint.Result, opts Options) {
 	if !q.HasBody() {
 		rep.Bodyless++
 	}
 	if opts.Lint {
-		rep.lintQuery(q)
+		if lr == nil {
+			lr = lint.Run(q)
+		}
+		rep.addLint(lr)
 	}
 	k := analysis.QueryKeywords(q)
 	rep.addKeywords(k)
@@ -397,13 +450,21 @@ func (rep *DatasetReport) analyzeQuery(q *sparql.Query, opts Options) {
 		return
 	}
 	// Canonical-graph shape analysis per fragment (Table 4, Figure 5).
+	// The fragments see at most two distinct graphs, without and with
+	// the ?x = ?y collapses, and one when the query has no such filter
+	// (always so for a CQ); each is built and classified once.
+	var reports [2]*shapes.Report
 	classify := func(withCollapse bool) shapes.Report {
-		o := shapes.Options{}
-		if withCollapse {
-			o.CollapseEqual = collapses
+		i, o := 0, shapes.Options{}
+		if withCollapse && len(collapses) > 0 {
+			i, o.CollapseEqual = 1, collapses
 		}
-		g, _ := shapes.CanonicalGraph(triples, o)
-		return shapes.Classify(g)
+		if reports[i] == nil {
+			g, _ := shapes.CanonicalGraph(triples, o)
+			r := shapes.Classify(g)
+			reports[i] = &r
+		}
+		return *reports[i]
 	}
 	if frag.CQ {
 		r := classify(false)
@@ -434,11 +495,10 @@ func (rep *DatasetReport) analyzeQuery(q *sparql.Query, opts Options) {
 	}
 }
 
-// lintQuery runs the static-analysis pass suite on one query and folds
-// the findings into the per-code aggregates. Runs for every analyzed
-// query, not just the Select/Ask subset the paper statistics scope to.
-func (rep *DatasetReport) lintQuery(q *sparql.Query) {
-	r := lint.Run(q)
+// addLint folds one query's static-analysis findings into the per-code
+// aggregates. Runs for every analyzed query, not just the Select/Ask
+// subset the paper statistics scope to.
+func (rep *DatasetReport) addLint(r *lint.Result) {
 	if len(r.Diagnostics) > 0 {
 		if rep.Lint == nil {
 			rep.Lint = make(map[string]int)

@@ -82,6 +82,28 @@ func TestFragmentAndShapeAccounting(t *testing.T) {
 	}
 }
 
+// TestShapeCollapseAccounting pins which canonical graph each fragment
+// is classified on: CQF and CQOF merge the two sides of a ?x = ?y
+// filter into one node (two disjoint edges become a chain), and a
+// query without such a filter has one graph for all three fragments.
+func TestShapeCollapseAccounting(t *testing.T) {
+	rep := AnalyzeLog("collapse", []string{
+		"SELECT * WHERE { ?a <p> ?b . ?c <q> ?d FILTER(?b = ?c) }",
+		"SELECT * WHERE { ?a <p> ?b . ?c <q> ?d }",
+	}, Options{})
+	if rep.CQ != 1 || rep.CQF != 2 || rep.CQOF != 2 {
+		t.Fatalf("CQ/CQF/CQOF = %d/%d/%d, want 1/2/2", rep.CQ, rep.CQF, rep.CQOF)
+	}
+	if rep.ShapeCQ.Total != 1 || rep.ShapeCQ.Chain != 0 || rep.ShapeCQ.ChainSet != 1 {
+		t.Errorf("shapeCQ = %+v, want the one uncollapsed chain set", rep.ShapeCQ)
+	}
+	for name, sc := range map[string]ShapeCounts{"CQF": rep.ShapeCQF, "CQOF": rep.ShapeCQOF} {
+		if sc.Total != 2 || sc.Chain != 1 || sc.ChainSet != 2 {
+			t.Errorf("shape%s = %+v, want one collapsed chain among two chain sets", name, sc)
+		}
+	}
+}
+
 func TestVarPredicateHypergraphAccounting(t *testing.T) {
 	entries := []string{
 		// Example 5.1's cyclic hypergraph query: ghw 2.

@@ -68,7 +68,7 @@ func (sa *StreamAnalyzer) AnalyzeSeq(name string, seq iter.Seq[string]) *Dataset
 			defer wg.Done()
 			for c := range chunks {
 				for i, raw := range c.entries {
-					la.process(slot, raw, c.base+uint64(i))
+					la.process(slot, &logEntry{raw: raw}, c.base+uint64(i))
 				}
 			}
 		}()

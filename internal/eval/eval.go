@@ -401,17 +401,32 @@ func (ev *evaluator) finishConstruct(q *sparql.Query, rows []env) (*Result, erro
 // finishDescribe returns every triple whose subject or object is one of
 // the described resources (the common "concise bounded description"
 // approximation; the output of DESCRIBE is implementation-defined).
+//
+// The targets are resolved to dictionary IDs once — a term the
+// dictionary does not know occurs in no triple — and each one's triples
+// are read from the by-subject and by-object index rows, so the cost is
+// the size of the answer, not of the store. Row order, which
+// LIMIT/OFFSET slice: targets by ascending ID; per target its outgoing
+// edges in (p, o) order, then its incoming edges in (s, p) order. An
+// incoming edge whose subject is itself a target is left to that
+// subject's outgoing run (both-endpoint targets, self-loops), so no
+// triple is emitted twice.
 func (ev *evaluator) finishDescribe(q *sparql.Query, rows []env) (*Result, error) {
-	targets := map[string]bool{}
+	targets := map[rdf.ID]bool{}
+	add := func(term string) {
+		if id, ok := ev.st.Lookup(term); ok {
+			targets[id] = true
+		}
+	}
 	for _, t := range q.DescribeTerms {
 		if txt, ok := ev.termText(t); ok {
-			targets[txt] = true
+			add(txt)
 			continue
 		}
 		if name, ok := varName(t); ok {
 			for _, b := range rows {
 				if v, bound := b.lookupVar(name); bound {
-					targets[v] = true
+					add(v)
 				}
 			}
 		}
@@ -420,19 +435,27 @@ func (ev *evaluator) finishDescribe(q *sparql.Query, rows []env) (*Result, error
 		for _, b := range rows {
 			b.eachBound(func(name string) {
 				if v, ok := b.lookupVar(name); ok {
-					targets[v] = true
+					add(v)
 				}
 			})
 		}
 	}
+	ids := make([]rdf.ID, 0, len(targets))
+	for id := range targets {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	res := &Result{Vars: []string{"s", "p", "o"}}
-	// No targets (e.g. a statically-empty WHERE bound no describe
-	// variables) can match nothing — skip the full store scan.
-	if len(targets) > 0 {
-		for _, t := range ev.st.Triples() {
-			s, p, o := ev.st.TermOf(t.S), ev.st.TermOf(t.P), ev.st.TermOf(t.O)
-			if targets[s] || targets[o] {
-				res.Rows = append(res.Rows, []string{s, p, o})
+	for _, id := range ids {
+		term := ev.st.TermOf(id)
+		preds, objs := ev.st.SubjectEdges(id)
+		for i := range preds {
+			res.Rows = append(res.Rows, []string{term, ev.st.TermOf(preds[i]), ev.st.TermOf(objs[i])})
+		}
+		subs, preds := ev.st.ObjectEdges(id)
+		for i := range subs {
+			if !targets[subs[i]] {
+				res.Rows = append(res.Rows, []string{ev.st.TermOf(subs[i]), ev.st.TermOf(preds[i]), term})
 			}
 		}
 	}

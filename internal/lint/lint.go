@@ -96,6 +96,11 @@ type Ctx struct {
 	// outside this set is unbound in every solution.
 	Bindable map[string]bool
 
+	// scopes is the query's variable scopes (the top query first, then
+	// each subquery), built once per Run and shared by every pass;
+	// passes only read them.
+	scopes []*scope
+
 	current *Pass
 	diags   []Diagnostic
 }
@@ -151,7 +156,8 @@ func (r *Result) Max() (Severity, bool) {
 // Run applies every registered pass to the query and returns the
 // combined diagnostics in pass-code order.
 func Run(q *sparql.Query) *Result {
-	c := &Ctx{Query: q, Bindable: bindableVars(q)}
+	sc := scopes(q)
+	c := &Ctx{Query: q, Bindable: sc[0].bindable, scopes: sc}
 	for _, p := range Passes() {
 		c.current = p
 		p.Run(c)

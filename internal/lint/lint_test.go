@@ -1,6 +1,10 @@
 package lint
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"strings"
 	"testing"
 
@@ -307,5 +311,41 @@ func TestPassesRegistry(t *testing.T) {
 		if i > 0 && ps[i-1].Code >= p.Code {
 			t.Fatalf("passes not sorted by code: %s >= %s", ps[i-1].Code, p.Code)
 		}
+	}
+}
+
+// TestScopesBuiltOncePerRun counts the call sites of scopes in the
+// package's non-test source: there is one, in Run, so a Run builds the
+// scopes once however many passes range over them (each of the eight
+// used to rebuild them). The count is taken from the source so that
+// production code carries no counter.
+func TestScopesBuiltOncePerRun(t *testing.T) {
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var callers []string
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if call, ok := n.(*ast.CallExpr); ok {
+						if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "scopes" {
+							callers = append(callers, fd.Name.Name)
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	if len(callers) != 1 || callers[0] != "Run" {
+		t.Fatalf("scopes is called from %v, want one call, from Run", callers)
 	}
 }

@@ -110,7 +110,7 @@ func scopes(q *sparql.Query) []*scope {
 // ---------- SQL001 ----------
 
 func runUnsatFilter(c *Ctx) {
-	for _, s := range scopes(c.Query) {
+	for _, s := range c.scopes {
 		if s.q.Where == nil {
 			continue
 		}
@@ -129,7 +129,7 @@ func runUnsatFilter(c *Ctx) {
 // ---------- SQL002 ----------
 
 func runCartesianProduct(c *Ctx) {
-	for _, s := range scopes(c.Query) {
+	for _, s := range c.scopes {
 		if s.q.Where == nil {
 			continue
 		}
@@ -280,7 +280,7 @@ func dedupSorted(vs []string) []string {
 // ---------- SQL003 ----------
 
 func runUnboundFilterVar(c *Ctx) {
-	for _, s := range scopes(c.Query) {
+	for _, s := range c.scopes {
 		if s.q.Where == nil {
 			continue
 		}
@@ -325,7 +325,7 @@ func sortedVars(m map[string]bool) []string {
 // ---------- SQL004 ----------
 
 func runDeadProjection(c *Ctx) {
-	for _, s := range scopes(c.Query) {
+	for _, s := range c.scopes {
 		switch s.q.Type {
 		case sparql.SelectQuery:
 			if s.q.SelectStar {
@@ -354,7 +354,7 @@ func runDeadProjection(c *Ctx) {
 // ---------- SQL005 ----------
 
 func runNonWellDesigned(c *Ctx) {
-	for _, s := range scopes(c.Query) {
+	for _, s := range c.scopes {
 		if s.q.Where == nil {
 			continue
 		}
@@ -384,7 +384,7 @@ func hasOptional(p sparql.Pattern) bool {
 // ---------- SQL006 ----------
 
 func runDuplicateUnion(c *Ctx) {
-	for _, s := range scopes(c.Query) {
+	for _, s := range c.scopes {
 		if s.q.Where == nil {
 			continue
 		}
@@ -413,7 +413,7 @@ func runCollapsibleEquality(c *Ctx) {
 	// The rewrite itself is only proven for the top scope (occurrence
 	// counting is per scope); equality filters in subqueries are still
 	// reported, just not marked rewritable.
-	for _, s := range scopes(c.Query) {
+	for _, s := range c.scopes {
 		if s.q.Where == nil {
 			continue
 		}
@@ -456,7 +456,7 @@ func runCollapsibleEquality(c *Ctx) {
 // expression then errors on every row, and since the comparator skips
 // error keys pairwise, the sort is a silent no-op on that key.
 func runUnboundOrderKey(c *Ctx) {
-	for _, s := range scopes(c.Query) {
+	for _, s := range c.scopes {
 		if len(s.q.Mods.OrderBy) == 0 {
 			continue
 		}

@@ -183,6 +183,9 @@ func csvField(s string) string {
 	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
 }
 
+// tsvEscape escapes a literal's lexical form for a TSV cell.
+var tsvEscape = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`, "\r", `\r`, "\t", `\t`)
+
 // tsvTerm renders a term in SPARQL syntax for the TSV format.
 func tsvTerm(s string) string {
 	switch eval.KindOfTerm(s) {
@@ -191,7 +194,6 @@ func tsvTerm(s string) string {
 	case eval.KindBlank:
 		return s
 	default:
-		r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`, "\r", `\r`, "\t", `\t`)
-		return `"` + r.Replace(s) + `"`
+		return `"` + tsvEscape.Replace(s) + `"`
 	}
 }

@@ -176,23 +176,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Every request with query text enters the endpoint log and the
-	// self-analysis stream — before validation, because the paper's
+	// self-analysis stream, malformed ones included: the paper's
 	// Table 1 distinguishes Total (all logged queries) from Valid
-	// (parseable ones), and the analyzer draws that line itself.
+	// (parseable ones), and the analyzer draws that line itself. The
+	// request is parsed and linted once, here; the analyzer and the
+	// executor share the result (both only read the AST).
 	s.logRequest(r, raw)
-	s.an.Add(raw)
-
 	q, err := sparql.Parse(raw)
+	var lr *lint.Result
+	if err == nil {
+		lr = lint.Run(q)
+	}
+	s.an.AddParsed(raw, q, err, lr)
 	if err != nil {
 		plainError(w, http.StatusBadRequest, "malformed query: "+err.Error())
 		return
 	}
 
-	// Static analysis of the parsed query: the distinct diagnostic
-	// codes ride along as a response header, so clients learn about
-	// unsatisfiable filters or cartesian products next to the (often
-	// empty) answer they explain.
-	if codes := lint.Run(q).Codes(); len(codes) > 0 {
+	// The distinct diagnostic codes ride along as a response header, so
+	// clients learn about unsatisfiable filters or cartesian products
+	// next to the (often empty) answer they explain.
+	if codes := lr.Codes(); len(codes) > 0 {
 		w.Header().Set("X-Sparqld-Lint", strings.Join(codes, ","))
 	}
 

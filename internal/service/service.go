@@ -206,8 +206,15 @@ func runOne(ctx context.Context, e engine.Engine, sn *rdf.Snapshot, q engine.CQ,
 	if qctx.Err() != nil {
 		// Cancelled before the query started (the engines only poll the
 		// context every ~1k steps, so a short query could otherwise
-		// complete under a dead context).
-		return engine.Result{TimedOut: true}
+		// complete under a dead context). With the parent alive it is
+		// the query's own deadline that passed (the goroutine was
+		// descheduled for longer than the budget): like any deadline
+		// hit, it carries the full budget.
+		res := engine.Result{TimedOut: true}
+		if ctx.Err() == nil {
+			res.Duration = timeout
+		}
+		return res
 	}
 	res := e.ExecuteContext(qctx, sn, q)
 	if res.TimedOut && timeout > 0 && res.Duration > timeout {
