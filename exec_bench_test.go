@@ -1,8 +1,8 @@
 // Columnar-executor benchmarks: the slot-based batch pipeline
 // (internal/exec, the eval default) on the log study's dominant
 // conjunctive shapes — chain, star, cycle — under the solution
-// modifiers real traffic hammers (DISTINCT, LIMIT). All cells are part
-// of the bench-regression CI gate.
+// modifiers real traffic hammers (DISTINCT, LIMIT). All cells run in
+// CI's bench-artifacts job.
 package sparqlog
 
 import (
@@ -63,8 +63,7 @@ func BenchmarkExecBatch(b *testing.B) {
 	runExecMatrix(b, g, []string{"chain/distinct", "chain/limit", "star/distinct", "star/limit", "cycle/distinct"}, execBatchSources(g))
 }
 
-// runExecMatrix runs each named query as the cell "<name>/columnar"
-// (the key BENCH_BASELINE.json knows it by).
+// runExecMatrix runs each named query as the cell "<name>/columnar".
 func runExecMatrix(b *testing.B, g *gmark.Graph, names []string, srcs map[string]string) {
 	b.Helper()
 	for _, name := range names {

@@ -47,7 +47,7 @@ type orderKeyPlan struct {
 	// an errored cell is ""), instead of the skip-this-pair semantics
 	// of directly evaluated keys.
 	errAsEmpty bool
-	// reparse re-derives the key value from its text (textValue), the
+	// reparse re-derives the key value from its text (value.Text), the
 	// way the legacy path re-parses a projected column's cell.
 	reparse bool
 }
@@ -350,7 +350,7 @@ func (ce *colExec) projectAgg(q *sparql.Query, envs []env, synth bool) *Result {
 		for i, it := range q.Select {
 			if it.Expr != nil {
 				if v, err := ce.ev.evalAggRow(it.Expr, b, synth); err == nil {
-					row[i] = v.text()
+					row[i] = v.Lex()
 				}
 				continue
 			}

@@ -3,13 +3,13 @@ package eval
 import (
 	"fmt"
 	"runtime"
-	"strings"
 
 	"sparqlog/internal/exec"
 	"sparqlog/internal/lint"
 	"sparqlog/internal/plan"
 	"sparqlog/internal/rdf"
 	"sparqlog/internal/sparql"
+	"sparqlog/internal/value"
 )
 
 // This file is the slot-based columnar executor — the default
@@ -447,7 +447,7 @@ func (ce *colExec) compile(p sparql.Pattern, in exec.Operator, bound map[string]
 				// Intern maps the empty lexical form to Unbound; skip
 				// the write so an existing binding is not clobbered
 				// (the legacy path skips the map write the same way).
-				if id := ce.pool.Intern(v.text()); id != exec.Unbound {
+				if id := ce.pool.Intern(v.Lex()); id != exec.Unbound {
 					out.Set(slot, r, id)
 				}
 			}
@@ -472,7 +472,7 @@ func copyBound(bound map[string]bool) map[string]bool {
 func (ce *colExec) compileFilter(e sparql.Expr, in exec.Operator) exec.Operator {
 	return exec.NewFilter(in, func(c *exec.Ctx, b *exec.Batch, row int) bool {
 		v, err := ce.ev.eval(e, rowEnv{ce, b, row})
-		return err == nil && v.truthy()
+		return err == nil && v.Truthy()
 	})
 }
 
@@ -779,7 +779,7 @@ func (ce *colExec) finishSelect(q *sparql.Query, root exec.Operator) (*Result, e
 			h := h
 			root = exec.NewFilter(root, func(c *exec.Ctx, b *exec.Batch, row int) bool {
 				v, err := ev.evalAggRow(h, rowEnv{ce, b, row}, gb.SyntheticEmpty())
-				return err == nil && v.truthy()
+				return err == nil && v.Truthy()
 			})
 		}
 		okeys = ap.order
@@ -791,7 +791,7 @@ func (ce *colExec) finishSelect(q *sparql.Query, root exec.Operator) (*Result, e
 			okeys = append(okeys, orderKeyPlan{expr: k.Expr, desc: k.Desc})
 		}
 	}
-	evalKey := func(e sparql.Expr, b *exec.Batch, row int) (value, error) {
+	evalKey := func(e sparql.Expr, b *exec.Batch, row int) (value.Value, error) {
 		if agg {
 			return ev.evalAggRow(e, rowEnv{ce, b, row}, gb.SyntheticEmpty())
 		}
@@ -827,28 +827,17 @@ func (ce *colExec) finishSelect(q *sparql.Query, root exec.Operator) (*Result, e
 					continue
 				}
 				if k.reparse {
-					v = textValue(v.text())
+					v = value.Text(v.Lex())
 				}
-				out[i] = exec.SortKey{IsNum: v.isNum, Num: v.num, Lex: v.lex}
+				out[i] = exec.SortKey{V: v}
 			}
 		}
 		cmp := func(a, b []exec.SortKey) int {
 			for i := range keys {
-				ai, bi := a[i], b[i]
-				if ai.Err || bi.Err {
+				if a[i].Err || b[i].Err {
 					continue
 				}
-				var c int
-				if ai.IsNum && bi.IsNum {
-					switch {
-					case ai.Num < bi.Num:
-						c = -1
-					case ai.Num > bi.Num:
-						c = 1
-					}
-				} else {
-					c = strings.Compare(ai.Lex, bi.Lex)
-				}
+				c := value.Compare(a[i].V, b[i].V)
 				if c == 0 {
 					continue
 				}

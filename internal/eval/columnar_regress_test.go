@@ -18,7 +18,7 @@ func runCounted(t *testing.T, sn *rdf.Snapshot, src string) (*Result, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := &evaluator{st: sn, prefixes: prefixMap(q), lim: Limits{MaxRows: DefaultMaxRows}, ctx: context.Background()}
+	ev := &evaluator{st: sn, prefixes: q.Prologue.PrefixMap(), lim: Limits{MaxRows: DefaultMaxRows}, ctx: context.Background()}
 	res, err := ev.query(q)
 	if err != nil {
 		t.Fatal(err)

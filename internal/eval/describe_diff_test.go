@@ -22,7 +22,7 @@ func describeByScan(t *testing.T, sn *rdf.Snapshot, src string, lim Limits) [][]
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	ev := &evaluator{prefixes: prefixMap(q)}
+	ev := &evaluator{prefixes: q.Prologue.PrefixMap()}
 	targets := map[string]bool{}
 	describeVars := map[string]bool{}
 	for _, dt := range q.DescribeTerms {

@@ -25,12 +25,12 @@ import (
 	"strings"
 
 	"sparqlog/internal/exec"
-	"sparqlog/internal/lint"
 	"sparqlog/internal/pathcomp"
 	"sparqlog/internal/plan"
 	"sparqlog/internal/qcache"
 	"sparqlog/internal/rdf"
 	"sparqlog/internal/sparql"
+	"sparqlog/internal/value"
 )
 
 // DefaultGraph is the pseudo-IRI a GRAPH variable binds to.
@@ -128,13 +128,6 @@ type Limits struct {
 	// variables). Only unseeded runs consult it; a BGP whose variables
 	// were pre-bound by earlier operators plans directly.
 	Plans *plan.Cache
-	// CollapseEqualities opts into the SQL007 optimizer rewrite: group
-	// filters of the form FILTER(?x = ?y) whose dropped variable lives
-	// entirely in the group's own triples are substituted away before
-	// planning, turning a filtered enumeration into an indexed join.
-	// Opt-in because "=" is value equality while substitution enforces
-	// term equality (see internal/lint/rewrite.go for the caveat).
-	CollapseEqualities bool
 	// Results optionally consults a snapshot-keyed query result cache
 	// between parse and execution (internal/qcache): repeated queries —
 	// keyed by their canonical sparql.QueryString, so variable renaming
@@ -196,14 +189,8 @@ func QueryContext(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim Li
 	if lim.MaxRows <= 0 {
 		lim.MaxRows = DefaultMaxRows
 	}
-	if lim.CollapseEqualities {
-		if rq, ok := lint.CollapseEqualities(q); ok {
-			q = rq
-		}
-	}
-	// Cache lookup sits after the equality-collapse rewrite so the key
-	// reflects the semantics actually executed, and degrades to direct
-	// execution on a snapshot mismatch (the plan.Cache convention).
+	// A cache built for another snapshot degrades to direct execution
+	// (the plan.Cache convention).
 	if lim.Results != nil && lim.Results.Snapshot() == sn {
 		return queryCached(ctx, sn, q, lim)
 	}
@@ -212,7 +199,7 @@ func QueryContext(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim Li
 
 // queryDirect is the uncached evaluation path.
 func queryDirect(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim Limits) (*Result, error) {
-	ev := &evaluator{st: sn, prefixes: prefixMap(q), lim: lim, ctx: ctx}
+	ev := &evaluator{st: sn, prefixes: q.Prologue.PrefixMap(), lim: lim, ctx: ctx}
 	res, err := ev.query(q)
 	if err == nil {
 		res.Recovered = ev.recovered
@@ -235,7 +222,7 @@ func (b binding) clone() binding {
 
 type evaluator struct {
 	st       *rdf.Snapshot
-	prefixes map[string]string
+	prefixes sparql.Prefixes
 	lim      Limits
 	ctx      context.Context
 	// pathc caches compiled property-path automata for this snapshot,
@@ -276,35 +263,12 @@ func (ev *evaluator) pathCache() *pathcomp.Cache {
 	return ev.pathc
 }
 
-func prefixMap(q *sparql.Query) map[string]string {
-	m := make(map[string]string, len(q.Prologue.Prefixes))
-	for _, p := range q.Prologue.Prefixes {
-		m[p.Name] = p.IRI
-	}
-	return m
-}
-
-// expand resolves a prefixed name to its full IRI text.
-func (ev *evaluator) expand(iri string, prefixed bool) string {
-	if !prefixed {
-		return iri
-	}
-	i := strings.IndexByte(iri, ':')
-	if i < 0 {
-		return iri
-	}
-	if base, ok := ev.prefixes[iri[:i]]; ok {
-		return base + iri[i+1:]
-	}
-	return iri
-}
-
 // termText renders a query term as store text; variables and blanks
 // return ok=false.
 func (ev *evaluator) termText(t sparql.Term) (string, bool) {
 	switch t.Kind {
 	case sparql.TermIRI:
-		return ev.expand(t.Value, t.PrefixedForm), true
+		return ev.prefixes.Expand(t.Value, t.PrefixedForm), true
 	case sparql.TermLiteral:
 		return t.Value, true
 	default:
@@ -870,7 +834,7 @@ func (ev *evaluator) matchTriple(tp *sparql.TriplePattern, b binding, yield func
 // prefixed names against the prologue first.
 func (ev *evaluator) pathResolver() pathcomp.Resolver {
 	return func(iri string) (rdf.ID, bool) {
-		full := ev.expand(iri, strings.Contains(iri, ":") && !strings.Contains(iri, "://"))
+		full := ev.prefixes.Expand(iri, !strings.Contains(iri, "://"))
 		if iri == sparql.RDFType {
 			full = sparql.RDFType
 		}
@@ -1030,8 +994,8 @@ func (ev *evaluator) bind(bn *sparql.Bind, in []binding) ([]binding, error) {
 		nb := b.clone()
 		// An empty lexical form is the Unbound marker: bind nothing,
 		// exactly like the columnar executor's pool.
-		if err == nil && v.text() != Unbound {
-			nb[bn.Var.Value] = v.text()
+		if err == nil && v.Lex() != Unbound {
+			nb[bn.Var.Value] = v.Lex()
 		}
 		out = append(out, nb)
 	}
@@ -1105,7 +1069,7 @@ func (ev *evaluator) filter(c sparql.Expr, in []binding) ([]binding, error) {
 	var out []binding
 	for _, b := range in {
 		v, err := ev.eval(c, b)
-		if err == nil && v.truthy() {
+		if err == nil && v.Truthy() {
 			out = append(out, b)
 		}
 	}
@@ -1168,7 +1132,7 @@ func (ev *evaluator) projectSelect(q *sparql.Query, rows []env) *Result {
 		for i, it := range q.Select {
 			if it.Expr != nil {
 				if val, err := ev.eval(it.Expr, b); err == nil {
-					row[i] = val.text()
+					row[i] = val.Lex()
 				}
 			}
 		}
@@ -1229,7 +1193,7 @@ func (ev *evaluator) finishAggregate(q *sparql.Query, rows []env) (*Result, erro
 				key = append(key, "")
 				continue
 			}
-			key = append(key, v.text())
+			key = append(key, v.Lex())
 		}
 		ks := packStrings(key)
 		g, ok := groups[ks]
@@ -1257,7 +1221,7 @@ func (ev *evaluator) finishAggregate(q *sparql.Query, rows []env) (*Result, erro
 		keep := true
 		for _, h := range q.Mods.Having {
 			v, err := ev.evalAggregateExpr(h, g.members)
-			if err != nil || !v.truthy() {
+			if err != nil || !v.Truthy() {
 				keep = false
 				break
 			}
@@ -1270,7 +1234,7 @@ func (ev *evaluator) finishAggregate(q *sparql.Query, rows []env) (*Result, erro
 			if it.Expr != nil {
 				v, err := ev.evalAggregateExpr(it.Expr, g.members)
 				if err == nil {
-					row[i] = v.text()
+					row[i] = v.Lex()
 				}
 				continue
 			}
@@ -1312,10 +1276,10 @@ func (ev *evaluator) orderAggregated(q *sparql.Query, res *Result, rowGroups []*
 	for i := range res.Rows {
 		pairs[i] = pair{res.Rows[i], rowGroups[i]}
 	}
-	keyValue := func(p pair, k sparql.OrderKey) (value, bool) {
+	keyValue := func(p pair, k sparql.OrderKey) (value.Value, bool) {
 		if te, ok := k.Expr.(*sparql.TermExpr); ok && te.Term.Kind == sparql.TermVar {
 			if c := colOf(te.Term.Value); c >= 0 {
-				return textValue(p.row[c]), true
+				return value.Text(p.row[c]), true
 			}
 		}
 		v, err := ev.evalAggregateExpr(k.Expr, p.g.members)
@@ -1328,7 +1292,7 @@ func (ev *evaluator) orderAggregated(q *sparql.Query, res *Result, rowGroups []*
 			if !oki || !okj {
 				continue
 			}
-			c := compareValues(vi, vj)
+			c := value.Compare(vi, vj)
 			if c == 0 {
 				continue
 			}
@@ -1363,7 +1327,7 @@ func (ev *evaluator) applyOrder(q *sparql.Query, res *Result, rows []env) {
 			if ei != nil || ej != nil {
 				continue
 			}
-			c := compareValues(vi, vj)
+			c := value.Compare(vi, vj)
 			if c == 0 {
 				continue
 			}

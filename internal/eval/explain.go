@@ -28,7 +28,7 @@ import (
 // either view; when present they are listed in a trailer so the
 // transcript is honest about what was and wasn't modeled.
 func Explain(sn *rdf.Snapshot, q *sparql.Query) (string, error) {
-	ev := &evaluator{st: sn, prefixes: prefixMap(q)}
+	ev := &evaluator{st: sn, prefixes: q.Prologue.PrefixMap()}
 	patterns := q.Triples()
 	pathPatterns := q.PathPatterns()
 	if len(patterns) == 0 && len(pathPatterns) == 0 {

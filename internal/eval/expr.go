@@ -2,60 +2,28 @@ package eval
 
 import (
 	"fmt"
-	"regexp"
 	"sort"
-	"strconv"
 	"strings"
 
 	"sparqlog/internal/sparql"
+	"sparqlog/internal/value"
 )
 
-// value is a runtime SPARQL value. The store is untyped text, so numeric
-// interpretation is by lexical form; booleans arise from comparisons and
-// logical operators.
-type value struct {
-	lex    string
-	num    float64
-	isNum  bool
-	isBool bool
-	b      bool
-}
-
-func textValue(s string) value {
-	if n, err := strconv.ParseFloat(s, 64); err == nil && s != "" {
-		return value{lex: s, num: n, isNum: true}
-	}
-	return value{lex: s}
-}
-
-func numValue(n float64) value {
-	return value{lex: strconv.FormatFloat(n, 'g', -1, 64), num: n, isNum: true}
-}
-
-func boolValue(b bool) value {
-	v := value{isBool: true, b: b}
-	if b {
-		v.lex = "true"
-	} else {
-		v.lex = "false"
-	}
-	return v
-}
-
-func (v value) text() string { return v.lex }
-
-// truthy implements the effective boolean value.
-func (v value) truthy() bool {
-	if v.isBool {
-		return v.b
-	}
-	if v.isNum {
-		return v.num != 0
-	}
-	return v.lex != "" && v.lex != "false"
-}
+// This file is the expression evaluator's control flow. What a value
+// is, and what every strict operator and builtin does to one, is
+// defined once in internal/value, shared with the linter's folder
+// (internal/lint/fold.go) and the aggregation operators; only the forms
+// that need a row or tolerate an erroring operand live here.
 
 var errEval = fmt.Errorf("eval: expression error")
+
+// checked turns a kernel's ok=false into the expression error.
+func checked(v value.Value, ok bool) (value.Value, error) {
+	if !ok {
+		return value.Value{}, errEval
+	}
+	return v, nil
+}
 
 // env is one solution row as the expression evaluator sees it: the
 // legacy map binding and the columnar batch row both implement it, so
@@ -93,80 +61,63 @@ func (b binding) exists(ev *evaluator, p sparql.Pattern) (bool, error) {
 // eval evaluates an expression under one row. Unbound variables and
 // type errors return errEval (SPARQL expression errors), which filters
 // treat as false.
-func (ev *evaluator) eval(e sparql.Expr, b env) (value, error) {
+func (ev *evaluator) eval(e sparql.Expr, b env) (value.Value, error) {
 	switch n := e.(type) {
 	case *sparql.TermExpr:
 		switch n.Term.Kind {
 		case sparql.TermVar:
 			if v, ok := b.lookupVar(n.Term.Value); ok {
-				return textValue(v), nil
+				return value.Text(v), nil
 			}
-			return value{}, errEval
+			return value.Value{}, errEval
 		case sparql.TermLiteral:
 			if n.Term.Lang != "" {
-				// Keep the language tag available to LANG() via a
-				// combined internal form.
-				return value{lex: n.Term.Value}, nil
+				// A language-tagged literal is never a number.
+				return value.Str(n.Term.Value), nil
 			}
-			return textValue(n.Term.Value), nil
+			return value.Text(n.Term.Value), nil
 		case sparql.TermIRI:
-			return value{lex: ev.expand(n.Term.Value, n.Term.PrefixedForm)}, nil
+			return value.Str(ev.prefixes.Expand(n.Term.Value, n.Term.PrefixedForm)), nil
 		default:
-			return value{}, errEval
+			return value.Value{}, errEval
 		}
 	case *sparql.BinaryExpr:
 		return ev.evalBinary(n, b)
 	case *sparql.UnaryExpr:
 		x, err := ev.eval(n.X, b)
 		if err != nil {
-			return value{}, err
+			return value.Value{}, err
 		}
-		switch n.Op {
-		case "!":
-			return boolValue(!x.truthy()), nil
-		case "-":
-			if !x.isNum {
-				return value{}, errEval
-			}
-			return numValue(-x.num), nil
-		default:
-			return x, nil
-		}
+		return checked(value.Unary(n.Op, x))
 	case *sparql.FuncCall:
 		return ev.evalFunc(n, b)
 	case *sparql.ExistsExpr:
 		found, err := b.exists(ev, n.Pattern)
 		if err != nil {
-			return value{}, errEval
+			return value.Value{}, errEval
 		}
-		if n.Not {
-			found = !found
-		}
-		return boolValue(found), nil
+		return value.Bool(found != n.Not), nil
 	case *sparql.InExpr:
 		x, err := ev.eval(n.X, b)
 		if err != nil {
-			return value{}, err
+			return value.Value{}, err
 		}
 		found := false
 		for _, item := range n.List {
+			// An erroring list item is skipped, not an error.
 			v, err := ev.eval(item, b)
-			if err == nil && compareValues(x, v) == 0 {
+			if err == nil && value.Compare(x, v) == 0 {
 				found = true
 				break
 			}
 		}
-		if n.Not {
-			found = !found
-		}
-		return boolValue(found), nil
-	case *sparql.AggregateExpr:
-		return value{}, errEval // aggregates need group context
+		return value.Bool(found != n.Not), nil
 	}
-	return value{}, errEval
+	// Aggregates need group context; anything else is not an expression.
+	return value.Value{}, errEval
 }
 
-func (ev *evaluator) evalBinary(n *sparql.BinaryExpr, b env) (value, error) {
+func (ev *evaluator) evalBinary(n *sparql.BinaryExpr, b env) (value.Value, error) {
 	switch n.Op {
 	case "&&":
 		l, errL := ev.eval(n.L, b)
@@ -174,85 +125,38 @@ func (ev *evaluator) evalBinary(n *sparql.BinaryExpr, b env) (value, error) {
 		// SPARQL logical AND tolerates one error when the other operand
 		// is false.
 		if errL == nil && errR == nil {
-			return boolValue(l.truthy() && r.truthy()), nil
+			return value.Bool(l.Truthy() && r.Truthy()), nil
 		}
-		if errL == nil && !l.truthy() || errR == nil && !r.truthy() {
-			return boolValue(false), nil
+		if errL == nil && !l.Truthy() || errR == nil && !r.Truthy() {
+			return value.Bool(false), nil
 		}
-		return value{}, errEval
+		return value.Value{}, errEval
 	case "||":
 		l, errL := ev.eval(n.L, b)
 		r, errR := ev.eval(n.R, b)
 		if errL == nil && errR == nil {
-			return boolValue(l.truthy() || r.truthy()), nil
+			return value.Bool(l.Truthy() || r.Truthy()), nil
 		}
-		if errL == nil && l.truthy() || errR == nil && r.truthy() {
-			return boolValue(true), nil
+		if errL == nil && l.Truthy() || errR == nil && r.Truthy() {
+			return value.Bool(true), nil
 		}
-		return value{}, errEval
+		return value.Value{}, errEval
 	}
 	l, err := ev.eval(n.L, b)
 	if err != nil {
-		return value{}, err
+		return value.Value{}, err
 	}
 	r, err := ev.eval(n.R, b)
 	if err != nil {
-		return value{}, err
+		return value.Value{}, err
 	}
-	switch n.Op {
-	case "=":
-		return boolValue(compareValues(l, r) == 0), nil
-	case "!=":
-		return boolValue(compareValues(l, r) != 0), nil
-	case "<":
-		return boolValue(compareValues(l, r) < 0), nil
-	case ">":
-		return boolValue(compareValues(l, r) > 0), nil
-	case "<=":
-		return boolValue(compareValues(l, r) <= 0), nil
-	case ">=":
-		return boolValue(compareValues(l, r) >= 0), nil
-	case "+", "-", "*", "/":
-		if !l.isNum || !r.isNum {
-			return value{}, errEval
-		}
-		switch n.Op {
-		case "+":
-			return numValue(l.num + r.num), nil
-		case "-":
-			return numValue(l.num - r.num), nil
-		case "*":
-			return numValue(l.num * r.num), nil
-		default:
-			if r.num == 0 {
-				return value{}, errEval
-			}
-			return numValue(l.num / r.num), nil
-		}
-	}
-	return value{}, errEval
+	return checked(value.Binary(n.Op, l, r))
 }
 
-// compareValues orders numerically when both operands are numeric, else
-// lexicographically.
-func compareValues(l, r value) int {
-	if l.isNum && r.isNum {
-		switch {
-		case l.num < r.num:
-			return -1
-		case l.num > r.num:
-			return 1
-		default:
-			return 0
-		}
-	}
-	return strings.Compare(l.lex, r.lex)
-}
-
-func (ev *evaluator) evalFunc(n *sparql.FuncCall, b env) (value, error) {
-	arg := func(i int) (value, error) {
+func (ev *evaluator) evalFunc(n *sparql.FuncCall, b env) (value.Value, error) {
+	arg := func(i int) (value.Value, error) {
 		if i >= len(n.Args) {
-			return value{}, errEval
+			return value.Value{}, errEval
 		}
 		return ev.eval(n.Args[i], b)
 	}
@@ -261,146 +165,31 @@ func (ev *evaluator) evalFunc(n *sparql.FuncCall, b env) (value, error) {
 		if len(n.Args) == 1 {
 			if te, ok := n.Args[0].(*sparql.TermExpr); ok && te.Term.Kind == sparql.TermVar {
 				_, bound := b.lookupVar(te.Term.Value)
-				return boolValue(bound), nil
+				return value.Bool(bound), nil
 			}
 		}
-		return value{}, errEval
-	case "STR":
-		v, err := arg(0)
-		if err != nil {
-			return value{}, err
-		}
-		return value{lex: v.lex}, nil
-	case "LANG", "DATATYPE":
-		// The store keeps lexical forms only; tags and datatypes are not
-		// preserved at evaluation time.
-		if _, err := arg(0); err != nil {
-			return value{}, err
-		}
-		return value{lex: ""}, nil
-	case "STRLEN":
-		v, err := arg(0)
-		if err != nil {
-			return value{}, err
-		}
-		return numValue(float64(len(v.lex))), nil
-	case "UCASE":
-		v, err := arg(0)
-		if err != nil {
-			return value{}, err
-		}
-		return value{lex: strings.ToUpper(v.lex)}, nil
-	case "LCASE":
-		v, err := arg(0)
-		if err != nil {
-			return value{}, err
-		}
-		return value{lex: strings.ToLower(v.lex)}, nil
-	case "CONTAINS", "STRSTARTS", "STRENDS":
-		x, err := arg(0)
-		if err != nil {
-			return value{}, err
-		}
-		y, err := arg(1)
-		if err != nil {
-			return value{}, err
-		}
-		switch n.Name {
-		case "CONTAINS":
-			return boolValue(strings.Contains(x.lex, y.lex)), nil
-		case "STRSTARTS":
-			return boolValue(strings.HasPrefix(x.lex, y.lex)), nil
-		default:
-			return boolValue(strings.HasSuffix(x.lex, y.lex)), nil
-		}
-	case "CONCAT":
-		var sb strings.Builder
-		for i := range n.Args {
-			v, err := arg(i)
-			if err != nil {
-				return value{}, err
-			}
-			sb.WriteString(v.lex)
-		}
-		return value{lex: sb.String()}, nil
+		return value.Value{}, errEval
 	case "REGEX":
 		x, err := arg(0)
 		if err != nil {
-			return value{}, err
+			return value.Value{}, err
 		}
 		pat, err := arg(1)
 		if err != nil {
-			return value{}, err
+			return value.Value{}, err
 		}
-		expr := pat.lex
-		if len(n.Args) >= 3 {
-			if flags, err := arg(2); err == nil && strings.Contains(flags.lex, "i") {
-				expr = "(?i)" + expr
-			}
-		}
-		re, rerr := regexp.Compile(expr)
-		if rerr != nil {
-			return value{}, errEval
-		}
-		return boolValue(re.MatchString(x.lex)), nil
-	case "ABS", "CEIL", "FLOOR", "ROUND":
-		v, err := arg(0)
-		if err != nil || !v.isNum {
-			return value{}, errEval
-		}
-		switch n.Name {
-		case "ABS":
-			if v.num < 0 {
-				return numValue(-v.num), nil
-			}
-			return v, nil
-		case "CEIL":
-			return numValue(ceil(v.num)), nil
-		case "FLOOR":
-			return numValue(floor(v.num)), nil
-		default:
-			return numValue(floor(v.num + 0.5)), nil
-		}
-	case "SAMETERM":
-		x, err := arg(0)
+		// A missing or erroring flags argument means no flags.
+		flags, err := arg(2)
 		if err != nil {
-			return value{}, err
+			flags = value.Str("")
 		}
-		y, err := arg(1)
-		if err != nil {
-			return value{}, err
-		}
-		return boolValue(x.lex == y.lex), nil
-	case "ISIRI", "ISURI":
-		v, err := arg(0)
-		if err != nil {
-			return value{}, err
-		}
-		return boolValue(looksLikeIRI(v.lex)), nil
-	case "ISLITERAL":
-		v, err := arg(0)
-		if err != nil {
-			return value{}, err
-		}
-		return boolValue(!looksLikeIRI(v.lex)), nil
-	case "ISBLANK":
-		v, err := arg(0)
-		if err != nil {
-			return value{}, err
-		}
-		return boolValue(strings.HasPrefix(v.lex, "_:")), nil
-	case "ISNUMERIC":
-		v, err := arg(0)
-		if err != nil {
-			return value{}, err
-		}
-		return boolValue(v.isNum), nil
+		return checked(value.Regex(x, pat, flags))
 	case "IF":
 		c, err := arg(0)
 		if err != nil {
-			return value{}, err
+			return value.Value{}, err
 		}
-		if c.truthy() {
+		if c.Truthy() {
 			return arg(1)
 		}
 		return arg(2)
@@ -410,37 +199,44 @@ func (ev *evaluator) evalFunc(n *sparql.FuncCall, b env) (value, error) {
 				return v, nil
 			}
 		}
-		return value{}, errEval
+		return value.Value{}, errEval
 	}
-	return value{}, errEval
-}
-
-func looksLikeIRI(s string) bool {
-	return strings.Contains(s, "://") || strings.HasPrefix(s, "urn:") ||
-		strings.HasPrefix(s, "mailto:") || strings.HasPrefix(s, "http:")
-}
-
-func ceil(f float64) float64 {
-	i := float64(int64(f))
-	if f > i {
-		return i + 1
+	// Everything else is strict (or unknown, arity 0: an error without
+	// touching the arguments): evaluate the operands, any error is the
+	// call's error, and the kernel does the rest.
+	k := value.Arity(n.Name)
+	if k == value.Variadic {
+		acc := value.Str("")
+		for _, a := range n.Args {
+			v, err := ev.eval(a, b)
+			if err != nil {
+				return value.Value{}, err
+			}
+			acc, _ = value.Call(n.Name, acc, v)
+		}
+		return acc, nil
 	}
-	return i
-}
-
-func floor(f float64) float64 {
-	i := float64(int64(f))
-	if f < i {
-		return i - 1
+	if k == 0 || len(n.Args) < k {
+		return value.Value{}, errEval
 	}
-	return i
+	x, err := ev.eval(n.Args[0], b)
+	if err != nil {
+		return value.Value{}, err
+	}
+	var y value.Value
+	if k == 2 {
+		if y, err = ev.eval(n.Args[1], b); err != nil {
+			return value.Value{}, err
+		}
+	}
+	return checked(value.Call(n.Name, x, y))
 }
 
 // evalAggregateExpr evaluates an expression that may contain aggregate
 // nodes, over a group's member rows. Non-aggregate subexpressions are
 // evaluated against the group's first member (they are group keys,
 // constant within the group).
-func (ev *evaluator) evalAggregateExpr(e sparql.Expr, members []env) (value, error) {
+func (ev *evaluator) evalAggregateExpr(e sparql.Expr, members []env) (value.Value, error) {
 	if agg, ok := e.(*sparql.AggregateExpr); ok {
 		return ev.computeAggregate(agg, members)
 	}
@@ -448,29 +244,41 @@ func (ev *evaluator) evalAggregateExpr(e sparql.Expr, members []env) (value, err
 	case *sparql.BinaryExpr:
 		l, err := ev.evalAggregateExpr(n.L, members)
 		if err != nil {
-			return value{}, err
+			return value.Value{}, err
 		}
 		r, err := ev.evalAggregateExpr(n.R, members)
 		if err != nil {
-			return value{}, err
+			return value.Value{}, err
 		}
-		return ev.evalBinary(&sparql.BinaryExpr{
-			Op: n.Op,
-			L:  litExpr(l),
-			R:  litExpr(r),
-		}, binding{})
+		return binaryOverResults(n.Op, l, r)
 	case *sparql.UnaryExpr:
 		x, err := ev.evalAggregateExpr(n.X, members)
 		if err != nil {
-			return value{}, err
+			return value.Value{}, err
 		}
-		return ev.eval(&sparql.UnaryExpr{Op: n.Op, X: litExpr(x)}, binding{})
+		return checked(value.Unary(n.Op, value.Text(x.Lex())))
 	default:
 		if len(members) == 0 {
-			return value{}, errEval
+			return value.Value{}, errEval
 		}
 		return ev.eval(e, members[0])
 	}
+}
+
+// binaryOverResults applies a binary operator to two operands already
+// computed over a group. Each is read again from its text, as a result
+// cell would be (so a string builtin's result that spells a number is
+// one here), and both are present, so && and || have no error to
+// tolerate.
+func binaryOverResults(op string, l, r value.Value) (value.Value, error) {
+	l, r = value.Text(l.Lex()), value.Text(r.Lex())
+	switch op {
+	case "&&":
+		return value.Bool(l.Truthy() && r.Truthy()), nil
+	case "||":
+		return value.Bool(l.Truthy() || r.Truthy()), nil
+	}
+	return checked(value.Binary(op, l, r))
 }
 
 // evalAggRow is evalAggregateExpr's mirror over one emitted columnar
@@ -481,7 +289,7 @@ func (ev *evaluator) evalAggregateExpr(e sparql.Expr, members []env) (value, err
 // any other leaf evaluates against the row as "the group's first
 // member", which for a synthetic empty group (empty = true) means an
 // unconditional expression error.
-func (ev *evaluator) evalAggRow(e sparql.Expr, b env, empty bool) (value, error) {
+func (ev *evaluator) evalAggRow(e sparql.Expr, b env, empty bool) (value.Value, error) {
 	switch n := e.(type) {
 	case *sparql.TermExpr:
 		if n.Term.Kind == sparql.TermVar && isHiddenAggVar(n.Term.Value) {
@@ -492,50 +300,41 @@ func (ev *evaluator) evalAggRow(e sparql.Expr, b env, empty bool) (value, error)
 				// non-numeric at the top level (the legacy value is a
 				// bare lexical form); an unbound slot is the empty
 				// concatenation.
-				return value{lex: v}, nil
+				return value.Str(v), nil
 			}
 			if !ok {
 				// The aggregate finalized to unbound — exactly the
 				// states where computeAggregate errors (MIN/MAX/SAMPLE
 				// of nothing, AVG with no numerics).
-				return value{}, errEval
+				return value.Value{}, errEval
 			}
-			return textValue(v), nil
+			return value.Text(v), nil
 		}
 	case *sparql.BinaryExpr:
 		l, err := ev.evalAggRow(n.L, b, empty)
 		if err != nil {
-			return value{}, err
+			return value.Value{}, err
 		}
 		r, err := ev.evalAggRow(n.R, b, empty)
 		if err != nil {
-			return value{}, err
+			return value.Value{}, err
 		}
-		return ev.evalBinary(&sparql.BinaryExpr{Op: n.Op, L: litExpr(l), R: litExpr(r)}, binding{})
+		return binaryOverResults(n.Op, l, r)
 	case *sparql.UnaryExpr:
 		x, err := ev.evalAggRow(n.X, b, empty)
 		if err != nil {
-			return value{}, err
+			return value.Value{}, err
 		}
-		return ev.eval(&sparql.UnaryExpr{Op: n.Op, X: litExpr(x)}, binding{})
+		return checked(value.Unary(n.Op, value.Text(x.Lex())))
 	}
 	if empty {
-		return value{}, errEval
+		return value.Value{}, errEval
 	}
 	return ev.eval(e, b)
 }
 
-// litExpr wraps a computed value back into an expression leaf.
-func litExpr(v value) sparql.Expr {
-	t := sparql.Term{Kind: sparql.TermLiteral, Value: v.lex}
-	if v.isNum {
-		t.Datatype = "http://www.w3.org/2001/XMLSchema#decimal"
-	}
-	return &sparql.TermExpr{Term: t}
-}
-
-func (ev *evaluator) computeAggregate(agg *sparql.AggregateExpr, members []env) (value, error) {
-	var vals []value
+func (ev *evaluator) computeAggregate(agg *sparql.AggregateExpr, members []env) (value.Value, error) {
+	var vals []value.Value
 	if !agg.Star {
 		for _, m := range members {
 			if v, err := ev.eval(agg.Arg, m); err == nil {
@@ -545,10 +344,10 @@ func (ev *evaluator) computeAggregate(agg *sparql.AggregateExpr, members []env) 
 	}
 	if agg.Distinct {
 		seen := map[string]bool{}
-		var ded []value
+		var ded []value.Value
 		for _, v := range vals {
-			if !seen[v.lex] {
-				seen[v.lex] = true
+			if !seen[v.Lex()] {
+				seen[v.Lex()] = true
 				ded = append(ded, v)
 			}
 		}
@@ -557,32 +356,32 @@ func (ev *evaluator) computeAggregate(agg *sparql.AggregateExpr, members []env) 
 	switch agg.Name {
 	case "COUNT":
 		if agg.Star {
-			return numValue(float64(len(members))), nil
+			return value.Num(float64(len(members))), nil
 		}
-		return numValue(float64(len(vals))), nil
+		return value.Num(float64(len(vals))), nil
 	case "SUM", "AVG":
 		sum := 0.0
 		n := 0
 		for _, v := range vals {
-			if v.isNum {
-				sum += v.num
+			if v.IsNum() {
+				sum += v.Float()
 				n++
 			}
 		}
 		if agg.Name == "SUM" {
-			return numValue(sum), nil
+			return value.Num(sum), nil
 		}
 		if n == 0 {
-			return value{}, errEval
+			return value.Value{}, errEval
 		}
-		return numValue(sum / float64(n)), nil
+		return value.Num(sum / float64(n)), nil
 	case "MIN", "MAX":
 		if len(vals) == 0 {
-			return value{}, errEval
+			return value.Value{}, errEval
 		}
 		best := vals[0]
 		for _, v := range vals[1:] {
-			c := compareValues(v, best)
+			c := value.Compare(v, best)
 			if agg.Name == "MIN" && c < 0 || agg.Name == "MAX" && c > 0 {
 				best = v
 			}
@@ -590,7 +389,7 @@ func (ev *evaluator) computeAggregate(agg *sparql.AggregateExpr, members []env) 
 		return best, nil
 	case "SAMPLE":
 		if len(vals) == 0 {
-			return value{}, errEval
+			return value.Value{}, errEval
 		}
 		return vals[0], nil
 	case "GROUP_CONCAT":
@@ -600,10 +399,10 @@ func (ev *evaluator) computeAggregate(agg *sparql.AggregateExpr, members []env) 
 		}
 		parts := make([]string, 0, len(vals))
 		for _, v := range vals {
-			parts = append(parts, v.lex)
+			parts = append(parts, v.Lex())
 		}
 		sort.Strings(parts) // deterministic output
-		return value{lex: strings.Join(parts, sep)}, nil
+		return value.Str(strings.Join(parts, sep)), nil
 	}
-	return value{}, errEval
+	return value.Value{}, errEval
 }

@@ -3,21 +3,26 @@ package eval
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"sparqlog/internal/rdf"
-	"sparqlog/internal/sparql"
 )
 
 // FuzzExecDifferential drives the columnar executor against the legacy
 // materialized path on randomized stores and operator trees (BGPs with
 // repeated variables, OPTIONAL, UNION, MINUS, FILTER, EXISTS, VALUES,
-// property paths, DISTINCT, ASK). Any divergence in errors, the ASK
-// answer, the projection, or the solution multiset is a finding.
+// property paths, DISTINCT, ASK), then filters the same store through
+// a random expression over its variables whose outermost form comes
+// from the builtin family the seed selects. Any divergence in errors,
+// the ASK answer, the projection, or the solution multiset is a
+// finding.
 func FuzzExecDifferential(f *testing.F) {
 	for _, seed := range []int64{1, 7, 42, 1337, 99991} {
 		f.Add(seed)
+	}
+	nFam := int64(len(exprFamilies))
+	for fam := int64(0); fam < nFam; fam++ {
+		f.Add(100*nFam + fam) // one corpus entry per builtin family
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
@@ -32,34 +37,10 @@ func FuzzExecDifferential(f *testing.F) {
 			)
 		}
 		sn := st.Freeze()
-		src := randomQuery(rng, nNodes, nPreds)
+		diffColumnarLegacy(t, sn, randomQuery(rng, nNodes, nPreds))
 
-		q, err := sparql.Parse(src)
-		if err != nil {
-			t.Fatalf("generator produced unparsable query %q: %v", src, err)
-		}
-		columnar, cerr := QueryWithLimits(sn, q, Limits{})
-		legacy, lerr := QueryWithLimits(sn, q, Limits{legacy: true})
-		if (cerr == nil) != (lerr == nil) {
-			t.Fatalf("error divergence on %q: columnar=%v legacy=%v", src, cerr, lerr)
-		}
-		if cerr != nil {
-			return
-		}
-		if columnar.Bool != legacy.Bool {
-			t.Fatalf("ASK diverges on %q: columnar=%v legacy=%v", src, columnar.Bool, legacy.Bool)
-		}
-		if strings.Join(columnar.Vars, ",") != strings.Join(legacy.Vars, ",") {
-			t.Fatalf("vars diverge on %q: %v vs %v", src, columnar.Vars, legacy.Vars)
-		}
-		a, b := sortedRows(columnar), sortedRows(legacy)
-		if len(a) != len(b) {
-			t.Fatalf("row counts diverge on %q: columnar=%d legacy=%d", src, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("rows diverge on %q at %d:\ncolumnar: %q\nlegacy:   %q", src, i, a[i], b[i])
-			}
-		}
+		g := &exprGen{rng: rng, vars: []string{"?s", "?p", "?o"}}
+		fam := exprFamilies[int((seed%nFam+nFam)%nFam)]
+		diffColumnarLegacy(t, sn, `PREFIX ex: <http://example.org/> SELECT * WHERE { ?s ?p ?o FILTER(`+g.family(fam, 3)+`) }`)
 	})
 }

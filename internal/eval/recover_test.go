@@ -77,28 +77,3 @@ func TestExplainNotesSilentService(t *testing.T) {
 		t.Errorf("explain lacks SERVICE SILENT note:\n%s", text)
 	}
 }
-
-func TestKindOfTerm(t *testing.T) {
-	cases := []struct {
-		text string
-		want TermKind
-	}{
-		{"http://example.org/x", KindIRI},
-		{"urn:isbn:123", KindIRI},
-		{"mailto:a@b.c", KindIRI},
-		{"_:b0", KindBlank},
-		{"plain text", KindLiteral},
-		{"42", KindLiteral},
-		{"has:space in it", KindLiteral},
-		{"9bad:scheme", KindLiteral},
-		{":nocolonprefix", KindLiteral},
-		{"scheme:", KindLiteral},
-		{"", KindLiteral},
-		{`said "hi"`, KindLiteral},
-	}
-	for _, tc := range cases {
-		if got := KindOfTerm(tc.text); got != tc.want {
-			t.Errorf("KindOfTerm(%q) = %v, want %v", tc.text, got, tc.want)
-		}
-	}
-}

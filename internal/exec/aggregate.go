@@ -2,10 +2,10 @@ package exec
 
 import (
 	"sort"
-	"strconv"
 	"strings"
 
 	"sparqlog/internal/rdf"
+	"sparqlog/internal/value"
 )
 
 // This file is the columnar GROUP BY / aggregation operator. Grouping
@@ -68,60 +68,25 @@ type GroupSpec struct {
 	EmptyGroup bool
 }
 
-// aggVal is one cached value interpretation: the lexical form plus its
-// numeric parse, mirroring the expression evaluator's textValue.
-type aggVal struct {
-	lex   string
-	num   float64
-	isNum bool
-}
-
-// valCache memoizes ID → aggVal so each distinct ID pays for text (and
-// the float parse) at most once per cache.
+// valCache memoizes ID → value (the expression evaluator's reading of
+// the term's text) so each distinct ID pays for text and the float
+// parse at most once per cache.
 type valCache struct {
 	text func(rdf.ID) string
-	vals map[rdf.ID]aggVal
+	vals map[rdf.ID]value.Value
 }
 
 func newValCache(text func(rdf.ID) string) *valCache {
-	return &valCache{text: text, vals: map[rdf.ID]aggVal{}}
+	return &valCache{text: text, vals: map[rdf.ID]value.Value{}}
 }
 
-func (vc *valCache) get(id rdf.ID) aggVal {
+func (vc *valCache) get(id rdf.ID) value.Value {
 	if v, ok := vc.vals[id]; ok {
 		return v
 	}
-	lex := vc.text(id)
-	v := aggVal{lex: lex}
-	if n, err := strconv.ParseFloat(lex, 64); err == nil && lex != "" {
-		v.num, v.isNum = n, true
-	}
+	v := value.Text(vc.text(id))
 	vc.vals[id] = v
 	return v
-}
-
-// compareAggVals orders numerically when both values parse as numbers,
-// lexicographically otherwise — the expression evaluator's
-// compareValues over lexical forms.
-func compareAggVals(l, r aggVal) int {
-	if l.isNum && r.isNum {
-		switch {
-		case l.num < r.num:
-			return -1
-		case l.num > r.num:
-			return 1
-		default:
-			return 0
-		}
-	}
-	return strings.Compare(l.lex, r.lex)
-}
-
-// formatAggNum renders a float the way the expression evaluator's
-// numValue does, so columnar aggregate output is byte-identical to the
-// legacy finisher's.
-func formatAggNum(f float64) string {
-	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
 // aggState is one aggregate's running state within one group. DISTINCT
@@ -170,8 +135,8 @@ func (s *aggState) update(a *AggSpec, id rdf.ID, vc *valCache) {
 	case AggCount:
 		s.count++
 	case AggSum, AggAvg:
-		if v := vc.get(id); v.isNum {
-			s.sum += v.num
+		if v := vc.get(id); v.IsNum() {
+			s.sum += v.Float()
 			s.n++
 		}
 	case AggMin, AggMax:
@@ -182,7 +147,7 @@ func (s *aggState) update(a *AggSpec, id rdf.ID, vc *valCache) {
 		if id == s.best {
 			return
 		}
-		c := compareAggVals(vc.get(id), vc.get(s.best))
+		c := value.Compare(vc.get(id), vc.get(s.best))
 		if a.Kind == AggMin && c < 0 || a.Kind == AggMax && c > 0 {
 			s.best = id
 		}
@@ -230,7 +195,7 @@ func (s *aggState) merge(a *AggSpec, src *aggState, vc *valCache) {
 		if src.best == s.best {
 			return
 		}
-		c := compareAggVals(vc.get(src.best), vc.get(s.best))
+		c := value.Compare(vc.get(src.best), vc.get(s.best))
 		if a.Kind == AggMin && c < 0 || a.Kind == AggMax && c > 0 {
 			s.best = src.best
 		}
@@ -245,24 +210,25 @@ func (s *aggState) merge(a *AggSpec, src *aggState, vc *valCache) {
 
 // finalize renders the state as an output ID. Values that already exist
 // as IDs (MIN/MAX/SAMPLE/first) pass through without touching the
-// dictionary; computed lexical forms (counts, sums, concatenations)
-// intern. An aggregate the legacy finisher would have errored on (AVG
-// of nothing numeric, MIN of an empty group) finalizes to Unbound — the
-// projected cell stays empty either way.
+// dictionary; computed lexical forms (counts and sums, spelled as the
+// expression evaluator spells a number, and concatenations) intern. An
+// aggregate the legacy finisher would have errored on (AVG of nothing
+// numeric, MIN of an empty group) finalizes to Unbound — the projected
+// cell stays empty either way.
 func (s *aggState) finalize(a *AggSpec, vc *valCache, intern func(string) rdf.ID) rdf.ID {
 	if a.Distinct {
 		return s.finalizeDistinct(a, vc, intern)
 	}
 	switch a.Kind {
 	case AggCount, AggCountStar:
-		return intern(formatAggNum(float64(s.count)))
+		return intern(value.Num(float64(s.count)).Lex())
 	case AggSum:
-		return intern(formatAggNum(s.sum))
+		return intern(value.Num(s.sum).Lex())
 	case AggAvg:
 		if s.n == 0 {
 			return Unbound
 		}
-		return intern(formatAggNum(s.sum / float64(s.n)))
+		return intern(value.Num(s.sum / float64(s.n)).Lex())
 	case AggMin, AggMax, AggSample, AggFirst:
 		if !s.hasBest {
 			return Unbound
@@ -281,29 +247,29 @@ func (s *aggState) finalize(a *AggSpec, vc *valCache, intern func(string) rdf.ID
 func (s *aggState) finalizeDistinct(a *AggSpec, vc *valCache, intern func(string) rdf.ID) rdf.ID {
 	switch a.Kind {
 	case AggCount:
-		return intern(formatAggNum(float64(len(s.ids))))
+		return intern(value.Num(float64(len(s.ids))).Lex())
 	case AggSum, AggAvg:
 		sum, n := 0.0, 0
 		for _, id := range s.ids {
-			if v := vc.get(id); v.isNum {
-				sum += v.num
+			if v := vc.get(id); v.IsNum() {
+				sum += v.Float()
 				n++
 			}
 		}
 		if a.Kind == AggSum {
-			return intern(formatAggNum(sum))
+			return intern(value.Num(sum).Lex())
 		}
 		if n == 0 {
 			return Unbound
 		}
-		return intern(formatAggNum(sum / float64(n)))
+		return intern(value.Num(sum / float64(n)).Lex())
 	case AggMin, AggMax:
 		if len(s.ids) == 0 {
 			return Unbound
 		}
 		best := s.ids[0]
 		for _, id := range s.ids[1:] {
-			c := compareAggVals(vc.get(id), vc.get(best))
+			c := value.Compare(vc.get(id), vc.get(best))
 			if a.Kind == AggMin && c < 0 || a.Kind == AggMax && c > 0 {
 				best = id
 			}
@@ -323,7 +289,7 @@ func (s *aggState) finalizeDistinct(a *AggSpec, vc *valCache, intern func(string
 func internConcat(ids []rdf.ID, sep string, vc *valCache, intern func(string) rdf.ID) rdf.ID {
 	parts := make([]string, len(ids))
 	for i, id := range ids {
-		parts[i] = vc.get(id).lex
+		parts[i] = vc.get(id).Lex()
 	}
 	sort.Strings(parts) // the legacy finisher sorts for determinism
 	return intern(strings.Join(parts, sep))

@@ -3,6 +3,8 @@ package exec
 import (
 	"math"
 	"sort"
+
+	"sparqlog/internal/value"
 )
 
 // This file is the columnar ORDER BY operator. It is a pipeline
@@ -22,15 +24,13 @@ import (
 // output to the legacy string sorter for every input the fallback
 // detector routes to them.
 
-// SortKey is one ORDER BY key value for one row, pre-parsed so
+// SortKey is one ORDER BY key value for one row, evaluated once so
 // comparisons never re-read the dictionary. Err marks a key whose
 // expression failed to evaluate; the comparator skips such positions
 // pairwise, exactly as the legacy sorter does.
 type SortKey struct {
-	Err   bool
-	IsNum bool
-	Num   float64
-	Lex   string
+	Err bool
+	V   value.Value
 }
 
 // TopKInfo summarizes one TopK execution for explain output.
@@ -124,9 +124,9 @@ func (t *TopK) build(c *Ctx) error {
 				switch {
 				case sk.Err:
 					heapOK[k] = false
-				case sk.IsNum:
+				case sk.V.IsNum():
 					sawNum[k] = true
-					if sawStr[k] || math.IsNaN(sk.Num) {
+					if sawStr[k] || math.IsNaN(sk.V.Float()) {
 						heapOK[k] = false
 					}
 				default:

@@ -4,22 +4,15 @@ import (
 	"sparqlog/internal/sparql"
 )
 
-// This file implements the SQL007 optimizer rewrite: a group-level
-// FILTER(?x = ?y) whose ?y lives entirely inside the group's own
-// triple/path elements (plus the filter itself) is collapsed by
-// substituting ?y := ?x in those elements, dropping the filter, and
-// appending BIND(?x AS ?y) so downstream consumers (projection,
-// ORDER BY, trailing VALUES) still see ?y. The join engine then
-// enforces the equality during enumeration instead of filtering after
-// a cartesian-style enumeration of both variables.
-//
-// Caveat, documented and differential-tested: the engine's "=" is
-// value equality (numeric when both sides parse as numbers), while
-// substitution enforces term equality. Distinct lexical forms that
-// compare numerically equal ("01" = "1") satisfy the original filter
-// but not the rewritten join. The rewrite is therefore opt-in
-// (eval.Limits.CollapseEqualities) and exact on term-shaped data such
-// as IRIs.
+// This file is SQL007's own analysis: whether a group-level
+// FILTER(?x = ?y) could be written away by its author, substituting
+// ?y := ?x in the group's triple/path elements so the join enforces
+// the equality during enumeration instead of filtering after a
+// cartesian-style enumeration of both variables. It is advice, not a
+// rewrite the engine applies: "=" is value equality (numeric when both
+// sides parse as numbers) while substitution enforces term equality,
+// so "01" = "1" satisfies the filter but not the merged pattern, and
+// only the author knows whether the data is term-shaped (IRIs).
 
 // canCollapse reports whether the equality filter at g.Elems[i] can
 // be collapsed, and which side to keep. Requirements, checked for
@@ -59,112 +52,6 @@ func canCollapse(q *sparql.Query, g *sparql.Group, i int) (keep, drop string, ok
 		return y, x, true
 	}
 	return "", "", false
-}
-
-// CollapseEqualities returns a rewritten copy of q with every
-// collapsible equality filter folded into its group, or (q, false)
-// when nothing applies. The copy is made by a serialize/parse round
-// trip, so the caller's query is never mutated; on any round-trip
-// failure the original is returned untouched.
-func CollapseEqualities(q *sparql.Query) (*sparql.Query, bool) {
-	if q == nil || q.Where == nil || !hasCollapse(q) {
-		return q, false
-	}
-	clone, err := sparql.Parse(q.String())
-	if err != nil || clone.Where == nil {
-		return q, false
-	}
-	changed := false
-	// Each application removes one filter; bound the fixpoint loop by
-	// the number of filters present.
-	for budget := countFilters(clone.Where); budget > 0; budget-- {
-		if !applyOneCollapse(clone) {
-			break
-		}
-		changed = true
-	}
-	if !changed {
-		return q, false
-	}
-	return clone, true
-}
-
-// hasCollapse reports whether any collapsible equality exists (cheap
-// pre-check before cloning).
-func hasCollapse(q *sparql.Query) bool {
-	found := false
-	walkPath(q.Where, "where", func(p sparql.Pattern, _ string) bool {
-		if found {
-			return false
-		}
-		if g, ok := p.(*sparql.Group); ok {
-			for i := range g.Elems {
-				if _, _, ok := canCollapse(q, g, i); ok {
-					found = true
-					return false
-				}
-			}
-		}
-		return true
-	})
-	return found
-}
-
-// applyOneCollapse rewrites the first collapsible equality found and
-// reports whether one was applied.
-func applyOneCollapse(q *sparql.Query) bool {
-	applied := false
-	walkPath(q.Where, "where", func(p sparql.Pattern, _ string) bool {
-		if applied {
-			return false
-		}
-		g, ok := p.(*sparql.Group)
-		if !ok {
-			return true
-		}
-		for i := range g.Elems {
-			keep, drop, ok := canCollapse(q, g, i)
-			if !ok {
-				continue
-			}
-			substituteDirect(g, drop, keep)
-			// Drop the filter; append the BIND at the end of the
-			// group, where keep is bound for every surviving row
-			// (group filters are end-of-group anyway, so no element
-			// could have observed ?drop between the two positions —
-			// canCollapse proved it occurs nowhere else).
-			g.Elems = append(g.Elems[:i], g.Elems[i+1:]...)
-			g.Elems = append(g.Elems, &sparql.Bind{
-				Expr: &sparql.TermExpr{Term: sparql.Variable(keep)},
-				Var:  sparql.Variable(drop),
-			})
-			applied = true
-			return false
-		}
-		return true
-	})
-	return applied
-}
-
-// substituteDirect renames variable from -> to in the group's direct
-// triple and path elements.
-func substituteDirect(g *sparql.Group, from, to string) {
-	ren := func(t *sparql.Term) {
-		if t.Kind == sparql.TermVar && t.Value == from {
-			t.Value = to
-		}
-	}
-	for _, el := range g.Elems {
-		switch t := el.(type) {
-		case *sparql.TriplePattern:
-			ren(&t.S)
-			ren(&t.P)
-			ren(&t.O)
-		case *sparql.PathPattern:
-			ren(&t.S)
-			ren(&t.O)
-		}
-	}
 }
 
 // directTripleOcc counts occurrences of the variable in the group's
@@ -278,15 +165,4 @@ func isAsTarget(q *sparql.Query, name string) bool {
 		}
 	}
 	return false
-}
-
-func countFilters(p sparql.Pattern) int {
-	n := 0
-	sparql.Walk(p, func(x sparql.Pattern) bool {
-		if _, ok := x.(*sparql.Filter); ok {
-			n++
-		}
-		return true
-	})
-	return n
 }

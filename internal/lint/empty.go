@@ -14,14 +14,14 @@ import "sparqlog/internal/sparql"
 // a subquery with aggregation but no GROUP BY yields one row over an
 // empty body, so only non-aggregated subqueries propagate emptiness.
 func Empty(q *sparql.Query) bool {
-	return EmptyUnder(q, prefixMap(q))
+	return EmptyUnder(q, q.Prologue.PrefixMap())
 }
 
 // EmptyUnder is Empty with an explicit prefix environment. The
 // evaluator resolves prefixed IRIs of subqueries against the outer
 // query's prologue, so emptiness of a subquery must be judged under
 // the caller's prefixes, not the subquery's own (empty) prologue.
-func EmptyUnder(q *sparql.Query, prefixes map[string]string) bool {
+func EmptyUnder(q *sparql.Query, prefixes sparql.Prefixes) bool {
 	if q.Where == nil {
 		return false
 	}

@@ -2,78 +2,22 @@ package lint
 
 import (
 	"fmt"
-	"regexp"
-	"strconv"
-	"strings"
 
 	"sparqlog/internal/sparql"
+	"sparqlog/internal/value"
 )
 
-// This file mirrors the runtime expression semantics of
-// internal/eval/expr.go as an abstract constant folder. Soundness
+// This file is an abstract constant folder over the runtime expression
+// semantics. What a value is and what a strict operator or builtin
+// does to one is internal/value, the same kernels the evaluator calls;
+// what is written here is only the abstraction (a strict form folds as
+// "all operands known → call the kernel") and, for the non-strict
+// forms, the same control flow as internal/eval/expr.go. Soundness
 // contract: when fold says an expression is Known(v), every row
 // evaluates it to v; errAlways means every row yields an expression
 // error; dropAlways means every row yields an error OR a falsy value
 // (either way a FILTER drops the row). Anything weaker is unknown.
-// If eval's semantics change, this file must change with it — the
-// differential and fuzz tests in internal/eval pin the agreement.
-
-// value duplicates eval's runtime value: untyped text with
-// by-lexical-form numeric interpretation, booleans from comparisons.
-type value struct {
-	lex    string
-	num    float64
-	isNum  bool
-	isBool bool
-	b      bool
-}
-
-func textValue(s string) value {
-	if n, err := strconv.ParseFloat(s, 64); err == nil && s != "" {
-		return value{lex: s, num: n, isNum: true}
-	}
-	return value{lex: s}
-}
-
-func numValue(n float64) value {
-	return value{lex: strconv.FormatFloat(n, 'g', -1, 64), num: n, isNum: true}
-}
-
-func boolValue(b bool) value {
-	v := value{isBool: true, b: b}
-	if b {
-		v.lex = "true"
-	} else {
-		v.lex = "false"
-	}
-	return v
-}
-
-func (v value) truthy() bool {
-	if v.isBool {
-		return v.b
-	}
-	if v.isNum {
-		return v.num != 0
-	}
-	return v.lex != "" && v.lex != "false"
-}
-
-// compareValues orders numerically when both operands are numeric,
-// else lexicographically (eval.compareValues).
-func compareValues(l, r value) int {
-	if l.isNum && r.isNum {
-		switch {
-		case l.num < r.num:
-			return -1
-		case l.num > r.num:
-			return 1
-		default:
-			return 0
-		}
-	}
-	return strings.Compare(l.lex, r.lex)
-}
+// eval's closed-expression differential test pins the agreement.
 
 // state is the abstract result of folding an expression.
 type state int
@@ -88,13 +32,22 @@ const (
 // sval pairs a state with its value (valid only when st == known).
 type sval struct {
 	st state
-	v  value
+	v  value.Value
 }
 
-func knownV(v value) sval { return sval{st: known, v: v} }
-func knownB(b bool) sval  { return knownV(boolValue(b)) }
-func errS() sval          { return sval{st: errAlways} }
-func unknownS() sval      { return sval{st: unknown} }
+func knownV(v value.Value) sval { return sval{st: known, v: v} }
+func knownB(b bool) sval        { return knownV(value.Bool(b)) }
+func errS() sval                { return sval{st: errAlways} }
+func unknownS() sval            { return sval{st: unknown} }
+
+// kernel lifts a value kernel's result: ok=false is the expression
+// error.
+func kernel(v value.Value, ok bool) sval {
+	if !ok {
+		return errS()
+	}
+	return knownV(v)
+}
 
 // dropClass reports whether the state guarantees "error or falsy" —
 // the filter-dropping class. Known falsy values qualify.
@@ -103,7 +56,7 @@ func (s sval) dropClass() bool {
 	case errAlways, dropAlways:
 		return true
 	case known:
-		return !s.v.truthy()
+		return !s.v.Truthy()
 	}
 	return false
 }
@@ -112,31 +65,8 @@ func (s sval) dropClass() bool {
 // dead variables (variables no pattern of the query can bind, which
 // therefore error in every strict position).
 type folder struct {
-	prefixes map[string]string
+	prefixes sparql.Prefixes
 	dead     map[string]bool
-}
-
-// prefixMap extracts the prologue's prefix declarations.
-func prefixMap(q *sparql.Query) map[string]string {
-	m := make(map[string]string, len(q.Prologue.Prefixes))
-	for _, p := range q.Prologue.Prefixes {
-		m[p.Name] = p.IRI
-	}
-	return m
-}
-
-func (f *folder) expand(iri string, prefixed bool) string {
-	if !prefixed {
-		return iri
-	}
-	i := strings.IndexByte(iri, ':')
-	if i < 0 {
-		return iri
-	}
-	if base, ok := f.prefixes[iri[:i]]; ok {
-		return base + iri[i+1:]
-	}
-	return iri
 }
 
 // fold abstracts eval's eval().
@@ -151,13 +81,12 @@ func (f *folder) fold(e sparql.Expr) sval {
 			return unknownS()
 		case sparql.TermLiteral:
 			if n.Term.Lang != "" {
-				// eval keeps lang-tagged literals as plain text
-				// (never numeric).
-				return knownV(value{lex: n.Term.Value})
+				// A language-tagged literal is never a number.
+				return knownV(value.Str(n.Term.Value))
 			}
-			return knownV(textValue(n.Term.Value))
+			return knownV(value.Text(n.Term.Value))
 		case sparql.TermIRI:
-			return knownV(value{lex: f.expand(n.Term.Value, n.Term.PrefixedForm)})
+			return knownV(value.Str(f.prefixes.Expand(n.Term.Value, n.Term.PrefixedForm)))
 		default:
 			return errS()
 		}
@@ -165,47 +94,28 @@ func (f *folder) fold(e sparql.Expr) sval {
 		return f.foldBinary(n)
 	case *sparql.UnaryExpr:
 		x := f.fold(n.X)
-		switch n.Op {
-		case "!":
-			switch x.st {
-			case known:
-				return knownB(!x.v.truthy())
-			case errAlways:
-				return errS()
-			default:
-				// dropAlways includes usable falsy values, whose
-				// negation is true; nothing is guaranteed.
-				return unknownS()
-			}
-		case "-":
-			switch x.st {
-			case known:
-				if !x.v.isNum {
-					return errS()
-				}
-				return knownV(numValue(-x.v.num))
-			case errAlways:
-				return errS()
-			default:
-				return unknownS()
-			}
-		default:
-			// Unary plus passes the operand through unchanged, errors
-			// included, so the abstract state passes through too.
+		switch {
+		case x.st == known:
+			return kernel(value.Unary(n.Op, x.v))
+		case x.st == errAlways:
+			return errS()
+		case n.Op != "!" && n.Op != "-":
+			// Unary plus passes the operand through unchanged, so the
+			// abstract state passes through too.
 			return x
 		}
+		// dropAlways includes usable falsy values, whose negation is
+		// true; nothing is guaranteed.
+		return unknownS()
 	case *sparql.FuncCall:
 		return f.foldFunc(n)
 	case *sparql.ExistsExpr:
 		return unknownS()
 	case *sparql.InExpr:
 		return f.foldIn(n)
-	case *sparql.AggregateExpr:
-		// Aggregates in row context always error (eval).
-		return errS()
-	case nil:
-		return errS()
 	}
+	// Aggregates in row context always error (eval), as does a nil or
+	// unknown node.
 	return errS()
 }
 
@@ -214,11 +124,11 @@ func (f *folder) foldBinary(n *sparql.BinaryExpr) sval {
 	case "&&":
 		l, r := f.fold(n.L), f.fold(n.R)
 		if l.st == known && r.st == known {
-			return knownB(l.v.truthy() && r.v.truthy())
+			return knownB(l.v.Truthy() && r.v.Truthy())
 		}
 		// One side known false forces false regardless of the other
 		// (error-tolerant AND).
-		if l.st == known && !l.v.truthy() || r.st == known && !r.v.truthy() {
+		if l.st == known && !l.v.Truthy() || r.st == known && !r.v.Truthy() {
 			return knownB(false)
 		}
 		// Any operand in the drop class keeps AND in the drop class:
@@ -230,9 +140,9 @@ func (f *folder) foldBinary(n *sparql.BinaryExpr) sval {
 	case "||":
 		l, r := f.fold(n.L), f.fold(n.R)
 		if l.st == known && r.st == known {
-			return knownB(l.v.truthy() || r.v.truthy())
+			return knownB(l.v.Truthy() || r.v.Truthy())
 		}
-		if l.st == known && l.v.truthy() || r.st == known && r.v.truthy() {
+		if l.st == known && l.v.Truthy() || r.st == known && r.v.Truthy() {
 			return knownB(true)
 		}
 		// OR only drops when both sides are error-or-falsy.
@@ -254,38 +164,7 @@ func (f *folder) foldBinary(n *sparql.BinaryExpr) sval {
 	if l.st != known || r.st != known {
 		return unknownS()
 	}
-	switch n.Op {
-	case "=":
-		return knownB(compareValues(l.v, r.v) == 0)
-	case "!=":
-		return knownB(compareValues(l.v, r.v) != 0)
-	case "<":
-		return knownB(compareValues(l.v, r.v) < 0)
-	case ">":
-		return knownB(compareValues(l.v, r.v) > 0)
-	case "<=":
-		return knownB(compareValues(l.v, r.v) <= 0)
-	case ">=":
-		return knownB(compareValues(l.v, r.v) >= 0)
-	case "+", "-", "*", "/":
-		if !l.v.isNum || !r.v.isNum {
-			return errS()
-		}
-		switch n.Op {
-		case "+":
-			return knownV(numValue(l.v.num + r.v.num))
-		case "-":
-			return knownV(numValue(l.v.num - r.v.num))
-		case "*":
-			return knownV(numValue(l.v.num * r.v.num))
-		default:
-			if r.v.num == 0 {
-				return errS()
-			}
-			return knownV(numValue(l.v.num / r.v.num))
-		}
-	}
-	return errS()
+	return kernel(value.Binary(n.Op, l.v, r.v))
 }
 
 func (f *folder) foldIn(n *sparql.InExpr) sval {
@@ -302,7 +181,7 @@ func (f *folder) foldIn(n *sparql.InExpr) sval {
 		v := f.fold(item)
 		switch v.st {
 		case known:
-			if compareValues(x.v, v.v) == 0 {
+			if value.Compare(x.v, v.v) == 0 {
 				found = true
 			}
 		case errAlways:
@@ -317,10 +196,7 @@ func (f *folder) foldIn(n *sparql.InExpr) sval {
 	if !found && !decided {
 		return unknownS()
 	}
-	if n.Not {
-		found = !found
-	}
-	return knownB(found)
+	return knownB(found != n.Not)
 }
 
 func (f *folder) foldFunc(n *sparql.FuncCall) sval {
@@ -329,23 +205,6 @@ func (f *folder) foldFunc(n *sparql.FuncCall) sval {
 			return errS()
 		}
 		return f.fold(n.Args[i])
-	}
-	// strict2 folds a two-argument strict builtin with compute on
-	// known values, propagating errors in evaluation order.
-	strict := func(k int, compute func(vs []value) sval) sval {
-		vs := make([]value, 0, k)
-		for i := 0; i < k; i++ {
-			a := arg(i)
-			switch a.st {
-			case errAlways:
-				return errS()
-			case known:
-				vs = append(vs, a.v)
-			default:
-				return unknownS()
-			}
-		}
-		return compute(vs)
 	}
 	switch n.Name {
 	case "BOUND":
@@ -358,48 +217,6 @@ func (f *folder) foldFunc(n *sparql.FuncCall) sval {
 			}
 		}
 		return errS()
-	case "STR":
-		return strict(1, func(vs []value) sval {
-			// STR drops the numeric interpretation (eval returns a
-			// bare value{lex}).
-			return knownV(value{lex: vs[0].lex})
-		})
-	case "LANG", "DATATYPE":
-		return strict(1, func(vs []value) sval {
-			return knownV(value{lex: ""})
-		})
-	case "STRLEN":
-		return strict(1, func(vs []value) sval {
-			return knownV(numValue(float64(len(vs[0].lex))))
-		})
-	case "UCASE":
-		return strict(1, func(vs []value) sval {
-			return knownV(value{lex: strings.ToUpper(vs[0].lex)})
-		})
-	case "LCASE":
-		return strict(1, func(vs []value) sval {
-			return knownV(value{lex: strings.ToLower(vs[0].lex)})
-		})
-	case "CONTAINS", "STRSTARTS", "STRENDS":
-		name := n.Name
-		return strict(2, func(vs []value) sval {
-			switch name {
-			case "CONTAINS":
-				return knownB(strings.Contains(vs[0].lex, vs[1].lex))
-			case "STRSTARTS":
-				return knownB(strings.HasPrefix(vs[0].lex, vs[1].lex))
-			default:
-				return knownB(strings.HasSuffix(vs[0].lex, vs[1].lex))
-			}
-		})
-	case "CONCAT":
-		return strict(len(n.Args), func(vs []value) sval {
-			var sb strings.Builder
-			for _, v := range vs {
-				sb.WriteString(v.lex)
-			}
-			return knownV(value{lex: sb.String()})
-		})
 	case "REGEX":
 		x, pat := arg(0), arg(1)
 		if x.st == errAlways || (x.st == known && pat.st == errAlways) {
@@ -408,73 +225,23 @@ func (f *folder) foldFunc(n *sparql.FuncCall) sval {
 		if x.st != known || pat.st != known {
 			return unknownS()
 		}
-		expr := pat.v.lex
-		if len(n.Args) >= 3 {
-			fl := arg(2)
-			switch fl.st {
-			case known:
-				if strings.Contains(fl.v.lex, "i") {
-					expr = "(?i)" + expr
-				}
-			case errAlways:
-				// eval ignores a failing flags argument.
-			default:
-				return unknownS()
-			}
+		flags := arg(2)
+		switch flags.st {
+		case known:
+		case errAlways:
+			// eval reads a missing or failing flags argument as none.
+			flags.v = value.Str("")
+		default:
+			return unknownS()
 		}
-		re, rerr := regexp.Compile(expr)
-		if rerr != nil {
-			return errS()
-		}
-		return knownB(re.MatchString(x.v.lex))
-	case "ABS", "CEIL", "FLOOR", "ROUND":
-		name := n.Name
-		return strict(1, func(vs []value) sval {
-			v := vs[0]
-			if !v.isNum {
-				return errS()
-			}
-			switch name {
-			case "ABS":
-				if v.num < 0 {
-					return knownV(numValue(-v.num))
-				}
-				return knownV(v)
-			case "CEIL":
-				return knownV(numValue(ceil(v.num)))
-			case "FLOOR":
-				return knownV(numValue(floor(v.num)))
-			default:
-				return knownV(numValue(floor(v.num + 0.5)))
-			}
-		})
-	case "SAMETERM":
-		return strict(2, func(vs []value) sval {
-			return knownB(vs[0].lex == vs[1].lex)
-		})
-	case "ISIRI", "ISURI":
-		return strict(1, func(vs []value) sval {
-			return knownB(looksLikeIRI(vs[0].lex))
-		})
-	case "ISLITERAL":
-		return strict(1, func(vs []value) sval {
-			return knownB(!looksLikeIRI(vs[0].lex))
-		})
-	case "ISBLANK":
-		return strict(1, func(vs []value) sval {
-			return knownB(strings.HasPrefix(vs[0].lex, "_:"))
-		})
-	case "ISNUMERIC":
-		return strict(1, func(vs []value) sval {
-			return knownB(vs[0].isNum)
-		})
+		return kernel(value.Regex(x.v, pat.v, flags.v))
 	case "IF":
 		c := arg(0)
 		switch c.st {
 		case errAlways:
 			return errS()
 		case known:
-			if c.v.truthy() {
+			if c.v.Truthy() {
 				return arg(1)
 			}
 			return arg(2)
@@ -497,30 +264,45 @@ func (f *folder) foldFunc(n *sparql.FuncCall) sval {
 		}
 		return errS() // no argument ever succeeds
 	}
-	// Unknown builtins, custom IRI calls: eval errors without touching
-	// the arguments.
-	return errS()
-}
-
-func looksLikeIRI(s string) bool {
-	return strings.Contains(s, "://") || strings.HasPrefix(s, "urn:") ||
-		strings.HasPrefix(s, "mailto:") || strings.HasPrefix(s, "http:")
-}
-
-func ceil(f float64) float64 {
-	i := float64(int64(f))
-	if f > i {
-		return i + 1
+	// Everything else is strict (or unknown, arity 0: eval errors
+	// without touching the arguments): operands fold in evaluation
+	// order, and once all are known the kernel decides.
+	k := value.Arity(n.Name)
+	if k == value.Variadic {
+		acc := value.Str("")
+		for _, a := range n.Args {
+			v := f.fold(a)
+			if v.st != known {
+				return strictOperand(v)
+			}
+			acc, _ = value.Call(n.Name, acc, v.v)
+		}
+		return knownV(acc)
 	}
-	return i
+	if k == 0 || len(n.Args) < k {
+		return errS()
+	}
+	x := f.fold(n.Args[0])
+	if x.st != known {
+		return strictOperand(x)
+	}
+	var y sval
+	if k == 2 {
+		if y = f.fold(n.Args[1]); y.st != known {
+			return strictOperand(y)
+		}
+	}
+	return kernel(value.Call(n.Name, x.v, y.v))
 }
 
-func floor(f float64) float64 {
-	i := float64(int64(f))
-	if f < i {
-		return i - 1
+// strictOperand is the state of a strict call whose next operand, in
+// evaluation order, did not fold to a value: an error on every row if
+// the operand is one, otherwise nothing is guaranteed.
+func strictOperand(s sval) sval {
+	if s.st == errAlways {
+		return errS()
 	}
-	return i
+	return unknownS()
 }
 
 // ---------- satisfiability over conjuncts ----------
@@ -541,7 +323,7 @@ func conjuncts(e sparql.Expr, out []sparql.Expr) []sparql.Expr {
 type varConstraint struct {
 	variable string
 	op       string
-	val      value
+	val      value.Value
 }
 
 var flipOp = map[string]string{
@@ -603,58 +385,32 @@ func selfComparison(e sparql.Expr) (string, string, bool) {
 // conjunction also requires ?x = eq. Returns (satisfiable, decided).
 //
 // The equality pins down a lot: if eq is numeric, any x with x = eq
-// must itself be numeric with x.num == eq.num (a non-numeric x would
+// must itself be numeric with the same number (a non-numeric x would
 // need lexical equality with eq's numeric lexical form, which would
 // make it numeric — contradiction). If eq is non-numeric, x = eq
-// forces x.lex == eq.lex exactly, so x's runtime value is
-// textValue(eq.lex) and every comparison is fully decided.
-func decideAgainstEq(eq value, op string, c2 value) (bool, bool) {
-	if !eq.isNum {
-		xv := textValue(eq.lex)
-		cmp := compareValues(xv, c2)
-		return opHolds(op, cmp), true
-	}
-	// x numeric, x.num == eq.num, x.lex unknown (any float form).
-	if c2.isNum {
-		cmp := 0
-		switch {
-		case eq.num < c2.num:
-			cmp = -1
-		case eq.num > c2.num:
-			cmp = 1
-		}
-		return opHolds(op, cmp), true
-	}
-	// Numeric x against a non-numeric value: compareValues falls back
-	// to lexical comparison against x's unknown float spelling.
-	if !textValue(c2.lex).isNum {
-		// c2's form cannot be any float spelling, so x != c2 always.
-		switch op {
-		case "=":
-			return false, true
-		case "!=":
-			return true, true
+// forces x's text to be eq's exactly, so x's runtime value is
+// value.Text of it and every comparison is fully decided.
+func decideAgainstEq(eq value.Value, op string, c2 value.Value) (bool, bool) {
+	x := eq
+	switch {
+	case !eq.IsNum():
+		x = value.Text(eq.Lex())
+	case c2.IsNum():
+		// x is numeric with eq's number; its spelling (any float form)
+		// plays no part against another number.
+	case value.Text(c2.Lex()).IsNum():
+		// Numeric x against a never-numeric value whose text spells a
+		// float: the comparison falls back to x's unknown spelling.
+		return false, false
+	default:
+		// c2's text cannot be any float spelling, so x != c2 always;
+		// the order of the two depends on x's spelling.
+		if op != "=" && op != "!=" {
+			return false, false
 		}
 	}
-	return false, false
-}
-
-func opHolds(op string, cmp int) bool {
-	switch op {
-	case "=":
-		return cmp == 0
-	case "!=":
-		return cmp != 0
-	case "<":
-		return cmp < 0
-	case ">":
-		return cmp > 0
-	case "<=":
-		return cmp <= 0
-	case ">=":
-		return cmp >= 0
-	}
-	return false
+	holds, _ := value.Binary(op, x, c2)
+	return holds.Truthy(), true
 }
 
 // unsatisfiable reports whether no single value of the variable can
@@ -688,7 +444,7 @@ func unsatisfiable(cs []varConstraint) bool {
 	for _, c := range cs {
 		switch c.op {
 		case "<", "<=", ">", ">=":
-			if c.val.isNum {
+			if c.val.IsNum() {
 				nums = append(nums, c)
 			} else {
 				texts = append(texts, c)
@@ -713,7 +469,7 @@ func emptyNumInterval(cs []varConstraint) bool {
 	loStrict, hiStrict := false, false
 	hasLo, hasHi := false, false
 	for _, c := range cs {
-		v := c.val.num
+		v := c.val.Float()
 		switch c.op {
 		case ">", ">=":
 			s := c.op == ">"
@@ -744,7 +500,7 @@ func emptyLexInterval(cs []varConstraint) bool {
 	loStrict, hiStrict := false, false
 	hasLo, hasHi := false, false
 	for _, c := range cs {
-		v := c.val.lex
+		v := c.val.Lex()
 		switch c.op {
 		case ">", ">=":
 			s := c.op == ">"
@@ -777,8 +533,8 @@ func emptyLexInterval(cs []varConstraint) bool {
 func (f *folder) unsatReason(e sparql.Expr) (string, bool) {
 	switch s := f.fold(e); s.st {
 	case known:
-		if !s.v.truthy() {
-			return fmt.Sprintf("constraint is constant %q (effective boolean value false)", s.v.lex), true
+		if !s.v.Truthy() {
+			return fmt.Sprintf("constraint is constant %q (effective boolean value false)", s.v.Lex()), true
 		}
 		return "", false
 	case errAlways:

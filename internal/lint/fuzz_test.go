@@ -8,10 +8,9 @@ import (
 )
 
 // FuzzLintNoPanic feeds arbitrary query text through the whole static
-// surface: whatever parses must lint without panicking, Empty must
-// decide, and a CollapseEqualities rewrite must serialize back to a
-// parsable query. Seeded with planner shapes, every pass's trigger,
-// and the Table-5 path corpus wrapped into queries.
+// surface: whatever parses must lint without panicking and Empty must
+// decide. Seeded with planner shapes, every pass's trigger, and the
+// Table-5 path corpus wrapped into queries.
 func FuzzLintNoPanic(f *testing.F) {
 	for _, ex := range paths.Corpus() {
 		f.Add(`SELECT ?x ?y WHERE { ?x ` + ex.Expr + ` ?y }`)
@@ -47,16 +46,8 @@ func FuzzLintNoPanic(f *testing.F) {
 		}
 		// A statically-empty query must carry the proof in some form the
 		// evaluator can also reach (EmptyUnder is what eval consults).
-		if r.Empty != EmptyUnder(q, prefixMap(q)) {
+		if r.Empty != EmptyUnder(q, q.Prologue.PrefixMap()) {
 			t.Fatalf("Empty/EmptyUnder disagree on %q", src)
-		}
-		rq, ok := CollapseEqualities(q)
-		if !ok {
-			return
-		}
-		out := rq.String()
-		if _, err := sparql.Parse(out); err != nil {
-			t.Fatalf("rewrite of %q does not re-parse: %v\n%s", src, err, out)
 		}
 	})
 }

@@ -13,8 +13,7 @@
 // pathologies that predict evaluation cost or emptiness before a
 // single triple is touched. Beyond reporting, the same machinery feeds
 // the evaluator: Empty proves a WHERE clause yields no solutions so
-// eval can short-circuit without index probes, and CollapseEqualities
-// rewrites ?x = ?y filters into joins.
+// eval can short-circuit without index probes.
 package lint
 
 import (

@@ -56,7 +56,7 @@ func init() {
 	register(&Pass{
 		Code:     "SQL007",
 		Name:     "collapsible-equality",
-		Doc:      "FILTER(?x = ?y) equality filters; where safe, the CollapseEqualities rewrite folds them into the basic graph pattern so the join engine enforces them.",
+		Doc:      "FILTER(?x = ?y) equality filters, which join two variables only after both were enumerated; where substituting one variable for the other in the graph pattern is safe, the diagnostic says which.",
 		Severity: Info,
 		Run:      runCollapsibleEquality,
 	})
@@ -83,7 +83,7 @@ type scope struct {
 func (s *scope) wherePath() string { return s.prefix + "where" }
 
 func scopes(q *sparql.Query) []*scope {
-	prefixes := prefixMap(q)
+	prefixes := q.Prologue.PrefixMap()
 	var out []*scope
 	var collect func(q *sparql.Query, prefix string)
 	collect = func(q *sparql.Query, prefix string) {
@@ -410,9 +410,9 @@ func runDuplicateUnion(c *Ctx) {
 // ---------- SQL007 ----------
 
 func runCollapsibleEquality(c *Ctx) {
-	// The rewrite itself is only proven for the top scope (occurrence
-	// counting is per scope); equality filters in subqueries are still
-	// reported, just not marked rewritable.
+	// The substitution is only proven safe for the top scope
+	// (occurrence counting is per scope); equality filters in
+	// subqueries are still reported, just without that advice.
 	for _, s := range c.scopes {
 		if s.q.Where == nil {
 			continue

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"sparqlog/internal/eval"
+	"sparqlog/internal/value"
 )
 
 // writeResult serializes res in the negotiated media type. isAsk marks
@@ -35,10 +36,10 @@ type jsonTerm struct {
 }
 
 func termJSON(text string) jsonTerm {
-	switch eval.KindOfTerm(text) {
-	case eval.KindIRI:
+	switch value.KindOf(text) {
+	case value.KindIRI:
 		return jsonTerm{Type: "uri", Value: text}
-	case eval.KindBlank:
+	case value.KindBlank:
 		return jsonTerm{Type: "bnode", Value: strings.TrimPrefix(text, "_:")}
 	default:
 		return jsonTerm{Type: "literal", Value: text}
@@ -99,10 +100,10 @@ func writeXML(w io.Writer, res *eval.Result, isAsk bool) error {
 					continue
 				}
 				sb.WriteString(`      <binding name="` + esc(res.Vars[i]) + `">`)
-				switch eval.KindOfTerm(cell) {
-				case eval.KindIRI:
+				switch value.KindOf(cell) {
+				case value.KindIRI:
 					sb.WriteString("<uri>" + esc(cell) + "</uri>")
-				case eval.KindBlank:
+				case value.KindBlank:
 					sb.WriteString("<bnode>" + esc(strings.TrimPrefix(cell, "_:")) + "</bnode>")
 				default:
 					sb.WriteString("<literal>" + esc(cell) + "</literal>")
@@ -188,10 +189,10 @@ var tsvEscape = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`, "\r", `\r`
 
 // tsvTerm renders a term in SPARQL syntax for the TSV format.
 func tsvTerm(s string) string {
-	switch eval.KindOfTerm(s) {
-	case eval.KindIRI:
+	switch value.KindOf(s) {
+	case value.KindIRI:
 		return "<" + s + ">"
-	case eval.KindBlank:
+	case value.KindBlank:
 		return s
 	default:
 		return `"` + tsvEscape.Replace(s) + `"`

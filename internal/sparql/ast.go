@@ -1,5 +1,7 @@
 package sparql
 
+import "strings"
+
 // QueryType is one of the four SPARQL query forms.
 type QueryType int
 
@@ -282,6 +284,38 @@ type Prologue struct {
 type PrefixDecl struct {
 	Name string // without trailing ':'
 	IRI  string
+}
+
+// Prefixes maps a prologue's prefix names to their IRIs: the one
+// prefix environment the evaluator, the linter and the canonical
+// serializer expand prefixed names against.
+type Prefixes map[string]string
+
+// PrefixMap collects the PREFIX declarations; a later declaration of
+// the same name wins.
+func (p Prologue) PrefixMap() Prefixes {
+	m := make(Prefixes, len(p.Prefixes))
+	for _, d := range p.Prefixes {
+		m[d.Name] = d.IRI
+	}
+	return m
+}
+
+// Expand resolves a prefixed name to its full IRI text. Text that is
+// not in prefixed form, has no colon, or names an undeclared prefix
+// comes back unchanged.
+func (m Prefixes) Expand(iri string, prefixed bool) string {
+	if !prefixed {
+		return iri
+	}
+	i := strings.IndexByte(iri, ':')
+	if i < 0 {
+		return iri
+	}
+	if base, ok := m[iri[:i]]; ok {
+		return base + iri[i+1:]
+	}
+	return iri
 }
 
 // Query is a complete SPARQL query.

@@ -18,13 +18,7 @@ import (
 // including modifiers determines the answer, so nothing less may key a
 // cache.
 func QueryString(q *Query) string {
-	fp := &fingerprinter{
-		prefixes: make(map[string]string, len(q.Prologue.Prefixes)),
-		names:    make(map[string]string),
-	}
-	for _, p := range q.Prologue.Prefixes {
-		fp.prefixes[p.Name] = p.IRI
-	}
+	fp := &fingerprinter{prefixes: q.Prologue.PrefixMap(), names: make(map[string]string)}
 	clone := fp.rewriteQuery(q)
 	// Drop the prologue: prefixes were expanded away.
 	clone.Prologue = Prologue{}
@@ -47,13 +41,7 @@ func Fingerprint(q *Query) string { return QueryString(q) }
 // canonicalize equal, while branches over different variables — which
 // bind different solutions — stay distinct.
 func CanonPatternStrings(prologue Prologue, patterns ...Pattern) []string {
-	fp := &fingerprinter{
-		prefixes: make(map[string]string, len(prologue.Prefixes)),
-		names:    make(map[string]string),
-	}
-	for _, p := range prologue.Prefixes {
-		fp.prefixes[p.Name] = p.IRI
-	}
+	fp := &fingerprinter{prefixes: prologue.PrefixMap(), names: make(map[string]string)}
 	out := make([]string, len(patterns))
 	for i, p := range patterns {
 		out[i] = PatternString(fp.pattern(p))
@@ -62,7 +50,7 @@ func CanonPatternStrings(prologue Prologue, patterns ...Pattern) []string {
 }
 
 type fingerprinter struct {
-	prefixes map[string]string
+	prefixes Prefixes
 	names    map[string]string
 	next     int
 }
@@ -86,13 +74,7 @@ func (fp *fingerprinter) term(t Term) Term {
 		// the same namespace so labels do not matter.
 		t.Value = fp.renameVar("_:" + t.Value)
 	case TermIRI:
-		if t.PrefixedForm {
-			if i := strings.IndexByte(t.Value, ':'); i >= 0 {
-				if base, ok := fp.prefixes[t.Value[:i]]; ok {
-					t.Value = base + t.Value[i+1:]
-				}
-			}
-		}
+		t.Value = fp.prefixes.Expand(t.Value, t.PrefixedForm)
 		// Canonical rendering: always the bracketed full form. The
 		// parser's predicate-path collapse marks bracketed predicates
 		// PrefixedForm (they render bare), so without this reset the
@@ -242,13 +224,9 @@ func (fp *fingerprinter) expr(e Expr) Expr {
 func (fp *fingerprinter) path(p PathExpr) PathExpr {
 	switch n := p.(type) {
 	case *PathIRI:
-		iri := n.IRI
-		if i := strings.IndexByte(iri, ':'); i >= 0 && !strings.Contains(iri, "://") {
-			if base, ok := fp.prefixes[iri[:i]]; ok {
-				iri = base + iri[i+1:]
-			}
-		}
-		return &PathIRI{IRI: iri}
+		// A path IRI carries no PrefixedForm flag: anything without
+		// "://" is tried as a prefixed name.
+		return &PathIRI{IRI: fp.prefixes.Expand(n.IRI, !strings.Contains(n.IRI, "://"))}
 	case *PathInverse:
 		return &PathInverse{X: fp.path(n.X)}
 	case *PathSeq:

@@ -2,9 +2,8 @@
 // (internal/pathcomp) against the naive interpretive evaluator it
 // replaced, on the graph shapes and Table-5 expression types that
 // dominate endpoint logs. BenchmarkPathShapes and BenchmarkPathPairs
-// are part of the bench-regression CI gate (see BENCH_BASELINE.json and
-// cmd/benchdiff); the README's "Property-path evaluation" numbers come
-// from these.
+// run in CI's bench-artifacts job, which keeps the numbers and compares
+// them to nothing.
 package sparqlog
 
 import (

@@ -1,8 +1,9 @@
 // Planner benchmarks: the statistics-driven join-ordering win on the
 // three dominant workload shapes of the log study (star, chain, cycle),
 // the plan cache's amortization, and the evaluator's BGP reordering.
-// These are part of the bench-regression CI gate (see BENCH_BASELINE.json
-// and cmd/benchdiff).
+// CI's bench-artifacts job runs them and keeps the numbers; nothing
+// compares them to a stored baseline (bench/run.sh's paired runs are
+// the performance contract).
 package sparqlog
 
 import (
@@ -79,8 +80,8 @@ func cycleWorkload(g *gmark.Graph, length, count int) []engine.CQ {
 // call, planned through the shape-keyed plan cache, and the syntactic
 // baseline. Before the planner landed, the "planned" mode was the
 // engine's per-search-node exact-degree greedy ordering — compare runs
-// of this benchmark across that boundary for the before/after numbers in
-// the README.
+// of this benchmark across that boundary for the before/after numbers
+// (CHANGES.md, PR 3).
 func BenchmarkPlannerShapes(b *testing.B) {
 	g := plannerBenchGraph(b)
 	shapes := []struct {
