@@ -333,30 +333,3 @@ func (ce *colExec) planAggregate(q *sparql.Query) *aggPlan {
 	ap.rq = &rq
 	return ap
 }
-
-// projectAgg projects the aggregated stream, mirroring the legacy
-// finishAggregate's row build: expression items evaluate through
-// evalAggRow (an error leaves the cell empty), plain variables read
-// their slot — the group key, or the AggFirst capture of the group's
-// first member. synth marks the synthetic empty-input group, whose
-// non-aggregate leaves all error.
-func (ce *colExec) projectAgg(q *sparql.Query, envs []env, synth bool) *Result {
-	res := &Result{}
-	for _, it := range q.Select {
-		res.Vars = append(res.Vars, it.Var.Value)
-	}
-	for _, b := range envs {
-		row := make([]string, len(res.Vars))
-		for i, it := range q.Select {
-			if it.Expr != nil {
-				if v, err := ce.ev.evalAggRow(it.Expr, b, synth); err == nil {
-					row[i] = v.Lex()
-				}
-				continue
-			}
-			row[i], _ = b.lookupVar(it.Var.Value)
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	return res
-}

@@ -385,11 +385,11 @@ func TestNulKeyCollision(t *testing.T) {
 	}
 }
 
-// TestGroupKeysStayAsIDs pins the tentpole's dictionary contract:
-// grouping runs on packed ID tuples, so group keys that never reach
-// projection cost zero Pool.Text calls — materializations equal the
-// emitted aggregate cells, independent of input size or key
-// cardinality.
+// TestGroupKeysStayAsIDs pins the dictionary contract of aggregation:
+// grouping runs on packed ID tuples and a finalized aggregate is its
+// slot's ID, so neither the group keys nor the projected aggregate
+// cells cost a Pool.Text call — only an expression that reads a value
+// (HAVING here) materializes text, once per group it tests.
 func TestGroupKeysStayAsIDs(t *testing.T) {
 	st := rdf.NewStore()
 	for i := 0; i < 40; i++ {
@@ -399,23 +399,23 @@ func TestGroupKeysStayAsIDs(t *testing.T) {
 	}
 	sn := st.Freeze()
 
-	// 40 groups keyed on ?x, key never projected: one Text call per
-	// emitted COUNT cell and none for the 40 keys or 200 member rows.
+	// 40 groups keyed on ?x, key never projected: no text for the 40
+	// keys, the 200 member rows, or the 40 COUNT cells.
 	res, calls := runCounted(t, sn, `SELECT (COUNT(?o) AS ?c) WHERE { ?x <urn:p> ?o } GROUP BY ?x`)
-	if len(res.Rows) != 40 {
-		t.Fatalf("rows = %d, want 40", len(res.Rows))
+	if res.Answer.Len() != 40 {
+		t.Fatalf("rows = %d, want 40", res.Answer.Len())
 	}
-	if calls != int64(len(res.Rows)) {
-		t.Fatalf("dictionary lookups = %d, want exactly %d (one per aggregate cell)", calls, len(res.Rows))
+	if calls != 0 {
+		t.Fatalf("dictionary lookups = %d, want 0 (aggregate cells stay IDs until serialization)", calls)
 	}
 
-	// HAVING reads each group's count once (25 groups over ?o) and
-	// projection texts the survivors — the 25 key IDs still cost zero.
+	// HAVING reads each group's count once (25 groups over ?o); the
+	// survivors' cells and the 25 key IDs still cost zero.
 	res2, calls2 := runCounted(t, sn, `SELECT (COUNT(*) AS ?c) WHERE { ?x <urn:p> ?o } GROUP BY ?o HAVING (COUNT(*) > 9)`)
-	if len(res2.Rows) == 0 || len(res2.Rows) >= 25 {
-		t.Fatalf("unexpected group count %d", len(res2.Rows))
+	if n := res2.Answer.Len(); n == 0 || n >= 25 {
+		t.Fatalf("unexpected group count %d", n)
 	}
-	if want := int64(25 + len(res2.Rows)); calls2 != want {
-		t.Fatalf("dictionary lookups = %d, want %d (one HAVING read per group + one per surviving cell)", calls2, want)
+	if calls2 != 25 {
+		t.Fatalf("dictionary lookups = %d, want 25 (one HAVING read per group)", calls2)
 	}
 }

@@ -2,7 +2,7 @@ package eval
 
 import (
 	"context"
-	"fmt"
+	"strconv"
 	"time"
 
 	"sparqlog/internal/exec"
@@ -18,7 +18,7 @@ import (
 // result that fit a large budget must not answer a request whose
 // smaller budget would have overflowed.
 func cacheKey(q *sparql.Query, lim Limits) string {
-	return fmt.Sprintf("mr%d|%s", lim.MaxRows, sparql.QueryString(q))
+	return "mr" + strconv.Itoa(lim.MaxRows) + "|" + sparql.QueryString(q)
 }
 
 // queryCached wraps queryDirect with the result cache: lookup, then
@@ -26,12 +26,15 @@ func cacheKey(q *sparql.Query, lim Limits) string {
 // cost-aware fill. Only clean results are shared or stored — errors
 // (deadline truncations and row-limit overflows included) and
 // SERVICE-recovered answers always come from a real execution and are
-// never cached.
+// never cached. The cache holds the executor's Answer itself: a fill
+// retains the pointer, a hit and a collapsed follower receive it.
 func queryCached(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim Limits) (*Result, error) {
 	c := lim.Results
 	key := cacheKey(q, lim)
 	if r, ok := c.Get(sn, key); ok {
-		return &Result{Vars: r.Vars, Rows: r.Rows, Bool: r.Bool, Cached: true, CacheKey: key}, nil
+		res := answered(r.Answer)
+		res.Cached, res.CacheKey = true, key
+		return res, nil
 	}
 	fl, leader := c.Join(key)
 	if !leader {
@@ -42,7 +45,9 @@ func queryCached(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim Lim
 			return nil, exec.ErrTimeout
 		}
 		if ok {
-			return &Result{Vars: r.Vars, Rows: r.Rows, Bool: r.Bool, Collapsed: true}, nil
+			res := answered(r.Answer)
+			res.Collapsed = true
+			return res, nil
 		}
 		// The leader's execution failed or produced an unshareable
 		// result; our deadline and SERVICE luck may differ, so run it
@@ -50,17 +55,29 @@ func queryCached(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim Lim
 		// serialize all its issuers forever).
 		return queryDirect(ctx, sn, q, lim)
 	}
+	return leadFlight(ctx, sn, q, lim, key, fl)
+}
+
+// leadFlight executes for the flight's leader, then resolves the flight
+// and fills the cache on the way out, whatever the way out is: a panic
+// in the executor completes the flight unshareable before unwinding
+// further, so followers run the query themselves instead of waiting out
+// their deadlines.
+func leadFlight(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim Limits, key string, fl *qcache.Flight) (res *Result, err error) {
+	var shared qcache.Result
+	var cost time.Duration
+	shareable := false
+	defer func() {
+		lim.Results.Complete(key, fl, shared, shareable)
+		if shareable && lim.Results.Put(sn, key, shared, cost) {
+			res.CacheKey = key
+		}
+	}()
 	start := time.Now()
-	res, err := queryDirect(ctx, sn, q, lim)
-	cost := time.Since(start)
-	shareable := err == nil && res.Recovered == 0
-	var cr qcache.Result
-	if shareable {
-		cr = qcache.Result{Vars: res.Vars, Rows: res.Rows, Bool: res.Bool}
-	}
-	c.Complete(key, fl, cr, shareable)
-	if shareable && c.Put(sn, key, cr, cost) {
-		res.CacheKey = key
+	res, err = queryDirect(ctx, sn, q, lim)
+	cost = time.Since(start)
+	if err == nil && res.Recovered == 0 {
+		shared, shareable = qcache.Result{Answer: res.Answer}, true
 	}
 	return res, err
 }

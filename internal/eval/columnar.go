@@ -3,6 +3,9 @@ package eval
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"sort"
+	"strings"
 
 	"sparqlog/internal/exec"
 	"sparqlog/internal/lint"
@@ -18,9 +21,12 @@ import (
 // gets a dense slot; plan variable indexes are slots), and solutions
 // flow through it as ID batches. Strings appear only at the edges:
 // constants resolve against the snapshot dictionary at compile time,
-// computed values (BIND, VALUES, subquery rows) intern into the
-// execution's Pool overflow, and projection/ORDER BY/aggregation
-// materialize text lazily per touched cell. The legacy materialized
+// computed values (BIND, VALUES, expression projections) intern into
+// the execution's Pool overflow, and expressions (FILTER, ORDER BY
+// keys, aggregation inputs) materialize text lazily per touched cell.
+// Projection does not: the answer leaves as ID columns (exec.Answer)
+// and stays that way through the result cache, until a serializer
+// writes it. The legacy materialized
 // path (Limits.legacy) remains as the differential reference; the
 // compiler mirrors its operator semantics — including evaluation
 // order, row-budget checkpoints, and lazy evaluation of subqueries and
@@ -203,7 +209,7 @@ func (ev *evaluator) queryColumnar(q *sparql.Query) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Result{Bool: n > 0}, nil
+		return answered(exec.NewAnswer(ev.st, nil, nil, n > 0)), nil
 	case sparql.SelectQuery:
 		return ce.finishSelect(q, root)
 	case sparql.ConstructQuery:
@@ -211,7 +217,7 @@ func (ev *evaluator) queryColumnar(q *sparql.Query) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		return ev.finishConstruct(q, envs)
+		return ev.viaRows(ev.finishConstruct(q, envs))
 	case sparql.DescribeQuery:
 		envs, err := ce.drain(root)
 		if err != nil {
@@ -656,21 +662,30 @@ func (ce *colExec) compileSubselect(ss *sparql.SubSelect, in exec.Operator) exec
 			if err != nil {
 				return err
 			}
-			slots = make([]int, len(sub.Vars))
-			for i, v := range sub.Vars {
+			// The subquery ran on a pool of its own over the same
+			// snapshot: dictionary IDs carry over as they are, its
+			// overflow terms re-intern into this execution's pool.
+			ans := sub.Answer
+			slots = make([]int, len(ans.Vars))
+			for i, v := range ans.Vars {
 				if s, ok := ce.schema.SlotOf(v); ok {
 					slots[i] = s
 				} else {
 					slots[i] = -1
 				}
 			}
-			rows = make([][]rdf.ID, len(sub.Rows))
-			for ri, srow := range sub.Rows {
-				r := make([]rdf.ID, len(srow))
-				for i, cell := range srow {
-					r[i] = ce.pool.Intern(cell)
+			cells := make([]rdf.ID, ans.Len()*len(slots))
+			rows = make([][]rdf.ID, ans.Len())
+			for ri := range rows {
+				rows[ri] = cells[ri*len(slots) : (ri+1)*len(slots)]
+			}
+			for i := range slots {
+				for ri, id := range ans.Col(i) {
+					if id != exec.Unbound && !ce.pool.InStore(id) {
+						id = ce.pool.Intern(ans.Term(ce.ev.st, id))
+					}
+					rows[ri][i] = id
 				}
-				rows[ri] = r
 			}
 			loaded = true
 		}
@@ -728,7 +743,9 @@ func (ce *colExec) exists(p sparql.Pattern, b *exec.Batch, row int) (bool, error
 	return n > 0, nil
 }
 
-// drain materializes the stream as expression-visible rows.
+// drain materializes the stream as expression-visible rows, for the
+// finishers that work on rows: CONSTRUCT, DESCRIBE's target lookup, and
+// the aggregate shapes planAggregate declines.
 func (ce *colExec) drain(root exec.Operator) ([]env, error) {
 	batches, err := exec.Materialize(ce.ec, root)
 	if err != nil {
@@ -748,9 +765,10 @@ func (ce *colExec) drain(root exec.Operator) ([]env, error) {
 // per-group filters (planAggregate's rewrite), ORDER BY through
 // exec.TopK (bounded-heap when a LIMIT caps the output), DISTINCT
 // streaming on packed ID tuples, and LIMIT/OFFSET stopping the pull
-// early. Shapes outside the compiled plans (aggregate queries
-// planAggregate declined, SELECT *'s variable collection) drain and
-// take the legacy-order finishing over materialized rows.
+// early; then project fills the answer's ID columns, and whatever
+// DISTINCT or slice the stream could not apply (SELECT *, expression
+// projections) runs on those. Aggregate queries planAggregate declined
+// drain and take the legacy-order finishing over materialized rows.
 func (ce *colExec) finishSelect(q *sparql.Query, root exec.Operator) (*Result, error) {
 	ev := ce.ev
 	agg := hasAggregates(q)
@@ -760,7 +778,7 @@ func (ce *colExec) finishSelect(q *sparql.Query, root exec.Operator) (*Result, e
 		if err != nil {
 			return nil, err
 		}
-		return ev.finishAggregate(q, envs)
+		return ev.viaRows(ev.finishAggregate(q, envs))
 	}
 	var gb *exec.GroupBy
 	var okeys []orderKeyPlan
@@ -886,7 +904,7 @@ func (ce *colExec) finishSelect(q *sparql.Query, root exec.Operator) (*Result, e
 			streamSliced = true
 		}
 	}
-	envs, err := ce.drain(root)
+	t, vars, err := ce.project(q, root, agg, evalKey)
 	if err != nil {
 		return nil, err
 	}
@@ -902,21 +920,155 @@ func (ce *colExec) finishSelect(q *sparql.Query, root exec.Operator) (*Result, e
 		}
 		ev.modInfo = mi
 	}
-	var res *Result
-	if agg {
-		res = ce.projectAgg(q, envs, gb.SyntheticEmpty())
-	} else {
-		res = ev.projectSelect(q, envs)
-		// TopK already emitted sorted order (okeys covers every ORDER BY
-		// key), so the legacy applyOrder re-sort never runs here.
-	}
-	if !streamDistinct {
-		applyDistinct(q, res)
+	// TopK already emitted sorted order (okeys covers every ORDER BY
+	// key); what the stream could not do runs on the ID tuples.
+	if !streamDistinct && (q.Distinct || q.Reduced) {
+		t.distinct()
 	}
 	if !streamSliced {
-		applySlice(q, res)
+		t.slice(q)
 	}
-	return res, nil
+	return answered(ce.pool.Answer(vars, t.cols, t.n)), nil
+}
+
+// outCol is one projected column: a slot to copy (-1: the variable is
+// never bound), or an expression to evaluate per row.
+type outCol struct {
+	slot int
+	expr sparql.Expr
+}
+
+// project drains the finished stream into answer columns, appending
+// each projected slot's batch column as it is: no per-row value is
+// built for a plain variable. Expression items evaluate per row and
+// intern their text into the pool; an item whose evaluation fails keeps
+// the binding its alias already had, if any (an aggregate item never
+// has one: planAggregate declines the clash). In an aggregate stream a
+// rewritten item that is a bare hidden variable is that aggregate's
+// finalized slot. SELECT * projects the variables bound in some row.
+func (ce *colExec) project(q *sparql.Query, root exec.Operator, agg bool, evalItem func(sparql.Expr, *exec.Batch, int) (value.Value, error)) (*idTable, []string, error) {
+	var vars []string
+	var outs []outCol
+	for s := 0; q.SelectStar && s < ce.schema.Len(); s++ {
+		if name := ce.schema.Name(s); !strings.HasPrefix(name, "_:") {
+			vars = append(vars, name)
+		}
+	}
+	sort.Strings(vars)
+	for _, v := range vars {
+		outs = append(outs, outCol{slot: ce.slot(v)})
+	}
+	for _, it := range q.Select {
+		oc, name := outCol{slot: -1, expr: it.Expr}, it.Var.Value
+		if hv, ok := exprVar(it.Expr); agg && ok && isHiddenAggVar(hv) {
+			name, oc.expr = hv, nil
+		}
+		if s, ok := ce.schema.SlotOf(name); ok {
+			oc.slot = s
+		}
+		vars, outs = append(vars, it.Var.Value), append(outs, oc)
+	}
+	t := &idTable{cols: make([][]rdf.ID, len(outs))}
+	for {
+		b, err := root.Next(ce.ec)
+		if err != nil {
+			return nil, nil, err
+		}
+		if b == nil {
+			break
+		}
+		for j, oc := range outs {
+			if oc.expr == nil && oc.slot >= 0 {
+				t.cols[j] = append(t.cols[j], b.Col(oc.slot)...)
+				continue
+			}
+			for r := 0; r < b.Rows(); r++ {
+				id := exec.Unbound
+				if oc.slot >= 0 {
+					id = b.Get(oc.slot, r)
+				}
+				if oc.expr != nil {
+					if v, err := evalItem(oc.expr, b, r); err == nil {
+						id = ce.pool.Intern(v.Lex())
+					}
+				}
+				t.cols[j] = append(t.cols[j], id)
+			}
+		}
+		t.n += b.Rows()
+	}
+	if !q.SelectStar {
+		return t, vars, nil
+	}
+	kept := 0
+	for j, col := range t.cols {
+		if slices.ContainsFunc(col, func(id rdf.ID) bool { return id != exec.Unbound }) {
+			vars[kept], t.cols[kept] = vars[j], col
+			kept++
+		}
+	}
+	if kept == 0 {
+		return &idTable{n: t.n}, nil, nil
+	}
+	t.cols = t.cols[:kept]
+	return t, vars[:kept], nil
+}
+
+// idTable is an answer under construction: column-major cells and the
+// row count (a table can have rows and no columns). Every cell comes
+// from one pool, where equal text is equal ID, so DISTINCT and
+// LIMIT/OFFSET on the ID tuples are DISTINCT and LIMIT/OFFSET on the
+// rows' text without reading any.
+type idTable struct {
+	cols [][]rdf.ID
+	n    int
+}
+
+// distinct keeps each row's first occurrence, in order.
+func (t *idTable) distinct() {
+	seen := make(map[string]struct{}, t.n)
+	var key []byte
+	kept := 0
+	for i := 0; i < t.n; i++ {
+		key = key[:0]
+		for _, col := range t.cols {
+			key = append(key, byte(col[i]), byte(col[i]>>8), byte(col[i]>>16), byte(col[i]>>24))
+		}
+		if _, dup := seen[string(key)]; dup {
+			continue
+		}
+		seen[string(key)] = struct{}{}
+		for _, col := range t.cols {
+			col[kept] = col[i]
+		}
+		kept++
+	}
+	t.cut(0, kept)
+}
+
+// slice applies OFFSET and LIMIT.
+func (t *idTable) slice(q *sparql.Query) {
+	lo, hi := 0, t.n
+	if q.Mods.HasOffset {
+		lo = int(min(q.Mods.Offset, int64(t.n)))
+	}
+	if q.Mods.HasLimit && int64(hi-lo) > q.Mods.Limit {
+		hi = lo + int(q.Mods.Limit)
+	}
+	t.cut(lo, hi)
+}
+
+// cut keeps rows [lo, hi). What is kept is copied out, so a small page
+// does not hold the whole table's memory in a cache entry budgeted for
+// the page.
+func (t *idTable) cut(lo, hi int) {
+	if hi-lo == t.n {
+		return
+	}
+	for j, col := range t.cols {
+		t.cols[j] = append([]rdf.ID(nil), col[lo:hi]...)
+	}
+	t.n = hi - lo
 }
 
 // allPlainVars reports whether every projection item is a bare

@@ -10,8 +10,8 @@ import (
 )
 
 // runCounted evaluates on the columnar path and returns the result
-// plus the number of dictionary materializations (Pool.Text calls)
-// the execution performed.
+// (its Answer; no rows are materialized) plus the number of dictionary
+// materializations (Pool.Text calls) the execution performed.
 func runCounted(t *testing.T, sn *rdf.Snapshot, src string) (*Result, int64) {
 	t.Helper()
 	q, err := sparql.Parse(src)
@@ -23,15 +23,20 @@ func runCounted(t *testing.T, sn *rdf.Snapshot, src string) (*Result, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.Rows != nil {
+		t.Fatalf("columnar evaluation of %q materialized string rows", src)
+	}
 	return res, ev.colPool.TextCalls()
 }
 
-// TestPathResultsStayAsIDs pins the satellite fix: pathcomp's sorted
-// []rdf.ID output is routed straight into batch columns, so an
-// object-bound (or loop-bound) path query materializes exactly one
-// string per projected result cell — intermediate path nodes and
-// dedup never touch the dictionary. The old evaluator re-resolved
-// every path result to text per binding before dedup.
+// TestPathResultsStayAsIDs pins IDs until serialization for compiled
+// paths: pathcomp's sorted []rdf.ID output is routed straight into
+// batch columns and from there into the answer's columns, so an
+// object-bound (or loop-bound) path query with a plain projection
+// materializes no text at all — not for intermediate path nodes, not
+// for dedup, not for the projected cells. (The evaluator before the
+// columnar answer paid one string per projected cell; the one before
+// that re-resolved every path result per binding.)
 func TestPathResultsStayAsIDs(t *testing.T) {
 	st := rdf.NewStore()
 	for i := 0; i < 50; i++ {
@@ -40,33 +45,36 @@ func TestPathResultsStayAsIDs(t *testing.T) {
 	sn := st.Freeze()
 
 	// Object-bound: all 50 ancestors of the chain tail, deduplicated
-	// on ID tuples — one Text call per emitted row, none for dedup.
+	// on ID tuples.
 	res, calls := runCounted(t, sn, `SELECT DISTINCT ?s WHERE { ?s <urn:p>+ <urn:c50> }`)
-	if len(res.Rows) != 50 {
-		t.Fatalf("rows = %d, want 50", len(res.Rows))
+	if res.Answer.Len() != 50 {
+		t.Fatalf("rows = %d, want 50", res.Answer.Len())
 	}
-	if calls != int64(len(res.Rows)) {
-		t.Fatalf("dictionary lookups = %d, want exactly %d (one per projected cell)", calls, len(res.Rows))
+	if calls != 0 {
+		t.Fatalf("dictionary lookups = %d, want 0 before serialization", calls)
 	}
 
-	// ?x path ?x: loop nodes only, again one lookup per result row.
+	// ?x path ?x: loop nodes only.
 	stLoop := rdf.NewStore()
 	stLoop.Add("urn:a", "urn:p", "urn:b")
 	stLoop.Add("urn:b", "urn:p", "urn:a")
 	stLoop.Add("urn:c", "urn:p", "urn:d")
-	res2, calls2 := runCounted(t, stLoop.Freeze(), `SELECT ?x WHERE { ?x <urn:p>+ ?x }`)
-	if len(res2.Rows) != 2 {
-		t.Fatalf("loop rows = %v, want a and b", res2.Rows)
+	snLoop := stLoop.Freeze()
+	res2, calls2 := runCounted(t, snLoop, `SELECT ?x WHERE { ?x <urn:p>+ ?x }`)
+	if res2.Answer.Len() != 2 {
+		t.Fatalf("loop rows = %v, want a and b", res2.Answer.Rows(snLoop))
 	}
-	if calls2 != int64(len(res2.Rows)) {
-		t.Fatalf("dictionary lookups = %d, want %d", calls2, len(res2.Rows))
+	if calls2 != 0 {
+		t.Fatalf("dictionary lookups = %d, want 0 before serialization", calls2)
 	}
 }
 
 // TestJoinDistinctStaysAsIDs extends the contract to the conjunctive
-// core: a DISTINCT join query's dedup runs on packed ID tuples, so
-// string materializations equal emitted cells, independent of the
-// (much larger) intermediate result.
+// core: a DISTINCT join query's dedup runs on packed ID tuples and its
+// projection appends ID columns, so neither the (much larger)
+// intermediate result nor the emitted cells touch the dictionary. The
+// same holds for SELECT *, ORDER BY's survivors, and a subquery's rows
+// crossing into the outer query.
 func TestJoinDistinctStaysAsIDs(t *testing.T) {
 	st := rdf.NewStore()
 	for i := 0; i < 30; i++ {
@@ -76,15 +84,23 @@ func TestJoinDistinctStaysAsIDs(t *testing.T) {
 		}
 	}
 	sn := st.Freeze()
-	res, calls := runCounted(t, sn,
-		`SELECT DISTINCT ?s WHERE { ?s <urn:p> ?m . ?m <urn:q> <urn:hub> }`)
-	if len(res.Rows) != 30 {
-		t.Fatalf("rows = %d, want 30", len(res.Rows))
-	}
-	// 300 intermediate join rows, 30 emitted cells: the intermediate
-	// result must not hit the dictionary.
-	if calls != 30 {
-		t.Fatalf("dictionary lookups = %d, want 30", calls)
+	for _, tc := range []struct {
+		src  string
+		rows int
+	}{
+		// 300 intermediate join rows, 30 emitted cells.
+		{`SELECT DISTINCT ?s WHERE { ?s <urn:p> ?m . ?m <urn:q> <urn:hub> }`, 30},
+		{`SELECT * WHERE { ?s <urn:p> ?m . ?m <urn:q> <urn:hub> }`, 300},
+		{`SELECT DISTINCT * WHERE { ?s <urn:p> ?m } LIMIT 7`, 7},
+		{`SELECT ?s ?m WHERE { { SELECT ?m WHERE { ?m <urn:q> <urn:hub> } } ?s <urn:p> ?m }`, 300},
+	} {
+		res, calls := runCounted(t, sn, tc.src)
+		if res.Answer.Len() != tc.rows {
+			t.Fatalf("%s: rows = %d, want %d", tc.src, res.Answer.Len(), tc.rows)
+		}
+		if calls != 0 {
+			t.Fatalf("%s: dictionary lookups = %d, want 0 before serialization", tc.src, calls)
+		}
 	}
 }
 

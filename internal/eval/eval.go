@@ -7,7 +7,9 @@
 // Evaluation runs on the slot-based columnar executor (internal/exec):
 // the WHERE clause compiles once into an operator tree over a
 // query-wide variable→slot schema and solutions flow through it as
-// rdf.ID batches, with strings only at the edges (see columnar.go).
+// rdf.ID batches, with strings only at the edges (see columnar.go); the
+// answer itself is ID columns (exec.Answer), which QueryAnswer returns
+// as they are and QueryContext additionally renders as string rows.
 // The pre-refactor materialized path — per-row map bindings — survives
 // behind Limits.legacy as the differential-testing reference.
 //
@@ -48,9 +50,16 @@ type Result struct {
 	// Vars is the projection, in order. Empty for ASK.
 	Vars []string
 	// Rows are the solutions, aligned with Vars; Unbound marks holes.
+	// QueryContext and its wrappers fill it (Answer.Rows); QueryAnswer
+	// leaves it nil.
 	Rows [][]string
 	// Bool is the ASK answer.
 	Bool bool
+	// Answer is the same solutions as the executor computed them: ID
+	// columns, immutable and possibly shared with the result cache and
+	// with concurrent requests for the same query. Serving layers
+	// serialize from it and never need Rows.
+	Answer *exec.Answer
 	// Recovered counts silent SERVICE recoveries during evaluation:
 	// SERVICE SILENT bodies whose failure was swallowed and replaced by
 	// the unjoined input. Queries without SERVICE SILENT report zero; a
@@ -181,11 +190,24 @@ func QueryWithLimits(sn *rdf.Snapshot, q *sparql.Query, lim Limits) (*Result, er
 	return QueryContext(context.Background(), sn, q, lim)
 }
 
-// QueryContext evaluates under the context's deadline and cancellation,
+// QueryContext is QueryAnswer plus the row form: Result.Rows holds the
+// answer materialized as strings, owned by the caller.
+func QueryContext(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim Limits) (*Result, error) {
+	res, err := QueryAnswer(ctx, sn, q, lim)
+	if err != nil {
+		return nil, err
+	}
+	res.Rows = res.Answer.Rows(sn)
+	return res, nil
+}
+
+// QueryAnswer evaluates under the context's deadline and cancellation,
 // polled from the executor's inner loops; an expired context surfaces
 // as exec.ErrTimeout. (The legacy path polls between pattern operators
 // only — coarser, but it exists for differential testing, not serving.)
-func QueryContext(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim Limits) (*Result, error) {
+// The result carries the columnar Answer and no string rows: nothing on
+// the way from the executor through the result cache materializes text.
+func QueryAnswer(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim Limits) (*Result, error) {
 	if lim.MaxRows <= 0 {
 		lim.MaxRows = DefaultMaxRows
 	}
@@ -199,8 +221,11 @@ func QueryContext(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim Li
 
 // queryDirect is the uncached evaluation path.
 func queryDirect(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim Limits) (*Result, error) {
+	if h := TestHookExecute; h != nil {
+		h(q)
+	}
 	ev := &evaluator{st: sn, prefixes: q.Prologue.PrefixMap(), lim: lim, ctx: ctx}
-	res, err := ev.query(q)
+	res, err := ev.viaRows(ev.query(q))
 	if err == nil {
 		res.Recovered = ev.recovered
 		res.Probes = ev.probes
@@ -208,6 +233,28 @@ func queryDirect(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim Lim
 		res.Modifiers = ev.modInfo
 	}
 	return res, err
+}
+
+// TestHookExecute, when set, runs at the start of every uncached
+// evaluation. Tests of the serving layers set it to inject a panic or
+// a stall into the request path; nothing else may.
+var TestHookExecute func(q *sparql.Query)
+
+// answered wraps a columnar answer as an evaluation result.
+func answered(a *exec.Answer) *Result {
+	return &Result{Vars: a.Vars, Bool: a.Bool, Answer: a}
+}
+
+// viaRows moves a string finisher's result into columnar form through
+// the one rows→columns constructor; a result that already carries its
+// Answer passes through.
+func (ev *evaluator) viaRows(res *Result, err error) (*Result, error) {
+	if err != nil || res.Answer != nil {
+		return res, err
+	}
+	res.Answer = exec.NewAnswer(ev.st, res.Vars, res.Rows, res.Bool)
+	res.Rows = nil
+	return res, nil
 }
 
 type binding map[string]string
@@ -409,22 +456,26 @@ func (ev *evaluator) finishDescribe(q *sparql.Query, rows []env) (*Result, error
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	res := &Result{Vars: []string{"s", "p", "o"}}
+	t := &idTable{cols: make([][]rdf.ID, 3)}
+	emit := func(s, p, o rdf.ID) {
+		t.cols[0], t.cols[1], t.cols[2] = append(t.cols[0], s), append(t.cols[1], p), append(t.cols[2], o)
+		t.n++
+	}
 	for _, id := range ids {
-		term := ev.st.TermOf(id)
 		preds, objs := ev.st.SubjectEdges(id)
 		for i := range preds {
-			res.Rows = append(res.Rows, []string{term, ev.st.TermOf(preds[i]), ev.st.TermOf(objs[i])})
+			emit(id, preds[i], objs[i])
 		}
 		subs, preds := ev.st.ObjectEdges(id)
 		for i := range subs {
 			if !targets[subs[i]] {
-				res.Rows = append(res.Rows, []string{ev.st.TermOf(subs[i]), ev.st.TermOf(preds[i]), term})
+				emit(subs[i], preds[i], id)
 			}
 		}
 	}
-	applySlice(q, res)
-	return res, nil
+	t.slice(q)
+	// Index rows hold dictionary IDs only: the answer has no overflow.
+	return answered(exec.NewPool(ev.st).Answer([]string{"s", "p", "o"}, t.cols, t.n)), nil
 }
 
 // ---------- pattern algebra ----------

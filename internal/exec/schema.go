@@ -6,8 +6,9 @@
 // rdf.ID column per slot — instead of per-row map[string]string
 // bindings. Strings exist only at the edges: parse-time constants
 // resolve through the snapshot dictionary (or intern into a Pool
-// overflow for computed values), and projection materializes text
-// lazily from IDs.
+// overflow for computed values), and a query's result is an Answer —
+// ID columns plus that overflow — whose text is read when a response
+// is serialized, not before.
 //
 // Operators are pull-based: Next returns the operator's next output
 // batch, or nil at end of stream. Batches are owned by the operator

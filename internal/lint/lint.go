@@ -19,6 +19,7 @@ package lint
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"sparqlog/internal/sparql"
 )
@@ -226,30 +227,79 @@ func collectBindable(p sparql.Pattern, out map[string]bool) {
 	})
 }
 
+// location is where a walk stands: the structural path of the node
+// being visited, kept as steps under a root and rendered only when
+// asked (a pass that reports, a subquery opening a scope). Most nodes
+// are never reported on, so most paths are never built.
+type location struct {
+	root  string
+	steps []step
+}
+
+// step is one edge of the path: a fixed label (".optional", ...) or,
+// with label empty, the element index within a group.
+type step struct {
+	label string
+	index int
+}
+
+// String renders the path: "where.group[2].optional", ...
+func (l *location) String() string {
+	s := l.root
+	for _, st := range l.steps {
+		if st.label == "" {
+			st.label = ".group[" + strconv.Itoa(st.index) + "]"
+		}
+		s += st.label
+	}
+	return s
+}
+
 // walkPath visits every pattern node reachable from p in pre-order,
-// carrying a structural location string. It stays within one variable
-// scope: it does not descend into EXISTS bodies or subquery bodies
-// (passes visit those through their own scope; see scopes in
-// passes.go). Use sparql.Walk when cross-scope traversal matters.
-func walkPath(p sparql.Pattern, path string, fn func(p sparql.Pattern, path string) bool) {
-	if p == nil || !fn(p, path) {
+// telling fn where each one is; fn renders at only to report, and must
+// not keep it past the call. The walk stays within one variable scope:
+// it does not descend into EXISTS bodies or subquery bodies (passes
+// visit those through their own scope; see scopes in passes.go). Use
+// sparql.Walk when cross-scope traversal matters.
+func walkPath(p sparql.Pattern, root string, fn func(p sparql.Pattern, at *location) bool) {
+	w := &walker{fn: fn}
+	w.at = location{root: root, steps: w.space[:0]}
+	w.walk(p)
+}
+
+// walker is one walkPath traversal; space holds the steps of the usual
+// nesting depths without a further allocation.
+type walker struct {
+	fn    func(p sparql.Pattern, at *location) bool
+	at    location
+	space [4]step
+}
+
+func (w *walker) down(p sparql.Pattern, st step) {
+	w.at.steps = append(w.at.steps, st)
+	w.walk(p)
+	w.at.steps = w.at.steps[:len(w.at.steps)-1]
+}
+
+func (w *walker) walk(p sparql.Pattern) {
+	if p == nil || !w.fn(p, &w.at) {
 		return
 	}
 	switch n := p.(type) {
 	case *sparql.Group:
 		for i, e := range n.Elems {
-			walkPath(e, fmt.Sprintf("%s.group[%d]", path, i), fn)
+			w.down(e, step{index: i})
 		}
 	case *sparql.Union:
-		walkPath(n.Left, path+".union.left", fn)
-		walkPath(n.Right, path+".union.right", fn)
+		w.down(n.Left, step{label: ".union.left"})
+		w.down(n.Right, step{label: ".union.right"})
 	case *sparql.Optional:
-		walkPath(n.Inner, path+".optional", fn)
+		w.down(n.Inner, step{label: ".optional"})
 	case *sparql.GraphGraph:
-		walkPath(n.Inner, path+".graph", fn)
+		w.down(n.Inner, step{label: ".graph"})
 	case *sparql.MinusGraph:
-		walkPath(n.Inner, path+".minus", fn)
+		w.down(n.Inner, step{label: ".minus"})
 	case *sparql.ServiceGraph:
-		walkPath(n.Inner, path+".service", fn)
+		w.down(n.Inner, step{label: ".service"})
 	}
 }

@@ -96,9 +96,9 @@ func scopes(q *sparql.Query) []*scope {
 		if q.Where == nil {
 			return
 		}
-		walkPath(q.Where, prefix+"where", func(p sparql.Pattern, path string) bool {
+		walkPath(q.Where, prefix+"where", func(p sparql.Pattern, at *location) bool {
 			if ss, ok := p.(*sparql.SubSelect); ok && ss.Query != nil {
-				collect(ss.Query, path+".")
+				collect(ss.Query, at.String()+".")
 			}
 			return true
 		})
@@ -114,10 +114,10 @@ func runUnsatFilter(c *Ctx) {
 		if s.q.Where == nil {
 			continue
 		}
-		walkPath(s.q.Where, s.wherePath(), func(p sparql.Pattern, path string) bool {
+		walkPath(s.q.Where, s.wherePath(), func(p sparql.Pattern, at *location) bool {
 			if fl, ok := p.(*sparql.Filter); ok {
 				if reason, unsat := s.f.unsatReason(fl.Constraint); unsat {
-					c.Report(path, sparql.PatternString(fl),
+					c.Report(at.String(), sparql.PatternString(fl),
 						"FILTER never keeps a row: %s", reason)
 				}
 			}
@@ -133,9 +133,9 @@ func runCartesianProduct(c *Ctx) {
 		if s.q.Where == nil {
 			continue
 		}
-		walkPath(s.q.Where, s.wherePath(), func(p sparql.Pattern, path string) bool {
+		walkPath(s.q.Where, s.wherePath(), func(p sparql.Pattern, at *location) bool {
 			if g, ok := p.(*sparql.Group); ok {
-				checkGroupProduct(c, g, path)
+				checkGroupProduct(c, g, at)
 			}
 			return true
 		})
@@ -148,7 +148,7 @@ func runCartesianProduct(c *Ctx) {
 // edges; the rest (filters, binds, OPTIONAL, MINUS, SERVICE) only
 // connect components. Two or more components that each contain a join
 // edge form a cartesian product.
-func checkGroupProduct(c *Ctx, g *sparql.Group, path string) {
+func checkGroupProduct(c *Ctx, g *sparql.Group, at *location) {
 	type edge struct {
 		vars []string
 		join bool
@@ -250,7 +250,7 @@ func checkGroupProduct(c *Ctx, g *sparql.Group, path string) {
 	for _, comp := range joinComps {
 		parts = append(parts, "{?"+strings.Join(dedupSorted(compVars[comp]), " ?")+"}")
 	}
-	c.Report(path, "", "group is a cartesian product of %d disconnected components: %s",
+	c.Report(at.String(), "", "group is a cartesian product of %d disconnected components: %s",
 		len(joinComps), strings.Join(parts, " × "))
 }
 
@@ -284,14 +284,14 @@ func runUnboundFilterVar(c *Ctx) {
 		if s.q.Where == nil {
 			continue
 		}
-		walkPath(s.q.Where, s.wherePath(), func(p sparql.Pattern, path string) bool {
+		walkPath(s.q.Where, s.wherePath(), func(p sparql.Pattern, at *location) bool {
 			fl, ok := p.(*sparql.Filter)
 			if !ok {
 				return true
 			}
 			for _, v := range sortedVars(exprOwnVars(fl.Constraint)) {
 				if !s.bindable[v] {
-					c.Report(path, sparql.ExprString(fl.Constraint),
+					c.Report(at.String(), sparql.ExprString(fl.Constraint),
 						"FILTER uses ?%s, which no pattern of the query can bind", v)
 				}
 			}
@@ -388,7 +388,7 @@ func runDuplicateUnion(c *Ctx) {
 		if s.q.Where == nil {
 			continue
 		}
-		walkPath(s.q.Where, s.wherePath(), func(p sparql.Pattern, path string) bool {
+		walkPath(s.q.Where, s.wherePath(), func(p sparql.Pattern, at *location) bool {
 			if u, ok := p.(*sparql.Union); ok {
 				// Compare the branches canonically (prefixes expanded,
 				// variables renamed under one shared context): catches
@@ -398,7 +398,7 @@ func runDuplicateUnion(c *Ctx) {
 				// spelling.
 				cs := sparql.CanonPatternStrings(c.Query.Prologue, u.Left, u.Right)
 				if cs[0] != "" && cs[0] == cs[1] {
-					c.Report(path, sparql.PatternString(u.Left),
+					c.Report(at.String(), sparql.PatternString(u.Left),
 						"UNION branches are identical: duplicate work and duplicate solutions")
 				}
 			}
@@ -418,7 +418,7 @@ func runCollapsibleEquality(c *Ctx) {
 			continue
 		}
 		top := s.prefix == ""
-		walkPath(s.q.Where, s.wherePath(), func(p sparql.Pattern, path string) bool {
+		walkPath(s.q.Where, s.wherePath(), func(p sparql.Pattern, at *location) bool {
 			g, ok := p.(*sparql.Group)
 			if !ok {
 				return true
@@ -432,7 +432,7 @@ func runCollapsibleEquality(c *Ctx) {
 				if !ok {
 					continue
 				}
-				epath := fmt.Sprintf("%s.group[%d]", path, i)
+				epath := fmt.Sprintf("%s.group[%d]", at, i)
 				if top {
 					if keep, drop, ok := canCollapse(c.Query, g, i); ok {
 						c.Report(epath, sparql.PatternString(fl),

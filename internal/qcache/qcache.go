@@ -12,29 +12,31 @@
 // snapshot invalidates implicitly — no epoch bookkeeping on the hot
 // path.
 //
-// Entries store columnar ID tuples, not strings: one rdf.ID column per
-// projected variable, resolved through the snapshot dictionary on
-// materialization, with an entry-local overflow table for terms the
-// dictionary does not hold (expression products). Admission is
-// cost-aware — only results whose measured execution cost reaches
-// Options.MinCost are stored, so the cache holds the heavy tail rather
-// than microsecond point lookups — and eviction is sharded LRU under a
-// byte budget. Hot entries additionally carry per-content-type
-// serialized response bodies (SetBody/Body) so an HTTP hit can be a
-// single Write.
+// An entry is the executor's answer itself (exec.Answer: one rdf.ID
+// column per projected variable plus an overflow table for terms the
+// dictionary does not hold). A fill retains the pointer the evaluator
+// produced, a hit returns it, and a single-flight follower receives the
+// leader's: nothing is converted or copied on the way in or out, and a
+// hit that is answered from a stored body (or a 304) never reads a
+// cell. Admission is cost-aware — only results whose measured execution
+// cost reaches Options.MinCost are stored, so the cache holds the heavy
+// tail rather than microsecond point lookups — and eviction is sharded
+// LRU under a byte budget. Hot entries additionally carry
+// per-content-type serialized response bodies (SetBody/Body) so an HTTP
+// hit can be a single Write.
 //
-// Invariant: cache entries are immutable once inserted and keyed by
-// snapshot identity. Get materializes fresh rows on every hit; nothing
-// handed out aliases mutable cache state.
+// Invariant: cache entries are immutable and shared, keyed by snapshot
+// identity. A hit hands out the entry's own columns (and Body the
+// entry's own bytes): nobody may write through them.
 package qcache
 
 import (
-	"fmt"
-	"hash/fnv"
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"sparqlog/internal/exec"
 	"sparqlog/internal/rdf"
 )
 
@@ -70,18 +72,18 @@ type Options struct {
 	MaxEntryBytes int64
 }
 
-// Result is a materialized query answer: the neutral shape the cache
-// exchanges with the evaluator (qcache cannot import eval). Rows use
-// the evaluator's conventions — aligned with Vars, "" marks unbound.
+// Result is what the cache exchanges with its callers. The evaluator
+// fills and receives Answer, the executor's columnar answer, which the
+// cache retains and hands out as is. A caller that holds string rows
+// instead (aligned with Vars, "" marking unbound) may Put them with
+// Answer nil: they are admitted through exec.NewAnswer. Get sets Vars,
+// Bool and Answer and never Rows; Answer.Rows materializes them.
 type Result struct {
-	Vars []string
-	Rows [][]string
-	Bool bool
+	Vars   []string
+	Rows   [][]string
+	Bool   bool
+	Answer *exec.Answer
 }
-
-// unboundID marks an unbound cell in a stored column. rdf.IDs are
-// dense dictionary indexes, so the top of the uint32 range is free.
-const unboundID = ^rdf.ID(0)
 
 // cachedBody is one serialized response representation of an entry.
 type cachedBody struct {
@@ -89,22 +91,11 @@ type cachedBody struct {
 	etag string
 }
 
-// entry is one cached result in columnar form. Immutable after insert
-// except for the bodies map and LRU links, both guarded by the shard
-// lock.
+// entry is one cached answer. Immutable after insert except for the
+// bodies map and LRU links, both guarded by the shard lock.
 type entry struct {
-	key  string
-	vars []string
-	// nilRows preserves the caller's nil-vs-empty Rows distinction
-	// (ASK results carry nil) so a hit is byte-faithful to execution.
-	nilRows bool
-	boolV   bool
-	nrows   int
-	// cols holds one column per var, column-major; IDs below base
-	// resolve through the snapshot dictionary, IDs at or above it index
-	// extra (terms the dictionary does not hold), unboundID is a hole.
-	cols  [][]rdf.ID
-	extra []string
+	key   string
+	ans   *exec.Answer
 	cost  time.Duration
 	bytes int64
 
@@ -126,7 +117,6 @@ type shard struct {
 // Cache is the result cache. Safe for concurrent use; create with New.
 type Cache struct {
 	sn       *rdf.Snapshot
-	base     rdf.ID // sn.NumTerms(): first entry-local overflow ID
 	minCost  time.Duration
 	maxEntry int64
 	shards   []shard
@@ -162,7 +152,6 @@ func New(sn *rdf.Snapshot, opts Options) *Cache {
 	}
 	c := &Cache{
 		sn:       sn,
-		base:     rdf.ID(sn.NumTerms()),
 		minCost:  minCost,
 		maxEntry: maxEntry,
 		shards:   make([]shard, nShards),
@@ -187,16 +176,21 @@ func (c *Cache) Snapshot() *rdf.Snapshot { return c.sn }
 // MinCost returns the effective admission threshold.
 func (c *Cache) MinCost() time.Duration { return c.minCost }
 
+// shard picks the key's lock stripe by FNV-1a over the string in place:
+// a request makes several cache calls, and none of them should copy
+// the canonical query text to hash it.
 func (c *Cache) shard(key string) *shard {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(key))
-	return &c.shards[h.Sum64()%uint64(len(c.shards))]
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * 1099511628211
+	}
+	return &c.shards[h%uint64(len(c.shards))]
 }
 
-// Get returns the materialized result under key, if cached. sn must be
-// the snapshot the caller evaluates against: a mismatch is a miss by
-// definition (stored IDs index a different dictionary). Rows are
-// freshly materialized — the caller owns them.
+// Get returns the answer under key, if cached. sn must be the snapshot
+// the caller evaluates against: a mismatch is a miss by definition
+// (stored IDs index a different dictionary). The answer is the entry's
+// own, shared with every other holder: read-only.
 func (c *Cache) Get(sn *rdf.Snapshot, key string) (Result, bool) {
 	if sn != c.sn {
 		c.misses.Add(1)
@@ -214,45 +208,16 @@ func (c *Cache) Get(sn *rdf.Snapshot, key string) (Result, bool) {
 		return Result{}, false
 	}
 	c.hits.Add(1)
-	return c.materialize(e), true
-}
-
-// materialize rebuilds string rows from an entry's ID columns. The
-// entry is immutable, so no lock is held while resolving.
-func (c *Cache) materialize(e *entry) Result {
-	r := Result{Vars: e.vars, Bool: e.boolV}
-	if e.nrows == 0 {
-		if !e.nilRows {
-			r.Rows = [][]string{}
-		}
-		return r
-	}
-	ncols := len(e.vars)
-	cells := make([]string, e.nrows*ncols)
-	rows := make([][]string, e.nrows)
-	for i := range rows {
-		row := cells[i*ncols : (i+1)*ncols : (i+1)*ncols]
-		for j := 0; j < ncols; j++ {
-			switch id := e.cols[j][i]; {
-			case id == unboundID:
-				row[j] = ""
-			case id >= c.base:
-				row[j] = e.extra[id-c.base]
-			default:
-				row[j] = c.sn.TermOf(id)
-			}
-		}
-		rows[i] = row
-	}
-	r.Rows = rows
-	return r
+	return Result{Vars: e.ans.Vars, Bool: e.ans.Bool, Answer: e.ans}, true
 }
 
 // Put stores a successful result under key when it clears cost-aware
 // admission. It reports whether the entry is now resident (an existing
 // entry under the same key also counts: the double-fill race after a
-// flight resolves to the first writer). Callers must never Put errors,
-// truncations, or recovered results — the cache cannot tell.
+// flight resolves to the first writer). A result carrying its Answer
+// is retained as it is, with no cell read; one carrying only rows is
+// converted first. Callers must never Put errors, truncations, or
+// recovered results — the cache cannot tell.
 func (c *Cache) Put(sn *rdf.Snapshot, key string, r Result, cost time.Duration) bool {
 	if sn != c.sn {
 		return false
@@ -261,7 +226,12 @@ func (c *Cache) Put(sn *rdf.Snapshot, key string, r Result, cost time.Duration) 
 		c.rejected.Add(1)
 		return false
 	}
-	e := c.convert(key, r, cost)
+	ans := r.Answer
+	if ans == nil {
+		ans = exec.NewAnswer(sn, r.Vars, r.Rows, r.Bool)
+	}
+	const entryOverhead = 256
+	e := &entry{key: key, ans: ans, cost: cost, bytes: entryOverhead + int64(len(key)) + ans.Bytes()}
 	if e.bytes > c.maxEntry {
 		c.rejected.Add(1)
 		return false
@@ -280,64 +250,6 @@ func (c *Cache) Put(sn *rdf.Snapshot, key string, r Result, cost time.Duration) 
 	sh.bytes += e.bytes
 	sh.pushFront(e)
 	return true
-}
-
-// convert interns a string result into columnar ID form. Terms missing
-// from the snapshot dictionary (expression products, federated terms)
-// go into an entry-local overflow table addressed above c.base.
-func (c *Cache) convert(key string, r Result, cost time.Duration) *entry {
-	e := &entry{
-		key:     key,
-		vars:    r.Vars,
-		nilRows: r.Rows == nil,
-		boolV:   r.Bool,
-		nrows:   len(r.Rows),
-		cost:    cost,
-	}
-	ncols := len(r.Vars)
-	var overflow map[string]rdf.ID
-	var extraBytes int64
-	if ncols > 0 && e.nrows > 0 {
-		e.cols = make([][]rdf.ID, ncols)
-		flat := make([]rdf.ID, e.nrows*ncols)
-		for j := range e.cols {
-			e.cols[j] = flat[j*e.nrows : (j+1)*e.nrows]
-		}
-		for i, row := range r.Rows {
-			for j := 0; j < ncols; j++ {
-				cell := ""
-				if j < len(row) {
-					cell = row[j]
-				}
-				if cell == "" {
-					e.cols[j][i] = unboundID
-					continue
-				}
-				if id, ok := c.sn.Lookup(cell); ok {
-					e.cols[j][i] = id
-					continue
-				}
-				if overflow == nil {
-					overflow = make(map[string]rdf.ID)
-				}
-				id, ok := overflow[cell]
-				if !ok {
-					id = c.base + rdf.ID(len(e.extra))
-					overflow[cell] = id
-					e.extra = append(e.extra, cell)
-					extraBytes += int64(len(cell)) + 16
-				}
-				e.cols[j][i] = id
-			}
-		}
-	}
-	const entryOverhead = 256
-	e.bytes = entryOverhead + int64(len(key)) +
-		int64(e.nrows)*int64(ncols)*4 + extraBytes
-	for _, v := range e.vars {
-		e.bytes += int64(len(v))
-	}
-	return e
 }
 
 // makeRoom evicts from the shard's LRU tail until add fits the budget,
@@ -388,15 +300,15 @@ func (c *Cache) SetBody(key, contentType string, body []byte) (string, bool) {
 	if e.bodies == nil {
 		e.bodies = make(map[string]cachedBody)
 	}
-	data := append([]byte(nil), body...)
-	e.bodies[contentType] = cachedBody{data: data, etag: bodyETag(data)}
+	data, etag := copyWithETag(body)
+	e.bodies[contentType] = cachedBody{data: data, etag: etag}
 	e.bytes += add
 	sh.bytes += e.bytes
 	return e.bodies[contentType].etag, true
 }
 
 // Body returns the cached serialized body and its entity tag for one
-// content type, if present.
+// content type, if present. The bytes are the entry's own: read-only.
 func (c *Cache) Body(key, contentType string) ([]byte, string, bool) {
 	sh := c.shard(key)
 	sh.mu.Lock()
@@ -414,12 +326,34 @@ func (c *Cache) Body(key, contentType string) ([]byte, string, bool) {
 	return b.data, b.etag, true
 }
 
-// bodyETag derives a strong entity tag from the exact serialized
-// bytes: equal bodies get equal tags across restarts.
-func bodyETag(body []byte) string {
-	h := fnv.New64a()
-	_, _ = h.Write(body)
-	return fmt.Sprintf("\"%016x\"", h.Sum64())
+// copyWithETag makes the cache's own copy of a serialized body and
+// derives its strong entity tag in the same pass: FNV-1a's xor-multiply
+// taken over eight-byte words, each step folded down so a word's high
+// bytes reach the low half. The tag depends only on the exact bytes, so
+// equal bodies get equal tags across restarts.
+func copyWithETag(body []byte) ([]byte, string) {
+	const prime = 1099511628211
+	data := make([]byte, len(body))
+	h := uint64(14695981039346656037) ^ uint64(len(body))
+	i := 0
+	for ; i+8 <= len(body); i += 8 {
+		w := binary.LittleEndian.Uint64(body[i:])
+		binary.LittleEndian.PutUint64(data[i:], w)
+		h = (h ^ w) * prime
+		h ^= h >> 32
+	}
+	for ; i < len(body); i++ {
+		data[i] = body[i]
+		h = (h ^ uint64(body[i])) * prime
+		h ^= h >> 32
+	}
+	var tag [18]byte
+	tag[0], tag[17] = '"', '"'
+	for k := 16; k >= 1; k-- {
+		tag[k] = "0123456789abcdef"[h&15]
+		h >>= 4
+	}
+	return data, string(tag[:])
 }
 
 // --- intrusive LRU list (shard lock held) ---

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"sparqlog/internal/exec"
 	"sparqlog/internal/rdf"
 )
 
@@ -56,19 +57,73 @@ func TestRoundTripFidelity(t *testing.T) {
 			if !ok {
 				t.Fatal("Get missed a resident entry")
 			}
-			if !reflect.DeepEqual(got, tc.r) {
-				t.Fatalf("round trip mismatch:\n got %#v\nwant %#v", got, tc.r)
+			if got.Rows != nil {
+				t.Fatal("Get materialized rows")
 			}
-			// Rows must be fresh allocations: mutating the hit must not
-			// poison the next one (immutability invariant).
-			if len(got.Rows) > 0 && len(got.Rows[0]) > 0 {
-				got.Rows[0][0] = "mutated"
-				again, _ := c.Get(sn, key)
-				if again.Rows[0][0] == "mutated" {
-					t.Fatal("cache handed out aliased rows")
+			back := Result{Vars: got.Vars, Rows: got.Answer.Rows(sn), Bool: got.Bool}
+			if !reflect.DeepEqual(back, tc.r) {
+				t.Fatalf("round trip mismatch:\n got %#v\nwant %#v", back, tc.r)
+			}
+			// Entries are shared, not copied: every hit hands out the
+			// one answer, and its row form is fresh each time.
+			again, _ := c.Get(sn, key)
+			if again.Answer != got.Answer {
+				t.Fatal("two hits returned different answers for one entry")
+			}
+			if len(back.Rows) > 0 && len(back.Rows[0]) > 0 {
+				back.Rows[0][0] = "mutated"
+				if again.Answer.Rows(sn)[0][0] == "mutated" {
+					t.Fatal("materialized rows alias the entry")
 				}
 			}
 		})
+	}
+}
+
+// bigAnswer is a two-column answer of n rows over dictionary terms.
+func bigAnswer(sn *rdf.Snapshot, n int) *exec.Answer {
+	rows := make([][]string, n)
+	for i := range rows {
+		rows[i] = []string{fmt.Sprintf("<http://g/s%d>", i%8), fmt.Sprintf("<http://g/o%d>", i%8)}
+	}
+	return exec.NewAnswer(sn, []string{"s", "o"}, rows, false)
+}
+
+// TestFillRetainsAndHitShares pins what "an entry is the answer" buys:
+// Put of a columnar answer keeps the pointer (no conversion, so no
+// dictionary lookup and no per-cell work: its allocations do not depend
+// on the row count), and Get returns that pointer (likewise).
+func TestFillRetainsAndHitShares(t *testing.T) {
+	sn := testSnapshot(t)
+	c := New(sn, Options{MinCost: -1, MaxBytes: 64 << 20})
+	var allocs [2][2]float64
+	for i, n := range []int{10, 10000} {
+		ans := bigAnswer(sn, n)
+		key := fmt.Sprintf("k%d", n)
+		if !c.Put(sn, key, Result{Answer: ans}, time.Second) {
+			t.Fatalf("Put of %d rows refused", n)
+		}
+		got, ok := c.Get(sn, key)
+		if !ok || got.Answer != ans {
+			t.Fatalf("%d rows: fill did not retain the answer it was given", n)
+		}
+		// One fresh key per measured fill (and the warm-up call), made
+		// up front so the measurement holds Put's allocations only.
+		keys := make([]string, 51)
+		for k := range keys {
+			keys[k] = fmt.Sprintf("fill-%05d-%02d", n, k)
+		}
+		allocs[i][0] = testing.AllocsPerRun(len(keys)-1, func() {
+			c.Put(sn, keys[0], Result{Answer: ans}, time.Second)
+			keys = keys[1:]
+		})
+		allocs[i][1] = testing.AllocsPerRun(50, func() { c.Get(sn, key) })
+	}
+	if allocs[0][0] != allocs[1][0] {
+		t.Fatalf("Put allocations grow with rows: %v for 10, %v for 10000", allocs[0][0], allocs[1][0])
+	}
+	if allocs[0][1] != 0 || allocs[1][1] != 0 {
+		t.Fatalf("Get allocates: %v for 10 rows, %v for 10000", allocs[0][1], allocs[1][1])
 	}
 }
 
@@ -231,9 +286,10 @@ func TestSingleFlight(t *testing.T) {
 		t.Fatal("second Join did not follow the first flight")
 	}
 	r := Result{Vars: []string{"s"}, Rows: [][]string{{"<http://g/s0>"}}}
+	r.Answer = exec.NewAnswer(sn, r.Vars, r.Rows, r.Bool)
 	go c.Complete("k", f, r, true)
 	got, ok, err := f2.Wait(context.Background(), c)
-	if err != nil || !ok || !reflect.DeepEqual(got, r) {
+	if err != nil || !ok || got.Answer != r.Answer {
 		t.Fatalf("Wait = %#v, %v, %v", got, ok, err)
 	}
 	if c.Collapsed() != 1 {

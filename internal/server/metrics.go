@@ -27,6 +27,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("sparqld_query_errors_total", "Evaluations that failed with a non-timeout error.", snap.Errors)
 	counter("sparqld_query_timeouts_total", "Evaluations cut by the per-request deadline or client disconnect.", snap.Timeouts)
 	counter("sparqld_queries_rejected_total", "Requests rejected by admission control (503).", snap.Rejected)
+	counter("sparqld_panics_total", "Requests that panicked and were answered with 500.", s.panics.Load())
 	counter("sparqld_service_recoveries_total", "Silent SERVICE recoveries inside served answers.", snap.Recoveries)
 	gauge("sparqld_qps", "Lifetime completed queries per second.", fmt.Sprintf("%.4f", snap.QPS))
 

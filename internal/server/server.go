@@ -1,15 +1,17 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
 	"net/url"
+	"runtime/debug"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sparqlog/internal/core"
@@ -78,6 +80,8 @@ type Server struct {
 
 	maxQueryBytes int64
 	timeout       time.Duration
+	// panics counts requests that panicked and were answered with 500.
+	panics atomic.Int64
 
 	logMu sync.Mutex
 	logW  io.Writer
@@ -161,6 +165,21 @@ func (s *Server) Live() *service.Live { return s.live }
 func (s *Server) ResultCache() *qcache.Cache { return s.qc }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
+	// A panic below costs this request a 500 and nothing else: the
+	// evaluation slot and the single-flight entry are released by the
+	// frames that hold them as the panic passes, and it stops here.
+	defer func() {
+		p := recover()
+		if p == nil {
+			return
+		}
+		if p == http.ErrAbortHandler {
+			panic(p)
+		}
+		s.panics.Add(1)
+		log.Printf("sparqld: panic serving query: %v\n%s", p, debug.Stack())
+		plainError(w, http.StatusInternalServerError, "internal error")
+	}()
 	raw, herr := readQuery(r, s.maxQueryBytes)
 	if herr != nil {
 		plainError(w, herr.status, herr.msg)
@@ -212,8 +231,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	res, out := s.ex.Execute(r.Context(), q)
-	s.gate.Release()
+	res, out := s.execute(r.Context(), q)
 	s.live.Observe(out)
 
 	if out.Err != nil {
@@ -239,7 +257,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", ct+"; charset=utf-8")
-	_ = writeResult(w, ct, res, q.Type == sparql.AskQuery)
+	_ = writeResult(w, ct, s.ex.Snapshot(), res.Answer, q.Type == sparql.AskQuery)
+}
+
+// execute evaluates in the evaluation slot the caller acquired and
+// releases the slot however Execute returns, a panic included: a slot
+// that leaked would be capacity gone for the life of the process.
+func (s *Server) execute(ctx context.Context, q *sparql.Query) (*eval.Result, service.QueryOutcome) {
+	defer s.gate.Release()
+	return s.ex.Execute(ctx, q)
 }
 
 // cacheState renders the X-Sparqld-Cache header value for an outcome.
@@ -255,33 +281,30 @@ func cacheState(out service.QueryOutcome) string {
 }
 
 // writeCachedBody serves a cache-resident result. On a body hit the
-// response is the stored bytes verbatim — a near-zero-alloc Write —
-// with a strong ETag; If-None-Match turns it into an empty 304. On the
-// first serve of a content type the body is serialized once into
-// memory, attached to the entry, and written out.
+// response is the stored bytes verbatim — a near-zero-alloc Write that
+// reads no cell of the answer — with a strong ETag; If-None-Match turns
+// it into an empty 304. On the first serve of a content type the body
+// is serialized once into a pooled buffer, attached to the entry (the
+// cache copies it and takes the ETag in the same pass), and written
+// out from that buffer.
 func (s *Server) writeCachedBody(w http.ResponseWriter, r *http.Request, ct string, res *eval.Result, isAsk bool) {
 	body, etag, ok := s.qc.Body(res.CacheKey, ct)
 	if !ok {
-		var buf bytes.Buffer
-		if err := writeResult(&buf, ct, res, isAsk); err != nil {
-			plainError(w, http.StatusInternalServerError, "serialization failed: "+err.Error())
-			return
-		}
-		body = buf.Bytes()
+		e := newEncoder(nil)
+		defer e.release()
+		e.encode(ct, s.ex.Snapshot(), res.Answer, isAsk)
+		body = e.buf
 		// SetBody may refuse (entry evicted mid-request, body over the
 		// entry cap); the buffered bytes still serve this response.
 		etag, ok = s.qc.SetBody(res.CacheKey, ct, body)
-		if !ok {
-			w.Header().Set("Content-Type", ct+"; charset=utf-8")
-			_, _ = w.Write(body)
-			return
-		}
 	}
 	w.Header().Set("Content-Type", ct+"; charset=utf-8")
-	w.Header().Set("ETag", etag)
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, etag) {
-		w.WriteHeader(http.StatusNotModified)
-		return
+	if ok {
+		w.Header().Set("ETag", etag)
+		if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, etag) {
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
 	}
 	_, _ = w.Write(body)
 }

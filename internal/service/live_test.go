@@ -70,7 +70,7 @@ func TestExecutorExecute(t *testing.T) {
 	if out.Err != nil {
 		t.Fatal(out.Err)
 	}
-	if res == nil || len(res.Rows) == 0 || out.Rows != len(res.Rows) {
+	if res == nil || res.Answer.Len() == 0 || out.Rows != res.Answer.Len() || res.Rows != nil {
 		t.Fatalf("bad result: res=%v outcome=%+v", res, out)
 	}
 	if out.Duration <= 0 {

@@ -179,8 +179,10 @@ func runOneQuery(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim eva
 }
 
 // executeOne is runOneQuery keeping the full result: the single-query
-// entry the serving layer (Executor.Execute) uses to serialize rows,
-// with the same deadline and duration conventions as the batch pool.
+// entry the serving layer (Executor.Execute) serializes from, with the
+// same deadline and duration conventions as the batch pool. The result
+// carries the columnar Answer only (eval.QueryAnswer): counting rows
+// and serving them never materializes strings.
 func executeOne(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim eval.Limits, timeout time.Duration) (*eval.Result, QueryOutcome) {
 	qctx := ctx
 	if timeout > 0 {
@@ -198,7 +200,7 @@ func executeOne(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim eval
 		return nil, out
 	}
 	start := time.Now()
-	res, err := eval.QueryContext(qctx, sn, q, lim)
+	res, err := eval.QueryAnswer(qctx, sn, q, lim)
 	out := QueryOutcome{Duration: time.Since(start), Err: err}
 	if err != nil {
 		if errors.Is(err, exec.ErrTimeout) {
@@ -209,7 +211,7 @@ func executeOne(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim eval
 		}
 		return nil, out
 	}
-	out.Rows = len(res.Rows)
+	out.Rows = res.Answer.Len()
 	out.Bool = res.Bool
 	out.Recovered = res.Recovered
 	out.Cached = res.Cached

@@ -27,8 +27,8 @@ var (
 	plannerGraph     *gmark.Graph
 )
 
-func plannerBenchGraph(b *testing.B) *gmark.Graph {
-	b.Helper()
+func plannerBenchGraph(tb testing.TB) *gmark.Graph {
+	tb.Helper()
 	plannerGraphOnce.Do(func() {
 		plannerGraph = gmark.Generate(gmark.Config{Nodes: 6000, Seed: 41})
 	})

@@ -21,9 +21,10 @@ import (
 
 // cacheBenchQuery is deliberately heavy for a cache cell: the full
 // citation table (tens of thousands of rows on the shared bench
-// graph), so a hit's cost is dominated by materializing fresh rows —
-// the realistic floor of serving a cached result — and far above
-// what the timer can resolve at -benchtime=3x.
+// graph). The cells call eval.QueryAnswer, the entry point the serving
+// path uses: a hit returns the entry's columnar answer and costs the
+// same whatever the row count, so what the cells compare is the
+// execution a hit skips against the lookup that replaces it.
 const cacheBenchQuery = `PREFIX bib: <http://gmark.bib/p/>
 SELECT ?p ?q WHERE { ?p bib:cites ?q }`
 
@@ -39,11 +40,11 @@ func BenchmarkResultCache(b *testing.B) {
 	b.Run("uncached", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := eval.QueryContext(ctx, g.Snapshot, q, eval.Limits{})
+			res, err := eval.QueryAnswer(ctx, g.Snapshot, q, eval.Limits{})
 			if err != nil {
 				b.Fatal(err)
 			}
-			if len(res.Rows) == 0 {
+			if res.Answer.Len() == 0 {
 				b.Fatal("empty result")
 			}
 		}
@@ -53,7 +54,7 @@ func BenchmarkResultCache(b *testing.B) {
 		b.ReportAllocs()
 		c := qcache.New(g.Snapshot, qcache.Options{MinCost: -1})
 		lim := eval.Limits{Results: c}
-		if _, err := eval.QueryContext(ctx, g.Snapshot, q, lim); err != nil {
+		if _, err := eval.QueryAnswer(ctx, g.Snapshot, q, lim); err != nil {
 			b.Fatal(err)
 		}
 		if c.Entries() == 0 {
@@ -61,7 +62,7 @@ func BenchmarkResultCache(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := eval.QueryContext(ctx, g.Snapshot, q, lim)
+			res, err := eval.QueryAnswer(ctx, g.Snapshot, q, lim)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -72,16 +73,17 @@ func BenchmarkResultCache(b *testing.B) {
 	})
 
 	// Fill: every iteration is a genuinely new key (MaxRows is part of
-	// the key), so this measures execution plus lookup-miss, flight,
-	// admission, and columnar encoding — the overhead a cold query pays
-	// compared to the uncached cell.
+	// the key), so this measures execution plus lookup-miss, flight and
+	// admission (the entry retains the executor's answer: there is no
+	// encoding step) — the overhead a cold query pays compared to the
+	// uncached cell.
 	b.Run("miss-fill", func(b *testing.B) {
 		b.ReportAllocs()
 		c := qcache.New(g.Snapshot, qcache.Options{MinCost: -1})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			lim := eval.Limits{Results: c, MaxRows: eval.DefaultMaxRows + 1 + i}
-			res, err := eval.QueryContext(ctx, g.Snapshot, q, lim)
+			res, err := eval.QueryAnswer(ctx, g.Snapshot, q, lim)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -92,18 +94,18 @@ func BenchmarkResultCache(b *testing.B) {
 	})
 
 	// Duplicate requests racing over one resident key: the contended
-	// hit path (sharded lock + LRU touch + materialization per caller).
+	// hit path (sharded lock + LRU touch; every caller shares the entry).
 	b.Run("concurrent-duplicate", func(b *testing.B) {
 		b.ReportAllocs()
 		c := qcache.New(g.Snapshot, qcache.Options{MinCost: -1})
 		lim := eval.Limits{Results: c}
-		if _, err := eval.QueryContext(ctx, g.Snapshot, q, lim); err != nil {
+		if _, err := eval.QueryAnswer(ctx, g.Snapshot, q, lim); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				res, err := eval.QueryContext(ctx, g.Snapshot, q, lim)
+				res, err := eval.QueryAnswer(ctx, g.Snapshot, q, lim)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -183,7 +185,7 @@ func BenchmarkConcurrentCachedQueries(b *testing.B) {
 					defer wg.Done()
 					ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 					defer cancel()
-					if _, err := eval.QueryContext(ctx, g.Snapshot, q, lim); err != nil {
+					if _, err := eval.QueryAnswer(ctx, g.Snapshot, q, lim); err != nil {
 						b.Error(err)
 					}
 				}()
