@@ -71,11 +71,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "sparqlanalyze:", err)
 			os.Exit(1)
 		}
-		c := &repro.Corpus{Reports: []*core.DatasetReport{rep}, Total: rep}
-		fmt.Print(repro.Table1(c), "\n", repro.RepeatRates(c), "\n", repro.Table2(c), "\n", repro.Figure1(c), "\n",
-			repro.Table3(c), "\n", repro.Section44(c), "\n", repro.Figure5(c), "\n",
-			repro.Table4(c), "\n", repro.Section61(c), "\n", repro.Section62(c), "\n",
-			repro.Table5(c))
+		fmt.Print(repro.LogReport(rep))
 		return
 	}
 

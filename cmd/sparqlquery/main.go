@@ -15,7 +15,10 @@
 // pipeline; the transcript shows the chosen atom order with estimated
 // vs. actual intermediate row counts and per-operator batch counts.
 // Property-path patterns get their own section (compiled automaton,
-// chosen direction, estimated vs. actual reach).
+// chosen direction, estimated vs. actual reach), and a query with
+// aggregation or ORDER BY a line each for the streaming aggregation
+// (rows in, groups out) and the ORDER BY strategy (bounded heap or
+// full sort).
 //
 // With -batch FILE the queries in FILE (one per line; blank lines and
 // #-comments skipped) run as a workload through the service layer's

@@ -1,9 +1,6 @@
 package engine
 
 import (
-	"runtime"
-
-	"sparqlog/internal/pathcomp"
 	"sparqlog/internal/rdf"
 	"sparqlog/internal/sparql"
 )
@@ -18,55 +15,21 @@ import (
 // simple-path semantics, which is NP-hard in general and not used by
 // SPARQL endpoints.)
 //
-// The public entry points compile the expression into internal/pathcomp's
-// NFA and run the bitset product-graph search. The recursive interpreter
-// they replaced is retained below as the Naive* functions: it is the
-// executable specification the differential suite and the fuzz target
-// check the compiled engine against, and the baseline the path
-// benchmarks measure the speedup from.
+// Queries evaluate paths through internal/pathcomp's compiled NFA and
+// bitset product-graph search. The recursive interpreter it replaced is
+// retained here as the Naive* functions: it is the executable
+// specification the differential suite and the fuzz target check the
+// compiled engine against, and the baseline the path benchmarks measure
+// the speedup from.
 
 // PathResolver maps IRI text as written in a path expression to store
 // IDs. Implementations typically expand prefixed names first.
 type PathResolver func(iri string) (rdf.ID, bool)
 
-// StoreResolver resolves IRIs directly against the store dictionary.
-func StoreResolver(sn *rdf.Snapshot) PathResolver {
-	return func(iri string) (rdf.ID, bool) { return sn.Lookup(iri) }
-}
-
-// EvalPathFrom returns the nodes reachable from start via the path
-// expression, as a sorted ID slice.
-func EvalPathFrom(sn *rdf.Snapshot, start rdf.ID, p sparql.PathExpr, resolve PathResolver) []rdf.ID {
-	return pathcomp.Compile(sn, p, pathcomp.Resolver(resolve)).From(start)
-}
-
-// EvalPathTo returns the nodes from which the path reaches end, as a
-// sorted ID slice — the reverse image object-bound patterns need.
-func EvalPathTo(sn *rdf.Snapshot, end rdf.ID, p sparql.PathExpr, resolve PathResolver) []rdf.ID {
-	return pathcomp.Compile(sn, p, pathcomp.Resolver(resolve)).To(end)
-}
-
-// PathHolds reports whether the path connects s to o. The compiled
-// search starts from whichever end the snapshot statistics say is
-// rarer and stops as soon as the target is reached.
-func PathHolds(sn *rdf.Snapshot, s, o rdf.ID, p sparql.PathExpr, resolve PathResolver) bool {
-	return pathcomp.Compile(sn, p, pathcomp.Resolver(resolve)).Holds(s, o)
-}
-
-// EvalPathPairs enumerates all (subject, object) pairs connected by the
-// path, up to limit pairs (0 = unlimited), ordered by subject then
-// object ID. The subject candidates are all subjects and objects in the
-// store. On large graphs the sweep fans out over GOMAXPROCS workers
-// (pathcomp.PairsParCtx); the pair order is identical to a serial run.
-func EvalPathPairs(sn *rdf.Snapshot, p sparql.PathExpr, resolve PathResolver, limit int) [][2]rdf.ID {
-	out, _ := pathcomp.Compile(sn, p, pathcomp.Resolver(resolve)).PairsParCtx(nil, limit, runtime.GOMAXPROCS(0))
-	return out
-}
-
 // ---------- naive reference interpreter ----------
 
-// NaiveEvalPathFrom is the interpretive reference implementation of
-// EvalPathFrom: per-node recursive evaluation over hash sets. Kept as
+// NaiveEvalPathFrom is the interpretive reference for pathcomp's
+// Path.From: per-node recursive evaluation over hash sets. Kept as
 // the executable specification for differential tests and benchmarks.
 func NaiveEvalPathFrom(sn *rdf.Snapshot, start rdf.ID, p sparql.PathExpr, resolve PathResolver) map[rdf.ID]bool {
 	e := &pathEval{sn: sn, resolve: resolve}
@@ -75,7 +38,7 @@ func NaiveEvalPathFrom(sn *rdf.Snapshot, start rdf.ID, p sparql.PathExpr, resolv
 	return out
 }
 
-// NaivePathHolds is the interpretive reference for PathHolds. Even the
+// NaivePathHolds is the interpretive reference for Path.Holds. Even the
 // interpreter short-circuits: the yield callback's stop signal unwinds
 // the traversal as soon as the target is seen, instead of materializing
 // the full closure.
@@ -92,7 +55,7 @@ func NaivePathHolds(sn *rdf.Snapshot, s, o rdf.ID, p sparql.PathExpr, resolve Pa
 	return found
 }
 
-// NaiveEvalPathPairs is the interpretive reference for EvalPathPairs:
+// NaiveEvalPathPairs is the interpretive reference for Path.Pairs:
 // a per-start-node closure enumeration over all subject/object nodes.
 func NaiveEvalPathPairs(sn *rdf.Snapshot, p sparql.PathExpr, resolve PathResolver, limit int) [][2]rdf.ID {
 	e := &pathEval{sn: sn, resolve: resolve}

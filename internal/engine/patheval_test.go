@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"sparqlog/internal/pathcomp"
 	"sparqlog/internal/rdf"
 	"sparqlog/internal/sparql"
 )
@@ -36,6 +37,13 @@ func parsePath(t *testing.T, expr string) sparql.PathExpr {
 	return pp[0].Path
 }
 
+// compiled compiles expr for st: the engine under test, checked here
+// against the Naive* interpreter.
+func compiled(t *testing.T, st *rdf.Snapshot, expr string) *pathcomp.Path {
+	t.Helper()
+	return pathcomp.Compile(st, parsePath(t, expr), st.Lookup)
+}
+
 func reach(t *testing.T, st *rdf.Snapshot, from, expr string) []string {
 	t.Helper()
 	id, ok := st.Lookup(from)
@@ -43,7 +51,7 @@ func reach(t *testing.T, st *rdf.Snapshot, from, expr string) []string {
 		t.Fatalf("unknown node %s", from)
 	}
 	p := parsePath(t, expr)
-	ids := EvalPathFrom(st, id, p, StoreResolver(st))
+	ids := pathcomp.Compile(st, p, st.Lookup).From(id)
 	var out []string
 	for _, n := range ids {
 		out = append(out, st.TermOf(n))
@@ -52,7 +60,7 @@ func reach(t *testing.T, st *rdf.Snapshot, from, expr string) []string {
 
 	// The naive interpreter is the executable spec: both evaluators must
 	// agree on every case the suite exercises.
-	naive := NaiveEvalPathFrom(st, id, p, StoreResolver(st))
+	naive := NaiveEvalPathFrom(st, id, p, st.Lookup)
 	if len(naive) != len(ids) {
 		t.Errorf("reach(%s, %s): compiled %d nodes, naive %d", from, expr, len(ids), len(naive))
 	}
@@ -82,7 +90,7 @@ func TestPathEvalBasics(t *testing.T) {
 	// atomic case is exercised through an alternation of one predicate
 	// with itself and directly below via the AST constructor.
 	id, _ := st.Lookup("a")
-	atom := EvalPathFrom(st, id, &sparql.PathIRI{IRI: "p"}, StoreResolver(st))
+	atom := pathcomp.Compile(st, &sparql.PathIRI{IRI: "p"}, st.Lookup).From(id)
 	if len(atom) != 1 {
 		t.Errorf("atomic path = %d results, want 1", len(atom))
 	}
@@ -128,23 +136,23 @@ func TestPathHolds(t *testing.T) {
 	a, _ := st.Lookup("a")
 	d, _ := st.Lookup("d")
 	x, _ := st.Lookup("x")
-	if !PathHolds(st, a, d, parsePath(t, "<p>+"), StoreResolver(st)) {
+	if !compiled(t, st, "<p>+").Holds(a, d) {
 		t.Error("a -p+-> d should hold")
 	}
-	if PathHolds(st, a, x, parsePath(t, "<p>+"), StoreResolver(st)) {
+	if compiled(t, st, "<p>+").Holds(a, x) {
 		t.Error("a -p+-> x should not hold")
 	}
 }
 
 func TestEvalPathPairs(t *testing.T) {
 	st := pathStore()
-	pairs := EvalPathPairs(st, parsePath(t, "<p>/<p>"), StoreResolver(st), 0)
+	pairs := compiled(t, st, "<p>/<p>").Pairs(0)
 	// a->c and b->d.
 	if len(pairs) != 2 {
 		t.Fatalf("pairs = %d, want 2", len(pairs))
 	}
 	// Limit respected.
-	lim := EvalPathPairs(st, parsePath(t, "<p>*"), StoreResolver(st), 3)
+	lim := compiled(t, st, "<p>*").Pairs(3)
 	if len(lim) != 3 {
 		t.Errorf("limited pairs = %d, want 3", len(lim))
 	}
@@ -153,7 +161,7 @@ func TestEvalPathPairs(t *testing.T) {
 func TestEvalPathTo(t *testing.T) {
 	st := pathStore()
 	d, _ := st.Lookup("d")
-	got := EvalPathTo(st, d, parsePath(t, "<p>+"), StoreResolver(st))
+	got := compiled(t, st, "<p>+").To(d)
 	var names []string
 	for _, n := range got {
 		names = append(names, st.TermOf(n))
@@ -165,7 +173,7 @@ func TestEvalPathTo(t *testing.T) {
 	// Reverse image of an inverse path: ^p to a is everything a reaches
 	// forward via p.
 	a, _ := st.Lookup("a")
-	got = EvalPathTo(st, a, parsePath(t, "^<p>"), StoreResolver(st))
+	got = compiled(t, st, "^<p>").To(a)
 	if len(got) != 1 || st.TermOf(got[0]) != "b" {
 		t.Errorf("to(a, ^<p>) = %v, want [b]", got)
 	}
@@ -196,11 +204,11 @@ func TestNaivePathHoldsShortCircuits(t *testing.T) {
 	}
 	// Compiled engine agrees, including on the negative case.
 	far, _ := sn.Lookup(node(59))
-	if !PathHolds(sn, s, far, parsePath(t, "<p>+"), StoreResolver(sn)) {
+	if !compiled(t, sn, "<p>+").Holds(s, far) {
 		t.Error("compiled PathHolds missed the chain tail")
 	}
 	x := sn.NumTerms() // out-of-graph target can never hold
-	if PathHolds(sn, s, rdf.ID(x), parsePath(t, "<p>+"), StoreResolver(sn)) {
+	if compiled(t, sn, "<p>+").Holds(s, rdf.ID(x)) {
 		t.Error("compiled PathHolds held for an absent node")
 	}
 }
@@ -242,6 +250,6 @@ func TestPathEvalOnGeneratedPaths(t *testing.T) {
 	}
 	a, _ := st.Lookup("a")
 	for _, ex := range exprs {
-		_ = EvalPathFrom(st, a, parsePath(t, ex), StoreResolver(st))
+		_ = compiled(t, st, ex).From(a)
 	}
 }

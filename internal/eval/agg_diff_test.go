@@ -312,48 +312,6 @@ func TestAggregateDifferentialRandom(t *testing.T) {
 	}
 }
 
-// TestAggregateParallelDifferential forces the multi-worker exchange
-// under the aggregation corpus: worker-local partial tables merged in
-// dispatch order must reproduce the serial first-encounter group order
-// and SAMPLE choices exactly.
-func TestAggregateParallelDifferential(t *testing.T) {
-	forceParallel(t)
-	sn := aggStore()
-	for _, src := range []string{
-		`SELECT (COUNT(*) AS ?c) WHERE { ?x <urn:knows> ?y . ?y <urn:knows> ?z }`,
-		`SELECT ?g (COUNT(*) AS ?c) WHERE { ?x <urn:group> ?g . ?x <urn:knows> ?y } GROUP BY ?g`,
-		`SELECT ?g (SUM(?a) AS ?s) (SAMPLE(?x) AS ?one) WHERE { ?x <urn:group> ?g . ?x <urn:age> ?a . ?x <urn:knows> ?y } GROUP BY ?g`,
-		`SELECT ?y (COUNT(DISTINCT ?x) AS ?c) WHERE { ?x <urn:knows> ?y . ?x <urn:age> ?a } GROUP BY ?y ORDER BY DESC(?c) ?y`,
-		`SELECT ?g (GROUP_CONCAT(?v; SEPARATOR="|") AS ?all) WHERE { ?x <urn:group> ?g . ?x <urn:val> ?v . ?x <urn:knows> ?y } GROUP BY ?g`,
-		`SELECT ?g (AVG(?v) AS ?m) WHERE { ?x <urn:group> ?g . ?x <urn:val> ?v . ?x <urn:knows> ?y } GROUP BY ?g HAVING (COUNT(*) > 1)`,
-		`SELECT ?y ?z WHERE { ?x <urn:knows> ?y . ?y <urn:knows> ?z } ORDER BY ?y DESC(?z) LIMIT 5`,
-		`SELECT ?x ?a WHERE { ?x <urn:age> ?a . ?x <urn:knows> ?y } ORDER BY DESC(?a) ?x OFFSET 2 LIMIT 6`,
-	} {
-		diffParallelSerial(t, sn, src, Limits{})
-	}
-	// Randomized half on bigger stores so morsels actually split.
-	rng := rand.New(rand.NewSource(417))
-	for trial := 0; trial < 60; trial++ {
-		st := rdf.NewStore()
-		nNodes := 6 + rng.Intn(10)
-		for i := 0; i < 30+rng.Intn(60); i++ {
-			n := fmt.Sprintf("urn:n%d", rng.Intn(nNodes))
-			switch rng.Intn(4) {
-			case 0:
-				st.Add(n, "urn:knows", fmt.Sprintf("urn:n%d", rng.Intn(nNodes)))
-			case 1:
-				st.Add(n, "urn:age", fmt.Sprintf("%d", rng.Intn(40)))
-			case 2:
-				st.Add(n, "urn:val", fmt.Sprintf("%d", rng.Intn(5)))
-			default:
-				st.Add(n, "urn:group", fmt.Sprintf("urn:g%d", rng.Intn(3)))
-			}
-		}
-		sn := st.Freeze()
-		diffParallelSerial(t, sn, randomAggQuery(rng), Limits{})
-	}
-}
-
 // TestNulKeyCollision pins the legacy key-packing fix: group keys and
 // DISTINCT rows were joined with "\x00", so the tuples ("a\x00", "b")
 // and ("a", "\x00b") collided into one group. Length-prefixed packing

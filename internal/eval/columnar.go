@@ -57,29 +57,11 @@ type colExec struct {
 	// evaluator's silent-SERVICE-recovery count.
 	recovers []*exec.OpStats
 
-	// Morsel-driven intra-query parallelism (exec.Parallel). The
-	// compiler places at most one exchange per execution, on the main
-	// pipeline, around the first basic-graph-pattern run whose plan
-	// estimates clear parallelMinRows. Worker chains hold only join and
-	// path operators — everything touching the Pool (filters, BIND,
-	// VALUES, subqueries) is single-threaded by construction, so it
-	// stays upstream of the exchange or downstream of the merge.
-	parWorkers int            // resolved worker budget (>= 1)
-	parDone    bool           // at most one exchange per execution
-	noPar      int            // > 0 inside correlated/replayed subtrees
-	chainClean bool           // main chain holds only unit/join/path ops so far
-	parallel   *exec.Parallel // the placed exchange, for Close + stats
-
 	// aggPlan is the compiled aggregate finishing plan (hidden slots,
 	// rewritten expressions); nil when the query has no aggregation or
 	// its shape needs the legacy-style finisher over drained rows.
 	aggPlan *aggPlan
 }
-
-// parallelMinRows gates the exchange on the planner's peak intermediate
-// cardinality estimate: below it, worker startup and morsel copies cost
-// more than the fan-out buys.
-var parallelMinRows = 4096.0
 
 type existsPlan struct {
 	seed *exec.Seed
@@ -138,43 +120,12 @@ func (ev *evaluator) queryColumnar(q *sparql.Query) (*Result, error) {
 	// Harvest the probe meter whichever return path is taken; subquery
 	// executions build their own colExec and accumulate the same way.
 	defer func() { ev.probes += ce.ec.Probes }()
-	// Resolve the intra-query worker budget (Limits.Parallel; 0 = all of
-	// GOMAXPROCS) and expose it on the exec context so top-level path
-	// sweeps can fan out even without an exchange. The exchange teardown
-	// defer must run before the probe harvest above (defers are LIFO):
-	// Close joins the workers and folds their probe counts into ce.ec.
-	ce.parWorkers = ev.lim.Parallel
-	if ce.parWorkers <= 0 {
-		ce.parWorkers = runtime.GOMAXPROCS(0)
+	// The path-sweep worker budget (Limits.Parallel; 0 = all of
+	// GOMAXPROCS). The pipeline itself runs on this goroutine.
+	ce.ec.Parallel = ev.lim.Parallel
+	if ce.ec.Parallel <= 0 {
+		ce.ec.Parallel = runtime.GOMAXPROCS(0)
 	}
-	if ce.parWorkers > 64 {
-		ce.parWorkers = 64
-	}
-	// Streaming early-exit consumers keep the serial pipeline: ASK stops
-	// at the first row, and a small LIMIT without ORDER BY or
-	// aggregation stops the pull after a handful of batches — an
-	// exchange materializes whole morsels and would do far more work
-	// than the serial early exit ever pulls.
-	if q.Type == sparql.AskQuery {
-		ce.parWorkers = 1
-	} else if q.Type == sparql.SelectQuery && q.Mods.HasLimit &&
-		!hasAggregates(q) && len(q.Mods.OrderBy) == 0 {
-		want := int(q.Mods.Limit)
-		if q.Mods.HasOffset {
-			want += int(q.Mods.Offset)
-		}
-		if float64(want) < parallelMinRows {
-			ce.parWorkers = 1
-		}
-	}
-	ce.chainClean = true
-	ce.ec.Parallel = ce.parWorkers
-	defer func() {
-		if ce.parallel != nil {
-			ce.parallel.Close()
-			ev.parInfo = &ParallelInfo{Workers: ce.parallel.Workers(), Stats: ce.parallel.WorkerStats()}
-		}
-	}()
 	ce.collectVars(q)
 	// Aggregate planning assigns the hidden output slots, so it must
 	// run while the schema is still open — before the width freezes.
@@ -322,29 +273,9 @@ func (ce *colExec) compile(p sparql.Pattern, in exec.Operator, bound map[string]
 		var filters []sparql.Expr
 		cur := in
 		var err error
-		for i := 0; i < len(elems); {
-			el := elems[i]
+		for _, el := range elems {
 			if f, ok := el.(*sparql.Filter); ok {
 				filters = append(filters, f.Constraint)
-				i++
-				continue
-			}
-			if run, span := ce.parallelRun(elems[i:], bound); run != nil {
-				cur, err = ce.compileParallelRun(run, cur, bound)
-				if err != nil {
-					return nil, err
-				}
-				for _, e := range elems[i : i+span] {
-					if f, ok := e.(*sparql.Filter); ok {
-						filters = append(filters, f.Constraint)
-					} else {
-						ev.markPatternVars(e, bound)
-					}
-				}
-				// The exchange's merge is the pipeline breaker; anything
-				// compiled after it runs on the consumer goroutine only.
-				ce.chainClean = false
-				i += span
 				continue
 			}
 			cur, err = ce.compile(el, cur, bound)
@@ -352,19 +283,6 @@ func (ce *colExec) compile(p sparql.Pattern, in exec.Operator, bound map[string]
 				return nil, err
 			}
 			ev.markPatternVars(el, bound)
-			switch el.(type) {
-			case *sparql.TriplePattern, *sparql.PathPattern, *sparql.Group:
-				// Joins and paths never touch the Pool; nested groups
-				// account for themselves through this same loop.
-			default:
-				ce.chainClean = false
-			}
-			i++
-		}
-		if len(filters) > 0 {
-			// Filter expressions materialize text through the Pool, so
-			// from here on the main chain is no longer exchange-safe.
-			ce.chainClean = false
 		}
 		for _, f := range filters {
 			cur = ce.compileFilter(f, cur)
@@ -376,23 +294,18 @@ func (ce *colExec) compile(p sparql.Pattern, in exec.Operator, bound map[string]
 		return ce.compilePath(n, in), nil
 	case *sparql.Union:
 		lseed, rseed := exec.NewSeed(width), exec.NewSeed(width)
-		ce.noPar++ // branches are reseeded per upstream batch: no exchange inside
 		left, err := ce.compile(n.Left, lseed, copyBound(bound))
 		if err != nil {
-			ce.noPar--
 			return nil, err
 		}
 		right, err := ce.compile(n.Right, rseed, copyBound(bound))
-		ce.noPar--
 		if err != nil {
 			return nil, err
 		}
 		return exec.NewUnion(in, left, lseed, right, rseed), nil
 	case *sparql.Optional:
 		seed := exec.NewSeed(width)
-		ce.noPar++ // reseeded per probe row: no exchange inside
 		inner, err := ce.compile(n.Inner, seed, copyBound(bound))
-		ce.noPar--
 		if err != nil {
 			return nil, err
 		}
@@ -400,9 +313,7 @@ func (ce *colExec) compile(p sparql.Pattern, in exec.Operator, bound map[string]
 	case *sparql.MinusGraph:
 		// The removal set evaluates from the unit binding, lazily (the
 		// legacy group short-circuits before a MINUS whose input died).
-		ce.noPar++ // off the main pipeline: no exchange inside
 		inner, err := ce.compile(n.Inner, exec.NewUnit(width), map[string]bool{})
-		ce.noPar--
 		if err != nil {
 			return nil, err
 		}
@@ -428,9 +339,7 @@ func (ce *colExec) compile(p sparql.Pattern, in exec.Operator, bound map[string]
 			return ce.compile(n.Inner, in, bound)
 		}
 		seed := exec.NewSeed(width)
-		ce.noPar++ // reseeded per probe row: no exchange inside
 		inner, err := ce.compile(n.Inner, seed, copyBound(bound))
-		ce.noPar--
 		if err != nil {
 			// SILENT swallows the failure; the input passes through,
 			// as the legacy evaluator's error fallback did. Counted as
@@ -515,113 +424,6 @@ func (ce *colExec) compilePath(pp *sparql.PathPattern, in exec.Operator) exec.Op
 		return exec.PathVar(ce.slot(name))
 	}
 	return exec.NewPath(ev.st, in, cp, end(pp.S), end(pp.O))
-}
-
-// parallelRun decides whether the group elements starting at rest[0]
-// open a run worth fanning out: at least two consecutive triple/path
-// patterns (interleaved FILTERs are transparent — they apply after the
-// merge regardless of where they sit in the group), reached with the
-// main chain still exchange-safe, outside any replayed subtree, with no
-// exchange placed yet, and with a planner estimate that clears
-// parallelMinRows. It returns the run's patterns and how many group
-// elements the run spans (patterns plus interior filters); (nil, 0)
-// means compile serially.
-func (ce *colExec) parallelRun(rest []sparql.Pattern, bound map[string]bool) ([]sparql.Pattern, int) {
-	if ce.parWorkers <= 1 || ce.parDone || ce.noPar > 0 || !ce.chainClean {
-		return nil, 0
-	}
-	var run []sparql.Pattern
-	span := 0
-scan:
-	for _, el := range rest {
-		switch el.(type) {
-		case *sparql.TriplePattern, *sparql.PathPattern:
-			run = append(run, el)
-		case *sparql.Filter:
-			// Transparent; trimmed below if the run ends before it.
-		default:
-			break scan
-		}
-		span++
-	}
-	for span > 0 {
-		if _, ok := rest[span-1].(*sparql.Filter); !ok {
-			break
-		}
-		span--
-	}
-	if len(run) < 2 || !ce.parallelWorthIt(run, bound) {
-		return nil, 0
-	}
-	ce.parDone = true
-	return run, span
-}
-
-// parallelWorthIt estimates the run's peak intermediate cardinality:
-// the maximum planner Rows[k] over the run's triple patterns (given the
-// variables bound so far), with any path pattern contributing the store
-// size as an upper-bound proxy (paths have no per-expression model).
-func (ce *colExec) parallelWorthIt(run []sparql.Pattern, bound map[string]bool) bool {
-	ev := ce.ev
-	var triples []*sparql.TriplePattern
-	est := 0.0
-	for _, el := range run {
-		if tp, ok := el.(*sparql.TriplePattern); ok {
-			triples = append(triples, tp)
-		} else {
-			est = float64(ev.st.Stats().Triples)
-		}
-	}
-	if len(triples) > 0 {
-		atoms, names := ev.compileBGP(triples)
-		initial := make([]bool, len(names))
-		for i, name := range names {
-			initial[i] = bound[name]
-		}
-		p := plan.Planner{Stats: ev.st.Stats()}.PlanBound(atoms, len(names), initial)
-		for _, r := range p.Rows {
-			if r > est {
-				est = r
-			}
-		}
-	}
-	return est >= parallelMinRows
-}
-
-// compileParallelRun places the exchange: run[0] compiles serially as
-// the morsel driver; the remaining patterns compile once per worker
-// into chains of join/path clones rooted at a private Seed. Clones at
-// the same chain position share one row Budget, so the cross-worker
-// cumulative row count — and hence the MaxRows outcome — matches the
-// serial pipeline's regardless of morsel scheduling.
-func (ce *colExec) compileParallelRun(run []sparql.Pattern, in exec.Operator, bound map[string]bool) (exec.Operator, error) {
-	driver, err := ce.compile(run[0], in, bound)
-	if err != nil {
-		return nil, err
-	}
-	rest := run[1:]
-	budgets := make([]*exec.Budget, len(rest))
-	for k := range budgets {
-		budgets[k] = new(exec.Budget)
-	}
-	width := ce.schema.Len()
-	chains := make([]exec.WorkerChain, ce.parWorkers)
-	for w := range chains {
-		seed := exec.NewSeed(width)
-		var op exec.Operator = seed
-		for k, el := range rest {
-			switch pat := el.(type) {
-			case *sparql.TriplePattern:
-				op = exec.NewJoin(ce.ev.st, op, ce.compileAtom(pat), true)
-			case *sparql.PathPattern:
-				op = ce.compilePath(pat, op)
-			}
-			exec.ShareBudget(op, budgets[k])
-		}
-		chains[w] = exec.WorkerChain{Seed: seed, Root: op}
-	}
-	ce.parallel = exec.NewParallel(driver, chains)
-	return ce.parallel, nil
 }
 
 func (ce *colExec) compileValues(vd *sparql.InlineData, in exec.Operator) exec.Operator {
@@ -722,9 +524,7 @@ func (ce *colExec) exists(p sparql.Pattern, b *exec.Batch, row int) (bool, error
 	sp, ok := ce.existsPlans[p]
 	if !ok {
 		seed := exec.NewSeed(ce.schema.Len())
-		ce.noPar++ // replayed per evaluation row: no exchange inside
 		root, err := ce.compile(p, seed, map[string]bool{})
-		ce.noPar--
 		sp = &existsPlan{seed: seed, root: root, err: err}
 		if ce.existsPlans == nil {
 			ce.existsPlans = map[sparql.Pattern]*existsPlan{}
@@ -783,14 +583,6 @@ func (ce *colExec) finishSelect(q *sparql.Query, root exec.Operator) (*Result, e
 	var gb *exec.GroupBy
 	var okeys []orderKeyPlan
 	if agg {
-		if p, ok := root.(*exec.Parallel); ok && p == ce.parallel {
-			// The exchange is the stream's root: switch it into
-			// aggregation mode, so workers pre-aggregate morsels into
-			// partial tables and only group states cross the merge. The
-			// worker-side dictionary view must be the snapshot's
-			// (concurrency-safe; worker chains only carry snapshot IDs).
-			p.SetAggregate(ap.spec.Keys, ap.spec.Aggs, ev.st.TermOf)
-		}
 		gb = exec.NewGroupBy(root, ap.spec, ce.pool.Text, ce.pool.Intern)
 		root = gb
 		for _, h := range ap.having {
@@ -881,14 +673,6 @@ func (ce *colExec) finishSelect(q *sparql.Query, root exec.Operator) (*Result, e
 				// constant-unbound across rows; it cannot split
 				// dedup classes, so it is simply left out of the key.
 			}
-			if p, ok := root.(*exec.Parallel); ok && p == ce.parallel {
-				// The exchange is the stream's root: let each worker
-				// pre-deduplicate its morsels on the projected slots so
-				// only first-in-morsel occurrences cross the merge. The
-				// serial DISTINCT below still sees every cross-morsel
-				// first occurrence, in order, and emits identical rows.
-				p.SetDedup(slots)
-			}
 			root = exec.NewDistinct(root, slots)
 			streamDistinct = true
 		}
@@ -912,7 +696,7 @@ func (ce *colExec) finishSelect(q *sparql.Query, root exec.Operator) (*Result, e
 		mi := &ModifierInfo{}
 		if gb != nil {
 			info := gb.Info()
-			mi.Groups, mi.GroupRows, mi.PartialTables = info.Groups, info.InputRows, info.PartialTables
+			mi.Groups, mi.GroupRows = info.Groups, info.InputRows
 		}
 		if tk != nil {
 			info := tk.Info()

@@ -71,14 +71,8 @@ type Result struct {
 	// linter proved empty before compilation — finishes with zero. The
 	// legacy path does not meter itself and always reports zero.
 	Probes int64
-	// Parallel reports morsel-driven intra-query execution when the
-	// compiler chose it: worker count plus per-worker processed volumes.
-	// Nil for serial runs (Limits.Parallel == 1, small plans, or query
-	// shapes without a parallelizable section).
-	Parallel *ParallelInfo
 	// Modifiers reports columnar GROUP BY / ORDER BY operator execution
-	// (group counts, partial-table merges, heap-vs-sort mode); nil when
-	// neither operator ran.
+	// (group counts, heap-vs-sort mode); nil when neither operator ran.
 	Modifiers *ModifierInfo
 	// Cached marks a result served from the result cache (Limits.Results)
 	// without executing; Collapsed marks one received from a concurrent
@@ -93,25 +87,15 @@ type Result struct {
 	CacheKey string
 }
 
-// ParallelInfo summarizes one query's intra-query parallel section.
-type ParallelInfo struct {
-	// Workers is the exchange's worker count.
-	Workers int
-	// Stats holds per-worker morsel/batch/row counts.
-	Stats []exec.WorkerStat
-}
-
 // ModifierInfo summarizes columnar solution-modifier execution: the
 // GroupBy and TopK operators the compiler placed. Nil when neither ran
 // (no aggregation/ordering, the legacy path, or a legacy-shape
 // aggregate finisher).
 type ModifierInfo struct {
 	// Groups is the emitted group count (before HAVING), GroupRows the
-	// input rows aggregated, PartialTables the worker partial tables
-	// merged at the exchange (0 = serial aggregation).
-	Groups        int64
-	GroupRows     int64
-	PartialTables int64
+	// input rows aggregated.
+	Groups    int64
+	GroupRows int64
 	// TopKMode is "heap" (bounded selection) or "sort" (full stable
 	// sort); empty when no ORDER BY operator ran. TopKScanned rows went
 	// in, TopKKept came out.
@@ -147,13 +131,12 @@ type Limits struct {
 	// Errors, deadline truncations, row-limit overflows, and
 	// SERVICE-recovered results are never cached.
 	Results *qcache.Cache
-	// Parallel is the intra-query worker budget for the columnar
-	// executor's morsel-driven exchange and the compiled-path pair
-	// sweeps: 0 means auto (GOMAXPROCS), 1 pins today's serial
-	// execution (the differential reference), higher values cap the
-	// worker set. The compiler only fans out when the plan's cardinality
-	// estimates clear a threshold, so small queries stay serial — and
-	// parallel output is row-for-row identical to serial either way.
+	// Parallel is the worker budget of a both-ends-free compiled-path
+	// sweep (pathcomp.PairsParCtx), and of nothing else: the query's
+	// operator pipeline always runs on the calling goroutine. 0 means
+	// auto (GOMAXPROCS), 1 sweeps serially, higher values cap the worker
+	// set. The sweep merges in serial order, so answers are identical
+	// for every value.
 	Parallel int
 
 	// The switches below turn a default mechanism off. No binary sets
@@ -229,7 +212,6 @@ func queryDirect(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim Lim
 	if err == nil {
 		res.Recovered = ev.recovered
 		res.Probes = ev.probes
-		res.Parallel = ev.parInfo
 		res.Modifiers = ev.modInfo
 	}
 	return res, err
@@ -287,12 +269,9 @@ type evaluator struct {
 	// execution of this evaluation (subqueries make their own colExec
 	// and harvest into here) — surfaced as Result.Probes.
 	probes int64
-	// parInfo records the outermost parallel section's worker stats
+	// modInfo records the outermost columnar GroupBy/TopK execution
 	// (subquery executions overwrite first, the main query last) —
-	// surfaced as Result.Parallel.
-	parInfo *ParallelInfo
-	// modInfo records the outermost columnar GroupBy/TopK execution,
-	// the same way — surfaced as Result.Modifiers.
+	// surfaced as Result.Modifiers.
 	modInfo *ModifierInfo
 }
 

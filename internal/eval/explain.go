@@ -53,7 +53,7 @@ func Explain(sn *rdf.Snapshot, q *sparql.Query) (string, error) {
 	for _, pp := range pathPatterns {
 		text += ev.explainPath(pp)
 	}
-	text += explainParallel(sn, q)
+	text += explainModifiers(sn, q)
 	text += explainCacheLine(q)
 	if extras := nonConjunctiveOperators(q); len(extras) > 0 {
 		text += fmt.Sprintf("note: query also contains %s — only the conjunctive core and property\n"+
@@ -67,52 +67,21 @@ func Explain(sn *rdf.Snapshot, q *sparql.Query) (string, error) {
 	return text, nil
 }
 
-// explainParallel executes the query on the columnar pipeline with the
-// default limits and renders the morsel exchange section: per-worker
-// morsel/batch/row counts when the compiler placed one, a one-line
-// reason when it stayed serial. Failures (row-budget overflow, …) just
-// omit the section — the earlier sections already told the plan story.
-func explainParallel(sn *rdf.Snapshot, q *sparql.Query) string {
+// explainModifiers executes the query with the default limits and
+// renders the columnar GroupBy/TopK section of the transcript: how many
+// input rows were aggregated into how many groups, and which ORDER BY
+// strategy ran (bounded heap vs full stable sort). Failures (row-budget
+// overflow, …) just omit the section — the earlier sections already
+// told the plan story.
+func explainModifiers(sn *rdf.Snapshot, q *sparql.Query) string {
 	res, err := QueryWithLimits(sn, q, Limits{})
-	if err != nil {
+	if err != nil || res.Modifiers == nil {
 		return ""
 	}
-	var b strings.Builder
-	if res.Parallel == nil {
-		b.WriteString("parallel exchange: not placed (serial pipeline: low cardinality estimate,\n" +
-			"      a single-pattern group, or one core)\n")
-	} else {
-		fmt.Fprintf(&b, "parallel exchange: %d workers, morsel-driven\n", res.Parallel.Workers)
-		var morsels, batches, rows int64
-		for i, ws := range res.Parallel.Stats {
-			fmt.Fprintf(&b, "  worker %d: %d morsels, %d batches, %d rows\n", i, ws.Morsels, ws.Batches, ws.Rows)
-			morsels += ws.Morsels
-			batches += ws.Batches
-			rows += ws.Rows
-		}
-		fmt.Fprintf(&b, "  merged (serial order): %d morsels, %d batches, %d rows\n", morsels, batches, rows)
-	}
-	b.WriteString(explainModifiers(res.Modifiers))
-	return b.String()
-}
-
-// explainModifiers renders the columnar GroupBy/TopK section of the
-// transcript: how many input rows were aggregated into how many groups
-// (and how many worker partial tables the exchange merged), and which
-// ORDER BY strategy ran (bounded heap vs full stable sort).
-func explainModifiers(mi *ModifierInfo) string {
-	if mi == nil {
-		return ""
-	}
+	mi := res.Modifiers
 	var b strings.Builder
 	if mi.GroupRows > 0 || mi.Groups > 0 {
-		fmt.Fprintf(&b, "streaming aggregation: %d rows -> %d groups", mi.GroupRows, mi.Groups)
-		if mi.PartialTables > 0 {
-			fmt.Fprintf(&b, " (%d worker partial tables merged in dispatch order)", mi.PartialTables)
-		} else {
-			b.WriteString(" (serial)")
-		}
-		b.WriteByte('\n')
+		fmt.Fprintf(&b, "streaming aggregation: %d rows -> %d groups\n", mi.GroupRows, mi.Groups)
 	}
 	if mi.TopKMode != "" {
 		fmt.Fprintf(&b, "top-k order by: mode=%s, scanned %d rows, kept %d\n",

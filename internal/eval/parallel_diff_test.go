@@ -12,67 +12,85 @@ import (
 	"sparqlog/internal/sparql"
 )
 
-// This file is the intra-query parallelism differential: every query
-// runs once with Limits.Parallel=1 (the serial reference) and once with
-// a forced multi-worker exchange, and the results must be identical —
-// not just as multisets but row for row, because the exchange's
-// sequence-numbered merge promises the exact serial order (and
-// LIMIT-without-ORDER-BY picks *which* rows survive, so order-
-// insensitive comparison would be too weak). The tests lower the
-// planner gate so the exchange engages on test-sized stores.
-
-// forceParallel drops the cardinality gate for the duration of a test
-// so compileParallelRun triggers on small stores.
-func forceParallel(t *testing.T) {
-	t.Helper()
-	saved := parallelMinRows
-	parallelMinRows = 0
-	t.Cleanup(func() { parallelMinRows = saved })
-}
+// This file pins that an answer does not depend on Limits.Parallel.
+// The budget reaches exactly one mechanism, the both-ends-free
+// compiled-path sweep (pathcomp.PairsParCtx), whose striped merge
+// promises the serial pair order; every query here runs with the budget
+// at 1 (the serial reference), 0 (auto) and 4, and the outcomes must be
+// identical row for row, not just as multisets: LIMIT without ORDER BY
+// picks *which* rows survive, so an order-insensitive comparison would
+// be too weak.
 
 // diffParallelSerial requires identical outcomes — error class, ASK
-// answer, projection, and the exact row sequence — between serial and
-// 4-worker evaluation.
+// answer, projection, and the exact row sequence — under
+// Limits.Parallel 1, 0 and 4.
 func diffParallelSerial(t *testing.T, sn *rdf.Snapshot, src string, lim Limits) {
 	t.Helper()
 	q, err := sparql.Parse(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	slim, plim := lim, lim
-	slim.Parallel = 1
-	plim.Parallel = 4
-	serial, serr := QueryWithLimits(sn, q, slim)
-	par, perr := QueryWithLimits(sn, q, plim)
-	if (serr == nil) != (perr == nil) {
-		t.Fatalf("error divergence on %q: serial=%v parallel=%v", src, serr, perr)
-	}
-	if serr != nil {
-		return
-	}
-	if serial.Bool != par.Bool {
-		t.Fatalf("ASK diverges on %q: serial=%v parallel=%v", src, serial.Bool, par.Bool)
-	}
-	if strings.Join(serial.Vars, ",") != strings.Join(par.Vars, ",") {
-		t.Fatalf("vars diverge on %q: %v vs %v", src, serial.Vars, par.Vars)
-	}
-	if len(serial.Rows) != len(par.Rows) {
-		t.Fatalf("row counts diverge on %q: serial=%d parallel=%d", src, len(serial.Rows), len(par.Rows))
-	}
-	for i := range serial.Rows {
-		a := strings.Join(serial.Rows[i], "\x1f")
-		b := strings.Join(par.Rows[i], "\x1f")
-		if a != b {
-			t.Fatalf("rows diverge on %q at %d:\nserial:   %q\nparallel: %q", src, i, a, b)
+	lim.Parallel = 1
+	serial, serr := QueryWithLimits(sn, q, lim)
+	for _, workers := range []int{0, 4} {
+		lim.Parallel = workers
+		par, perr := QueryWithLimits(sn, q, lim)
+		if (serr == nil) != (perr == nil) {
+			t.Fatalf("error divergence on %q: Parallel=1 %v, Parallel=%d %v", src, serr, workers, perr)
+		}
+		if serr != nil {
+			continue
+		}
+		if serial.Bool != par.Bool {
+			t.Fatalf("ASK diverges on %q: Parallel=1 %v, Parallel=%d %v", src, serial.Bool, workers, par.Bool)
+		}
+		if strings.Join(serial.Vars, ",") != strings.Join(par.Vars, ",") {
+			t.Fatalf("vars diverge on %q: %v vs %v", src, serial.Vars, par.Vars)
+		}
+		if len(serial.Rows) != len(par.Rows) {
+			t.Fatalf("row counts diverge on %q: Parallel=1 %d, Parallel=%d %d", src, len(serial.Rows), workers, len(par.Rows))
+		}
+		for i := range serial.Rows {
+			a := strings.Join(serial.Rows[i], "\x1f")
+			b := strings.Join(par.Rows[i], "\x1f")
+			if a != b {
+				t.Fatalf("rows diverge on %q at %d:\nParallel=1: %q\nParallel=%d: %q", src, i, a, workers, b)
+			}
 		}
 	}
 }
 
-// TestParallelDifferentialOperators replays the operator corpus with a
-// forced exchange: the same queries the columnar/legacy differential
-// pins down, now serial vs parallel.
+// sweepStore is a store above pathcomp's pairsParMinTerms (2048 terms),
+// so a both-ends-free path over it fans out whenever the budget allows:
+// 600 four-node chains over urn:next, a urn:side edge off every chain
+// head, and one cycle so the closure has a multi-member component.
+func sweepStore() *rdf.Snapshot {
+	st := rdf.NewStore()
+	for c := 0; c < 600; c++ {
+		for i := 0; i < 3; i++ {
+			st.Add(fmt.Sprintf("urn:c%d_%d", c, i), "urn:next", fmt.Sprintf("urn:c%d_%d", c, i+1))
+		}
+		st.Add(fmt.Sprintf("urn:c%d_0", c), "urn:side", fmt.Sprintf("urn:c%d_2", (c*7+1)%600))
+	}
+	st.Add("urn:c5_3", "urn:next", "urn:c5_0")
+	return st.Freeze()
+}
+
+// sweepQueries are the both-ends-free path queries: the closure fast
+// path, the general automaton, and a sweep cut by a streaming LIMIT.
+var sweepQueries = []string{
+	`SELECT ?x ?y WHERE { ?x <urn:next>+ ?y }`,
+	`SELECT ?x ?y WHERE { ?x (<urn:side>/<urn:next>*) ?y }`,
+	`SELECT ?x ?y WHERE { ?x <urn:next>* ?y } OFFSET 700 LIMIT 50`,
+}
+
+// TestParallelDifferentialOperators replays the operator corpus of the
+// columnar/legacy differential, plus the path sweeps, across budgets.
 func TestParallelDifferentialOperators(t *testing.T) {
-	forceParallel(t)
+	big := sweepStore()
+	for _, src := range sweepQueries {
+		diffParallelSerial(t, big, src, Limits{})
+	}
 	sn := socialStore()
 	for _, src := range []string{
 		`SELECT * WHERE { ?x <urn:knows> ?y . ?y <urn:knows> ?z }`,
@@ -80,15 +98,12 @@ func TestParallelDifferentialOperators(t *testing.T) {
 		`SELECT * WHERE { ?x <urn:knows> ?x . ?x <urn:knows> ?y }`,
 		`SELECT * WHERE { ?x <urn:knows> ?y . ?x <urn:nothere> ?z }`,
 		`SELECT * WHERE { ?s ?p ?o . ?o ?q ?r }`,
-		// Interior filters are transparent to the run; they apply after
-		// the merge.
 		`SELECT * WHERE { ?x <urn:knows> ?y FILTER (?y != <urn:a3>) ?y <urn:knows> ?z }`,
 		`SELECT * WHERE { ?x <urn:age> ?a . ?x <urn:knows> ?y FILTER (?a > 22) }`,
-		// Paths inside the run (worker chains clone the path operator).
+		// Paths with a bound end: one search per input row, never a sweep.
 		`SELECT * WHERE { ?x <urn:tag> <urn:gold> . ?x (<urn:knows>|<urn:special>)+ ?y }`,
 		`SELECT * WHERE { ?x <urn:knows> ?y . ?y <urn:knows>+ ?z }`,
 		`SELECT ?x ?y WHERE { ?x <urn:knows>+ ?y . ?y <urn:tag> <urn:gold> }`,
-		// Downstream operators consume the merged stream.
 		`SELECT * WHERE { ?x <urn:knows> ?y . ?y <urn:knows> ?z OPTIONAL { ?z <urn:age> ?a } }`,
 		`SELECT * WHERE { ?x <urn:knows> ?y . ?y <urn:knows> ?z MINUS { ?z <urn:tag> <urn:gold> } }`,
 		`SELECT * WHERE { { ?x <urn:knows> ?y . ?y <urn:knows> ?z } UNION { ?x <urn:special> ?z } }`,
@@ -97,17 +112,16 @@ func TestParallelDifferentialOperators(t *testing.T) {
 		`SELECT * WHERE { ?x <urn:knows> ?y . ?y <urn:knows> ?z VALUES ?x { <urn:a2> <urn:a7> } }`,
 		`SELECT * WHERE { { SELECT ?x WHERE { ?x <urn:tag> <urn:gold> } } ?x <urn:knows> ?y . ?y <urn:knows> ?z }`,
 		`SELECT ?g ?x ?y WHERE { GRAPH ?g { ?x <urn:knows> ?y . ?y <urn:knows> ?z } }`,
-		// Streaming DISTINCT with worker pre-dedup, LIMIT early exit.
+		// Streaming DISTINCT, LIMIT early exit.
 		`SELECT DISTINCT ?y WHERE { ?x <urn:knows> ?y . ?z <urn:knows> ?y }`,
 		`SELECT DISTINCT ?z WHERE { ?x <urn:knows> ?y . ?y <urn:knows> ?z } LIMIT 3`,
 		`SELECT ?z WHERE { ?x <urn:knows> ?y . ?y <urn:knows> ?z } LIMIT 4`,
 		`SELECT ?z WHERE { ?x <urn:knows> ?y . ?y <urn:knows> ?z } OFFSET 5 LIMIT 5`,
-		// Modifiers that materialize: ORDER BY, aggregation over the
-		// merged stream.
+		// Modifiers that materialize: ORDER BY, aggregation.
 		`SELECT ?z WHERE { ?x <urn:knows> ?y . ?y <urn:knows> ?z } ORDER BY ?z LIMIT 3`,
 		`SELECT ?y (COUNT(*) AS ?c) WHERE { ?x <urn:knows> ?y . ?y <urn:knows> ?z } GROUP BY ?y ORDER BY DESC(?c) ?y`,
 		`SELECT (COUNT(*) AS ?c) WHERE { ?x <urn:knows> ?y . ?y <urn:knows> ?z }`,
-		// ASK stops at the first merged row.
+		// ASK stops at the first row.
 		`ASK { ?x <urn:knows> ?y . ?y <urn:knows> ?z }`,
 		`ASK { ?x <urn:nothere> ?y . ?y <urn:knows> ?z }`,
 		`CONSTRUCT { ?z <urn:knownBy2> ?x } WHERE { ?x <urn:knows> ?y . ?y <urn:knows> ?z }`,
@@ -119,7 +133,6 @@ func TestParallelDifferentialOperators(t *testing.T) {
 // TestParallelDifferentialRandom is the randomized half, sharing the
 // query generator with the columnar/legacy differential.
 func TestParallelDifferentialRandom(t *testing.T) {
-	forceParallel(t)
 	rng := rand.New(rand.NewSource(173))
 	for trial := 0; trial < 120; trial++ {
 		st := rdf.NewStore()
@@ -138,8 +151,7 @@ func TestParallelDifferentialRandom(t *testing.T) {
 	}
 }
 
-// parallelChainStore is a store big enough that the exchange engages
-// under the real gate too: a bipartite fan (s_i -p-> m_j -q-> o_k).
+// parallelChainStore is a bipartite fan (s_i -p-> m_j -q-> o_k).
 func parallelChainStore(fan int) *rdf.Snapshot {
 	st := rdf.NewStore()
 	for i := 0; i < fan; i++ {
@@ -151,87 +163,46 @@ func parallelChainStore(fan int) *rdf.Snapshot {
 	return st.Freeze()
 }
 
-// TestParallelExchangePlaced pins the compiler gating: an eligible
-// two-pattern join on a large store places the exchange (surfaced as
-// Result.Parallel with per-worker stats that add up), Parallel=1 does
-// not, and neither does a replayed subtree.
-func TestParallelExchangePlaced(t *testing.T) {
-	sn := parallelChainStore(160)
-	src := `SELECT * WHERE { ?s <urn:p> ?m . ?m <urn:q> ?o }`
-	q, _ := sparql.Parse(src)
-
-	res, err := QueryWithLimits(sn, q, Limits{Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Parallel == nil || res.Parallel.Workers != 4 {
-		t.Fatalf("expected a 4-worker exchange, got %+v", res.Parallel)
-	}
-	var rows int64
-	for _, ws := range res.Parallel.Stats {
-		rows += ws.Rows
-	}
-	if rows != int64(len(res.Rows)) {
-		t.Fatalf("worker stats rows = %d, want %d", rows, len(res.Rows))
-	}
-
-	res, err = QueryWithLimits(sn, q, Limits{Parallel: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Parallel != nil {
-		t.Fatalf("Parallel=1 must stay serial, got %+v", res.Parallel)
-	}
-
-	// A replayed subtree never hosts an exchange, even when forced.
-	forceParallel(t)
-	q2, _ := sparql.Parse(`SELECT * WHERE { ?s <urn:p> ?m OPTIONAL { ?m <urn:q> ?o . ?o <urn:nothere> ?x } }`)
-	res, err = QueryWithLimits(sn, q2, Limits{Parallel: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Parallel != nil {
-		t.Fatalf("OPTIONAL body must not host an exchange, got %+v", res.Parallel)
-	}
-}
-
-// TestParallelRowLimitParity: the shared per-operator row budget makes
-// MaxRows trip (or not) independently of morsel scheduling, exactly as
-// the serial pipeline decides it.
+// TestParallelRowLimitParity: MaxRows trips (or not) at the same
+// totals whatever the budget, for a join pipeline and for a path sweep
+// (whose striped emission truncates to the serial prefix).
 func TestParallelRowLimitParity(t *testing.T) {
-	forceParallel(t)
-	sn := parallelChainStore(40)
-	src := `SELECT * WHERE { ?s <urn:p> ?m . ?m <urn:q> ?o }`
-	q, _ := sparql.Parse(src)
-	serialRes, serr := QueryWithLimits(sn, q, Limits{Parallel: 1})
-	if serr != nil {
-		t.Fatal(serr)
-	}
-	total := len(serialRes.Rows)
-	for _, maxRows := range []int{total / 3, total - 1, total, total + 1} {
-		_, serr := QueryWithLimits(sn, q, Limits{Parallel: 1, MaxRows: maxRows})
-		_, perr := QueryWithLimits(sn, q, Limits{Parallel: 4, MaxRows: maxRows})
-		if (serr == nil) != (perr == nil) {
-			t.Fatalf("MaxRows=%d: serial err=%v, parallel err=%v", maxRows, serr, perr)
+	for _, tc := range []struct {
+		sn  *rdf.Snapshot
+		src string
+	}{
+		{parallelChainStore(40), `SELECT * WHERE { ?s <urn:p> ?m . ?m <urn:q> ?o }`},
+		{sweepStore(), sweepQueries[0]},
+	} {
+		q, _ := sparql.Parse(tc.src)
+		serialRes, serr := QueryWithLimits(tc.sn, q, Limits{Parallel: 1})
+		if serr != nil {
+			t.Fatal(serr)
 		}
-	}
-	// Streaming LIMIT under a tight budget must keep succeeding in
-	// parallel: the early exit closes the exchange before the budget
-	// would fill.
-	q2, _ := sparql.Parse(src + ` LIMIT 2`)
-	for _, par := range []int{1, 4} {
-		res, err := QueryWithLimits(sn, q2, Limits{Parallel: par, MaxRows: total + 1})
-		if err != nil || len(res.Rows) != 2 {
-			t.Fatalf("parallel=%d: streaming limit rows=%d err=%v", par, len(res.Rows), err)
+		total := len(serialRes.Rows)
+		for _, maxRows := range []int{total / 3, total - 1, total, total + 1} {
+			_, serr := QueryWithLimits(tc.sn, q, Limits{Parallel: 1, MaxRows: maxRows})
+			if want := maxRows < total; (serr != nil) != want {
+				t.Fatalf("%s: MaxRows=%d of %d: Parallel=1 err=%v", tc.src, maxRows, total, serr)
+			}
+			diffParallelSerial(t, tc.sn, tc.src, Limits{MaxRows: maxRows})
+		}
+		// Streaming LIMIT under a tight budget keeps succeeding: the
+		// early exit stops the pull before the budget would fill.
+		q2, _ := sparql.Parse(tc.src + ` LIMIT 2`)
+		for _, par := range []int{0, 1, 4} {
+			res, err := QueryWithLimits(tc.sn, q2, Limits{Parallel: par, MaxRows: total + 1})
+			if err != nil || len(res.Rows) != 2 {
+				t.Fatalf("%s: Parallel=%d: streaming limit rows=%d err=%v", tc.src, par, len(res.Rows), err)
+			}
 		}
 	}
 }
 
-// TestParallelCancellationMidMorsel: cancelling mid-query aborts every
-// worker promptly and the exchange reclaims its goroutines (a hang here
-// fails the test by timeout).
-func TestParallelCancellationMidMorsel(t *testing.T) {
-	forceParallel(t)
+// TestParallelCancellationPrompt: a deadline striking mid-query aborts
+// the pipeline promptly whatever the budget (a hang here fails the test
+// by timeout).
+func TestParallelCancellationPrompt(t *testing.T) {
 	st := rdf.NewStore()
 	for i := 0; i < 60; i++ {
 		for j := 0; j < 60; j++ {

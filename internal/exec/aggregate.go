@@ -17,11 +17,7 @@ import (
 // COUNT/SAMPLE never look at text at all. Group emission preserves
 // first-encounter order, the legacy finisher's contract, so the
 // aggregated stream is row-for-row identical to the string path it
-// replaced. Under Parallel (SetAggregate), workers pre-aggregate each
-// morsel into a partial table and the consumer merges the partials in
-// dispatch order, which keeps first-encounter order — and with it
-// SAMPLE and plain-projected-variable ("first member") semantics —
-// exactly serial.
+// replaced.
 
 // AggKind selects one running-aggregate semantics.
 type AggKind int
@@ -160,54 +156,6 @@ func (s *aggState) update(a *AggSpec, id rdf.ID, vc *valCache) {
 	}
 }
 
-// merge folds src (the later partial, in serial order) into s. The
-// commutative states add; order-sensitive ones (SAMPLE, AggFirst,
-// MIN/MAX ties) keep s, the earlier side, which is exactly what a
-// serial run would have kept.
-func (s *aggState) merge(a *AggSpec, src *aggState, vc *valCache) {
-	if a.Distinct {
-		for _, id := range src.ids {
-			if s.seen == nil {
-				s.seen = map[rdf.ID]struct{}{}
-			}
-			if _, dup := s.seen[id]; dup {
-				continue
-			}
-			s.seen[id] = struct{}{}
-			s.ids = append(s.ids, id)
-		}
-		return
-	}
-	switch a.Kind {
-	case AggCount, AggCountStar:
-		s.count += src.count
-	case AggSum, AggAvg:
-		s.sum += src.sum
-		s.n += src.n
-	case AggMin, AggMax:
-		if !src.hasBest {
-			return
-		}
-		if !s.hasBest {
-			s.best, s.hasBest = src.best, true
-			return
-		}
-		if src.best == s.best {
-			return
-		}
-		c := value.Compare(vc.get(src.best), vc.get(s.best))
-		if a.Kind == AggMin && c < 0 || a.Kind == AggMax && c > 0 {
-			s.best = src.best
-		}
-	case AggSample, AggFirst:
-		if !s.hasBest && src.hasBest {
-			s.best, s.hasBest = src.best, true
-		}
-	case AggConcat:
-		s.ids = append(s.ids, src.ids...)
-	}
-}
-
 // finalize renders the state as an output ID. Values that already exist
 // as IDs (MIN/MAX/SAMPLE/first) pass through without touching the
 // dictionary; computed lexical forms (counts and sums, spelled as the
@@ -301,19 +249,17 @@ type aggGroup struct {
 	states []aggState
 }
 
-// aggTable is one (partial or final) hash aggregation table. Group
-// identity is the packed key-slot ID tuple (4 bytes per slot —
-// fixed-width, so field boundaries can never be confused, unlike the
-// joined-string keys this replaces); order preserves first encounter.
+// aggTable is the hash aggregation table. Group identity is the packed
+// key-slot ID tuple (4 bytes per slot — fixed-width, so field
+// boundaries can never be confused, unlike the joined-string keys this
+// replaces); order preserves first encounter.
 type aggTable struct {
 	spec   *GroupSpec
 	vc     *valCache
 	groups map[string]int
 	order  []aggGroup
 	key    []byte
-	// rows/batches count consumed input, for worker stats.
-	rows    int64
-	batches int64
+	rows   int64 // consumed input rows
 }
 
 func newAggTable(spec *GroupSpec, vc *valCache) *aggTable {
@@ -346,7 +292,6 @@ func (t *aggTable) group(b *Batch, row int) *aggGroup {
 
 // addBatch folds every row of b into the table.
 func (t *aggTable) addBatch(b *Batch) {
-	t.batches++
 	t.rows += int64(b.Rows())
 	aggs := t.spec.Aggs
 	for row := 0; row < b.Rows(); row++ {
@@ -362,46 +307,17 @@ func (t *aggTable) addBatch(b *Batch) {
 	}
 }
 
-// mergeTable folds src — a later partial in serial order — into t,
-// preserving first-encounter group order across the pair.
-func (t *aggTable) mergeTable(src *aggTable) {
-	t.rows += src.rows
-	t.batches += src.batches
-	aggs := t.spec.Aggs
-	for si := range src.order {
-		sg := &src.order[si]
-		t.key = t.key[:0]
-		for _, v := range sg.keys {
-			t.key = append(t.key, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-		}
-		gi, ok := t.groups[string(t.key)]
-		if !ok {
-			gi = len(t.order)
-			t.groups[string(t.key)] = gi
-			t.order = append(t.order, aggGroup{keys: sg.keys, states: make([]aggState, len(aggs))})
-		}
-		g := &t.order[gi]
-		for i := range aggs {
-			g.states[i].merge(&aggs[i], &sg.states[i], t.vc)
-		}
-	}
-}
-
 // GroupByInfo summarizes one GroupBy execution for explain output.
 type GroupByInfo struct {
 	// Groups is the emitted group count (before HAVING).
 	Groups int64
 	// InputRows is the number of rows aggregated.
 	InputRows int64
-	// PartialTables counts worker partial tables merged at the
-	// exchange; zero for a serial build.
-	PartialTables int64
 }
 
 // GroupBy is the pipeline breaker: it drains its input into an
-// aggTable (or merges worker partials when the input is a Parallel in
-// aggregation mode), then emits one output row per group — key slots
-// and finalized aggregate slots set, everything else unbound — in
+// aggTable, then emits one output row per group — key slots and
+// finalized aggregate slots set, everything else unbound — in
 // first-encounter order.
 type GroupBy struct {
 	base
@@ -443,29 +359,15 @@ func (g *GroupBy) Info() GroupByInfo { return g.info }
 func (g *GroupBy) SyntheticEmpty() bool { return g.synth }
 
 func (g *GroupBy) build(c *Ctx) error {
-	if p, ok := g.in.(*Parallel); ok && p.hasAgg {
-		for {
-			t, err := p.nextTable(c)
-			if err != nil {
-				return err
-			}
-			if t == nil {
-				break
-			}
-			g.info.PartialTables++
-			g.tab.mergeTable(t)
+	for {
+		b, err := g.in.Next(c)
+		if err != nil {
+			return err
 		}
-	} else {
-		for {
-			b, err := g.in.Next(c)
-			if err != nil {
-				return err
-			}
-			if b == nil {
-				break
-			}
-			g.tab.addBatch(b)
+		if b == nil {
+			break
 		}
+		g.tab.addBatch(b)
 	}
 	if len(g.tab.order) == 0 && g.spec.EmptyGroup {
 		g.synth = true

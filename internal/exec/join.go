@@ -29,11 +29,6 @@ type joinOp struct {
 	// intermediate bound; the engine runs uncapped).
 	capped  bool
 	rowsCum int
-	// bud, when set, is the row budget shared with this op's clones in
-	// sibling parallel worker chains: rowsCum is then only this worker's
-	// share, and the shared counter preserves the serial ErrRowLimit
-	// outcome (see exec.Budget).
-	bud *Budget
 
 	cur    *Batch
 	curRow int
@@ -56,8 +51,6 @@ func (j *joinOp) Reset() {
 	j.in.Reset()
 	j.rowsCum, j.cur, j.curRow = 0, nil, 0
 }
-
-func (j *joinOp) setBudget(b *Budget) { j.bud = b }
 
 func (j *joinOp) Next(c *Ctx) (*Batch, error) {
 	for {
@@ -85,11 +78,6 @@ func (j *joinOp) Next(c *Ctx) (*Batch, error) {
 			}
 		}
 		j.rowsCum += j.out.Rows()
-		if j.capped {
-			if err := j.bud.charge(j.out.Rows(), c.MaxRows); err != nil {
-				return nil, err
-			}
-		}
 		if b := j.emit(); b != nil {
 			return b, nil
 		}

@@ -29,10 +29,9 @@ type Ctx struct {
 	// this execution — the "did evaluation touch the store" meter.
 	// Statically short-circuited queries finish with Probes == 0.
 	Probes int64
-	// Parallel is the intra-query worker budget for subsystems that fan
-	// out internally (compiled-path pair sweeps); <= 1 means serial.
-	// Worker-forked Ctxs always carry 1: the exchange already owns the
-	// budget, so nested fan-out would oversubscribe.
+	// Parallel is the worker budget of a both-ends-free compiled-path
+	// sweep (pathcomp.PairsParCtx), the only fan-out inside a query;
+	// <= 1 means serial.
 	Parallel int
 }
 

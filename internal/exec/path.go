@@ -42,10 +42,6 @@ type pathOp struct {
 	loops     []rdf.ID
 	loopsDone bool
 
-	// bud, when set, is the row budget shared with this op's clones in
-	// sibling parallel worker chains (see exec.Budget).
-	bud *Budget
-
 	rowsCum int
 	cur     *Batch
 	curRow  int
@@ -61,8 +57,6 @@ func (p *pathOp) Reset() {
 	p.in.Reset()
 	p.rowsCum, p.cur, p.curRow = 0, nil, 0
 }
-
-func (p *pathOp) setBudget(b *Budget) { p.bud = b }
 
 func (p *pathOp) Next(c *Ctx) (*Batch, error) {
 	for {
@@ -90,9 +84,6 @@ func (p *pathOp) Next(c *Ctx) (*Batch, error) {
 			}
 		}
 		p.rowsCum += p.out.Rows()
-		if err := p.bud.charge(p.out.Rows(), c.MaxRows); err != nil {
-			return nil, err
-		}
 		if b := p.emit(); b != nil {
 			return b, nil
 		}

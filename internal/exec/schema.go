@@ -18,15 +18,10 @@
 // the columnar executor result-identical (including solution-modifier
 // tie-breaks) to the legacy materialized path it is tested against.
 //
-// Parallel is the morsel-driven exchange: it splits a driving
-// operator's batches into morsels, fans them out to workers holding
-// private clones of a join/path operator chain, and merges the results
-// back in exact dispatch order, so a parallel pipeline emits
-// row-for-row the same output as its serial counterpart. Worker chains
-// may contain only operators whose scratch state is private to the
-// chain (joins and paths); row budgets shared across clones of one
-// chain position use the atomic Budget so MaxRows outcomes are
-// scheduling-independent.
+// A query is one such pipeline, pulled on the goroutine that asked for
+// it: no operator starts a goroutine. The only fan-out inside a query is
+// pathcomp's both-ends-free pair sweep, which the path operator calls
+// with Ctx.Parallel as its worker budget.
 package exec
 
 // Schema assigns query variables to dense slot indexes. It is built

@@ -66,7 +66,7 @@ func allNodeIDs(sn *rdf.Snapshot) []rdf.ID {
 func TestCompiledMatchesNaiveOnTable5(t *testing.T) {
 	for _, seed := range []int64{1, 7, 2017} {
 		sn := randCyclicGraph(seed, 24, 60)
-		resolve := engine.StoreResolver(sn)
+		resolve := engine.PathResolver(sn.Lookup)
 		nodes := allNodeIDs(sn)
 		for _, ex := range paths.Corpus() {
 			p := parsePathExpr(t, ex.Expr)
@@ -191,7 +191,7 @@ func TestCompiledMatchesNaiveDeepNesting(t *testing.T) {
 	}
 	for _, seed := range []int64{3, 11} {
 		sn := randCyclicGraph(seed, 16, 40)
-		resolve := engine.StoreResolver(sn)
+		resolve := engine.PathResolver(sn.Lookup)
 		nodes := allNodeIDs(sn)
 		for _, expr := range exprs {
 			p := parsePathExpr(t, expr)

@@ -41,7 +41,7 @@ func FuzzPathCompile(f *testing.F) {
 	f.Add("<nope>*/<p>")
 
 	sn := fuzzGraph()
-	resolve := engine.StoreResolver(sn)
+	resolve := engine.PathResolver(sn.Lookup)
 	var nodes []rdf.ID
 	for id := rdf.ID(0); int(id) < sn.NumTerms(); id++ {
 		if sn.SubjectDegree(id) > 0 || sn.ObjectDegree(id) > 0 {

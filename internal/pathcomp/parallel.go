@@ -31,6 +31,33 @@ const pairsParMaxWorkers = 64
 // skewed component sizes.
 const componentBlock = 32
 
+// workerPanic carries a panic out of the sweep workers. They are the
+// only goroutines a query starts, so a panic there is outside every
+// recover the caller installed and would end the process: each worker
+// defers capture, which keeps the first panic value and lets the worker
+// return, and the sweep calls rethrow after wg.Wait, so the panic
+// continues on the goroutine that asked for the sweep.
+type workerPanic struct {
+	once sync.Once
+	val  any
+}
+
+func (p *workerPanic) capture() {
+	if v := recover(); v != nil {
+		p.once.Do(func() { p.val = v })
+	}
+}
+
+func (p *workerPanic) rethrow() {
+	if p.val != nil {
+		panic(p.val)
+	}
+}
+
+// testHookSweep, when set, runs in a sweep worker at each claim. The
+// package's tests set it to inject a panic; nothing else may.
+var testHookSweep func()
+
 // PairsParCtx is PairsCtx with an intra-query worker budget: workers
 // <= 1 (or a small graph) evaluates serially, exactly as PairsCtx;
 // otherwise the closure fast path condenses into strongly connected
@@ -78,11 +105,13 @@ func (pa *Path) closurePairsPar(check Check, limit, workers int) ([][2]rdf.ID, e
 	closed := make([][]rdf.ID, len(members))
 	var cursor atomic.Int64
 	errs := make([]error, workers)
+	var wp workerPanic
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer wp.capture()
 			wchk := &ticker{check: check}
 			visited := rdf.NewBitset(nTerms)
 			var stack []rdf.ID
@@ -90,6 +119,9 @@ func (pa *Path) closurePairsPar(check Check, limit, workers int) ([][2]rdf.ID, e
 				base := cursor.Add(componentBlock) - componentBlock
 				if base >= int64(len(members)) {
 					return
+				}
+				if h := testHookSweep; h != nil {
+					h()
 				}
 				end := min(base+componentBlock, int64(len(members)))
 				for c := base; c < end; c++ {
@@ -104,6 +136,7 @@ func (pa *Path) closurePairsPar(check Check, limit, workers int) ([][2]rdf.ID, e
 		}(w)
 	}
 	wg.Wait()
+	wp.rethrow()
 	for _, e := range errs {
 		if e != nil {
 			return nil, e
@@ -247,11 +280,13 @@ func stripedEmit(check Check, limit, workers, nTerms int, sweep func(wchk *ticke
 	outs := make([][][2]rdf.ID, nStripes)
 	errs := make([]error, workers)
 	var cursor, produced atomic.Int64
+	var wp workerPanic
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			defer wp.capture()
 			wchk := &ticker{check: check}
 			//ctxpoll:ignore bounded claim loop: at most nStripes iterations, and sweep ticks per emitted pair
 			for {
@@ -261,6 +296,9 @@ func stripedEmit(check Check, limit, workers, nTerms int, sweep func(wchk *ticke
 				si := int(cursor.Add(1) - 1)
 				if si >= nStripes {
 					return
+				}
+				if h := testHookSweep; h != nil {
+					h()
 				}
 				lo := rdf.ID(si * stripe)
 				hi := rdf.ID(min((si+1)*stripe, nTerms))
@@ -275,6 +313,7 @@ func stripedEmit(check Check, limit, workers, nTerms int, sweep func(wchk *ticke
 		}(w)
 	}
 	wg.Wait()
+	wp.rethrow()
 	for _, e := range errs {
 		if e != nil {
 			return nil, e

@@ -506,6 +506,18 @@ func Table6(cfg Config) string {
 	return sb.String()
 }
 
+// LogReport renders the study of one analyzed log: the corpus-based
+// tables and figures, in the paper's order, over a corpus of that one
+// report. sparqlanalyze -log prints it for a log file and sparqld's
+// /stats for the traffic the server has answered.
+func LogReport(rep *core.DatasetReport) string {
+	c := &Corpus{Reports: []*core.DatasetReport{rep}, Total: rep}
+	return strings.Join([]string{
+		Table1(c), RepeatRates(c), Table2(c), Figure1(c), Table3(c), Section44(c),
+		Figure5(c), Table4(c), Section61(c), Section62(c), Table5(c),
+	}, "\n")
+}
+
 // All runs every corpus-based experiment and returns the combined report.
 func All(cfg Config) string {
 	var sb strings.Builder

@@ -119,7 +119,7 @@ func New(cfg Config) *Server {
 			Results: qc,
 			Limits:  cfg.Limits,
 			// The in-flight gate is the serving pool: budget each
-			// request's intra-query workers against it so a full gate
+			// request's path-sweep workers against it so a full gate
 			// never oversubscribes inter × intra beyond GOMAXPROCS.
 			MaxConcurrent: cfg.MaxInFlight,
 		}),

@@ -17,6 +17,7 @@ import (
 	"sparqlog/internal/eval"
 	"sparqlog/internal/gmark"
 	"sparqlog/internal/rdf"
+	"sparqlog/internal/repro"
 )
 
 const selectQuery = `PREFIX bib: <http://gmark.bib/p/>
@@ -165,6 +166,40 @@ func TestAskSerializations(t *testing.T) {
 		if !strings.Contains(strings.ReplaceAll(string(body), " ", ""), strings.ReplaceAll(want, " ", "")) {
 			t.Errorf("%s: body %q lacks %q", accept, body, want)
 		}
+	}
+}
+
+// TestStatsPrintsTheStudyAsSparqlanalyzeDoes: /stats carries, byte for
+// byte, what sparqlanalyze -log prints for the same report
+// (repro.LogReport): one set of renderers for the live and the batch
+// study.
+func TestStatsPrintsTheStudyAsSparqlanalyzeDoes(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for _, q := range []string{
+		selectQuery, selectQuery, askQuery,
+		`PREFIX bib: <http://gmark.bib/p/> SELECT ?x WHERE { ?x bib:cites+ ?y . ?y bib:cites ?z FILTER(?x != ?z) } LIMIT 3`,
+		`PREFIX bib: <http://gmark.bib/p/> SELECT ?x ?z WHERE { ?x bib:cites ?y OPTIONAL { ?y bib:cites ?z } } LIMIT 3`,
+		`SELECT ?x WHERE { broken`,
+	} {
+		resp, err := http.Get(ts.URL + "/query?query=" + url.QueryEscape(q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	resp, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	want := repro.LogReport(s.Analyzer().Report())
+	if !strings.Contains(want, "Table 1") || !strings.Contains(want, "Table 5") {
+		t.Fatalf("the study rendering lacks its first or last table:\n%s", want)
+	}
+	if !strings.Contains(string(stats), want) {
+		t.Errorf("/stats does not contain sparqlanalyze's rendering of the same report.\n/stats:\n%s\nwant section:\n%s", stats, want)
 	}
 }
 

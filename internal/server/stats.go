@@ -10,13 +10,13 @@ import (
 
 	"sparqlog/internal/core"
 	"sparqlog/internal/lint"
-	"sparqlog/internal/paths"
+	"sparqlog/internal/repro"
 )
 
 // handleStats renders the live self-analysis: serving statistics
-// first, then the paper-style tables (Table 1 sizes, Table 2
-// keywords, Table 4 shapes, Table 5 property paths) computed by
-// core's pipeline over every query this server has served.
+// first, then the study of every query this server has been sent,
+// printed by the renderers sparqlanalyze -log uses for a log file
+// (repro.LogReport), then the static-analysis aggregates.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// Conditional GET: the ETag hashes every monotonic counter behind
 	// the page (analyzer entries, serving counters, cache counters) —
@@ -61,7 +61,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	fmt.Fprintf(&sb, "  in flight         %d (+%d queued)\n\n", s.gate.InFlight(), s.gate.Waiting())
 
-	writeWorkloadTables(&sb, rep)
+	sb.WriteString(repro.LogReport(rep))
+	sb.WriteByte('\n')
+	writeLintTable(&sb, rep)
 
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	_, _ = w.Write([]byte(sb.String()))
@@ -111,99 +113,6 @@ func etagMatch(header, etag string) bool {
 	return false
 }
 
-// writeWorkloadTables renders the paper-style statistics of one
-// DatasetReport — the single-corpus counterpart of the repro package's
-// multi-corpus tables.
-func writeWorkloadTables(sb *strings.Builder, rep *core.DatasetReport) {
-	fmt.Fprintf(sb, "Workload sizes (Table 1 columns)\n")
-	fmt.Fprintf(sb, "  %-14s %12s %12s %12s %12s\n", "Source", "Total #Q", "Valid #Q", "Unique #Q", "Noise")
-	fmt.Fprintf(sb, "  %-14s %12d %12d %12d %12d\n\n",
-		rep.Name, rep.Total, rep.Valid, rep.Unique, rep.NoiseRemoved)
-
-	writeRepeatTable(sb, rep)
-
-	if len(rep.Keywords) > 0 {
-		fmt.Fprintf(sb, "Keywords (Table 2 columns, of %d unique)\n", rep.Unique)
-		type kv struct {
-			k string
-			n int
-		}
-		var kws []kv
-		for k, n := range rep.Keywords {
-			kws = append(kws, kv{k, n})
-		}
-		sort.Slice(kws, func(i, j int) bool {
-			if kws[i].n != kws[j].n {
-				return kws[i].n > kws[j].n
-			}
-			return kws[i].k < kws[j].k
-		})
-		for _, e := range kws {
-			fmt.Fprintf(sb, "  %-12s %10d %8s\n", e.k, e.n, pct(e.n, rep.Unique))
-		}
-		sb.WriteByte('\n')
-	}
-
-	if rep.SelectAsk > 0 {
-		fmt.Fprintf(sb, "Fragments (Section 5.2, of %d Select/Ask)\n", rep.SelectAsk)
-		fmt.Fprintf(sb, "  CQ %d  CPF %d  CQF %d  CQOF %d  well-designed %d\n\n",
-			rep.CQ, rep.CPF, rep.CQF, rep.CQOF, rep.WellDesigned)
-	}
-	writeLintTable(sb, rep)
-	if rep.ShapeCQ.Total > 0 {
-		sc := rep.ShapeCQ
-		fmt.Fprintf(sb, "CQ shapes (Table 4 columns, of %d)\n", sc.Total)
-		fmt.Fprintf(sb, "  single-edge %s  chain %s  star %s  tree %s  forest %s  cycle %s  flower %s\n\n",
-			pct(sc.SingleEdge, sc.Total), pct(sc.Chain, sc.Total), pct(sc.Star, sc.Total),
-			pct(sc.Tree, sc.Total), pct(sc.Forest, sc.Total), pct(sc.Cycle, sc.Total),
-			pct(sc.Flower, sc.Total))
-	}
-	writeTable5(sb, rep.Paths)
-}
-
-// writeRepeatTable renders the workload repeat-rate rows: per coarse
-// query shape, how often the served workload repeats itself — the
-// data that sizes the result cache (MaxHit is the hit-ratio bound
-// (Total-Unique)/Total a cache could reach on that shape).
-func writeRepeatTable(sb *strings.Builder, rep *core.DatasetReport) {
-	if len(rep.Repeats) == 0 {
-		return
-	}
-	type row struct {
-		label string
-		s     core.RepeatStat
-	}
-	var rows []row
-	for label, s := range rep.Repeats {
-		rows = append(rows, row{label, s})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].s.Total != rows[j].s.Total {
-			return rows[i].s.Total > rows[j].s.Total
-		}
-		return rows[i].label < rows[j].label
-	})
-	fmt.Fprintf(sb, "Repeat rate by query shape (result-cache sizing)\n")
-	fmt.Fprintf(sb, "  %-38s %9s %9s %7s %7s\n", "Shape", "Total", "Unique", "Repeat", "MaxHit")
-	const maxRows = 10
-	shown := rows
-	if len(shown) > maxRows {
-		shown = shown[:maxRows]
-	}
-	for _, r := range shown {
-		repeat := "-"
-		if r.s.Unique > 0 {
-			repeat = fmt.Sprintf("%.2fx", float64(r.s.Total)/float64(r.s.Unique))
-		}
-		fmt.Fprintf(sb, "  %-38s %9d %9d %7s %7s\n",
-			r.label, r.s.Total, r.s.Unique, repeat, pct(r.s.Total-r.s.Unique, r.s.Total))
-	}
-	if n := len(rows) - len(shown); n > 0 {
-		fmt.Fprintf(sb, "  (%d further shapes omitted)\n", n)
-	}
-	sb.WriteByte('\n')
-}
-
 // writeLintTable renders the static-analysis aggregates: per-code
 // diagnostic and query counts over the analyzed workload, plus the
 // statically-empty tally the evaluator short-circuits on.
@@ -229,46 +138,7 @@ func writeLintTable(sb *strings.Builder, rep *core.DatasetReport) {
 	fmt.Fprintf(sb, "  statically empty WHERE: %d (%s)\n\n", rep.LintEmpty, pct(rep.LintEmpty, rep.Unique))
 }
 
-// writeTable5 renders the property-path classification.
-func writeTable5(sb *strings.Builder, t5 *paths.Table5) {
-	if t5 == nil || t5.Total == 0 {
-		fmt.Fprintf(sb, "Property paths (Table 5): none observed\n")
-		return
-	}
-	fmt.Fprintf(sb, "Property paths (Table 5 rows, of %d classified)\n", t5.Total)
-	type row struct {
-		t paths.ExprType
-		n int
-	}
-	var rows []row
-	for t, n := range t5.Counts {
-		rows = append(rows, row{t, n})
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].n != rows[j].n {
-			return rows[i].n > rows[j].n
-		}
-		return rows[i].t < rows[j].t
-	})
-	for _, e := range rows {
-		krange := ""
-		if lo, ok := t5.MinK[e.t]; ok {
-			hi := t5.MaxK[e.t]
-			if hi > lo {
-				krange = fmt.Sprintf("  k=%d..%d", lo, hi)
-			} else if lo > 0 {
-				krange = fmt.Sprintf("  k=%d", lo)
-			}
-		}
-		fmt.Fprintf(sb, "  %-24s %8d %8s%s\n", e.t, e.n, pct(e.n, t5.Total), krange)
-	}
-	if t5.NonCtract > 0 || t5.TrivialNeg > 0 || t5.TrivialInv > 0 {
-		fmt.Fprintf(sb, "  (outside Ctract %d; trivial !a %d, ^a %d)\n",
-			t5.NonCtract, t5.TrivialNeg, t5.TrivialInv)
-	}
-}
-
-// pct renders part/whole as a percentage, repro-style.
+// pct renders part/whole as a percentage for the lint table.
 func pct(part, whole int) string {
 	if whole == 0 {
 		return "-"

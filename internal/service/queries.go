@@ -40,14 +40,15 @@ type QueryOptions struct {
 	Results *qcache.Cache
 	// Limits are the per-query evaluation bounds (MaxRows etc.); the
 	// Plans/Paths fields above override the ones inside. Limits.Parallel
-	// (intra-query workers) is treated as a request and clamped so the
+	// (the workers of a both-ends-free compiled-path sweep, the only
+	// fan-out inside a query) is treated as a request and clamped so the
 	// pool does not oversubscribe the machine: with W pool workers each
-	// query gets at most max(1, GOMAXPROCS/W) exchange workers, and 0
-	// asks for that full per-query share.
+	// query's sweep gets at most max(1, GOMAXPROCS/W) workers, and 0 asks
+	// for that full per-query share.
 	Limits eval.Limits
 }
 
-// intraBudget resolves a query's intra-query worker request against the
+// intraBudget resolves a query's path-sweep worker request against the
 // pool size: inter × intra never exceeds GOMAXPROCS (each stays >= 1).
 // requested <= 0 — and any request above the per-query share — takes
 // the whole share.

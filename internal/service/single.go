@@ -46,11 +46,12 @@ type ExecutorOptions struct {
 	// count (see QueryOptions.Limits).
 	Limits eval.Limits
 	// MaxConcurrent is how many queries the caller may Execute at once
-	// (an HTTP server's in-flight gate). It budgets intra-query
-	// parallelism: each request gets at most max(1, GOMAXPROCS /
-	// MaxConcurrent) exchange workers, so a full gate never
-	// oversubscribes the machine. <= 0 means 1 (a single-request
-	// caller, which may use every core).
+	// (an HTTP server's in-flight gate). It budgets the one fan-out
+	// inside a query, the both-ends-free compiled-path sweep: each
+	// request's sweep gets at most max(1, GOMAXPROCS / MaxConcurrent)
+	// workers, so a full gate never oversubscribes the machine. <= 0
+	// means 1 (a single-request caller, whose sweeps may use every
+	// core).
 	MaxConcurrent int
 }
 

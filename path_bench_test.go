@@ -8,6 +8,7 @@ package sparqlog
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -153,7 +154,7 @@ func BenchmarkPathShapes(b *testing.B) {
 	}
 	for _, gname := range []string{"star", "chain", "cycle", "grid"} {
 		g := pathGraphs[gname]
-		resolve := engine.StoreResolver(g.sn)
+		resolve := engine.PathResolver(g.sn.Lookup)
 		for _, ex := range exprs {
 			p := parseBenchPath(b, ex.expr)
 			b.Run(gname+"/"+ex.name+"/naive", func(b *testing.B) {
@@ -191,7 +192,7 @@ func BenchmarkPathShapes(b *testing.B) {
 func BenchmarkPathPairs(b *testing.B) {
 	pathBenchSetup(b)
 	g := pathPairsGraph
-	resolve := engine.StoreResolver(g.sn)
+	resolve := engine.PathResolver(g.sn.Lookup)
 	p := parseBenchPath(b, "<urn:a>*")
 	const wantPairs = 10000 * 100
 	b.Run("cycle10k/naive", func(b *testing.B) {
@@ -203,7 +204,8 @@ func BenchmarkPathPairs(b *testing.B) {
 	})
 	b.Run("cycle10k/compiled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if got := len(engine.EvalPathPairs(g.sn, p, resolve, 0)); got != wantPairs {
+			pairs, _ := pathcomp.Compile(g.sn, p, pathcomp.Resolver(resolve)).PairsParCtx(nil, 0, runtime.GOMAXPROCS(0))
+			if got := len(pairs); got != wantPairs {
 				b.Fatalf("pairs = %d, want %d", got, wantPairs)
 			}
 		}
