@@ -164,16 +164,6 @@ type GraphEngine struct {
 	// built for the snapshot being queried (a cache for a different
 	// snapshot is bypassed). Nil plans each query individually.
 	Plans *plan.Cache
-	// Columnar executes counting queries on the slot-based batch
-	// pipeline shared with the SPARQL evaluator (internal/exec): one
-	// exec.Join per planned atom pulling ID batches. The default (off)
-	// keeps the depth-first backtracking search with its dense []int64
-	// slot scratch, which is measurably faster when only a count is
-	// needed — nothing is materialized at all — while the columnar mode
-	// is the execution shape that returns whole binding batches and
-	// per-operator row/batch counts (Explain always uses it for
-	// counting queries; differential tests pin count equality).
-	Columnar bool
 }
 
 // Name identifies the engine in reports.
@@ -189,12 +179,10 @@ func (e *GraphEngine) Execute(sn *rdf.Snapshot, q CQ, timeout time.Duration) Res
 	return executeWithTimeout(e, sn, q, timeout)
 }
 
-// ExecuteContext runs the query under the context's deadline.
+// ExecuteContext runs the query under the context's deadline with the
+// depth-first backtracking search: its dense []int64 slot scratch
+// materializes nothing when only a count is needed.
 func (e *GraphEngine) ExecuteContext(ctx context.Context, sn *rdf.Snapshot, q CQ) Result {
-	if e.Columnar && !q.Ask {
-		res, _, _ := e.runColumnar(ctx, sn, q, e.order(sn, q))
-		return res
-	}
 	res, _ := e.run(ctx, sn, q, e.order(sn, q), false)
 	return res
 }
@@ -224,7 +212,8 @@ func (e *GraphEngine) run(ctx context.Context, sn *rdf.Snapshot, q CQ, order []i
 	return res, ex
 }
 
-// runColumnar executes the query on the slot-based batch pipeline: one
+// runColumnar executes a counting query on the slot-based batch
+// pipeline shared with the SPARQL evaluator (internal/exec): one
 // exec.Join per planned atom, intermediate results flowing as
 // slot-indexed ID batches (plan variable indexes double as batch
 // slots, so a cached plan executes without any name re-resolution).
@@ -239,14 +228,7 @@ func (e *GraphEngine) runColumnar(ctx context.Context, sn *rdf.Snapshot, q CQ, o
 		op = exec.NewJoin(sn, op, q.Atoms[ai], false)
 		joins[k] = op
 	}
-	stopAt := int64(0)
-	if q.Ask {
-		stopAt = 1
-	}
-	count, err := exec.Count(c, op, stopAt)
-	if q.Ask && count > 1 {
-		count = 1
-	}
+	count, err := exec.Count(c, op, 0)
 	res := Result{Count: count, Duration: time.Since(start)}
 	if err != nil {
 		res.TimedOut = true

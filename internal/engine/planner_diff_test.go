@@ -148,8 +148,9 @@ func TestColumnarEngineDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	for trial := 0; trial < 120; trial++ {
 		sn, q := randomConsistencyCase(rng)
-		search := (&GraphEngine{}).Execute(sn, q, time.Second)
-		columnar := (&GraphEngine{Columnar: true}).Execute(sn, q, time.Second)
+		e := &GraphEngine{}
+		search := e.Execute(sn, q, time.Second)
+		columnar, _, _ := e.runColumnar(context.Background(), sn, q, e.order(sn, q))
 		if search.TimedOut || columnar.TimedOut {
 			t.Fatalf("trial %d: unexpected timeout", trial)
 		}
@@ -157,7 +158,6 @@ func TestColumnarEngineDifferential(t *testing.T) {
 			t.Fatalf("trial %d: columnar count %d != search count %d (atoms=%v)",
 				trial, columnar.Count, search.Count, q.Atoms)
 		}
-		e := &GraphEngine{Columnar: true}
 		explained, res := e.Explain(context.Background(), sn, q)
 		if res.Count != search.Count {
 			t.Fatalf("trial %d: columnar explain count %d != %d", trial, res.Count, search.Count)

@@ -9,26 +9,30 @@ import (
 )
 
 // This file lowers GROUP BY / aggregate queries onto the columnar
-// exec.GroupBy operator. planAggregate rewrites the query's aggregate
-// expressions: every AggregateExpr reachable through BinaryExpr/
-// UnaryExpr chains (the exact set the legacy evalAggregateExpr
-// descends) is replaced by a hidden variable whose schema slot the
-// GroupBy operator fills with the finalized aggregate, and the
-// surrounding expression then evaluates per emitted group row through
-// evalAggRow. Shapes whose group-row evaluation could diverge from the
-// legacy members[0] semantics — expression group keys, EXISTS in a
-// finishing expression, free variables the group row cannot carry —
-// return nil and take the legacy-shape finisher over drained rows, so
-// the columnar path never has to approximate.
+// exec.GroupBy operator; every aggregate query compiles. planAggregate
+// rewrites the query's aggregate expressions: every AggregateExpr
+// reachable through BinaryExpr/UnaryExpr chains (the exact set the
+// reference evaluator's evalAggregateExpr descends) is replaced by a
+// hidden variable whose schema slot the GroupBy operator fills with the
+// finalized aggregate, and the surrounding expression then evaluates
+// per emitted group row through evalAggRow. What is not a slot yet is
+// made one: expression group keys and computed aggregate arguments
+// evaluate per input row into slots, as BIND does, and every variable a
+// finishing expression reads is captured from the group's first input
+// row, the member the reference evaluates it against.
 
 // hiddenAggPrefix namespaces the compiler's hidden aggregate-output
 // variables. A leading space cannot appear in a parsed variable name,
 // so hidden slots can never collide with (or be projected as) user
 // variables. The rune after the prefix marks the aggregate family:
 // hiddenConcatMark for GROUP_CONCAT, whose result must stay
-// non-numeric at the top level (legacy computeAggregate returns a bare
-// lexical value; every other aggregate's result re-parses faithfully).
+// non-numeric at the top level (it is a bare lexical value; every other
+// aggregate's result re-parses faithfully).
 const hiddenAggPrefix = " agg"
+
+// hiddenInPrefix names the hidden input slots: expression group keys
+// and computed aggregate arguments, evaluated per input row.
+const hiddenInPrefix = " in"
 
 const hiddenConcatMark = 'C'
 
@@ -42,19 +46,22 @@ func isHiddenAggVar(name string) bool {
 type orderKeyPlan struct {
 	expr sparql.Expr
 	desc bool
-	// errAsEmpty: an evaluation error yields the empty-string key (the
-	// legacy orderAggregated reads a projected column's cell text, and
-	// an errored cell is ""), instead of the skip-this-pair semantics
-	// of directly evaluated keys.
+	// errAsEmpty: an evaluation error yields the empty-string key (a
+	// projected column's key is its cell's text, and an errored cell is
+	// ""), instead of the skip-this-pair semantics of directly evaluated
+	// keys.
 	errAsEmpty bool
 	// reparse re-derives the key value from its text (value.Text), the
-	// way the legacy path re-parses a projected column's cell.
+	// way a projected column's cell reads.
 	reparse bool
 }
 
 // aggPlan is a compiled aggregate finishing plan.
 type aggPlan struct {
-	spec exec.GroupSpec
+	// binds evaluate per input row, in order, before grouping: the
+	// slots expression keys and computed aggregate arguments read.
+	binds []*sparql.Bind
+	spec  exec.GroupSpec
 	// rq is the rewritten query: Select expressions with aggregates
 	// replaced by hidden variables, SelectStar forced off, and
 	// GroupBy/Having/OrderBy cleared (they compile to operators).
@@ -64,25 +71,37 @@ type aggPlan struct {
 	order  []orderKeyPlan
 }
 
-// aggBuild accumulates aggregate specs during the rewrite, deduping
-// identical aggregate expressions onto one hidden slot.
+// aggBuild accumulates aggregate specs and input binds during the
+// rewrite, deduping identical aggregate expressions onto one hidden
+// slot.
 type aggBuild struct {
 	ce    *colExec
 	specs []exec.AggSpec
+	binds []*sparql.Bind
 	sigs  map[string]sparql.Expr // aggregate signature → hidden var leaf
 }
 
-// aggKindOf maps a parsed aggregate onto its columnar kind; false
-// routes the query to the legacy-shape finisher (unknown aggregate
-// names there evaluate to an expression error).
+// bind evaluates e into the named variable's slot per input row, as
+// BIND does: an error or an empty lexical form binds nothing.
+func (b *aggBuild) bind(name string, e sparql.Expr) {
+	b.binds = append(b.binds, &sparql.Bind{Var: sparql.Variable(name), Expr: e})
+	b.ce.schema.Slot(name)
+}
+
+// hidden names a fresh hidden input slot.
+func (b *aggBuild) hidden() string {
+	return hiddenInPrefix + strconv.Itoa(len(b.binds))
+}
+
+// aggKindOf maps a parsed aggregate onto its columnar kind. An unknown
+// name reports false; it compiles as a SAMPLE that reads nothing, an
+// expression error like the reference's.
 func aggKindOf(a *sparql.AggregateExpr) (exec.AggKind, bool) {
-	if a.Star {
-		// Only COUNT(*) counts rows; other Star forms keep legacy
-		// semantics (SUM(*) = 0, MIN(*) = error, ...).
-		return exec.AggCountStar, a.Name == "COUNT"
-	}
 	switch a.Name {
 	case "COUNT":
+		if a.Star {
+			return exec.AggCountStar, true
+		}
 		return exec.AggCount, true
 	case "SUM":
 		return exec.AggSum, true
@@ -97,7 +116,7 @@ func aggKindOf(a *sparql.AggregateExpr) (exec.AggKind, bool) {
 	case "GROUP_CONCAT":
 		return exec.AggConcat, true
 	}
-	return 0, false
+	return exec.AggSample, false
 }
 
 // exprVar unwraps a bare-variable expression.
@@ -110,19 +129,18 @@ func exprVar(e sparql.Expr) (string, bool) {
 }
 
 // aggVar returns the hidden-variable leaf standing for the aggregate,
-// registering its spec (and schema slot) on first sight.
-func (b *aggBuild) aggVar(a *sparql.AggregateExpr) (sparql.Expr, bool) {
-	kind, ok := aggKindOf(a)
-	if !ok {
-		return nil, false
-	}
+// registering its spec (and schema slot) on first sight. A star form
+// other than COUNT(*) and an unknown aggregate read no argument (Slot
+// -1: SUM(*) is 0, GROUP_CONCAT(*) is "", the rest are errors); a
+// computed argument reads the hidden slot it is evaluated into.
+func (b *aggBuild) aggVar(a *sparql.AggregateExpr) sparql.Expr {
+	kind, known := aggKindOf(a)
 	slot, argName := -1, ""
-	if !a.Star {
+	if !a.Star && known {
 		name, ok := exprVar(a.Arg)
 		if !ok {
-			// Computed aggregate arguments (COUNT(?x+1)) have no input
-			// slot; the legacy finisher handles them.
-			return nil, false
+			name = b.hidden()
+			b.bind(name, a.Arg)
 		}
 		argName = name
 		if s, ok := b.ce.schema.SlotOf(name); ok {
@@ -137,7 +155,7 @@ func (b *aggBuild) aggVar(a *sparql.AggregateExpr) (sparql.Expr, bool) {
 	sig := a.Name + "|" + strconv.FormatBool(a.Star) + "|" +
 		strconv.FormatBool(distinct) + "|" + argName + "|" + sep
 	if leaf, ok := b.sigs[sig]; ok {
-		return leaf, true
+		return leaf
 	}
 	mark := "N"
 	if kind == exec.AggConcat {
@@ -153,102 +171,82 @@ func (b *aggBuild) aggVar(a *sparql.AggregateExpr) (sparql.Expr, bool) {
 		b.sigs = map[string]sparql.Expr{}
 	}
 	b.sigs[sig] = leaf
-	return leaf, true
+	return leaf
 }
 
 // rewrite replaces aggregate nodes with hidden-variable leaves,
-// descending exactly the Binary/Unary chains evalAggregateExpr does —
-// an aggregate nested anywhere else (a function argument, an IN list)
-// is an expression error in the legacy path and must stay one.
-func (b *aggBuild) rewrite(e sparql.Expr) (sparql.Expr, bool) {
+// descending exactly the Binary/Unary chains evalAggRow does — an
+// aggregate nested anywhere else (a function argument, an IN list) is
+// an expression error and must stay one.
+func (b *aggBuild) rewrite(e sparql.Expr) sparql.Expr {
 	switch n := e.(type) {
 	case *sparql.AggregateExpr:
 		return b.aggVar(n)
 	case *sparql.BinaryExpr:
-		l, ok := b.rewrite(n.L)
-		if !ok {
-			return nil, false
-		}
-		r, ok := b.rewrite(n.R)
-		if !ok {
-			return nil, false
-		}
-		return &sparql.BinaryExpr{Op: n.Op, L: l, R: r}, true
+		return &sparql.BinaryExpr{Op: n.Op, L: b.rewrite(n.L), R: b.rewrite(n.R)}
 	case *sparql.UnaryExpr:
-		x, ok := b.rewrite(n.X)
-		if !ok {
-			return nil, false
-		}
-		return &sparql.UnaryExpr{Op: n.Op, X: x}, true
+		return &sparql.UnaryExpr{Op: n.Op, X: b.rewrite(n.X)}
 	}
-	return e, true
+	return e
 }
 
 // planAggregate compiles the query's aggregate finishing onto columnar
-// operators, or returns nil for the legacy-shape finisher. Must run
-// after collectVars and before the schema width freezes: it assigns
-// the hidden aggregate-output slots.
+// operators. Must run after collectVars and before the schema width
+// freezes: it assigns the hidden slots.
 func (ce *colExec) planAggregate(q *sparql.Query) *aggPlan {
 	b := &aggBuild{ce: ce}
 	ap := &aggPlan{}
 
-	// Group keys: plain variables only. An expression key (or AS alias)
-	// computes per input row through the Pool, which the operator keys
-	// on slots cannot express.
-	keyVars := map[string]bool{}
+	// Group keys. GROUP BY (expr AS ?k) first extends every input row
+	// with ?k, as BIND would, and groups on ?k's slot, so ?k is bound in
+	// the group; an expression key without an alias evaluates into a
+	// hidden slot after those. A plain variable key the query never
+	// binds is constantly unbound: it cannot split groups and packs
+	// nothing.
 	for _, gk := range q.Mods.GroupBy {
 		if gk.AsVar {
-			return nil
+			b.bind(gk.Var.Value, gk.Expr)
 		}
-		name, ok := exprVar(gk.Expr)
-		if !ok {
-			return nil
+	}
+	carried := map[int]bool{} // slots the emitted group row sets
+	for _, gk := range q.Mods.GroupBy {
+		name, plain := exprVar(gk.Expr)
+		switch {
+		case gk.AsVar:
+			name = gk.Var.Value
+		case !plain:
+			name = b.hidden()
+			b.bind(name, gk.Expr)
 		}
-		keyVars[name] = true
 		if s, ok := ce.schema.SlotOf(name); ok {
 			ap.spec.Keys = append(ap.spec.Keys, s)
+			carried[s] = true
 		}
-		// A key variable without a slot is never bound: its key text is
-		// constantly "" and cannot split groups, so it packs nothing.
 	}
 	ap.spec.EmptyGroup = len(q.Mods.GroupBy) == 0
 
-	// Projection: plain variables pass through (non-key ones capture the
-	// group's first row via AggFirst — the legacy members[0] read);
-	// expression items rewrite.
-	plainProjected := map[string]bool{}
-	firstOf := map[int]bool{}
+	// first captures a variable's value in the group's first input row
+	// (AggFirst), which is what the reference reads from the group's
+	// first member: a projected plain variable that is not a key, and
+	// every variable a finishing expression reads. Hidden slots (a
+	// leading space) are the compiler's own and never captured.
+	first := func(s int) {
+		if !carried[s] && !strings.HasPrefix(ce.schema.Name(s), " ") {
+			carried[s] = true
+			b.specs = append(b.specs, exec.AggSpec{Kind: exec.AggFirst, Slot: s, Out: s})
+		}
+	}
 	sel := make([]sparql.SelectItem, 0, len(q.Select))
 	for _, it := range q.Select {
-		if it.Expr == nil {
-			name := it.Var.Value
-			plainProjected[name] = true
-			if s, ok := ce.schema.SlotOf(name); ok && !keyVars[name] && !firstOf[s] {
-				firstOf[s] = true
-				b.specs = append(b.specs, exec.AggSpec{Kind: exec.AggFirst, Slot: s, Out: s})
-			}
-			sel = append(sel, it)
-			continue
+		if it.Expr != nil {
+			it.Expr = b.rewrite(it.Expr)
+		} else if s, ok := ce.schema.SlotOf(it.Var.Value); ok {
+			first(s)
 		}
-		if _, clash := ce.schema.SlotOf(it.Var.Value); clash {
-			// An expression alias shadowing a WHERE variable: projected
-			// cells and group-row bindings would disagree about which
-			// value the name means. Rare and legacy-defined; fall back.
-			return nil
-		}
-		re, ok := b.rewrite(it.Expr)
-		if !ok {
-			return nil
-		}
-		sel = append(sel, sparql.SelectItem{Var: it.Var, Expr: re})
+		sel = append(sel, it)
 	}
-
 	for _, h := range q.Mods.Having {
-		re, ok := b.rewrite(h)
-		if !ok {
-			return nil
-		}
-		ap.having = append(ap.having, re)
+		ap.having = append(ap.having, b.rewrite(h))
 	}
 
 	// ORDER BY: a key naming a projected item sorts by that column's
@@ -274,56 +272,38 @@ func (ce *colExec) planAggregate(q *sparql.Query) *aggPlan {
 				continue
 			}
 		}
-		re, ok := b.rewrite(k.Expr)
-		if !ok {
-			return nil
-		}
-		ap.order = append(ap.order, orderKeyPlan{expr: re, desc: k.Desc})
+		ap.order = append(ap.order, orderKeyPlan{expr: b.rewrite(k.Expr), desc: k.Desc})
 	}
 
-	// The emitted group row carries only key slots, AggFirst captures,
-	// and hidden aggregate outputs. Any other variable an expression
-	// touches — bound in the group's first member but absent from the
-	// group row — or an EXISTS (whose evaluation seeds the full row)
-	// diverges from members[0]: fall back. Variables without a schema
-	// slot are safe: they are unbound on both paths.
-	safe := true
-	checkVars := func(e sparql.Expr) {
+	// An EXISTS is seeded with the whole group row, so it captures
+	// every variable.
+	capture := func(e sparql.Expr) {
 		sparql.WalkExpr(e, func(x sparql.Expr) bool {
 			switch n := x.(type) {
 			case *sparql.ExistsExpr:
-				safe = false
+				for s := 0; s < ce.schema.Len(); s++ {
+					first(s)
+				}
 			case *sparql.TermExpr:
-				if n.Term.Kind != sparql.TermVar {
-					break
-				}
-				name := n.Term.Value
-				if isHiddenAggVar(name) || keyVars[name] || plainProjected[name] {
-					break
-				}
-				if _, bound := ce.schema.SlotOf(name); bound {
-					safe = false
+				if s, ok := ce.schema.SlotOf(n.Term.Value); ok && n.Term.Kind == sparql.TermVar {
+					first(s)
 				}
 			}
-			return safe
+			return true
 		})
 	}
 	for _, it := range sel {
-		if it.Expr != nil {
-			checkVars(it.Expr)
-		}
+		capture(it.Expr)
 	}
 	for _, h := range ap.having {
-		checkVars(h)
+		capture(h)
 	}
 	for _, k := range ap.order {
-		checkVars(k.expr)
-	}
-	if !safe {
-		return nil
+		capture(k.expr)
 	}
 
 	ap.spec.Aggs = b.specs
+	ap.binds = b.binds
 	rq := *q
 	rq.Select = sel
 	rq.SelectStar = false

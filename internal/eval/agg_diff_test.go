@@ -11,15 +11,15 @@ import (
 )
 
 // This file is the aggregation/ORDER BY differential: the columnar
-// GroupBy/TopK operators promise byte-identical output to the legacy
-// finishAggregate/applyOrder finishers — not just the same multiset
-// but the same row sequence, because GROUP BY emission order
+// GroupBy/TopK operators promise byte-identical output to the
+// reference's finishAggregate/applyOrder finishers — not just the same
+// multiset but the same row sequence, because GROUP BY emission order
 // (first-encounter) and ORDER BY are part of the observable contract.
-// Every query here runs once on the columnar path and once with
-// Limits.legacy, and rows are compared position by position.
+// Every query here runs once on the executor and once on the reference
+// evaluator, and rows are compared position by position.
 
 // diffOrdered requires identical outcomes — error class, projection,
-// and the exact row sequence — between the columnar and legacy paths.
+// and the exact row sequence — between the executor and the reference.
 func diffOrdered(t *testing.T, sn *rdf.Snapshot, src string) {
 	t.Helper()
 	q, err := sparql.Parse(src)
@@ -27,9 +27,9 @@ func diffOrdered(t *testing.T, sn *rdf.Snapshot, src string) {
 		t.Fatalf("parse %q: %v", src, err)
 	}
 	col, cerr := QueryWithLimits(sn, q, Limits{})
-	leg, lerr := QueryWithLimits(sn, q, Limits{legacy: true})
+	leg, lerr := queryReference(sn, q, Limits{})
 	if (cerr == nil) != (lerr == nil) {
-		t.Fatalf("error divergence on %q: columnar=%v legacy=%v", src, cerr, lerr)
+		t.Fatalf("error divergence on %q: columnar=%v reference=%v", src, cerr, lerr)
 	}
 	if cerr != nil {
 		return
@@ -38,13 +38,13 @@ func diffOrdered(t *testing.T, sn *rdf.Snapshot, src string) {
 		t.Fatalf("vars diverge on %q: %v vs %v", src, col.Vars, leg.Vars)
 	}
 	if len(col.Rows) != len(leg.Rows) {
-		t.Fatalf("row counts diverge on %q: columnar=%d legacy=%d", src, len(col.Rows), len(leg.Rows))
+		t.Fatalf("row counts diverge on %q: columnar=%d reference=%d", src, len(col.Rows), len(leg.Rows))
 	}
 	for i := range col.Rows {
 		a := strings.Join(col.Rows[i], "\x1f")
 		b := strings.Join(leg.Rows[i], "\x1f")
 		if a != b {
-			t.Fatalf("rows diverge on %q at %d:\ncolumnar: %q\nlegacy:   %q", src, i, a, b)
+			t.Fatalf("rows diverge on %q at %d:\ncolumnar:  %q\nreference: %q", src, i, a, b)
 		}
 	}
 }
@@ -136,8 +136,51 @@ func TestAggregateDifferentialOperators(t *testing.T) {
 		// Aggregates inside projection expressions.
 		`SELECT ?g (COUNT(*) * 2 AS ?cc) WHERE { ?x <urn:group> ?g } GROUP BY ?g`,
 		`SELECT ?g (SUM(?a) / COUNT(?a) AS ?m) WHERE { ?x <urn:group> ?g . ?x <urn:age> ?a } GROUP BY ?g ORDER BY ?m`,
+		// Expression group keys, without and with AS.
+		`SELECT (COUNT(*) AS ?c) WHERE { ?x <urn:group> ?g . ?x <urn:age> ?a } GROUP BY (STR(?g)) (?a * 0)`,
+		`SELECT ?k ?g (COUNT(*) AS ?n) WHERE { ?x <urn:group> ?g . ?x <urn:val> ?v } GROUP BY (CONCAT(STR(?g), ?v) AS ?k) ORDER BY ?k`,
+		// Computed aggregate arguments, including string builtins whose
+		// results spell numbers.
+		`SELECT ?g (COUNT(?a + 1) AS ?c) (SUM(?a * 2) AS ?s) (MAX(STR(?a)) AS ?m) (AVG(STR(?v)) AS ?av) WHERE { ?x <urn:group> ?g . ?x <urn:age> ?a . ?x <urn:val> ?v } GROUP BY ?g`,
+		// Star forms beyond COUNT(*).
+		`SELECT ?g (SUM(*) AS ?s) (GROUP_CONCAT(*) AS ?c) (MIN(*) AS ?m) (AVG(*) AS ?av) WHERE { ?x <urn:group> ?g } GROUP BY ?g`,
+		// EXISTS in HAVING, seeded with the group's first member.
+		`SELECT ?g (COUNT(*) AS ?c) WHERE { ?x <urn:group> ?g } GROUP BY ?g HAVING (EXISTS { ?x <urn:name> "p1" })`,
+		// A non-key WHERE variable in HAVING and in ORDER BY.
+		`SELECT ?g (COUNT(*) AS ?c) WHERE { ?x <urn:group> ?g . ?x <urn:val> ?v } GROUP BY ?g HAVING (?v != "abc") ORDER BY DESC(?v) ?g`,
+		// An alias shadowing a WHERE variable.
+		`SELECT ?g (COUNT(?x) AS ?x) WHERE { ?x <urn:group> ?g } GROUP BY ?g HAVING (?x != <urn:n1>) ORDER BY ?x ?g`,
 	} {
 		diffOrdered(t, sn, src)
+	}
+}
+
+// TestGroupByAliasBindsKey: GROUP BY (expr AS ?k) binds ?k in every
+// group to the group's key, for the projection, HAVING and ORDER BY.
+func TestGroupByAliasBindsKey(t *testing.T) {
+	sn := aggStore()
+	for _, tc := range []struct {
+		src  string
+		want [][]string
+	}{
+		{`SELECT ?k (COUNT(*) AS ?n) WHERE { ?x <urn:group> ?g } GROUP BY (STR(?g) AS ?k) ORDER BY ?k`,
+			[][]string{{"urn:g0", "4"}, {"urn:g1", "4"}, {"urn:g2", "4"}, {"urn:g9", "1"}}},
+		{`SELECT ?k (COUNT(*) AS ?n) WHERE { ?x <urn:group> ?g } GROUP BY (STRLEN(STR(?g)) AS ?k) HAVING (?k > 0)`,
+			[][]string{{"6", "13"}}},
+	} {
+		q, err := sparql.Parse(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range evaluators {
+			res, err := ev.run(sn, q, Limits{})
+			if err != nil {
+				t.Fatalf("%s %q: %v", ev.name, tc.src, err)
+			}
+			if fmt.Sprint(res.Rows) != fmt.Sprint(tc.want) {
+				t.Errorf("%s %q:\ngot  %q\nwant %q", ev.name, tc.src, res.Rows, tc.want)
+			}
+		}
 	}
 }
 
@@ -177,8 +220,11 @@ func TestOrderByDifferentialOperators(t *testing.T) {
 }
 
 // randomAggQuery generates a GROUP BY / aggregate / HAVING / ORDER BY
-// query over the aggStore vocabulary. Arity, aggregate mix, ordering
-// keys, and slicing are all randomized.
+// query over the aggStore vocabulary. Arity, key forms (plain
+// variables, expressions with and without AS), the aggregate mix
+// (computed arguments, star forms, an alias shadowing a WHERE
+// variable), HAVING (EXISTS, a non-key WHERE variable), ordering keys
+// and slicing are all randomized.
 func randomAggQuery(rng *rand.Rand) string {
 	patterns := []string{
 		`?x <urn:group> ?g`,
@@ -187,7 +233,8 @@ func randomAggQuery(rng *rand.Rand) string {
 		`?x <urn:knows> ?y`,
 	}
 	where := []string{patterns[0], patterns[1]}
-	if rng.Intn(2) == 0 {
+	hasVal := rng.Intn(2) == 0
+	if hasVal {
 		where = append(where, patterns[2])
 	}
 	if rng.Intn(3) == 0 {
@@ -197,15 +244,24 @@ func randomAggQuery(rng *rand.Rand) string {
 		where = append(where, `OPTIONAL { ?x <urn:name> ?n }`)
 	}
 
-	keys := []string{"?g", "?a", "?v"}
+	// Each key is its GROUP BY form and the variable it binds, if any.
+	keys := [][2]string{
+		{"?g", "?g"}, {"?a", "?a"}, {"?v", "?v"},
+		{"(STR(?g))", ""}, {"(STR(?g) AS ?k)", "?k"}, {"(?a * 2 AS ?k2)", "?k2"}, {"(CONCAT(?v, \"-\"))", ""},
+	}
 	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-	arity := rng.Intn(4) // 0-3
-	keys = keys[:arity]
+	keys = keys[:rng.Intn(4)] // arity 0-3
 	// Drop keys whose pattern wasn't generated.
-	var gb []string
+	var gb, sel, cands []string
 	for _, k := range keys {
-		if k != "?v" || len(where) > 2 && where[2] == patterns[2] {
-			gb = append(gb, k)
+		if hasVal || !strings.Contains(k[0], "?v") {
+			gb = append(gb, k[0])
+			if k[1] != "" {
+				cands = append(cands, k[1])
+				if rng.Intn(3) > 0 {
+					sel = append(sel, k[1])
+				}
+			}
 		}
 	}
 
@@ -220,12 +276,11 @@ func randomAggQuery(rng *rand.Rand) string {
 		`(SAMPLE(?x) AS ?one)`,
 		`(GROUP_CONCAT(?v) AS ?cat)`,
 		`(GROUP_CONCAT(DISTINCT ?v; SEPARATOR="|") AS ?cat)`,
-	}
-	var sel []string
-	for _, k := range gb {
-		if rng.Intn(3) > 0 {
-			sel = append(sel, k)
-		}
+		`(COUNT(?a + 1) AS ?c1)`,
+		`(SUM(STRLEN(?v)) AS ?s1)`,
+		`(SUM(*) AS ?ss)`,
+		`(GROUP_CONCAT(*) AS ?gc)`,
+		`(COUNT(?x) AS ?x)`,
 	}
 	seen := map[string]bool{}
 	for i, n := 0, 1+rng.Intn(2); i < n; i++ {
@@ -237,10 +292,11 @@ func randomAggQuery(rng *rand.Rand) string {
 		}
 		seen[alias] = true
 		sel = append(sel, a)
+		cands = append(cands, alias)
 	}
 	if len(sel) == 0 {
 		sel = append(sel, `(COUNT(*) AS ?c)`)
-		seen["?c"] = true
+		cands = append(cands, "?c")
 	}
 
 	q := "SELECT " + strings.Join(sel, " ") + " WHERE { " + strings.Join(where, " . ") + " }"
@@ -253,19 +309,17 @@ func randomAggQuery(rng *rand.Rand) string {
 			`HAVING (SUM(?a) >= 40)`,
 			`HAVING (COUNT(*) > 1 && COUNT(*) < 9)`,
 			`HAVING (MIN(?v) != "0")`,
+			`HAVING (EXISTS { ?x <urn:name> ?nn })`,
+			`HAVING (?a >= 25)`,
 		}
 		q += " " + havings[rng.Intn(len(havings))]
 	}
 	if rng.Intn(2) == 0 {
+		// Besides keys and aliases, a non-key WHERE variable.
+		cands = append(cands, "?a", "?x")
+		rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
 		var oks []string
-		cands := append([]string{}, gb...)
-		for a := range seen {
-			cands = append(cands, a)
-		}
-		// Map iteration order is random, which is fine for a fuzzer, but
-		// keep the key list deterministic per trial for reproducibility.
-		cands = cands[:1+rng.Intn(len(cands))]
-		for _, cnd := range cands {
+		for _, cnd := range cands[:1+rng.Intn(len(cands))] {
 			if rng.Intn(2) == 0 {
 				oks = append(oks, "DESC("+cnd+")")
 			} else {
@@ -283,40 +337,45 @@ func randomAggQuery(rng *rand.Rand) string {
 	return q
 }
 
+// randomAggStore builds a small random store over the aggStore
+// vocabulary.
+func randomAggStore(rng *rand.Rand) *rdf.Snapshot {
+	vals := []string{"1", "2", "10", "abc", "", "0", "NaN", "-4", "3.5"}
+	st := rdf.NewStore()
+	nNodes := 3 + rng.Intn(8)
+	for i := 0; i < 4+rng.Intn(30); i++ {
+		n := fmt.Sprintf("urn:n%d", rng.Intn(nNodes))
+		switch rng.Intn(5) {
+		case 0:
+			st.Add(n, "urn:knows", fmt.Sprintf("urn:n%d", rng.Intn(nNodes)))
+		case 1:
+			st.Add(n, "urn:age", fmt.Sprintf("%d", rng.Intn(40)))
+		case 2:
+			st.Add(n, "urn:val", vals[rng.Intn(len(vals))])
+		case 3:
+			st.Add(n, "urn:group", fmt.Sprintf("urn:g%d", rng.Intn(3)))
+		default:
+			st.Add(n, "urn:name", fmt.Sprintf("p%d", rng.Intn(4)))
+		}
+	}
+	return st.Freeze()
+}
+
 // TestAggregateDifferentialRandom runs randomized aggregate queries on
-// randomized stores through both paths.
+// randomized stores through both evaluators.
 func TestAggregateDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(911))
-	vals := []string{"1", "2", "10", "abc", "", "0", "NaN", "-4", "3.5"}
-	for trial := 0; trial < 150; trial++ {
-		st := rdf.NewStore()
-		nNodes := 3 + rng.Intn(8)
-		for i := 0; i < 4+rng.Intn(30); i++ {
-			n := fmt.Sprintf("urn:n%d", rng.Intn(nNodes))
-			switch rng.Intn(5) {
-			case 0:
-				st.Add(n, "urn:knows", fmt.Sprintf("urn:n%d", rng.Intn(nNodes)))
-			case 1:
-				st.Add(n, "urn:age", fmt.Sprintf("%d", rng.Intn(40)))
-			case 2:
-				st.Add(n, "urn:val", vals[rng.Intn(len(vals))])
-			case 3:
-				st.Add(n, "urn:group", fmt.Sprintf("urn:g%d", rng.Intn(3)))
-			default:
-				st.Add(n, "urn:name", fmt.Sprintf("p%d", rng.Intn(4)))
-			}
-		}
-		sn := st.Freeze()
-		src := randomAggQuery(rng)
-		diffOrdered(t, sn, src)
+	for trial := 0; trial < 300; trial++ {
+		sn := randomAggStore(rng)
+		diffOrdered(t, sn, randomAggQuery(rng))
 	}
 }
 
-// TestNulKeyCollision pins the legacy key-packing fix: group keys and
-// DISTINCT rows were joined with "\x00", so the tuples ("a\x00", "b")
-// and ("a", "\x00b") collided into one group. Length-prefixed packing
-// keeps them apart, on the legacy path and differentially against the
-// columnar path (which groups on ID tuples and never collided).
+// TestNulKeyCollision pins the reference's key-packing fix: group keys
+// and DISTINCT rows were joined with "\x00", so the tuples ("a\x00",
+// "b") and ("a", "\x00b") collided into one group. Length-prefixed
+// packing keeps them apart, on the reference and differentially against
+// the executor (which groups on ID tuples and never collided).
 func TestNulKeyCollision(t *testing.T) {
 	st := rdf.NewStore()
 	st.Add("urn:s1", "urn:p1", "a\x00")
@@ -332,12 +391,12 @@ func TestNulKeyCollision(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := QueryWithLimits(sn, q, Limits{legacy: true})
+		res, err := queryReference(sn, q, Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(res.Rows) != 2 {
-			t.Fatalf("legacy %q: %d rows, want 2 (NUL-bearing key tuples collided)", src, len(res.Rows))
+			t.Fatalf("reference %q: %d rows, want 2 (NUL-bearing key tuples collided)", src, len(res.Rows))
 		}
 		diffOrdered(t, sn, src)
 	}

@@ -50,9 +50,7 @@ func sameAsQueryContext(t *testing.T, sn *rdf.Snapshot, src string, lim Limits) 
 
 // TestQueryAnswerIsQueryContext runs the differential suites' corpora —
 // the operator families, the random BGP/modifier generator, the random
-// aggregate generator, graph forms — through both entry points, on the
-// columnar executor and on the legacy reference (whose string rows
-// reach the answer through exec.NewAnswer).
+// aggregate generator, graph forms — through both entry points.
 func TestQueryAnswerIsQueryContext(t *testing.T) {
 	sn := socialStore()
 	for _, src := range []string{
@@ -81,7 +79,6 @@ func TestQueryAnswerIsQueryContext(t *testing.T) {
 		`CONSTRUCT { ?y <urn:knownBy> ?x . ?x <urn:is> "known" } WHERE { ?x <urn:knows> ?y } LIMIT 7`,
 	} {
 		sameAsQueryContext(t, sn, src, Limits{})
-		sameAsQueryContext(t, sn, src, Limits{legacy: true})
 	}
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 150; trial++ {

@@ -15,8 +15,8 @@ import (
 	"sparqlog/internal/value"
 )
 
-// This file is the slot-based columnar executor — the default
-// evaluation path. The WHERE clause compiles once into a tree of
+// This file is the slot-based columnar executor, the one evaluator
+// queries run on. The WHERE clause compiles once into a tree of
 // internal/exec operators over a query-wide Schema (every variable
 // gets a dense slot; plan variable indexes are slots), and solutions
 // flow through it as ID batches. Strings appear only at the edges:
@@ -26,20 +26,20 @@ import (
 // keys, aggregation inputs) materialize text lazily per touched cell.
 // Projection does not: the answer leaves as ID columns (exec.Answer)
 // and stays that way through the result cache, until a serializer
-// writes it. The legacy materialized
-// path (Limits.legacy) remains as the differential reference; the
-// compiler mirrors its operator semantics — including evaluation
-// order, row-budget checkpoints, and lazy evaluation of subqueries and
-// MINUS bodies behind empty inputs — so the two produce identical
-// solution multisets in identical order.
+// writes it; CONSTRUCT instantiates its template on IDs, and DESCRIBE
+// collects its targets as IDs. The compiler mirrors the operator
+// semantics of the map-binding reference evaluator in this package's
+// tests — including evaluation order, row-budget checkpoints, and lazy
+// evaluation of subqueries and MINUS bodies behind empty inputs — so
+// the two produce identical solution multisets in identical order.
 //
-// Two deliberate behavioural improvements over the legacy path (both
+// Two deliberate behavioural improvements over the reference (both
 // strictly enlarge the set of queries that succeed): ASK stops at the
 // first solution instead of materializing the full WHERE result, and
 // DISTINCT/LIMIT without ORDER BY stream — dedup on packed ID tuples,
 // early exit once the limit is reached — so a query can succeed where
-// the legacy evaluator overflowed MaxRows computing rows it would
-// have sliced away.
+// the reference overflowed MaxRows computing rows it would have
+// sliced away.
 
 // colExec is one columnar query execution.
 type colExec struct {
@@ -58,8 +58,7 @@ type colExec struct {
 	recovers []*exec.OpStats
 
 	// aggPlan is the compiled aggregate finishing plan (hidden slots,
-	// rewritten expressions); nil when the query has no aggregation or
-	// its shape needs the legacy-style finisher over drained rows.
+	// rewritten expressions); nil when the query has no aggregation.
 	aggPlan *aggPlan
 }
 
@@ -89,19 +88,13 @@ func (r rowEnv) lookupVar(name string) (string, bool) {
 	return r.ce.pool.Text(id), true
 }
 
-func (r rowEnv) eachBound(fn func(string)) {
-	for s := 0; s < r.ce.schema.Len(); s++ {
-		if r.b.Get(s, r.row) != exec.Unbound {
-			fn(r.ce.schema.Name(s))
-		}
-	}
-}
-
 func (r rowEnv) exists(ev *evaluator, p sparql.Pattern) (bool, error) {
 	return r.ce.exists(p, r.b, r.row)
 }
 
-func (ev *evaluator) queryColumnar(q *sparql.Query) (*Result, error) {
+// query evaluates q on a fresh execution over ev's snapshot;
+// subqueries recurse through here.
+func (ev *evaluator) query(q *sparql.Query) (*Result, error) {
 	ce := &colExec{ev: ev, schema: exec.NewSchema(), pool: exec.NewPool(ev.st)}
 	ev.colPool = ce.pool
 	// Harvest runtime recoveries after execution, whichever return path
@@ -127,7 +120,7 @@ func (ev *evaluator) queryColumnar(q *sparql.Query) (*Result, error) {
 		ce.ec.Parallel = runtime.GOMAXPROCS(0)
 	}
 	ce.collectVars(q)
-	// Aggregate planning assigns the hidden output slots, so it must
+	// Aggregate planning assigns the hidden slots, so it must
 	// run while the schema is still open — before the width freezes.
 	if q.Type == sparql.SelectQuery && hasAggregates(q) {
 		ce.aggPlan = ce.planAggregate(q)
@@ -164,17 +157,9 @@ func (ev *evaluator) queryColumnar(q *sparql.Query) (*Result, error) {
 	case sparql.SelectQuery:
 		return ce.finishSelect(q, root)
 	case sparql.ConstructQuery:
-		envs, err := ce.drain(root)
-		if err != nil {
-			return nil, err
-		}
-		return ev.viaRows(ev.finishConstruct(q, envs))
+		return ce.finishConstruct(q, root)
 	case sparql.DescribeQuery:
-		envs, err := ce.drain(root)
-		if err != nil {
-			return nil, err
-		}
-		return ev.finishDescribe(q, envs)
+		return ce.finishDescribe(q, root)
 	}
 	return nil, fmt.Errorf("eval: unknown query type")
 }
@@ -259,8 +244,7 @@ func (ce *colExec) slot(name string) int {
 
 // compile lowers a pattern onto an operator consuming in. bound tracks
 // variables possibly bound by already-compiled operators — planning
-// input only, never correctness (exactly like the legacy evaluator's
-// reorder seeds).
+// input only, never correctness.
 func (ce *colExec) compile(p sparql.Pattern, in exec.Operator, bound map[string]bool) (exec.Operator, error) {
 	ev := ce.ev
 	width := ce.schema.Len()
@@ -311,8 +295,8 @@ func (ce *colExec) compile(p sparql.Pattern, in exec.Operator, bound map[string]
 		}
 		return exec.NewOptional(in, inner, seed), nil
 	case *sparql.MinusGraph:
-		// The removal set evaluates from the unit binding, lazily (the
-		// legacy group short-circuits before a MINUS whose input died).
+		// The removal set evaluates from the unit binding, lazily: a
+		// MINUS whose input died never evaluates its body.
 		inner, err := ce.compile(n.Inner, exec.NewUnit(width), map[string]bool{})
 		if err != nil {
 			return nil, err
@@ -341,9 +325,9 @@ func (ce *colExec) compile(p sparql.Pattern, in exec.Operator, bound map[string]
 		seed := exec.NewSeed(width)
 		inner, err := ce.compile(n.Inner, seed, copyBound(bound))
 		if err != nil {
-			// SILENT swallows the failure; the input passes through,
-			// as the legacy evaluator's error fallback did. Counted as
-			// a recovery: compile-time failure is no-op federation too.
+			// SILENT swallows the failure and the input passes through.
+			// Counted as a recovery: compile-time failure is no-op
+			// federation too.
 			ev.recovered++
 			return in, nil
 		}
@@ -360,8 +344,7 @@ func (ce *colExec) compile(p sparql.Pattern, in exec.Operator, bound map[string]
 			r := out.AppendRow(b, row)
 			if err == nil {
 				// Intern maps the empty lexical form to Unbound; skip
-				// the write so an existing binding is not clobbered
-				// (the legacy path skips the map write the same way).
+				// the write so an existing binding is not clobbered.
 				if id := ce.pool.Intern(v.Lex()); id != exec.Unbound {
 					out.Set(slot, r, id)
 				}
@@ -393,8 +376,7 @@ func (ce *colExec) compileFilter(e sparql.Expr, in exec.Operator) exec.Operator 
 
 // compileAtom resolves a triple pattern against the dictionary:
 // variables become slot references, constants become IDs (or the
-// impossible constant when absent — such an atom matches nothing,
-// exactly like the legacy path).
+// impossible constant when absent — such an atom matches nothing).
 func (ce *colExec) compileAtom(tp *sparql.TriplePattern) plan.Atom {
 	ref := func(t sparql.Term) plan.TermRef {
 		if txt, ok := ce.ev.termText(t); ok {
@@ -451,9 +433,9 @@ func (ce *colExec) compileValues(vd *sparql.InlineData, in exec.Operator) exec.O
 }
 
 // compileSubselect evaluates the subquery lazily — on the first input
-// row, so a dead upstream skips it entirely, like the legacy group
-// short-circuit — then joins its materialized rows by projected
-// variable, interning row text back to IDs once.
+// row, so a dead upstream skips it entirely — then joins its
+// materialized rows by projected variable, interning row text back to
+// IDs once.
 func (ce *colExec) compileSubselect(ss *sparql.SubSelect, in exec.Operator) exec.Operator {
 	loaded := false
 	var slots []int
@@ -519,7 +501,7 @@ func (ce *colExec) compileSubselect(ss *sparql.SubSelect, in exec.Operator) exec
 // exists evaluates an EXISTS pattern under one row, compiling the
 // subtree once per pattern node and reseeding it per evaluation. The
 // subtree is drained fully — short-circuiting would diverge from the
-// legacy reference when the body overflows the row budget.
+// reference when the body overflows the row budget.
 func (ce *colExec) exists(p sparql.Pattern, b *exec.Batch, row int) (bool, error) {
 	sp, ok := ce.existsPlans[p]
 	if !ok {
@@ -543,21 +525,93 @@ func (ce *colExec) exists(p sparql.Pattern, b *exec.Batch, row int) (bool, error
 	return n > 0, nil
 }
 
-// drain materializes the stream as expression-visible rows, for the
-// finishers that work on rows: CONSTRUCT, DESCRIBE's target lookup, and
-// the aggregate shapes planAggregate declines.
-func (ce *colExec) drain(root exec.Operator) ([]env, error) {
-	batches, err := exec.Materialize(ce.ec, root)
+// each pulls the stream to its end, handing every batch to fn.
+func (ce *colExec) each(root exec.Operator, fn func(*exec.Batch)) error {
+	for {
+		b, err := root.Next(ce.ec)
+		if b == nil || err != nil {
+			return err
+		}
+		fn(b)
+	}
+}
+
+// finishConstruct instantiates the template per solution on IDs:
+// constants intern through the pool and variables read their slot. A
+// triple with an unbound position is skipped, and each ID triple (one
+// pool: equal IDs are equal text) is kept at its first instantiation;
+// OFFSET and LIMIT slice that sequence.
+func (ce *colExec) finishConstruct(q *sparql.Query, root exec.Operator) (*Result, error) {
+	ref := func(t sparql.Term) plan.TermRef {
+		if txt, ok := ce.ev.termText(t); ok {
+			return plan.C(ce.pool.Intern(txt))
+		}
+		name, _ := varName(t)
+		if s, ok := ce.schema.SlotOf(name); ok {
+			return plan.V(s)
+		}
+		return plan.C(exec.Unbound)
+	}
+	tmpl := make([][3]plan.TermRef, len(q.Template))
+	for i, tp := range q.Template {
+		tmpl[i] = [3]plan.TermRef{ref(tp.S), ref(tp.P), ref(tp.O)}
+	}
+	t := &idTable{cols: make([][]rdf.ID, 3)}
+	seen := map[[3]rdf.ID]bool{}
+	err := ce.each(root, func(b *exec.Batch) {
+		for r := 0; r < b.Rows(); r++ {
+			for _, refs := range tmpl {
+				var k [3]rdf.ID
+				for i, tr := range refs {
+					k[i] = tr.ID
+					if tr.IsVar {
+						k[i] = b.Get(tr.Var, r)
+					}
+				}
+				if !slices.Contains(k[:], exec.Unbound) && !seen[k] {
+					seen[k] = true
+					t.add(k[:]...)
+				}
+			}
+		}
+	})
 	if err != nil {
 		return nil, err
 	}
-	var envs []env
-	for _, b := range batches {
-		for r := 0; r < b.Rows(); r++ {
-			envs = append(envs, rowEnv{ce, b, r})
+	t.slice(q)
+	return answered(ce.pool.Answer([]string{"s", "p", "o"}, t.cols, t.n)), nil
+}
+
+// finishDescribe collects the described resources as IDs — the
+// constant describe terms, and every value the stream binds to a
+// described variable (to any variable, for DESCRIBE *) — and describes
+// them.
+func (ce *colExec) finishDescribe(q *sparql.Query, root exec.Operator) (*Result, error) {
+	targets := map[rdf.ID]bool{}
+	var slots []int
+	for _, t := range q.DescribeTerms {
+		if txt, ok := ce.ev.termText(t); ok {
+			targets[ce.pool.Intern(txt)] = true
+		} else if name, ok := varName(t); ok {
+			if s, ok := ce.schema.SlotOf(name); ok {
+				slots = append(slots, s)
+			}
 		}
 	}
-	return envs, nil
+	for s := 0; q.DescribeStar && s < ce.schema.Len(); s++ {
+		slots = append(slots, s)
+	}
+	err := ce.each(root, func(b *exec.Batch) {
+		for _, s := range slots {
+			for _, id := range b.Col(s) {
+				targets[id] = true
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return ce.ev.describe(q, targets), nil
 }
 
 // finishSelect applies solution modifiers as columnar operators where
@@ -567,22 +621,17 @@ func (ce *colExec) drain(root exec.Operator) ([]env, error) {
 // streaming on packed ID tuples, and LIMIT/OFFSET stopping the pull
 // early; then project fills the answer's ID columns, and whatever
 // DISTINCT or slice the stream could not apply (SELECT *, expression
-// projections) runs on those. Aggregate queries planAggregate declined
-// drain and take the legacy-order finishing over materialized rows.
+// projections) runs on those.
 func (ce *colExec) finishSelect(q *sparql.Query, root exec.Operator) (*Result, error) {
 	ev := ce.ev
 	agg := hasAggregates(q)
 	ap := ce.aggPlan
-	if agg && ap == nil {
-		envs, err := ce.drain(root)
-		if err != nil {
-			return nil, err
-		}
-		return ev.viaRows(ev.finishAggregate(q, envs))
-	}
 	var gb *exec.GroupBy
 	var okeys []orderKeyPlan
 	if agg {
+		for _, bn := range ap.binds {
+			root, _ = ce.compile(bn, root, nil) // a BIND compiles without error
+		}
 		gb = exec.NewGroupBy(root, ap.spec, ce.pool.Text, ce.pool.Intern)
 		root = gb
 		for _, h := range ap.having {
@@ -726,10 +775,12 @@ type outCol struct {
 // each projected slot's batch column as it is: no per-row value is
 // built for a plain variable. Expression items evaluate per row and
 // intern their text into the pool; an item whose evaluation fails keeps
-// the binding its alias already had, if any (an aggregate item never
-// has one: planAggregate declines the clash). In an aggregate stream a
-// rewritten item that is a bare hidden variable is that aggregate's
-// finalized slot. SELECT * projects the variables bound in some row.
+// the binding its alias already had, if any — except in an aggregate
+// stream, where it projects unbound (a group row's binding of a WHERE
+// variable the alias shadows is the first member's, not the item's).
+// There a rewritten item that is a bare hidden variable is that
+// aggregate's finalized slot. SELECT * projects the variables bound in
+// some row.
 func (ce *colExec) project(q *sparql.Query, root exec.Operator, agg bool, evalItem func(sparql.Expr, *exec.Batch, int) (value.Value, error)) (*idTable, []string, error) {
 	var vars []string
 	var outs []outCol
@@ -747,20 +798,13 @@ func (ce *colExec) project(q *sparql.Query, root exec.Operator, agg bool, evalIt
 		if hv, ok := exprVar(it.Expr); agg && ok && isHiddenAggVar(hv) {
 			name, oc.expr = hv, nil
 		}
-		if s, ok := ce.schema.SlotOf(name); ok {
+		if s, ok := ce.schema.SlotOf(name); ok && (oc.expr == nil || !agg) {
 			oc.slot = s
 		}
 		vars, outs = append(vars, it.Var.Value), append(outs, oc)
 	}
 	t := &idTable{cols: make([][]rdf.ID, len(outs))}
-	for {
-		b, err := root.Next(ce.ec)
-		if err != nil {
-			return nil, nil, err
-		}
-		if b == nil {
-			break
-		}
+	err := ce.each(root, func(b *exec.Batch) {
 		for j, oc := range outs {
 			if oc.expr == nil && oc.slot >= 0 {
 				t.cols[j] = append(t.cols[j], b.Col(oc.slot)...)
@@ -780,9 +824,9 @@ func (ce *colExec) project(q *sparql.Query, root exec.Operator, agg bool, evalIt
 			}
 		}
 		t.n += b.Rows()
-	}
-	if !q.SelectStar {
-		return t, vars, nil
+	})
+	if err != nil || !q.SelectStar {
+		return t, vars, err
 	}
 	kept := 0
 	for j, col := range t.cols {
@@ -806,6 +850,14 @@ func (ce *colExec) project(q *sparql.Query, root exec.Operator, agg bool, evalIt
 type idTable struct {
 	cols [][]rdf.ID
 	n    int
+}
+
+// add appends one row.
+func (t *idTable) add(row ...rdf.ID) {
+	for j, id := range row {
+		t.cols[j] = append(t.cols[j], id)
+	}
+	t.n++
 }
 
 // distinct keeps each row's first occurrence, in order.

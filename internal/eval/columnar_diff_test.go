@@ -12,39 +12,38 @@ import (
 	"sparqlog/internal/sparql"
 )
 
-// diffColumnarLegacy evaluates src on the columnar executor (default)
-// and the legacy materialized path (Limits.legacy) and requires
-// identical results: ASK answer, projection, and the solution multiset
-// (order-insensitive; SPARQL solution sequences without ORDER BY are
-// unordered, and the comparison must not depend on internal
-// enumeration order).
-func diffColumnarLegacy(t *testing.T, sn *rdf.Snapshot, src string) {
+// diffColumnarReference evaluates src on the columnar executor and the
+// reference evaluator and requires identical results: ASK answer,
+// projection, and the solution multiset (order-insensitive; SPARQL
+// solution sequences without ORDER BY are unordered, and the comparison
+// must not depend on internal enumeration order).
+func diffColumnarReference(t *testing.T, sn *rdf.Snapshot, src string) {
 	t.Helper()
 	q, err := sparql.Parse(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
 	columnar, cerr := QueryWithLimits(sn, q, Limits{})
-	legacy, lerr := QueryWithLimits(sn, q, Limits{legacy: true})
-	if (cerr == nil) != (lerr == nil) {
-		t.Fatalf("error divergence on %q: columnar=%v legacy=%v", src, cerr, lerr)
+	ref, rerr := queryReference(sn, q, Limits{})
+	if (cerr == nil) != (rerr == nil) {
+		t.Fatalf("error divergence on %q: columnar=%v reference=%v", src, cerr, rerr)
 	}
 	if cerr != nil {
 		return
 	}
-	if columnar.Bool != legacy.Bool {
-		t.Fatalf("ASK diverges on %q: columnar=%v legacy=%v", src, columnar.Bool, legacy.Bool)
+	if columnar.Bool != ref.Bool {
+		t.Fatalf("ASK diverges on %q: columnar=%v reference=%v", src, columnar.Bool, ref.Bool)
 	}
-	if strings.Join(columnar.Vars, ",") != strings.Join(legacy.Vars, ",") {
-		t.Fatalf("vars diverge on %q: %v vs %v", src, columnar.Vars, legacy.Vars)
+	if strings.Join(columnar.Vars, ",") != strings.Join(ref.Vars, ",") {
+		t.Fatalf("vars diverge on %q: %v vs %v", src, columnar.Vars, ref.Vars)
 	}
-	a, b := sortedRows(columnar), sortedRows(legacy)
+	a, b := sortedRows(columnar), sortedRows(ref)
 	if len(a) != len(b) {
-		t.Fatalf("row counts diverge on %q: columnar=%d legacy=%d", src, len(a), len(b))
+		t.Fatalf("row counts diverge on %q: columnar=%d reference=%d", src, len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("rows diverge on %q at %d:\ncolumnar: %q\nlegacy:   %q", src, i, a[i], b[i])
+			t.Fatalf("rows diverge on %q at %d:\ncolumnar:  %q\nreference: %q", src, i, a[i], b[i])
 		}
 	}
 }
@@ -146,7 +145,7 @@ func TestColumnarDifferentialOperators(t *testing.T) {
 		`DESCRIBE <urn:a0>`,
 		`DESCRIBE ?x WHERE { ?x <urn:tag> <urn:gold> }`,
 	} {
-		diffColumnarLegacy(t, sn, src)
+		diffColumnarReference(t, sn, src)
 	}
 }
 
@@ -168,7 +167,7 @@ func TestColumnarDifferentialRandom(t *testing.T) {
 		}
 		sn := st.Freeze()
 		src := randomQuery(rng, nNodes, nPreds)
-		diffColumnarLegacy(t, sn, src)
+		diffColumnarReference(t, sn, src)
 	}
 }
 
@@ -232,10 +231,11 @@ func randomQuery(rng *rand.Rand, nNodes, nPreds int) string {
 	}
 }
 
-// TestColumnarRowLimitParity: the executor must reproduce the legacy
-// row-budget errors where they guard real blowups (an unbounded path
-// pair enumeration), and its streaming LIMIT is allowed to succeed
-// where legacy overflowed — but never to return wrong rows.
+// TestColumnarRowLimitParity: the executor must reproduce the
+// reference's row-budget errors where they guard real blowups (an
+// unbounded path pair enumeration), and its streaming LIMIT is allowed
+// to succeed where the reference overflowed — but never to return wrong
+// rows.
 func TestColumnarRowLimitParity(t *testing.T) {
 	st := rdf.NewStore()
 	for i := 0; i < 10; i++ {
@@ -246,12 +246,12 @@ func TestColumnarRowLimitParity(t *testing.T) {
 	if _, err := QueryWithLimits(sn, q, Limits{MaxRows: 3}); err == nil {
 		t.Fatal("10 path pairs under MaxRows=3 must error on the columnar path too")
 	}
-	// Streaming LIMIT succeeds where the legacy evaluator overflowed:
+	// Streaming LIMIT succeeds where the reference overflowed:
 	// the join result is 2000 rows against a 1500-row budget, but with
 	// LIMIT 2 the pull stops after the first batch — the spill-free
 	// improvement the pull model buys. (A single row's join fan-out is
 	// still atomic, so budgets tighter than one batch behave exactly
-	// like legacy, as the path case above pins.)
+	// like the reference, as the path case above pins.)
 	st2 := rdf.NewStore()
 	for i := 0; i < 50; i++ {
 		st2.Add(fmt.Sprintf("urn:s%d", i), "urn:q", "urn:anchor")
@@ -262,8 +262,8 @@ func TestColumnarRowLimitParity(t *testing.T) {
 	sn2 := st2.Freeze()
 	src := `SELECT ?x ?w WHERE { ?x <urn:q> ?y . ?x <urn:p> ?w } LIMIT 2`
 	q2, _ := sparql.Parse(src)
-	if _, err := QueryWithLimits(sn2, q2, Limits{MaxRows: 1500, noReorder: true, legacy: true}); err == nil {
-		t.Fatal("legacy should overflow the 1500-row budget on the 2000-row join")
+	if _, err := queryReference(sn2, q2, Limits{MaxRows: 1500, noReorder: true}); err == nil {
+		t.Fatal("the reference should overflow the 1500-row budget on the 2000-row join")
 	}
 	res, err := QueryWithLimits(sn2, q2, Limits{MaxRows: 1500, noReorder: true})
 	if err != nil || len(res.Rows) != 2 {
@@ -272,10 +272,10 @@ func TestColumnarRowLimitParity(t *testing.T) {
 }
 
 // TestMinusLazyBehindDeadInput: when the required pattern matches
-// nothing, the MINUS body must never evaluate — the legacy group
+// nothing, the MINUS body must never evaluate — the reference's group
 // short-circuits at the empty intermediate result, so a removal set
 // that would overflow the row budget must not turn the empty answer
-// into an error on the columnar path either.
+// into an error on the executor either.
 func TestMinusLazyBehindDeadInput(t *testing.T) {
 	st := rdf.NewStore()
 	for i := 0; i < 50; i++ {
@@ -286,13 +286,13 @@ func TestMinusLazyBehindDeadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, lim := range []Limits{{MaxRows: 10}, {MaxRows: 10, legacy: true}} {
-		res, err := QueryWithLimits(sn, q, lim)
+	for _, ev := range evaluators {
+		res, err := ev.run(sn, q, Limits{MaxRows: 10})
 		if err != nil {
-			t.Fatalf("legacy=%v: dead input must skip the overflowing MINUS body: %v", lim.legacy, err)
+			t.Fatalf("%s: dead input must skip the overflowing MINUS body: %v", ev.name, err)
 		}
 		if len(res.Rows) != 0 {
-			t.Fatalf("legacy=%v: rows = %v, want none", lim.legacy, res.Rows)
+			t.Fatalf("%s: rows = %v, want none", ev.name, res.Rows)
 		}
 	}
 	// With live input the body does evaluate and the budget applies.

@@ -73,8 +73,9 @@ func TestPathResultsStayAsIDs(t *testing.T) {
 // core: a DISTINCT join query's dedup runs on packed ID tuples and its
 // projection appends ID columns, so neither the (much larger)
 // intermediate result nor the emitted cells touch the dictionary. The
-// same holds for SELECT *, ORDER BY's survivors, and a subquery's rows
-// crossing into the outer query.
+// same holds for SELECT *, ORDER BY's survivors, a subquery's rows
+// crossing into the outer query, a CONSTRUCT template's instances and
+// DESCRIBE's targets.
 func TestJoinDistinctStaysAsIDs(t *testing.T) {
 	st := rdf.NewStore()
 	for i := 0; i < 30; i++ {
@@ -93,6 +94,8 @@ func TestJoinDistinctStaysAsIDs(t *testing.T) {
 		{`SELECT * WHERE { ?s <urn:p> ?m . ?m <urn:q> <urn:hub> }`, 300},
 		{`SELECT DISTINCT * WHERE { ?s <urn:p> ?m } LIMIT 7`, 7},
 		{`SELECT ?s ?m WHERE { { SELECT ?m WHERE { ?m <urn:q> <urn:hub> } } ?s <urn:p> ?m }`, 300},
+		{`CONSTRUCT { ?m <urn:r> ?s . ?m <urn:r> ?s } WHERE { ?s <urn:p> ?m }`, 300},
+		{`DESCRIBE ?m WHERE { ?m <urn:q> <urn:hub> }`, 310},
 	} {
 		res, calls := runCounted(t, sn, tc.src)
 		if res.Answer.Len() != tc.rows {
@@ -106,7 +109,7 @@ func TestJoinDistinctStaysAsIDs(t *testing.T) {
 
 // TestFilterEdgeCasesDifferential covers expression-evaluation corners
 // under the columnar executor, each run differentially against the
-// legacy path and pinned against expected answers where stated.
+// reference and pinned against expected answers where stated.
 func TestFilterEdgeCasesDifferential(t *testing.T) {
 	st := rdf.NewStore()
 	st.Add("urn:a", "urn:age", "25")
@@ -145,7 +148,7 @@ func TestFilterEdgeCasesDifferential(t *testing.T) {
 		`SELECT ?x WHERE { ?x <urn:age> ?a FILTER NOT EXISTS { ?x <urn:knows> ?y FILTER NOT EXISTS { ?y <urn:name> ?m } } }`,
 		`SELECT ?x WHERE { ?x <urn:age> ?a FILTER EXISTS { ?x <urn:knows> ?y . ?y <urn:age> ?b FILTER (?b > ?a) } }`,
 	} {
-		diffColumnarLegacy(t, sn, src)
+		diffColumnarReference(t, sn, src)
 	}
 
 	// Absolute pins for the trickiest three.

@@ -14,9 +14,9 @@ import (
 // TermOf calls each, kept when its subject or object text is a target.
 // The targets come from outside the finisher under test: constant
 // describe terms are expanded here, variable ones are read off the
-// WHERE clause evaluated as SELECT * under the same limits. LIMIT and
-// OFFSET are not applied; the caller slices.
-func describeByScan(t *testing.T, sn *rdf.Snapshot, src string, lim Limits) [][]string {
+// WHERE clause evaluated as SELECT *. LIMIT and OFFSET are not applied;
+// the caller slices.
+func describeByScan(t *testing.T, sn *rdf.Snapshot, src string) [][]string {
 	t.Helper()
 	q, err := sparql.Parse(src)
 	if err != nil {
@@ -34,7 +34,7 @@ func describeByScan(t *testing.T, sn *rdf.Snapshot, src string, lim Limits) [][]
 	}
 	if q.Where != nil {
 		q.Type, q.SelectStar, q.Mods = sparql.SelectQuery, true, sparql.Modifiers{}
-		sel, err := QueryWithLimits(sn, q, lim)
+		sel, err := queryReference(sn, q, Limits{})
 		if err != nil {
 			t.Fatalf("oracle SELECT for %q: %v", src, err)
 		}
@@ -83,8 +83,9 @@ func describeStore() *rdf.Snapshot {
 }
 
 // TestDescribeDifferential holds the index-backed DESCRIBE to the scan
-// it replaced, on both evaluators: the same set of triples, none twice,
-// and the same rows in the same order on a second run.
+// it replaced, on the executor and (the "/legacy" subtests) on the
+// reference: the same set of triples, none twice, and the same rows in
+// the same order on a second run.
 func TestDescribeDifferential(t *testing.T) {
 	sn := describeStore()
 	cases := []struct {
@@ -108,18 +109,18 @@ func TestDescribeDifferential(t *testing.T) {
 		{"statically empty WHERE", `DESCRIBE ?x WHERE { ?x <urn:knows> ?y FILTER(false) }`, false},
 		{"unbound describe variable", `DESCRIBE ?z WHERE { ?x <urn:likes> ?y }`, false},
 	}
-	for _, lim := range []Limits{{}, {legacy: true}} {
+	for _, ev := range evaluators {
 		for _, c := range cases {
 			name := c.name
-			if lim.legacy {
+			if ev.name == "reference" {
 				name += "/legacy"
 			}
 			t.Run(name, func(t *testing.T) {
-				want := describeByScan(t, sn, c.src, lim)
+				want := describeByScan(t, sn, c.src)
 				if (len(want) > 0) != c.wantRows {
 					t.Fatalf("scan returned %d rows, case expects rows=%v: the case does not test what it says", len(want), c.wantRows)
 				}
-				got := runDescribe(t, sn, c.src, lim)
+				got := runDescribe(t, sn, c.src, ev.run)
 				seen := map[[3]string]bool{}
 				for _, r := range got {
 					k := [3]string{r[0], r[1], r[2]}
@@ -136,13 +137,13 @@ func TestDescribeDifferential(t *testing.T) {
 						t.Fatalf("scan row %q missing from the index path", r)
 					}
 				}
-				again := runDescribe(t, sn, c.src, lim)
+				again := runDescribe(t, sn, c.src, ev.run)
 				if fmt.Sprint(again) != fmt.Sprint(got) {
 					t.Fatal("second run returned different rows or a different order")
 				}
 				// LIMIT/OFFSET slice the documented order.
 				for _, sl := range []struct{ off, lim int }{{0, 1}, {1, 3}, {len(got), 2}, {len(got) / 2, len(got)}} {
-					sliced := runDescribe(t, sn, fmt.Sprintf("%s OFFSET %d LIMIT %d", c.src, sl.off, sl.lim), lim)
+					sliced := runDescribe(t, sn, fmt.Sprintf("%s OFFSET %d LIMIT %d", c.src, sl.off, sl.lim), ev.run)
 					lo := min(sl.off, len(got))
 					hi := min(lo+sl.lim, len(got))
 					if fmt.Sprint(sliced) != fmt.Sprint(got[lo:hi]) {
@@ -154,13 +155,13 @@ func TestDescribeDifferential(t *testing.T) {
 	}
 }
 
-func runDescribe(t *testing.T, sn *rdf.Snapshot, src string, lim Limits) [][]string {
+func runDescribe(t *testing.T, sn *rdf.Snapshot, src string, run func(*rdf.Snapshot, *sparql.Query, Limits) (*Result, error)) [][]string {
 	t.Helper()
 	q, err := sparql.Parse(src)
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	res, err := QueryWithLimits(sn, q, lim)
+	res, err := run(sn, q, Limits{})
 	if err != nil {
 		t.Fatalf("eval %q: %v", src, err)
 	}

@@ -2,8 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"sparqlog/internal/sparql"
 	"sparqlog/internal/value"
@@ -26,36 +24,16 @@ func checked(v value.Value, ok bool) (value.Value, error) {
 }
 
 // env is one solution row as the expression evaluator sees it: the
-// legacy map binding and the columnar batch row both implement it, so
-// FILTER/BIND/aggregate semantics are defined once. lookupVar
-// materializes text lazily (the columnar row converts an ID only when
-// an expression actually touches it).
+// executor's batch row implements it, and so does the map binding of
+// the reference evaluator in this package's tests, so FILTER/BIND/
+// aggregate semantics are defined once. lookupVar materializes text
+// lazily (the batch row converts an ID only when an expression
+// actually touches it).
 type env interface {
 	// lookupVar returns the bound text of a variable.
 	lookupVar(name string) (string, bool)
-	// eachBound calls fn for every bound variable name.
-	eachBound(fn func(name string))
 	// exists evaluates an EXISTS pattern under this row.
 	exists(ev *evaluator, p sparql.Pattern) (bool, error)
-}
-
-func (b binding) lookupVar(name string) (string, bool) {
-	v, ok := b[name]
-	return v, ok
-}
-
-func (b binding) eachBound(fn func(string)) {
-	for k := range b {
-		fn(k)
-	}
-}
-
-func (b binding) exists(ev *evaluator, p sparql.Pattern) (bool, error) {
-	rows, err := ev.pattern(p, []binding{b})
-	if err != nil {
-		return false, err
-	}
-	return len(rows) > 0, nil
 }
 
 // eval evaluates an expression under one row. Unbound variables and
@@ -232,39 +210,6 @@ func (ev *evaluator) evalFunc(n *sparql.FuncCall, b env) (value.Value, error) {
 	return checked(value.Call(n.Name, x, y))
 }
 
-// evalAggregateExpr evaluates an expression that may contain aggregate
-// nodes, over a group's member rows. Non-aggregate subexpressions are
-// evaluated against the group's first member (they are group keys,
-// constant within the group).
-func (ev *evaluator) evalAggregateExpr(e sparql.Expr, members []env) (value.Value, error) {
-	if agg, ok := e.(*sparql.AggregateExpr); ok {
-		return ev.computeAggregate(agg, members)
-	}
-	switch n := e.(type) {
-	case *sparql.BinaryExpr:
-		l, err := ev.evalAggregateExpr(n.L, members)
-		if err != nil {
-			return value.Value{}, err
-		}
-		r, err := ev.evalAggregateExpr(n.R, members)
-		if err != nil {
-			return value.Value{}, err
-		}
-		return binaryOverResults(n.Op, l, r)
-	case *sparql.UnaryExpr:
-		x, err := ev.evalAggregateExpr(n.X, members)
-		if err != nil {
-			return value.Value{}, err
-		}
-		return checked(value.Unary(n.Op, value.Text(x.Lex())))
-	default:
-		if len(members) == 0 {
-			return value.Value{}, errEval
-		}
-		return ev.eval(e, members[0])
-	}
-}
-
 // binaryOverResults applies a binary operator to two operands already
 // computed over a group. Each is read again from its text, as a result
 // cell would be (so a string builtin's result that spells a number is
@@ -281,14 +226,14 @@ func binaryOverResults(op string, l, r value.Value) (value.Value, error) {
 	return checked(value.Binary(op, l, r))
 }
 
-// evalAggRow is evalAggregateExpr's mirror over one emitted columnar
-// group row: hidden aggregate-output variables read their finalized
-// slot, and everything else keeps the legacy semantics exactly —
-// Binary/Unary chains recurse strictly (either side's error is the
-// expression's error, with none of plain eval's &&/|| tolerance), and
-// any other leaf evaluates against the row as "the group's first
-// member", which for a synthetic empty group (empty = true) means an
-// unconditional expression error.
+// evalAggRow evaluates a finishing expression (a SELECT item, HAVING,
+// an ORDER BY key) on one emitted group row: hidden aggregate-output
+// variables read their finalized slot, Binary/Unary chains recurse
+// strictly (either side's error is the expression's error, with none of
+// plain eval's &&/|| tolerance), and any other leaf evaluates against
+// the row as "the group's first member" (the compiler captured every
+// variable it reads), which for a synthetic empty group (empty = true)
+// means an unconditional expression error.
 func (ev *evaluator) evalAggRow(e sparql.Expr, b env, empty bool) (value.Value, error) {
 	switch n := e.(type) {
 	case *sparql.TermExpr:
@@ -297,15 +242,13 @@ func (ev *evaluator) evalAggRow(e sparql.Expr, b env, empty bool) (value.Value, 
 			v, ok := b.lookupVar(name)
 			if name[len(hiddenAggPrefix)] == hiddenConcatMark {
 				// GROUP_CONCAT never errors and its result stays
-				// non-numeric at the top level (the legacy value is a
-				// bare lexical form); an unbound slot is the empty
-				// concatenation.
+				// non-numeric at the top level (a bare lexical form);
+				// an unbound slot is the empty concatenation.
 				return value.Str(v), nil
 			}
 			if !ok {
-				// The aggregate finalized to unbound — exactly the
-				// states where computeAggregate errors (MIN/MAX/SAMPLE
-				// of nothing, AVG with no numerics).
+				// The aggregate finalized to unbound: MIN/MAX/SAMPLE
+				// of nothing, AVG with no numerics, an unknown name.
 				return value.Value{}, errEval
 			}
 			return value.Text(v), nil
@@ -331,78 +274,4 @@ func (ev *evaluator) evalAggRow(e sparql.Expr, b env, empty bool) (value.Value, 
 		return value.Value{}, errEval
 	}
 	return ev.eval(e, b)
-}
-
-func (ev *evaluator) computeAggregate(agg *sparql.AggregateExpr, members []env) (value.Value, error) {
-	var vals []value.Value
-	if !agg.Star {
-		for _, m := range members {
-			if v, err := ev.eval(agg.Arg, m); err == nil {
-				vals = append(vals, v)
-			}
-		}
-	}
-	if agg.Distinct {
-		seen := map[string]bool{}
-		var ded []value.Value
-		for _, v := range vals {
-			if !seen[v.Lex()] {
-				seen[v.Lex()] = true
-				ded = append(ded, v)
-			}
-		}
-		vals = ded
-	}
-	switch agg.Name {
-	case "COUNT":
-		if agg.Star {
-			return value.Num(float64(len(members))), nil
-		}
-		return value.Num(float64(len(vals))), nil
-	case "SUM", "AVG":
-		sum := 0.0
-		n := 0
-		for _, v := range vals {
-			if v.IsNum() {
-				sum += v.Float()
-				n++
-			}
-		}
-		if agg.Name == "SUM" {
-			return value.Num(sum), nil
-		}
-		if n == 0 {
-			return value.Value{}, errEval
-		}
-		return value.Num(sum / float64(n)), nil
-	case "MIN", "MAX":
-		if len(vals) == 0 {
-			return value.Value{}, errEval
-		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			c := value.Compare(v, best)
-			if agg.Name == "MIN" && c < 0 || agg.Name == "MAX" && c > 0 {
-				best = v
-			}
-		}
-		return best, nil
-	case "SAMPLE":
-		if len(vals) == 0 {
-			return value.Value{}, errEval
-		}
-		return vals[0], nil
-	case "GROUP_CONCAT":
-		sep := " "
-		if agg.HasSep {
-			sep = agg.Separator
-		}
-		parts := make([]string, 0, len(vals))
-		for _, v := range vals {
-			parts = append(parts, v.Lex())
-		}
-		sort.Strings(parts) // deterministic output
-		return value.Str(strings.Join(parts, sep)), nil
-	}
-	return value.Value{}, errEval
 }

@@ -110,10 +110,10 @@ func (g *exprGen) family(name string, depth int) string {
 // folder and the evaluator: sparqld answers a query the linter proves
 // empty without evaluating it, so whenever lint.Empty holds for
 // FILTER(<closed expression>), evaluating with the short circuit off
-// must drop the row, on both evaluators. (The converse is not claimed:
-// the folder may fail to prove an emptiness that is there.) Both share
-// internal/value, so a disagreement here is a control-flow drift
-// between internal/lint/fold.go and expr.go.
+// must drop the row, on the executor and the reference. (The converse
+// is not claimed: the folder may fail to prove an emptiness that is
+// there.) Both share internal/value, so a disagreement here is a
+// control-flow drift between internal/lint/fold.go and expr.go.
 func TestClosedExpressionDifferential(t *testing.T) {
 	start := time.Now()
 	st := rdf.NewStore()
@@ -132,12 +132,12 @@ func TestClosedExpressionDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("columnar eval of %q: %v", src, err)
 		}
-		legacy, err := QueryWithLimits(sn, q, Limits{noStatic: true, legacy: true})
+		ref, err := queryReference(sn, q, Limits{noStatic: true})
 		if err != nil {
-			t.Fatalf("legacy eval of %q: %v", src, err)
+			t.Fatalf("reference eval of %q: %v", src, err)
 		}
-		if len(columnar.Rows) != len(legacy.Rows) {
-			t.Fatalf("evaluators diverge on %q: columnar=%d rows, legacy=%d", src, len(columnar.Rows), len(legacy.Rows))
+		if len(columnar.Rows) != len(ref.Rows) {
+			t.Fatalf("evaluators diverge on %q: columnar=%d rows, reference=%d", src, len(columnar.Rows), len(ref.Rows))
 		}
 		switch kept := len(columnar.Rows) > 0; {
 		case static && kept:
@@ -158,8 +158,8 @@ func TestClosedExpressionDifferential(t *testing.T) {
 }
 
 // TestTermTestsFollowTermKind pins isIRI / isLiteral / isBlank to the
-// classification the result writers use (value.KindOf), on both
-// evaluators and in the linter: a blank node is not a literal, and an
+// classification the result writers use (value.KindOf), on the executor
+// and the reference and in the linter: a blank node is not a literal, and an
 // IRI is one whatever its scheme.
 func TestTermTestsFollowTermKind(t *testing.T) {
 	st := rdf.NewStore()
@@ -184,13 +184,13 @@ func TestTermTestsFollowTermKind(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, lim := range []Limits{{noStatic: true}, {noStatic: true, legacy: true}} {
-			res, err := QueryWithLimits(sn, q, lim)
+		for _, ev := range evaluators {
+			res, err := ev.run(sn, q, Limits{noStatic: true})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := sortedRows(res); strings.Join(got, " ") != strings.Join(tc.want, " ") {
-				t.Errorf("FILTER(%s) (legacy=%v) kept %q, want %q", tc.filter, lim.legacy, got, tc.want)
+				t.Errorf("FILTER(%s) (%s) kept %q, want %q", tc.filter, ev.name, got, tc.want)
 			}
 		}
 		if got := lint.Empty(q); got != (tc.want == nil) {

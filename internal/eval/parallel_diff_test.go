@@ -85,7 +85,7 @@ var sweepQueries = []string{
 }
 
 // TestParallelDifferentialOperators replays the operator corpus of the
-// columnar/legacy differential, plus the path sweeps, across budgets.
+// columnar/reference differential, plus the path sweeps, across budgets.
 func TestParallelDifferentialOperators(t *testing.T) {
 	big := sweepStore()
 	for _, src := range sweepQueries {
@@ -131,7 +131,7 @@ func TestParallelDifferentialOperators(t *testing.T) {
 }
 
 // TestParallelDifferentialRandom is the randomized half, sharing the
-// query generator with the columnar/legacy differential.
+// query generator with the columnar/reference differential.
 func TestParallelDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(173))
 	for trial := 0; trial < 120; trial++ {

@@ -30,16 +30,16 @@ func TestSilentServiceRecoveryCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, legacy := range []bool{false, true} {
-		res, err := QueryWithLimits(sn, q, Limits{MaxRows: 10, legacy: legacy})
+	for _, ev := range evaluators {
+		res, err := ev.run(sn, q, Limits{MaxRows: 10})
 		if err != nil {
-			t.Fatalf("legacy=%v: %v", legacy, err)
+			t.Fatalf("%s: %v", ev.name, err)
 		}
 		if len(res.Rows) != 4 {
-			t.Errorf("legacy=%v: rows = %d, want 4 (unjoined input)", legacy, len(res.Rows))
+			t.Errorf("%s: rows = %d, want 4 (unjoined input)", ev.name, len(res.Rows))
 		}
 		if res.Recovered != 1 {
-			t.Errorf("legacy=%v: Recovered = %d, want 1", legacy, res.Recovered)
+			t.Errorf("%s: Recovered = %d, want 1", ev.name, res.Recovered)
 		}
 	}
 

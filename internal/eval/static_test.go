@@ -81,8 +81,8 @@ func TestProbesReported(t *testing.T) {
 }
 
 // TestStaticShortCircuitAgreesWithLegacy runs statically-empty queries
-// through the legacy path too: the short circuit must not change any
-// answer.
+// through the reference too, which has no short circuit: the short
+// circuit must not change any answer.
 func TestStaticShortCircuitAgreesWithLegacy(t *testing.T) {
 	sn := socialStore()
 	for _, src := range []string{
@@ -90,7 +90,7 @@ func TestStaticShortCircuitAgreesWithLegacy(t *testing.T) {
 		`SELECT * WHERE { { ?s ?p ?o . FILTER(false) } UNION { ?s <urn:knows> ?o . FILTER(?o != ?o) } }`,
 		`SELECT * WHERE { ?s <urn:knows> ?o OPTIONAL { ?s <urn:age> ?a . FILTER(false) } }`,
 	} {
-		diffColumnarLegacy(t, sn, src)
+		diffColumnarReference(t, sn, src)
 	}
 }
 

@@ -15,17 +15,17 @@ import (
 // lexical form once per distinct ID (cached), GROUP_CONCAT materializes
 // its parts at finalize, MIN/MAX compare lexical-or-numeric values, and
 // COUNT/SAMPLE never look at text at all. Group emission preserves
-// first-encounter order, the legacy finisher's contract, so the
-// aggregated stream is row-for-row identical to the string path it
-// replaced.
+// first-encounter order, the contract of the reference evaluator's
+// string finisher, so the aggregated stream is row-for-row identical to
+// it.
 
 // AggKind selects one running-aggregate semantics.
 type AggKind int
 
 // Aggregate kinds. AggFirst is internal to the compiler: it captures
 // the group's first input row's slot value (Unbound included), which is
-// how the legacy finisher projects a plain non-key variable and
-// evaluates it inside HAVING/ORDER BY expressions (members[0]).
+// how the reference projects a plain non-key variable and reads any
+// variable inside a SELECT, HAVING or ORDER BY expression (members[0]).
 const (
 	AggCount AggKind = iota
 	AggCountStar
@@ -42,9 +42,10 @@ const (
 // AggCountStar), output slot, and the COUNT-family modifiers.
 type AggSpec struct {
 	Kind AggKind
-	// Slot is the argument slot; -1 marks an argument variable the
-	// query never binds (every member contributes no value, exactly as
-	// the legacy per-member expression error did).
+	// Slot is the argument slot; -1 marks an aggregate with nothing to
+	// read — a variable the query never binds, a star form other than
+	// COUNT(*), an unknown aggregate — where every row contributes
+	// Unbound, as the reference's per-member expression error does.
 	Slot int
 	// Out is the output slot the finalized value lands in.
 	Out      int
@@ -99,9 +100,9 @@ type aggState struct {
 }
 
 // update folds one input row into the state. Unbound arguments
-// contribute nothing (the legacy per-member expression error), except
-// to COUNT(*) — which counts rows — and AggFirst, which records the
-// first row's value verbatim.
+// contribute nothing (the reference's per-member expression error),
+// except to COUNT(*) — which counts rows — and AggFirst, which records
+// the first row's value verbatim.
 func (s *aggState) update(a *AggSpec, id rdf.ID, vc *valCache) {
 	switch a.Kind {
 	case AggFirst:
@@ -160,9 +161,9 @@ func (s *aggState) update(a *AggSpec, id rdf.ID, vc *valCache) {
 // as IDs (MIN/MAX/SAMPLE/first) pass through without touching the
 // dictionary; computed lexical forms (counts and sums, spelled as the
 // expression evaluator spells a number, and concatenations) intern. An
-// aggregate the legacy finisher would have errored on (AVG of nothing
-// numeric, MIN of an empty group) finalizes to Unbound — the projected
-// cell stays empty either way.
+// aggregate the reference errors on (AVG of nothing numeric, MIN of an
+// empty group) finalizes to Unbound — the projected cell stays empty
+// either way.
 func (s *aggState) finalize(a *AggSpec, vc *valCache, intern func(string) rdf.ID) rdf.ID {
 	if a.Distinct {
 		return s.finalizeDistinct(a, vc, intern)
@@ -189,7 +190,7 @@ func (s *aggState) finalize(a *AggSpec, vc *valCache, intern func(string) rdf.ID
 }
 
 // finalizeDistinct computes a DISTINCT aggregate from the ordered
-// distinct ID list (the legacy path dedups the value list before
+// distinct ID list (the reference dedups the value list before
 // aggregating; dictionary IDs are bijective with text, so ID-level
 // dedup selects the same values).
 func (s *aggState) finalizeDistinct(a *AggSpec, vc *valCache, intern func(string) rdf.ID) rdf.ID {
@@ -239,7 +240,7 @@ func internConcat(ids []rdf.ID, sep string, vc *valCache, intern func(string) rd
 	for i, id := range ids {
 		parts[i] = vc.get(id).Lex()
 	}
-	sort.Strings(parts) // the legacy finisher sorts for determinism
+	sort.Strings(parts) // the reference sorts for determinism
 	return intern(strings.Join(parts, sep))
 }
 
@@ -353,7 +354,7 @@ func (g *GroupBy) Info() GroupByInfo { return g.info }
 
 // SyntheticEmpty reports that the emitted stream is the one synthetic
 // empty-input group (aggregation without GROUP BY over zero rows). The
-// compiler's finishing expressions check it: the legacy path evaluates
+// compiler's finishing expressions check it: the reference evaluates
 // non-aggregate leaves against "the first member" of a group, and the
 // synthetic group has none.
 func (g *GroupBy) SyntheticEmpty() bool { return g.synth }

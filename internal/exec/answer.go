@@ -24,16 +24,15 @@ type Answer struct {
 	base  rdf.ID
 	extra []string
 	// nilRows keeps the row form's nil-versus-empty distinction (ASK
-	// carries nil rows), so Rows returns what a string finisher built.
+	// carries nil rows), so Rows returns the rows NewAnswer was given.
 	nilRows bool
 }
 
 // NewAnswer is the one rows→columns constructor: it interns string
 // rows (aligned with vars, "" marking unbound, short rows padded with
-// holes) through a fresh Pool over sn. The string finishers (the legacy
-// evaluator, CONSTRUCT, aggregate shapes the columnar compiler
-// declines) and cache fills from row-form callers reach the columnar
-// form only through here.
+// holes) through a fresh Pool over sn. Callers that hold rows instead
+// of IDs — an ASK answer, which has none, and cache fills from row-form
+// callers — reach the columnar form only through here.
 func NewAnswer(sn *rdf.Snapshot, vars []string, rows [][]string, b bool) *Answer {
 	p := NewPool(sn)
 	cols := make([][]rdf.ID, len(vars))

@@ -169,6 +169,29 @@ func TestAskSerializations(t *testing.T) {
 	}
 }
 
+// TestGroupByAliasCSV: a GROUP BY (expr AS ?k) key reaches the wire
+// bound to each group's key.
+func TestGroupByAliasCSV(t *testing.T) {
+	st := rdf.NewStore()
+	for i := 0; i < 7; i++ {
+		st.Add(fmt.Sprintf("urn:x%d", i), "urn:group", fmt.Sprintf("urn:g%d", i%3))
+	}
+	_, ts := newTestServer(t, Config{Snapshot: st.Freeze()})
+	q := `SELECT ?k (COUNT(*) AS ?n) WHERE { ?x <urn:group> ?g } GROUP BY (STR(?g) AS ?k) ORDER BY DESC(?n) ?k`
+	req, _ := http.NewRequest("POST", ts.URL+"/query", strings.NewReader(q))
+	req.Header.Set("Content-Type", "application/sparql-query")
+	req.Header.Set("Accept", ctCSV)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := "k,n\nurn:g0,3\nurn:g1,2\nurn:g2,2\n"; resp.StatusCode != 200 || string(body) != want {
+		t.Fatalf("status %d, body %q, want %q", resp.StatusCode, body, want)
+	}
+}
+
 // TestStatsPrintsTheStudyAsSparqlanalyzeDoes: /stats carries, byte for
 // byte, what sparqlanalyze -log prints for the same report
 // (repro.LogReport): one set of renderers for the live and the batch
