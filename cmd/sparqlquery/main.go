@@ -96,20 +96,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "parse error:", err)
 		os.Exit(1)
 	}
+	ctx := context.Background()
+	if *timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeout)
+		defer cancel()
+	}
 	if *explain {
-		text, err := eval.Explain(sn, q)
+		text, err := eval.Explain(ctx, sn, q)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "explain error:", err)
 			os.Exit(1)
 		}
 		fmt.Print(text)
 		return
-	}
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
 	}
 	res, err := eval.QueryContext(ctx, sn, q, eval.Limits{})
 	if err != nil {

@@ -25,7 +25,6 @@ func sameAsQueryContext(t *testing.T, sn *rdf.Snapshot, src string, lim Limits) 
 	if err != nil {
 		t.Fatalf("parse %q: %v", src, err)
 	}
-	lim.Parallel = 1 // two runs must enumerate alike
 	full, ferr := QueryContext(context.Background(), sn, q, lim)
 	ans, aerr := QueryAnswer(context.Background(), sn, q, lim)
 	if (ferr == nil) != (aerr == nil) {

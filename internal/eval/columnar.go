@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -113,12 +112,6 @@ func (ev *evaluator) query(q *sparql.Query) (*Result, error) {
 	// Harvest the probe meter whichever return path is taken; subquery
 	// executions build their own colExec and accumulate the same way.
 	defer func() { ev.probes += ce.ec.Probes }()
-	// The path-sweep worker budget (Limits.Parallel; 0 = all of
-	// GOMAXPROCS). The pipeline itself runs on this goroutine.
-	ce.ec.Parallel = ev.lim.Parallel
-	if ce.ec.Parallel <= 0 {
-		ce.ec.Parallel = runtime.GOMAXPROCS(0)
-	}
 	ce.collectVars(q)
 	// Aggregate planning assigns the hidden slots, so it must
 	// run while the schema is still open — before the width freezes.
@@ -527,6 +520,7 @@ func (ce *colExec) exists(p sparql.Pattern, b *exec.Batch, row int) (bool, error
 
 // each pulls the stream to its end, handing every batch to fn.
 func (ce *colExec) each(root exec.Operator, fn func(*exec.Batch)) error {
+	//ctxpoll:ignore bounded by the stream: every exec operator's Next polls ce.ec
 	for {
 		b, err := root.Next(ce.ec)
 		if b == nil || err != nil {

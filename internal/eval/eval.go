@@ -128,12 +128,9 @@ type Limits struct {
 	// Errors, deadline truncations, row-limit overflows, and
 	// SERVICE-recovered results are never cached.
 	Results *qcache.Cache
-	// Parallel is the worker budget of a both-ends-free compiled-path
-	// sweep (pathcomp.PairsParCtx), and of nothing else: the query's
-	// operator pipeline always runs on the calling goroutine. 0 means
-	// auto (GOMAXPROCS), 1 sweeps serially, higher values cap the worker
-	// set. The sweep merges in serial order, so answers are identical
-	// for every value.
+	// Deprecated: Parallel is ignored: a query runs on the goroutine
+	// that asked for it. It remains only because the benchmark module
+	// (bench/) still sets it; ROADMAP item 1(c) deletes it.
 	Parallel int
 
 	// The switches below turn a default mechanism off. No binary sets
@@ -350,13 +347,12 @@ func (ev *evaluator) reorderElems(elems []sparql.Pattern, bound map[string]bool)
 		}
 		run := []*sparql.TriplePattern{tp}
 		j := i + 1
-		for j < len(elems) {
+		for ; j < len(elems); j++ {
 			next, ok := elems[j].(*sparql.TriplePattern)
 			if !ok {
 				break
 			}
 			run = append(run, next)
-			j++
 		}
 		for _, t := range ev.orderRun(run, bound) {
 			out = append(out, t)

@@ -2,10 +2,12 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 
 	"sparqlog/internal/engine"
+	"sparqlog/internal/exec"
 	"sparqlog/internal/rdf"
 	"sparqlog/internal/sparql"
 )
@@ -27,8 +29,11 @@ import (
 // Operators outside both (UNION, OPTIONAL, FILTER, ...) do not enter
 // either view; when present they are listed in a trailer so the
 // transcript is honest about what was and wasn't modeled.
-func Explain(sn *rdf.Snapshot, q *sparql.Query) (string, error) {
-	ev := &evaluator{st: sn, prefixes: q.Prologue.PrefixMap()}
+//
+// Every execution runs under ctx: when its deadline strikes or it is
+// cancelled, Explain returns exec.ErrTimeout and no transcript.
+func Explain(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query) (string, error) {
+	ev := &evaluator{st: sn, prefixes: q.Prologue.PrefixMap(), ctx: ctx}
 	patterns := q.Triples()
 	pathPatterns := q.PathPatterns()
 	if len(patterns) == 0 && len(pathPatterns) == 0 {
@@ -40,7 +45,10 @@ func Explain(sn *rdf.Snapshot, q *sparql.Query) (string, error) {
 		cq := engine.CQ{Atoms: atoms, NumVars: len(varNames)}
 
 		ge := &engine.GraphEngine{}
-		explained, res := ge.Explain(context.Background(), sn, cq)
+		explained, res := ge.Explain(ctx, sn, cq)
+		if res.TimedOut {
+			return "", exec.ErrTimeout
+		}
 		text += explained.Format(sn.TermOf, func(i int) string {
 			if i < len(varNames) {
 				return "?" + varNames[i]
@@ -51,9 +59,17 @@ func Explain(sn *rdf.Snapshot, q *sparql.Query) (string, error) {
 			len(atoms), res.Count, res.Duration)
 	}
 	for _, pp := range pathPatterns {
-		text += ev.explainPath(pp)
+		section, err := ev.explainPath(pp)
+		if err != nil {
+			return "", err
+		}
+		text += section
 	}
-	text += explainModifiers(sn, q)
+	mods, err := explainModifiers(ctx, sn, q)
+	if err != nil {
+		return "", err
+	}
+	text += mods
 	text += explainCacheLine(q)
 	if extras := nonConjunctiveOperators(q); len(extras) > 0 {
 		text += fmt.Sprintf("note: query also contains %s — only the conjunctive core and property\n"+
@@ -70,13 +86,16 @@ func Explain(sn *rdf.Snapshot, q *sparql.Query) (string, error) {
 // explainModifiers executes the query with the default limits and
 // renders the columnar GroupBy/TopK section of the transcript: how many
 // input rows were aggregated into how many groups, and which ORDER BY
-// strategy ran (bounded heap vs full stable sort). Failures (row-budget
-// overflow, …) just omit the section — the earlier sections already
-// told the plan story.
-func explainModifiers(sn *rdf.Snapshot, q *sparql.Query) string {
-	res, err := QueryWithLimits(sn, q, Limits{})
+// strategy ran (bounded heap vs full stable sort). A timeout is
+// returned; other failures (row-budget overflow, …) just omit the
+// section — the earlier sections already told the plan story.
+func explainModifiers(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query) (string, error) {
+	res, err := QueryAnswer(ctx, sn, q, Limits{})
+	if errors.Is(err, exec.ErrTimeout) {
+		return "", err
+	}
 	if err != nil || res.Modifiers == nil {
-		return ""
+		return "", nil
 	}
 	mi := res.Modifiers
 	var b strings.Builder
@@ -87,7 +106,7 @@ func explainModifiers(sn *rdf.Snapshot, q *sparql.Query) string {
 		fmt.Fprintf(&b, "top-k order by: mode=%s, scanned %d rows, kept %d\n",
 			mi.TopKMode, mi.TopKScanned, mi.TopKKept)
 	}
-	return b.String()
+	return b.String(), nil
 }
 
 // explainCacheLine renders the result-cache view of the query: the
@@ -121,7 +140,7 @@ func hasSilentService(q *sparql.Query) bool {
 // explainPath compiles one path pattern and executes it according to
 // its endpoint shape, reporting the automaton, the chosen direction and
 // estimated vs. actual reached counts.
-func (ev *evaluator) explainPath(pp *sparql.PathPattern) string {
+func (ev *evaluator) explainPath(pp *sparql.PathPattern) (string, error) {
 	render := func(t sparql.Term) string {
 		if txt, ok := ev.termText(t); ok {
 			return "<" + txt + ">"
@@ -149,26 +168,40 @@ func (ev *evaluator) explainPath(pp *sparql.PathPattern) string {
 	oid, oConst, oKnown := lookupConst(pp.O)
 	if (sConst && !sKnown) || (oConst && !oKnown) {
 		b.WriteString("  endpoint constant not in dictionary — no matches\n")
-		return b.String()
+		return b.String(), nil
 	}
+	check := exec.NewCtx(ev.ctx).Poll
 	switch {
 	case sConst && oConst:
 		dir := cp.Direction(sid, oid)
+		holds, err := cp.HoldsCtx(check, sid, oid)
+		if err != nil {
+			return "", err
+		}
 		fmt.Fprintf(&b, "  direction: %s (both ends bound; searching from the rarer end)\n", dir)
-		fmt.Fprintf(&b, "  est reach %.0f nodes; holds: %v\n", cp.EstimateReach(dir == "reverse"), cp.Holds(sid, oid))
+		fmt.Fprintf(&b, "  est reach %.0f nodes; holds: %v\n", cp.EstimateReach(dir == "reverse"), holds)
 	case sConst:
-		n := len(cp.From(sid))
+		reach, err := cp.FromCtx(check, sid)
+		if err != nil {
+			return "", err
+		}
 		fmt.Fprintf(&b, "  direction: forward (subject bound)\n")
-		fmt.Fprintf(&b, "  est reach %.0f nodes, actual %d\n", cp.EstimateReach(false), n)
+		fmt.Fprintf(&b, "  est reach %.0f nodes, actual %d\n", cp.EstimateReach(false), len(reach))
 	case oConst:
-		n := len(cp.To(oid))
+		reach, err := cp.ToCtx(check, oid)
+		if err != nil {
+			return "", err
+		}
 		fmt.Fprintf(&b, "  direction: reverse (object bound)\n")
-		fmt.Fprintf(&b, "  est reach %.0f nodes, actual %d\n", cp.EstimateReach(true), n)
+		fmt.Fprintf(&b, "  est reach %.0f nodes, actual %d\n", cp.EstimateReach(true), len(reach))
 	default:
 		// Cap the enumeration: explain only reports the count, so a
 		// huge closure must not materialize unbounded pairs here.
 		const explainPairCap = 100_000
-		pairs := cp.Pairs(explainPairCap)
+		pairs, err := cp.PairsCtx(check, explainPairCap)
+		if err != nil {
+			return "", err
+		}
 		suffix := ""
 		if len(pairs) == explainPairCap {
 			suffix = "+ (capped)"
@@ -177,7 +210,7 @@ func (ev *evaluator) explainPath(pp *sparql.PathPattern) string {
 		fmt.Fprintf(&b, "  est reach %.0f nodes per source, actual %d pairs%s\n",
 			cp.EstimateReach(false), len(pairs), suffix)
 	}
-	return b.String()
+	return b.String(), nil
 }
 
 // nonConjunctiveOperators names the WHERE-clause operators that the

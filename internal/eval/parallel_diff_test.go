@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strings"
+	"reflect"
 	"testing"
 	"time"
 
@@ -12,58 +12,16 @@ import (
 	"sparqlog/internal/sparql"
 )
 
-// This file pins that an answer does not depend on Limits.Parallel.
-// The budget reaches exactly one mechanism, the both-ends-free
-// compiled-path sweep (pathcomp.PairsParCtx), whose striped merge
-// promises the serial pair order; every query here runs with the budget
-// at 1 (the serial reference), 0 (auto) and 4, and the outcomes must be
-// identical row for row, not just as multisets: LIMIT without ORDER BY
-// picks *which* rows survive, so an order-insensitive comparison would
-// be too weak.
+// This file pins the both-ends-free compiled-path sweep inside whole
+// queries: the sweeps, the operator corpus and random queries against
+// the reference evaluator, row budgets at the edge of the answer, and a
+// prompt abort under a deadline. The TestParallel names are historical:
+// they once compared path-sweep worker budgets; a query now runs on the
+// goroutine that asked for it.
 
-// diffParallelSerial requires identical outcomes — error class, ASK
-// answer, projection, and the exact row sequence — under
-// Limits.Parallel 1, 0 and 4.
-func diffParallelSerial(t *testing.T, sn *rdf.Snapshot, src string, lim Limits) {
-	t.Helper()
-	q, err := sparql.Parse(src)
-	if err != nil {
-		t.Fatalf("parse %q: %v", src, err)
-	}
-	lim.Parallel = 1
-	serial, serr := QueryWithLimits(sn, q, lim)
-	for _, workers := range []int{0, 4} {
-		lim.Parallel = workers
-		par, perr := QueryWithLimits(sn, q, lim)
-		if (serr == nil) != (perr == nil) {
-			t.Fatalf("error divergence on %q: Parallel=1 %v, Parallel=%d %v", src, serr, workers, perr)
-		}
-		if serr != nil {
-			continue
-		}
-		if serial.Bool != par.Bool {
-			t.Fatalf("ASK diverges on %q: Parallel=1 %v, Parallel=%d %v", src, serial.Bool, workers, par.Bool)
-		}
-		if strings.Join(serial.Vars, ",") != strings.Join(par.Vars, ",") {
-			t.Fatalf("vars diverge on %q: %v vs %v", src, serial.Vars, par.Vars)
-		}
-		if len(serial.Rows) != len(par.Rows) {
-			t.Fatalf("row counts diverge on %q: Parallel=1 %d, Parallel=%d %d", src, len(serial.Rows), workers, len(par.Rows))
-		}
-		for i := range serial.Rows {
-			a := strings.Join(serial.Rows[i], "\x1f")
-			b := strings.Join(par.Rows[i], "\x1f")
-			if a != b {
-				t.Fatalf("rows diverge on %q at %d:\nParallel=1: %q\nParallel=%d: %q", src, i, a, workers, b)
-			}
-		}
-	}
-}
-
-// sweepStore is a store above pathcomp's pairsParMinTerms (2048 terms),
-// so a both-ends-free path over it fans out whenever the budget allows:
-// 600 four-node chains over urn:next, a urn:side edge off every chain
-// head, and one cycle so the closure has a multi-member component.
+// sweepStore gives a both-ends-free path thousands of subjects to
+// sweep: 600 four-node chains over urn:next, a urn:side edge off every
+// chain head, and one cycle so the closure has a multi-member component.
 func sweepStore() *rdf.Snapshot {
 	st := rdf.NewStore()
 	for c := 0; c < 600; c++ {
@@ -84,12 +42,13 @@ var sweepQueries = []string{
 	`SELECT ?x ?y WHERE { ?x <urn:next>* ?y } OFFSET 700 LIMIT 50`,
 }
 
-// TestParallelDifferentialOperators replays the operator corpus of the
-// columnar/reference differential, plus the path sweeps, across budgets.
+// TestParallelDifferentialOperators runs the path sweeps and a join-
+// heavy operator corpus through the columnar executor and the
+// reference evaluator.
 func TestParallelDifferentialOperators(t *testing.T) {
 	big := sweepStore()
 	for _, src := range sweepQueries {
-		diffParallelSerial(t, big, src, Limits{})
+		diffColumnarReference(t, big, src)
 	}
 	sn := socialStore()
 	for _, src := range []string{
@@ -126,12 +85,13 @@ func TestParallelDifferentialOperators(t *testing.T) {
 		`ASK { ?x <urn:nothere> ?y . ?y <urn:knows> ?z }`,
 		`CONSTRUCT { ?z <urn:knownBy2> ?x } WHERE { ?x <urn:knows> ?y . ?y <urn:knows> ?z }`,
 	} {
-		diffParallelSerial(t, sn, src, Limits{})
+		diffColumnarReference(t, sn, src)
 	}
 }
 
-// TestParallelDifferentialRandom is the randomized half, sharing the
-// query generator with the columnar/reference differential.
+// TestParallelDifferentialRandom is the randomized half: random small
+// graphs and queries from the columnar/reference differential's
+// generator, through both evaluators.
 func TestParallelDifferentialRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(173))
 	for trial := 0; trial < 120; trial++ {
@@ -146,8 +106,7 @@ func TestParallelDifferentialRandom(t *testing.T) {
 			)
 		}
 		sn := st.Freeze()
-		src := randomQuery(rng, nNodes, nPreds)
-		diffParallelSerial(t, sn, src, Limits{})
+		diffColumnarReference(t, sn, randomQuery(rng, nNodes, nPreds))
 	}
 }
 
@@ -163,9 +122,11 @@ func parallelChainStore(fan int) *rdf.Snapshot {
 	return st.Freeze()
 }
 
-// TestParallelRowLimitParity: MaxRows trips (or not) at the same
-// totals whatever the budget, for a join pipeline and for a path sweep
-// (whose striped emission truncates to the serial prefix).
+// TestParallelRowLimitParity: MaxRows trips exactly when the answer
+// exceeds it, for a join pipeline and for a path sweep (whose
+// enumeration stops one pair past the budget); a run that fits returns
+// the unlimited run's rows, in order; and a streaming LIMIT under a
+// tight budget keeps succeeding.
 func TestParallelRowLimitParity(t *testing.T) {
 	for _, tc := range []struct {
 		sn  *rdf.Snapshot
@@ -175,33 +136,32 @@ func TestParallelRowLimitParity(t *testing.T) {
 		{sweepStore(), sweepQueries[0]},
 	} {
 		q, _ := sparql.Parse(tc.src)
-		serialRes, serr := QueryWithLimits(tc.sn, q, Limits{Parallel: 1})
-		if serr != nil {
-			t.Fatal(serr)
+		full, err := QueryWithLimits(tc.sn, q, Limits{})
+		if err != nil {
+			t.Fatal(err)
 		}
-		total := len(serialRes.Rows)
+		total := len(full.Rows)
 		for _, maxRows := range []int{total / 3, total - 1, total, total + 1} {
-			_, serr := QueryWithLimits(tc.sn, q, Limits{Parallel: 1, MaxRows: maxRows})
-			if want := maxRows < total; (serr != nil) != want {
-				t.Fatalf("%s: MaxRows=%d of %d: Parallel=1 err=%v", tc.src, maxRows, total, serr)
+			res, err := QueryWithLimits(tc.sn, q, Limits{MaxRows: maxRows})
+			if want := maxRows < total; (err != nil) != want {
+				t.Fatalf("%s: MaxRows=%d of %d: err=%v", tc.src, maxRows, total, err)
 			}
-			diffParallelSerial(t, tc.sn, tc.src, Limits{MaxRows: maxRows})
+			if err == nil && !reflect.DeepEqual(res.Rows, full.Rows) {
+				t.Fatalf("%s: MaxRows=%d: rows differ from the unlimited run", tc.src, maxRows)
+			}
 		}
-		// Streaming LIMIT under a tight budget keeps succeeding: the
-		// early exit stops the pull before the budget would fill.
+		// The early exit stops the pull before the budget would fill.
 		q2, _ := sparql.Parse(tc.src + ` LIMIT 2`)
-		for _, par := range []int{0, 1, 4} {
-			res, err := QueryWithLimits(tc.sn, q2, Limits{Parallel: par, MaxRows: total + 1})
-			if err != nil || len(res.Rows) != 2 {
-				t.Fatalf("%s: Parallel=%d: streaming limit rows=%d err=%v", tc.src, par, len(res.Rows), err)
-			}
+		res, err := QueryWithLimits(tc.sn, q2, Limits{MaxRows: total + 1})
+		if err != nil || len(res.Rows) != 2 {
+			t.Fatalf("%s: streaming limit rows=%d err=%v", tc.src, len(res.Rows), err)
 		}
 	}
 }
 
 // TestParallelCancellationPrompt: a deadline striking mid-query aborts
-// the pipeline promptly whatever the budget (a hang here fails the test
-// by timeout).
+// a three-way cross product promptly, and a pre-cancelled context
+// errors before any work (a hang here fails the test by timeout).
 func TestParallelCancellationPrompt(t *testing.T) {
 	st := rdf.NewStore()
 	for i := 0; i < 60; i++ {
@@ -217,7 +177,7 @@ func TestParallelCancellationPrompt(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, qerr := QueryContext(ctx, sn, q, Limits{MaxRows: 1 << 30, Parallel: 4})
+	_, qerr := QueryContext(ctx, sn, q, Limits{MaxRows: 1 << 30})
 	if qerr == nil {
 		t.Fatal("expected cancellation error")
 	}
@@ -227,7 +187,7 @@ func TestParallelCancellationPrompt(t *testing.T) {
 
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	cancel2()
-	if _, qerr := QueryContext(ctx2, sn, q, Limits{MaxRows: 1 << 30, Parallel: 4}); qerr == nil {
+	if _, qerr := QueryContext(ctx2, sn, q, Limits{MaxRows: 1 << 30}); qerr == nil {
 		t.Fatal("pre-cancelled context must error")
 	}
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -69,7 +70,7 @@ func TestExplainNotesSilentService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text, err := Explain(sn, q)
+	text, err := Explain(context.Background(), sn, q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,12 +1,16 @@
 package eval
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
+	"sparqlog/internal/exec"
 	"sparqlog/internal/gmark"
 	"sparqlog/internal/rdf"
 	"sparqlog/internal/sparql"
@@ -150,7 +154,7 @@ func TestReorderMovesSelectiveAtomFirst(t *testing.T) {
 	diffQueries(t, sn, src)
 
 	q, _ := sparql.Parse(src)
-	text, err := Explain(sn, q)
+	text, err := Explain(context.Background(), sn, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +168,7 @@ func TestReorderMovesSelectiveAtomFirst(t *testing.T) {
 
 	// Non-conjunctive operators must be disclosed in the trailer.
 	q2, _ := sparql.Parse(`SELECT * WHERE { { ?s <urn:big> ?o } UNION { ?s <urn:tag> ?o } }`)
-	text2, err := Explain(sn, q2)
+	text2, err := Explain(context.Background(), sn, q2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +188,7 @@ func TestExplainPropertyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text, err := Explain(sn, q)
+	text, err := Explain(context.Background(), sn, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +199,7 @@ func TestExplainPropertyPath(t *testing.T) {
 	}
 	// Object-bound: reverse direction.
 	q2, _ := sparql.Parse(`SELECT ?x WHERE { ?x <urn:p>+ <urn:c> }`)
-	text2, err := Explain(sn, q2)
+	text2, err := Explain(context.Background(), sn, q2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +208,7 @@ func TestExplainPropertyPath(t *testing.T) {
 	}
 	// Mixed query: both a BGP table and a path section.
 	q3, _ := sparql.Parse(`SELECT * WHERE { ?x <urn:p> ?y . ?y <urn:p>* ?z . FILTER(?x != ?z) }`)
-	text3, err := Explain(sn, q3)
+	text3, err := Explain(context.Background(), sn, q3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,6 +216,40 @@ func TestExplainPropertyPath(t *testing.T) {
 		if !strings.Contains(text3, want) {
 			t.Errorf("mixed explain missing %q:\n%s", want, text3)
 		}
+	}
+}
+
+// TestExplainHonorsDeadline: explain executes the query, so it runs
+// under the caller's deadline. The conjunctive core here is a three-way
+// cross product of 3,600 triples (4.7e10 rows, minutes of counting); a
+// 20 ms deadline must end it with exec.ErrTimeout well inside 2 s, not
+// with a transcript.
+func TestExplainHonorsDeadline(t *testing.T) {
+	st := rdf.NewStore()
+	for i := 0; i < 60; i++ {
+		for j := 0; j < 60; j++ {
+			st.Add(fmt.Sprintf("urn:s%d", i), "urn:p", fmt.Sprintf("urn:o%d", j))
+		}
+	}
+	sn := st.Freeze()
+	q, err := sparql.Parse(`SELECT * WHERE { ?a <urn:p> ?b . ?c <urn:p> ?d . ?e <urn:p> ?f }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := Explain(ctx, sn, q)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, exec.ErrTimeout) {
+			t.Fatalf("explain under a 20ms deadline: err = %v, want %v", err, exec.ErrTimeout)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("explain still running 2s after a 20ms deadline")
 	}
 }
 

@@ -29,10 +29,6 @@ type Ctx struct {
 	// this execution — the "did evaluation touch the store" meter.
 	// Statically short-circuited queries finish with Probes == 0.
 	Probes int64
-	// Parallel is the worker budget of a both-ends-free compiled-path
-	// sweep (pathcomp.PairsParCtx), the only fan-out inside a query;
-	// <= 1 means serial.
-	Parallel int
 }
 
 // NewCtx returns an execution context honoring ctx's deadline and

@@ -175,7 +175,7 @@ func (p *pathOp) processRow(c *Ctx, in *Batch, row int) error {
 		if c.MaxRows > 0 {
 			limit = c.MaxRows + 1 - p.rowsCum - p.out.Rows()
 		}
-		pairs, err := p.pa.PairsParCtx(check, limit, c.Parallel)
+		pairs, err := p.pa.PairsCtx(check, limit)
 		if err != nil {
 			return err
 		}

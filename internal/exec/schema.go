@@ -19,9 +19,7 @@
 // tie-breaks) to the legacy materialized path it is tested against.
 //
 // A query is one such pipeline, pulled on the goroutine that asked for
-// it: no operator starts a goroutine. The only fan-out inside a query is
-// pathcomp's both-ends-free pair sweep, which the path operator calls
-// with Ctx.Parallel as its worker budget.
+// it: no operator starts a goroutine.
 package exec
 
 // Schema assigns query variables to dense slot indexes. It is built

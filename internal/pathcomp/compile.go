@@ -13,14 +13,9 @@
 // path). Everything else, including inverse atoms and negated property
 // sets, goes through the general automaton.
 //
-// Both-ends-free sweeps parallelize across cores (PairsParCtx): the
-// closure fast path condenses the graph with Tarjan's SCC and workers
-// claim components off an atomic cursor, the general automaton stripes
-// the source words, and either way stripes merge in ascending order so
-// a limit-truncated result is an exact prefix of the serial one. A
-// compiled Path is immutable after Compile (its sync.Pools are the
+// A compiled Path is immutable after Compile (its sync.Pools are the
 // only mutable state), which is what makes sharing one Path across
-// sweep workers and serving goroutines safe.
+// serving goroutines safe.
 //
 // Compilation is resolver-dependent (the same text resolves to
 // different IDs on different snapshots), so compiled paths are bound to

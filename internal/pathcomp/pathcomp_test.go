@@ -1,6 +1,9 @@
 package pathcomp
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -152,24 +155,73 @@ func TestCacheHitsAndMisses(t *testing.T) {
 	}
 }
 
+// testGraph is a ring of <a>-edges through every node, random
+// <a>/<b>/<c> edges, and an <a> self-loop on n00: multi-member
+// components, and a singleton component with a loop.
+func testGraph(seed int64, nodes, extra int) *rdf.Snapshot {
+	rng := rand.New(rand.NewSource(seed))
+	st := rdf.NewStore()
+	name := func(i int) string { return fmt.Sprintf("n%02d", i) }
+	preds := []string{"a", "b", "c"}
+	for i := 0; i < nodes; i++ {
+		st.Add(name(i), "a", name((i+1)%nodes))
+	}
+	for i := 0; i < extra; i++ {
+		st.Add(name(rng.Intn(nodes)), preds[rng.Intn(len(preds))], name(rng.Intn(nodes)))
+	}
+	st.Add(name(0), "a", name(0))
+	return st.Freeze()
+}
+
+func compileExpr(t *testing.T, sn *rdf.Snapshot, expr string) *Path {
+	t.Helper()
+	return Compile(sn, parsePath(t, expr), resolverOf(sn))
+}
+
+// pairExprs covers both sweep engines: the closure fast path (*, +,
+// alternation closures) and the general automaton (sequence, inverse,
+// optional, negation).
+var pairExprs = []string{
+	`<a>*`, `<a>+`, `(<a>|<b>)+`, `(<a>|<b>)*`,
+	`<a>/<b>`, `^<a>`, `<a>?`, `!<a>`, `<a>/<b>*`,
+}
+
+// TestPairsOrderedAndLimited: a both-ends-free sweep enumerates
+// subject-major with objects ascending, and a limited sweep is exactly
+// the prefix of the unlimited one, on both engines.
 func TestPairsOrderedAndLimited(t *testing.T) {
 	sn := chainCycleStore()
-	cp := Compile(sn, parsePath(t, "<p>+"), resolverOf(sn))
-	pairs := cp.Pairs(0)
-	// a->{b,c,d}, b->{c,d}, c->{d,a(cycle? no: c -p-> d only...)}.
-	// p-edges form the chain a->b->c->d: pairs are all ordered chain hops.
-	want := 3 + 2 + 1
-	if len(pairs) != want {
-		t.Fatalf("pairs = %d, want %d", len(pairs), want)
+	// The <p>-edges form the chain a->b->c->d: every forward hop.
+	if pairs := compileExpr(t, sn, "<p>+").Pairs(0); len(pairs) != 3+2+1 {
+		t.Fatalf("<p>+ on the chain: %d pairs, want 6", len(pairs))
 	}
-	for i := 1; i < len(pairs); i++ {
-		if pairs[i-1][0] > pairs[i][0] ||
-			(pairs[i-1][0] == pairs[i][0] && pairs[i-1][1] >= pairs[i][1]) {
-			t.Fatalf("pairs not in (subject, object) order: %v", pairs)
+	for _, seed := range []int64{3, 11, 4099} {
+		sn := testGraph(seed, 40, 120)
+		for _, expr := range pairExprs {
+			pa := compileExpr(t, sn, expr)
+			full, err := pa.PairsCtx(nil, 0)
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, expr, err)
+			}
+			for i := 1; i < len(full); i++ {
+				a, b := full[i-1], full[i]
+				if a[0] > b[0] || (a[0] == b[0] && a[1] >= b[1]) {
+					t.Fatalf("seed %d %s: pair %d %v after %v breaks (subject, object) order", seed, expr, i, b, a)
+				}
+			}
+			for _, limit := range []int{1, 5, 37, len(full) - 1, len(full), len(full) + 10} {
+				if limit < 1 {
+					continue
+				}
+				got, err := pa.PairsCtx(nil, limit)
+				if err != nil {
+					t.Fatalf("seed %d %s limit=%d: %v", seed, expr, limit, err)
+				}
+				if want := full[:min(limit, len(full))]; !slices.Equal(got, want) {
+					t.Fatalf("seed %d %s limit=%d: %d pairs, not the first %d of the unlimited sweep", seed, expr, limit, len(got), len(want))
+				}
+			}
 		}
-	}
-	if lim := cp.Pairs(2); len(lim) != 2 {
-		t.Errorf("limited pairs = %d, want 2", len(lim))
 	}
 }
 

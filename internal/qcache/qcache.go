@@ -259,6 +259,7 @@ func (sh *shard) makeRoom(add int64, pin *entry, c *Cache) bool {
 	if add > sh.max {
 		return false
 	}
+	//ctxpoll:ignore bounded: each iteration evicts one entry, at most the shard's entry count
 	for sh.bytes+add > sh.max && sh.tail != nil && sh.tail != pin {
 		ev := sh.tail
 		sh.unlink(ev)

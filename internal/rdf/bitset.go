@@ -61,13 +61,6 @@ func (b Bitset) Count() int {
 	return n
 }
 
-// Clear empties the set in place.
-func (b Bitset) Clear() {
-	for i := range b {
-		b[i] = 0
-	}
-}
-
 // AppendIDs appends the members in ascending ID order and returns the
 // extended slice.
 func (b Bitset) AppendIDs(dst []ID) []ID {

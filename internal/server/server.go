@@ -118,10 +118,6 @@ func New(cfg Config) *Server {
 			Paths:   paths,
 			Results: qc,
 			Limits:  cfg.Limits,
-			// The in-flight gate is the serving pool: budget each
-			// request's path-sweep workers against it so a full gate
-			// never oversubscribes inter × intra beyond GOMAXPROCS.
-			MaxConcurrent: cfg.MaxInFlight,
 		}),
 		plans:         plans,
 		paths:         paths,

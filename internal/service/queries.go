@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"errors"
-	"runtime"
 	"time"
 
 	"sparqlog/internal/eval"
@@ -39,31 +38,8 @@ type QueryOptions struct {
 	// execution.
 	Results *qcache.Cache
 	// Limits are the per-query evaluation bounds (MaxRows etc.); the
-	// Plans/Paths fields above override the ones inside. Limits.Parallel
-	// (the workers of a both-ends-free compiled-path sweep, the only
-	// fan-out inside a query) is treated as a request and clamped so the
-	// pool does not oversubscribe the machine: with W pool workers each
-	// query's sweep gets at most max(1, GOMAXPROCS/W) workers, and 0 asks
-	// for that full per-query share.
+	// Plans/Paths fields above override the ones inside.
 	Limits eval.Limits
-}
-
-// intraBudget resolves a query's path-sweep worker request against the
-// pool size: inter × intra never exceeds GOMAXPROCS (each stays >= 1).
-// requested <= 0 — and any request above the per-query share — takes
-// the whole share.
-func intraBudget(requested, pool int) int {
-	if pool < 1 {
-		pool = 1
-	}
-	share := runtime.GOMAXPROCS(0) / pool
-	if share < 1 {
-		share = 1
-	}
-	if requested <= 0 || requested > share {
-		return share
-	}
-	return requested
 }
 
 // QueryOutcome is one query's result summary, index-aligned with the
@@ -131,7 +107,6 @@ func RunQueries(ctx context.Context, sn *rdf.Snapshot, queries []*sparql.Query, 
 	workers := poolSize(opt.Workers, len(queries))
 	lim := opt.Limits
 	lim.Plans, lim.Paths, lim.Results = opt.Plans, opt.Paths, opt.Results
-	lim.Parallel = intraBudget(lim.Parallel, workers)
 	var planHits0, planMisses0, pathHits0, pathMisses0 int64
 	if opt.Plans != nil {
 		planHits0, planMisses0 = opt.Plans.Hits(), opt.Plans.Misses()

@@ -41,17 +41,12 @@ type ExecutorOptions struct {
 	// execution, concurrent identical queries collapse onto one.
 	Results *qcache.Cache
 	// Limits bounds each evaluation; the Plans/Paths fields above
-	// override the ones inside. Limits.Parallel is clamped against
-	// MaxConcurrent exactly as the batch pool clamps against its worker
-	// count (see QueryOptions.Limits).
+	// override the ones inside.
 	Limits eval.Limits
-	// MaxConcurrent is how many queries the caller may Execute at once
-	// (an HTTP server's in-flight gate). It budgets the one fan-out
-	// inside a query, the both-ends-free compiled-path sweep: each
-	// request's sweep gets at most max(1, GOMAXPROCS / MaxConcurrent)
-	// workers, so a full gate never oversubscribes the machine. <= 0
-	// means 1 (a single-request caller, whose sweeps may use every
-	// core).
+	// Deprecated: MaxConcurrent is ignored: a query runs on the
+	// goroutine that asked for it, so there is no per-query worker
+	// budget to size. It remains only because the benchmark module
+	// (bench/) still sets it; ROADMAP item 1(c) deletes it.
 	MaxConcurrent int
 }
 
@@ -59,7 +54,6 @@ type ExecutorOptions struct {
 func NewExecutor(sn *rdf.Snapshot, opt ExecutorOptions) *Executor {
 	lim := opt.Limits
 	lim.Plans, lim.Paths, lim.Results = opt.Plans, opt.Paths, opt.Results
-	lim.Parallel = intraBudget(lim.Parallel, opt.MaxConcurrent)
 	return &Executor{sn: sn, lim: lim, tmout: opt.Timeout}
 }
 

@@ -8,7 +8,6 @@ package sparqlog
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -204,7 +203,7 @@ func BenchmarkPathPairs(b *testing.B) {
 	})
 	b.Run("cycle10k/compiled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pairs, _ := pathcomp.Compile(g.sn, p, pathcomp.Resolver(resolve)).PairsParCtx(nil, 0, runtime.GOMAXPROCS(0))
+			pairs, _ := pathcomp.Compile(g.sn, p, pathcomp.Resolver(resolve)).PairsCtx(nil, 0)
 			if got := len(pairs); got != wantPairs {
 				b.Fatalf("pairs = %d, want %d", got, wantPairs)
 			}
