@@ -83,14 +83,17 @@ func main() {
 			os.Exit(1)
 		}
 		st := rdf.NewStore()
+		start := time.Now()
 		n, err := st.ReadNTriples(f)
 		f.Close()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "sparqld:", err)
 			os.Exit(1)
 		}
+		read := time.Since(start)
 		sn = st.Freeze()
-		fmt.Fprintf(os.Stderr, "loaded %d triples\n", n)
+		fmt.Fprintf(os.Stderr, "loaded %d triples (%d lines) in %.2fs read + %.2fs freeze\n",
+			sn.Len(), n, read.Seconds(), (time.Since(start) - read).Seconds())
 	default:
 		fmt.Fprintln(os.Stderr, "sparqld: provide -data or -bib")
 		os.Exit(2)

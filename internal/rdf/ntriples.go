@@ -13,7 +13,8 @@ import (
 // _:label, and literals as quoted strings. Language tags and datatype
 // annotations are accepted but NOT retained — the store is untyped text,
 // so `"x"@en` stores as `x`. Comment lines (#) and blank lines are
-// skipped.
+// skipped. It returns the number of triple lines read, duplicates
+// included.
 func (s *Store) ReadNTriples(r io.Reader) (int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
@@ -171,24 +172,25 @@ func parseHexRune(hex string) (rune, error) {
 	return r, nil
 }
 
-// WriteNTriples serializes the store as N-Triples, writing IRIs in angle
-// brackets and everything else as plain literals (the dictionary does not
-// retain term kinds, so the heuristic brackets terms that look like
-// IRIs). Terms whose text cannot survive the IRI or blank-node syntax
-// (embedded whitespace, angle brackets, quotes) are written as literals,
-// so Write -> Read round-trips the term text exactly.
-func (s *Store) WriteNTriples(w io.Writer) error {
+// WriteNTriples serializes the snapshot as N-Triples, in insertion order,
+// writing IRIs in angle brackets and everything else as plain literals
+// (the dictionary does not retain term kinds, so the heuristic brackets
+// terms that look like IRIs). Terms whose text cannot survive the IRI or
+// blank-node syntax (embedded whitespace, angle brackets, quotes) are
+// written as literals, so Write -> Read round-trips the term text
+// exactly.
+func (sn *Snapshot) WriteNTriples(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	for _, t := range s.triples {
-		if err := writeTerm(bw, s.TermOf(t.S)); err != nil {
+	for _, t := range sn.triples {
+		if err := writeTerm(bw, sn.TermOf(t.S)); err != nil {
 			return err
 		}
 		bw.WriteByte(' ')
-		if err := writeTerm(bw, s.TermOf(t.P)); err != nil {
+		if err := writeTerm(bw, sn.TermOf(t.P)); err != nil {
 			return err
 		}
 		bw.WriteByte(' ')
-		if err := writeTerm(bw, s.TermOf(t.O)); err != nil {
+		if err := writeTerm(bw, sn.TermOf(t.O)); err != nil {
 			return err
 		}
 		if _, err := bw.WriteString(" .\n"); err != nil {

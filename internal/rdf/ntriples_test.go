@@ -2,6 +2,8 @@ package rdf
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -20,10 +22,10 @@ _:b1 <http://ex/p> "esc\"aped\nline" .
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 5 || st.Len() != 5 {
-		t.Fatalf("loaded %d/%d, want 5", n, st.Len())
-	}
 	sn := st.Freeze()
+	if n != 5 || sn.Len() != 5 {
+		t.Fatalf("loaded %d/%d, want 5", n, sn.Len())
+	}
 	a, _ := sn.Lookup("http://ex/a")
 	name, _ := sn.Lookup("http://ex/name")
 	alice, ok := sn.Lookup("Alice")
@@ -50,10 +52,11 @@ func TestReadNTriplesBlankNodeDot(t *testing.T) {
 		if _, err := st.ReadNTriples(strings.NewReader(src)); err != nil {
 			t.Fatalf("ReadNTriples(%q): %v", src, err)
 		}
-		if _, ok := st.Lookup("_:c"); !ok {
+		sn := st.Freeze()
+		if _, ok := sn.Lookup("_:c"); !ok {
 			t.Errorf("ReadNTriples(%q): label _:c missing", src)
 		}
-		if _, ok := st.Lookup("_:c."); ok {
+		if _, ok := sn.Lookup("_:c."); ok {
 			t.Errorf("ReadNTriples(%q): terminator leaked into label", src)
 		}
 	}
@@ -62,7 +65,7 @@ func TestReadNTriplesBlankNodeDot(t *testing.T) {
 	if _, err := st.ReadNTriples(strings.NewReader("_:a.b <http://ex/p> <http://ex/o> .\n")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st.Lookup("_:a.b"); !ok {
+	if _, ok := st.Freeze().Lookup("_:a.b"); !ok {
 		t.Error("interior dot must stay in the label")
 	}
 }
@@ -75,7 +78,7 @@ func TestReadNTriplesUnicodeEscapes(t *testing.T) {
 	if _, err := st.ReadNTriples(strings.NewReader(src)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st.Lookup("ABC \U0001F600 é"); !ok {
+	if _, ok := st.Freeze().Lookup("ABC \U0001F600 é"); !ok {
 		t.Error("UCHAR escapes did not decode")
 	}
 	for _, bad := range []string{
@@ -88,6 +91,33 @@ func TestReadNTriplesUnicodeEscapes(t *testing.T) {
 		if _, err := st.ReadNTriples(strings.NewReader(bad)); err == nil {
 			t.Errorf("ReadNTriples(%q) succeeded, want error", bad)
 		}
+	}
+}
+
+// Regression: a term read from a line is a substring of it, and the
+// dictionary must not keep the whole line alive through it. 200 lines
+// share one 64 KB object IRI; only that IRI, once, and the short
+// subjects may stay on the heap.
+func TestReadNTriplesDoesNotPinLines(t *testing.T) {
+	obj := "http://ex/" + strings.Repeat("x", 64<<10)
+	var b strings.Builder
+	for i := 0; i < 200; i++ {
+		fmt.Fprintf(&b, "<http://ex/s%d> <http://ex/p> <%s> .\n", i, obj)
+	}
+	src := b.String()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	st := NewStore()
+	if _, err := st.ReadNTriples(strings.NewReader(src)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(st)
+	runtime.KeepAlive(src)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 2<<20 {
+		t.Errorf("heap grew %d KB holding 200 short subjects and one 64 KB IRI: the dictionary pins input lines", grew>>10)
 	}
 }
 
@@ -112,8 +142,9 @@ func TestNTriplesRoundTrip(t *testing.T) {
 	st.Add("http://ex/s", "http://ex/name", "plain text")
 	st.Add("_:b0", "http://ex/p", "with \"quotes\"")
 	st.Add("http://ex/s", "http://ex/note", "tab\there\r\nand newline")
+	sn := st.Freeze()
 	var buf bytes.Buffer
-	if err := st.WriteNTriples(&buf); err != nil {
+	if err := sn.WriteNTriples(&buf); err != nil {
 		t.Fatal(err)
 	}
 	st2 := NewStore()
@@ -121,20 +152,21 @@ func TestNTriplesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("%v\noutput was:\n%s", err, buf.String())
 	}
-	if n != 4 || st2.Len() != 4 {
-		t.Fatalf("round trip = %d triples, want 4", st2.Len())
+	sn2 := st2.Freeze()
+	if n != 4 || sn2.Len() != 4 {
+		t.Fatalf("round trip = %d triples, want 4", sn2.Len())
 	}
-	if _, ok := st2.Lookup("tab\there\r\nand newline"); !ok {
+	if _, ok := sn2.Lookup("tab\there\r\nand newline"); !ok {
 		t.Error("\\r and \\t must survive the round trip")
 	}
-	if !sameTriples(st, st2) {
+	if !sameTriples(sn, sn2) {
 		t.Error("round trip changed the triple set")
 	}
 }
 
-// sameTriples reports whether two stores hold the same triple set, term
-// text by term text.
-func sameTriples(a, b *Store) bool {
+// sameTriples reports whether two snapshots hold the same triple set,
+// term text by term text.
+func sameTriples(a, b *Snapshot) bool {
 	if a.Len() != b.Len() {
 		return false
 	}

@@ -3,25 +3,24 @@ package rdf
 import "sort"
 
 // Snapshot is an immutable, goroutine-shareable view of a Store's
-// contents at Freeze time. The triple-nested hash indexes of the old
-// store are replaced by three CSR-style orderings (SPO, POS, OSP): per
-// first component, a contiguous run of the remaining two components
-// sorted lexicographically, addressed by a dense offsets array. Lookups
+// contents at Freeze time: its distinct triples in three CSR-style
+// orderings (SPO, POS, OSP) — per first component, a contiguous run of
+// the remaining two components sorted lexicographically, addressed by a
+// dense offsets array — plus a predicate-grouped scan order. Lookups
 // return subslices of the dense arrays — no allocation, no mutation, so
 // any number of goroutines may query one Snapshot concurrently.
 type Snapshot struct {
-	dict    map[string]ID
-	terms   []string
-	triples []Triple // insertion order
+	dict    map[string]ID // shared with the Store, which never writes it again
+	terms   []string      // shares the Store's backing array up to len
+	triples []Triple      // first occurrences, in insertion order
 
 	spo csr // subject -> (predicate, object)
 	pos csr // predicate -> (object, subject)
 	osp csr // object -> (subject, predicate)
 
-	// PSO scan order: triples grouped by predicate, insertion order
-	// preserved within each group.
-	byPred  []Triple
-	predOff []uint32
+	// Scan order: triples grouped by predicate, insertion order
+	// preserved within each group; pos.off delimits the groups.
+	byPred []Triple
 
 	// stats is the statistics block computed once from the indexes;
 	// immutable like everything else here.
@@ -54,74 +53,119 @@ func (x *csr) list(a, b ID) []ID {
 	return cs[i:j]
 }
 
-// buildCSR indexes the triples under the permutation perm, which maps a
-// triple to its (first, second, third) components for this ordering.
-func buildCSR(triples []Triple, nTerms int, perm func(Triple) (a, b, c ID)) csr {
-	n := len(triples)
-	sorted := make([]Triple, n)
-	for i, t := range triples {
-		a, b, c := perm(t)
-		sorted[i] = Triple{a, b, c}
+// entry is one triple with its components permuted into an ordering's
+// (first, second, third), followed, in the SPO build, by its position in
+// the builder's insertion order.
+type entry [4]uint32
+
+// radix is Freeze's scratch: two entry buffers and one counter per term,
+// plus one. IDs are dense, so every sort Freeze needs is a sequence of
+// stable counting passes, linear in triples plus terms.
+type radix struct {
+	es, tmp []entry
+	count   []uint32
+}
+
+// starts sets count[id] to where the run of entries whose component k
+// is id begins in an ordering of es by that component.
+func starts(count []uint32, es []entry, k int) {
+	clear(count)
+	for _, e := range es {
+		count[e[k]+1]++
 	}
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].S != sorted[j].S {
-			return sorted[i].S < sorted[j].S
-		}
-		if sorted[i].P != sorted[j].P {
-			return sorted[i].P < sorted[j].P
-		}
-		return sorted[i].O < sorted[j].O
-	})
-	x := csr{
-		off: make([]uint32, nTerms+1),
-		b:   make([]ID, n),
-		c:   make([]ID, n),
+	for i := 1; i < len(count); i++ {
+		count[i] += count[i-1]
 	}
-	for _, t := range sorted {
-		x.off[t.S+1]++
+}
+
+// pass moves src into dst ordered by component k, keeping the order of
+// entries that tie on it.
+func (r *radix) pass(dst, src []entry, k int) {
+	starts(r.count, src, k)
+	for _, e := range src {
+		dst[r.count[e[k]]] = e
+		r.count[e[k]]++
 	}
-	for k := 1; k <= nTerms; k++ {
-		x.off[k] += x.off[k-1]
-	}
-	for i, t := range sorted {
-		x.b[i] = t.P
-		x.c[i] = t.O
+}
+
+// place is the last pass, by first component: it writes the index's
+// offsets and its second and third components directly.
+func (r *radix) place(es []entry) csr {
+	x := csr{off: make([]uint32, len(r.count)), b: make([]ID, len(es)), c: make([]ID, len(es))}
+	starts(x.off, es, 0)
+	copy(r.count, x.off)
+	for _, e := range es {
+		i := r.count[e[0]]
+		r.count[e[0]]++
+		x.b[i], x.c[i] = e[1], e[2]
 	}
 	return x
 }
 
-// Freeze builds an immutable Snapshot of the store's current contents.
-// It may be called repeatedly; each call returns an independent Snapshot
-// unaffected by later Store mutation.
-func (s *Store) Freeze() *Snapshot {
-	n := len(s.triples)
-	nTerms := len(s.terms)
-	sn := &Snapshot{
-		dict:    make(map[string]ID, len(s.dict)),
-		terms:   append([]string(nil), s.terms...),
-		triples: append([]Triple(nil), s.triples...),
-	}
-	for k, v := range s.dict {
-		sn.dict[k] = v
-	}
-	sn.spo = buildCSR(sn.triples, nTerms, func(t Triple) (ID, ID, ID) { return t.S, t.P, t.O })
-	sn.pos = buildCSR(sn.triples, nTerms, func(t Triple) (ID, ID, ID) { return t.P, t.O, t.S })
-	sn.osp = buildCSR(sn.triples, nTerms, func(t Triple) (ID, ID, ID) { return t.O, t.S, t.P })
+// buildCSR indexes es, one entry per distinct triple, by stable passes
+// on its third, then second, then first component.
+func (r *radix) buildCSR(es []entry) csr {
+	tmp := r.tmp[:len(es)]
+	r.pass(tmp, es, 2)
+	r.pass(es, tmp, 1)
+	return r.place(es)
+}
 
-	// Stable counting sort by predicate keeps insertion order within each
-	// predicate's scan run.
-	sn.predOff = make([]uint32, nTerms+1)
-	for _, t := range sn.triples {
-		sn.predOff[t.P+1]++
+// Freeze builds an immutable Snapshot of the store's current contents,
+// in time linear in triples plus terms. Duplicate triples are dropped
+// here: the Snapshot keeps each triple's first occurrence, in insertion
+// order. The Snapshot shares the store's term table and dictionary
+// instead of copying them (see Store). Freeze may be called repeatedly;
+// each call returns an independent Snapshot unaffected by later Store
+// mutation.
+func (s *Store) Freeze() *Snapshot {
+	n, nTerms := len(s.triples), len(s.terms)
+	s.shared = true
+	sn := &Snapshot{dict: s.dict, terms: s.terms[:nTerms:nTerms]}
+	r := &radix{es: make([]entry, n), tmp: make([]entry, n), count: make([]uint32, nTerms+1)}
+
+	// SPO sorts the insertion positions along: ties keep insertion order,
+	// so duplicates end up adjacent with their first occurrence first.
+	for i, t := range s.triples {
+		r.es[i] = entry{t.S, t.P, t.O, uint32(i)}
 	}
-	for k := 1; k <= nTerms; k++ {
-		sn.predOff[k] += sn.predOff[k-1]
+	r.pass(r.tmp, r.es, 2)
+	r.pass(r.es, r.tmp, 1)
+	r.pass(r.tmp, r.es, 0)
+	first := NewBitset(n)
+	distinct := r.tmp[:0]
+	for _, e := range r.tmp {
+		if d := len(distinct); d > 0 && e[0] == distinct[d-1][0] && e[1] == distinct[d-1][1] && e[2] == distinct[d-1][2] {
+			continue
+		}
+		first.Set(e[3])
+		distinct = append(distinct, e)
 	}
-	sn.byPred = make([]Triple, n)
-	fill := append([]uint32(nil), sn.predOff...)
+	sn.triples = make([]Triple, 0, len(distinct))
+	for i, t := range s.triples {
+		if first.Has(ID(i)) {
+			sn.triples = append(sn.triples, t)
+		}
+	}
+	sn.spo = r.place(distinct)
+
+	es := r.es[:len(sn.triples)]
+	for i, t := range sn.triples {
+		es[i] = entry{t.P, t.O, t.S}
+	}
+	sn.pos = r.buildCSR(es)
+	for i, t := range sn.triples {
+		es[i] = entry{t.O, t.S, t.P}
+	}
+	sn.osp = r.buildCSR(es)
+
+	// POS's offsets delimit the predicate runs; filling them in
+	// insertion order keeps it within each run.
+	sn.byPred = make([]Triple, len(sn.triples))
+	copy(r.count, sn.pos.off)
 	for _, t := range sn.triples {
-		sn.byPred[fill[t.P]] = t
-		fill[t.P]++
+		sn.byPred[r.count[t.P]] = t
+		r.count[t.P]++
 	}
 	sn.stats = computeStats(sn)
 	return sn
@@ -193,16 +237,16 @@ func (sn *Snapshot) ObjectDegree(obj ID) int {
 // ScanPredicate returns all triples with the given predicate, in
 // insertion order.
 func (sn *Snapshot) ScanPredicate(pred ID) []Triple {
-	if int(pred)+1 >= len(sn.predOff) {
+	if int(pred)+1 >= len(sn.pos.off) {
 		return nil
 	}
-	return sn.byPred[sn.predOff[pred]:sn.predOff[pred+1]]
+	return sn.byPred[sn.pos.off[pred]:sn.pos.off[pred+1]]
 }
 
 // PredicateCardinality returns the number of triples with the predicate.
 func (sn *Snapshot) PredicateCardinality(pred ID) int {
-	if int(pred)+1 >= len(sn.predOff) {
+	if int(pred)+1 >= len(sn.pos.off) {
 		return 0
 	}
-	return int(sn.predOff[pred+1] - sn.predOff[pred])
+	return int(sn.pos.off[pred+1] - sn.pos.off[pred])
 }

@@ -57,7 +57,7 @@ func computeStats(sn *Snapshot) *Stats {
 		pred:    make([]PredStats, nTerms),
 	}
 	for p := 0; p < nTerms; p++ {
-		st.pred[p].Card = sn.predOff[p+1] - sn.predOff[p]
+		st.pred[p].Card = sn.pos.off[p+1] - sn.pos.off[p]
 		if st.pred[p].Card > 0 {
 			st.DistinctPredicates++
 		}

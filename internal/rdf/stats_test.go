@@ -72,49 +72,57 @@ func TestStatsAgainstBruteForce(t *testing.T) {
 			)
 		}
 		sn := st.Freeze()
-		stats := sn.Stats()
+		checkStats(t, sn.Stats(), sn.Triples())
+	}
+}
 
-		subs, preds, objs := map[ID]bool{}, map[ID]bool{}, map[ID]bool{}
-		type pk struct{ p, t ID }
-		card := map[ID]uint32{}
-		sFan, oFan := map[pk]uint32{}, map[pk]uint32{}
-		pSubs, pObjs := map[pk]bool{}, map[pk]bool{}
-		for _, tr := range sn.Triples() {
-			subs[tr.S], preds[tr.P], objs[tr.O] = true, true, true
-			card[tr.P]++
-			sFan[pk{tr.P, tr.S}]++
-			oFan[pk{tr.P, tr.O}]++
-			pSubs[pk{tr.P, tr.S}] = true
-			pObjs[pk{tr.P, tr.O}] = true
-		}
-		if stats.DistinctSubjects != len(subs) || stats.DistinctPredicates != len(preds) || stats.DistinctObjects != len(objs) {
-			t.Fatalf("trial %d: distinct S/P/O = %d/%d/%d, want %d/%d/%d", trial,
-				stats.DistinctSubjects, stats.DistinctPredicates, stats.DistinctObjects,
-				len(subs), len(preds), len(objs))
-		}
-		for p := range preds {
-			got := stats.Predicate(p)
-			var wantS, wantO, maxS, maxO uint32
-			for k := range pSubs {
-				if k.p == p {
-					wantS++
-					if sFan[k] > maxS {
-						maxS = sFan[k]
-					}
+// checkStats recounts the statistics block of a triple set with maps and
+// fails t where stats disagrees.
+func checkStats(t *testing.T, stats *Stats, triples []Triple) {
+	t.Helper()
+	subs, preds, objs := map[ID]bool{}, map[ID]bool{}, map[ID]bool{}
+	type pk struct{ p, t ID }
+	card := map[ID]uint32{}
+	sFan, oFan := map[pk]uint32{}, map[pk]uint32{}
+	pSubs, pObjs := map[pk]bool{}, map[pk]bool{}
+	for _, tr := range triples {
+		subs[tr.S], preds[tr.P], objs[tr.O] = true, true, true
+		card[tr.P]++
+		sFan[pk{tr.P, tr.S}]++
+		oFan[pk{tr.P, tr.O}]++
+		pSubs[pk{tr.P, tr.S}] = true
+		pObjs[pk{tr.P, tr.O}] = true
+	}
+	if stats.Triples != len(triples) {
+		t.Fatalf("Triples = %d, want %d", stats.Triples, len(triples))
+	}
+	if stats.DistinctSubjects != len(subs) || stats.DistinctPredicates != len(preds) || stats.DistinctObjects != len(objs) {
+		t.Fatalf("distinct S/P/O = %d/%d/%d, want %d/%d/%d",
+			stats.DistinctSubjects, stats.DistinctPredicates, stats.DistinctObjects,
+			len(subs), len(preds), len(objs))
+	}
+	for p := range preds {
+		got := stats.Predicate(p)
+		var wantS, wantO, maxS, maxO uint32
+		for k := range pSubs {
+			if k.p == p {
+				wantS++
+				if sFan[k] > maxS {
+					maxS = sFan[k]
 				}
 			}
-			for k := range pObjs {
-				if k.p == p {
-					wantO++
-					if oFan[k] > maxO {
-						maxO = oFan[k]
-					}
+		}
+		for k := range pObjs {
+			if k.p == p {
+				wantO++
+				if oFan[k] > maxO {
+					maxO = oFan[k]
 				}
 			}
-			want := PredStats{Card: card[p], Subjects: wantS, Objects: wantO, MaxSubjectFan: maxS, MaxObjectFan: maxO}
-			if got != want {
-				t.Fatalf("trial %d: pred %d stats = %+v, want %+v", trial, p, got, want)
-			}
+		}
+		want := PredStats{Card: card[p], Subjects: wantS, Objects: wantO, MaxSubjectFan: maxS, MaxObjectFan: maxO}
+		if got != want {
+			t.Fatalf("pred %d stats = %+v, want %+v", p, got, want)
 		}
 	}
 }

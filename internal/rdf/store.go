@@ -1,12 +1,18 @@
 // Package rdf implements an in-memory RDF triple store with dictionary
-// encoding. The mutable Store is a single-writer builder: terms are
-// interned to dense IDs and triples deduplicated as they arrive. Freeze
-// converts the accumulated triples into an immutable Snapshot carrying
-// the four index orderings (SPO, POS, OSP, PSO) as compact sorted
-// posting lists; the Snapshot is safe to share across goroutines and is
-// the data substrate the query engines of package engine build on
+// encoding. The mutable Store is a single-writer, append-only builder:
+// terms are interned to dense IDs and triples appended as they arrive,
+// duplicates included. Freeze drops the duplicates and converts the
+// triples into an immutable Snapshot carrying three index orderings
+// (SPO, POS, OSP) as compact sorted posting lists, plus a predicate-
+// grouped scan order; the Snapshot is safe to share across goroutines
+// and is the data substrate the query engines of package engine build on
 // (the chain/cycle experiment of Section 5.1, Figure 3).
 package rdf
+
+import (
+	"maps"
+	"strings"
+)
 
 // ID is a dictionary-encoded term identifier.
 type ID = uint32
@@ -17,71 +23,51 @@ type Triple struct {
 }
 
 // Store is the mutable builder half of the store: it interns terms to
-// dense IDs and deduplicates triples. It holds no read indexes — call
-// Freeze to obtain an immutable, indexed Snapshot for querying. A Store
-// must not be mutated concurrently; Snapshots taken from it are
-// independent of later mutation.
+// dense IDs and appends triples, duplicates included; Freeze drops the
+// duplicates. It holds no read indexes — call Freeze to obtain an
+// immutable, indexed Snapshot for querying. A Store must not be mutated
+// concurrently; Snapshots taken from it are independent of later
+// mutation.
+//
+// A Snapshot shares the store's dictionary rather than copying it. Once
+// frozen, the map is never written again: the store's next insert of a
+// new term first clones it, so an earlier Snapshot never sees later
+// interning.
 type Store struct {
 	dict    map[string]ID
 	terms   []string
-	triples []Triple
-	seen    map[Triple]bool
+	triples []Triple // every Add, in insertion order
+	shared  bool     // a Snapshot reads dict: clone it before inserting
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{
-		dict: make(map[string]ID),
-		seen: make(map[Triple]bool),
-	}
+	return &Store{dict: make(map[string]ID)}
 }
 
-// Intern returns the ID for a term, creating it if needed.
+// Intern returns the ID for a term, creating it if needed. A new term
+// is copied, so the store never pins the larger string (an input line,
+// say) it may be a substring of.
 func (s *Store) Intern(term string) ID {
 	if id, ok := s.dict[term]; ok {
 		return id
 	}
+	if s.shared {
+		s.dict, s.shared = maps.Clone(s.dict), false
+	}
+	term = strings.Clone(term)
 	id := ID(len(s.terms))
 	s.dict[term] = id
 	s.terms = append(s.terms, term)
 	return id
 }
 
-// Lookup returns the ID of a term if it is known.
-func (s *Store) Lookup(term string) (ID, bool) {
-	id, ok := s.dict[term]
-	return id, ok
-}
-
-// TermOf returns the string form of an ID.
-func (s *Store) TermOf(id ID) string {
-	if int(id) < len(s.terms) {
-		return s.terms[id]
-	}
-	return ""
-}
-
-// NumTerms returns the dictionary size.
-func (s *Store) NumTerms() int { return len(s.terms) }
-
-// Len returns the number of distinct triples.
-func (s *Store) Len() int { return len(s.triples) }
-
-// Add inserts a triple given as strings; duplicates are ignored.
+// Add appends a triple given as strings; Freeze drops duplicates.
 func (s *Store) Add(sub, pred, obj string) {
 	s.AddIDs(s.Intern(sub), s.Intern(pred), s.Intern(obj))
 }
 
-// AddIDs inserts a dictionary-encoded triple; duplicates are ignored.
+// AddIDs appends a dictionary-encoded triple; Freeze drops duplicates.
 func (s *Store) AddIDs(sub, pred, obj ID) {
-	t := Triple{sub, pred, obj}
-	if s.seen[t] {
-		return
-	}
-	s.seen[t] = true
-	s.triples = append(s.triples, t)
+	s.triples = append(s.triples, Triple{sub, pred, obj})
 }
-
-// Triples returns all stored triples in insertion order (shared backing;
-// do not mutate).
-func (s *Store) Triples() []Triple { return s.triples }

@@ -1,6 +1,8 @@
 package rdf
 
 import (
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -12,11 +14,12 @@ func TestInternDedup(t *testing.T) {
 	if a != b {
 		t.Error("interning must be idempotent")
 	}
-	if s.NumTerms() != 1 {
-		t.Errorf("terms = %d, want 1", s.NumTerms())
+	sn := s.Freeze()
+	if sn.NumTerms() != 1 {
+		t.Errorf("terms = %d, want 1", sn.NumTerms())
 	}
-	if s.TermOf(a) != "x" {
-		t.Errorf("TermOf = %q", s.TermOf(a))
+	if sn.TermOf(a) != "x" {
+		t.Errorf("TermOf = %q", sn.TermOf(a))
 	}
 }
 
@@ -26,10 +29,10 @@ func TestAddAndLookup(t *testing.T) {
 	s.Add("s1", "p", "o2")
 	s.Add("s2", "p", "o1")
 	s.Add("s1", "p", "o1") // duplicate
-	if s.Len() != 3 {
-		t.Fatalf("len = %d, want 3", s.Len())
-	}
 	sn := s.Freeze()
+	if sn.Len() != 3 {
+		t.Fatalf("len = %d, want 3", sn.Len())
+	}
 	sid, _ := sn.Lookup("s1")
 	pid, _ := sn.Lookup("p")
 	oid, _ := sn.Lookup("o1")
@@ -75,6 +78,74 @@ func TestSnapshotIsolation(t *testing.T) {
 	}
 	if _, ok := sn1.Lookup("c"); ok {
 		t.Error("earlier snapshot dictionary must not see later interning")
+	}
+}
+
+// TestFreezeSharesDictionary pins the copy-on-write dictionary: Freeze
+// hands the store's map to the snapshot, re-adding known terms leaves it
+// shared, and the first new term clones it, while readers of the earlier
+// snapshot run alongside (run with -race: no write may reach a map a
+// snapshot reads).
+func TestFreezeSharesDictionary(t *testing.T) {
+	mapOf := func(m map[string]ID) uintptr { return reflect.ValueOf(m).Pointer() }
+	s := NewStore()
+	for i := 0; i < 100; i++ {
+		s.Add(fmt.Sprint("s", i), "p", fmt.Sprint("o", i%10))
+	}
+	sn1 := s.Freeze()
+	if mapOf(sn1.dict) != mapOf(s.dict) {
+		t.Fatal("Freeze copied the dictionary")
+	}
+	s.Add("s0", "p", "o0")
+	s.Intern("s1")
+	if mapOf(sn1.dict) != mapOf(s.dict) {
+		t.Fatal("re-adding known terms cloned the dictionary")
+	}
+	pid, _ := sn1.Lookup("p")
+	n1 := sn1.NumTerms()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id, ok := sn1.Lookup(fmt.Sprint("s", i%100))
+				if !ok || sn1.TermOf(id) != fmt.Sprint("s", i%100) || len(sn1.Objects(id, pid)) != 1 {
+					t.Errorf("sn1 lost s%d", i%100)
+					return
+				}
+				if _, ok := sn1.Lookup(fmt.Sprint("new", i%300)); ok {
+					t.Errorf("sn1 sees new%d, interned after it", i%300)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 300; i++ {
+		s.Add(fmt.Sprint("new", i), "p", "o0")
+		if i%50 == 0 {
+			s.Freeze()
+		}
+	}
+	sn2 := s.Freeze()
+	close(stop)
+	wg.Wait()
+
+	if sn1.NumTerms() != n1 || mapOf(sn2.dict) == mapOf(sn1.dict) {
+		t.Fatalf("sn1 has %d terms (want %d) and shares sn2's dictionary: %v", sn1.NumTerms(), n1, mapOf(sn2.dict) == mapOf(sn1.dict))
+	}
+	for i := 0; i < 300; i++ {
+		term := fmt.Sprint("new", i)
+		if id, ok := sn2.Lookup(term); !ok || sn2.TermOf(id) != term {
+			t.Fatalf("sn2 lost %s", term)
+		}
 	}
 }
 
