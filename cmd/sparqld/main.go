@@ -52,7 +52,7 @@ func main() {
 	maxRows := flag.Int("max-rows", 1_000_000, "row cap per query result (0 = unlimited)")
 	maxQueryBytes := flag.Int64("max-query-bytes", server.DefaultMaxQueryBytes, "largest accepted query text")
 	cacheBytes := flag.Int64("cache-bytes", qcache.DefaultMaxBytes, "result cache byte budget (0 = disable result caching)")
-	cacheMinCost := flag.Duration("cache-min-cost", qcache.DefaultMinCost, "cost-aware admission: only cache results whose execution took at least this long (0 = cache every successful result)")
+	cacheMinCost := flag.Duration("cache-min-cost", qcache.DefaultMinCost, "admission cost floor: only cache results whose execution took at least this long, on their query's second sighting (0 = cache every successful result on its first fill)")
 	logFile := flag.String("log", "", "append one Apache-format endpoint log line per request to this file")
 	dedup := flag.String("dedup", "exact", "self-analysis dedup mode: exact, structural, or keep (no dedup)")
 	name := flag.String("name", "sparqld", "corpus label in /stats")

@@ -18,12 +18,17 @@
 // produced, a hit returns it, and a single-flight follower receives the
 // leader's: nothing is converted or copied on the way in or out, and a
 // hit that is answered from a stored body (or a 304) never reads a
-// cell. Admission is cost-aware — only results whose measured execution
-// cost reaches Options.MinCost are stored, so the cache holds the heavy
-// tail rather than microsecond point lookups — and eviction is sharded
-// LRU under a byte budget. Hot entries additionally carry
-// per-content-type serialized response bodies (SetBody/Body) so an HTTP
-// hit can be a single Write.
+// cell. Admission takes two tests. A cost floor: only results whose
+// measured execution reaches Options.MinCost are considered, so the
+// cache holds the heavy tail rather than microsecond point lookups. A
+// second sighting: a key's first such result only leaves its
+// fingerprint in a fixed per-shard doorkeeper table, and the next
+// result under that key is stored. The paper's streaks are chains of
+// modified queries, each new text an exact-text cache never hits on,
+// so a one-off answer is not retained (and its body is never copied).
+// Eviction is sharded LRU under a byte budget. Hot entries additionally
+// carry per-content-type serialized response bodies (SetBody/Body) so
+// an HTTP hit can be a single Write.
 //
 // Invariant: cache entries are immutable and shared, keyed by snapshot
 // identity. A hit hands out the entry's own columns (and Body the
@@ -51,18 +56,22 @@ const (
 	DefaultMinCost = 500 * time.Microsecond
 	// DefaultShards is the lock-stripe count.
 	DefaultShards = 16
+	// doorSlots is each shard's doorkeeper size in key fingerprints:
+	// 32 KiB a shard, 512 KiB at DefaultShards.
+	doorSlots = 4096
 )
 
 // Options configures New. The zero value serves with the defaults
-// above; negative MinCost admits every successful result (tests,
-// replay experiments).
+// above; negative MinCost admits every successful result on its first
+// fill (tests, replay experiments).
 type Options struct {
 	// MaxBytes is the cache-wide byte budget over entries and their
 	// serialized bodies; <= 0 means DefaultMaxBytes.
 	MaxBytes int64
-	// MinCost is the cost-aware admission threshold: only results whose
-	// measured execution took at least this long are stored. 0 means
-	// DefaultMinCost; negative admits everything.
+	// MinCost is the admission cost floor: only results whose measured
+	// execution took at least this long are stored, and only on their
+	// key's second sighting. 0 means DefaultMinCost; negative admits
+	// every result on its first fill, with no floor and no doorkeeper.
 	MinCost time.Duration
 	// Shards is the lock-stripe count; <= 0 means DefaultShards.
 	Shards int
@@ -104,7 +113,7 @@ type entry struct {
 }
 
 // shard is one lock stripe: a map plus an intrusive LRU list under a
-// private byte budget.
+// private byte budget, and the doorkeeper of keys offered once.
 type shard struct {
 	mu      sync.Mutex
 	entries map[string]*entry
@@ -112,6 +121,7 @@ type shard struct {
 	tail    *entry // eviction candidate
 	bytes   int64
 	max     int64
+	seen    [doorSlots]uint64
 }
 
 // Cache is the result cache. Safe for concurrent use; create with New.
@@ -127,6 +137,7 @@ type Cache struct {
 	bodyHits  atomic.Int64
 	evictions atomic.Int64
 	rejected  atomic.Int64
+	sightings atomic.Int64
 
 	fmu     sync.Mutex
 	flights map[string]*Flight
@@ -176,15 +187,17 @@ func (c *Cache) Snapshot() *rdf.Snapshot { return c.sn }
 // MinCost returns the effective admission threshold.
 func (c *Cache) MinCost() time.Duration { return c.minCost }
 
-// shard picks the key's lock stripe by FNV-1a over the string in place:
-// a request makes several cache calls, and none of them should copy
-// the canonical query text to hash it.
-func (c *Cache) shard(key string) *shard {
+// shard picks the key's lock stripe by FNV-1a over the string in place
+// (a request makes several cache calls, and none of them should copy
+// the canonical query text to hash it). The hash is returned too: it is
+// the key's doorkeeper fingerprint, and its bits above the stripe
+// choice pick the fingerprint's slot.
+func (c *Cache) shard(key string) (*shard, uint64) {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(key); i++ {
 		h = (h ^ uint64(key[i])) * 1099511628211
 	}
-	return &c.shards[h%uint64(len(c.shards))]
+	return &c.shards[h%uint64(len(c.shards))], h
 }
 
 // Get returns the answer under key, if cached. sn must be the snapshot
@@ -196,7 +209,7 @@ func (c *Cache) Get(sn *rdf.Snapshot, key string) (Result, bool) {
 		c.misses.Add(1)
 		return Result{}, false
 	}
-	sh := c.shard(key)
+	sh, _ := c.shard(key)
 	sh.mu.Lock()
 	e, ok := sh.entries[key]
 	if ok {
@@ -211,13 +224,18 @@ func (c *Cache) Get(sn *rdf.Snapshot, key string) (Result, bool) {
 	return Result{Vars: e.ans.Vars, Bool: e.ans.Bool, Answer: e.ans}, true
 }
 
-// Put stores a successful result under key when it clears cost-aware
-// admission. It reports whether the entry is now resident (an existing
-// entry under the same key also counts: the double-fill race after a
-// flight resolves to the first writer). A result carrying its Answer
-// is retained as it is, with no cell read; one carrying only rows is
-// converted first. Callers must never Put errors, truncations, or
-// recovered results — the cache cannot tell.
+// Put stores a successful result under key when it clears admission:
+// the cost floor, the entry cap, then the doorkeeper. A result past the
+// first two whose key the doorkeeper has not seen leaves the key's
+// fingerprint, counts a first sighting and is not stored; the next one
+// is. A shared fingerprint admits a key one sighting early and an
+// overwritten one delays it by one: the verdict costs memory or a miss,
+// never an answer. Put reports whether the entry is now resident (an
+// existing entry under the same key also counts: the double-fill race
+// after a flight resolves to the first writer). A result carrying its
+// Answer is retained as it is, with no cell read; one carrying only
+// rows is converted first. Callers must never Put errors, truncations,
+// or recovered results — the cache cannot tell.
 func (c *Cache) Put(sn *rdf.Snapshot, key string, r Result, cost time.Duration) bool {
 	if sn != c.sn {
 		return false
@@ -236,11 +254,18 @@ func (c *Cache) Put(sn *rdf.Snapshot, key string, r Result, cost time.Duration) 
 		c.rejected.Add(1)
 		return false
 	}
-	sh := c.shard(key)
+	sh, h := c.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, ok := sh.entries[key]; ok {
 		return true
+	}
+	if c.minCost >= 0 {
+		if slot := &sh.seen[h/uint64(len(c.shards))%doorSlots]; *slot != h {
+			*slot = h
+			c.sightings.Add(1)
+			return false
+		}
 	}
 	if !sh.makeRoom(e.bytes, nil, c) {
 		c.rejected.Add(1)
@@ -276,7 +301,7 @@ func (sh *shard) makeRoom(add int64, pin *entry, c *Cache) bool {
 // between execution and serialization) or the body would blow the
 // entry cap. Bodies count against the shard budget like row data.
 func (c *Cache) SetBody(key, contentType string, body []byte) (string, bool) {
-	sh := c.shard(key)
+	sh, _ := c.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e, ok := sh.entries[key]
@@ -311,7 +336,7 @@ func (c *Cache) SetBody(key, contentType string, body []byte) (string, bool) {
 // Body returns the cached serialized body and its entity tag for one
 // content type, if present. The bytes are the entry's own: read-only.
 func (c *Cache) Body(key, contentType string) ([]byte, string, bool) {
-	sh := c.shard(key)
+	sh, _ := c.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e, ok := sh.entries[key]
@@ -411,9 +436,13 @@ func (c *Cache) BodyHits() int64 { return c.bodyHits.Load() }
 // Evictions counts entries dropped by the LRU byte budget.
 func (c *Cache) Evictions() int64 { return c.evictions.Load() }
 
-// Rejected counts Put calls refused by admission (below MinCost or
-// over the entry cap).
+// Rejected counts Put calls refused by the cost floor, the entry cap
+// or a shard budget the entry can never fit.
 func (c *Cache) Rejected() int64 { return c.rejected.Load() }
+
+// FirstSightings counts Put calls that cleared the cost floor and the
+// entry cap but were not stored: their key's first sighting.
+func (c *Cache) FirstSightings() int64 { return c.sightings.Load() }
 
 // Bytes returns the current budgeted size across shards.
 func (c *Cache) Bytes() int64 {

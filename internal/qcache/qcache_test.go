@@ -146,24 +146,144 @@ func TestSnapshotMismatchDegrades(t *testing.T) {
 	}
 }
 
+// TestCostAwareAdmission: a result below MinCost is never stored, however
+// often its key is seen; one above it is stored on its second sighting.
 func TestCostAwareAdmission(t *testing.T) {
 	sn := testSnapshot(t)
 	c := New(sn, Options{MinCost: time.Millisecond})
 	r := Result{Vars: []string{"s"}, Rows: [][]string{{"<http://g/s0>"}}}
-	if c.Put(sn, "cheap", r, 100*time.Microsecond) {
-		t.Fatal("admitted a result below MinCost")
+	for i := 0; i < 2; i++ {
+		if c.Put(sn, "cheap", r, 100*time.Microsecond) {
+			t.Fatal("admitted a result below MinCost")
+		}
 	}
-	if c.Rejected() != 1 {
-		t.Fatalf("Rejected = %d, want 1", c.Rejected())
+	if c.Rejected() != 2 || c.FirstSightings() != 0 {
+		t.Fatalf("Rejected = %d, FirstSightings = %d; want 2, 0", c.Rejected(), c.FirstSightings())
+	}
+	if c.Put(sn, "heavy", r, 2*time.Millisecond) {
+		t.Fatal("admitted a result above MinCost on its first sighting")
 	}
 	if !c.Put(sn, "heavy", r, 2*time.Millisecond) {
-		t.Fatal("refused a result above MinCost")
+		t.Fatal("refused a result above MinCost on its second sighting")
 	}
 	if _, ok := c.Get(sn, "cheap"); ok {
 		t.Fatal("cheap result resident")
 	}
 	if _, ok := c.Get(sn, "heavy"); !ok {
 		t.Fatal("heavy result not resident")
+	}
+}
+
+// TestSecondSightingAdmission pins the doorkeeper at the deployed rule:
+// a key's first Put is refused and counted, its second is admitted.
+func TestSecondSightingAdmission(t *testing.T) {
+	sn := testSnapshot(t)
+	c := New(sn, Options{})
+	r := Result{Vars: []string{"s"}, Rows: [][]string{{"<http://g/s0>"}}}
+	if c.Put(sn, "k", r, time.Second) {
+		t.Fatal("first Put admitted")
+	}
+	if c.FirstSightings() != 1 || c.Rejected() != 0 || c.Entries() != 0 || c.Bytes() != 0 {
+		t.Fatalf("after first Put: sightings %d, rejected %d, entries %d, bytes %d; want 1, 0, 0, 0",
+			c.FirstSightings(), c.Rejected(), c.Entries(), c.Bytes())
+	}
+	if !c.Put(sn, "k", r, time.Second) {
+		t.Fatal("second Put refused")
+	}
+	if _, ok := c.Get(sn, "k"); !ok || c.FirstSightings() != 1 {
+		t.Fatalf("second Put: resident %v, sightings %d", ok, c.FirstSightings())
+	}
+	// A different key is a sighting of its own.
+	if c.Put(sn, "other", r, time.Second) || c.FirstSightings() != 2 {
+		t.Fatalf("another key's first Put: sightings %d, want 2", c.FirstSightings())
+	}
+}
+
+// TestRefusedResultsLeaveNoSighting: a result the cost floor or the
+// entry cap refuses does not count as a sighting, so the key's next
+// admissible result is still its first.
+func TestRefusedResultsLeaveNoSighting(t *testing.T) {
+	sn := testSnapshot(t)
+	c := New(sn, Options{MinCost: time.Millisecond, MaxEntryBytes: 300})
+	small := Result{Vars: []string{"s"}, Rows: [][]string{{"<http://g/s0>"}}}
+	big := Result{Vars: []string{"x"}}
+	for i := 0; i < 100; i++ {
+		big.Rows = append(big.Rows, []string{fmt.Sprintf("\"novel-term-%d\"", i)})
+	}
+	if c.Put(sn, "k", small, time.Microsecond) || c.Put(sn, "k", big, time.Second) {
+		t.Fatal("admitted a result below the floor or over the cap")
+	}
+	if c.Rejected() != 2 || c.FirstSightings() != 0 {
+		t.Fatalf("Rejected = %d, FirstSightings = %d; want 2, 0", c.Rejected(), c.FirstSightings())
+	}
+	if c.Put(sn, "k", small, time.Second) {
+		t.Fatal("admitted after refusals only: they counted as a sighting")
+	}
+	if !c.Put(sn, "k", small, time.Second) {
+		t.Fatal("second admissible Put refused")
+	}
+}
+
+// TestEvictedKeyReadmitted: the doorkeeper outlives the entry, so a key
+// evicted by the byte budget is stored again on its next Put.
+func TestEvictedKeyReadmitted(t *testing.T) {
+	sn := testSnapshot(t)
+	c := New(sn, Options{Shards: 1, MaxBytes: 1100, MaxEntryBytes: 1 << 20})
+	row := Result{Vars: []string{"s"}, Rows: [][]string{{"<http://g/s0>"}}}
+	put2 := func(key string) {
+		t.Helper()
+		c.Put(sn, key, row, time.Second)
+		if !c.Put(sn, key, row, time.Second) {
+			t.Fatalf("second Put of %s refused", key)
+		}
+	}
+	for i := 0; i < 6; i++ {
+		put2(fmt.Sprintf("k%d", i))
+	}
+	if _, ok := c.Get(sn, "k0"); ok || c.Evictions() == 0 {
+		t.Fatal("k0 was not evicted")
+	}
+	sightings := c.FirstSightings()
+	if !c.Put(sn, "k0", row, time.Second) {
+		t.Fatal("evicted key not re-admitted on its next Put")
+	}
+	if c.FirstSightings() != sightings {
+		t.Fatal("re-admission counted a first sighting")
+	}
+}
+
+// TestNegativeMinCostAdmitsFirstFill: MinCost < 0 bypasses the floor and
+// the doorkeeper alike.
+func TestNegativeMinCostAdmitsFirstFill(t *testing.T) {
+	sn := testSnapshot(t)
+	c := New(sn, Options{MinCost: -1})
+	r := Result{Vars: []string{"s"}, Rows: [][]string{{"<http://g/s0>"}}}
+	if !c.Put(sn, "k", r, 0) {
+		t.Fatal("first Put refused under MinCost -1")
+	}
+	if c.FirstSightings() != 0 {
+		t.Fatalf("FirstSightings = %d, want 0", c.FirstSightings())
+	}
+}
+
+// TestConcurrentPutsOneEntry: 32 goroutines Put one key at the deployed
+// rule; one Put is the first sighting, and exactly one entry results.
+func TestConcurrentPutsOneEntry(t *testing.T) {
+	sn := testSnapshot(t)
+	c := New(sn, Options{})
+	r := Result{Vars: []string{"s"}, Rows: [][]string{{"<http://g/s0>"}}}
+	r.Answer = exec.NewAnswer(sn, r.Vars, r.Rows, r.Bool)
+	var wg sync.WaitGroup
+	for i := 0; i < 32; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.Put(sn, "k", r, time.Second)
+		}()
+	}
+	wg.Wait()
+	if c.Entries() != 1 || c.FirstSightings() != 1 {
+		t.Fatalf("entries %d, sightings %d; want 1, 1", c.Entries(), c.FirstSightings())
 	}
 }
 

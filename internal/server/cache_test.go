@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"testing"
+	"time"
 
 	"sparqlog/internal/loggen"
 )
@@ -85,6 +86,45 @@ func TestCacheHeaderLifecycle(t *testing.T) {
 				t.Fatalf("stale If-None-Match = %d, want 200", status)
 			}
 		})
+	}
+}
+
+// TestCacheSecondSightingLifecycle pins the serving contract at the
+// deployed admission rule, with a floor every query clears so only the
+// sighting decides: the first request streams an uncached answer (no
+// ETag), the second fills the cache and carries the ETag, the third is
+// a byte-identical hit, and revalidation is a 304.
+func TestCacheSecondSightingLifecycle(t *testing.T) {
+	s, ts := newTestServer(t, Config{CacheMinCost: time.Nanosecond})
+	for i, ct := range []string{ctJSON, ctXML, ctCSV, ctTSV} {
+		t.Run(ct, func(t *testing.T) {
+			q := fmt.Sprintf("%s OFFSET %d", selectQuery, i)
+			status, h, firstBody := cacheGet(t, ts, q, ct, "")
+			if status != 200 || h.Get("X-Sparqld-Cache") != "miss" || h.Get("ETag") != "" {
+				t.Fatalf("first request: status %d, cache %q, ETag %q; want 200, miss, none",
+					status, h.Get("X-Sparqld-Cache"), h.Get("ETag"))
+			}
+			status, h, secondBody := cacheGet(t, ts, q, ct, "")
+			etag := h.Get("ETag")
+			if status != 200 || h.Get("X-Sparqld-Cache") != "miss" || etag == "" {
+				t.Fatalf("second request: status %d, cache %q, ETag %q; want 200, miss, a tag",
+					status, h.Get("X-Sparqld-Cache"), etag)
+			}
+			status, h, hitBody := cacheGet(t, ts, q, ct, "")
+			if status != 200 || h.Get("X-Sparqld-Cache") != "hit" || h.Get("ETag") != etag {
+				t.Fatalf("third request: status %d, cache %q, ETag %q; want 200, hit, %q",
+					status, h.Get("X-Sparqld-Cache"), h.Get("ETag"), etag)
+			}
+			if !bytes.Equal(firstBody, hitBody) || !bytes.Equal(secondBody, hitBody) {
+				t.Fatalf("bodies diverge:\nfirst  %q\nsecond %q\nhit    %q", firstBody, secondBody, hitBody)
+			}
+			if status, _, _ := cacheGet(t, ts, q, ct, etag); status != http.StatusNotModified {
+				t.Fatalf("If-None-Match = %d, want 304", status)
+			}
+		})
+	}
+	if got := s.ResultCache().FirstSightings(); got != 4 {
+		t.Fatalf("FirstSightings = %d, want 4", got)
 	}
 }
 

@@ -3,9 +3,13 @@ package server
 import (
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strings"
 	"testing"
+	"time"
+
+	"sparqlog/internal/qcache"
 )
 
 // TestLintHeader checks the per-query diagnostic surfacing: a query
@@ -94,20 +98,7 @@ func TestLintAggregates(t *testing.T) {
 // workload changes.
 func TestStatsConditionalGet(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	get := func(inm string) (*http.Response, string) {
-		t.Helper()
-		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/stats", nil)
-		if inm != "" {
-			req.Header.Set("If-None-Match", inm)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		return resp, string(b)
-	}
+	get := func(inm string) (*http.Response, string) { return statsGet(t, ts, inm) }
 
 	first, body := get("")
 	if first.StatusCode != http.StatusOK || body == "" {
@@ -148,5 +139,42 @@ func TestStatsConditionalGet(t *testing.T) {
 	}
 	if third.Header.Get("ETag") == etag {
 		t.Fatal("ETag did not rotate after the workload changed")
+	}
+}
+
+// statsGet fetches /stats, conditionally when inm is set.
+func statsGet(t *testing.T, ts *httptest.Server, inm string) (*http.Response, string) {
+	t.Helper()
+	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/stats", nil)
+	if inm != "" {
+		req.Header.Set("If-None-Match", inm)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	return resp, string(b)
+}
+
+// TestStatsETagCoversCacheState: a result-cache change that serves no
+// query (a first sighting, then an admission that adds an entry and its
+// bytes) changes what /stats prints, so it must rotate the tag too.
+func TestStatsETagCoversCacheState(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	qc := s.ResultCache()
+	r := qcache.Result{Vars: []string{"s"}, Rows: [][]string{{"<http://gmark.bib/paper/1>"}}}
+	for i := 0; i < 2; i++ {
+		resp, _ := statsGet(t, ts, "")
+		etag := resp.Header.Get("ETag")
+		qc.Put(qc.Snapshot(), "direct", r, time.Second)
+		if resp, _ := statsGet(t, ts, etag); resp.StatusCode != http.StatusOK {
+			t.Fatalf("Put %d (entries %d, first sightings %d): /stats status %d, want 200",
+				i+1, qc.Entries(), qc.FirstSightings(), resp.StatusCode)
+		}
+	}
+	if qc.Entries() != 1 {
+		t.Fatalf("entries = %d, want 1", qc.Entries())
 	}
 }

@@ -54,7 +54,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counter("sparqld_result_cache_collapsed_total", "Executions avoided by single-flight collapse of concurrent identical queries.", s.qc.Collapsed())
 		counter("sparqld_result_cache_body_hits_total", "Serialized response bodies reused verbatim.", s.qc.BodyHits())
 		counter("sparqld_result_cache_evictions_total", "Result cache entries evicted by the LRU byte budget.", s.qc.Evictions())
-		counter("sparqld_result_cache_rejected_total", "Results refused by cost-aware admission.", s.qc.Rejected())
+		counter("sparqld_result_cache_rejected_total", "Results refused by the admission cost floor, the entry cap or the shard budget.", s.qc.Rejected())
+		counter("sparqld_result_cache_first_sightings_total", "Results not stored because their query was seen for the first time.", s.qc.FirstSightings())
 		gauge("sparqld_result_cache_bytes", "Bytes held by the result cache (rows plus serialized bodies).", s.qc.Bytes())
 		gauge("sparqld_result_cache_entries", "Resident result cache entries.", s.qc.Entries())
 	}

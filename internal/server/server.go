@@ -47,10 +47,11 @@ type Config struct {
 	// qcache.DefaultMaxBytes, negative disables result caching
 	// entirely (every request executes).
 	CacheBytes int64
-	// CacheMinCost is the result cache's cost-aware admission
-	// threshold: only results whose execution took at least this long
-	// are stored. 0 means qcache.DefaultMinCost; negative admits every
-	// successful result.
+	// CacheMinCost is the result cache's admission cost floor: only
+	// results whose execution took at least this long are stored, on
+	// their query's second sighting (qcache.Options.MinCost). 0 means
+	// qcache.DefaultMinCost; negative admits every successful result on
+	// its first fill.
 	CacheMinCost time.Duration
 	// Analyzer configures the self-analysis pipeline (dedup mode etc.).
 	Analyzer core.Options

@@ -18,8 +18,8 @@ import (
 // printed by the renderers sparqlanalyze -log uses for a log file
 // (repro.LogReport), then the static-analysis aggregates.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	// Conditional GET: the ETag hashes every monotonic counter behind
-	// the page (analyzer entries, serving counters, cache counters) —
+	// Conditional GET: the ETag hashes every counter and gauge behind
+	// the page (analyzer entries, serving counters, cache state) —
 	// deliberately not uptime or qps, which tick continuously without
 	// new information. A poller therefore gets 304 until the server
 	// actually serves something new. Weak, because the body's derived
@@ -56,8 +56,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		fmt.Fprintf(&sb, "  result cache      %d hits / %d misses (%s), %d collapsed, %d body reuses\n",
 			h, m, ratio, s.qc.Collapsed(), s.qc.BodyHits())
-		fmt.Fprintf(&sb, "                    %d entries, %s, %d evictions, %d admission rejections\n",
-			s.qc.Entries(), fmtBytes(s.qc.Bytes()), s.qc.Evictions(), s.qc.Rejected())
+		fmt.Fprintf(&sb, "                    %d entries, %s, %d evictions, %d admission rejections, %d first sightings\n",
+			s.qc.Entries(), fmtBytes(s.qc.Bytes()), s.qc.Evictions(), s.qc.Rejected(), s.qc.FirstSightings())
 	}
 	fmt.Fprintf(&sb, "  in flight         %d (+%d queued)\n\n", s.gate.InFlight(), s.gate.Waiting())
 
@@ -69,9 +69,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write([]byte(sb.String()))
 }
 
-// statsETag derives the /stats entity tag from the counters that feed
-// the page. fnv64a over their decimal rendering: cheap, stable, and
-// computed without building the report.
+// statsETag derives the /stats entity tag from every counter and gauge
+// the page prints, except uptime and qps. fnv64a over their decimal
+// rendering: cheap, stable, and computed without building the report.
 func (s *Server) statsETag() string {
 	snap := s.live.Snapshot()
 	h := fnv.New64a()
@@ -81,8 +81,9 @@ func (s *Server) statsETag() string {
 		s.plans.Hits(), s.plans.Misses(), s.paths.Hits(), s.paths.Misses(),
 		s.gate.InFlight(), s.gate.Waiting())
 	if s.qc != nil {
-		fmt.Fprintf(h, "|%d|%d|%d|%d|%d",
-			s.qc.Hits(), s.qc.Misses(), s.qc.Collapsed(), s.qc.BodyHits(), s.qc.Evictions())
+		fmt.Fprintf(h, "|%d|%d|%d|%d|%d|%d|%d|%d|%d",
+			s.qc.Hits(), s.qc.Misses(), s.qc.Collapsed(), s.qc.BodyHits(), s.qc.Evictions(),
+			s.qc.Entries(), s.qc.Bytes(), s.qc.Rejected(), s.qc.FirstSightings())
 	}
 	return fmt.Sprintf("W/\"%016x\"", h.Sum64())
 }

@@ -1,8 +1,9 @@
 // Serving-path benchmarks through server.Handler(): what one heavy
-// request costs from query text to response bytes when it has to be
-// executed, admitted to the result cache and serialized for the first
+// request costs from query text to response bytes when it is new text
+// and only executed and streamed (BenchmarkServeHeavyUnique), when it
+// is also admitted to the result cache and serialized for the first
 // time (BenchmarkServeHeavyFill), and what a repeat costs once the body
-// is cached (BenchmarkServeBodyHit: the stored bytes, or a 304). Both
+// is cached (BenchmarkServeBodyHit: the stored bytes, or a 304). All
 // run in CI's bench-artifacts job; the end-to-end numbers they explain
 // are bench/'s serve-heavy-unique and serve-hot-repeat.
 package sparqlog
@@ -14,6 +15,7 @@ import (
 	"net/url"
 	"runtime"
 	"testing"
+	"time"
 
 	"sparqlog/internal/eval"
 	"sparqlog/internal/server"
@@ -68,36 +70,52 @@ func serveOnce(tb testing.TB, h http.Handler, query, accept, inm string) *discar
 	return w
 }
 
-// heavyFillHandler is a server configured as sparqld deploys it, except
-// that admission takes every result: each request below is a fill.
-func heavyFillHandler(tb testing.TB) http.Handler {
+// heavyServer is a server configured as sparqld deploys it, at the given
+// result-cache admission floor (0: sparqld's own).
+func heavyServer(tb testing.TB, minCost time.Duration) *server.Server {
 	g := plannerBenchGraph(tb)
 	return server.New(server.Config{
 		Snapshot: g.Snapshot, MaxInFlight: 2, QueueDepth: 8,
-		Limits: eval.Limits{MaxRows: 1 << 21}, CacheMinCost: -1,
-	}).Handler()
+		Limits: eval.Limits{MaxRows: 1 << 21}, CacheMinCost: minCost,
+	})
 }
 
-// heavyFillRequest serves the i-th request of the replay: templates and
+// heavyFillHandler is heavyServer with admission taking every result on
+// its first fill: each request below is a fill.
+func heavyFillHandler(tb testing.TB) http.Handler { return heavyServer(tb, -1).Handler() }
+
+// heavyRequest serves the i-th request of the replay: templates and
 // formats take turns, the LIMIT makes the text new.
-func heavyFillRequest(tb testing.TB, h http.Handler, i int) *discardResponse {
+func heavyRequest(tb testing.TB, h http.Handler, i int) *discardResponse {
 	q := fmt.Sprintf(heavyServeTemplates[i%len(heavyServeTemplates)], 100000+i)
 	return serveOnce(tb, h, q, serveAccepts[(i/len(heavyServeTemplates))%len(serveAccepts)], "")
 }
 
-// BenchmarkServeHeavyFill: execute + fill + first serialization, per
-// heavy request, through the handler.
-func BenchmarkServeHeavyFill(b *testing.B) {
-	h := heavyFillHandler(b)
-	heavyFillRequest(b, h, 0) // warm the plan and path caches and the buffer pool
+// benchHeavyReplay serves the replay's requests through h, one per
+// iteration, after a warm-up of the plan and path caches and the buffer
+// pool.
+func benchHeavyReplay(b *testing.B, h http.Handler) {
+	heavyRequest(b, h, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	bytes := 0
 	for i := 0; i < b.N; i++ {
-		bytes += heavyFillRequest(b, h, 1+i).n
+		bytes += heavyRequest(b, h, 1+i).n
 	}
 	b.ReportMetric(float64(bytes)/float64(b.N), "resp-B/op")
 }
+
+// BenchmarkServeHeavyFill: execute + fill + first serialization, per
+// heavy request, through the handler. At the deployed rule this is what
+// a repeat pays on its second sighting, not what unique traffic costs
+// (BenchmarkServeHeavyUnique).
+func BenchmarkServeHeavyFill(b *testing.B) { benchHeavyReplay(b, heavyFillHandler(b)) }
+
+// BenchmarkServeHeavyUnique: the same requests at the deployed admission
+// rule, where each new text is a first sighting: execute and stream the
+// answer, retaining nothing. The in-process cell of bench/'s
+// serve-heavy-unique.
+func BenchmarkServeHeavyUnique(b *testing.B) { benchHeavyReplay(b, heavyServer(b, 0).Handler()) }
 
 // heavyFillBytesBudget is half of what the replay below allocated per
 // request at the commit before the answer became one columnar value
@@ -110,18 +128,45 @@ const heavyFillBytesBudget = 1147822 / 2
 // under heavyFillBytesBudget.
 func TestServeHeavyFillAllocBudget(t *testing.T) {
 	h := heavyFillHandler(t)
-	heavyFillRequest(t, h, 0)
-	const n = 4 * 7 // every template in every format
+	heavyRequest(t, h, 0)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for i := 0; i < n; i++ {
-		heavyFillRequest(t, h, 1+i)
+	for i := 0; i < heavyReplayLen; i++ {
+		heavyRequest(t, h, 1+i)
 	}
 	runtime.ReadMemStats(&after)
-	per := (after.TotalAlloc - before.TotalAlloc) / n
+	per := (after.TotalAlloc - before.TotalAlloc) / heavyReplayLen
 	t.Logf("%d B allocated per heavy fill request", per)
 	if per > heavyFillBytesBudget {
 		t.Fatalf("a heavy fill request allocates %d B, budget %d", per, heavyFillBytesBudget)
+	}
+}
+
+// heavyReplayLen covers every template in every format.
+const heavyReplayLen = 4 * 7
+
+// TestServeHeavyUniqueRetainsNothing: at the deployed admission rule a
+// replay of unique heavy requests leaves the result cache empty and the
+// live heap where it was.
+func TestServeHeavyUniqueRetainsNothing(t *testing.T) {
+	s := heavyServer(t, 0)
+	h := s.Handler()
+	heavyRequest(t, h, 0)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < heavyReplayLen; i++ {
+		heavyRequest(t, h, 1+i)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("heap grew %d B over %d unique heavy requests", grew, heavyReplayLen)
+	if b := s.ResultCache().Bytes(); b != 0 {
+		t.Fatalf("result cache holds %d B after unique traffic, want 0", b)
+	}
+	if grew >= 1<<20 {
+		t.Fatalf("heap grew %d B over unique traffic, want < 1 MiB", grew)
 	}
 }
 
