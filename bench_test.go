@@ -37,9 +37,6 @@ func benchConfig() repro.Config {
 	return repro.Config{
 		Scale:         0.00005,
 		Seed:          2017,
-		GraphNodes:    6000,
-		WorkloadSize:  8,
-		Timeout:       400 * time.Millisecond,
 		StreakLogSize: 1500,
 	}
 }
@@ -147,9 +144,8 @@ func BenchmarkSec44Projection(b *testing.B) {
 // BenchmarkFigure3ChainCycle regenerates the chain/cycle engine
 // comparison (scaled down; run cmd/shapebench for the full figure).
 func BenchmarkFigure3ChainCycle(b *testing.B) {
-	cfg := benchConfig()
 	for i := 0; i < b.N; i++ {
-		_, data := repro.Figure3(cfg)
+		_, data := engine.Figure3(6000, 8, benchConfig().Seed, 400*time.Millisecond)
 		if len(data.Lengths) != 6 {
 			b.Fatal("missing workloads")
 		}
@@ -281,30 +277,6 @@ func BenchmarkAppendixValidCorpus(b *testing.B) {
 }
 
 // ---------- Ablation benchmarks (DESIGN.md "Design choices") ----------
-
-// BenchmarkAblationJoinOrder contrasts the graph engine's greedy join
-// ordering with syntactic ordering and with the relational engine's
-// pipelined-EXISTS mode on cycle workloads.
-func BenchmarkAblationJoinOrder(b *testing.B) {
-	g := gmark.Generate(gmark.Config{Nodes: 4000, Seed: 1})
-	queries := g.Workload(gmark.Cycle, 5, 10, 3)
-	var cqs []engine.CQ
-	for _, q := range queries {
-		cqs = append(cqs, q.CQ)
-	}
-	engines := map[string]engine.Engine{
-		"greedy":       &engine.GraphEngine{},
-		"syntactic":    &engine.GraphEngine{Order: engine.OrderSyntactic},
-		"pipelined-pg": &engine.RelationalEngine{PipelinedAsk: true},
-	}
-	for name, e := range engines {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				engine.RunWorkload(e, g.Snapshot, cqs, 300*time.Millisecond)
-			}
-		})
-	}
-}
 
 // BenchmarkAblationLevenshtein contrasts the full edit-distance DP with
 // the banded early-exit variant used by streak detection.
@@ -481,55 +453,42 @@ func streamBenchLog(b *testing.B) string {
 	return streamLogPath
 }
 
-// BenchmarkConcurrentQueries contrasts serial workload execution with
-// the worker-pool service layer over one shared snapshot (the serving
-// path the snapshot split enables: before it, two concurrent queries on
-// one store were a data race). On a multi-core machine the parallel
-// variant should scale with workers; per-query results stay identical.
+// BenchmarkConcurrentQueries runs a gMark cycle workload's SPARQL text
+// through the service layer's worker pool over one shared snapshot, at
+// one, two and four workers, and at four workers sharing one plan cache
+// (the serving configuration: recurring query shapes are planned once).
+// On a multi-core machine the parallel cells should scale with workers;
+// per-query results stay identical. CI also runs it under -race.
 func BenchmarkConcurrentQueries(b *testing.B) {
 	g := gmark.Generate(gmark.Config{Nodes: 6000, Seed: 13})
-	var cqs []engine.CQ
-	// Length-5 cycles cost ~100us each on the graph engine: heavy enough
-	// that per-query work dominates pool overhead, light enough for the
-	// CI bench sweep.
+	var queries []*sparql.Query
 	for _, q := range g.Workload(gmark.Cycle, 5, 32, 17) {
-		cqs = append(cqs, q.CQ)
-	}
-	timeout := 2 * time.Second
-	e := &engine.GraphEngine{}
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			stats := engine.RunWorkload(e, g.Snapshot, cqs, timeout)
-			if stats.Timeouts > 0 {
-				b.Fatal("unexpected timeout")
-			}
+		pq, err := sparql.Parse(q.SPARQL)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.ReportMetric(float64(len(cqs)*b.N)/b.Elapsed().Seconds(), "queries/s")
-	})
-	for _, workers := range []int{2, 4} {
-		b.Run(fmt.Sprintf("parallel-%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rep := service.Run(context.Background(), e, g.Snapshot, cqs,
-					service.Options{Workers: workers, Timeout: timeout})
-				if rep.Timeouts > 0 {
-					b.Fatal("unexpected timeout")
+		queries = append(queries, pq)
+	}
+	run := func(b *testing.B, opt service.QueryOptions) {
+		opt.Timeout = 2 * time.Second
+		for i := 0; i < b.N; i++ {
+			rep := service.RunQueries(context.Background(), g.Snapshot, queries, opt)
+			for _, o := range rep.Outcomes {
+				if o.Err != nil {
+					b.Fatal(o.Err)
 				}
 			}
-			b.ReportMetric(float64(len(cqs)*b.N)/b.Elapsed().Seconds(), "queries/s")
+		}
+		b.ReportMetric(float64(len(queries)*b.N)/b.Elapsed().Seconds(), "queries/s")
+	}
+	b.Run("serial", func(b *testing.B) { run(b, service.QueryOptions{Workers: 1}) })
+	for _, workers := range []int{2, 4} {
+		b.Run(fmt.Sprintf("parallel-%d", workers), func(b *testing.B) {
+			run(b, service.QueryOptions{Workers: workers})
 		})
 	}
-	// The serving configuration: the pool shares one shape-keyed plan
-	// cache, so recurring query shapes are planned once.
 	b.Run("parallel-4-plancache", func(b *testing.B) {
-		cache := plan.NewCache(g.Snapshot)
-		for i := 0; i < b.N; i++ {
-			rep := service.Run(context.Background(), e, g.Snapshot, cqs,
-				service.Options{Workers: 4, Timeout: timeout, Plans: cache})
-			if rep.Timeouts > 0 {
-				b.Fatal("unexpected timeout")
-			}
-		}
-		b.ReportMetric(float64(len(cqs)*b.N)/b.Elapsed().Seconds(), "queries/s")
+		run(b, service.QueryOptions{Workers: 4, Plans: plan.NewCache(g.Snapshot)})
 	})
 }
 
@@ -656,15 +615,6 @@ func TestMain(m *testing.M) {
 // setup path at tiny scale, so a broken harness fails `go test ./...`
 // instead of rotting until someone runs -bench.
 func TestBenchHarnessSmoke(t *testing.T) {
-	cfg := repro.Config{
-		Scale:         0.00002,
-		Seed:          7,
-		GraphNodes:    400,
-		WorkloadSize:  2,
-		Timeout:       50 * time.Millisecond,
-		StreakLogSize: 200,
-	}
-
 	// Corpus analytics: Tables 1-5, Figures 1/5, appendix variant.
 	ds := loggen.Generate(loggen.Profiles()[0], 400, 2017)
 	rep := core.AnalyzeLog(ds.Name, ds.Entries, core.Options{})
@@ -714,7 +664,7 @@ func TestBenchHarnessSmoke(t *testing.T) {
 	}
 
 	// Engine comparison (Figure 3) and ablations' gMark setup.
-	if _, data := repro.Figure3(cfg); len(data.Lengths) != 6 {
+	if _, data := engine.Figure3(400, 2, 7, 50*time.Millisecond); len(data.Lengths) != 6 {
 		t.Error("figure3 setup lost workloads")
 	}
 	g := gmark.Generate(gmark.Config{Nodes: 300, Seed: 1})

@@ -13,7 +13,7 @@ import (
 	"fmt"
 	"time"
 
-	"sparqlog/internal/repro"
+	"sparqlog/internal/engine"
 )
 
 func main() {
@@ -23,11 +23,6 @@ func main() {
 	seed := flag.Int64("seed", 2017, "generator seed")
 	flag.Parse()
 
-	cfg := repro.DefaultConfig()
-	cfg.GraphNodes = *nodes
-	cfg.WorkloadSize = *workload
-	cfg.Timeout = *timeout
-	cfg.Seed = *seed
-	out, _ := repro.Figure3(cfg)
+	out, _ := engine.Figure3(*nodes, *workload, *seed, *timeout)
 	fmt.Print(out)
 }

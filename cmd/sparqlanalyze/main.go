@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"sparqlog/internal/core"
+	"sparqlog/internal/engine"
 	"sparqlog/internal/repro"
 )
 
@@ -36,10 +37,11 @@ func main() {
 	cfg := repro.Config{
 		Scale:         *scale,
 		Seed:          *seed,
-		GraphNodes:    *graphNodes,
-		WorkloadSize:  *workload,
-		Timeout:       *timeout,
 		StreakLogSize: 4000,
+	}
+	figure3 := func() string {
+		out, _ := engine.Figure3(*graphNodes, *workload, *seed, *timeout)
+		return out
 	}
 
 	var lf core.LogFormat
@@ -78,9 +80,10 @@ func main() {
 	switch *experiment {
 	case "all":
 		fmt.Print(repro.All(cfg))
+		fmt.Println()
+		fmt.Print(figure3())
 	case "figure3":
-		out, _ := repro.Figure3(cfg)
-		fmt.Print(out)
+		fmt.Print(figure3())
 	case "table6":
 		fmt.Print(repro.Table6(cfg))
 	case "appendix":

@@ -6,19 +6,22 @@
 //
 //	sparqlquery -data graph.nt 'SELECT * WHERE { ?s ?p ?o } LIMIT 10'
 //	sparqlquery -bib 5000 'PREFIX bib: <http://gmark.bib/p/> ASK { ?p bib:cites ?q }'
-//	sparqlquery -bib 5000 -explain 'SELECT ...'     # chosen join order + per-operator rows/batches
+//	sparqlquery -bib 5000 -explain 'SELECT ...'     # the operator tree one execution pulled
 //	sparqlquery -bib 5000 -timeout 500ms '...'      # per-query deadline
 //	sparqlquery -bib 5000 -batch queries.txt -workers 8 -explain
 //
-// With -explain the query's conjunctive core is planned by the
-// cost-based planner and executed instrumented on the columnar
-// pipeline; the transcript shows the chosen atom order with estimated
-// vs. actual intermediate row counts and per-operator batch counts.
-// Property-path patterns get their own section (compiled automaton,
-// chosen direction, estimated vs. actual reach), and a query with
-// aggregation or ORDER BY a line each for the streaming aggregation
-// (rows in, groups out) and the ORDER BY strategy (bounded heap or
-// full sort).
+// With -explain the query executes once, exactly as it would without
+// the flag, and the transcript (eval.Explain) renders the operator tree
+// that execution pulled: one line per operator — joins, property paths,
+// FILTER, BIND, OPTIONAL, UNION, MINUS, VALUES, GRAPH, SERVICE,
+// subqueries, the streaming aggregation (rows in, groups out), the ORDER
+// BY strategy (bounded heap or full sort) and the slice — with the
+// planner's row estimate where it ordered a join and the rows and
+// batches each operator emitted. A property path adds its compiled
+// automaton, estimated reach and the evaluations it ran. The answer's
+// size, probes, time and the result-cache key close it. If the
+// execution fails (-timeout, the row budget), the transcript shows the
+// tree as far as it ran and the command exits 1.
 //
 // With -batch FILE the queries in FILE (one per line; blank lines and
 // #-comments skipped) run as a workload through the service layer's
@@ -49,7 +52,7 @@ func main() {
 	data := flag.String("data", "", "N-Triples data file")
 	bib := flag.Int("bib", 0, "generate a gMark Bib graph of this many nodes instead of loading data")
 	seed := flag.Int64("seed", 1, "generator seed for -bib")
-	explain := flag.Bool("explain", false, "print the planner's join order with per-operator row/batch counts (and, with -batch, the shared cache counters) instead of query results")
+	explain := flag.Bool("explain", false, "execute once and print the operator tree it pulled, with per-operator estimated and actual rows (with -batch: the shared cache counters) instead of query results")
 	timeout := flag.Duration("timeout", 0, "per-query evaluation deadline (e.g. 500ms); 0 = none")
 	batch := flag.String("batch", "", "file of queries (one per line; blank lines and #-comments skipped) to run as a workload")
 	workers := flag.Int("workers", 0, "worker pool size for -batch (0 = GOMAXPROCS)")
@@ -107,11 +110,11 @@ func main() {
 	}
 	if *explain {
 		text, err := eval.Explain(ctx, sn, q)
+		fmt.Print(text)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "explain error:", err)
 			os.Exit(1)
 		}
-		fmt.Print(text)
 		return
 	}
 	res, err := eval.QueryContext(ctx, sn, q, eval.Limits{})

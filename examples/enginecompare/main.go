@@ -1,61 +1,24 @@
-// Enginecompare: a miniature Figure 3. Generates a Bib graph, builds
-// chain and cycle workloads, and races the graph engine against the
-// relational engine, printing average runtimes and timeout rates. A
-// final section re-runs a chain workload through the concurrent service
-// layer, printing throughput and latency percentiles — both engines
-// sharing the one immutable snapshot.
+// Enginecompare: a miniature Figure 3. It races the graph engine (BG,
+// the Blazegraph stand-in) against the relational engine (PG, the
+// PostgreSQL stand-in) on gMark chain and cycle workloads of lengths
+// 3..8 over a small Bib graph — engine.Figure3 at a size that finishes
+// in seconds — and prints one generated query of each shape.
 package main
 
 import (
-	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"sparqlog/internal/engine"
 	"sparqlog/internal/gmark"
-	"sparqlog/internal/service"
 )
 
 func main() {
-	g := gmark.Generate(gmark.Config{Nodes: 8000, Seed: 42})
-	fmt.Printf("Bib graph: %d nodes, %d triples\n\n", g.N, g.Triples)
+	const nodes, perWorkload, seed = 4000, 6, 42
+	out, _ := engine.Figure3(nodes, perWorkload, seed, 200*time.Millisecond)
+	fmt.Print(out)
 
-	bg := &engine.GraphEngine{}
-	pg := &engine.RelationalEngine{}
-	timeout := time.Second
-
-	fmt.Printf("%-10s %-6s %14s %10s\n", "workload", "engine", "avg ns/query", "timeouts")
-	for _, shape := range []gmark.QueryShape{gmark.Chain, gmark.Cycle} {
-		for _, k := range []int{3, 5, 7} {
-			queries := g.Workload(shape, k, 10, int64(k))
-			var cqs []engine.CQ
-			for _, q := range queries {
-				cqs = append(cqs, q.CQ)
-			}
-			for _, e := range []engine.Engine{bg, pg} {
-				stats := engine.RunWorkload(e, g.Snapshot, cqs, timeout)
-				fmt.Printf("%s-%-8d %-6s %14d %9.0f%%\n",
-					shape, k, stats.Engine, stats.AvgNanos(), 100*stats.TimeoutRate())
-			}
-		}
-	}
-
-	// Concurrent serving over the shared snapshot.
-	var cqs []engine.CQ
-	for _, q := range g.Workload(gmark.Chain, 4, 64, 17) {
-		cqs = append(cqs, q.CQ)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	fmt.Printf("\nconcurrent service: %d queries, %d workers\n", len(cqs), workers)
-	for _, e := range []engine.Engine{bg, pg} {
-		rep := service.Run(context.Background(), e, g.Snapshot, cqs,
-			service.Options{Workers: workers, Timeout: timeout})
-		fmt.Printf("%-6s %8.0f qps  p50 %-10v p95 %-10v p99 %-10v timeouts %d\n",
-			rep.Engine, rep.Stats.QPS, rep.Stats.P50, rep.Stats.P95, rep.Stats.P99, rep.Timeouts)
-	}
-
-	// Show one generated query of each shape.
+	g := gmark.Generate(gmark.Config{Nodes: nodes, Seed: seed})
 	fmt.Println("\nsample chain query: ", g.Workload(gmark.Chain, 4, 1, 7)[0].SPARQL)
 	fmt.Println("sample cycle query: ", g.Workload(gmark.Cycle, 4, 1, 7)[0].SPARQL)
 }

@@ -9,9 +9,9 @@ import (
 )
 
 // TestEngineConsistencyRandom is the cross-engine differential test: on
-// random stores and random conjunctive queries, all engines (greedy graph,
-// syntactic graph, materializing relational, pipelined relational) must
-// agree on result counts (for counting) and emptiness (for ASK).
+// random stores and random conjunctive queries, the planned graph engine
+// and the syntactic-order relational engine must agree on result counts
+// (for counting) and emptiness (for ASK).
 func TestEngineConsistencyRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 60; trial++ {
@@ -46,26 +46,24 @@ func TestEngineConsistencyRandom(t *testing.T) {
 		}
 		q := CQ{Atoms: atoms, NumVars: nVars}
 
-		ref1 := (&GraphEngine{}).Execute(sn, q, time.Second)
-		ref2 := (&GraphEngine{Order: OrderSyntactic}).Execute(sn, q, time.Second)
-		ref3 := (&RelationalEngine{}).Execute(sn, q, time.Second)
-		if ref1.TimedOut || ref2.TimedOut || ref3.TimedOut {
+		graph := (&GraphEngine{}).Execute(sn, q, time.Second)
+		relational := (&RelationalEngine{}).Execute(sn, q, time.Second)
+		if graph.TimedOut || relational.TimedOut {
 			t.Fatalf("trial %d: unexpected timeout", trial)
 		}
-		if ref1.Count != ref2.Count || ref1.Count != ref3.Count {
-			t.Fatalf("trial %d: counts diverge: greedy=%d syntactic=%d relational=%d (atoms=%v)",
-				trial, ref1.Count, ref2.Count, ref3.Count, atoms)
+		if graph.Count != relational.Count {
+			t.Fatalf("trial %d: counts diverge: graph=%d relational=%d (atoms=%v)",
+				trial, graph.Count, relational.Count, atoms)
 		}
-		// ASK agreement across all four engines.
+		// ASK agreement across both engines.
 		qa := q
 		qa.Ask = true
 		a1 := (&GraphEngine{}).Execute(sn, qa, time.Second)
 		a2 := (&RelationalEngine{}).Execute(sn, qa, time.Second)
-		a3 := (&RelationalEngine{PipelinedAsk: true}).Execute(sn, qa, time.Second)
-		want := ref1.Count > 0
-		if (a1.Count > 0) != want || (a2.Count > 0) != want || (a3.Count > 0) != want {
-			t.Fatalf("trial %d: ASK diverges: want %v, got %v/%v/%v",
-				trial, want, a1.Count > 0, a2.Count > 0, a3.Count > 0)
+		want := graph.Count > 0
+		if (a1.Count > 0) != want || (a2.Count > 0) != want {
+			t.Fatalf("trial %d: ASK diverges: want %v, got %v/%v",
+				trial, want, a1.Count > 0, a2.Count > 0)
 		}
 	}
 }

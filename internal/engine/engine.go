@@ -1,8 +1,10 @@
-// Package engine implements two deliberately contrasting conjunctive-query
-// engines over immutable rdf.Snapshots, reproducing the systems experiment
-// of Section 5.1 (Figure 3): a graph-native engine in the role of
-// Blazegraph and a relational engine in the role of PostgreSQL over a
-// triples table.
+// Package engine reproduces the systems experiment of Section 5.1
+// (Figure 3) and nothing else: two deliberately contrasting
+// conjunctive-query engines over immutable rdf.Snapshots, a graph-native
+// engine in the role of Blazegraph (BG) and a relational engine in the
+// role of PostgreSQL over a triples table (PG), raced on gMark chain and
+// cycle workloads by Figure3. No SPARQL query a binary serves runs here:
+// those run on the columnar executor (internal/eval, internal/exec).
 //
 // GraphEngine performs index nested-loop joins in the order chosen by
 // the statistics-driven cost-based planner (internal/plan, computed once
@@ -16,11 +18,13 @@
 // before the next join, with no structure-aware reordering and no ASK
 // short-circuit. Cyclic queries keep both endpoints of the growing path in
 // the intermediate relation and only prune at the closing join, which is
-// what drives the paper's observed PostgreSQL timeouts on cycles.
+// what drives the paper's observed PostgreSQL timeouts on cycles. Being
+// order-independent, it is also the reference the planned graph engine
+// is checked against.
 //
 // Both engines are stateless between calls and read only the immutable
 // snapshot, so one snapshot can serve any number of concurrent Execute /
-// ExecuteContext calls (see internal/service for the worker-pool layer).
+// ExecuteContext calls.
 package engine
 
 import (
@@ -28,7 +32,6 @@ import (
 	"errors"
 	"time"
 
-	"sparqlog/internal/exec"
 	"sparqlog/internal/plan"
 	"sparqlog/internal/rdf"
 )
@@ -48,25 +51,7 @@ func C(id rdf.ID) TermRef { return plan.C(id) }
 type Atom = plan.Atom
 
 // CQ is a conjunctive query over a store.
-type CQ struct {
-	Atoms   []Atom
-	NumVars int
-	// Ask indicates existence semantics: engines that support
-	// short-circuiting may stop at the first result.
-	Ask bool
-}
-
-// Reordered returns a copy of the query with atoms permuted into the
-// plan's execution order.
-func (q CQ) Reordered(p *plan.Plan) CQ {
-	atoms := make([]Atom, len(q.Atoms))
-	for k, ai := range p.Order {
-		atoms[k] = q.Atoms[ai]
-	}
-	out := q
-	out.Atoms = atoms
-	return out
-}
+type CQ = plan.CQ
 
 // Result reports one query execution.
 type Result struct {
@@ -141,38 +126,12 @@ func (tk *ticker) check(mask int) error {
 
 // ---------- Graph engine ----------
 
-// OrderMode selects the join-ordering strategy of GraphEngine.
-type OrderMode int
-
-// Join orderings.
-const (
-	// OrderGreedy executes atoms in the statistics-driven order of the
-	// cost-based planner (internal/plan): greedy minimum selectivity with
-	// bound-variable propagation, computed once per query from the
-	// snapshot's Freeze-time statistics instead of re-estimated with
-	// index probes at every search node.
-	OrderGreedy OrderMode = iota
-	// OrderSyntactic processes atoms in query order (ablation mode).
-	OrderSyntactic
-)
-
 // GraphEngine is the Blazegraph stand-in: index nested-loop joins over the
-// snapshot's SPO/POS/OSP indexes.
-type GraphEngine struct {
-	Order OrderMode
-	// Plans, when set, caches plans by query shape; it must have been
-	// built for the snapshot being queried (a cache for a different
-	// snapshot is bypassed). Nil plans each query individually.
-	Plans *plan.Cache
-}
+// snapshot's SPO/POS/OSP indexes, in the cost-based planner's order.
+type GraphEngine struct{}
 
 // Name identifies the engine in reports.
-func (e *GraphEngine) Name() string {
-	if e.Order == OrderSyntactic {
-		return "graph-syntactic"
-	}
-	return "BG"
-}
+func (e *GraphEngine) Name() string { return "BG" }
 
 // Execute runs the query with backtracking search within a timeout.
 func (e *GraphEngine) Execute(sn *rdf.Snapshot, q CQ, timeout time.Duration) Result {
@@ -183,77 +142,19 @@ func (e *GraphEngine) Execute(sn *rdf.Snapshot, q CQ, timeout time.Duration) Res
 // depth-first backtracking search: its dense []int64 slot scratch
 // materializes nothing when only a count is needed.
 func (e *GraphEngine) ExecuteContext(ctx context.Context, sn *rdf.Snapshot, q CQ) Result {
-	res, _ := e.run(ctx, sn, q, e.order(sn, q), false)
-	return res
-}
-
-// run executes the query in the given atom order with the backtracking
-// search, optionally instrumented with per-step actual row counts.
-func (e *GraphEngine) run(ctx context.Context, sn *rdf.Snapshot, q CQ, order []int, instrument bool) (Result, *graphExec) {
 	start := time.Now()
 	ex := &graphExec{
 		sn:       sn,
 		q:        q,
-		order:    order,
+		order:    plan.For(sn, q.Atoms, q.NumVars).Order,
 		bindings: make([]int64, q.NumVars),
 		tk:       newTicker(ctx),
-	}
-	if instrument {
-		ex.actual = make([]int64, len(q.Atoms))
 	}
 	for i := range ex.bindings {
 		ex.bindings[i] = unbound
 	}
 	err := ex.search(0)
-	res := Result{Count: ex.count, Duration: time.Since(start)}
-	if errors.Is(err, errTimeout) {
-		res.TimedOut = true
-	}
-	return res, ex
-}
-
-// runColumnar executes a counting query on the slot-based batch
-// pipeline shared with the SPARQL evaluator (internal/exec): one
-// exec.Join per planned atom, intermediate results flowing as
-// slot-indexed ID batches (plan variable indexes double as batch
-// slots, so a cached plan executes without any name re-resolution).
-// It returns the result plus per-operator actual row and batch counts
-// — the instrumented view Explain renders.
-func (e *GraphEngine) runColumnar(ctx context.Context, sn *rdf.Snapshot, q CQ, order []int) (Result, []int64, []int64) {
-	start := time.Now()
-	c := exec.NewCtx(ctx)
-	var op exec.Operator = exec.NewUnit(q.NumVars)
-	joins := make([]exec.Operator, len(order))
-	for k, ai := range order {
-		op = exec.NewJoin(sn, op, q.Atoms[ai], false)
-		joins[k] = op
-	}
-	count, err := exec.Count(c, op, 0)
-	res := Result{Count: count, Duration: time.Since(start)}
-	if err != nil {
-		res.TimedOut = true
-	}
-	actual := make([]int64, len(joins))
-	batches := make([]int64, len(joins))
-	for k, j := range joins {
-		st := j.Stats()
-		actual[k], batches[k] = st.Rows, st.Batches
-	}
-	return res, actual, batches
-}
-
-// order resolves the atom execution order: the identity permutation for
-// OrderSyntactic, otherwise the cost-based plan (cached when the engine
-// carries a plan cache for this snapshot).
-func (e *GraphEngine) order(sn *rdf.Snapshot, q CQ) []int {
-	if e.Order == OrderSyntactic {
-		order := make([]int, len(q.Atoms))
-		for i := range order {
-			order[i] = i
-		}
-		return order
-	}
-	return e.Plans.For(sn, q.Atoms, q.NumVars).Order
+	return Result{Count: ex.count, TimedOut: errors.Is(err, errTimeout), Duration: time.Since(start)}
 }
 
 type graphExec struct {
@@ -263,9 +164,6 @@ type graphExec struct {
 	bindings []int64
 	count    int64
 	tk       ticker
-	// actual, when non-nil, counts the rows that survived each step
-	// (indexed by plan step, not atom index).
-	actual []int64
 }
 
 // errDone stops the search after the first result for ASK queries.
@@ -301,9 +199,6 @@ func (ex *graphExec) search(depth int) error {
 		ok := bind(atom.S, s) && bind(atom.P, p) && bind(atom.O, o)
 		var err error
 		if ok {
-			if ex.actual != nil {
-				ex.actual[depth]++
-			}
 			err = ex.search(depth + 1)
 		}
 		for i := 0; i < n; i++ {

@@ -42,7 +42,7 @@ func cycleCQ(st *rdf.Snapshot, pred string, k int, ask bool) CQ {
 }
 
 func engines() []Engine {
-	return []Engine{&GraphEngine{}, &GraphEngine{Order: OrderSyntactic}, &RelationalEngine{}}
+	return []Engine{&GraphEngine{}, &RelationalEngine{}}
 }
 
 func TestChainCounts(t *testing.T) {

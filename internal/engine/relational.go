@@ -5,7 +5,6 @@ import (
 	"errors"
 	"time"
 
-	"sparqlog/internal/plan"
 	"sparqlog/internal/rdf"
 )
 
@@ -17,32 +16,13 @@ import (
 type RelationalEngine struct {
 	// MaxRows caps any intermediate relation; 0 means DefaultMaxRows.
 	MaxRows int
-	// PipelinedAsk streams ASK queries through the join pipeline with
-	// early exit (an EXISTS-style plan) instead of materializing. The
-	// paper's setup ran gMark's SQL SELECT workloads on PostgreSQL, so
-	// the default is full materialization; the flag exists for the
-	// ablation benchmark.
-	PipelinedAsk bool
-	// Reorder permutes the atoms into the cost-based planner's order
-	// before the left-deep pipeline — the "PostgreSQL with table
-	// statistics" variant. The default (false) keeps the paper's
-	// syntactic order, which is what drives the observed cycle timeouts.
-	Reorder bool
-	// Plans optionally caches plans by query shape when Reorder is set;
-	// see GraphEngine.Plans.
-	Plans *plan.Cache
 }
 
 // DefaultMaxRows bounds intermediate materialization.
 const DefaultMaxRows = 4_000_000
 
 // Name identifies the engine in reports.
-func (e *RelationalEngine) Name() string {
-	if e.Reorder {
-		return "PG-stats"
-	}
-	return "PG"
-}
+func (e *RelationalEngine) Name() string { return "PG" }
 
 // relation is a materialized intermediate result: a schema of variable
 // indexes and rows of concrete IDs.
@@ -68,15 +48,8 @@ func (e *RelationalEngine) Execute(sn *rdf.Snapshot, q CQ, timeout time.Duration
 
 // ExecuteContext runs the left-deep hash-join pipeline under the
 // context's deadline, materializing every intermediate (the SQL SELECT
-// plan of the paper's setup). With PipelinedAsk set, ASK queries instead
-// stream with early exit.
+// plan of the paper's setup, ASK queries included).
 func (e *RelationalEngine) ExecuteContext(ctx context.Context, sn *rdf.Snapshot, q CQ) Result {
-	if e.Reorder {
-		q = q.Reordered(e.Plans.For(sn, q.Atoms, q.NumVars))
-	}
-	if q.Ask && e.PipelinedAsk {
-		return e.executeAsk(ctx, sn, q)
-	}
 	start := time.Now()
 	tk := newTicker(ctx)
 	maxRows := e.MaxRows
@@ -210,155 +183,3 @@ func joinAtom(sn *rdf.Snapshot, cur *relation, atom Atom, tk *ticker, maxRows in
 
 // errMemory marks the materialization cap; reported as a timeout.
 var errMemory = errors.New("engine: materialization cap exceeded")
-
-// executeAsk streams rows through the syntactic-order join pipeline with
-// early exit. Unlike GraphEngine, there is no join reordering and no
-// selectivity estimation: atom i is always probed after atoms 0..i-1, so
-// a cycle query enumerates open paths until one closes — the behaviour
-// behind the paper's PostgreSQL cycle timeouts.
-func (e *RelationalEngine) executeAsk(ctx context.Context, sn *rdf.Snapshot, q CQ) Result {
-	start := time.Now()
-	tk := newTicker(ctx)
-	// Hash build per atom, keyed by the variables shared with the prefix
-	// (modelling the hash side of each join; the build cost is the full
-	// predicate scan, as in a triples-table plan without statistics).
-	numAtoms := len(q.Atoms)
-	bound := make([]bool, q.NumVars)
-	type buildInfo struct {
-		keyVars []int // variables bound by the prefix that this atom shares
-		table   map[[3]int64][]rdf.Triple
-	}
-	builds := make([]buildInfo, numAtoms)
-	timedOut := func() Result {
-		return Result{TimedOut: true, Duration: time.Since(start)}
-	}
-	for i, atom := range q.Atoms {
-		var keyVars []int
-		refs := [3]TermRef{atom.S, atom.P, atom.O}
-		for _, r := range refs {
-			if r.IsVar && bound[r.Var] {
-				keyVars = append(keyVars, r.Var)
-			}
-		}
-		var scan []rdf.Triple
-		if !atom.P.IsVar {
-			scan = sn.ScanPredicate(atom.P.ID)
-		} else {
-			scan = sn.Triples()
-		}
-		table := make(map[[3]int64][]rdf.Triple, len(scan))
-		for _, t := range scan {
-			if err := tk.check(4095); err != nil {
-				return timedOut()
-			}
-			vals := [3]rdf.ID{t.S, t.P, t.O}
-			ok := true
-			var key [3]int64
-			for ki := range key {
-				key[ki] = -1
-			}
-			for pi, r := range refs {
-				if !r.IsVar {
-					if r.ID != vals[pi] {
-						ok = false
-						break
-					}
-					continue
-				}
-				// Repeated variables inside the atom must agree.
-				for pj := pi + 1; pj < 3; pj++ {
-					if refs[pj].IsVar && refs[pj].Var == r.Var && vals[pj] != vals[pi] {
-						ok = false
-					}
-				}
-			}
-			if !ok {
-				continue
-			}
-			ki := 0
-			for _, kv := range keyVars {
-				for pi, r := range refs {
-					if r.IsVar && r.Var == kv {
-						key[ki] = int64(vals[pi])
-						break
-					}
-				}
-				ki++
-			}
-			table[key] = append(table[key], t)
-		}
-		builds[i] = buildInfo{keyVars: keyVars, table: table}
-		for _, r := range refs {
-			if r.IsVar {
-				bound[r.Var] = true
-			}
-		}
-	}
-	// Streaming probe with backtracking, syntactic order, first-hit exit.
-	binding := make([]int64, q.NumVars)
-	for i := range binding {
-		binding[i] = unbound
-	}
-	var probe func(i int) (bool, error)
-	probe = func(i int) (bool, error) {
-		if i == numAtoms {
-			return true, nil
-		}
-		if err := tk.check(1023); err != nil {
-			return false, err
-		}
-		atom := q.Atoms[i]
-		refs := [3]TermRef{atom.S, atom.P, atom.O}
-		var key [3]int64
-		for ki := range key {
-			key[ki] = -1
-		}
-		for ki, kv := range builds[i].keyVars {
-			key[ki] = binding[kv]
-		}
-		for _, t := range builds[i].table[key] {
-			vals := [3]rdf.ID{t.S, t.P, t.O}
-			var set [3]int
-			n := 0
-			ok := true
-			for pi, r := range refs {
-				if !r.IsVar {
-					continue
-				}
-				switch cur := binding[r.Var]; {
-				case cur == unbound:
-					binding[r.Var] = int64(vals[pi])
-					set[n] = r.Var
-					n++
-				case cur != int64(vals[pi]):
-					ok = false
-				}
-				if !ok {
-					break
-				}
-			}
-			if ok {
-				found, err := probe(i + 1)
-				if err != nil {
-					return false, err
-				}
-				if found {
-					return true, nil
-				}
-			}
-			for j := 0; j < n; j++ {
-				binding[set[j]] = unbound
-			}
-		}
-		return false, nil
-	}
-	found, err := probe(0)
-	if err != nil {
-		return timedOut()
-	}
-	res := Result{Duration: time.Since(start)}
-	if found {
-		res.Count = 1
-	}
-	return res
-}

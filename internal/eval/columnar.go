@@ -130,7 +130,7 @@ func (ev *evaluator) query(q *sparql.Query) (*Result, error) {
 		// (unsatisfiable filter, empty VALUES, LIMIT 0 subquery, …):
 		// short-circuit to an empty source without compiling the tree
 		// or touching a single snapshot index (Result.Probes stays 0).
-		root = exec.NewSeed(width)
+		root = ce.traced(exec.NewSeed(width), "empty: the linter proved the WHERE clause matches nothing")
 	default:
 		root, err = ce.compile(q.Where, root, bound)
 		if err != nil {
@@ -140,6 +140,7 @@ func (ev *evaluator) query(q *sparql.Query) (*Result, error) {
 	if q.TrailingValues != nil {
 		root = ce.compileValues(q.TrailingValues, root)
 	}
+	ce.pulled(root)
 	switch q.Type {
 	case sparql.AskQuery:
 		n, err := exec.Count(ce.ec, root, 1)
@@ -266,9 +267,9 @@ func (ce *colExec) compile(p sparql.Pattern, in exec.Operator, bound map[string]
 		}
 		return cur, nil
 	case *sparql.TriplePattern:
-		return exec.NewJoin(ev.st, in, ce.compileAtom(n), true), nil
+		return ce.traced(exec.NewJoin(ev.st, in, ce.compileAtom(n)), n), nil
 	case *sparql.PathPattern:
-		return ce.compilePath(n, in), nil
+		return ce.traced(ce.compilePath(n, in), n), nil
 	case *sparql.Union:
 		lseed, rseed := exec.NewSeed(width), exec.NewSeed(width)
 		left, err := ce.compile(n.Left, lseed, copyBound(bound))
@@ -300,14 +301,14 @@ func (ce *colExec) compile(p sparql.Pattern, in exec.Operator, bound map[string]
 		if v, ok := varName(n.Name); ok {
 			slot := ce.slot(v)
 			gid := ce.pool.Intern(DefaultGraph)
-			cur = exec.NewApply(in, false, func(c *exec.Ctx, b *exec.Batch, row int, out *exec.Batch) error {
+			cur = ce.traced(exec.NewApply(in, false, func(c *exec.Ctx, b *exec.Batch, row int, out *exec.Batch) error {
 				if cv := b.Get(slot, row); cv != exec.Unbound && cv != gid {
 					return nil
 				}
 				r := out.AppendRow(b, row)
 				out.Set(slot, r, gid)
 				return nil
-			})
+			}), n)
 			bound[v] = true
 		}
 		return ce.compile(n.Inner, cur, bound)
@@ -326,13 +327,13 @@ func (ce *colExec) compile(p sparql.Pattern, in exec.Operator, bound map[string]
 		}
 		op := exec.NewRecover(in, inner, seed)
 		ce.recovers = append(ce.recovers, op.Stats())
-		return op, nil
+		return ce.traced(op, n), nil
 	case *sparql.Filter:
 		return ce.compileFilter(n.Constraint, in), nil
 	case *sparql.Bind:
 		slot := ce.slot(n.Var.Value)
 		expr := n.Expr
-		return exec.NewApply(in, false, func(c *exec.Ctx, b *exec.Batch, row int, out *exec.Batch) error {
+		return ce.traced(exec.NewApply(in, false, func(c *exec.Ctx, b *exec.Batch, row int, out *exec.Batch) error {
 			v, err := ev.eval(expr, rowEnv{ce, b, row})
 			r := out.AppendRow(b, row)
 			if err == nil {
@@ -343,13 +344,32 @@ func (ce *colExec) compile(p sparql.Pattern, in exec.Operator, bound map[string]
 				}
 			}
 			return nil
-		}), nil
+		}), n), nil
 	case *sparql.InlineData:
 		return ce.compileValues(n, in), nil
 	case *sparql.SubSelect:
 		return ce.compileSubselect(n, in), nil
 	}
 	return nil, fmt.Errorf("eval: unsupported pattern %T", p)
+}
+
+// traced records the query part op was compiled from (a pattern, an
+// expression or a fixed label), which Explain labels op's line with. On
+// every other execution it only returns op.
+func (ce *colExec) traced(op exec.Operator, src any) exec.Operator {
+	if x := ce.ev.explain; x != nil {
+		x.src[op] = src
+	}
+	return op
+}
+
+// pulled records root as the operator the outermost execution drains,
+// for Explain; subqueries, which execute while it is pulled, do not
+// replace it.
+func (ce *colExec) pulled(root exec.Operator) {
+	if x := ce.ev.explain; x != nil && (x.top == nil || x.top == ce) {
+		x.top, x.root = ce, root
+	}
 }
 
 func copyBound(bound map[string]bool) map[string]bool {
@@ -361,10 +381,10 @@ func copyBound(bound map[string]bool) map[string]bool {
 }
 
 func (ce *colExec) compileFilter(e sparql.Expr, in exec.Operator) exec.Operator {
-	return exec.NewFilter(in, func(c *exec.Ctx, b *exec.Batch, row int) bool {
+	return ce.traced(exec.NewFilter(in, func(c *exec.Ctx, b *exec.Batch, row int) bool {
 		v, err := ce.ev.eval(e, rowEnv{ce, b, row})
 		return err == nil && v.Truthy()
-	})
+	}), e)
 }
 
 // compileAtom resolves a triple pattern against the dictionary:
@@ -422,7 +442,7 @@ func (ce *colExec) compileValues(vd *sparql.InlineData, in exec.Operator) exec.O
 		}
 		rows[ri] = r
 	}
-	return exec.NewTableJoin(in, slots, rows, false)
+	return ce.traced(exec.NewTableJoin(in, slots, rows), vd)
 }
 
 // compileSubselect evaluates the subquery lazily — on the first input
@@ -433,7 +453,7 @@ func (ce *colExec) compileSubselect(ss *sparql.SubSelect, in exec.Operator) exec
 	loaded := false
 	var slots []int
 	var rows [][]rdf.ID
-	return exec.NewApply(in, true, func(c *exec.Ctx, b *exec.Batch, row int, out *exec.Batch) error {
+	return ce.traced(exec.NewApply(in, true, func(c *exec.Ctx, b *exec.Batch, row int, out *exec.Batch) error {
 		if !loaded {
 			sub, err := ce.ev.query(ss.Query)
 			if err != nil {
@@ -488,7 +508,7 @@ func (ce *colExec) compileSubselect(ss *sparql.SubSelect, in exec.Operator) exec
 			}
 		}
 		return nil
-	})
+	}), ss)
 }
 
 // exists evaluates an EXISTS pattern under one row, compiling the
@@ -628,12 +648,12 @@ func (ce *colExec) finishSelect(q *sparql.Query, root exec.Operator) (*Result, e
 		}
 		gb = exec.NewGroupBy(root, ap.spec, ce.pool.Text, ce.pool.Intern)
 		root = gb
-		for _, h := range ap.having {
+		for i, h := range ap.having {
 			h := h
-			root = exec.NewFilter(root, func(c *exec.Ctx, b *exec.Batch, row int) bool {
+			root = ce.traced(exec.NewFilter(root, func(c *exec.Ctx, b *exec.Batch, row int) bool {
 				v, err := ev.evalAggRow(h, rowEnv{ce, b, row}, gb.SyntheticEmpty())
 				return err == nil && v.Truthy()
-			})
+			}), &q.Mods.Having[i])
 		}
 		okeys = ap.order
 		// From here on the stream is the rewritten query's: aggregates
@@ -650,9 +670,7 @@ func (ce *colExec) finishSelect(q *sparql.Query, root exec.Operator) (*Result, e
 		}
 		return ev.eval(e, rowEnv{ce, b, row})
 	}
-	var tk *exec.TopK
-	orderDone := len(okeys) > 0
-	if orderDone {
+	if len(okeys) > 0 {
 		// Bound the sort when a LIMIT caps the output and nothing
 		// between the sort and the slice (DISTINCT, SELECT *'s
 		// variable collection over all rows) needs the full set.
@@ -701,8 +719,7 @@ func (ce *colExec) finishSelect(q *sparql.Query, root exec.Operator) (*Result, e
 			}
 			return 0
 		}
-		tk = exec.NewTopK(root, keep, len(keys), keyFn, cmp)
-		root = tk
+		root = exec.NewTopK(root, keep, len(keys), keyFn, cmp)
 	}
 	streamDistinct, streamSliced := false, false
 	if !q.SelectStar {
@@ -731,21 +748,10 @@ func (ce *colExec) finishSelect(q *sparql.Query, root exec.Operator) (*Result, e
 			streamSliced = true
 		}
 	}
+	ce.pulled(root)
 	t, vars, err := ce.project(q, root, agg, evalKey)
 	if err != nil {
 		return nil, err
-	}
-	if gb != nil || tk != nil {
-		mi := &ModifierInfo{}
-		if gb != nil {
-			info := gb.Info()
-			mi.Groups, mi.GroupRows = info.Groups, info.InputRows
-		}
-		if tk != nil {
-			info := tk.Info()
-			mi.TopKMode, mi.TopKScanned, mi.TopKKept = info.Mode, info.Scanned, info.Kept
-		}
-		ev.modInfo = mi
 	}
 	// TopK already emitted sorted order (okeys covers every ORDER BY
 	// key); what the stream could not do runs on the ID tuples.

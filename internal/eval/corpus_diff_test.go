@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -10,14 +11,16 @@ import (
 	"sparqlog/internal/sparql"
 )
 
-// TestLoggenCorpusDifferential runs every SELECT of the calibrated
-// loggen corpus (scale 1e-4, seed 1) through QueryAnswer and through the
-// reference, and requires the same projection and the same rows in the
-// same order. The store grows from the corpus itself: every triple
-// pattern, with each variable replaced by one term per variable name,
-// so most patterns match and the corpus's aggregates have groups to
-// fold. The executor may succeed where the reference overflows the row
-// budget (streaming LIMIT), never the other way round.
+// TestLoggenCorpusDifferential runs every SELECT and ASK of the
+// calibrated loggen corpus (scale 1e-4, seed 1) through QueryAnswer and
+// through the reference, and requires the same projection and the same
+// rows in the same order (the same answer, for ASK). The store grows
+// from the corpus itself: every triple pattern, with each variable
+// replaced by one term per variable name, so most patterns match and
+// the corpus's aggregates have groups to fold. The executor may succeed
+// where the reference overflows the row budget (streaming LIMIT), never
+// the other way round. Each query's Explain transcript must report the
+// answer QueryAnswer returned.
 func TestLoggenCorpusDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus replay")
@@ -27,7 +30,7 @@ func TestLoggenCorpusDifferential(t *testing.T) {
 	for _, ds := range loggen.GenerateCorpus(1e-4, 1) {
 		for _, e := range ds.Entries {
 			q, err := sparql.Parse(e)
-			if err != nil || q.Type != sparql.SelectQuery {
+			if err != nil || (q.Type != sparql.SelectQuery && q.Type != sparql.AskQuery) {
 				continue
 			}
 			qs = append(qs, q)
@@ -46,7 +49,7 @@ func TestLoggenCorpusDifferential(t *testing.T) {
 	}
 	sn := st.Freeze()
 	lim := Limits{MaxRows: 1000}
-	aggs, rows, overflowed := 0, 0, 0
+	aggs, asks, rows, overflowed := 0, 0, 0, 0
 	for _, q := range qs {
 		src := sparql.QueryString(q)
 		want, werr := queryReference(sn, q, lim)
@@ -57,6 +60,21 @@ func TestLoggenCorpusDifferential(t *testing.T) {
 		}
 		if gerr != nil {
 			t.Fatalf("%q: executor failed where the reference answered: %v", src, gerr)
+		}
+		text, err := Explain(context.Background(), sn, q)
+		answer := fmt.Sprintf("\nanswer: %d rows\n", got.Answer.Len())
+		if q.Type == sparql.AskQuery {
+			answer = fmt.Sprintf("\nanswer: %v\n", got.Bool)
+		}
+		if err != nil || !strings.Contains(text, answer) || strings.Contains(text, "may return different results") {
+			t.Fatalf("%q: explain (%v) does not report the%s:\n%s", src, err, strings.TrimRight(answer, "\n"), text)
+		}
+		if q.Type == sparql.AskQuery {
+			if got.Bool != want.Bool {
+				t.Fatalf("%q: ASK %v, reference %v", src, got.Bool, want.Bool)
+			}
+			asks++
+			continue
 		}
 		if strings.Join(got.Vars, ",") != strings.Join(want.Vars, ",") {
 			t.Fatalf("%q: vars %v, reference %v", src, got.Vars, want.Vars)
@@ -75,8 +93,8 @@ func TestLoggenCorpusDifferential(t *testing.T) {
 		}
 		rows += len(gotRows)
 	}
-	t.Logf("%d SELECTs (%d aggregate), %d rows, %d over the reference's row budget", len(qs), aggs, rows, overflowed)
-	if aggs == 0 || rows == 0 {
-		t.Fatal("vacuous: no aggregate query or no row compared")
+	t.Logf("%d queries (%d ASK, %d aggregate), %d rows, %d over the reference's row budget", len(qs), asks, aggs, rows, overflowed)
+	if aggs == 0 || asks == 0 || rows == 0 {
+		t.Fatal("vacuous: no aggregate query, no ASK or no row compared")
 	}
 }

@@ -69,9 +69,6 @@ type Result struct {
 	// A statically short-circuited query — one the linter proved empty
 	// before compilation — finishes with zero.
 	Probes int64
-	// Modifiers reports columnar GROUP BY / ORDER BY operator execution
-	// (group counts, heap-vs-sort mode); nil when neither operator ran.
-	Modifiers *ModifierInfo
 	// Cached marks a result served from the result cache (Limits.Results)
 	// without executing; Collapsed marks one received from a concurrent
 	// identical execution via single-flight. Both false means this
@@ -83,22 +80,6 @@ type Result struct {
 	// Serving layers use it to attach and reuse serialized bodies;
 	// empty means not resident.
 	CacheKey string
-}
-
-// ModifierInfo summarizes columnar solution-modifier execution: the
-// GroupBy and TopK operators the compiler placed. Nil when neither ran
-// (no aggregation and no ordering).
-type ModifierInfo struct {
-	// Groups is the emitted group count (before HAVING), GroupRows the
-	// input rows aggregated.
-	Groups    int64
-	GroupRows int64
-	// TopKMode is "heap" (bounded selection) or "sort" (full stable
-	// sort); empty when no ORDER BY operator ran. TopKScanned rows went
-	// in, TopKKept came out.
-	TopKMode    string
-	TopKScanned int64
-	TopKKept    int64
 }
 
 // Limits bounds evaluation.
@@ -192,22 +173,26 @@ func QueryAnswer(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim Lim
 
 // queryDirect is the uncached evaluation path.
 func queryDirect(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim Limits) (*Result, error) {
+	return (&evaluator{st: sn, prefixes: q.Prologue.PrefixMap(), lim: lim, ctx: ctx}).run(q)
+}
+
+// run is one execution of q: queryDirect's, or Explain's.
+func (ev *evaluator) run(q *sparql.Query) (*Result, error) {
 	if h := TestHookExecute; h != nil {
 		h(q)
 	}
-	ev := &evaluator{st: sn, prefixes: q.Prologue.PrefixMap(), lim: lim, ctx: ctx}
 	res, err := ev.query(q)
 	if err == nil {
 		res.Recovered = ev.recovered
 		res.Probes = ev.probes
-		res.Modifiers = ev.modInfo
 	}
 	return res, err
 }
 
-// TestHookExecute, when set, runs at the start of every uncached
-// evaluation. Tests of the serving layers set it to inject a panic or
-// a stall into the request path; nothing else may.
+// TestHookExecute, when set, runs at the start of every execution,
+// Explain's included. Tests of the serving layers set it to inject a
+// panic or a stall into the request path, and Explain's tests count
+// executions with it; nothing else may.
 var TestHookExecute func(q *sparql.Query)
 
 // answered wraps a columnar answer as an evaluation result.
@@ -235,10 +220,9 @@ type evaluator struct {
 	// execution of this evaluation (subqueries make their own colExec
 	// and harvest into here) — surfaced as Result.Probes.
 	probes int64
-	// modInfo records the outermost columnar GroupBy/TopK execution
-	// (subquery executions overwrite first, the main query last) —
-	// surfaced as Result.Modifiers.
-	modInfo *ModifierInfo
+	// explain collects what Explain renders; nil on every other
+	// evaluation, where the compiler records nothing.
+	explain *explainTrace
 }
 
 // pathCache returns the compiled-path cache: the caller-shared one from
@@ -373,7 +357,6 @@ func (ev *evaluator) reorderElems(elems []sparql.Pattern, bound map[string]bool)
 // variable-name table (planner variable index -> binding name).
 // Constants missing from the dictionary compile to an out-of-dictionary
 // ID, whose zero statistics order the (necessarily empty) atom first.
-// Shared by orderRun and Explain so the two compile paths cannot drift.
 func (ev *evaluator) compileBGP(patterns []*sparql.TriplePattern) ([]plan.Atom, []string) {
 	varIdx := map[string]int{}
 	var names []string
@@ -428,6 +411,9 @@ func (ev *evaluator) orderRun(run []*sparql.TriplePattern, bound map[string]bool
 	ordered := make([]*sparql.TriplePattern, len(run))
 	for k, ai := range p.Order {
 		ordered[k] = run[ai]
+	}
+	if x := ev.explain; x != nil {
+		x.planned(run, p, atoms, names, initial)
 	}
 	return ordered
 }

@@ -2,111 +2,195 @@ package eval
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
+	"time"
+	"unicode/utf8"
 
-	"sparqlog/internal/engine"
 	"sparqlog/internal/exec"
+	"sparqlog/internal/plan"
 	"sparqlog/internal/rdf"
 	"sparqlog/internal/sparql"
 )
 
-// Explain plans and executes the explainable parts of a parsed SPARQL
-// query and renders the transcript cmd/sparqlquery's -explain flag
-// prints. Two sections can appear:
+// Explain executes q once, as QueryAnswer does with default limits and
+// no result cache — the production compiler and the columnar executor —
+// and renders the operator tree that execution pulled, one line per
+// operator: cmd/sparqlquery's -explain transcript. A line shows
 //
-//   - The conjunctive core — every triple pattern of the WHERE clause,
-//     joined — planned by the cost-based planner and executed
-//     instrumented on the columnar batch pipeline, showing the chosen
-//     atom order with estimated vs. actual intermediate row counts and
-//     per-operator batch counts.
-//   - One section per property-path pattern, showing the compiled
-//     automaton (states, transitions, fast-path selection), the search
-//     direction chosen from the endpoint shape and statistics, and the
-//     estimated vs. actual reached counts of an execution.
+//   - the operator and what it evaluates: a triple pattern, a property
+//     path, a FILTER expression, a BIND, VALUES, GRAPH or SERVICE block,
+//     or a subquery;
+//   - the planner's estimate of the rows after a join, where the planner
+//     ordered it, and the variables that join binds first;
+//   - the rows and batches the operator emitted (exec.OpStats).
 //
-// Operators outside both (UNION, OPTIONAL, FILTER, ...) do not enter
-// either view; when present they are listed in a trailer so the
-// transcript is honest about what was and wasn't modeled.
+// Lines come in pull order: an operator's input precedes it, and the
+// subtrees it runs beside its input (OPTIONAL's inner pipeline, UNION's
+// branches, MINUS's removal set, SERVICE SILENT's body) follow it,
+// indented. A path operator adds its compiled automaton, its estimated
+// reach and the evaluations it ran. The transcript ends with the
+// answer's size, the execution's time, probes and silent SERVICE
+// recoveries, and the result-cache key.
 //
-// Every execution runs under ctx: when its deadline strikes or it is
-// cancelled, Explain returns exec.ErrTimeout and no transcript.
+// The execution runs under ctx. When it fails — its deadline strikes
+// (exec.ErrTimeout), a row budget overflows — Explain returns the error
+// with the transcript of the tree as far as it ran.
 func Explain(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query) (string, error) {
-	ev := &evaluator{st: sn, prefixes: q.Prologue.PrefixMap(), ctx: ctx}
-	patterns := q.Triples()
-	pathPatterns := q.PathPatterns()
-	if len(patterns) == 0 && len(pathPatterns) == 0 {
-		return "", fmt.Errorf("eval: query has no triple or path patterns to explain")
-	}
-	var text string
-	if len(patterns) > 0 {
-		atoms, varNames := ev.compileBGP(patterns)
-		cq := engine.CQ{Atoms: atoms, NumVars: len(varNames)}
+	x := &explainTrace{src: map[exec.Operator]any{}, steps: map[*sparql.TriplePattern]planStep{}}
+	ev := &evaluator{st: sn, prefixes: q.Prologue.PrefixMap(), lim: Limits{MaxRows: DefaultMaxRows}, ctx: ctx, explain: x}
+	start := time.Now()
+	res, err := ev.run(q)
+	elapsed := time.Since(start)
 
-		ge := &engine.GraphEngine{}
-		explained, res := ge.Explain(ctx, sn, cq)
-		if res.TimedOut {
-			return "", exec.ErrTimeout
-		}
-		text += explained.Format(sn.TermOf, func(i int) string {
-			if i < len(varNames) {
-				return "?" + varNames[i]
-			}
-			return fmt.Sprintf("?v%d", i)
-		})
-		text += fmt.Sprintf("conjunctive core: %d atoms, %d result rows in %s\n",
-			len(atoms), res.Count, res.Duration)
+	var b strings.Builder
+	if x.root != nil {
+		fmt.Fprintf(&b, "%10s %10s %8s  %s\n", "est rows", "rows", "batches", "operator")
+		x.write(&b, sn, x.root, "")
 	}
-	for _, pp := range pathPatterns {
-		section, err := ev.explainPath(pp)
-		if err != nil {
-			return "", err
-		}
-		text += section
+	switch {
+	case err != nil:
+		fmt.Fprintf(&b, "error: %v\n", err)
+	case q.Type == sparql.AskQuery:
+		fmt.Fprintf(&b, "answer: %v\n", res.Bool)
+	default:
+		fmt.Fprintf(&b, "answer: %d rows\n", res.Answer.Len())
 	}
-	mods, err := explainModifiers(ctx, sn, q)
-	if err != nil {
-		return "", err
-	}
-	text += mods
-	text += explainCacheLine(q)
-	if extras := nonConjunctiveOperators(q); len(extras) > 0 {
-		text += fmt.Sprintf("note: query also contains %s — only the conjunctive core and property\n"+
-			"      paths above were planned and executed; full evaluation may return different results\n",
-			strings.Join(extras, ", "))
-	}
-	if hasSilentService(q) {
-		text += "note: SERVICE SILENT present — evaluation falls back to the unjoined input when\n" +
-			"      the service body fails; Result.Recovered counts such silent recoveries\n"
-	}
-	return text, nil
+	fmt.Fprintf(&b, "executed once in %s: %d probes, %d silent SERVICE recoveries\n", elapsed, ev.probes, ev.recovered)
+	b.WriteString(explainCacheLine(q))
+	return b.String(), err
 }
 
-// explainModifiers executes the query with the default limits and
-// renders the columnar GroupBy/TopK section of the transcript: how many
-// input rows were aggregated into how many groups, and which ORDER BY
-// strategy ran (bounded heap vs full stable sort). A timeout is
-// returned; other failures (row-budget overflow, …) just omit the
-// section — the earlier sections already told the plan story.
-func explainModifiers(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query) (string, error) {
-	res, err := QueryAnswer(ctx, sn, q, Limits{})
-	if errors.Is(err, exec.ErrTimeout) {
-		return "", err
+// explainTrace is what Explain's execution records beyond the
+// operators' own stats. Only Explain sets evaluator.explain, so on
+// every other execution the compiler records nothing.
+type explainTrace struct {
+	// top is the outermost execution and root the operator it drains.
+	top  *colExec
+	root exec.Operator
+	// src maps an operator to the query part it was compiled from: a
+	// pattern, a FILTER expression, a HAVING constraint (by its address
+	// in the query), or a fixed label.
+	src map[exec.Operator]any
+	// steps holds the planner's view of every triple pattern it ordered.
+	steps map[*sparql.TriplePattern]planStep
+}
+
+// planStep is the planner's view of one join: the estimated rows after
+// it, and the variables it binds first.
+type planStep struct {
+	est   float64
+	binds []string
+}
+
+// planned records the plan of one ordered run of triple patterns;
+// variables bound before the run bind nowhere in it.
+func (x *explainTrace) planned(run []*sparql.TriplePattern, p *plan.Plan, atoms []plan.Atom, names []string, initial []bool) {
+	binds := p.BindsFor(atoms)
+	for k, ai := range p.Order {
+		var vars []string
+		for _, v := range binds[k] {
+			if !initial[v] {
+				vars = append(vars, varLabel(names[v]))
+			}
+		}
+		x.steps[run[ai]] = planStep{est: p.Rows[k], binds: vars}
 	}
-	if err != nil || res.Modifiers == nil {
-		return "", nil
+}
+
+// explainLabelMax bounds one operator label, so a long FILTER or
+// subquery keeps its line readable.
+const explainLabelMax = 120
+
+// write renders op's subtree in pull order at the given indent.
+func (x *explainTrace) write(b *strings.Builder, sn *rdf.Snapshot, op exec.Operator, indent string) {
+	info := exec.Inspect(op)
+	if info.In != nil {
+		x.write(b, sn, info.In, indent)
 	}
-	mi := res.Modifiers
-	var b strings.Builder
-	if mi.GroupRows > 0 || mi.Groups > 0 {
-		fmt.Fprintf(&b, "streaming aggregation: %d rows -> %d groups\n", mi.GroupRows, mi.Groups)
+	est := "-"
+	if tp, ok := x.src[op].(*sparql.TriplePattern); ok {
+		if st, ok := x.steps[tp]; ok {
+			est = formatEst(st.est)
+		}
 	}
-	if mi.TopKMode != "" {
-		fmt.Fprintf(&b, "top-k order by: mode=%s, scanned %d rows, kept %d\n",
-			mi.TopKMode, mi.TopKScanned, mi.TopKKept)
+	st := op.Stats()
+	fmt.Fprintf(b, "%10s %10d %8d  %s%s\n", est, st.Rows, st.Batches, indent, clip(x.label(op, info), explainLabelMax))
+	if pa := info.Path; pa != nil {
+		detail := indent + strings.Repeat(" ", 34)
+		for _, line := range strings.Split(strings.TrimRight(pa.Describe(sn.TermOf), "\n"), "\n") {
+			b.WriteString(detail + line + "\n")
+		}
+		reverse := info.Runs[exec.PathReverse] > 0 && info.Runs[exec.PathForward] == 0
+		fmt.Fprintf(b, "%sevaluation: %s; est reach %.0f nodes per evaluation\n",
+			detail, info.Runs, pa.EstimateReach(reverse))
 	}
-	return b.String(), nil
+	for _, side := range info.Sides {
+		x.write(b, sn, side, indent+"    ")
+	}
+}
+
+// label names op by the query part it was compiled from, falling back
+// to what exec knows of it.
+func (x *explainTrace) label(op exec.Operator, info exec.OpInfo) string {
+	switch s := x.src[op].(type) {
+	case string:
+		return s
+	case *sparql.TriplePattern:
+		label := "join " + sparql.PatternString(s)
+		if binds := x.steps[s].binds; len(binds) > 0 {
+			label += "  binds " + strings.Join(binds, " ")
+		}
+		return label
+	case *sparql.PathPattern:
+		return "path " + sparql.PatternString(s)
+	case sparql.Expr:
+		return "filter " + sparql.ExprString(s)
+	case *sparql.Expr:
+		return "having " + sparql.ExprString(*s)
+	case *sparql.Bind, *sparql.InlineData:
+		return sparql.PatternString(s.(sparql.Pattern))
+	case *sparql.GraphGraph:
+		return "GRAPH " + sparql.ExprString(&sparql.TermExpr{Term: s.Name})
+	case *sparql.ServiceGraph:
+		return "SERVICE SILENT " + sparql.ExprString(&sparql.TermExpr{Term: s.Name}) + ": " + info.Label
+	case *sparql.SubSelect:
+		return "subquery " + sparql.PatternString(s)
+	}
+	return info.Label
+}
+
+// varLabel renders a binding name as the query wrote it.
+func varLabel(name string) string {
+	if strings.HasPrefix(name, "_:") {
+		return name
+	}
+	return "?" + name
+}
+
+// formatEst renders a cardinality estimate compactly, in the width of
+// the estimate column.
+func formatEst(v float64) string {
+	switch {
+	case v >= 1e9:
+		return fmt.Sprintf("%.3g", v)
+	case v >= 100 || v == float64(int64(v)):
+		return fmt.Sprintf("%.0f", v)
+	}
+	return fmt.Sprintf("%.2f", v)
+}
+
+// clip shortens s to at most n bytes, cutting on a rune boundary and
+// marking the cut with "...".
+func clip(s string, n int) string {
+	if len(s) <= n {
+		return s
+	}
+	cut := n - 3
+	for cut > 0 && !utf8.RuneStart(s[cut]) {
+		cut--
+	}
+	return s[:cut] + "..."
 }
 
 // explainCacheLine renders the result-cache view of the query: the
@@ -115,138 +199,8 @@ func explainModifiers(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query) (s
 // share the key, so the line shows exactly which workload class the
 // query's cache entry serves.
 func explainCacheLine(q *sparql.Query) string {
-	key := sparql.QueryString(q)
-	if len(key) > 96 {
-		key = key[:93] + "..."
-	}
 	return fmt.Sprintf("result cache: canonical key %q\n"+
 		"      (snapshot-keyed; stored after execution when measured cost reaches the\n"+
-		"      admission threshold; errors, truncations and recovered results never cached)\n", key)
-}
-
-// hasSilentService reports whether any SERVICE SILENT clause appears in
-// the WHERE tree.
-func hasSilentService(q *sparql.Query) bool {
-	found := false
-	sparql.Walk(q.Where, func(p sparql.Pattern) bool {
-		if sg, ok := p.(*sparql.ServiceGraph); ok && sg.Silent {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// explainPath compiles one path pattern and executes it according to
-// its endpoint shape, reporting the automaton, the chosen direction and
-// estimated vs. actual reached counts.
-func (ev *evaluator) explainPath(pp *sparql.PathPattern) (string, error) {
-	render := func(t sparql.Term) string {
-		if txt, ok := ev.termText(t); ok {
-			return "<" + txt + ">"
-		}
-		name, _ := varName(t)
-		return "?" + name
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "property path: %s %s %s\n",
-		render(pp.S), sparql.PathString(pp.Path), render(pp.O))
-	cp := ev.pathCache().Compile(ev.st, pp.Path, ev.pathResolver())
-	for _, line := range strings.Split(strings.TrimRight(cp.Describe(ev.st.TermOf), "\n"), "\n") {
-		b.WriteString("  " + line + "\n")
-	}
-
-	lookupConst := func(t sparql.Term) (rdf.ID, bool, bool) {
-		txt, isConst := ev.termText(t)
-		if !isConst {
-			return 0, false, false
-		}
-		id, known := ev.st.Lookup(txt)
-		return id, true, known
-	}
-	sid, sConst, sKnown := lookupConst(pp.S)
-	oid, oConst, oKnown := lookupConst(pp.O)
-	if (sConst && !sKnown) || (oConst && !oKnown) {
-		b.WriteString("  endpoint constant not in dictionary — no matches\n")
-		return b.String(), nil
-	}
-	check := exec.NewCtx(ev.ctx).Poll
-	switch {
-	case sConst && oConst:
-		dir := cp.Direction(sid, oid)
-		holds, err := cp.HoldsCtx(check, sid, oid)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "  direction: %s (both ends bound; searching from the rarer end)\n", dir)
-		fmt.Fprintf(&b, "  est reach %.0f nodes; holds: %v\n", cp.EstimateReach(dir == "reverse"), holds)
-	case sConst:
-		reach, err := cp.FromCtx(check, sid)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "  direction: forward (subject bound)\n")
-		fmt.Fprintf(&b, "  est reach %.0f nodes, actual %d\n", cp.EstimateReach(false), len(reach))
-	case oConst:
-		reach, err := cp.ToCtx(check, oid)
-		if err != nil {
-			return "", err
-		}
-		fmt.Fprintf(&b, "  direction: reverse (object bound)\n")
-		fmt.Fprintf(&b, "  est reach %.0f nodes, actual %d\n", cp.EstimateReach(true), len(reach))
-	default:
-		// Cap the enumeration: explain only reports the count, so a
-		// huge closure must not materialize unbounded pairs here.
-		const explainPairCap = 100_000
-		pairs, err := cp.PairsCtx(check, explainPairCap)
-		if err != nil {
-			return "", err
-		}
-		suffix := ""
-		if len(pairs) == explainPairCap {
-			suffix = "+ (capped)"
-		}
-		fmt.Fprintf(&b, "  direction: multi-source sweep (both ends free)\n")
-		fmt.Fprintf(&b, "  est reach %.0f nodes per source, actual %d pairs%s\n",
-			cp.EstimateReach(false), len(pairs), suffix)
-	}
-	return b.String(), nil
-}
-
-// nonConjunctiveOperators names the WHERE-clause operators that the
-// explain transcript does not model, in first-appearance order.
-// Property paths are absent: they get their own explain section.
-func nonConjunctiveOperators(q *sparql.Query) []string {
-	var names []string
-	seen := map[string]bool{}
-	add := func(name string) {
-		if !seen[name] {
-			seen[name] = true
-			names = append(names, name)
-		}
-	}
-	sparql.Walk(q.Where, func(p sparql.Pattern) bool {
-		switch p.(type) {
-		case *sparql.Union:
-			add("UNION")
-		case *sparql.Optional:
-			add("OPTIONAL")
-		case *sparql.MinusGraph:
-			add("MINUS")
-		case *sparql.Filter:
-			add("FILTER")
-		case *sparql.Bind:
-			add("BIND")
-		case *sparql.InlineData:
-			add("VALUES")
-		case *sparql.SubSelect:
-			add("subquery")
-		case *sparql.GraphGraph:
-			add("GRAPH")
-		case *sparql.ServiceGraph:
-			add("SERVICE")
-		}
-		return true
-	})
-	return names
+		"      admission threshold; errors, truncations and recovered results never cached)\n",
+		clip(sparql.QueryString(q), 96))
 }

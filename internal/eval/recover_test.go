@@ -74,7 +74,25 @@ func TestExplainNotesSilentService(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(text, "SERVICE SILENT present") {
-		t.Errorf("explain lacks SERVICE SILENT note:\n%s", text)
+	if !strings.Contains(text, "SERVICE SILENT <http://remote/>: recover (0 silent recoveries)") ||
+		!strings.Contains(text, "0 silent SERVICE recoveries") {
+		t.Errorf("explain lacks the SERVICE SILENT operator or the recovery count:\n%s", text)
+	}
+
+	// A body that fails at run time is recovered, and both the operator
+	// and the totals count it.
+	q2, err := sparql.Parse(`SELECT ?x WHERE {
+		?x <p> ?y .
+		SERVICE SILENT <http://remote/> { ?a <p> ?b . ?c <p> ?d . ?e <p> ?f . ?g <p> ?h . ?i <p> ?j . ?k <p> ?l . ?m <p> ?n . ?o <p> ?q . ?r <p> ?s . ?t <p> ?u . ?v <p> ?w }
+	}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, err = Explain(context.Background(), sn, q2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text, "recover (1 silent recoveries)") || !strings.Contains(text, "1 silent SERVICE recoveries") {
+		t.Errorf("explain does not count the silent recovery:\n%s", text)
 	}
 }

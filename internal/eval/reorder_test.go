@@ -142,7 +142,7 @@ func TestReorderDifferentialOperators(t *testing.T) {
 // TestReorderMovesSelectiveAtomFirst pins the planner's effect: with a
 // selective bound-object atom written last, planned evaluation must
 // behave identically to the baseline (results) while the explain view
-// puts that atom first.
+// shows that atom's join pulled first, right after the unit row.
 func TestReorderMovesSelectiveAtomFirst(t *testing.T) {
 	st := rdf.NewStore()
 	for i := 0; i < 50; i++ {
@@ -159,71 +159,66 @@ func TestReorderMovesSelectiveAtomFirst(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(text, "\n")
-	if len(lines) < 3 || !strings.Contains(lines[2], "urn:tag") {
-		t.Fatalf("explain did not move the selective atom first:\n%s", text)
+	if len(lines) < 4 || !strings.HasSuffix(lines[1], "  unit") ||
+		!strings.Contains(lines[2], "join ?s urn:tag <urn:gold>") || !strings.Contains(lines[3], "join ?s urn:big ?o") {
+		t.Fatalf("explain did not pull the selective atom first:\n%s", text)
 	}
 	if strings.Contains(text, "note:") {
-		t.Fatalf("pure BGP explain should have no operator note:\n%s", text)
+		t.Fatalf("explain carries a disclaimer:\n%s", text)
 	}
 
-	// Non-conjunctive operators must be disclosed in the trailer.
+	// A UNION is part of the tree like any other operator: each branch
+	// is a subtree under it, rooted at the seed that replays the input.
 	q2, _ := sparql.Parse(`SELECT * WHERE { { ?s <urn:big> ?o } UNION { ?s <urn:tag> ?o } }`)
 	text2, err := Explain(context.Background(), sn, q2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(text2, "UNION") || !strings.Contains(text2, "note:") {
-		t.Fatalf("explain did not disclose the UNION:\n%s", text2)
+	for _, want := range []string{"  union\n", "      seed\n", "      join ?s urn:big ?o", "      join ?s urn:tag ?o", "answer: 51 rows"} {
+		if !strings.Contains(text2, want) {
+			t.Fatalf("union transcript lacks %q:\n%s", want, text2)
+		}
 	}
 }
 
-// TestExplainPropertyPath: a path-only query must produce an automaton
-// section with direction and est/actual counts instead of erroring.
+// TestExplainPropertyPath: a path operator's line carries its compiled
+// automaton, the evaluation it ran for its input rows, its estimated
+// reach, and the rows it emitted.
 func TestExplainPropertyPath(t *testing.T) {
 	st := rdf.NewStore()
 	st.Add("urn:a", "urn:p", "urn:b")
 	st.Add("urn:b", "urn:p", "urn:c")
 	sn := st.Freeze()
-	q, err := sparql.Parse(`SELECT ?x WHERE { <urn:a> <urn:p>+ ?x }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text, err := Explain(context.Background(), sn, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"property path", "automaton", "fast path", "direction: forward", "actual 2"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("explain transcript missing %q:\n%s", want, text)
+	for src, wants := range map[string][]string{
+		`SELECT ?x WHERE { <urn:a> <urn:p>+ ?x }`: {"path <urn:a> <urn:p>+ ?x", "automaton", "fast path",
+			"evaluation: forward (subject bound) x1; est reach", "answer: 2 rows"},
+		`SELECT ?x WHERE { ?x <urn:p>+ <urn:c> }`: {"evaluation: reverse (object bound) x1", "answer: 2 rows"},
+		`SELECT * WHERE { ?x <urn:p>+ ?y }`:       {"evaluation: multi-source sweep (both ends free) x1", "answer: 3 rows"},
+		// The path's subject comes from the join before it, and the
+		// filter after it is a line of the tree, not a disclaimer.
+		`SELECT * WHERE { ?x <urn:p> ?y . ?y <urn:p>* ?z . FILTER(?x != ?z) }`: {"join ?x urn:p ?y",
+			"path ?y <urn:p>* ?z", "evaluation: forward (subject bound) x2", "filter ?x != ?z", "answer: 3 rows"},
+	} {
+		q, err := sparql.Parse(src)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Object-bound: reverse direction.
-	q2, _ := sparql.Parse(`SELECT ?x WHERE { ?x <urn:p>+ <urn:c> }`)
-	text2, err := Explain(context.Background(), sn, q2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(text2, "direction: reverse") {
-		t.Errorf("object-bound explain did not choose reverse:\n%s", text2)
-	}
-	// Mixed query: both a BGP table and a path section.
-	q3, _ := sparql.Parse(`SELECT * WHERE { ?x <urn:p> ?y . ?y <urn:p>* ?z . FILTER(?x != ?z) }`)
-	text3, err := Explain(context.Background(), sn, q3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"est rows", "property path", "note:", "FILTER"} {
-		if !strings.Contains(text3, want) {
-			t.Errorf("mixed explain missing %q:\n%s", want, text3)
+		text, err := Explain(context.Background(), sn, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range wants {
+			if !strings.Contains(text, want) {
+				t.Errorf("%s: transcript lacks %q:\n%s", src, want, text)
+			}
 		}
 	}
 }
 
 // TestExplainHonorsDeadline: explain executes the query, so it runs
-// under the caller's deadline. The conjunctive core here is a three-way
-// cross product of 3,600 triples (4.7e10 rows, minutes of counting); a
-// 20 ms deadline must end it with exec.ErrTimeout well inside 2 s, not
-// with a transcript.
+// under the caller's deadline. The query here is a three-way cross
+// product of 3,600 triples (4.7e10 rows, minutes of work); a 20 ms
+// deadline must end it with exec.ErrTimeout well inside 2 s.
 func TestExplainHonorsDeadline(t *testing.T) {
 	st := rdf.NewStore()
 	for i := 0; i < 60; i++ {

@@ -308,8 +308,8 @@ func (t *aggTable) addBatch(b *Batch) {
 	}
 }
 
-// GroupByInfo summarizes one GroupBy execution for explain output.
-type GroupByInfo struct {
+// groupByInfo summarizes one GroupBy execution for explain output.
+type groupByInfo struct {
 	// Groups is the emitted group count (before HAVING).
 	Groups int64
 	// InputRows is the number of rows aggregated.
@@ -331,7 +331,7 @@ type GroupBy struct {
 	built bool
 	synth bool // emitted the synthetic empty group
 	pos   int
-	info  GroupByInfo
+	info  groupByInfo
 }
 
 // NewGroupBy returns the GROUP BY / aggregation operator. text reads an
@@ -348,9 +348,6 @@ func NewGroupBy(in Operator, spec GroupSpec, text func(rdf.ID) string, intern fu
 		tab:    newAggTable(&spec, vc),
 	}
 }
-
-// Info returns the execution summary; valid once the stream ended.
-func (g *GroupBy) Info() GroupByInfo { return g.info }
 
 // SyntheticEmpty reports that the emitted stream is the one synthetic
 // empty-input group (aggregation without GROUP BY over zero rows). The
@@ -409,5 +406,5 @@ func (g *GroupBy) Reset() {
 	g.in.Reset()
 	g.tab = newAggTable(&g.spec, g.vc)
 	g.built, g.synth, g.pos = false, false, 0
-	g.info = GroupByInfo{}
+	g.info = groupByInfo{}
 }

@@ -49,8 +49,8 @@ func TestJoinChain(t *testing.T) {
 	// ?x p ?y . ?y p ?z : (a,b,c) and (b,c,d).
 	p := plan.C(id("p"))
 	src := NewUnit(3)
-	j1 := NewJoin(sn, src, plan.Atom{S: plan.V(0), P: p, O: plan.V(1)}, false)
-	j2 := NewJoin(sn, j1, plan.Atom{S: plan.V(1), P: p, O: plan.V(2)}, false)
+	j1 := NewJoin(sn, src, plan.Atom{S: plan.V(0), P: p, O: plan.V(1)})
+	j2 := NewJoin(sn, j1, plan.Atom{S: plan.V(1), P: p, O: plan.V(2)})
 	batches := drain(t, j2)
 	if rowsOf(batches) != 2 {
 		t.Fatalf("rows = %d, want 2", rowsOf(batches))
@@ -77,7 +77,7 @@ func TestJoinRepeatedVariable(t *testing.T) {
 	sn := st.Freeze()
 	pid, _ := sn.Lookup("p")
 	// ?x p ?x matches only the self loop.
-	j := NewJoin(sn, NewUnit(1), plan.Atom{S: plan.V(0), P: plan.C(pid), O: plan.V(0)}, false)
+	j := NewJoin(sn, NewUnit(1), plan.Atom{S: plan.V(0), P: plan.C(pid), O: plan.V(0)})
 	if n := rowsOf(drain(t, j)); n != 1 {
 		t.Fatalf("self-loop rows = %d, want 1", n)
 	}
@@ -85,7 +85,7 @@ func TestJoinRepeatedVariable(t *testing.T) {
 
 func TestJoinAbsentConstantMatchesNothing(t *testing.T) {
 	sn, _ := chainSnapshot(t)
-	j := NewJoin(sn, NewUnit(1), plan.Atom{S: plan.V(0), P: plan.C(Unbound), O: plan.V(0)}, false)
+	j := NewJoin(sn, NewUnit(1), plan.Atom{S: plan.V(0), P: plan.C(Unbound), O: plan.V(0)})
 	if n := rowsOf(drain(t, j)); n != 0 {
 		t.Fatalf("absent predicate matched %d rows", n)
 	}
@@ -95,7 +95,7 @@ func TestDistinctAndLimit(t *testing.T) {
 	sn, id := chainSnapshot(t)
 	// ?x ?p ?y projected on ?x: distinct subjects a, b, c.
 	src := NewUnit(3)
-	j := NewJoin(sn, src, plan.Atom{S: plan.V(0), P: plan.V(1), O: plan.V(2)}, false)
+	j := NewJoin(sn, src, plan.Atom{S: plan.V(0), P: plan.V(1), O: plan.V(2)})
 	d := NewDistinct(j, []int{0})
 	if n := rowsOf(drain(t, d)); n != 3 {
 		t.Fatalf("distinct subjects = %d, want 3", n)
@@ -111,12 +111,12 @@ func TestDistinctAndLimit(t *testing.T) {
 func TestOptionalKeepsUnmatchedRows(t *testing.T) {
 	sn, id := chainSnapshot(t)
 	p := plan.C(id("p"))
-	src := NewJoin(sn, NewUnit(2), plan.Atom{S: plan.V(0), P: p, O: plan.V(1)}, false)
+	src := NewJoin(sn, NewUnit(2), plan.Atom{S: plan.V(0), P: p, O: plan.V(1)})
 	// OPTIONAL { ?y p ?z } — d has no outgoing p.
 	seed := NewSeed(3)
-	inner := NewJoin(sn, seed, plan.Atom{S: plan.V(1), P: p, O: plan.V(2)}, false)
+	inner := NewJoin(sn, seed, plan.Atom{S: plan.V(1), P: p, O: plan.V(2)})
 	// Widen the outer stream to 3 slots to match.
-	src3 := NewJoin(sn, NewUnit(3), plan.Atom{S: plan.V(0), P: p, O: plan.V(1)}, false)
+	src3 := NewJoin(sn, NewUnit(3), plan.Atom{S: plan.V(0), P: p, O: plan.V(1)})
 	opt := NewOptional(src3, inner, seed)
 	batches := drain(t, opt)
 	if rowsOf(batches) != 3 {
@@ -140,8 +140,8 @@ func TestUnionOrderAndMinus(t *testing.T) {
 	sn, id := chainSnapshot(t)
 	// { ?x p ?y } UNION { ?x q ?y } : 3 + 1 rows, left first.
 	ls, rs := NewSeed(2), NewSeed(2)
-	left := NewJoin(sn, ls, plan.Atom{S: plan.V(0), P: plan.C(id("p")), O: plan.V(1)}, false)
-	right := NewJoin(sn, rs, plan.Atom{S: plan.V(0), P: plan.C(id("q")), O: plan.V(1)}, false)
+	left := NewJoin(sn, ls, plan.Atom{S: plan.V(0), P: plan.C(id("p")), O: plan.V(1)})
+	right := NewJoin(sn, rs, plan.Atom{S: plan.V(0), P: plan.C(id("q")), O: plan.V(1)})
 	u := NewUnion(NewUnit(2), left, ls, right, rs)
 	batches := drain(t, u)
 	if rowsOf(batches) != 4 {
@@ -154,8 +154,8 @@ func TestUnionOrderAndMinus(t *testing.T) {
 
 	// MINUS { ?x q ?z } shares only slot 0 with the input, so the row
 	// with subject a is removed (compatible on the shared slot).
-	srcM := NewJoin(sn, NewUnit(3), plan.Atom{S: plan.V(0), P: plan.C(id("p")), O: plan.V(1)}, false)
-	innerM := NewJoin(sn, NewUnit(3), plan.Atom{S: plan.V(0), P: plan.C(id("q")), O: plan.V(2)}, false)
+	srcM := NewJoin(sn, NewUnit(3), plan.Atom{S: plan.V(0), P: plan.C(id("p")), O: plan.V(1)})
+	innerM := NewJoin(sn, NewUnit(3), plan.Atom{S: plan.V(0), P: plan.C(id("q")), O: plan.V(2)})
 	m := NewMinus(srcM, innerM)
 	n := 0
 	for _, b := range drain(t, m) {
@@ -175,7 +175,7 @@ func TestRowLimitEnforced(t *testing.T) {
 	sn, _ := chainSnapshot(t)
 	c := NewCtx(context.Background())
 	c.MaxRows = 2
-	j := NewJoin(sn, NewUnit(3), plan.Atom{S: plan.V(0), P: plan.V(1), O: plan.V(2)}, true)
+	j := NewJoin(sn, NewUnit(3), plan.Atom{S: plan.V(0), P: plan.V(1), O: plan.V(2)})
 	_, err := Materialize(c, j)
 	if err != ErrRowLimit {
 		t.Fatalf("err = %v, want ErrRowLimit", err)
@@ -188,7 +188,7 @@ func TestCancellation(t *testing.T) {
 	cancel()
 	c := NewCtx(ctx)
 	c.steps = -1 // force the next Check to poll
-	j := NewJoin(sn, NewUnit(3), plan.Atom{S: plan.V(0), P: plan.V(1), O: plan.V(2)}, false)
+	j := NewJoin(sn, NewUnit(3), plan.Atom{S: plan.V(0), P: plan.V(1), O: plan.V(2)})
 	if _, err := Materialize(c, j); err != ErrTimeout {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}

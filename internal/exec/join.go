@@ -25,9 +25,6 @@ type joinOp struct {
 	// slot), so these only matter in the scan cases below.
 	spSame, soSame, poSame bool
 
-	// capped opts into the Ctx.MaxRows budget (the evaluator's
-	// intermediate bound; the engine runs uncapped).
-	capped  bool
 	rowsCum int
 
 	cur    *Batch
@@ -37,9 +34,10 @@ type joinOp struct {
 	scrS, scrP, scrO []rdf.ID
 }
 
-// NewJoin returns the index join for atom over sn.
-func NewJoin(sn *rdf.Snapshot, in Operator, atom plan.Atom, capped bool) Operator {
-	j := &joinOp{base: newBase(slotsOf(in)), sn: sn, in: in, atom: atom, capped: capped}
+// NewJoin returns the index join for atom over sn. Its cumulative
+// output counts against Ctx.MaxRows (the evaluator's intermediate bound).
+func NewJoin(sn *rdf.Snapshot, in Operator, atom plan.Atom) Operator {
+	j := &joinOp{base: newBase(slotsOf(in)), sn: sn, in: in, atom: atom}
 	s, p, o := atom.S, atom.P, atom.O
 	j.spSame = s.IsVar && p.IsVar && s.Var == p.Var
 	j.soSame = s.IsVar && o.IsVar && s.Var == o.Var
@@ -73,7 +71,7 @@ func (j *joinOp) Next(c *Ctx) (*Batch, error) {
 				return nil, err
 			}
 			j.curRow++
-			if j.capped && c.MaxRows > 0 && j.rowsCum+j.out.Rows() > c.MaxRows {
+			if c.MaxRows > 0 && j.rowsCum+j.out.Rows() > c.MaxRows {
 				return nil, ErrRowLimit
 			}
 		}

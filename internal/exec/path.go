@@ -42,6 +42,10 @@ type pathOp struct {
 	loops     []rdf.ID
 	loopsDone bool
 
+	// runs counts the input rows each evaluation kind served, for
+	// explain.
+	runs PathRuns
+
 	rowsCum int
 	cur     *Batch
 	curRow  int
@@ -113,6 +117,7 @@ func (p *pathOp) processRow(c *Ctx, in *Batch, row int) error {
 	c.Probes++ // each branch below consults the compiled-path indexes once
 	switch {
 	case sBound && oBound:
+		p.runs[PathHolds]++
 		// A constant or binding outside the store (overflow or absent
 		// term) can never satisfy a path.
 		if p.inStore(sid) && p.inStore(oid) {
@@ -125,6 +130,7 @@ func (p *pathOp) processRow(c *Ctx, in *Batch, row int) error {
 			}
 		}
 	case sBound:
+		p.runs[PathForward]++
 		if !p.inStore(sid) {
 			return nil
 		}
@@ -139,6 +145,7 @@ func (p *pathOp) processRow(c *Ctx, in *Batch, row int) error {
 		slots[0], vals[0] = oSlot, nodes
 		p.out.AppendFanout(in, row, len(nodes), slots, vals)
 	case oBound:
+		p.runs[PathReverse]++
 		if !p.inStore(oid) {
 			return nil
 		}
@@ -153,6 +160,7 @@ func (p *pathOp) processRow(c *Ctx, in *Batch, row int) error {
 		slots[0], vals[0] = sSlot, nodes
 		p.out.AppendFanout(in, row, len(nodes), slots, vals)
 	case sSlot == oSlot:
+		p.runs[PathLoops]++
 		// Same variable on both ends: only loop nodes, computed once.
 		if !p.loopsDone {
 			loops, err := p.pa.LoopsCtx(check)
@@ -171,6 +179,7 @@ func (p *pathOp) processRow(c *Ctx, in *Batch, row int) error {
 		// Both ends open: enumerate pairs with the same one-past-the-
 		// budget cap the legacy evaluator used, so a genuinely
 		// overflowing result errors rather than truncating.
+		p.runs[PathPairs]++
 		limit := 0
 		if c.MaxRows > 0 {
 			limit = c.MaxRows + 1 - p.rowsCum - p.out.Rows()

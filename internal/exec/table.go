@@ -3,26 +3,22 @@ package exec
 import "sparqlog/internal/rdf"
 
 // tableJoin joins the input against a constant in-memory table of
-// pre-interned ID rows: the operator behind VALUES blocks and
-// materialized subquery results. For each input row × table row, a
-// table cell either extends the binding, agrees with it, or (on
-// disagreement) drops the combination; Unbound cells (UNDEF in VALUES,
-// unbound subquery columns) constrain nothing.
+// pre-interned ID rows: the operator behind VALUES blocks. For each
+// input row × table row, a table cell either extends the binding, agrees
+// with it, or (on disagreement) drops the combination; Unbound cells
+// (UNDEF) constrain nothing. Like the reference evaluator's VALUES, it
+// is not bounded by MaxRows.
 type tableJoin struct {
 	base
 	in    Operator
 	slots []int
 	rows  [][]rdf.ID
-	// capped opts into the MaxRows budget (subqueries were bounded in
-	// the legacy evaluator; VALUES was not).
-	capped  bool
-	rowsCum int
 }
 
 // NewTableJoin returns the table join; each table row is aligned with
 // slots.
-func NewTableJoin(in Operator, slots []int, rows [][]rdf.ID, capped bool) Operator {
-	return &tableJoin{base: newBase(slotsOf(in)), in: in, slots: slots, rows: rows, capped: capped}
+func NewTableJoin(in Operator, slots []int, rows [][]rdf.ID) Operator {
+	return &tableJoin{base: newBase(slotsOf(in)), in: in, slots: slots, rows: rows}
 }
 
 func (t *tableJoin) Next(c *Ctx) (*Batch, error) {
@@ -60,18 +56,11 @@ func (t *tableJoin) Next(c *Ctx) (*Batch, error) {
 					}
 				}
 			}
-			if t.capped && c.MaxRows > 0 && t.rowsCum+t.out.Rows() > c.MaxRows {
-				return nil, ErrRowLimit
-			}
 		}
-		t.rowsCum += t.out.Rows()
 		if b := t.emit(); b != nil {
 			return b, nil
 		}
 	}
 }
 
-func (t *tableJoin) Reset() {
-	t.in.Reset()
-	t.rowsCum = 0
-}
+func (t *tableJoin) Reset() { t.in.Reset() }

@@ -33,8 +33,8 @@ type SortKey struct {
 	V   value.Value
 }
 
-// TopKInfo summarizes one TopK execution for explain output.
-type TopKInfo struct {
+// topKInfo summarizes one TopK execution for explain output.
+type topKInfo struct {
 	// Mode is "heap" (bounded selection) or "sort" (full stable sort).
 	Mode string
 	// Scanned is the ingested row count, Kept the emitted row count.
@@ -59,7 +59,7 @@ type TopK struct {
 	keys  []SortKey // nkeys entries per stored row
 	idx   []int     // emission order over store rows
 	pos   int
-	info  TopKInfo
+	info  topKInfo
 }
 
 // NewTopK returns the ORDER BY operator. cmp must implement the exact
@@ -77,9 +77,6 @@ func NewTopK(in Operator, keep, nkeys int, keyFn func(b *Batch, row int, out []S
 		store: NewBatch(slotsOf(in)),
 	}
 }
-
-// Info returns the execution summary; valid once the stream ended.
-func (t *TopK) Info() TopKInfo { return t.info }
 
 // rowKeys returns stored row r's key tuple.
 func (t *TopK) rowKeys(r int) []SortKey {
@@ -245,5 +242,5 @@ func (t *TopK) Reset() {
 	t.store = NewBatch(t.store.Slots())
 	t.keys, t.idx = nil, nil
 	t.built, t.pos = false, 0
-	t.info = TopKInfo{}
+	t.info = topKInfo{}
 }

@@ -11,7 +11,7 @@ import (
 	"math/rand"
 	"strings"
 
-	"sparqlog/internal/engine"
+	"sparqlog/internal/plan"
 	"sparqlog/internal/rdf"
 )
 
@@ -182,12 +182,12 @@ func (s QueryShape) String() string {
 	return "chain"
 }
 
-// Query is one generated query: its steps, its engine form, and its
-// SPARQL text.
+// Query is one generated query: its steps, its conjunctive form (what
+// the Figure 3 engines execute), and its SPARQL text.
 type Query struct {
 	Shape  QueryShape
 	Steps  []Step
-	CQ     engine.CQ
+	CQ     plan.CQ
 	SPARQL string
 }
 
@@ -293,7 +293,7 @@ func (g *Graph) randomCycle(rng *rand.Rand, length int) []Step {
 	return steps
 }
 
-// buildQuery converts steps into the engine CQ and SPARQL text. Chains use
+// buildQuery converts steps into the conjunctive query and SPARQL text. Chains use
 // variables x0..xk; cycles identify xk with x0.
 func (g *Graph) buildQuery(shape QueryShape, steps []Step) Query {
 	k := len(steps)
@@ -307,7 +307,7 @@ func (g *Graph) buildQuery(shape QueryShape, steps []Step) Query {
 		}
 		return i
 	}
-	var atoms []engine.Atom
+	var atoms []plan.Atom
 	var sb strings.Builder
 	sb.WriteString("ASK { ")
 	for i, st := range steps {
@@ -316,10 +316,10 @@ func (g *Graph) buildQuery(shape QueryShape, steps []Step) Query {
 		if st.Inverse {
 			from, to = to, from
 		}
-		atoms = append(atoms, engine.Atom{
-			S: engine.V(from),
-			P: engine.C(pid),
-			O: engine.V(to),
+		atoms = append(atoms, plan.Atom{
+			S: plan.V(from),
+			P: plan.C(pid),
+			O: plan.V(to),
 		})
 		if i > 0 {
 			sb.WriteString(" . ")
@@ -330,7 +330,7 @@ func (g *Graph) buildQuery(shape QueryShape, steps []Step) Query {
 	return Query{
 		Shape:  shape,
 		Steps:  steps,
-		CQ:     engine.CQ{Atoms: atoms, NumVars: numVars, Ask: true},
+		CQ:     plan.CQ{Atoms: atoms, NumVars: numVars, Ask: true},
 		SPARQL: sb.String(),
 	}
 }

@@ -2,9 +2,7 @@ package gmark
 
 import (
 	"testing"
-	"time"
 
-	"sparqlog/internal/engine"
 	"sparqlog/internal/shapes"
 	"sparqlog/internal/sparql"
 )
@@ -91,20 +89,6 @@ func TestCycleWorkloadShape(t *testing.T) {
 				t.Errorf("generated cycle (k=%d) is not a cycle: %s", k, q.SPARQL)
 			}
 		}
-	}
-}
-
-func TestWorkloadsRunOnBothEngines(t *testing.T) {
-	g := Generate(Config{Nodes: 800, Seed: 5})
-	chains := g.Workload(Chain, 3, 5, 11)
-	var cqs []engine.CQ
-	for _, q := range chains {
-		cqs = append(cqs, q.CQ)
-	}
-	bg := engine.RunWorkload(&engine.GraphEngine{}, g.Snapshot, cqs, 2*time.Second)
-	pg := engine.RunWorkload(&engine.RelationalEngine{}, g.Snapshot, cqs, 2*time.Second)
-	if bg.Queries != 5 || pg.Queries != 5 {
-		t.Fatalf("queries = %d/%d", bg.Queries, pg.Queries)
 	}
 }
 

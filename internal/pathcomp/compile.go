@@ -35,7 +35,7 @@ import (
 )
 
 // Resolver maps IRI text as written in a path expression to snapshot
-// IDs (engine.PathResolver is the same underlying type).
+// IDs; callers typically expand prefixed names first.
 type Resolver func(iri string) (rdf.ID, bool)
 
 // opKind is the traversal kind of one automaton transition.

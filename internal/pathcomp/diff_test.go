@@ -1,5 +1,5 @@
 // Differential suite: the compiled engine must be result-identical to
-// the naive interpretive evaluator (engine.Naive*) on every Table-5
+// the naive interpretive evaluator (reference_test.go) on every Table-5
 // expression type — including the inverse-atom and negated-property-set
 // variants — over randomized cyclic graphs. This file is the compiled
 // engine's correctness contract and runs under -race in CI.
@@ -10,7 +10,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"sparqlog/internal/engine"
 	"sparqlog/internal/pathcomp"
 	"sparqlog/internal/paths"
 	"sparqlog/internal/rdf"
@@ -66,16 +65,16 @@ func allNodeIDs(sn *rdf.Snapshot) []rdf.ID {
 func TestCompiledMatchesNaiveOnTable5(t *testing.T) {
 	for _, seed := range []int64{1, 7, 2017} {
 		sn := randCyclicGraph(seed, 24, 60)
-		resolve := engine.PathResolver(sn.Lookup)
+		resolve := pathcomp.Resolver(sn.Lookup)
 		nodes := allNodeIDs(sn)
 		for _, ex := range paths.Corpus() {
 			p := parsePathExpr(t, ex.Expr)
-			cp := pathcomp.Compile(sn, p, pathcomp.Resolver(resolve))
+			cp := pathcomp.Compile(sn, p, resolve)
 
 			// From: every source, full reach set.
 			fromSets := make(map[rdf.ID]map[rdf.ID]bool, len(nodes))
 			for _, s := range nodes {
-				naive := engine.NaiveEvalPathFrom(sn, s, p, resolve)
+				naive := naiveFrom(sn, s, p, resolve)
 				fromSets[s] = naive
 				got := cp.From(s)
 				if len(got) != len(naive) {
@@ -147,9 +146,9 @@ func TestCompiledMatchesNaiveOnTable5(t *testing.T) {
 			}
 
 			// Pairs: identical pair sets, unlimited.
-			naivePairs := engine.NaiveEvalPathPairs(sn, p, resolve, 0)
-			naiveSet := make(map[[2]rdf.ID]bool, len(naivePairs))
-			for _, pr := range naivePairs {
+			refPairs := naivePairs(sn, p, resolve, 0)
+			naiveSet := make(map[[2]rdf.ID]bool, len(refPairs))
+			for _, pr := range refPairs {
 				naiveSet[pr] = true
 			}
 			gotPairs := cp.Pairs(0)
@@ -191,13 +190,13 @@ func TestCompiledMatchesNaiveDeepNesting(t *testing.T) {
 	}
 	for _, seed := range []int64{3, 11} {
 		sn := randCyclicGraph(seed, 16, 40)
-		resolve := engine.PathResolver(sn.Lookup)
+		resolve := pathcomp.Resolver(sn.Lookup)
 		nodes := allNodeIDs(sn)
 		for _, expr := range exprs {
 			p := parsePathExpr(t, expr)
-			cp := pathcomp.Compile(sn, p, pathcomp.Resolver(resolve))
+			cp := pathcomp.Compile(sn, p, resolve)
 			for _, s := range nodes {
-				naive := engine.NaiveEvalPathFrom(sn, s, p, resolve)
+				naive := naiveFrom(sn, s, p, resolve)
 				got := cp.From(s)
 				if len(got) != len(naive) {
 					t.Fatalf("seed %d %s From(%s): compiled %d nodes, naive %d (compiled %v)",

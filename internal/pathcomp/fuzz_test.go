@@ -3,7 +3,6 @@ package pathcomp_test
 import (
 	"testing"
 
-	"sparqlog/internal/engine"
 	"sparqlog/internal/pathcomp"
 	"sparqlog/internal/paths"
 	"sparqlog/internal/rdf"
@@ -41,7 +40,7 @@ func FuzzPathCompile(f *testing.F) {
 	f.Add("<nope>*/<p>")
 
 	sn := fuzzGraph()
-	resolve := engine.PathResolver(sn.Lookup)
+	resolve := pathcomp.Resolver(sn.Lookup)
 	var nodes []rdf.ID
 	for id := rdf.ID(0); int(id) < sn.NumTerms(); id++ {
 		if sn.SubjectDegree(id) > 0 || sn.ObjectDegree(id) > 0 {
@@ -58,9 +57,9 @@ func FuzzPathCompile(f *testing.F) {
 			return
 		}
 		for _, pp := range q.PathPatterns() {
-			cp := pathcomp.Compile(sn, pp.Path, pathcomp.Resolver(resolve))
+			cp := pathcomp.Compile(sn, pp.Path, resolve)
 			for _, s := range nodes {
-				naive := engine.NaiveEvalPathFrom(sn, s, pp.Path, resolve)
+				naive := naiveFrom(sn, s, pp.Path, resolve)
 				got := cp.From(s)
 				if len(got) != len(naive) {
 					t.Fatalf("%q From(%s): compiled %d nodes, naive %d",

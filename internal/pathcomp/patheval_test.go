@@ -1,4 +1,4 @@
-package engine
+package pathcomp_test
 
 import (
 	"sort"
@@ -24,24 +24,11 @@ func pathStore() *rdf.Snapshot {
 	return st.Freeze()
 }
 
-func parsePath(t *testing.T, expr string) sparql.PathExpr {
-	t.Helper()
-	q, err := sparql.Parse("ASK { ?x " + expr + " ?y }")
-	if err != nil {
-		t.Fatalf("parse %q: %v", expr, err)
-	}
-	pp := q.PathPatterns()
-	if len(pp) != 1 {
-		t.Fatalf("want one path pattern")
-	}
-	return pp[0].Path
-}
-
 // compiled compiles expr for st: the engine under test, checked here
-// against the Naive* interpreter.
+// against the naive interpreter.
 func compiled(t *testing.T, st *rdf.Snapshot, expr string) *pathcomp.Path {
 	t.Helper()
-	return pathcomp.Compile(st, parsePath(t, expr), st.Lookup)
+	return pathcomp.Compile(st, parsePathExpr(t, expr), st.Lookup)
 }
 
 func reach(t *testing.T, st *rdf.Snapshot, from, expr string) []string {
@@ -50,7 +37,7 @@ func reach(t *testing.T, st *rdf.Snapshot, from, expr string) []string {
 	if !ok {
 		t.Fatalf("unknown node %s", from)
 	}
-	p := parsePath(t, expr)
+	p := parsePathExpr(t, expr)
 	ids := pathcomp.Compile(st, p, st.Lookup).From(id)
 	var out []string
 	for _, n := range ids {
@@ -60,7 +47,7 @@ func reach(t *testing.T, st *rdf.Snapshot, from, expr string) []string {
 
 	// The naive interpreter is the executable spec: both evaluators must
 	// agree on every case the suite exercises.
-	naive := NaiveEvalPathFrom(st, id, p, st.Lookup)
+	naive := naiveFrom(st, id, p, st.Lookup)
 	if len(naive) != len(ids) {
 		t.Errorf("reach(%s, %s): compiled %d nodes, naive %d", from, expr, len(ids), len(naive))
 	}
@@ -196,7 +183,7 @@ func TestNaivePathHoldsShortCircuits(t *testing.T) {
 		calls++
 		return sn.Lookup(iri)
 	}
-	if !NaivePathHolds(sn, s, o, parsePath(t, "<p>+"), counting) {
+	if !naiveHolds(sn, s, o, parsePathExpr(t, "<p>+"), counting) {
 		t.Fatal("chain head must reach node 2 via <p>+")
 	}
 	if calls > 5 {

@@ -1,48 +1,38 @@
-package engine
+package pathcomp_test
 
 import (
+	"sparqlog/internal/pathcomp"
 	"sparqlog/internal/rdf"
 	"sparqlog/internal/sparql"
 )
 
-// Property-path evaluation over the triple store, under the W3C SPARQL
+// The naive interpretive property-path evaluator, under the W3C SPARQL
 // 1.1 semantics: fixed-length operators (sequence, alternation, inverse,
 // negated property sets) compose relations; arbitrary-length operators
 // (*, +, ?) are evaluated as reachability with node-set semantics, so
-// they terminate on cyclic data. This makes the navigational queries of
-// Section 7 executable, complementing the classification in package
-// paths. (Bagan et al.'s Ctract dichotomy concerns the stricter
-// simple-path semantics, which is NP-hard in general and not used by
-// SPARQL endpoints.)
+// they terminate on cyclic data. (Bagan et al.'s Ctract dichotomy
+// concerns the stricter simple-path semantics, which is NP-hard in
+// general and not used by SPARQL endpoints.)
 //
-// Queries evaluate paths through internal/pathcomp's compiled NFA and
-// bitset product-graph search. The recursive interpreter it replaced is
-// retained here as the Naive* functions: it is the executable
-// specification the differential suite and the fuzz target check the
-// compiled engine against, and the baseline the path benchmarks measure
-// the speedup from.
+// Queries evaluate paths through this package's compiled NFA and bitset
+// product-graph search. The recursive interpreter it replaced lives here,
+// in the tests, as the executable specification the differential suite
+// and the fuzz target check the compiled engine against.
 
-// PathResolver maps IRI text as written in a path expression to store
-// IDs. Implementations typically expand prefixed names first.
-type PathResolver func(iri string) (rdf.ID, bool)
-
-// ---------- naive reference interpreter ----------
-
-// NaiveEvalPathFrom is the interpretive reference for pathcomp's
-// Path.From: per-node recursive evaluation over hash sets. Kept as
-// the executable specification for differential tests and benchmarks.
-func NaiveEvalPathFrom(sn *rdf.Snapshot, start rdf.ID, p sparql.PathExpr, resolve PathResolver) map[rdf.ID]bool {
+// naiveFrom is the interpretive reference for Path.From: per-node
+// recursive evaluation over hash sets.
+func naiveFrom(sn *rdf.Snapshot, start rdf.ID, p sparql.PathExpr, resolve pathcomp.Resolver) map[rdf.ID]bool {
 	e := &pathEval{sn: sn, resolve: resolve}
 	out := make(map[rdf.ID]bool)
 	e.from(start, p, func(n rdf.ID) bool { out[n] = true; return true })
 	return out
 }
 
-// NaivePathHolds is the interpretive reference for Path.Holds. Even the
+// naiveHolds is the interpretive reference for Path.Holds. Even the
 // interpreter short-circuits: the yield callback's stop signal unwinds
 // the traversal as soon as the target is seen, instead of materializing
 // the full closure.
-func NaivePathHolds(sn *rdf.Snapshot, s, o rdf.ID, p sparql.PathExpr, resolve PathResolver) bool {
+func naiveHolds(sn *rdf.Snapshot, s, o rdf.ID, p sparql.PathExpr, resolve pathcomp.Resolver) bool {
 	found := false
 	e := &pathEval{sn: sn, resolve: resolve}
 	e.from(s, p, func(n rdf.ID) bool {
@@ -55,9 +45,9 @@ func NaivePathHolds(sn *rdf.Snapshot, s, o rdf.ID, p sparql.PathExpr, resolve Pa
 	return found
 }
 
-// NaiveEvalPathPairs is the interpretive reference for Path.Pairs:
-// a per-start-node closure enumeration over all subject/object nodes.
-func NaiveEvalPathPairs(sn *rdf.Snapshot, p sparql.PathExpr, resolve PathResolver, limit int) [][2]rdf.ID {
+// naivePairs is the interpretive reference for Path.Pairs: a
+// per-start-node closure enumeration over all subject/object nodes.
+func naivePairs(sn *rdf.Snapshot, p sparql.PathExpr, resolve pathcomp.Resolver, limit int) [][2]rdf.ID {
 	e := &pathEval{sn: sn, resolve: resolve}
 	var out [][2]rdf.ID
 	seenStart := make(map[rdf.ID]bool)
@@ -81,7 +71,7 @@ func NaiveEvalPathPairs(sn *rdf.Snapshot, p sparql.PathExpr, resolve PathResolve
 
 type pathEval struct {
 	sn      *rdf.Snapshot
-	resolve PathResolver
+	resolve pathcomp.Resolver
 }
 
 // from streams the nodes reachable from start via p (with duplicates

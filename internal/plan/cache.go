@@ -87,35 +87,26 @@ func (c *Cache) Snapshot() *rdf.Snapshot { return c.sn }
 // cache was built for, falls back to uncached planning — a misrouted
 // cache degrades to correct-but-slower, never to a wrong plan.
 func (c *Cache) For(sn *rdf.Snapshot, atoms []Atom, numVars int) *Plan {
-	p, _ := c.Lookup(sn, atoms, numVars)
-	return p
-}
-
-// Lookup is For plus whether THIS lookup was served from the cache (the
-// per-call fact, safe under concurrency, unlike diffing the global
-// Hits counter).
-func (c *Cache) Lookup(sn *rdf.Snapshot, atoms []Atom, numVars int) (*Plan, bool) {
 	if c == nil || sn != c.sn {
-		return For(sn, atoms, numVars), false
+		return For(sn, atoms, numVars)
 	}
 	key := ShapeKey(atoms)
 	c.mu.Lock()
 	if p, ok := c.plans[key]; ok {
 		c.mu.Unlock()
 		c.hits.Add(1)
-		return p, true
+		return p
 	}
 	// Planning under the lock keeps miss counts exact (one per distinct
 	// shape); plans are microseconds, so contention is immaterial next
 	// to execution.
 	p := c.planner.Plan(atoms, numVars)
-	p.Key = key
 	if len(c.plans) < DefaultMaxShapes {
 		c.plans[key] = p
 	}
 	c.mu.Unlock()
 	c.misses.Add(1)
-	return p, false
+	return p
 }
 
 // Hits returns the number of cache hits so far.

@@ -1,14 +1,16 @@
-// Package plan is the cost-based query planner shared by both engines
-// and the SPARQL evaluator. It consumes the rdf.Stats block a Snapshot
-// computes at Freeze time and orders the atoms of a conjunctive query by
-// estimated cardinality: greedy minimum-selectivity with bound-variable
-// propagation and a connected-subgraph preference (never take a cross
-// product while a connected atom remains). The log study behind this
-// repository found real workloads dominated by small star/chain/cycle
-// conjunctive shapes, so plans are cached per query *shape* (constants
-// abstracted, variables canonicalized) — see Cache.
+// Package plan is the cost-based query planner. The SPARQL evaluator
+// orders every run of triple patterns with it, and the Figure 3 graph
+// engine (internal/engine) orders its conjunctive queries with it. It
+// consumes the rdf.Stats block a Snapshot computes at Freeze time and
+// orders the atoms of a conjunctive query by estimated cardinality:
+// greedy minimum-selectivity with bound-variable propagation and a
+// connected-subgraph preference (never take a cross product while a
+// connected atom remains). The log study behind this repository found
+// real workloads dominated by small star/chain/cycle conjunctive shapes,
+// so plans are cached per query *shape* (constants abstracted, variables
+// canonicalized) — see Cache.
 //
-// The planner owns the atom representation (TermRef, Atom); package
+// The planner owns the atom representation (TermRef, Atom, CQ); package
 // engine aliases these types, so engine.Atom and plan.Atom are
 // interchangeable.
 package plan
@@ -41,6 +43,16 @@ type Atom struct {
 	S, P, O TermRef
 }
 
+// CQ is a conjunctive query over a store: the form gMark generates its
+// workloads in and the Figure 3 engines execute.
+type CQ struct {
+	Atoms   []Atom
+	NumVars int
+	// Ask indicates existence semantics: engines that support
+	// short-circuiting may stop at the first result.
+	Ask bool
+}
+
 // Plan is an execution order for a set of atoms with the estimates that
 // justified it. Plans are immutable once built and safe to share across
 // goroutines (the cache hands one *Plan to every worker).
@@ -54,16 +66,14 @@ type Plan struct {
 	// Rows[k] is the estimated intermediate result size after executing
 	// atoms Order[0..k] (the running product of Est).
 	Rows []float64
-	// Key is the shape key the plan was cached under; empty for plans
-	// built outside a cache.
-	Key string
 }
 
 // BindsFor computes the per-step slot write set of executing atoms in
 // the plan's order: Binds[k] lists the variable slots atom Order[k]
-// binds first. Derived from the caller's atoms rather than cached with
-// the plan, because shape-mates sharing a cached plan may number their
-// variables differently — only Order transfers across a shape key.
+// binds first (the explain transcript's "binds" column). Derived from
+// the caller's atoms rather than cached with the plan, because
+// shape-mates sharing a cached plan may number their variables
+// differently — only Order transfers across a shape key.
 func (p *Plan) BindsFor(atoms []Atom) [][]int {
 	bound := map[int]bool{}
 	out := make([][]int, len(p.Order))

@@ -192,10 +192,6 @@ func TestCacheHitsAndBypass(t *testing.T) {
 	if cache.Hits() != 1 || cache.Misses() != 2 || cache.Len() != 2 {
 		t.Errorf("hits/misses/len = %d/%d/%d, want 1/2/2", cache.Hits(), cache.Misses(), cache.Len())
 	}
-	if p1.Key == "" {
-		t.Error("cached plan has no shape key")
-	}
-
 	// A different snapshot must bypass the cache, not poison it.
 	other := rdf.NewStore()
 	other.Add("a", "b", "c")

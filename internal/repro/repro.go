@@ -1,18 +1,18 @@
-// Package repro regenerates every table and figure of the paper's
-// evaluation from the synthetic corpus and the engine experiment, printing
-// rows in the paper's layout so that measured and published values can be
-// compared side by side (recorded in EXPERIMENTS.md).
+// Package repro regenerates the tables and figures of the paper's log
+// study from the synthetic corpus, printing rows in the paper's layout so
+// that measured and published values can be compared side by side
+// (recorded in EXPERIMENTS.md). The engine experiment, Figure 3, is
+// engine.Figure3: it lives beside the two engines it races, so that
+// sparqld, which prints its /stats study through this package, links no
+// engine.
 package repro
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"sparqlog/internal/core"
-	"sparqlog/internal/engine"
-	"sparqlog/internal/gmark"
 	"sparqlog/internal/loggen"
 	"sparqlog/internal/paths"
 	"sparqlog/internal/streaks"
@@ -23,12 +23,6 @@ type Config struct {
 	// Scale is the corpus-size fraction of the paper's 180M queries.
 	Scale float64
 	Seed  int64
-	// GraphNodes sizes the gMark Bib instance for Figure 3.
-	GraphNodes int
-	// WorkloadSize is the number of queries per chain/cycle workload.
-	WorkloadSize int
-	// Timeout is the per-query engine timeout for Figure 3.
-	Timeout time.Duration
 	// StreakLogSize is the per-log entry count for the Table 6 analysis.
 	StreakLogSize int
 }
@@ -38,9 +32,6 @@ func DefaultConfig() Config {
 	return Config{
 		Scale:         0.0001,
 		Seed:          2017,
-		GraphNodes:    20000,
-		WorkloadSize:  30,
-		Timeout:       250 * time.Millisecond,
 		StreakLogSize: 4000,
 	}
 }
@@ -251,53 +242,6 @@ func Section44(c *Corpus) string {
 	fmt.Fprintf(&sb, "Projection range: %s .. %s\n",
 		pct(t.ProjYes, t.Unique), pct(t.ProjYes+t.ProjInd, t.Unique))
 	return sb.String()
-}
-
-// Figure3Data carries the engine experiment's measured series.
-type Figure3Data struct {
-	Lengths   []int
-	ChainBG   []int64 // avg ns per workload
-	ChainPG   []int64
-	CycleBG   []int64
-	CyclePG   []int64
-	CyclePGTO []float64 // timeout fraction
-}
-
-// Figure3 runs the chain/cycle workloads of lengths 3..8 on both engines.
-func Figure3(cfg Config) (string, Figure3Data) {
-	g := gmark.Generate(gmark.Config{Nodes: cfg.GraphNodes, Seed: cfg.Seed})
-	bg := &engine.GraphEngine{}
-	pg := &engine.RelationalEngine{}
-	data := Figure3Data{}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "Figure 3: chain/cycle workloads on BG (graph engine) vs PG (relational engine)\n")
-	fmt.Fprintf(&sb, "Bib graph: %d nodes, %d triples; %d queries per workload; timeout %v\n",
-		g.N, g.Triples, cfg.WorkloadSize, cfg.Timeout)
-	fmt.Fprintf(&sb, "%-6s %14s %14s %14s %14s %8s\n", "W-k", "chainBG(ns)", "chainPG(ns)", "cycleBG(ns)", "cyclePG(ns)", "PG t/o")
-	for k := 3; k <= 8; k++ {
-		chains := g.Workload(gmark.Chain, k, cfg.WorkloadSize, cfg.Seed+int64(k))
-		cycles := g.Workload(gmark.Cycle, k, cfg.WorkloadSize, cfg.Seed+100+int64(k))
-		var chainCQs, cycleCQs []engine.CQ
-		for _, q := range chains {
-			chainCQs = append(chainCQs, q.CQ)
-		}
-		for _, q := range cycles {
-			cycleCQs = append(cycleCQs, q.CQ)
-		}
-		cbg := engine.RunWorkload(bg, g.Snapshot, chainCQs, cfg.Timeout)
-		cpg := engine.RunWorkload(pg, g.Snapshot, chainCQs, cfg.Timeout)
-		ybg := engine.RunWorkload(bg, g.Snapshot, cycleCQs, cfg.Timeout)
-		ypg := engine.RunWorkload(pg, g.Snapshot, cycleCQs, cfg.Timeout)
-		data.Lengths = append(data.Lengths, k)
-		data.ChainBG = append(data.ChainBG, cbg.AvgNanos())
-		data.ChainPG = append(data.ChainPG, cpg.AvgNanos())
-		data.CycleBG = append(data.CycleBG, ybg.AvgNanos())
-		data.CyclePG = append(data.CyclePG, ypg.AvgNanos())
-		data.CyclePGTO = append(data.CyclePGTO, ypg.TimeoutRate())
-		fmt.Fprintf(&sb, "W-%-4d %14d %14d %14d %14d %7.0f%%\n",
-			k, cbg.AvgNanos(), cpg.AvgNanos(), ybg.AvgNanos(), ypg.AvgNanos(), 100*ypg.TimeoutRate())
-	}
-	return sb.String(), data
 }
 
 // Figure5 renders the size histogram of CQ-like queries with >= 2 triples.
@@ -535,9 +479,6 @@ func All(cfg Config) string {
 	sb.WriteString(Table3(c))
 	sb.WriteByte('\n')
 	sb.WriteString(Section44(c))
-	sb.WriteByte('\n')
-	f3, _ := Figure3(cfg)
-	sb.WriteString(f3)
 	sb.WriteByte('\n')
 	sb.WriteString(Figure5(c))
 	sb.WriteByte('\n')

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"sparqlog/internal/engine"
 )
 
 // tinyConfig keeps test runtime low.
@@ -11,9 +13,6 @@ func tinyConfig() Config {
 	return Config{
 		Scale:         0.00002,
 		Seed:          2017,
-		GraphNodes:    1200,
-		WorkloadSize:  6,
-		Timeout:       120 * time.Millisecond,
 		StreakLogSize: 500,
 	}
 }
@@ -84,9 +83,10 @@ func TestCorpusQualitativeFindings(t *testing.T) {
 	}
 }
 
+// TestFigure3Shape checks the engine experiment's reproduction target
+// beside the corpus findings above, at test scale.
 func TestFigure3Shape(t *testing.T) {
-	cfg := tinyConfig()
-	out, data := Figure3(cfg)
+	out, data := engine.Figure3(1200, 6, 2017, 120*time.Millisecond)
 	if !strings.Contains(out, "W-3") || !strings.Contains(out, "W-8") {
 		t.Fatalf("missing workloads in output:\n%s", out)
 	}

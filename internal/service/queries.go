@@ -96,8 +96,8 @@ func (r *QueryReport) TotalRows() int64 {
 }
 
 // RunQueries executes a SPARQL workload on a worker pool sharing one
-// immutable snapshot — the full-evaluator counterpart of Run, backed
-// by the slot-based columnar executor. With Plans and Paths set, the
+// immutable snapshot, on the slot-based columnar executor. It is the
+// only worker pool in the repository. With Plans and Paths set, the
 // pool shares one plan cache and one compiled-path cache, so a
 // workload of recurring shapes (the log study's core finding) plans
 // and compiles each shape once and executes it millions of times.
@@ -148,7 +148,7 @@ func RunQueries(ctx context.Context, sn *rdf.Snapshot, queries []*sparql.Query, 
 
 // runOneQuery evaluates a single query under a per-query deadline,
 // normalizing timed-out durations to the full budget (the Figure 3
-// convention Run also uses).
+// convention).
 func runOneQuery(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim eval.Limits, timeout time.Duration) QueryOutcome {
 	_, out := executeOne(ctx, sn, q, lim, timeout)
 	return out

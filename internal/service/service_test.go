@@ -2,114 +2,158 @@ package service
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
-	"sparqlog/internal/engine"
+	"sparqlog/internal/eval"
 	"sparqlog/internal/gmark"
+	"sparqlog/internal/pathcomp"
 	"sparqlog/internal/plan"
+	"sparqlog/internal/sparql"
 )
 
-// workload builds a mixed chain/cycle CQ workload over a small Bib graph.
-func workload(t testing.TB, nodes, perShape int) (*gmark.Graph, []engine.CQ) {
+// workload parses a mixed chain/cycle gMark workload (ASK queries, the
+// Figure 3 shapes) over a small Bib graph.
+func workload(t testing.TB, nodes, perShape int) (*gmark.Graph, []*sparql.Query) {
 	t.Helper()
 	g := gmark.Generate(gmark.Config{Nodes: nodes, Seed: 11})
-	var cqs []engine.CQ
-	for _, q := range g.Workload(gmark.Chain, 3, perShape, 5) {
-		cqs = append(cqs, q.CQ)
+	gen := append(g.Workload(gmark.Chain, 3, perShape, 5), g.Workload(gmark.Cycle, 3, perShape, 6)...)
+	return g, parseAll(t, gen)
+}
+
+func parseAll(t testing.TB, gen []gmark.Query) []*sparql.Query {
+	t.Helper()
+	var queries []*sparql.Query
+	for _, q := range gen {
+		pq, err := sparql.Parse(q.SPARQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries = append(queries, pq)
 	}
-	for _, q := range g.Workload(gmark.Cycle, 3, perShape, 6) {
-		cqs = append(cqs, q.CQ)
+	return queries
+}
+
+// crossProduct is a counted three-way cross product of the citation
+// edges: nothing materializes, and it cannot finish in a test's time.
+func crossProduct(t testing.TB) *sparql.Query {
+	t.Helper()
+	q, err := sparql.Parse(`PREFIX bib: <http://gmark.bib/p/>
+		SELECT (COUNT(*) AS ?n) WHERE { ?a bib:cites ?b . ?c bib:cites ?d . ?e bib:cites ?f }`)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return g, cqs
+	return q
 }
 
 // TestParallelMatchesSerial is the correctness contract of the service
-// layer: with both engines querying ONE shared snapshot from concurrent
-// worker pools (>= 8 queries in flight across engines), every per-query
-// count and timeout flag must be identical to serial execution. Run under
-// -race this is also the regression test for the old lazy-Freeze data
-// race: before the snapshot split, the first two concurrent Execute calls
-// would race on the store's index sort.
+// layer: with two worker pools — one planning per query, one sharing plan
+// and path caches — querying ONE shared snapshot concurrently (>= 8
+// queries in flight), every per-query answer and timeout flag must be
+// identical to serial evaluation. Run under -race this is also the
+// regression test for the old lazy-Freeze data race: before the snapshot
+// split, the first two concurrent executions would race on the store's
+// index sort.
 func TestParallelMatchesSerial(t *testing.T) {
-	g, cqs := workload(t, 1500, 6) // 12 queries per engine
-	if len(cqs) < 8 {
-		t.Fatalf("want >= 8 queries, got %d", len(cqs))
+	g, queries := workload(t, 1500, 6) // 12 queries per pool
+	if len(queries) < 8 {
+		t.Fatalf("want >= 8 queries, got %d", len(queries))
 	}
 	timeout := 5 * time.Second
-	engines := []engine.Engine{&engine.GraphEngine{}, &engine.RelationalEngine{}}
 
-	// Serial reference, one engine at a time.
-	serial := make([][]engine.Result, len(engines))
-	for ei, e := range engines {
-		serial[ei] = make([]engine.Result, len(cqs))
-		for qi, q := range cqs {
-			serial[ei][qi] = e.Execute(g.Snapshot, q, timeout)
+	serial := make([]*eval.Result, len(queries))
+	for i, q := range queries {
+		res, err := eval.Query(g.Snapshot, q)
+		if err != nil {
+			t.Fatalf("serial query %d: %v", i, err)
 		}
+		serial[i] = res
 	}
 
-	// Both engines' pools run concurrently against the same snapshot.
-	reports := make([]Report, len(engines))
+	opts := []QueryOptions{
+		{Workers: 4, Timeout: timeout},
+		{Workers: 4, Timeout: timeout, Plans: plan.NewCache(g.Snapshot), Paths: pathcomp.NewCache(g.Snapshot)},
+	}
+	reports := make([]QueryReport, len(opts))
 	var wg sync.WaitGroup
-	for ei, e := range engines {
+	for pi, opt := range opts {
 		wg.Add(1)
-		go func(ei int, e engine.Engine) {
+		go func(pi int, opt QueryOptions) {
 			defer wg.Done()
-			reports[ei] = Run(context.Background(), e, g.Snapshot, cqs,
-				Options{Workers: 4, Timeout: timeout})
-		}(ei, e)
+			reports[pi] = RunQueries(context.Background(), g.Snapshot, queries, opt)
+		}(pi, opt)
 	}
 	wg.Wait()
 
-	for ei, e := range engines {
-		rep := reports[ei]
-		if len(rep.Results) != len(cqs) {
-			t.Fatalf("%s: %d results for %d queries", e.Name(), len(rep.Results), len(cqs))
+	for pi, rep := range reports {
+		if len(rep.Outcomes) != len(queries) {
+			t.Fatalf("pool %d: %d outcomes for %d queries", pi, len(rep.Outcomes), len(queries))
 		}
-		for qi := range cqs {
-			got, want := rep.Results[qi], serial[ei][qi]
-			if got.Count != want.Count || got.TimedOut != want.TimedOut {
-				t.Errorf("%s query %d: parallel = (count %d, timeout %v), serial = (count %d, timeout %v)",
-					e.Name(), qi, got.Count, got.TimedOut, want.Count, want.TimedOut)
+		for qi, o := range rep.Outcomes {
+			if o.Err != nil || o.TimedOut {
+				t.Fatalf("pool %d query %d failed: %+v", pi, qi, o)
+			}
+			if o.Bool != serial[qi].Bool {
+				t.Errorf("pool %d query %d: parallel ASK = %v, serial = %v", pi, qi, o.Bool, serial[qi].Bool)
 			}
 		}
 		if rep.Stats.P50 < 0 || rep.Stats.P99 < rep.Stats.P50 {
-			t.Errorf("%s: implausible percentiles %+v", e.Name(), rep.Stats)
+			t.Errorf("pool %d: implausible percentiles %+v", pi, rep.Stats)
 		}
 		if rep.Timeouts == 0 && rep.Stats.QPS <= 0 {
-			t.Errorf("%s: QPS = %v, want > 0", e.Name(), rep.Stats.QPS)
+			t.Errorf("pool %d: QPS = %v, want > 0", pi, rep.Stats.QPS)
 		}
 	}
 }
 
 // TestRunHonorsCancellation verifies that cancelling the parent context
-// stops the run and marks the remaining queries as timed out.
+// in the middle of a run stops it: queries in flight abort, the ones
+// not yet dispatched are marked, and every outcome is a timeout.
 func TestRunHonorsCancellation(t *testing.T) {
-	g, cqs := workload(t, 2000, 10)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel() // cancelled before dispatch: everything must be marked
-	rep := Run(ctx, &engine.GraphEngine{}, g.Snapshot, cqs, Options{Workers: 2})
-	if rep.Timeouts != len(cqs) {
-		t.Errorf("timeouts = %d, want %d (all)", rep.Timeouts, len(cqs))
+	g := gmark.Generate(gmark.Config{Nodes: 2000, Seed: 3})
+	q := crossProduct(t)
+	queries := []*sparql.Query{q, q, q, q, q, q}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	rep := RunQueries(ctx, g.Snapshot, queries, QueryOptions{Workers: 2, Limits: eval.Limits{MaxRows: 1 << 30}})
+	if rep.Timeouts != len(queries) {
+		t.Errorf("timeouts = %d, want %d (all)", rep.Timeouts, len(queries))
+	}
+	for i, o := range rep.Outcomes {
+		if !o.TimedOut || o.Err == nil {
+			t.Errorf("query %d: outcome %+v, want a timeout", i, o)
+		}
 	}
 }
 
-// TestRunPerQueryDeadline gives an adversarial cycle workload a tiny
-// per-query budget; the run must come back quickly with timeouts counted
-// at the full budget.
+// TestRunPerQueryDeadline gives an adversarial cycle workload, with a
+// counted cross product in the middle, a tiny per-query budget on a
+// multi-worker pool; the run must come back with the cross product and
+// every other timeout counted at the full budget, and every other query
+// answered.
 func TestRunPerQueryDeadline(t *testing.T) {
 	g := gmark.Generate(gmark.Config{Nodes: 4000, Seed: 3})
-	var cqs []engine.CQ
-	for _, q := range g.Workload(gmark.Cycle, 6, 6, 9) {
-		cqs = append(cqs, q.CQ)
-	}
+	queries := parseAll(t, g.Workload(gmark.Cycle, 6, 6, 9))
+	monster := len(queries) / 2
+	queries = slices.Insert(queries, monster, crossProduct(t))
 	budget := 5 * time.Millisecond
-	rep := Run(context.Background(), &engine.RelationalEngine{}, g.Snapshot, cqs,
-		Options{Workers: 2, Timeout: budget})
-	for i, res := range rep.Results {
-		if res.TimedOut && res.Duration != budget {
-			t.Errorf("query %d: timed out with duration %v, want the %v budget", i, res.Duration, budget)
+	rep := RunQueries(context.Background(), g.Snapshot, queries, QueryOptions{
+		Workers: 2,
+		Timeout: budget,
+		Limits:  eval.Limits{MaxRows: 1 << 30},
+	})
+	if o := rep.Outcomes[monster]; !o.TimedOut {
+		t.Errorf("cross product finished inside the %v budget: %+v", budget, o)
+	}
+	for i, o := range rep.Outcomes {
+		if o.TimedOut && o.Duration != budget {
+			t.Errorf("query %d: timed out with duration %v, want the %v budget", i, o.Duration, budget)
+		}
+		if !o.TimedOut && o.Err != nil {
+			t.Errorf("query %d: failed without timing out: %v", i, o.Err)
 		}
 	}
 }
@@ -118,73 +162,63 @@ func TestRunPerQueryDeadline(t *testing.T) {
 // a workload alternating between two query *shapes* (star and chain,
 // constants varying per query) runs on a concurrent pool sharing one
 // plan cache. Exactly two plans may be computed — every other query must
-// hit the cache — and every result must equal serial uncached execution.
-// The service package's CI race run covers this test, so the cache's
-// concurrent access is exercised under -race.
+// hit the cache — and every answer must equal serial uncached
+// evaluation. The service package's CI race run covers this test, so
+// the cache's concurrent access is exercised under -race.
 func TestPlanCacheSharedAcrossWorkers(t *testing.T) {
 	g := gmark.Generate(gmark.Config{Nodes: 1500, Seed: 19})
-	cites := g.PredID["cites"]
-	authoredBy := g.PredID["authoredBy"]
-	publishedIn := g.PredID["publishedIn"]
 	journals := g.Nodes[gmark.Journal]
 	papers := g.Nodes[gmark.Paper]
 
-	var cqs []engine.CQ
+	var queries []*sparql.Query
 	for i := 0; i < 200; i++ {
+		var src string
 		if i%2 == 0 {
 			// Star shape: varying journal constant.
-			cqs = append(cqs, engine.CQ{
-				Atoms: []engine.Atom{
-					{S: engine.V(0), P: engine.C(cites), O: engine.V(1)},
-					{S: engine.V(0), P: engine.C(authoredBy), O: engine.V(2)},
-					{S: engine.V(0), P: engine.C(publishedIn), O: engine.C(journals[i%len(journals)])},
-				},
-				NumVars: 3,
-			})
+			src = fmt.Sprintf(`PREFIX bib: <http://gmark.bib/p/>
+				SELECT * WHERE { ?x0 bib:cites ?x1 . ?x0 bib:authoredBy ?x2 . ?x0 bib:publishedIn <%s> }`,
+				g.Snapshot.TermOf(journals[i%len(journals)]))
 		} else {
 			// Chain shape: varying start-paper constant.
-			cqs = append(cqs, engine.CQ{
-				Atoms: []engine.Atom{
-					{S: engine.C(papers[i%len(papers)]), P: engine.C(cites), O: engine.V(0)},
-					{S: engine.V(0), P: engine.C(cites), O: engine.V(1)},
-					{S: engine.V(1), P: engine.C(authoredBy), O: engine.V(2)},
-				},
-				NumVars: 3,
-			})
+			src = fmt.Sprintf(`PREFIX bib: <http://gmark.bib/p/>
+				SELECT * WHERE { <%s> bib:cites ?x0 . ?x0 bib:cites ?x1 . ?x1 bib:authoredBy ?x2 }`,
+				g.Snapshot.TermOf(papers[i%len(papers)]))
 		}
+		q, err := sparql.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries = append(queries, q)
 	}
 
-	e := &engine.GraphEngine{}
-	serial := make([]engine.Result, len(cqs))
-	for i, q := range cqs {
-		serial[i] = e.Execute(g.Snapshot, q, 5*time.Second)
+	serial := make([]int, len(queries))
+	for i, q := range queries {
+		res, err := eval.Query(g.Snapshot, q)
+		if err != nil {
+			t.Fatalf("serial query %d: %v", i, err)
+		}
+		serial[i] = len(res.Rows)
 	}
 
 	cache := plan.NewCache(g.Snapshot)
-	rep := Run(context.Background(), e, g.Snapshot, cqs,
-		Options{Workers: 4, Timeout: 5 * time.Second, Plans: cache})
+	opt := QueryOptions{Workers: 4, Timeout: 5 * time.Second, Plans: cache}
+	rep := RunQueries(context.Background(), g.Snapshot, queries, opt)
 
 	if rep.PlanMisses != 2 {
 		t.Errorf("plan misses = %d, want 2 (one per shape)", rep.PlanMisses)
 	}
-	if want := int64(len(cqs) - 2); rep.PlanHits != want {
+	if want := int64(len(queries) - 2); rep.PlanHits != want {
 		t.Errorf("plan hits = %d, want %d", rep.PlanHits, want)
 	}
-	for i := range cqs {
-		if rep.Results[i].Count != serial[i].Count || rep.Results[i].TimedOut != serial[i].TimedOut {
-			t.Fatalf("query %d: cached-parallel = (count %d, timeout %v), serial = (count %d, timeout %v)",
-				i, rep.Results[i].Count, rep.Results[i].TimedOut, serial[i].Count, serial[i].TimedOut)
+	for i, o := range rep.Outcomes {
+		if o.Err != nil || o.Rows != serial[i] {
+			t.Fatalf("query %d: cached-parallel = (rows %d, err %v), serial rows %d", i, o.Rows, o.Err, serial[i])
 		}
 	}
-	// The caller's engine must not have been mutated by the run.
-	if e.Plans != nil {
-		t.Error("Run mutated the caller's engine")
-	}
 	// A second run over the same cache is all hits.
-	rep2 := Run(context.Background(), e, g.Snapshot, cqs,
-		Options{Workers: 4, Timeout: 5 * time.Second, Plans: cache})
-	if rep2.PlanMisses != 0 || rep2.PlanHits != int64(len(cqs)) {
-		t.Errorf("second run hits/misses = %d/%d, want %d/0", rep2.PlanHits, rep2.PlanMisses, len(cqs))
+	rep2 := RunQueries(context.Background(), g.Snapshot, queries, opt)
+	if rep2.PlanMisses != 0 || rep2.PlanHits != int64(len(queries)) {
+		t.Errorf("second run hits/misses = %d/%d, want %d/0", rep2.PlanHits, rep2.PlanMisses, len(queries))
 	}
 }
 

@@ -1,7 +1,6 @@
 // Property-path benchmarks: the compiled NFA/bitset engine
-// (internal/pathcomp) against the naive interpretive evaluator it
-// replaced, on the graph shapes and Table-5 expression types that
-// dominate endpoint logs. BenchmarkPathShapes and BenchmarkPathPairs
+// (internal/pathcomp) on the graph shapes and Table-5 expression types
+// that dominate endpoint logs. BenchmarkPathShapes and BenchmarkPathPairs
 // run in CI's bench-artifacts job, which keeps the numbers and compares
 // them to nothing.
 package sparqlog
@@ -11,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"sparqlog/internal/engine"
 	"sparqlog/internal/pathcomp"
 	"sparqlog/internal/rdf"
 	"sparqlog/internal/sparql"
@@ -136,12 +134,10 @@ func parseBenchPath(b *testing.B, expr string) sparql.PathExpr {
 }
 
 // BenchmarkPathShapes measures single-source path evaluation (the
-// subject-bound case eval.path hits) for the dominant Table-5 types on
-// the four graph shapes, naive vs. compiled. Each variant runs its
-// production configuration: the interpreter re-walks the expression
-// tree per evaluation (all it can do), the compiled engine evaluates a
-// pre-compiled automaton (eval.path compiles once per pattern and
-// caches per shape, so per-evaluation cost is what serving pays).
+// subject-bound case the executor's path operator hits) for the dominant
+// Table-5 types on the four graph shapes, on a pre-compiled automaton:
+// the evaluator compiles once per pattern and caches per shape, so
+// per-evaluation cost is what serving pays.
 func BenchmarkPathShapes(b *testing.B) {
 	pathBenchSetup(b)
 	exprs := []struct{ name, expr string }{
@@ -153,22 +149,10 @@ func BenchmarkPathShapes(b *testing.B) {
 	}
 	for _, gname := range []string{"star", "chain", "cycle", "grid"} {
 		g := pathGraphs[gname]
-		resolve := engine.PathResolver(g.sn.Lookup)
 		for _, ex := range exprs {
 			p := parseBenchPath(b, ex.expr)
-			b.Run(gname+"/"+ex.name+"/naive", func(b *testing.B) {
-				total := 0
-				for i := 0; i < b.N; i++ {
-					for _, s := range g.sources {
-						total += len(engine.NaiveEvalPathFrom(g.sn, s, p, resolve))
-					}
-				}
-				if b.N > 0 && total == 0 {
-					b.Fatal("benchmark evaluated to nothing")
-				}
-			})
 			b.Run(gname+"/"+ex.name+"/compiled", func(b *testing.B) {
-				cp := pathcomp.Compile(g.sn, p, pathcomp.Resolver(resolve))
+				cp := pathcomp.Compile(g.sn, p, g.sn.Lookup)
 				b.ResetTimer()
 				total := 0
 				for i := 0; i < b.N; i++ {
@@ -191,19 +175,11 @@ func BenchmarkPathShapes(b *testing.B) {
 func BenchmarkPathPairs(b *testing.B) {
 	pathBenchSetup(b)
 	g := pathPairsGraph
-	resolve := engine.PathResolver(g.sn.Lookup)
 	p := parseBenchPath(b, "<urn:a>*")
 	const wantPairs = 10000 * 100
-	b.Run("cycle10k/naive", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if got := len(engine.NaiveEvalPathPairs(g.sn, p, resolve, 0)); got != wantPairs {
-				b.Fatalf("pairs = %d, want %d", got, wantPairs)
-			}
-		}
-	})
 	b.Run("cycle10k/compiled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			pairs, _ := pathcomp.Compile(g.sn, p, pathcomp.Resolver(resolve)).PairsCtx(nil, 0)
+			pairs, _ := pathcomp.Compile(g.sn, p, g.sn.Lookup).PairsCtx(nil, 0)
 			if got := len(pairs); got != wantPairs {
 				b.Fatalf("pairs = %d, want %d", got, wantPairs)
 			}

@@ -75,13 +75,10 @@ func cycleWorkload(g *gmark.Graph, length, count int) []engine.CQ {
 	return cqs
 }
 
-// BenchmarkPlannerShapes measures the graph engine on the three dominant
-// conjunctive shapes in three ordering modes: statistics-planned per
-// call, planned through the shape-keyed plan cache, and the syntactic
-// baseline. Before the planner landed, the "planned" mode was the
-// engine's per-search-node exact-degree greedy ordering — compare runs
-// of this benchmark across that boundary for the before/after numbers
-// (CHANGES.md, PR 3).
+// BenchmarkPlannerShapes measures the graph engine (BG), which runs the
+// statistics-planned order, on the three dominant conjunctive shapes.
+// The planner's effect on the deployed pipeline is BenchmarkEvalJoinOrder
+// against its syntactic-order denominator in package eval.
 func BenchmarkPlannerShapes(b *testing.B) {
 	g := plannerBenchGraph(b)
 	shapes := []struct {
@@ -93,25 +90,15 @@ func BenchmarkPlannerShapes(b *testing.B) {
 		{"cycle", cycleWorkload(g, 5, 16)},
 	}
 	for _, sh := range shapes {
-		modes := []struct {
-			name string
-			e    engine.Engine
-		}{
-			{"planned", &engine.GraphEngine{}},
-			{"planned-cached", &engine.GraphEngine{Plans: plan.NewCache(g.Snapshot)}},
-			{"syntactic", &engine.GraphEngine{Order: engine.OrderSyntactic}},
-		}
-		for _, m := range modes {
-			b.Run(sh.name+"/"+m.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					st := engine.RunWorkload(m.e, g.Snapshot, sh.cqs, 30*time.Second)
-					if st.Timeouts > 0 {
-						b.Fatal("timeout")
-					}
+		b.Run(sh.name+"/planned", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				st := engine.RunWorkload(&engine.GraphEngine{}, g.Snapshot, sh.cqs, 30*time.Second)
+				if st.Timeouts > 0 {
+					b.Fatal("timeout")
 				}
-				b.ReportMetric(float64(len(sh.cqs)*b.N)/b.Elapsed().Seconds(), "queries/s")
-			})
-		}
+			}
+			b.ReportMetric(float64(len(sh.cqs)*b.N)/b.Elapsed().Seconds(), "queries/s")
+		})
 	}
 }
 
