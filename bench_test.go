@@ -24,7 +24,6 @@ import (
 	"sparqlog/internal/graph"
 	"sparqlog/internal/lint"
 	"sparqlog/internal/loggen"
-	"sparqlog/internal/plan"
 	"sparqlog/internal/repro"
 	"sparqlog/internal/service"
 	"sparqlog/internal/shapes"
@@ -455,10 +454,9 @@ func streamBenchLog(b *testing.B) string {
 
 // BenchmarkConcurrentQueries runs a gMark cycle workload's SPARQL text
 // through the service layer's worker pool over one shared snapshot, at
-// one, two and four workers, and at four workers sharing one plan cache
-// (the serving configuration: recurring query shapes are planned once).
-// On a multi-core machine the parallel cells should scale with workers;
-// per-query results stay identical. CI also runs it under -race.
+// one, two and four workers. On a multi-core machine the parallel cells
+// should scale with workers; per-query results stay identical. CI also
+// runs it under -race.
 func BenchmarkConcurrentQueries(b *testing.B) {
 	g := gmark.Generate(gmark.Config{Nodes: 6000, Seed: 13})
 	var queries []*sparql.Query
@@ -487,9 +485,6 @@ func BenchmarkConcurrentQueries(b *testing.B) {
 			run(b, service.QueryOptions{Workers: workers})
 		})
 	}
-	b.Run("parallel-4-plancache", func(b *testing.B) {
-		run(b, service.QueryOptions{Workers: 4, Plans: plan.NewCache(g.Snapshot)})
-	})
 }
 
 // ---------- Component micro-benchmarks ----------

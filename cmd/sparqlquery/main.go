@@ -8,7 +8,7 @@
 //	sparqlquery -bib 5000 'PREFIX bib: <http://gmark.bib/p/> ASK { ?p bib:cites ?q }'
 //	sparqlquery -bib 5000 -explain 'SELECT ...'     # the operator tree one execution pulled
 //	sparqlquery -bib 5000 -timeout 500ms '...'      # per-query deadline
-//	sparqlquery -bib 5000 -batch queries.txt -workers 8 -explain
+//	sparqlquery -bib 5000 -batch queries.txt -workers 8
 //
 // With -explain the query executes once, exactly as it would without
 // the flag, and the transcript (eval.Explain) renders the operator tree
@@ -25,9 +25,8 @@
 //
 // With -batch FILE the queries in FILE (one per line; blank lines and
 // #-comments skipped) run as a workload through the service layer's
-// worker pool, sharing one plan cache and one compiled-path cache.
-// The summary reports throughput, latency percentiles, and — with
-// -explain — the shared plan/path cache hit and miss counters.
+// worker pool. The summary reports throughput and latency percentiles.
+// -batch and -explain do not combine (exit 2).
 package main
 
 import (
@@ -41,8 +40,6 @@ import (
 
 	"sparqlog/internal/eval"
 	"sparqlog/internal/gmark"
-	"sparqlog/internal/pathcomp"
-	"sparqlog/internal/plan"
 	"sparqlog/internal/rdf"
 	"sparqlog/internal/service"
 	"sparqlog/internal/sparql"
@@ -52,13 +49,17 @@ func main() {
 	data := flag.String("data", "", "N-Triples data file")
 	bib := flag.Int("bib", 0, "generate a gMark Bib graph of this many nodes instead of loading data")
 	seed := flag.Int64("seed", 1, "generator seed for -bib")
-	explain := flag.Bool("explain", false, "execute once and print the operator tree it pulled, with per-operator estimated and actual rows (with -batch: the shared cache counters) instead of query results")
+	explain := flag.Bool("explain", false, "execute once and print the operator tree it pulled, with per-operator estimated and actual rows, instead of query results (not with -batch)")
 	timeout := flag.Duration("timeout", 0, "per-query evaluation deadline (e.g. 500ms); 0 = none")
 	batch := flag.String("batch", "", "file of queries (one per line; blank lines and #-comments skipped) to run as a workload")
 	workers := flag.Int("workers", 0, "worker pool size for -batch (0 = GOMAXPROCS)")
 	flag.Parse()
 	if flag.NArg() < 1 && *batch == "" {
 		fmt.Fprintln(os.Stderr, "usage: sparqlquery [-data file.nt | -bib N] [-timeout D] [-batch file -workers N] ['<query>']")
+		os.Exit(2)
+	}
+	if *batch != "" && *explain {
+		fmt.Fprintln(os.Stderr, "sparqlquery: -explain explains one query; it does not combine with -batch")
 		os.Exit(2)
 	}
 
@@ -92,7 +93,7 @@ func main() {
 	}
 
 	if *batch != "" {
-		runBatch(sn, *batch, *workers, *timeout, *explain)
+		runBatch(sn, *batch, *workers, *timeout)
 		return
 	}
 
@@ -132,9 +133,9 @@ func main() {
 	}
 }
 
-// runBatch executes the workload file through the service layer with
-// shared plan and compiled-path caches.
-func runBatch(sn *rdf.Snapshot, path string, workers int, timeout time.Duration, explain bool) {
+// runBatch executes the workload file through the service layer's
+// worker pool, one line per query on stdout and the summary on stderr.
+func runBatch(sn *rdf.Snapshot, path string, workers int, timeout time.Duration) {
 	f, err := os.Open(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sparqlquery:", err)
@@ -169,13 +170,9 @@ func runBatch(sn *rdf.Snapshot, path string, workers int, timeout time.Duration,
 		os.Exit(1)
 	}
 
-	plans := plan.NewCache(sn)
-	paths := pathcomp.NewCache(sn)
 	rep := service.RunQueries(context.Background(), sn, queries, service.QueryOptions{
 		Workers: workers,
 		Timeout: timeout,
-		Plans:   plans,
-		Paths:   paths,
 	})
 	for i, o := range rep.Outcomes {
 		switch {
@@ -191,10 +188,4 @@ func runBatch(sn *rdf.Snapshot, path string, workers int, timeout time.Duration,
 	}
 	fmt.Fprintf(os.Stderr, "%d queries in %v (%.0f qps), %d timeouts, p50 %v p95 %v p99 %v\n",
 		len(queries), rep.Wall, rep.Stats.QPS, rep.Timeouts, rep.Stats.P50, rep.Stats.P95, rep.Stats.P99)
-	if explain {
-		fmt.Fprintf(os.Stderr, "plan cache: %d hits / %d misses (%d shapes)\n",
-			rep.PlanHits, rep.PlanMisses, plans.Len())
-		fmt.Fprintf(os.Stderr, "path cache: %d hits / %d misses (%d shapes)\n",
-			rep.PathHits, rep.PathMisses, paths.Len())
-	}
 }

@@ -2,11 +2,9 @@ package engine
 
 import (
 	"math/rand"
-	"slices"
 	"testing"
 	"time"
 
-	"sparqlog/internal/plan"
 	"sparqlog/internal/rdf"
 )
 
@@ -75,29 +73,5 @@ func TestPlannedOrderingDifferential(t *testing.T) {
 			t.Fatalf("trial %d: ASK diverges: want %v, planned=%v",
 				trial, relational.Count > 0, ask.Count > 0)
 		}
-	}
-}
-
-// TestPlanCacheAmortizes: a conjunctive query of the engines' corpus,
-// planned repeatedly through a shared plan cache, must hit the cache,
-// the plans must be shared pointers, not re-planned copies, and the
-// cached order must be the one the graph engine plans for itself.
-func TestPlanCacheAmortizes(t *testing.T) {
-	sn, q := randomConsistencyCase(rand.New(rand.NewSource(7)))
-	cache := plan.NewCache(sn)
-	first := cache.For(sn, q.Atoms, q.NumVars)
-	for i := 1; i < 10; i++ {
-		if p := cache.For(sn, q.Atoms, q.NumVars); p != first {
-			t.Fatalf("lookup %d returned a re-planned copy", i)
-		}
-	}
-	if cache.Misses() != 1 {
-		t.Fatalf("misses = %d, want 1", cache.Misses())
-	}
-	if cache.Hits() != 9 {
-		t.Fatalf("hits = %d, want 9", cache.Hits())
-	}
-	if want := plan.For(sn, q.Atoms, q.NumVars).Order; !slices.Equal(first.Order, want) {
-		t.Fatalf("cached order %v, engine's planned order %v", first.Order, want)
 	}
 }

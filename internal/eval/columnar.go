@@ -8,6 +8,7 @@ import (
 
 	"sparqlog/internal/exec"
 	"sparqlog/internal/lint"
+	"sparqlog/internal/pathcomp"
 	"sparqlog/internal/plan"
 	"sparqlog/internal/rdf"
 	"sparqlog/internal/sparql"
@@ -404,12 +405,12 @@ func (ce *colExec) compileAtom(tp *sparql.TriplePattern) plan.Atom {
 	return plan.Atom{S: ref(tp.S), P: ref(tp.P), O: ref(tp.O)}
 }
 
-// compilePath compiles the path expression once (through the shared
-// per-snapshot cache) and routes its sorted []rdf.ID results straight
-// into batch columns — no per-node string round trips.
+// compilePath compiles the path expression once per pattern and routes
+// its sorted []rdf.ID results straight into batch columns — no per-node
+// string round trips.
 func (ce *colExec) compilePath(pp *sparql.PathPattern, in exec.Operator) exec.Operator {
 	ev := ce.ev
-	cp := ev.pathCache().Compile(ev.st, pp.Path, ev.pathResolver())
+	cp := pathcomp.Compile(ev.st, pp.Path, ev.pathResolver())
 	end := func(t sparql.Term) exec.PathEnd {
 		if txt, ok := ev.termText(t); ok {
 			id, known := ev.st.Lookup(txt)

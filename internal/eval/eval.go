@@ -82,23 +82,12 @@ type Result struct {
 	CacheKey string
 }
 
-// Limits bounds evaluation.
+// Limits bounds evaluation and names the one cache it may consult, the
+// result cache. Each evaluation plans its triple-pattern runs and
+// compiles its property paths itself.
 type Limits struct {
 	// MaxRows caps any intermediate binding set (0 = DefaultMaxRows).
 	MaxRows int
-	// Paths optionally shares a compiled-path cache across queries
-	// against the same snapshot (the plan.Cache pattern): a serving
-	// layer evaluating recurring path shapes compiles each shape once.
-	// Nil gives every query its own cache, which still amortizes
-	// compilation across bindings and repeated patterns within it.
-	Paths *pathcomp.Cache
-	// Plans optionally shares a query-shape plan cache across queries
-	// against the same snapshot: the planner runs once per BGP shape
-	// and every execution reuses the cached order (plans carry slot
-	// assignments, so a cache hit is executable without re-resolving
-	// variables). Only unseeded runs consult it; a BGP whose variables
-	// were pre-bound by earlier operators plans directly.
-	Plans *plan.Cache
 	// Results optionally consults a snapshot-keyed query result cache
 	// between parse and execution (internal/qcache): repeated queries —
 	// keyed by their canonical sparql.QueryString, so variable renaming
@@ -113,6 +102,12 @@ type Limits struct {
 	// that asked for it. It remains only because the benchmark module
 	// (bench/) still sets it; ROADMAP item 1(c) deletes it.
 	Parallel int
+	// Deprecated: Plans and Paths are ignored: every query plans its
+	// own triple-pattern runs and compiles its own property paths. They
+	// remain only because the benchmark module (bench/) still sets
+	// them; ROADMAP item 1(c) deletes them.
+	Plans *plan.Cache
+	Paths *pathcomp.Cache
 
 	// The switches below turn a default mechanism off. No binary sets
 	// them; this package's differential tests and ablation benchmarks do.
@@ -163,8 +158,7 @@ func QueryAnswer(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim Lim
 	if lim.MaxRows <= 0 {
 		lim.MaxRows = DefaultMaxRows
 	}
-	// A cache built for another snapshot degrades to direct execution
-	// (the plan.Cache convention).
+	// A cache built for another snapshot degrades to direct execution.
 	if lim.Results != nil && lim.Results.Snapshot() == sn {
 		return queryCached(ctx, sn, q, lim)
 	}
@@ -205,10 +199,6 @@ type evaluator struct {
 	prefixes sparql.Prefixes
 	lim      Limits
 	ctx      context.Context
-	// pathc caches compiled property-path automata for this snapshot,
-	// so a path evaluated under many bindings (or appearing several
-	// times in the query) compiles once. Lazily built on first path.
-	pathc *pathcomp.Cache
 	// colPool records the last columnar execution's term pool; tests
 	// read its Text-call counter to pin the lazy-materialization
 	// contract (operators move IDs, only the edges touch strings).
@@ -223,20 +213,6 @@ type evaluator struct {
 	// explain collects what Explain renders; nil on every other
 	// evaluation, where the compiler records nothing.
 	explain *explainTrace
-}
-
-// pathCache returns the compiled-path cache: the caller-shared one from
-// Limits.Paths when set (and built for this snapshot — the cache itself
-// degrades a mismatch to uncached compilation), else a per-query cache
-// created on first use.
-func (ev *evaluator) pathCache() *pathcomp.Cache {
-	if ev.lim.Paths != nil {
-		return ev.lim.Paths
-	}
-	if ev.pathc == nil {
-		ev.pathc = pathcomp.NewCache(ev.st)
-	}
-	return ev.pathc
 }
 
 // termText renders a query term as store text; variables and blanks
@@ -385,29 +361,18 @@ func (ev *evaluator) compileBGP(patterns []*sparql.TriplePattern) ([]plan.Atom, 
 	return atoms, names
 }
 
-// orderRun plans one basic graph pattern. Runs with no pre-bound
-// variables go through the shared shape-keyed plan cache when
-// Limits.Plans carries one (compileBGP numbers variables by first
-// occurrence — the same canonicalization the shape key uses — so a
-// cached order transfers across queries of one shape); seeded runs
-// plan directly, since the bound-variable seed is not part of the key.
+// orderRun plans one basic graph pattern, seeded with the variables
+// earlier elements of its group bind.
 func (ev *evaluator) orderRun(run []*sparql.TriplePattern, bound map[string]bool) []*sparql.TriplePattern {
 	if len(run) < 2 {
 		return run
 	}
 	atoms, names := ev.compileBGP(run)
 	initial := make([]bool, len(names))
-	seeded := false
 	for i, name := range names {
 		initial[i] = bound[name]
-		seeded = seeded || initial[i]
 	}
-	var p *plan.Plan
-	if !seeded && ev.lim.Plans != nil {
-		p = ev.lim.Plans.For(ev.st, atoms, len(names))
-	} else {
-		p = plan.Planner{Stats: ev.st.Stats()}.PlanBound(atoms, len(names), initial)
-	}
+	p := plan.Planner{Stats: ev.st.Stats()}.PlanBound(atoms, len(names), initial)
 	ordered := make([]*sparql.TriplePattern, len(run))
 	for k, ai := range p.Order {
 		ordered[k] = run[ai]

@@ -3,7 +3,6 @@ package eval
 import (
 	"testing"
 
-	"sparqlog/internal/pathcomp"
 	"sparqlog/internal/rdf"
 	"sparqlog/internal/sparql"
 )
@@ -450,30 +449,5 @@ func TestPathObjectBoundReverse(t *testing.T) {
 		SELECT ?s ?o WHERE { ?o ex:name "Carol" . ?s ex:knows+ ?o }`)
 	if len(res2.Rows) != 2 {
 		t.Fatalf("pre-bound object path rows = %v", res2.Rows)
-	}
-}
-
-// TestSharedPathCacheAcrossQueries: Limits.Paths shares one compiled-path
-// cache across queries on a snapshot, so a recurring path shape compiles
-// once (the plan.Cache pattern at the SPARQL level).
-func TestSharedPathCacheAcrossQueries(t *testing.T) {
-	sn := people()
-	cache := pathcomp.NewCache(sn)
-	q, err := sparql.Parse(`PREFIX ex: <http://ex/>
-		SELECT ?x WHERE { ex:alice ex:knows+ ?x }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		res, err := QueryWithLimits(sn, q, Limits{Paths: cache})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Rows) != 2 {
-			t.Fatalf("run %d: rows = %v", i, res.Rows)
-		}
-	}
-	if cache.Misses() != 1 || cache.Hits() != 2 {
-		t.Errorf("shared cache misses=%d hits=%d, want 1/2", cache.Misses(), cache.Hits())
 	}
 }

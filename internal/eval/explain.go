@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 	"unicode/utf8"
@@ -86,12 +87,13 @@ type planStep struct {
 // planned records the plan of one ordered run of triple patterns;
 // variables bound before the run bind nowhere in it.
 func (x *explainTrace) planned(run []*sparql.TriplePattern, p *plan.Plan, atoms []plan.Atom, names []string, initial []bool) {
-	binds := p.BindsFor(atoms)
+	bound := slices.Clone(initial)
 	for k, ai := range p.Order {
 		var vars []string
-		for _, v := range binds[k] {
-			if !initial[v] {
-				vars = append(vars, varLabel(names[v]))
+		for _, r := range [3]plan.TermRef{atoms[ai].S, atoms[ai].P, atoms[ai].O} {
+			if r.IsVar && !bound[r.Var] {
+				bound[r.Var] = true
+				vars = append(vars, varLabel(names[r.Var]))
 			}
 		}
 		x.steps[run[ai]] = planStep{est: p.Rows[k], binds: vars}

@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"sparqlog/internal/exec"
+	"sparqlog/internal/pathcomp"
 	"sparqlog/internal/rdf"
 	"sparqlog/internal/sparql"
 	"sparqlog/internal/value"
@@ -404,10 +405,9 @@ func (ev *evaluator) matchTriple(tp *sparql.TriplePattern, b binding, yield func
 
 func (ev *evaluator) path(pp *sparql.PathPattern, in []binding) ([]binding, error) {
 	resolver := ev.pathResolver()
-	// Compile once per pattern — the automaton is shared by every
-	// binding below (and by re-evaluations of the same shape elsewhere
-	// in the query, through the per-snapshot cache).
-	cp := ev.pathCache().Compile(ev.st, pp.Path, resolver)
+	// Compile once per call — the automaton is shared by every binding
+	// below.
+	cp := pathcomp.Compile(ev.st, pp.Path, resolver)
 	// Loop nodes for the same-variable case are binding-independent;
 	// compute them once, on first need.
 	var loops []rdf.ID

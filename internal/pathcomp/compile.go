@@ -14,13 +14,11 @@
 // sets, goes through the general automaton.
 //
 // A compiled Path is immutable after Compile (its sync.Pools are the
-// only mutable state), which is what makes sharing one Path across
-// serving goroutines safe.
-//
-// Compilation is resolver-dependent (the same text resolves to
-// different IDs on different snapshots), so compiled paths are bound to
-// one snapshot; Cache shares them per snapshot keyed by resolved shape,
-// following the bounded-cache pattern of internal/plan.
+// only mutable state). Compilation is resolver-dependent (the same text
+// resolves to different IDs on different snapshots), so a compiled path
+// is bound to one snapshot. Each query compiles its own paths, once per
+// path pattern: compiling costs microseconds, and the queries the source
+// paper studies repeat as whole queries, which the result cache absorbs.
 package pathcomp
 
 import (
@@ -86,7 +84,6 @@ type dirPred struct {
 type Path struct {
 	sn   *rdf.Snapshot
 	expr sparql.PathExpr
-	key  string
 
 	// fwd evaluates the path left to right; rev is the automaton of the
 	// reversed expression, used for object-bound evaluation and for
@@ -113,7 +110,6 @@ func Compile(sn *rdf.Snapshot, p sparql.PathExpr, resolve Resolver) *Path {
 	pa := &Path{
 		sn:    sn,
 		expr:  p,
-		key:   ShapeKey(p, resolve),
 		class: paths.Classify(p),
 	}
 	fc := &compiler{resolve: resolve}
@@ -122,62 +118,6 @@ func Compile(sn *rdf.Snapshot, p sparql.PathExpr, resolve Resolver) *Path {
 	pa.rev = rc.build(p, true)
 	pa.detectClosure(resolve)
 	return pa
-}
-
-// ShapeKey canonicalizes a path expression plus its resolution into a
-// cache key: atoms carry their resolved IDs (distinct predicates must
-// not share an automaton), unresolved atoms collapse to a dead marker,
-// and structure is serialized positionally. Equal keys therefore mean
-// the compiled automata would be identical.
-func ShapeKey(p sparql.PathExpr, resolve Resolver) string {
-	var b strings.Builder
-	writeShape(&b, p, resolve)
-	return b.String()
-}
-
-func writeShape(b *strings.Builder, p sparql.PathExpr, resolve Resolver) {
-	atom := func(iri string) {
-		if id, ok := resolve(iri); ok {
-			b.WriteString(strconv.FormatUint(uint64(id), 10))
-		} else {
-			b.WriteByte('!')
-		}
-	}
-	switch n := p.(type) {
-	case *sparql.PathIRI:
-		b.WriteByte('f')
-		atom(n.IRI)
-	case *sparql.PathInverse:
-		b.WriteByte('^')
-		writeShape(b, n.X, resolve)
-	case *sparql.PathSeq:
-		b.WriteString("s(")
-		for _, part := range n.Parts {
-			writeShape(b, part, resolve)
-			b.WriteByte(',')
-		}
-		b.WriteByte(')')
-	case *sparql.PathAlt:
-		b.WriteString("a(")
-		for _, part := range n.Parts {
-			writeShape(b, part, resolve)
-			b.WriteByte(',')
-		}
-		b.WriteByte(')')
-	case *sparql.PathMod:
-		b.WriteByte('m')
-		b.WriteByte(n.Mod)
-		b.WriteByte('(')
-		writeShape(b, n.X, resolve)
-		b.WriteByte(')')
-	case *sparql.PathNeg:
-		b.WriteString("n(")
-		for _, part := range n.Set {
-			writeShape(b, part, resolve)
-			b.WriteByte(',')
-		}
-		b.WriteByte(')')
-	}
 }
 
 // detectClosure recognizes the closure fast path: a '*' or '+' over one
@@ -482,3 +422,11 @@ func edgeKeyOf(e edge) string {
 	}
 	return b.String()
 }
+
+// Deprecated: Cache is an empty type no code reads; every query
+// compiles its own paths. It remains only because the benchmark module
+// (bench/) still names it; ROADMAP item 1(c) deletes it.
+type Cache struct{}
+
+// Deprecated: NewCache returns nil; see Cache.
+func NewCache(*rdf.Snapshot) *Cache { return nil }

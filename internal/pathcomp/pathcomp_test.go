@@ -111,50 +111,6 @@ func TestFastPathSelection(t *testing.T) {
 	}
 }
 
-func TestShapeKeyDistinguishesResolution(t *testing.T) {
-	sn := chainCycleStore()
-	r := resolverOf(sn)
-	kp := ShapeKey(parsePath(t, "<p>*"), r)
-	kq := ShapeKey(parsePath(t, "<q>*"), r)
-	if kp == kq {
-		t.Error("different predicates must produce different shape keys")
-	}
-	if kp != ShapeKey(parsePath(t, "<p>*"), r) {
-		t.Error("shape key must be deterministic")
-	}
-	kMissing := ShapeKey(parsePath(t, "<nope>*"), r)
-	if kMissing == kp {
-		t.Error("unresolved atom must not collide with a resolved one")
-	}
-}
-
-func TestCacheHitsAndMisses(t *testing.T) {
-	sn := chainCycleStore()
-	r := resolverOf(sn)
-	c := NewCache(sn)
-	p := parsePath(t, "<p>*")
-	first := c.Compile(sn, p, r)
-	again := c.Compile(sn, p, r)
-	if first != again {
-		t.Error("same shape must return the cached *Path")
-	}
-	c.Compile(sn, parsePath(t, "<q>+"), r)
-	if c.Hits() != 1 || c.Misses() != 2 || c.Len() != 2 {
-		t.Errorf("hits=%d misses=%d len=%d, want 1/2/2", c.Hits(), c.Misses(), c.Len())
-	}
-	// A foreign snapshot bypasses the cache but still evaluates.
-	other := chainCycleStore()
-	cp := c.Compile(other, p, resolverOf(other))
-	if cp == nil || c.Len() != 2 {
-		t.Error("foreign snapshot must compile uncached")
-	}
-	// A nil cache degrades to plain compilation.
-	var nilCache *Cache
-	if nilCache.Compile(sn, p, r) == nil {
-		t.Error("nil cache must fall back to Compile")
-	}
-}
-
 // testGraph is a ring of <a>-edges through every node, random
 // <a>/<b>/<c> edges, and an <a> self-loop on n00: multi-member
 // components, and a singleton component with a loop.

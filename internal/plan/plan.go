@@ -7,8 +7,8 @@
 // connected-subgraph preference (never take a cross product while a
 // connected atom remains). The log study behind this repository found
 // real workloads dominated by small star/chain/cycle conjunctive shapes,
-// so plans are cached per query *shape* (constants abstracted, variables
-// canonicalized) — see Cache.
+// and a three-atom star plans in under a microsecond, so every query
+// plans its own runs; nothing is cached.
 //
 // The planner owns the atom representation (TermRef, Atom, CQ); package
 // engine aliases these types, so engine.Atom and plan.Atom are
@@ -24,8 +24,7 @@ import (
 // TermRef is one position of a query atom: either a variable (index
 // into the query's variable table — which doubles as the columnar
 // executor's slot index, so a plan over ID-resolved atoms executes
-// with no name re-resolution, cache hit or not) or a constant store
-// ID.
+// with no name re-resolution) or a constant store ID.
 type TermRef struct {
 	IsVar bool
 	Var   int
@@ -54,8 +53,7 @@ type CQ struct {
 }
 
 // Plan is an execution order for a set of atoms with the estimates that
-// justified it. Plans are immutable once built and safe to share across
-// goroutines (the cache hands one *Plan to every worker).
+// justified it.
 type Plan struct {
 	// Order holds atom indexes in execution order; it is a permutation
 	// of [0, len(atoms)).
@@ -68,42 +66,15 @@ type Plan struct {
 	Rows []float64
 }
 
-// BindsFor computes the per-step slot write set of executing atoms in
-// the plan's order: Binds[k] lists the variable slots atom Order[k]
-// binds first (the explain transcript's "binds" column). Derived from
-// the caller's atoms rather than cached with the plan, because
-// shape-mates sharing a cached plan may number their variables
-// differently — only Order transfers across a shape key.
-func (p *Plan) BindsFor(atoms []Atom) [][]int {
-	bound := map[int]bool{}
-	out := make([][]int, len(p.Order))
-	for k, ai := range p.Order {
-		var step []int
-		for _, r := range [3]TermRef{atoms[ai].S, atoms[ai].P, atoms[ai].O} {
-			if r.IsVar && !bound[r.Var] {
-				bound[r.Var] = true
-				step = append(step, r.Var)
-			}
-		}
-		out[k] = step
-	}
-	return out
-}
-
 // Planner orders atoms using a snapshot's statistics.
 type Planner struct {
 	Stats *rdf.Stats
 }
 
 // For plans the atoms against a snapshot's Freeze-time statistics,
-// without caching. Use a Cache to amortize planning across calls.
+// with no variables initially bound.
 func For(sn *rdf.Snapshot, atoms []Atom, numVars int) *Plan {
-	return Planner{Stats: sn.Stats()}.Plan(atoms, numVars)
-}
-
-// Plan orders the atoms with no variables initially bound.
-func (pl Planner) Plan(atoms []Atom, numVars int) *Plan {
-	return pl.PlanBound(atoms, numVars, nil)
+	return Planner{Stats: sn.Stats()}.PlanBound(atoms, numVars, nil)
 }
 
 // PlanBound orders the atoms given a set of variables already bound by
@@ -180,9 +151,9 @@ func bindVars(a Atom, bound []bool) {
 // With a constant predicate the per-predicate summary drives the
 // estimate; with a variable predicate the global distinct counts stand
 // in, assuming independence of the three positions. Constants in subject
-// or object position deliberately contribute only their *position*, not
-// their identity — that is what makes plans reusable across queries of
-// the same shape (see Cache).
+// or object position contribute only their *position*, not their
+// identity: per-constant degrees are not in the Freeze-time statistics,
+// and the average degree of the position stands in for them.
 func (pl Planner) estimate(a Atom, bound []bool) float64 {
 	st := pl.Stats
 	fixed := func(r TermRef) bool { return !r.IsVar || bound[r.Var] }
@@ -219,3 +190,11 @@ func (pl Planner) estimate(a Atom, bound []bool) float64 {
 	}
 	return est
 }
+
+// Deprecated: Cache is an empty type no code reads; every query plans
+// its own runs. It remains only because the benchmark module (bench/)
+// still names it; ROADMAP item 1(c) deletes it.
+type Cache struct{}
+
+// Deprecated: NewCache returns nil; see Cache.
+func NewCache(*rdf.Snapshot) *Cache { return nil }

@@ -143,116 +143,3 @@ func TestPlanIsPermutation(t *testing.T) {
 		}
 	}
 }
-
-// TestShapeKeyCanonicalization: variable names and subject/object
-// constant identities must not distinguish shapes; predicate constants
-// and structure must.
-func TestShapeKeyCanonicalization(t *testing.T) {
-	sn, ids := testGraph(t)
-	_ = sn
-	big, rare, gold := ids["big"], ids["rare"], ids["gold"]
-	hub0 := ids["hub0"]
-
-	a := []Atom{{S: V(3), P: C(big), O: V(7)}, {S: V(7), P: C(rare), O: C(gold)}}
-	b := []Atom{{S: V(0), P: C(big), O: V(1)}, {S: V(1), P: C(rare), O: C(hub0)}}
-	if ShapeKey(a) != ShapeKey(b) {
-		t.Errorf("renamed vars / different constants changed the key:\n%s\n%s", ShapeKey(a), ShapeKey(b))
-	}
-
-	c := []Atom{{S: V(0), P: C(rare), O: V(1)}, {S: V(1), P: C(big), O: C(gold)}}
-	if ShapeKey(a) == ShapeKey(c) {
-		t.Error("different predicate placement produced equal keys")
-	}
-
-	d := []Atom{{S: V(0), P: C(big), O: V(1)}, {S: V(0), P: C(rare), O: C(gold)}}
-	if ShapeKey(a) == ShapeKey(d) {
-		t.Error("different join structure (chain vs star) produced equal keys")
-	}
-
-	e := []Atom{{S: V(0), P: V(2), O: V(1)}, {S: V(1), P: C(rare), O: C(gold)}}
-	if ShapeKey(a) == ShapeKey(e) {
-		t.Error("variable predicate vs constant predicate produced equal keys")
-	}
-}
-
-// TestCacheHitsAndBypass verifies counting and the foreign-snapshot
-// bypass.
-func TestCacheHitsAndBypass(t *testing.T) {
-	sn, ids := testGraph(t)
-	cache := NewCache(sn)
-	atomsA := []Atom{{S: V(0), P: C(ids["big"]), O: V(1)}}
-	atomsB := []Atom{{S: V(0), P: C(ids["rare"]), O: C(ids["gold"])}}
-
-	p1 := cache.For(sn, atomsA, 2)
-	p2 := cache.For(sn, atomsA, 2)
-	if p1 != p2 {
-		t.Error("same shape did not return the cached plan")
-	}
-	cache.For(sn, atomsB, 2)
-	if cache.Hits() != 1 || cache.Misses() != 2 || cache.Len() != 2 {
-		t.Errorf("hits/misses/len = %d/%d/%d, want 1/2/2", cache.Hits(), cache.Misses(), cache.Len())
-	}
-	// A different snapshot must bypass the cache, not poison it.
-	other := rdf.NewStore()
-	other.Add("a", "b", "c")
-	osn := other.Freeze()
-	cache.For(osn, atomsA, 2)
-	if cache.Hits() != 1 || cache.Misses() != 2 {
-		t.Error("foreign snapshot touched the cache counters")
-	}
-
-	// A nil cache plans without caching.
-	var nilCache *Cache
-	if p := nilCache.For(sn, atomsA, 2); len(p.Order) != 1 {
-		t.Error("nil cache did not plan")
-	}
-}
-
-// TestPlanSlotAssignments: BindsFor derives each step's slot write set
-// from the caller's atoms and the plan's order — every variable slot
-// is bound exactly once across the steps, in execution order, even
-// with repeated variables — so explain output stays correct for
-// shape-mates that number their variables differently than the query
-// whose plan is cached.
-func TestPlanSlotAssignments(t *testing.T) {
-	sn, ids := testGraph(t)
-	atoms := []Atom{
-		{S: V(0), P: C(ids["big"]), O: V(1)},
-		{S: V(1), P: C(ids["rare"]), O: V(2)},
-		{S: V(2), P: C(ids["big"]), O: V(2)}, // repeated variable binds once
-	}
-	p := For(sn, atoms, 3)
-	binds := p.BindsFor(atoms)
-	if len(binds) != len(atoms) {
-		t.Fatalf("binds = %v", binds)
-	}
-	seen := map[int]bool{}
-	for k, step := range binds {
-		for _, slot := range step {
-			if seen[slot] {
-				t.Fatalf("slot %d bound twice (step %d, binds %v)", slot, k, binds)
-			}
-			seen[slot] = true
-		}
-	}
-	for v := 0; v < 3; v++ {
-		if !seen[v] {
-			t.Fatalf("slot %d never bound: %v", v, binds)
-		}
-	}
-
-	// A shape-mate with different variable numbering gets ITS slots
-	// back, not the cached query's.
-	mate := []Atom{
-		{S: V(5), P: C(ids["big"]), O: V(3)},
-		{S: V(3), P: C(ids["rare"]), O: V(1)},
-		{S: V(1), P: C(ids["big"]), O: V(1)},
-	}
-	for _, step := range p.BindsFor(mate) {
-		for _, slot := range step {
-			if slot != 5 && slot != 3 && slot != 1 {
-				t.Fatalf("foreign slot %d in shape-mate binds %v", slot, p.BindsFor(mate))
-			}
-		}
-	}
-}

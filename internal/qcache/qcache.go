@@ -8,9 +8,8 @@
 // renaming and prefix expansion normalized away, solution modifiers
 // included), so alpha-equivalent repeats share one entry. The cache is
 // bound to one immutable rdf.Snapshot at construction; callers compare
-// snapshot identity on every access (the plan.Cache pattern), so a new
-// snapshot invalidates implicitly — no epoch bookkeeping on the hot
-// path.
+// snapshot identity on every access, so a new snapshot invalidates
+// implicitly — no epoch bookkeeping on the hot path.
 //
 // An entry is the executor's answer itself (exec.Answer: one rdf.ID
 // column per projected variable plus an overflow table for terms the
@@ -180,8 +179,8 @@ func New(sn *rdf.Snapshot, opts Options) *Cache {
 }
 
 // Snapshot returns the snapshot the cache is bound to. Callers holding
-// a different snapshot must not consult this cache (degrade to
-// uncached execution, exactly as plan.Cache degrades).
+// a different snapshot must not consult this cache (they degrade to
+// uncached execution).
 func (c *Cache) Snapshot() *rdf.Snapshot { return c.sn }
 
 // MinCost returns the effective admission threshold.

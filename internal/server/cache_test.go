@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,6 +88,39 @@ func TestCacheHeaderLifecycle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestIfNoneMatchWeakComparison: If-None-Match compares entity tags
+// weakly (RFC 9110 §13.1.2), in both directions. A proxy that weakens a
+// cached body's strong tag must still get a 304, and so must a client
+// that sends /stats' weak tag in its strong form.
+func TestIfNoneMatchWeakComparison(t *testing.T) {
+	_, ts := newTestServer(t, Config{CacheMinCost: -1})
+	t.Run("weak validator, strong body tag", func(t *testing.T) {
+		cacheGet(t, ts, selectQuery, ctJSON, "")
+		_, h, _ := cacheGet(t, ts, selectQuery, ctJSON, "")
+		etag := h.Get("ETag")
+		if etag == "" || strings.HasPrefix(etag, "W/") {
+			t.Fatalf("cached body ETag = %q, want a strong tag", etag)
+		}
+		if status, _, _ := cacheGet(t, ts, selectQuery, ctJSON, "W/"+etag); status != http.StatusNotModified {
+			t.Fatalf("If-None-Match W/%s = %d, want 304", etag, status)
+		}
+		if status, _, _ := cacheGet(t, ts, selectQuery, ctJSON, `W/"0000000000000000", W/`+etag); status != http.StatusNotModified {
+			t.Fatalf("listed W/%s = %d, want 304", etag, status)
+		}
+	})
+	t.Run("strong validator, weak stats tag", func(t *testing.T) {
+		resp, _ := statsGet(t, ts, "")
+		etag := resp.Header.Get("ETag")
+		strong, weak := strings.CutPrefix(etag, "W/")
+		if !weak {
+			t.Fatalf("/stats ETag = %q, want a weak tag", etag)
+		}
+		if resp, _ := statsGet(t, ts, strong); resp.StatusCode != http.StatusNotModified {
+			t.Fatalf("/stats If-None-Match %s = %d, want 304", strong, resp.StatusCode)
+		}
+	})
 }
 
 // TestCacheSecondSightingLifecycle pins the serving contract at the

@@ -44,10 +44,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&sb, "sparqld_latency_seconds{quantile=%q} %.6f\n", q.label, q.v)
 	}
 
-	counter("sparqld_plan_cache_hits_total", "Shared plan cache hits.", s.plans.Hits())
-	counter("sparqld_plan_cache_misses_total", "Shared plan cache misses.", s.plans.Misses())
-	counter("sparqld_path_cache_hits_total", "Shared compiled-path cache hits.", s.paths.Hits())
-	counter("sparqld_path_cache_misses_total", "Shared compiled-path cache misses.", s.paths.Misses())
 	if s.qc != nil {
 		counter("sparqld_result_cache_hits_total", "Result cache lookups answered without executing.", s.qc.Hits())
 		counter("sparqld_result_cache_misses_total", "Result cache lookups that executed.", s.qc.Misses())

@@ -17,8 +17,6 @@ import (
 	"sparqlog/internal/core"
 	"sparqlog/internal/eval"
 	"sparqlog/internal/lint"
-	"sparqlog/internal/pathcomp"
-	"sparqlog/internal/plan"
 	"sparqlog/internal/qcache"
 	"sparqlog/internal/rdf"
 	"sparqlog/internal/service"
@@ -67,17 +65,15 @@ type Config struct {
 const DefaultMaxQueryBytes = 1 << 20
 
 // Server is the SPARQL 1.1 Protocol endpoint: an Executor over one
-// snapshot with shared plan/path caches, admission control, live
-// serving statistics, and incremental self-analysis of the query
-// workload. Create with New, expose via Handler.
+// snapshot with a shared result cache, admission control, live serving
+// statistics, and incremental self-analysis of the query workload.
+// Create with New, expose via Handler.
 type Server struct {
-	ex    *service.Executor
-	plans *plan.Cache
-	paths *pathcomp.Cache
-	qc    *qcache.Cache // nil when result caching is disabled
-	gate  *Gate
-	live  *service.Live
-	an    *core.LiveAnalyzer
+	ex   *service.Executor
+	qc   *qcache.Cache // nil when result caching is disabled
+	gate *Gate
+	live *service.Live
+	an   *core.LiveAnalyzer
 
 	maxQueryBytes int64
 	timeout       time.Duration
@@ -90,8 +86,6 @@ type Server struct {
 
 // New returns a server over cfg.Snapshot.
 func New(cfg Config) *Server {
-	plans := plan.NewCache(cfg.Snapshot)
-	paths := pathcomp.NewCache(cfg.Snapshot)
 	var qc *qcache.Cache
 	if cfg.CacheBytes >= 0 {
 		qc = qcache.New(cfg.Snapshot, qcache.Options{
@@ -112,16 +106,10 @@ func New(cfg Config) *Server {
 	// and /metrics (the option stays off by default only for the batch
 	// pipeline, whose benchmarks gate on the paper analyses alone).
 	cfg.Analyzer.Lint = true
+	lim := cfg.Limits
+	lim.Results = qc
 	return &Server{
-		ex: service.NewExecutor(cfg.Snapshot, service.ExecutorOptions{
-			Timeout: cfg.Timeout,
-			Plans:   plans,
-			Paths:   paths,
-			Results: qc,
-			Limits:  cfg.Limits,
-		}),
-		plans:         plans,
-		paths:         paths,
+		ex:            service.NewExecutor(cfg.Snapshot, service.ExecutorOptions{Timeout: cfg.Timeout, Limits: lim}),
 		qc:            qc,
 		gate:          NewGate(cfg.MaxInFlight, cfg.QueueDepth),
 		live:          service.NewLive(0),

@@ -281,7 +281,7 @@ func TestEndToEndSelfAnalysis(t *testing.T) {
 	for _, want := range []string{
 		fmt.Sprintf("%12d %12d %12d", nValid+nInvalid, nValid, nValid),
 		"Serving",
-		"plan cache",
+		"result cache",
 	} {
 		if !strings.Contains(string(stats), want) {
 			t.Errorf("/stats lacks %q:\n%s", want, stats)
@@ -463,6 +463,12 @@ func TestNegotiate(t *testing.T) {
 		{"text/csv;q=0.5, application/sparql-results+json;q=0.4", ctCSV, true},
 		{"image/png", "", false},
 		{"text/html;q=0", "", false},
+		// The most specific range decides a type's q: a wildcard does not
+		// override an explicit refusal.
+		{"application/sparql-results+json;q=0, */*", ctXML, true},
+		{"text/csv;q=0, text/*", ctTSV, true},
+		{"*/*;q=0.5, text/csv;q=0.5", ctCSV, true},
+		{"application/json;q=0, application/*;q=0.9", ctXML, true},
 	}
 	for _, tc := range cases {
 		got, ok := negotiate(tc.accept)

@@ -46,8 +46,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&sb, "  latency           p50 %s  p95 %s  p99 %s  max %s (window %d)\n",
 		snap.Stats.P50, snap.Stats.P95, snap.Stats.P99, snap.Stats.Max, snap.Window)
 	fmt.Fprintf(&sb, "  silent SERVICE recoveries %d\n", snap.Recoveries)
-	fmt.Fprintf(&sb, "  plan cache        %d hits / %d misses\n", s.plans.Hits(), s.plans.Misses())
-	fmt.Fprintf(&sb, "  path cache        %d hits / %d misses\n", s.paths.Hits(), s.paths.Misses())
 	if s.qc != nil {
 		h, m := s.qc.Hits(), s.qc.Misses()
 		ratio := "-"
@@ -75,10 +73,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 func (s *Server) statsETag() string {
 	snap := s.live.Snapshot()
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d|%d",
+	fmt.Fprintf(h, "%d|%d|%d|%d|%d|%d|%d|%d",
 		s.an.Entries(),
 		snap.Served, snap.Errors, snap.Timeouts, snap.Rejected, snap.Recoveries,
-		s.plans.Hits(), s.plans.Misses(), s.paths.Hits(), s.paths.Misses(),
 		s.gate.InFlight(), s.gate.Waiting())
 	if s.qc != nil {
 		fmt.Fprintf(h, "|%d|%d|%d|%d|%d|%d|%d|%d|%d",
@@ -100,14 +97,19 @@ func fmtBytes(n int64) string {
 	}
 }
 
-// etagMatch implements the If-None-Match weak comparison: any listed
-// tag equal to ours (or "*") matches.
+// etagMatch reports whether an If-None-Match header matches etag: "*",
+// or a listed entity tag with the same opaque tag. That is the weak
+// comparison RFC 9110 §13.1.2 prescribes for If-None-Match: a W/ prefix
+// on either side is ignored, so a proxy that weakens a body's strong
+// tag (a compressing one does) still revalidates it. Splitting on commas
+// is exact for the tags this server issues, which are hex digits.
 func etagMatch(header, etag string) bool {
 	if strings.TrimSpace(header) == "*" {
 		return true
 	}
+	want := strings.TrimPrefix(etag, "W/")
 	for _, part := range strings.Split(header, ",") {
-		if strings.TrimSpace(part) == etag {
+		if strings.TrimPrefix(strings.TrimSpace(part), "W/") == want {
 			return true
 		}
 	}

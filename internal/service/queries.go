@@ -7,9 +7,6 @@ import (
 
 	"sparqlog/internal/eval"
 	"sparqlog/internal/exec"
-	"sparqlog/internal/pathcomp"
-	"sparqlog/internal/plan"
-	"sparqlog/internal/qcache"
 	"sparqlog/internal/rdf"
 	"sparqlog/internal/sparql"
 )
@@ -21,24 +18,12 @@ type QueryOptions struct {
 	// Timeout is the per-query deadline; 0 means none beyond the
 	// parent context.
 	Timeout time.Duration
-	// Plans optionally shares one shape-keyed plan cache across the
-	// pool (built with plan.NewCache for the snapshot passed to
-	// RunQueries): each BGP shape is planned once, and the cached plan
-	// carries slot assignments, so repeats execute with no
-	// re-resolution. Nil plans per query.
-	Plans *plan.Cache
-	// Paths optionally shares one compiled-path cache across the pool
-	// (pathcomp.NewCache for the same snapshot): each property-path
-	// shape compiles to its automaton once.
-	Paths *pathcomp.Cache
-	// Results optionally shares one snapshot-keyed query result cache
-	// across the pool (qcache.New for the same snapshot): repeated
+	// Limits are the per-query evaluation bounds (MaxRows etc.).
+	// Limits.Results shares one result cache across the pool
+	// (qcache.New for the snapshot passed to RunQueries): repeated
 	// queries — the paper's dominant workload pattern — skip execution
 	// entirely, and concurrent identical queries collapse onto one
 	// execution.
-	Results *qcache.Cache
-	// Limits are the per-query evaluation bounds (MaxRows etc.); the
-	// Plans/Paths fields above override the ones inside.
 	Limits eval.Limits
 }
 
@@ -73,15 +58,6 @@ type QueryReport struct {
 	// Timeouts counts queries that hit the deadline or cancellation.
 	Timeouts int
 	Stats    LatencyStats
-	// PlanHits/PlanMisses and PathHits/PathMisses are this run's
-	// deltas on the shared caches (zero when the option was nil).
-	PlanHits, PlanMisses int64
-	PathHits, PathMisses int64
-	// CacheHits/CacheMisses/CacheCollapsed are this run's deltas on the
-	// shared result cache: answers served without executing, lookups
-	// that executed, and executions avoided by single-flight collapse
-	// (zero when Results was nil).
-	CacheHits, CacheMisses, CacheCollapsed int64
 }
 
 // TotalRows sums result rows across completed queries.
@@ -97,31 +73,14 @@ func (r *QueryReport) TotalRows() int64 {
 
 // RunQueries executes a SPARQL workload on a worker pool sharing one
 // immutable snapshot, on the slot-based columnar executor. It is the
-// only worker pool in the repository. With Plans and Paths set, the
-// pool shares one plan cache and one compiled-path cache, so a
-// workload of recurring shapes (the log study's core finding) plans
-// and compiles each shape once and executes it millions of times.
-// Cancelling ctx stops the run; undispatched queries are marked timed
-// out.
+// only worker pool in the repository. Cancelling ctx stops the run;
+// undispatched queries are marked timed out.
 func RunQueries(ctx context.Context, sn *rdf.Snapshot, queries []*sparql.Query, opt QueryOptions) QueryReport {
 	workers := poolSize(opt.Workers, len(queries))
-	lim := opt.Limits
-	lim.Plans, lim.Paths, lim.Results = opt.Plans, opt.Paths, opt.Results
-	var planHits0, planMisses0, pathHits0, pathMisses0 int64
-	if opt.Plans != nil {
-		planHits0, planMisses0 = opt.Plans.Hits(), opt.Plans.Misses()
-	}
-	if opt.Paths != nil {
-		pathHits0, pathMisses0 = opt.Paths.Hits(), opt.Paths.Misses()
-	}
-	var cacheHits0, cacheMisses0, cacheCollapsed0 int64
-	if opt.Results != nil {
-		cacheHits0, cacheMisses0, cacheCollapsed0 = opt.Results.Hits(), opt.Results.Misses(), opt.Results.Collapsed()
-	}
 	rep := QueryReport{Outcomes: make([]QueryOutcome, len(queries))}
 	start := time.Now()
 	dispatched := runPool(ctx, workers, len(queries), func(i int) {
-		rep.Outcomes[i] = runOneQuery(ctx, sn, queries[i], lim, opt.Timeout)
+		rep.Outcomes[i] = runOneQuery(ctx, sn, queries[i], opt.Limits, opt.Timeout)
 	})
 	rep.Wall = time.Since(start)
 	for i := dispatched; i < len(queries); i++ {
@@ -130,19 +89,6 @@ func RunQueries(ctx context.Context, sn *rdf.Snapshot, queries []*sparql.Query, 
 	rep.Timeouts, rep.Stats = summarize(len(queries), rep.Wall, func(i int) (bool, time.Duration) {
 		return rep.Outcomes[i].TimedOut, rep.Outcomes[i].Duration
 	})
-	if opt.Plans != nil {
-		rep.PlanHits = opt.Plans.Hits() - planHits0
-		rep.PlanMisses = opt.Plans.Misses() - planMisses0
-	}
-	if opt.Paths != nil {
-		rep.PathHits = opt.Paths.Hits() - pathHits0
-		rep.PathMisses = opt.Paths.Misses() - pathMisses0
-	}
-	if opt.Results != nil {
-		rep.CacheHits = opt.Results.Hits() - cacheHits0
-		rep.CacheMisses = opt.Results.Misses() - cacheMisses0
-		rep.CacheCollapsed = opt.Results.Collapsed() - cacheCollapsed0
-	}
 	return rep
 }
 

@@ -5,11 +5,10 @@
 // evaluation) and aggregate latency statistics (QPS, p50/p95/p99);
 // Executor is the single-query entry sparqld serves each request
 // through. The snapshot is never mutated, so any number of workloads and
-// requests may share it concurrently. With QueryOptions.Plans and Paths
-// set, the whole pool shares one shape-keyed plan cache and one
-// compiled-path cache, so a workload of recurring query shapes (the
-// paper's log-study finding) is planned and compiled once and executed
-// many times.
+// requests may share it concurrently. Every query plans and compiles its
+// own; the one cache the pool and the Executor can share is the result
+// cache, set in eval.Limits.Results, which absorbs the repeated queries
+// the paper's log study finds.
 package service
 
 import (

@@ -2,7 +2,6 @@ package service
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -10,8 +9,6 @@ import (
 
 	"sparqlog/internal/eval"
 	"sparqlog/internal/gmark"
-	"sparqlog/internal/pathcomp"
-	"sparqlog/internal/plan"
 	"sparqlog/internal/sparql"
 )
 
@@ -50,9 +47,9 @@ func crossProduct(t testing.TB) *sparql.Query {
 }
 
 // TestParallelMatchesSerial is the correctness contract of the service
-// layer: with two worker pools — one planning per query, one sharing plan
-// and path caches — querying ONE shared snapshot concurrently (>= 8
-// queries in flight), every per-query answer and timeout flag must be
+// layer: with two worker pools — one under a per-query deadline, one
+// without — querying ONE shared snapshot concurrently (>= 8 queries in
+// flight), every per-query answer and timeout flag must be
 // identical to serial evaluation. Run under -race this is also the
 // regression test for the old lazy-Freeze data race: before the snapshot
 // split, the first two concurrent executions would race on the store's
@@ -75,7 +72,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 	opts := []QueryOptions{
 		{Workers: 4, Timeout: timeout},
-		{Workers: 4, Timeout: timeout, Plans: plan.NewCache(g.Snapshot), Paths: pathcomp.NewCache(g.Snapshot)},
+		{Workers: 4},
 	}
 	reports := make([]QueryReport, len(opts))
 	var wg sync.WaitGroup
@@ -155,70 +152,6 @@ func TestRunPerQueryDeadline(t *testing.T) {
 		if !o.TimedOut && o.Err != nil {
 			t.Errorf("query %d: failed without timing out: %v", i, o.Err)
 		}
-	}
-}
-
-// TestPlanCacheSharedAcrossWorkers is the plan-cache correctness test:
-// a workload alternating between two query *shapes* (star and chain,
-// constants varying per query) runs on a concurrent pool sharing one
-// plan cache. Exactly two plans may be computed — every other query must
-// hit the cache — and every answer must equal serial uncached
-// evaluation. The service package's CI race run covers this test, so
-// the cache's concurrent access is exercised under -race.
-func TestPlanCacheSharedAcrossWorkers(t *testing.T) {
-	g := gmark.Generate(gmark.Config{Nodes: 1500, Seed: 19})
-	journals := g.Nodes[gmark.Journal]
-	papers := g.Nodes[gmark.Paper]
-
-	var queries []*sparql.Query
-	for i := 0; i < 200; i++ {
-		var src string
-		if i%2 == 0 {
-			// Star shape: varying journal constant.
-			src = fmt.Sprintf(`PREFIX bib: <http://gmark.bib/p/>
-				SELECT * WHERE { ?x0 bib:cites ?x1 . ?x0 bib:authoredBy ?x2 . ?x0 bib:publishedIn <%s> }`,
-				g.Snapshot.TermOf(journals[i%len(journals)]))
-		} else {
-			// Chain shape: varying start-paper constant.
-			src = fmt.Sprintf(`PREFIX bib: <http://gmark.bib/p/>
-				SELECT * WHERE { <%s> bib:cites ?x0 . ?x0 bib:cites ?x1 . ?x1 bib:authoredBy ?x2 }`,
-				g.Snapshot.TermOf(papers[i%len(papers)]))
-		}
-		q, err := sparql.Parse(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		queries = append(queries, q)
-	}
-
-	serial := make([]int, len(queries))
-	for i, q := range queries {
-		res, err := eval.Query(g.Snapshot, q)
-		if err != nil {
-			t.Fatalf("serial query %d: %v", i, err)
-		}
-		serial[i] = len(res.Rows)
-	}
-
-	cache := plan.NewCache(g.Snapshot)
-	opt := QueryOptions{Workers: 4, Timeout: 5 * time.Second, Plans: cache}
-	rep := RunQueries(context.Background(), g.Snapshot, queries, opt)
-
-	if rep.PlanMisses != 2 {
-		t.Errorf("plan misses = %d, want 2 (one per shape)", rep.PlanMisses)
-	}
-	if want := int64(len(queries) - 2); rep.PlanHits != want {
-		t.Errorf("plan hits = %d, want %d", rep.PlanHits, want)
-	}
-	for i, o := range rep.Outcomes {
-		if o.Err != nil || o.Rows != serial[i] {
-			t.Fatalf("query %d: cached-parallel = (rows %d, err %v), serial rows %d", i, o.Rows, o.Err, serial[i])
-		}
-	}
-	// A second run over the same cache is all hits.
-	rep2 := RunQueries(context.Background(), g.Snapshot, queries, opt)
-	if rep2.PlanMisses != 0 || rep2.PlanHits != int64(len(queries)) {
-		t.Errorf("second run hits/misses = %d/%d, want %d/0", rep2.PlanHits, rep2.PlanMisses, len(queries))
 	}
 }
 

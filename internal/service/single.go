@@ -7,15 +7,14 @@ import (
 	"sparqlog/internal/eval"
 	"sparqlog/internal/pathcomp"
 	"sparqlog/internal/plan"
-	"sparqlog/internal/qcache"
 	"sparqlog/internal/rdf"
 	"sparqlog/internal/sparql"
 )
 
 // Executor is the single-query serving entry over one immutable
-// snapshot: the same per-query deadline conventions and shared
-// plan/path caches as the batch pool (RunQueries), shaped for an HTTP
-// handler that executes one query per request and needs the full
+// snapshot: the same per-query deadline conventions and result cache
+// option (Limits.Results) as the batch pool (RunQueries), shaped for an
+// HTTP handler that executes one query per request and needs the full
 // result back for serialization. An Executor is immutable after
 // construction and safe for concurrent use.
 type Executor struct {
@@ -24,25 +23,22 @@ type Executor struct {
 	tmout time.Duration
 }
 
-// ExecutorOptions configures NewExecutor. The zero value serves with
-// per-request caches, no deadline, and default row limits.
+// ExecutorOptions configures NewExecutor. The zero value serves with no
+// result cache, no deadline, and default row limits.
 type ExecutorOptions struct {
 	// Timeout is the per-query deadline; 0 means only the request
 	// context bounds the query.
 	Timeout time.Duration
-	// Plans optionally shares one shape-keyed plan cache across all
-	// requests (plan.NewCache for the snapshot).
-	Plans *plan.Cache
-	// Paths optionally shares one compiled-path cache across all
-	// requests (pathcomp.NewCache for the snapshot).
-	Paths *pathcomp.Cache
-	// Results optionally shares one snapshot-keyed query result cache
-	// across all requests (qcache.New for the snapshot): repeats skip
-	// execution, concurrent identical queries collapse onto one.
-	Results *qcache.Cache
-	// Limits bounds each evaluation; the Plans/Paths fields above
-	// override the ones inside.
+	// Limits bounds each evaluation. Limits.Results shares one
+	// snapshot-keyed query result cache across all requests (qcache.New
+	// for the snapshot): repeats skip execution, concurrent identical
+	// queries collapse onto one.
 	Limits eval.Limits
+	// Deprecated: Plans and Paths are ignored: every query plans and
+	// compiles its own. They remain only because the benchmark module
+	// (bench/) still sets them; ROADMAP item 1(c) deletes them.
+	Plans *plan.Cache
+	Paths *pathcomp.Cache
 	// Deprecated: MaxConcurrent is ignored: a query runs on the
 	// goroutine that asked for it, so there is no per-query worker
 	// budget to size. It remains only because the benchmark module
@@ -52,9 +48,7 @@ type ExecutorOptions struct {
 
 // NewExecutor returns a serving executor over the snapshot.
 func NewExecutor(sn *rdf.Snapshot, opt ExecutorOptions) *Executor {
-	lim := opt.Limits
-	lim.Plans, lim.Paths, lim.Results = opt.Plans, opt.Paths, opt.Results
-	return &Executor{sn: sn, lim: lim, tmout: opt.Timeout}
+	return &Executor{sn: sn, lim: opt.Limits, tmout: opt.Timeout}
 }
 
 // Snapshot returns the served snapshot.

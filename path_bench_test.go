@@ -136,8 +136,8 @@ func parseBenchPath(b *testing.B, expr string) sparql.PathExpr {
 // BenchmarkPathShapes measures single-source path evaluation (the
 // subject-bound case the executor's path operator hits) for the dominant
 // Table-5 types on the four graph shapes, on a pre-compiled automaton:
-// the evaluator compiles once per pattern and caches per shape, so
-// per-evaluation cost is what serving pays.
+// the evaluator compiles once per path pattern and evaluates it per
+// binding, so per-evaluation cost is what serving pays.
 func BenchmarkPathShapes(b *testing.B) {
 	pathBenchSetup(b)
 	exprs := []struct{ name, expr string }{

@@ -1,6 +1,6 @@
 // Planner benchmarks: the statistics-driven join-ordering win on the
 // three dominant workload shapes of the log study (star, chain, cycle),
-// the plan cache's amortization, and the evaluator's BGP reordering.
+// and the evaluator's BGP reordering.
 // CI's bench-artifacts job runs them and keeps the numbers; nothing
 // compares them to a stored baseline (bench/run.sh's paired runs are
 // the performance contract).
@@ -15,7 +15,6 @@ import (
 	"sparqlog/internal/engine"
 	"sparqlog/internal/eval"
 	"sparqlog/internal/gmark"
-	"sparqlog/internal/plan"
 	"sparqlog/internal/sparql"
 )
 
@@ -100,30 +99,6 @@ func BenchmarkPlannerShapes(b *testing.B) {
 			b.ReportMetric(float64(len(sh.cqs)*b.N)/b.Elapsed().Seconds(), "queries/s")
 		})
 	}
-}
-
-// BenchmarkPlanCache contrasts a cache hit (shape-key + map lookup) with
-// full planning, the overhead the service layer's shared cache removes
-// from every query after a shape's first sighting.
-func BenchmarkPlanCache(b *testing.B) {
-	g := plannerBenchGraph(b)
-	cqs := starWorkload(g, 1)
-	atoms, numVars := cqs[0].Atoms, cqs[0].NumVars
-	b.Run("plan", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			plan.For(g.Snapshot, atoms, numVars)
-		}
-	})
-	b.Run("cache-hit", func(b *testing.B) {
-		b.ReportAllocs()
-		cache := plan.NewCache(g.Snapshot)
-		cache.For(g.Snapshot, atoms, numVars)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			cache.For(g.Snapshot, atoms, numVars)
-		}
-	})
 }
 
 // BenchmarkEvalJoinOrder measures full SPARQL evaluation of a chain

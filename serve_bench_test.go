@@ -92,8 +92,7 @@ func heavyRequest(tb testing.TB, h http.Handler, i int) *discardResponse {
 }
 
 // benchHeavyReplay serves the replay's requests through h, one per
-// iteration, after a warm-up of the plan and path caches and the buffer
-// pool.
+// iteration, after one warm-up request for the buffer pool.
 func benchHeavyReplay(b *testing.B, h http.Handler) {
 	heavyRequest(b, h, 0)
 	b.ReportAllocs()
