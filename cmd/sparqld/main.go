@@ -49,7 +49,7 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "per-query evaluation deadline; 0 = only client disconnect bounds a query")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrent evaluations (0 = 2x GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "admitted requests that may wait for an evaluation slot; beyond it 503")
-	maxRows := flag.Int("max-rows", 1_000_000, "row cap per query result (0 = unlimited)")
+	maxRows := flag.Int("max-rows", eval.DefaultMaxRows, "row cap per query result (0 = the default cap)")
 	maxQueryBytes := flag.Int64("max-query-bytes", server.DefaultMaxQueryBytes, "largest accepted query text")
 	cacheBytes := flag.Int64("cache-bytes", qcache.DefaultMaxBytes, "result cache byte budget (0 = disable result caching)")
 	cacheMinCost := flag.Duration("cache-min-cost", qcache.DefaultMinCost, "admission cost floor: only cache results whose execution took at least this long, on their query's second sighting (0 = cache every successful result on its first fill)")

@@ -5,12 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"sparqlog/internal/qcache"
 	"sparqlog/internal/rdf"
 	"sparqlog/internal/sparql"
 )
@@ -91,119 +87,5 @@ func TestQueryAnswerIsQueryContext(t *testing.T) {
 	agg := aggStore()
 	for trial := 0; trial < 150; trial++ {
 		sameAsQueryContext(t, agg, randomAggQuery(rng), Limits{})
-	}
-}
-
-// TestCacheKeyBytes pins the key's bytes to the form the cache was
-// first keyed with, so rebuilding it without fmt moved no entry.
-func TestCacheKeyBytes(t *testing.T) {
-	for _, src := range []string{
-		`SELECT ?x WHERE { ?x <urn:age> ?a } LIMIT 3`,
-		`PREFIX u: <urn:> ASK { ?s u:p "lit|with|bars" }`,
-	} {
-		q, err := sparql.Parse(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, mr := range []int{0, 1, DefaultMaxRows, 1 << 40} {
-			want := fmt.Sprintf("mr%d|%s", mr, sparql.QueryString(q))
-			if got := cacheKey(q, Limits{MaxRows: mr}); got != want {
-				t.Fatalf("cacheKey = %q, want %q", got, want)
-			}
-		}
-	}
-}
-
-// TestCacheFillRetainsAnswer: the cache entry is the executor's answer.
-// A fill of a plain-variable SELECT hands the cache the pointer the
-// evaluation produced — nothing is converted, so not one dictionary
-// lookup is made for the fill (the evaluation itself materialized no
-// text either: TestJoinDistinctStaysAsIDs) — and a hit returns that
-// same pointer.
-func TestCacheFillRetainsAnswer(t *testing.T) {
-	sn := socialStore()
-	qc := qcache.New(sn, qcache.Options{MinCost: -1})
-	q, err := sparql.Parse(`SELECT ?x ?y WHERE { ?x <urn:knows> ?y }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lim := Limits{Results: qc}
-	fill, err := QueryAnswer(context.Background(), sn, q, lim)
-	if err != nil || fill.Cached || fill.CacheKey == "" {
-		t.Fatalf("fill: %+v, %v", fill, err)
-	}
-	held, ok := qc.Get(sn, fill.CacheKey)
-	if !ok || held.Answer != fill.Answer {
-		t.Fatal("the entry is not the answer the evaluation produced")
-	}
-	hit, err := QueryAnswer(context.Background(), sn, q, lim)
-	if err != nil || !hit.Cached || hit.Answer != fill.Answer || hit.Rows != nil {
-		t.Fatalf("hit does not share the fill's answer: %+v, %v", hit, err)
-	}
-}
-
-// TestLeaderPanicFreesFollowers: a panic in the flight leader's
-// execution must resolve the flight (unshareable) on its way up, so a
-// follower of the same key runs the query itself at once instead of
-// waiting out its deadline on a leader that will never complete.
-func TestLeaderPanicFreesFollowers(t *testing.T) {
-	sn := socialStore()
-	qc := qcache.New(sn, qcache.Options{MinCost: -1})
-	q, err := sparql.Parse(`SELECT ?x ?y WHERE { ?x <urn:knows> ?y }`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lim := Limits{Results: qc}
-	leaderIn, release := make(chan struct{}), make(chan struct{})
-	var calls atomic.Int32
-	TestHookExecute = func(*sparql.Query) {
-		if calls.Add(1) == 1 {
-			close(leaderIn)
-			<-release
-			panic("injected executor panic")
-		}
-	}
-	defer func() { TestHookExecute = nil }()
-
-	var wg sync.WaitGroup
-	wg.Add(2)
-	var leaderPanic any
-	go func() {
-		defer wg.Done()
-		defer func() { leaderPanic = recover() }()
-		_, _ = QueryAnswer(context.Background(), sn, q, lim)
-	}()
-	<-leaderIn
-	var followerRes *Result
-	var followerErr error
-	var took time.Duration
-	go func() {
-		defer wg.Done()
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		start := time.Now()
-		followerRes, followerErr = QueryAnswer(ctx, sn, q, lim)
-		took = time.Since(start)
-	}()
-	// Let the follower reach the flight (it cannot get past it while the
-	// leader is held), then let the leader panic.
-	time.Sleep(50 * time.Millisecond)
-	close(release)
-	wg.Wait()
-	if leaderPanic == nil {
-		t.Fatal("the injected panic did not propagate to the leader's caller")
-	}
-	if followerErr != nil || followerRes == nil || followerRes.Answer.Len() == 0 {
-		t.Fatalf("follower: %+v, %v", followerRes, followerErr)
-	}
-	if followerRes.Cached || followerRes.Collapsed {
-		t.Fatalf("follower did not execute itself: %+v", followerRes)
-	}
-	if took > 2*time.Second {
-		t.Fatalf("follower waited %v: stranded on the dead leader's flight", took)
-	}
-	// The key is not wedged: the next request leads a fresh flight.
-	if res, err := QueryAnswer(context.Background(), sn, q, lim); err != nil || res.Answer.Len() == 0 {
-		t.Fatalf("after the panic: %+v, %v", res, err)
 	}
 }

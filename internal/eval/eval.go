@@ -30,7 +30,6 @@ import (
 	"sparqlog/internal/exec"
 	"sparqlog/internal/pathcomp"
 	"sparqlog/internal/plan"
-	"sparqlog/internal/qcache"
 	"sparqlog/internal/rdf"
 	"sparqlog/internal/sparql"
 )
@@ -55,9 +54,9 @@ type Result struct {
 	// Bool is the ASK answer.
 	Bool bool
 	// Answer is the same solutions as the executor computed them: ID
-	// columns, immutable and possibly shared with the result cache and
-	// with concurrent requests for the same query. Serving layers
-	// serialize from it and never need Rows.
+	// columns, immutable once returned, so a serving layer may share it
+	// (sparqld's result cache does). Serving layers serialize from it and
+	// never need Rows.
 	Answer *exec.Answer
 	// Recovered counts silent SERVICE recoveries during evaluation:
 	// SERVICE SILENT bodies whose failure was swallowed and replaced by
@@ -69,35 +68,15 @@ type Result struct {
 	// A statically short-circuited query — one the linter proved empty
 	// before compilation — finishes with zero.
 	Probes int64
-	// Cached marks a result served from the result cache (Limits.Results)
-	// without executing; Collapsed marks one received from a concurrent
-	// identical execution via single-flight. Both false means this
-	// result was evaluated here.
-	Cached    bool
-	Collapsed bool
-	// CacheKey is the canonical cache key when the result is resident in
-	// the result cache (a hit, or a fresh execution that was admitted).
-	// Serving layers use it to attach and reuse serialized bodies;
-	// empty means not resident.
-	CacheKey string
 }
 
-// Limits bounds evaluation and names the one cache it may consult, the
-// result cache. Each evaluation plans its triple-pattern runs and
-// compiles its property paths itself.
+// Limits bounds evaluation. Evaluation consults no cache: each one
+// plans its triple-pattern runs and compiles its property paths itself,
+// and caching whole results is the serving layer's business
+// (internal/server).
 type Limits struct {
 	// MaxRows caps any intermediate binding set (0 = DefaultMaxRows).
 	MaxRows int
-	// Results optionally consults a snapshot-keyed query result cache
-	// between parse and execution (internal/qcache): repeated queries —
-	// keyed by their canonical sparql.QueryString, so variable renaming
-	// and prefix spelling do not split entries — skip the plan→exec
-	// pipeline entirely, and concurrent identical queries collapse onto
-	// one execution (single-flight). The cache is bound to one snapshot;
-	// evaluating a different snapshot degrades to uncached execution.
-	// Errors, deadline truncations, row-limit overflows, and
-	// SERVICE-recovered results are never cached.
-	Results *qcache.Cache
 	// Deprecated: Parallel is ignored: a query runs on the goroutine
 	// that asked for it. It remains only because the benchmark module
 	// (bench/) still sets it; ROADMAP item 1(c) deletes it.
@@ -152,25 +131,16 @@ func QueryContext(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim Li
 // QueryAnswer evaluates under the context's deadline and cancellation,
 // polled from the executor's inner loops; an expired context surfaces
 // as exec.ErrTimeout. The result carries the columnar Answer and no
-// string rows: nothing on the way from the executor through the result
-// cache materializes text.
+// string rows: nothing on the way from the executor to a serializer
+// materializes text.
 func QueryAnswer(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim Limits) (*Result, error) {
 	if lim.MaxRows <= 0 {
 		lim.MaxRows = DefaultMaxRows
 	}
-	// A cache built for another snapshot degrades to direct execution.
-	if lim.Results != nil && lim.Results.Snapshot() == sn {
-		return queryCached(ctx, sn, q, lim)
-	}
-	return queryDirect(ctx, sn, q, lim)
-}
-
-// queryDirect is the uncached evaluation path.
-func queryDirect(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim Limits) (*Result, error) {
 	return (&evaluator{st: sn, prefixes: q.Prologue.PrefixMap(), lim: lim, ctx: ctx}).run(q)
 }
 
-// run is one execution of q: queryDirect's, or Explain's.
+// run is one execution of q: QueryAnswer's, or Explain's.
 func (ev *evaluator) run(q *sparql.Query) (*Result, error) {
 	if h := TestHookExecute; h != nil {
 		h(q)

@@ -14,8 +14,8 @@ import (
 	"sparqlog/internal/sparql"
 )
 
-// Explain executes q once, as QueryAnswer does with default limits and
-// no result cache — the production compiler and the columnar executor —
+// Explain executes q once, as QueryAnswer does with default limits —
+// the production compiler and the columnar executor —
 // and renders the operator tree that execution pulled, one line per
 // operator: cmd/sparqlquery's -explain transcript. A line shows
 //
@@ -196,10 +196,10 @@ func clip(s string, n int) string {
 }
 
 // explainCacheLine renders the result-cache view of the query: the
-// canonical key (sparql.QueryString) a serving layer with Limits.
-// Results set would cache this answer under. Alpha-equivalent repeats
-// share the key, so the line shows exactly which workload class the
-// query's cache entry serves.
+// canonical text (sparql.QueryString) sparqld's result cache keys this
+// answer under, behind the row-budget prefix internal/server adds.
+// Alpha-equivalent repeats share the key, so the line shows exactly
+// which workload class the query's cache entry serves.
 func explainCacheLine(q *sparql.Query) string {
 	return fmt.Sprintf("result cache: canonical key %q\n"+
 		"      (snapshot-keyed; stored after execution when measured cost reaches the\n"+

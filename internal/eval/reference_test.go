@@ -25,7 +25,7 @@ import (
 // reach it.
 
 // queryReference evaluates q on the reference evaluator under the same
-// limits QueryWithLimits takes (Results is ignored). The result carries
+// limits QueryWithLimits takes. The result carries
 // Rows, not an Answer.
 func queryReference(sn *rdf.Snapshot, q *sparql.Query, lim Limits) (*Result, error) {
 	if lim.MaxRows <= 0 {

@@ -4,14 +4,14 @@ import "sparqlog/internal/rdf"
 
 // Answer is one query answer in the form the executor computed it:
 // column-major rdf.ID columns, one per projected variable. The
-// evaluator hands it to the result cache and the cache to the
-// serializers, so nothing between the last operator and the wire
-// converts between representations. IDs below the snapshot's term count
+// evaluator returns it, the server files it in its result cache, and
+// the serializers read it, so nothing between the last operator and the
+// wire converts between representations. IDs below the snapshot's term count
 // resolve through its dictionary, IDs at or above it index the answer's
 // own overflow table (Pool's scheme), Unbound is a hole.
 //
-// An Answer is immutable once built and shared freely (a cache hit, a
-// single-flight follower and the leader hold one pointer): nobody may
+// An Answer is immutable once built and shared freely (every cache hit
+// and the request that filled the entry hold one pointer): nobody may
 // write through Vars or a column.
 type Answer struct {
 	// Vars is the projection, in order; empty for ASK.

@@ -2,32 +2,36 @@
 // cache for the serving path. It converts the paper's central workload
 // observation — real SPARQL logs are massively repetitive (our own
 // sparqld self-analysis sees >52% exact repeats) — into a speedup:
-// repeated queries skip the plan→exec pipeline entirely.
+// repeated queries skip the plan→exec pipeline entirely. Its one
+// caller on the request path is internal/server, which looks a request
+// up, executes on a miss and offers the clean answer back.
 //
-// Keys are canonical query fingerprints (sparql.QueryString: variable
-// renaming and prefix expansion normalized away, solution modifiers
-// included), so alpha-equivalent repeats share one entry. The cache is
-// bound to one immutable rdf.Snapshot at construction; callers compare
-// snapshot identity on every access, so a new snapshot invalidates
-// implicitly — no epoch bookkeeping on the hot path.
+// Keys are opaque strings; the server's are canonical query
+// fingerprints (sparql.QueryString: variable renaming and prefix
+// expansion normalized away, solution modifiers included) behind the
+// row budget, so alpha-equivalent repeats share one entry. The cache is
+// bound to one immutable rdf.Snapshot at construction; Get and Put
+// compare snapshot identity on every access, so a new snapshot
+// invalidates implicitly — no epoch bookkeeping on the hot path.
 //
 // An entry is the executor's answer itself (exec.Answer: one rdf.ID
 // column per projected variable plus an overflow table for terms the
 // dictionary does not hold). A fill retains the pointer the evaluator
-// produced, a hit returns it, and a single-flight follower receives the
-// leader's: nothing is converted or copied on the way in or out, and a
-// hit that is answered from a stored body (or a 304) never reads a
-// cell. Admission takes two tests. A cost floor: only results whose
-// measured execution reaches Options.MinCost are considered, so the
-// cache holds the heavy tail rather than microsecond point lookups. A
+// produced and a hit returns it: nothing is converted or copied on
+// the way in or out, and a hit that is answered from a stored body
+// (or a 304) never reads a cell. Concurrent misses of one key each
+// execute; the first fill to be admitted is the entry. Admission
+// takes two tests. A cost floor: only results whose measured
+// execution reaches Options.MinCost are considered, so the cache
+// holds the heavy tail rather than microsecond point lookups. A
 // second sighting: a key's first such result only leaves its
 // fingerprint in a fixed per-shard doorkeeper table, and the next
 // result under that key is stored. The paper's streaks are chains of
 // modified queries, each new text an exact-text cache never hits on,
 // so a one-off answer is not retained (and its body is never copied).
-// Eviction is sharded LRU under a byte budget. Hot entries additionally
-// carry per-content-type serialized response bodies (SetBody/Body) so
-// an HTTP hit can be a single Write.
+// Eviction is sharded LRU under a byte budget. Hot entries
+// additionally carry per-content-type serialized response bodies
+// (SetBody/Body) so an HTTP hit can be a single Write.
 //
 // Invariant: cache entries are immutable and shared, keyed by snapshot
 // identity. A hit hands out the entry's own columns (and Body the
@@ -132,14 +136,10 @@ type Cache struct {
 
 	hits      atomic.Int64
 	misses    atomic.Int64
-	collapsed atomic.Int64
 	bodyHits  atomic.Int64
 	evictions atomic.Int64
 	rejected  atomic.Int64
 	sightings atomic.Int64
-
-	fmu     sync.Mutex
-	flights map[string]*Flight
 }
 
 // New returns a cache bound to sn.
@@ -165,7 +165,6 @@ func New(sn *rdf.Snapshot, opts Options) *Cache {
 		minCost:  minCost,
 		maxEntry: maxEntry,
 		shards:   make([]shard, nShards),
-		flights:  make(map[string]*Flight),
 	}
 	perShard := maxBytes / int64(nShards)
 	if perShard < 1 {
@@ -177,11 +176,6 @@ func New(sn *rdf.Snapshot, opts Options) *Cache {
 	}
 	return c
 }
-
-// Snapshot returns the snapshot the cache is bound to. Callers holding
-// a different snapshot must not consult this cache (they degrade to
-// uncached execution).
-func (c *Cache) Snapshot() *rdf.Snapshot { return c.sn }
 
 // MinCost returns the effective admission threshold.
 func (c *Cache) MinCost() time.Duration { return c.minCost }
@@ -224,17 +218,18 @@ func (c *Cache) Get(sn *rdf.Snapshot, key string) (Result, bool) {
 }
 
 // Put stores a successful result under key when it clears admission:
-// the cost floor, the entry cap, then the doorkeeper. A result past the
-// first two whose key the doorkeeper has not seen leaves the key's
-// fingerprint, counts a first sighting and is not stored; the next one
-// is. A shared fingerprint admits a key one sighting early and an
-// overwritten one delays it by one: the verdict costs memory or a miss,
-// never an answer. Put reports whether the entry is now resident (an
-// existing entry under the same key also counts: the double-fill race
-// after a flight resolves to the first writer). A result carrying its
-// Answer is retained as it is, with no cell read; one carrying only
-// rows is converted first. Callers must never Put errors, truncations,
-// or recovered results — the cache cannot tell.
+// the cost floor, the entry cap, then the doorkeeper. A result past
+// the first two whose key the doorkeeper has not seen leaves the
+// key's fingerprint, counts a first sighting and is not stored; the
+// next one is. A shared fingerprint admits a key one sighting early
+// and an overwritten one delays it by one: the verdict costs memory
+// or a miss, never an answer. Put reports whether the entry is now
+// resident (an existing entry under the same key also counts: of two
+// concurrent misses that both fill, the first writer's answer stays).
+// A result carrying its Answer is retained as it is, with no cell
+// read; one carrying only rows is converted first. Callers must never
+// Put errors, truncations, or recovered results — the cache cannot
+// tell.
 func (c *Cache) Put(sn *rdf.Snapshot, key string, r Result, cost time.Duration) bool {
 	if sn != c.sn {
 		return false
@@ -424,10 +419,6 @@ func (c *Cache) Hits() int64 { return c.hits.Load() }
 // Misses counts Get calls that found nothing (snapshot mismatches
 // included).
 func (c *Cache) Misses() int64 { return c.misses.Load() }
-
-// Collapsed counts executions avoided by single-flight: followers that
-// received the leader's result.
-func (c *Cache) Collapsed() int64 { return c.collapsed.Load() }
 
 // BodyHits counts serialized-body reuses (Body answered).
 func (c *Cache) BodyHits() int64 { return c.bodyHits.Load() }

@@ -1,7 +1,6 @@
 package qcache
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -391,107 +390,5 @@ func TestSetBodyGrowthCannotEvictOwnEntry(t *testing.T) {
 	}
 	if c.Bytes() > 900 {
 		t.Fatalf("Bytes() = %d exceeds budget after growth", c.Bytes())
-	}
-}
-
-func TestSingleFlight(t *testing.T) {
-	sn := testSnapshot(t)
-	c := New(sn, Options{MinCost: -1})
-	f, leader := c.Join("k")
-	if !leader {
-		t.Fatal("first Join is not leader")
-	}
-	f2, leader2 := c.Join("k")
-	if leader2 || f2 != f {
-		t.Fatal("second Join did not follow the first flight")
-	}
-	r := Result{Vars: []string{"s"}, Rows: [][]string{{"<http://g/s0>"}}}
-	r.Answer = exec.NewAnswer(sn, r.Vars, r.Rows, r.Bool)
-	go c.Complete("k", f, r, true)
-	got, ok, err := f2.Wait(context.Background(), c)
-	if err != nil || !ok || got.Answer != r.Answer {
-		t.Fatalf("Wait = %#v, %v, %v", got, ok, err)
-	}
-	if c.Collapsed() != 1 {
-		t.Fatalf("Collapsed = %d, want 1", c.Collapsed())
-	}
-	// The flight is resolved; a new Join leads again.
-	if _, leader := c.Join("k"); !leader {
-		t.Fatal("Join after Complete did not lead")
-	}
-}
-
-func TestFlightUnshareableWakesFollowers(t *testing.T) {
-	sn := testSnapshot(t)
-	c := New(sn, Options{MinCost: -1})
-	f, _ := c.Join("k")
-	go c.Complete("k", f, Result{}, false)
-	_, ok, err := f.Wait(context.Background(), c)
-	if err != nil || ok {
-		t.Fatalf("Wait on unshareable = ok %v, err %v; want self-execute signal", ok, err)
-	}
-	if c.Collapsed() != 0 {
-		t.Fatal("unshareable completion counted as collapsed")
-	}
-}
-
-func TestFlightWaitHonorsContext(t *testing.T) {
-	sn := testSnapshot(t)
-	c := New(sn, Options{MinCost: -1})
-	f, _ := c.Join("k")
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if _, _, err := f.Wait(ctx, c); err == nil {
-		t.Fatal("Wait returned without leader completion or context error")
-	}
-	c.Complete("k", f, Result{}, false) // leaders must always complete
-}
-
-func TestFlightStampede(t *testing.T) {
-	sn := testSnapshot(t)
-	c := New(sn, Options{MinCost: -1})
-	const n = 32
-	var executions, collapsed, hits int64
-	var mu sync.Mutex
-	r := Result{Vars: []string{"s"}, Rows: [][]string{{"<http://g/s0>"}}}
-
-	var start, done sync.WaitGroup
-	start.Add(1)
-	done.Add(n)
-	for i := 0; i < n; i++ {
-		go func() {
-			defer done.Done()
-			start.Wait()
-			if _, ok := c.Get(sn, "k"); ok {
-				mu.Lock()
-				hits++
-				mu.Unlock()
-				return
-			}
-			fl, leader := c.Join("k")
-			if leader {
-				mu.Lock()
-				executions++
-				mu.Unlock()
-				time.Sleep(5 * time.Millisecond) // let followers pile up
-				c.Complete("k", fl, r, true)
-				c.Put(sn, "k", r, time.Second)
-				return
-			}
-			if _, ok, err := fl.Wait(context.Background(), c); err != nil || !ok {
-				t.Errorf("follower Wait = %v, %v", ok, err)
-			}
-			mu.Lock()
-			collapsed++
-			mu.Unlock()
-		}()
-	}
-	start.Done()
-	done.Wait()
-	if executions != 1 {
-		t.Fatalf("executions = %d, want exactly 1", executions)
-	}
-	if hits+collapsed != n-1 {
-		t.Fatalf("hits %d + collapsed %d = %d, want %d", hits, collapsed, hits+collapsed, n-1)
 	}
 }

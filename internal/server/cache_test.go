@@ -186,6 +186,30 @@ SELECT ?paper ?cited WHERE { ?paper p:cites ?cited } LIMIT 5`
 	}
 }
 
+// TestCacheHitIsAServedQuery: a hit never reaches the executor, yet it
+// is a served query like any other. After a miss and a hit, /metrics
+// counts two served queries and the latency window holds two samples.
+func TestCacheHitIsAServedQuery(t *testing.T) {
+	s, ts := newTestServer(t, Config{CacheMinCost: -1})
+	for i, want := range []string{"miss", "hit"} {
+		if status, h, _ := cacheGet(t, ts, selectQuery, "", ""); status != 200 || h.Get("X-Sparqld-Cache") != want {
+			t.Fatalf("request %d: status %d, cache %q; want 200, %s", i+1, status, h.Get("X-Sparqld-Cache"), want)
+		}
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if !strings.Contains(string(body), "\nsparqld_queries_served_total 2\n") {
+		t.Fatalf("/metrics does not count the hit as served:\n%s", body)
+	}
+	if n := s.Live().Snapshot().Window; n != 2 {
+		t.Fatalf("latency window holds %d samples, want 2", n)
+	}
+}
+
 // TestCacheDisabled: CacheBytes < 0 turns the feature off entirely —
 // no header, no ETag, no cache allocation.
 func TestCacheDisabled(t *testing.T) {

@@ -168,7 +168,7 @@ func TestStatsETagCoversCacheState(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		resp, _ := statsGet(t, ts, "")
 		etag := resp.Header.Get("ETag")
-		qc.Put(qc.Snapshot(), "direct", r, time.Second)
+		qc.Put(s.ex.Snapshot(), "direct", r, time.Second)
 		if resp, _ := statsGet(t, ts, etag); resp.StatusCode != http.StatusOK {
 			t.Fatalf("Put %d (entries %d, first sightings %d): /stats status %d, want 200",
 				i+1, qc.Entries(), qc.FirstSightings(), resp.StatusCode)

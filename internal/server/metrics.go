@@ -47,7 +47,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.qc != nil {
 		counter("sparqld_result_cache_hits_total", "Result cache lookups answered without executing.", s.qc.Hits())
 		counter("sparqld_result_cache_misses_total", "Result cache lookups that executed.", s.qc.Misses())
-		counter("sparqld_result_cache_collapsed_total", "Executions avoided by single-flight collapse of concurrent identical queries.", s.qc.Collapsed())
 		counter("sparqld_result_cache_body_hits_total", "Serialized response bodies reused verbatim.", s.qc.BodyHits())
 		counter("sparqld_result_cache_evictions_total", "Result cache entries evicted by the LRU byte budget.", s.qc.Evictions())
 		counter("sparqld_result_cache_rejected_total", "Results refused by the admission cost floor, the entry cap or the shard budget.", s.qc.Rejected())

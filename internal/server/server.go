@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/url"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,6 +17,7 @@ import (
 
 	"sparqlog/internal/core"
 	"sparqlog/internal/eval"
+	"sparqlog/internal/exec"
 	"sparqlog/internal/lint"
 	"sparqlog/internal/qcache"
 	"sparqlog/internal/rdf"
@@ -39,7 +41,8 @@ type Config struct {
 	// MaxQueryBytes bounds the accepted query text size; <= 0 means
 	// DefaultMaxQueryBytes.
 	MaxQueryBytes int64
-	// Limits bounds each evaluation (MaxRows etc.).
+	// Limits bounds each evaluation (MaxRows; 0 means
+	// eval.DefaultMaxRows).
 	Limits eval.Limits
 	// CacheBytes is the result cache's byte budget: 0 means
 	// qcache.DefaultMaxBytes, negative disables result caching
@@ -65,15 +68,22 @@ type Config struct {
 const DefaultMaxQueryBytes = 1 << 20
 
 // Server is the SPARQL 1.1 Protocol endpoint: an Executor over one
-// snapshot with a shared result cache, admission control, live serving
+// snapshot behind a result cache, admission control, live serving
 // statistics, and incremental self-analysis of the query workload.
+// The server is the result cache's one owner: execute looks a request
+// up, and only on a miss calls the Executor, which consults no cache.
 // Create with New, expose via Handler.
 type Server struct {
-	ex   *service.Executor
-	qc   *qcache.Cache // nil when result caching is disabled
-	gate *Gate
-	live *service.Live
-	an   *core.LiveAnalyzer
+	ex *service.Executor
+	qc *qcache.Cache // nil when result caching is disabled
+	// keyPrefix leads every result-cache key: "mr<MaxRows>|". The row
+	// budget is part of the key because it changes observable behaviour
+	// at the margin — a result that fit a large budget must not answer a
+	// request whose smaller budget would have overflowed.
+	keyPrefix string
+	gate      *Gate
+	live      *service.Live
+	an        *core.LiveAnalyzer
 
 	maxQueryBytes int64
 	timeout       time.Duration
@@ -106,11 +116,16 @@ func New(cfg Config) *Server {
 	// and /metrics (the option stays off by default only for the batch
 	// pipeline, whose benchmarks gate on the paper analyses alone).
 	cfg.Analyzer.Lint = true
+	// Resolved here, once, so the budget in the cache key is the one
+	// eval applies.
 	lim := cfg.Limits
-	lim.Results = qc
+	if lim.MaxRows <= 0 {
+		lim.MaxRows = eval.DefaultMaxRows
+	}
 	return &Server{
 		ex:            service.NewExecutor(cfg.Snapshot, service.ExecutorOptions{Timeout: cfg.Timeout, Limits: lim}),
 		qc:            qc,
+		keyPrefix:     "mr" + strconv.Itoa(lim.MaxRows) + "|",
 		gate:          NewGate(cfg.MaxInFlight, cfg.QueueDepth),
 		live:          service.NewLive(0),
 		an:            core.NewLiveAnalyzer(name, cfg.Analyzer, 0),
@@ -151,8 +166,8 @@ func (s *Server) ResultCache() *qcache.Cache { return s.qc }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// A panic below costs this request a 500 and nothing else: the
-	// evaluation slot and the single-flight entry are released by the
-	// frames that hold them as the panic passes, and it stops here.
+	// evaluation slot is released by the frame that holds it as the
+	// panic passes, and it stops here.
 	defer func() {
 		p := recover()
 		if p == nil {
@@ -167,6 +182,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}()
 	raw, herr := readQuery(r, s.maxQueryBytes)
 	if herr != nil {
+		if herr.status == http.StatusMethodNotAllowed {
+			// RFC 9110 §15.5.6: a 405 names the methods that are allowed.
+			w.Header().Set("Allow", "GET, POST")
+		}
 		plainError(w, herr.status, herr.msg)
 		return
 	}
@@ -216,7 +235,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	res, out := s.execute(r.Context(), q)
+	ans, out, key, hit := s.execute(r.Context(), q)
 	s.live.Observe(out)
 
 	if out.Err != nil {
@@ -228,41 +247,63 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.qc != nil {
-		w.Header().Set("X-Sparqld-Cache", cacheState(out))
+		state := "miss"
+		if hit {
+			state = "hit"
+		}
+		w.Header().Set("X-Sparqld-Cache", state)
 	}
 	if out.Recovered > 0 {
 		// Silent SERVICE recovery happened inside this answer; surface
 		// it to the client without failing the response.
 		w.Header().Set("X-Sparqld-Recovered", fmt.Sprint(out.Recovered))
 	}
-	if s.qc != nil && res.CacheKey != "" {
+	if key != "" {
 		// Cache-resident result: reuse (or attach) the serialized body
 		// for this content type, with a conditional-GET fast path.
-		s.writeCachedBody(w, r, ct, res, q.Type == sparql.AskQuery)
+		s.writeCachedBody(w, r, ct, key, ans, q.Type == sparql.AskQuery)
 		return
 	}
 	w.Header().Set("Content-Type", ct+"; charset=utf-8")
-	_ = writeResult(w, ct, s.ex.Snapshot(), res.Answer, q.Type == sparql.AskQuery)
+	_ = writeResult(w, ct, s.ex.Snapshot(), ans, q.Type == sparql.AskQuery)
 }
 
-// execute evaluates in the evaluation slot the caller acquired and
-// releases the slot however Execute returns, a panic included: a slot
-// that leaked would be capacity gone for the life of the process.
-func (s *Server) execute(ctx context.Context, q *sparql.Query) (*eval.Result, service.QueryOutcome) {
+// execute answers q in the evaluation slot the caller acquired, and is
+// where a request's cache verdict is decided. A resident entry answers
+// without executing (hit); otherwise the Executor runs the query, and a
+// clean answer — no error, no deadline truncation, no row-limit
+// overflow, no silent SERVICE recovery — is offered to the cache with
+// its execution time as the admission cost. key is the answer's cache
+// key when it is resident afterwards (a hit, or an admitted fill) and
+// empty otherwise; ans is nil when out holds an error. The slot is
+// released however execute returns, a panic included: a slot that
+// leaked would be capacity gone for the life of the process.
+func (s *Server) execute(ctx context.Context, q *sparql.Query) (ans *exec.Answer, out service.QueryOutcome, key string, hit bool) {
 	defer s.gate.Release()
-	return s.ex.Execute(ctx, q)
+	sn := s.ex.Snapshot()
+	if s.qc != nil {
+		start := time.Now()
+		key = s.cacheKey(q)
+		if r, ok := s.qc.Get(sn, key); ok {
+			// A hit is a served query whose latency is the lookup.
+			return r.Answer, service.QueryOutcome{Duration: time.Since(start)}, key, true
+		}
+	}
+	res, out := s.ex.Execute(ctx, q)
+	if out.Err != nil {
+		return nil, out, "", false
+	}
+	if s.qc == nil || out.Recovered > 0 || !s.qc.Put(sn, key, qcache.Result{Answer: res.Answer}, out.Duration) {
+		key = ""
+	}
+	return res.Answer, out, key, false
 }
 
-// cacheState renders the X-Sparqld-Cache header value for an outcome.
-func cacheState(out service.QueryOutcome) string {
-	switch {
-	case out.Cached:
-		return "hit"
-	case out.Collapsed:
-		return "collapsed"
-	default:
-		return "miss"
-	}
+// cacheKey is q's result-cache key: the row budget, then the canonical
+// query text (variable-renaming- and prefix-invariant, solution
+// modifiers included), so alpha-equivalent repeats share one entry.
+func (s *Server) cacheKey(q *sparql.Query) string {
+	return s.keyPrefix + sparql.QueryString(q)
 }
 
 // writeCachedBody serves a cache-resident result. On a body hit the
@@ -272,16 +313,16 @@ func cacheState(out service.QueryOutcome) string {
 // is serialized once into a pooled buffer, attached to the entry (the
 // cache copies it and takes the ETag in the same pass), and written
 // out from that buffer.
-func (s *Server) writeCachedBody(w http.ResponseWriter, r *http.Request, ct string, res *eval.Result, isAsk bool) {
-	body, etag, ok := s.qc.Body(res.CacheKey, ct)
+func (s *Server) writeCachedBody(w http.ResponseWriter, r *http.Request, ct, key string, ans *exec.Answer, isAsk bool) {
+	body, etag, ok := s.qc.Body(key, ct)
 	if !ok {
 		e := newEncoder(nil)
 		defer e.release()
-		e.encode(ct, s.ex.Snapshot(), res.Answer, isAsk)
+		e.encode(ct, s.ex.Snapshot(), ans, isAsk)
 		body = e.buf
 		// SetBody may refuse (entry evicted mid-request, body over the
 		// entry cap); the buffered bytes still serve this response.
-		etag, ok = s.qc.SetBody(res.CacheKey, ct, body)
+		etag, ok = s.qc.SetBody(key, ct, body)
 	}
 	w.Header().Set("Content-Type", ct+"; charset=utf-8")
 	if ok {

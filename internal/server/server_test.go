@@ -89,30 +89,31 @@ func TestProtocolConformance(t *testing.T) {
 		req        *http.Request
 		wantStatus int
 		wantCT     string // content-type prefix
+		wantAllow  string // the Allow header; only a 405 sends one
 	}{
-		{"GET query param", get(selectQuery, ""), 200, ctJSON},
-		{"POST urlencoded form", postForm(selectQuery), 200, ctJSON},
-		{"POST sparql-query body", postDirect(selectQuery), 200, ctJSON},
-		{"accept JSON", get(selectQuery, ctJSON), 200, ctJSON},
-		{"accept XML", get(selectQuery, ctXML), 200, ctXML},
-		{"accept generic XML", get(selectQuery, "application/xml"), 200, ctXML},
-		{"accept CSV", get(selectQuery, ctCSV), 200, ctCSV},
-		{"accept TSV", get(selectQuery, ctTSV), 200, ctTSV},
-		{"accept wildcard", get(selectQuery, "*/*"), 200, ctJSON},
-		{"accept weighted", get(selectQuery, "text/csv;q=0.9, application/sparql-results+xml"), 200, ctXML},
-		{"accept unsupported", get(selectQuery, "image/png"), 406, "text/plain"},
-		{"missing query param", get("", ""), 400, "text/plain"},
-		{"malformed query", get("SELECT WHERE {", ""), 400, "text/plain"},
-		{"oversized query", get(selectQuery+strings.Repeat(" ", 5000), ""), 413, "text/plain"},
+		{"GET query param", get(selectQuery, ""), 200, ctJSON, ""},
+		{"POST urlencoded form", postForm(selectQuery), 200, ctJSON, ""},
+		{"POST sparql-query body", postDirect(selectQuery), 200, ctJSON, ""},
+		{"accept JSON", get(selectQuery, ctJSON), 200, ctJSON, ""},
+		{"accept XML", get(selectQuery, ctXML), 200, ctXML, ""},
+		{"accept generic XML", get(selectQuery, "application/xml"), 200, ctXML, ""},
+		{"accept CSV", get(selectQuery, ctCSV), 200, ctCSV, ""},
+		{"accept TSV", get(selectQuery, ctTSV), 200, ctTSV, ""},
+		{"accept wildcard", get(selectQuery, "*/*"), 200, ctJSON, ""},
+		{"accept weighted", get(selectQuery, "text/csv;q=0.9, application/sparql-results+xml"), 200, ctXML, ""},
+		{"accept unsupported", get(selectQuery, "image/png"), 406, "text/plain", ""},
+		{"missing query param", get("", ""), 400, "text/plain", ""},
+		{"malformed query", get("SELECT WHERE {", ""), 400, "text/plain", ""},
+		{"oversized query", get(selectQuery+strings.Repeat(" ", 5000), ""), 413, "text/plain", ""},
 		{"bad POST content type", func() *http.Request {
 			req, _ := http.NewRequest("POST", ts.URL+"/query", strings.NewReader(selectQuery))
 			req.Header.Set("Content-Type", "text/plain")
 			return req
-		}(), 415, "text/plain"},
+		}(), 415, "text/plain", ""},
 		{"method not allowed", func() *http.Request {
 			req, _ := http.NewRequest("PUT", ts.URL+"/query", nil)
 			return req
-		}(), 405, "text/plain"},
+		}(), 405, "text/plain", "GET, POST"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -127,6 +128,9 @@ func TestProtocolConformance(t *testing.T) {
 			}
 			if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, tc.wantCT) {
 				t.Fatalf("content type = %q, want prefix %q", ct, tc.wantCT)
+			}
+			if allow := resp.Header.Get("Allow"); allow != tc.wantAllow {
+				t.Fatalf("Allow = %q, want %q", allow, tc.wantAllow)
 			}
 			if tc.wantStatus == 200 && tc.wantCT == ctJSON {
 				vars, bindings := decodeJSONRows(t, body)

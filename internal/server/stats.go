@@ -52,8 +52,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		if h+m > 0 {
 			ratio = fmt.Sprintf("%.2f%%", 100*float64(h)/float64(h+m))
 		}
-		fmt.Fprintf(&sb, "  result cache      %d hits / %d misses (%s), %d collapsed, %d body reuses\n",
-			h, m, ratio, s.qc.Collapsed(), s.qc.BodyHits())
+		fmt.Fprintf(&sb, "  result cache      %d hits / %d misses (%s), %d body reuses\n",
+			h, m, ratio, s.qc.BodyHits())
 		fmt.Fprintf(&sb, "                    %d entries, %s, %d evictions, %d admission rejections, %d first sightings\n",
 			s.qc.Entries(), fmtBytes(s.qc.Bytes()), s.qc.Evictions(), s.qc.Rejected(), s.qc.FirstSightings())
 	}
@@ -78,8 +78,8 @@ func (s *Server) statsETag() string {
 		snap.Served, snap.Errors, snap.Timeouts, snap.Rejected, snap.Recoveries,
 		s.gate.InFlight(), s.gate.Waiting())
 	if s.qc != nil {
-		fmt.Fprintf(h, "|%d|%d|%d|%d|%d|%d|%d|%d|%d",
-			s.qc.Hits(), s.qc.Misses(), s.qc.Collapsed(), s.qc.BodyHits(), s.qc.Evictions(),
+		fmt.Fprintf(h, "|%d|%d|%d|%d|%d|%d|%d|%d",
+			s.qc.Hits(), s.qc.Misses(), s.qc.BodyHits(), s.qc.Evictions(),
 			s.qc.Entries(), s.qc.Bytes(), s.qc.Rejected(), s.qc.FirstSightings())
 	}
 	return fmt.Sprintf("W/\"%016x\"", h.Sum64())

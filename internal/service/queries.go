@@ -18,12 +18,7 @@ type QueryOptions struct {
 	// Timeout is the per-query deadline; 0 means none beyond the
 	// parent context.
 	Timeout time.Duration
-	// Limits are the per-query evaluation bounds (MaxRows etc.).
-	// Limits.Results shares one result cache across the pool
-	// (qcache.New for the snapshot passed to RunQueries): repeated
-	// queries — the paper's dominant workload pattern — skip execution
-	// entirely, and concurrent identical queries collapse onto one
-	// execution.
+	// Limits are the per-query evaluation bounds (MaxRows).
 	Limits eval.Limits
 }
 
@@ -43,11 +38,6 @@ type QueryOutcome struct {
 	// eval.Result.Recovered): nonzero means part of the answer came
 	// from no-op federation rather than an evaluated SERVICE body.
 	Recovered int
-	// Cached marks an answer served from the shared result cache
-	// without executing; Collapsed marks one received from a concurrent
-	// identical execution (single-flight). Both false: evaluated here.
-	Cached    bool
-	Collapsed bool
 }
 
 // QueryReport is the outcome of one SPARQL workload run.
@@ -136,8 +126,6 @@ func executeOne(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim eval
 	out.Rows = res.Answer.Len()
 	out.Bool = res.Bool
 	out.Recovered = res.Recovered
-	out.Cached = res.Cached
-	out.Collapsed = res.Collapsed
 	if q.Type == sparql.AskQuery && res.Bool {
 		out.Rows = 1
 	}

@@ -5,10 +5,11 @@
 // evaluation) and aggregate latency statistics (QPS, p50/p95/p99);
 // Executor is the single-query entry sparqld serves each request
 // through. The snapshot is never mutated, so any number of workloads and
-// requests may share it concurrently. Every query plans and compiles its
-// own; the one cache the pool and the Executor can share is the result
-// cache, set in eval.Limits.Results, which absorbs the repeated queries
-// the paper's log study finds.
+// requests may share it concurrently. Neither consults a cache: every
+// query plans, compiles and executes its own. The result cache that
+// absorbs the repeated queries the paper's log study finds belongs to
+// the server (internal/server), which consults it before it calls the
+// Executor.
 package service
 
 import (

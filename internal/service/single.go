@@ -12,11 +12,11 @@ import (
 )
 
 // Executor is the single-query serving entry over one immutable
-// snapshot: the same per-query deadline conventions and result cache
-// option (Limits.Results) as the batch pool (RunQueries), shaped for an
-// HTTP handler that executes one query per request and needs the full
-// result back for serialization. An Executor is immutable after
-// construction and safe for concurrent use.
+// snapshot: the same per-query deadline conventions and limits as the
+// batch pool (RunQueries), shaped for an HTTP handler that executes one
+// query per request and needs the full result back for serialization.
+// An Executor is immutable after construction and safe for concurrent
+// use.
 type Executor struct {
 	sn    *rdf.Snapshot
 	lim   eval.Limits
@@ -24,15 +24,12 @@ type Executor struct {
 }
 
 // ExecutorOptions configures NewExecutor. The zero value serves with no
-// result cache, no deadline, and default row limits.
+// deadline and default row limits.
 type ExecutorOptions struct {
 	// Timeout is the per-query deadline; 0 means only the request
 	// context bounds the query.
 	Timeout time.Duration
-	// Limits bounds each evaluation. Limits.Results shares one
-	// snapshot-keyed query result cache across all requests (qcache.New
-	// for the snapshot): repeats skip execution, concurrent identical
-	// queries collapse onto one.
+	// Limits bounds each evaluation (MaxRows).
 	Limits eval.Limits
 	// Deprecated: Plans and Paths are ignored: every query plans and
 	// compiles its own. They remain only because the benchmark module

@@ -3,14 +3,17 @@
 // logs repeat the same shapes constantly). Cells: a cache hit against
 // the uncached execution it replaces (the speedup claim), the fill
 // overhead a cold key pays on top of execution, concurrent duplicate
-// requests collapsing onto resident entries, and serialized-body reuse
-// versus re-serializing the result. Runs in CI's bench-artifacts job.
+// requests hitting one resident entry, and serialized-body reuse
+// versus re-serializing the result. Each cell makes the calls
+// sparqld's request path makes: eval.QueryAnswer on a miss, and
+// qcache.Get/Put under the server's key. Runs in CI's bench-artifacts
+// job.
 package sparqlog
 
 import (
 	"context"
+	"strconv"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -21,26 +24,45 @@ import (
 
 // cacheBenchQuery is deliberately heavy for a cache cell: the full
 // citation table (tens of thousands of rows on the shared bench
-// graph). The cells call eval.QueryAnswer, the entry point the serving
-// path uses: a hit returns the entry's columnar answer and costs the
-// same whatever the row count, so what the cells compare is the
-// execution a hit skips against the lookup that replaces it.
+// graph). A hit returns the entry's columnar answer and costs the same
+// whatever the row count, so what the cells compare is the execution a
+// hit skips against the lookup that replaces it.
 const cacheBenchQuery = `PREFIX bib: <http://gmark.bib/p/>
 SELECT ?p ?q WHERE { ?p bib:cites ?q }`
 
+// benchCacheKey is the key sparqld's server files q under at row
+// budget maxRows: the budget, a bar, the canonical query text.
+func benchCacheKey(q *sparql.Query, maxRows int) string {
+	return "mr" + strconv.Itoa(maxRows) + "|" + sparql.QueryString(q)
+}
+
 func BenchmarkResultCache(b *testing.B) {
 	g := plannerBenchGraph(b)
+	sn := g.Snapshot
 	q, err := sparql.Parse(cacheBenchQuery)
 	if err != nil {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
+	lim := eval.Limits{MaxRows: eval.DefaultMaxRows}
+	// fill executes q and offers the answer to c under key, as the
+	// server does after a clean miss.
+	fill := func(b *testing.B, c *qcache.Cache, key string) {
+		start := time.Now()
+		res, err := eval.QueryAnswer(ctx, sn, q, lim)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !c.Put(sn, key, qcache.Result{Answer: res.Answer}, time.Since(start)) {
+			b.Fatal("fill was not admitted")
+		}
+	}
 
 	// Denominator: the plan→exec pipeline a hit skips.
 	b.Run("uncached", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := eval.QueryAnswer(ctx, g.Snapshot, q, eval.Limits{})
+			res, err := eval.QueryAnswer(ctx, sn, q, lim)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -52,44 +74,31 @@ func BenchmarkResultCache(b *testing.B) {
 
 	b.Run("hit", func(b *testing.B) {
 		b.ReportAllocs()
-		c := qcache.New(g.Snapshot, qcache.Options{MinCost: -1})
-		lim := eval.Limits{Results: c}
-		if _, err := eval.QueryAnswer(ctx, g.Snapshot, q, lim); err != nil {
-			b.Fatal(err)
-		}
-		if c.Entries() == 0 {
-			b.Fatal("warm-up did not fill the cache")
-		}
+		c := qcache.New(sn, qcache.Options{MinCost: -1})
+		fill(b, c, benchCacheKey(q, lim.MaxRows))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := eval.QueryAnswer(ctx, g.Snapshot, q, lim)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if !res.Cached {
+			if _, ok := c.Get(sn, benchCacheKey(q, lim.MaxRows)); !ok {
 				b.Fatal("expected a cache hit")
 			}
 		}
 	})
 
-	// Fill: every iteration is a genuinely new key (MaxRows is part of
-	// the key), so this measures execution plus lookup-miss, flight and
-	// admission (the entry retains the executor's answer: there is no
-	// encoding step) — the overhead a cold query pays compared to the
+	// Fill: every iteration is a genuinely new key (the row budget is
+	// part of the key), so this measures execution plus the lookup miss
+	// and admission (the entry retains the executor's answer: there is
+	// no encoding step) — the overhead a cold query pays compared to the
 	// uncached cell.
 	b.Run("miss-fill", func(b *testing.B) {
 		b.ReportAllocs()
-		c := qcache.New(g.Snapshot, qcache.Options{MinCost: -1})
+		c := qcache.New(sn, qcache.Options{MinCost: -1})
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			lim := eval.Limits{Results: c, MaxRows: eval.DefaultMaxRows + 1 + i}
-			res, err := eval.QueryAnswer(ctx, g.Snapshot, q, lim)
-			if err != nil {
-				b.Fatal(err)
+			key := benchCacheKey(q, eval.DefaultMaxRows+1+i)
+			if _, ok := c.Get(sn, key); ok {
+				b.Fatal("expected a miss")
 			}
-			if res.Cached || res.CacheKey == "" {
-				b.Fatal("expected a caching miss")
-			}
+			fill(b, c, key)
 		}
 	})
 
@@ -97,20 +106,13 @@ func BenchmarkResultCache(b *testing.B) {
 	// hit path (sharded lock + LRU touch; every caller shares the entry).
 	b.Run("concurrent-duplicate", func(b *testing.B) {
 		b.ReportAllocs()
-		c := qcache.New(g.Snapshot, qcache.Options{MinCost: -1})
-		lim := eval.Limits{Results: c}
-		if _, err := eval.QueryAnswer(ctx, g.Snapshot, q, lim); err != nil {
-			b.Fatal(err)
-		}
+		c := qcache.New(sn, qcache.Options{MinCost: -1})
+		fill(b, c, benchCacheKey(q, lim.MaxRows))
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				res, err := eval.QueryAnswer(ctx, g.Snapshot, q, lim)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Cached && !res.Collapsed {
-					b.Fatal("expected hit or collapse")
+				if _, ok := c.Get(sn, benchCacheKey(q, lim.MaxRows)); !ok {
+					b.Fatal("expected a cache hit")
 				}
 			}
 		})
@@ -119,21 +121,20 @@ func BenchmarkResultCache(b *testing.B) {
 	// Serialized-body reuse against re-serializing the rows: the byte
 	// slice the server writes on a repeat request in the same format.
 	b.Run("body", func(b *testing.B) {
-		c := qcache.New(g.Snapshot, qcache.Options{MinCost: -1})
-		lim := eval.Limits{Results: c}
-		res, err := eval.QueryContext(ctx, g.Snapshot, q, lim)
-		if err != nil {
-			b.Fatal(err)
-		}
-		body := serializeTSV(res.Vars, res.Rows)
+		c := qcache.New(sn, qcache.Options{MinCost: -1})
+		key := benchCacheKey(q, lim.MaxRows)
+		fill(b, c, key)
+		r, _ := c.Get(sn, key)
+		vars, rows := r.Vars, r.Answer.Rows(sn)
+		body := serializeTSV(vars, rows)
 		const ct = "text/tab-separated-values"
-		if _, ok := c.SetBody(res.CacheKey, ct, body); !ok {
+		if _, ok := c.SetBody(key, ct, body); !ok {
 			b.Fatal("SetBody refused")
 		}
 		b.Run("reuse", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				got, _, ok := c.Body(res.CacheKey, ct)
+				got, _, ok := c.Body(key, ct)
 				if !ok || len(got) != len(body) {
 					b.Fatal("body lookup failed")
 				}
@@ -142,7 +143,7 @@ func BenchmarkResultCache(b *testing.B) {
 		b.Run("serialize", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if got := serializeTSV(res.Vars, res.Rows); len(got) != len(body) {
+				if got := serializeTSV(vars, rows); len(got) != len(body) {
 					b.Fatal("serialization diverged")
 				}
 			}
@@ -163,42 +164,4 @@ func serializeTSV(vars []string, rows [][]string) []byte {
 		sb.WriteByte('\n')
 	}
 	return []byte(sb.String())
-}
-
-// BenchmarkConcurrentCachedQueries drives a duplicate-heavy workload
-// through the single-flight door from many goroutines at once — the
-// stampede a popular dashboard query produces — and reports effective
-// queries/s with and without the cache.
-func BenchmarkConcurrentCachedQueries(b *testing.B) {
-	g := plannerBenchGraph(b)
-	q, err := sparql.Parse(cacheBenchQuery)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const workers = 8
-	run := func(b *testing.B, lim eval.Limits) {
-		for i := 0; i < b.N; i++ {
-			var wg sync.WaitGroup
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-					defer cancel()
-					if _, err := eval.QueryAnswer(ctx, g.Snapshot, q, lim); err != nil {
-						b.Error(err)
-					}
-				}()
-			}
-			wg.Wait()
-		}
-		b.ReportMetric(float64(workers*b.N)/b.Elapsed().Seconds(), "queries/s")
-	}
-	b.Run("cached", func(b *testing.B) {
-		c := qcache.New(g.Snapshot, qcache.Options{MinCost: -1})
-		run(b, eval.Limits{Results: c})
-	})
-	b.Run("uncached", func(b *testing.B) {
-		run(b, eval.Limits{})
-	})
 }
