@@ -24,6 +24,10 @@ func main() {
 	seed := flag.Int64("seed", 2017, "generator seed")
 	out := flag.String("out", "corpus", "output directory")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "loggen: unexpected argument %q\nusage: loggen [-scale 0.0001] [-seed 2017] [-out corpus/]\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		fmt.Fprintln(os.Stderr, "loggen:", err)

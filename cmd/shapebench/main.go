@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"time"
 
 	"sparqlog/internal/engine"
@@ -22,6 +23,10 @@ func main() {
 	timeout := flag.Duration("timeout", 2*time.Second, "per-query timeout (paper: 300s)")
 	seed := flag.Int64("seed", 2017, "generator seed")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "shapebench: unexpected argument %q\nusage: shapebench [-nodes 20000] [-workload 20] [-timeout 2s] [-seed 2017]\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	out, _ := engine.Figure3(*nodes, *workload, *seed, *timeout)
 	fmt.Print(out)

@@ -33,6 +33,10 @@ func main() {
 	workload := flag.Int("workload", 20, "queries per chain/cycle workload for figure3")
 	timeout := flag.Duration("timeout", 2*time.Second, "per-query engine timeout for figure3")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "sparqlanalyze: unexpected argument %q\nusage: sparqlanalyze [-scale 0.0001] [-seed 2017] [-log file] [-valid] [-experiment all]\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	cfg := repro.Config{
 		Scale:         *scale,

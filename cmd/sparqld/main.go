@@ -57,6 +57,10 @@ func main() {
 	dedup := flag.String("dedup", "exact", "self-analysis dedup mode: exact, structural, or keep (no dedup)")
 	name := flag.String("name", "sparqld", "corpus label in /stats")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "sparqld: unexpected argument %q\nusage: sparqld (-data graph.nt | -bib N) [-addr :8080] [-timeout 30s] [-log queries.log]\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	var opts core.Options
 	switch *dedup {

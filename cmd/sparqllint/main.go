@@ -39,6 +39,10 @@ func main() {
 	seed := flag.Int64("seed", 2017, "synthetic corpus seed")
 	ntriples := flag.Bool("ntriples", false, "emit individual diagnostics as N-Triples")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "sparqllint: unexpected argument %q\nusage: sparqllint [-query text | -log file [-format auto]] [-scale 0.0001] [-seed 2017] [-ntriples]\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	var lf core.LogFormat
 	switch *format {

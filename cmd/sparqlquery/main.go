@@ -15,7 +15,8 @@
 // that execution pulled: one line per operator — joins, property paths,
 // FILTER, BIND, OPTIONAL, UNION, MINUS, VALUES, GRAPH, SERVICE,
 // subqueries, the streaming aggregation (rows in, groups out), the ORDER
-// BY strategy (bounded heap or full sort) and the slice — with the
+// BY strategy (bounded heap or full sort), the projection's
+// expressions, DISTINCT and the slice — with the
 // planner's row estimate where it ordered a join and the rows and
 // batches each operator emitted. A property path adds its compiled
 // automaton, estimated reach and the evaluations it ran. The answer's
@@ -54,8 +55,9 @@ func main() {
 	batch := flag.String("batch", "", "file of queries (one per line; blank lines and #-comments skipped) to run as a workload")
 	workers := flag.Int("workers", 0, "worker pool size for -batch (0 = GOMAXPROCS)")
 	flag.Parse()
-	if flag.NArg() < 1 && *batch == "" {
-		fmt.Fprintln(os.Stderr, "usage: sparqlquery [-data file.nt | -bib N] [-timeout D] [-batch file -workers N] ['<query>']")
+	// Exactly one of a query and a -batch file.
+	if (flag.NArg() < 1) == (*batch == "") {
+		fmt.Fprintln(os.Stderr, "usage: sparqlquery [-data file.nt | -bib N] [-timeout D] (-batch file [-workers N] | '<query>')")
 		os.Exit(2)
 	}
 	if *batch != "" && *explain {

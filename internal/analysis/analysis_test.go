@@ -172,6 +172,9 @@ func TestProjection(t *testing.T) {
 		// Subquery exposes only its projection.
 		{"SELECT ?s WHERE { { SELECT ?s WHERE { ?s <p> ?inner } } }", NoProjection},
 		{"SELECT ?s WHERE { ?s <p> ?o . { SELECT ?o WHERE { ?o <q> ?z } } }", UsesProjection},
+		// A SELECT * subquery exposes its in-scope variables, not the
+		// ones only its FILTER names.
+		{"SELECT ?s WHERE { { SELECT * WHERE { ?s <p> <o> FILTER(?x > 1) } } }", NoProjection},
 		// Describe/Construct are not classified.
 		{"DESCRIBE ?x WHERE { ?x <p> ?y }", NoProjection},
 	}

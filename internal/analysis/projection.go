@@ -44,7 +44,7 @@ func Projection(q *sparql.Query) ProjectionVerdict {
 	default:
 		return NoProjection
 	}
-	inScope, bindVars := inScopeVars(q.Where)
+	inScope, bindVars := sparql.InScopeVars(q.Where)
 	switch q.Type {
 	case sparql.AskQuery:
 		if len(inScope) > 0 {
@@ -70,74 +70,6 @@ func Projection(q *sparql.Query) ProjectionVerdict {
 			}
 		}
 		return NoProjection
-	}
-}
-
-// inScopeVars returns the variables in scope for the projection test,
-// separating variables introduced solely by BIND. Variables occurring only
-// inside FILTER constraints (including EXISTS), MINUS blocks, or
-// non-projected positions of subqueries are not in scope, per the SPARQL
-// recommendation's variable-scope table.
-func inScopeVars(p sparql.Pattern) (scope, bindOnly map[string]bool) {
-	scope = make(map[string]bool)
-	bindOnly = make(map[string]bool)
-	var walk func(n sparql.Pattern)
-	walk = func(n sparql.Pattern) {
-		switch t := n.(type) {
-		case nil:
-		case *sparql.TriplePattern:
-			markVar(t.S, scope)
-			markVar(t.P, scope)
-			markVar(t.O, scope)
-		case *sparql.PathPattern:
-			markVar(t.S, scope)
-			markVar(t.O, scope)
-		case *sparql.Group:
-			for _, el := range t.Elems {
-				walk(el)
-			}
-		case *sparql.Union:
-			walk(t.Left)
-			walk(t.Right)
-		case *sparql.Optional:
-			walk(t.Inner)
-		case *sparql.GraphGraph:
-			markVar(t.Name, scope)
-			walk(t.Inner)
-		case *sparql.ServiceGraph:
-			markVar(t.Name, scope)
-			walk(t.Inner)
-		case *sparql.MinusGraph:
-			// MINUS does not bind variables in the outer scope.
-		case *sparql.Filter:
-			// Filters do not bind variables.
-		case *sparql.Bind:
-			if t.Var.Kind == sparql.TermVar {
-				bindOnly[t.Var.Value] = true
-			}
-		case *sparql.InlineData:
-			for _, v := range t.Vars {
-				markVar(v, scope)
-			}
-		case *sparql.SubSelect:
-			if t.Query != nil {
-				for v := range t.Query.ProjectedVars() {
-					scope[v] = true
-				}
-			}
-		}
-	}
-	walk(p)
-	// A variable bound both by BIND and by a pattern is simply in scope.
-	for v := range scope {
-		delete(bindOnly, v)
-	}
-	return scope, bindOnly
-}
-
-func markVar(t sparql.Term, set map[string]bool) {
-	if t.Kind == sparql.TermVar && t.Value != "" {
-		set[t.Value] = true
 	}
 }
 

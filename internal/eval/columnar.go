@@ -2,9 +2,9 @@ package eval
 
 import (
 	"fmt"
+	"maps"
 	"slices"
-	"sort"
-	"strings"
+	"strconv"
 
 	"sparqlog/internal/exec"
 	"sparqlog/internal/lint"
@@ -36,10 +36,13 @@ import (
 // Two deliberate behavioural improvements over the reference (both
 // strictly enlarge the set of queries that succeed): ASK stops at the
 // first solution instead of materializing the full WHERE result, and
-// DISTINCT/LIMIT without ORDER BY stream — dedup on packed ID tuples,
-// early exit once the limit is reached — so a query can succeed where
-// the reference overflowed MaxRows computing rows it would have
-// sliced away.
+// the solution modifiers stream for every query form — ORDER BY, the
+// projection's expressions, DISTINCT on packed ID tuples, then
+// OFFSET/LIMIT, which stops the pull once it is met (modifiers) — so a
+// query with LIMIT computes only the rows it keeps and can succeed
+// where the reference overflowed MaxRows computing rows it would have
+// sliced away. SELECT * projects the WHERE clause's in-scope variables,
+// a column set known at compile time.
 
 // colExec is one columnar query execution.
 type colExec struct {
@@ -60,6 +63,11 @@ type colExec struct {
 	// aggPlan is the compiled aggregate finishing plan (hidden slots,
 	// rewritten expressions); nil when the query has no aggregation.
 	aggPlan *aggPlan
+	// group is the aggregation operator once finishSelect built it; from
+	// then on expressions evaluate on its group rows (evalRow).
+	group *exec.GroupBy
+	// cols is a SELECT query's projection layout (columns).
+	cols []column
 }
 
 type existsPlan struct {
@@ -114,10 +122,16 @@ func (ev *evaluator) query(q *sparql.Query) (*Result, error) {
 	// executions build their own colExec and accumulate the same way.
 	defer func() { ev.probes += ce.ec.Probes }()
 	ce.collectVars(q)
-	// Aggregate planning assigns the hidden slots, so it must
-	// run while the schema is still open — before the width freezes.
-	if q.Type == sparql.SelectQuery && hasAggregates(q) {
-		ce.aggPlan = ce.planAggregate(q)
+	// Aggregate planning and the projection's layout assign hidden
+	// slots, so they must run while the schema is still open — before
+	// the width freezes.
+	if q.Type == sparql.SelectQuery {
+		sel := q
+		if hasAggregates(q) {
+			ce.aggPlan = ce.planAggregate(q)
+			sel = ce.aggPlan.rq
+		}
+		ce.cols = ce.columns(sel)
 	}
 	width := ce.schema.Len()
 	var root exec.Operator = exec.NewUnit(width)
@@ -551,11 +565,12 @@ func (ce *colExec) each(root exec.Operator, fn func(*exec.Batch)) error {
 	}
 }
 
-// finishConstruct instantiates the template per solution on IDs:
+// finishConstruct applies ORDER BY, OFFSET and LIMIT to the solutions
+// (§16.2) and instantiates the template per remaining solution on IDs:
 // constants intern through the pool and variables read their slot. A
 // triple with an unbound position is skipped, and each ID triple (one
-// pool: equal IDs are equal text) is kept at its first instantiation;
-// OFFSET and LIMIT slice that sequence.
+// pool: equal IDs are equal text) is kept at its first instantiation,
+// because a graph is a set.
 func (ce *colExec) finishConstruct(q *sparql.Query, root exec.Operator) (*Result, error) {
 	ref := func(t sparql.Term) plan.TermRef {
 		if txt, ok := ce.ev.termText(t); ok {
@@ -571,6 +586,7 @@ func (ce *colExec) finishConstruct(q *sparql.Query, root exec.Operator) (*Result
 	for i, tp := range q.Template {
 		tmpl[i] = [3]plan.TermRef{ref(tp.S), ref(tp.P), ref(tp.O)}
 	}
+	root = ce.modifiers(q, root, nil)
 	t := &idTable{cols: make([][]rdf.ID, 3)}
 	seen := map[[3]rdf.ID]bool{}
 	err := ce.each(root, func(b *exec.Batch) {
@@ -593,29 +609,27 @@ func (ce *colExec) finishConstruct(q *sparql.Query, root exec.Operator) (*Result
 	if err != nil {
 		return nil, err
 	}
-	t.slice(q)
 	return answered(ce.pool.Answer([]string{"s", "p", "o"}, t.cols, t.n)), nil
 }
 
-// finishDescribe collects the described resources as IDs — the
-// constant describe terms, and every value the stream binds to a
-// described variable (to any variable, for DESCRIBE *) — and describes
-// them.
+// finishDescribe applies ORDER BY, OFFSET and LIMIT to the solutions
+// (§16.4) and describes the constant terms and every value the kept
+// solutions bind to a described variable (an in-scope one, for
+// DESCRIBE *), collected as IDs.
 func (ce *colExec) finishDescribe(q *sparql.Query, root exec.Operator) (*Result, error) {
 	targets := map[rdf.ID]bool{}
-	var slots []int
 	for _, t := range q.DescribeTerms {
 		if txt, ok := ce.ev.termText(t); ok {
 			targets[ce.pool.Intern(txt)] = true
-		} else if name, ok := varName(t); ok {
-			if s, ok := ce.schema.SlotOf(name); ok {
-				slots = append(slots, s)
-			}
 		}
 	}
-	for s := 0; q.DescribeStar && s < ce.schema.Len(); s++ {
-		slots = append(slots, s)
+	var slots []int
+	for v := range q.ProjectedVars() {
+		if s, ok := ce.schema.SlotOf(v); ok {
+			slots = append(slots, s)
+		}
 	}
+	root = ce.modifiers(q, root, nil)
 	err := ce.each(root, func(b *exec.Batch) {
 		for _, s := range slots {
 			for _, id := range b.Col(s) {
@@ -626,228 +640,238 @@ func (ce *colExec) finishDescribe(q *sparql.Query, root exec.Operator) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	return ce.ev.describe(q, targets), nil
+	return ce.ev.describe(targets), nil
 }
 
-// finishSelect applies solution modifiers as columnar operators where
-// the compiled plans allow: GROUP BY/HAVING through exec.GroupBy plus
-// per-group filters (planAggregate's rewrite), ORDER BY through
-// exec.TopK (bounded-heap when a LIMIT caps the output), DISTINCT
-// streaming on packed ID tuples, and LIMIT/OFFSET stopping the pull
-// early; then project fills the answer's ID columns, and whatever
-// DISTINCT or slice the stream could not apply (SELECT *, expression
-// projections) runs on those.
+// finishSelect runs GROUP BY/HAVING through exec.GroupBy plus per-group
+// filters (planAggregate's rewrite), then the solution modifiers, and
+// drains the stream into the answer's ID columns.
 func (ce *colExec) finishSelect(q *sparql.Query, root exec.Operator) (*Result, error) {
-	ev := ce.ev
-	agg := hasAggregates(q)
-	ap := ce.aggPlan
-	var gb *exec.GroupBy
-	var okeys []orderKeyPlan
-	if agg {
+	if ap := ce.aggPlan; ap != nil {
 		for _, bn := range ap.binds {
 			root, _ = ce.compile(bn, root, nil) // a BIND compiles without error
 		}
-		gb = exec.NewGroupBy(root, ap.spec, ce.pool.Text, ce.pool.Intern)
-		root = gb
+		ce.group = exec.NewGroupBy(root, ap.spec, ce.pool.Text, ce.pool.Intern)
+		root = ce.group
 		for i, h := range ap.having {
-			h := h
 			root = ce.traced(exec.NewFilter(root, func(c *exec.Ctx, b *exec.Batch, row int) bool {
-				v, err := ev.evalAggRow(h, rowEnv{ce, b, row}, gb.SyntheticEmpty())
+				v, err := ce.evalRow(h, b, row)
 				return err == nil && v.Truthy()
 			}), &q.Mods.Having[i])
 		}
-		okeys = ap.order
 		// From here on the stream is the rewritten query's: aggregates
 		// live in hidden slots, grouping and having are done.
 		q = ap.rq
-	} else {
-		for _, k := range q.Mods.OrderBy {
-			okeys = append(okeys, orderKeyPlan{expr: k.Expr, desc: k.Desc})
-		}
 	}
-	evalKey := func(e sparql.Expr, b *exec.Batch, row int) (value.Value, error) {
-		if agg {
-			return ev.evalAggRow(e, rowEnv{ce, b, row}, gb.SyntheticEmpty())
-		}
-		return ev.eval(e, rowEnv{ce, b, row})
+	return ce.project(ce.modifiers(q, root, ce.cols), ce.cols)
+}
+
+// evalRow evaluates an ORDER BY key, a HAVING constraint or a
+// projection expression on one row of the stream: a solution, or in an
+// aggregate stream a group row.
+func (ce *colExec) evalRow(e sparql.Expr, b *exec.Batch, row int) (value.Value, error) {
+	if ce.group != nil {
+		return ce.ev.evalAggRow(e, rowEnv{ce, b, row}, ce.group.SyntheticEmpty())
 	}
-	if len(okeys) > 0 {
-		// Bound the sort when a LIMIT caps the output and nothing
-		// between the sort and the slice (DISTINCT, SELECT *'s
-		// variable collection over all rows) needs the full set.
+	return ce.ev.eval(e, rowEnv{ce, b, row})
+}
+
+// column is one projected column: the slot the answer copies and, for
+// an expression item, the expression evaluated into that slot and the
+// slot whose binding an evaluation error keeps (-1: none).
+type column struct {
+	name       string
+	slot, keep int
+	expr       sparql.Expr
+}
+
+// hiddenItemPrefix names the hidden slot projection item i evaluates
+// into; the leading space keeps it apart from every user variable.
+const hiddenItemPrefix = " item"
+
+// columns lays out the projection, assigning the slots it needs (a
+// variable nothing binds is a column of unbound cells). SELECT *
+// projects sparql.Query.ProjectedVars, sorted. An expression item
+// evaluates into a hidden slot; where it fails, the item keeps its
+// alias's binding — except in an aggregate stream, where it projects
+// unbound (a group row's binding of a WHERE variable the alias shadows
+// is the first member's, not the item's), and where a rewritten item
+// that is a bare hidden variable is that aggregate's finalized slot.
+func (ce *colExec) columns(q *sparql.Query) []column {
+	var cols []column
+	if q.SelectStar {
+		for _, v := range slices.Sorted(maps.Keys(q.ProjectedVars())) {
+			cols = append(cols, column{name: v, slot: ce.schema.Slot(v), keep: -1})
+		}
+		return cols
+	}
+	agg := ce.aggPlan != nil
+	for i, it := range q.Select {
+		c := column{name: it.Var.Value, keep: -1}
+		hv, bare := exprVar(it.Expr)
+		switch {
+		case agg && bare && isHiddenAggVar(hv):
+			c.slot = ce.slot(hv)
+		case it.Expr != nil:
+			c.slot, c.expr = ce.schema.Slot(hiddenItemPrefix+strconv.Itoa(i)), it.Expr
+			if s, ok := ce.schema.SlotOf(it.Var.Value); ok && !agg {
+				c.keep = s
+			}
+		default:
+			c.slot = ce.schema.Slot(it.Var.Value)
+		}
+		cols = append(cols, c)
+	}
+	return cols
+}
+
+// modifiers applies the solution modifiers as one operator chain for
+// every query form: ORDER BY (exec.TopK, a bounded heap when a LIMIT
+// caps the output and no DISTINCT needs the full order), then the
+// projection's expression items and DISTINCT on the projected columns,
+// then OFFSET/LIMIT. Expression items run before DISTINCT, which
+// compares their values, and otherwise after the slice, so LIMIT k
+// evaluates k rows' expressions. CONSTRUCT and DESCRIBE have no
+// columns: their ORDER BY and slice apply to solutions.
+func (ce *colExec) modifiers(q *sparql.Query, root exec.Operator, cols []column) exec.Operator {
+	distinct := q.Distinct || q.Reduced
+	off, lim := 0, -1
+	if q.Mods.HasOffset {
+		off = int(min(q.Mods.Offset, 1<<31))
+	}
+	if q.Mods.HasLimit {
+		lim = int(min(q.Mods.Limit, 1<<31))
+	}
+	if okeys := ce.orderKeys(q); len(okeys) > 0 {
 		keep := -1
-		if q.Mods.HasLimit && !q.Distinct && !q.Reduced && !q.SelectStar &&
-			q.Mods.Limit < 1<<31 && q.Mods.Offset < 1<<31 {
-			k := q.Mods.Limit
-			if q.Mods.HasOffset {
-				k += q.Mods.Offset
-			}
-			keep = int(k)
+		if lim >= 0 && !distinct {
+			keep = off + lim
 		}
-		keys := okeys
-		keyFn := func(b *exec.Batch, row int, out []exec.SortKey) {
-			for i, k := range keys {
-				v, err := evalKey(k.expr, b, row)
-				if err != nil {
-					if k.errAsEmpty {
-						// A projected-column key reads the cell text,
-						// and an errored cell is "" — a valid key.
-						out[i] = exec.SortKey{}
-					} else {
-						out[i] = exec.SortKey{Err: true}
-					}
-					continue
-				}
-				if k.reparse {
-					v = value.Text(v.Lex())
-				}
-				out[i] = exec.SortKey{V: v}
-			}
-		}
-		cmp := func(a, b []exec.SortKey) int {
-			for i := range keys {
-				if a[i].Err || b[i].Err {
-					continue
-				}
-				c := value.Compare(a[i].V, b[i].V)
-				if c == 0 {
-					continue
-				}
-				if keys[i].desc {
-					return -c
-				}
-				return c
-			}
-			return 0
-		}
-		root = exec.NewTopK(root, keep, len(keys), keyFn, cmp)
+		root = ce.orderBy(root, okeys, keep)
 	}
-	streamDistinct, streamSliced := false, false
-	if !q.SelectStar {
-		if (q.Distinct || q.Reduced) && allPlainVars(q.Select) {
-			var slots []int
-			for _, it := range q.Select {
-				if s, ok := ce.schema.SlotOf(it.Var.Value); ok {
-					slots = append(slots, s)
-				}
-				// A projected variable the query never binds is
-				// constant-unbound across rows; it cannot split
-				// dedup classes, so it is simply left out of the key.
-			}
-			root = exec.NewDistinct(root, slots)
-			streamDistinct = true
+	if distinct {
+		slots := make([]int, len(cols))
+		for i, c := range cols {
+			slots[i] = c.slot
 		}
-		if (q.Mods.HasLimit || q.Mods.HasOffset) && (streamDistinct || !(q.Distinct || q.Reduced)) {
-			off, lim := 0, -1
-			if q.Mods.HasOffset {
-				off = int(q.Mods.Offset)
-			}
-			if q.Mods.HasLimit {
-				lim = int(q.Mods.Limit)
-			}
-			root = exec.NewLimit(root, off, lim)
-			streamSliced = true
-		}
+		root = exec.NewDistinct(ce.items(root, cols), slots)
+	}
+	if off > 0 || lim >= 0 {
+		root = exec.NewLimit(root, off, lim)
+	}
+	if !distinct {
+		root = ce.items(root, cols)
 	}
 	ce.pulled(root)
-	t, vars, err := ce.project(q, root, agg, evalKey)
+	return root
+}
+
+// orderKeys returns the compiled ORDER BY keys: planAggregate's for an
+// aggregate stream, the query's own otherwise.
+func (ce *colExec) orderKeys(q *sparql.Query) []orderKeyPlan {
+	if ce.aggPlan != nil {
+		return ce.aggPlan.order
+	}
+	var okeys []orderKeyPlan
+	for _, k := range q.Mods.OrderBy {
+		okeys = append(okeys, orderKeyPlan{expr: k.Expr, desc: k.Desc})
+	}
+	return okeys
+}
+
+// orderBy sorts the stream on the keys with exec.TopK, keeping the first
+// keep rows (-1: all).
+func (ce *colExec) orderBy(root exec.Operator, keys []orderKeyPlan, keep int) exec.Operator {
+	keyFn := func(b *exec.Batch, row int, out []exec.SortKey) {
+		for i, k := range keys {
+			v, err := ce.evalRow(k.expr, b, row)
+			if err != nil {
+				if k.errAsEmpty {
+					// A projected-column key reads the cell text,
+					// and an errored cell is "" — a valid key.
+					out[i] = exec.SortKey{}
+				} else {
+					out[i] = exec.SortKey{Err: true}
+				}
+				continue
+			}
+			if k.reparse {
+				v = value.Text(v.Lex())
+			}
+			out[i] = exec.SortKey{V: v}
+		}
+	}
+	cmp := func(a, b []exec.SortKey) int {
+		for i := range keys {
+			if a[i].Err || b[i].Err {
+				continue
+			}
+			c := value.Compare(a[i].V, b[i].V)
+			if c == 0 {
+				continue
+			}
+			if keys[i].desc {
+				return -c
+			}
+			return c
+		}
+		return 0
+	}
+	return exec.NewTopK(root, keep, len(keys), keyFn, cmp)
+}
+
+// items evaluates the projection's expression items per row, on the
+// row as it enters, into their hidden slots.
+func (ce *colExec) items(root exec.Operator, cols []column) exec.Operator {
+	var exprs []column
+	label := "select"
+	for _, c := range cols {
+		if c.expr != nil {
+			exprs = append(exprs, c)
+			label += " (" + sparql.ExprString(c.expr) + " AS ?" + c.name + ")"
+		}
+	}
+	if len(exprs) == 0 {
+		return root
+	}
+	return ce.traced(exec.NewApply(root, false, func(c *exec.Ctx, b *exec.Batch, row int, out *exec.Batch) error {
+		r := out.AppendRow(b, row)
+		for _, it := range exprs {
+			id := exec.Unbound
+			if it.keep >= 0 {
+				id = b.Get(it.keep, row)
+			}
+			if v, err := ce.evalRow(it.expr, b, row); err == nil {
+				id = ce.pool.Intern(v.Lex())
+			}
+			out.Set(it.slot, r, id)
+		}
+		return nil
+	}), label)
+}
+
+// project drains the finished stream into the answer, appending each
+// projected slot's batch column as it is: no per-row value is built.
+func (ce *colExec) project(root exec.Operator, cols []column) (*Result, error) {
+	vars := make([]string, len(cols))
+	t := &idTable{cols: make([][]rdf.ID, len(cols))}
+	for j, c := range cols {
+		vars[j] = c.name
+	}
+	err := ce.each(root, func(b *exec.Batch) {
+		for j, c := range cols {
+			t.cols[j] = append(t.cols[j], b.Col(c.slot)...)
+		}
+		t.n += b.Rows()
+	})
 	if err != nil {
 		return nil, err
-	}
-	// TopK already emitted sorted order (okeys covers every ORDER BY
-	// key); what the stream could not do runs on the ID tuples.
-	if !streamDistinct && (q.Distinct || q.Reduced) {
-		t.distinct()
-	}
-	if !streamSliced {
-		t.slice(q)
 	}
 	return answered(ce.pool.Answer(vars, t.cols, t.n)), nil
 }
 
-// outCol is one projected column: a slot to copy (-1: the variable is
-// never bound), or an expression to evaluate per row.
-type outCol struct {
-	slot int
-	expr sparql.Expr
-}
-
-// project drains the finished stream into answer columns, appending
-// each projected slot's batch column as it is: no per-row value is
-// built for a plain variable. Expression items evaluate per row and
-// intern their text into the pool; an item whose evaluation fails keeps
-// the binding its alias already had, if any — except in an aggregate
-// stream, where it projects unbound (a group row's binding of a WHERE
-// variable the alias shadows is the first member's, not the item's).
-// There a rewritten item that is a bare hidden variable is that
-// aggregate's finalized slot. SELECT * projects the variables bound in
-// some row.
-func (ce *colExec) project(q *sparql.Query, root exec.Operator, agg bool, evalItem func(sparql.Expr, *exec.Batch, int) (value.Value, error)) (*idTable, []string, error) {
-	var vars []string
-	var outs []outCol
-	for s := 0; q.SelectStar && s < ce.schema.Len(); s++ {
-		if name := ce.schema.Name(s); !strings.HasPrefix(name, "_:") {
-			vars = append(vars, name)
-		}
-	}
-	sort.Strings(vars)
-	for _, v := range vars {
-		outs = append(outs, outCol{slot: ce.slot(v)})
-	}
-	for _, it := range q.Select {
-		oc, name := outCol{slot: -1, expr: it.Expr}, it.Var.Value
-		if hv, ok := exprVar(it.Expr); agg && ok && isHiddenAggVar(hv) {
-			name, oc.expr = hv, nil
-		}
-		if s, ok := ce.schema.SlotOf(name); ok && (oc.expr == nil || !agg) {
-			oc.slot = s
-		}
-		vars, outs = append(vars, it.Var.Value), append(outs, oc)
-	}
-	t := &idTable{cols: make([][]rdf.ID, len(outs))}
-	err := ce.each(root, func(b *exec.Batch) {
-		for j, oc := range outs {
-			if oc.expr == nil && oc.slot >= 0 {
-				t.cols[j] = append(t.cols[j], b.Col(oc.slot)...)
-				continue
-			}
-			for r := 0; r < b.Rows(); r++ {
-				id := exec.Unbound
-				if oc.slot >= 0 {
-					id = b.Get(oc.slot, r)
-				}
-				if oc.expr != nil {
-					if v, err := evalItem(oc.expr, b, r); err == nil {
-						id = ce.pool.Intern(v.Lex())
-					}
-				}
-				t.cols[j] = append(t.cols[j], id)
-			}
-		}
-		t.n += b.Rows()
-	})
-	if err != nil || !q.SelectStar {
-		return t, vars, err
-	}
-	kept := 0
-	for j, col := range t.cols {
-		if slices.ContainsFunc(col, func(id rdf.ID) bool { return id != exec.Unbound }) {
-			vars[kept], t.cols[kept] = vars[j], col
-			kept++
-		}
-	}
-	if kept == 0 {
-		return &idTable{n: t.n}, nil, nil
-	}
-	t.cols = t.cols[:kept]
-	return t, vars[:kept], nil
-}
-
 // idTable is an answer under construction: column-major cells and the
-// row count (a table can have rows and no columns). Every cell comes
-// from one pool, where equal text is equal ID, so DISTINCT and
-// LIMIT/OFFSET on the ID tuples are DISTINCT and LIMIT/OFFSET on the
-// rows' text without reading any.
+// row count (a table can have rows and no columns).
 type idTable struct {
 	cols [][]rdf.ID
 	n    int
@@ -859,62 +883,4 @@ func (t *idTable) add(row ...rdf.ID) {
 		t.cols[j] = append(t.cols[j], id)
 	}
 	t.n++
-}
-
-// distinct keeps each row's first occurrence, in order.
-func (t *idTable) distinct() {
-	seen := make(map[string]struct{}, t.n)
-	var key []byte
-	kept := 0
-	for i := 0; i < t.n; i++ {
-		key = key[:0]
-		for _, col := range t.cols {
-			key = append(key, byte(col[i]), byte(col[i]>>8), byte(col[i]>>16), byte(col[i]>>24))
-		}
-		if _, dup := seen[string(key)]; dup {
-			continue
-		}
-		seen[string(key)] = struct{}{}
-		for _, col := range t.cols {
-			col[kept] = col[i]
-		}
-		kept++
-	}
-	t.cut(0, kept)
-}
-
-// slice applies OFFSET and LIMIT.
-func (t *idTable) slice(q *sparql.Query) {
-	lo, hi := 0, t.n
-	if q.Mods.HasOffset {
-		lo = int(min(q.Mods.Offset, int64(t.n)))
-	}
-	if q.Mods.HasLimit && int64(hi-lo) > q.Mods.Limit {
-		hi = lo + int(q.Mods.Limit)
-	}
-	t.cut(lo, hi)
-}
-
-// cut keeps rows [lo, hi). What is kept is copied out, so a small page
-// does not hold the whole table's memory in a cache entry budgeted for
-// the page.
-func (t *idTable) cut(lo, hi int) {
-	if hi-lo == t.n {
-		return
-	}
-	for j, col := range t.cols {
-		t.cols[j] = append([]rdf.ID(nil), col[lo:hi]...)
-	}
-	t.n = hi - lo
-}
-
-// allPlainVars reports whether every projection item is a bare
-// variable (no AS expressions).
-func allPlainVars(items []sparql.SelectItem) bool {
-	for _, it := range items {
-		if it.Expr != nil {
-			return false
-		}
-	}
-	return true
 }

@@ -174,7 +174,22 @@ func TestColumnarDifferentialRandom(t *testing.T) {
 // randomQuery builds one random query over the urn:n*/urn:p* store
 // vocabulary. Shared by the differential test and FuzzExecDifferential.
 func randomQuery(rng *rand.Rand, nNodes, nPreds int) string {
-	nVars := 1 + rng.Intn(4)
+	body, _ := randomBody(rng, nNodes, nPreds)
+	switch rng.Intn(4) {
+	case 0:
+		return "ASK { " + body + " }"
+	case 1:
+		return "SELECT DISTINCT * WHERE { " + body + " }"
+	default:
+		return "SELECT * WHERE { " + body + " }"
+	}
+}
+
+// randomBody builds a random group body over the variables ?v0 to
+// ?v<nVars-1>: BGPs with repeated variables, OPTIONAL, UNION, MINUS,
+// FILTER, EXISTS, VALUES and property paths.
+func randomBody(rng *rand.Rand, nNodes, nPreds int) (body string, nVars int) {
+	nVars = 1 + rng.Intn(4)
 	v := func() string { return fmt.Sprintf("?v%d", rng.Intn(nVars)) }
 	node := func() string { return fmt.Sprintf("<urn:n%d>", rng.Intn(nNodes+2)) }
 	pred := func() string { return fmt.Sprintf("<urn:p%d>", rng.Intn(nPreds)) }
@@ -220,15 +235,7 @@ func randomQuery(rng *rand.Rand, nNodes, nPreds int) string {
 		}
 		elems = append(elems, fmt.Sprintf("%s %s%s %s", term(), pred(), op, term()))
 	}
-	body := strings.Join(elems, " . ")
-	switch rng.Intn(4) {
-	case 0:
-		return "ASK { " + body + " }"
-	case 1:
-		return "SELECT DISTINCT * WHERE { " + body + " }"
-	default:
-		return "SELECT * WHERE { " + body + " }"
-	}
+	return strings.Join(elems, " . "), nVars
 }
 
 // TestColumnarRowLimitParity: the executor must reproduce the

@@ -11,9 +11,15 @@
 // answer itself is ID columns (exec.Answer), which QueryAnswer returns
 // as they are and QueryContext additionally renders as string rows.
 // It is the only evaluator: every query shape, aggregates, CONSTRUCT
-// and DESCRIBE included, finishes on IDs. The map-binding evaluator it
-// replaced lives in this package's tests as the reference the
-// differential suites compare it with.
+// and DESCRIBE included, finishes on IDs. The solution modifiers run
+// once, as operators on the solution stream, for every query form:
+// ORDER BY, the projection's expressions, DISTINCT, then OFFSET/LIMIT,
+// which stops the pull once it is met. SELECT * projects the WHERE
+// clause's in-scope variables (sparql.InScopeVars), and CONSTRUCT and
+// DESCRIBE order and slice solutions, as SPARQL 1.1 §16.2 and §16.4
+// specify. The map-binding evaluator the executor replaced lives in
+// this package's tests as the reference the differential suites
+// compare it with.
 //
 // The store's dictionary is untyped text, so literals match on their
 // lexical form; language tags and datatypes are compared syntactically
@@ -217,13 +223,13 @@ func varName(t sparql.Term) (string, bool) {
 // The targets are dictionary IDs — an ID outside the dictionary is a
 // term that occurs in no triple, and is skipped — and each one's triples
 // are read from the by-subject and by-object index rows, so the cost is
-// the size of the answer, not of the store. Row order, which
-// LIMIT/OFFSET slice: targets by ascending ID; per target its outgoing
-// edges in (p, o) order, then its incoming edges in (s, p) order. An
+// the size of the answer, not of the store. Row order: targets by
+// ascending ID; per target its outgoing edges in (p, o) order, then its
+// incoming edges in (s, p) order. An
 // incoming edge whose subject is itself a target is left to that
 // subject's outgoing run (both-endpoint targets, self-loops), so no
 // triple is emitted twice.
-func (ev *evaluator) describe(q *sparql.Query, targets map[rdf.ID]bool) *Result {
+func (ev *evaluator) describe(targets map[rdf.ID]bool) *Result {
 	ids := make([]rdf.ID, 0, len(targets))
 	for id := range targets {
 		if id < rdf.ID(ev.st.NumTerms()) {
@@ -244,7 +250,6 @@ func (ev *evaluator) describe(q *sparql.Query, targets map[rdf.ID]bool) *Result 
 			}
 		}
 	}
-	t.slice(q)
 	// Index rows hold dictionary IDs only: the answer has no overflow.
 	return answered(exec.NewPool(ev.st).Answer([]string{"s", "p", "o"}, t.cols, t.n))
 }

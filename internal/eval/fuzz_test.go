@@ -14,10 +14,13 @@ import (
 // VALUES, property paths, DISTINCT, ASK), then filters the same store
 // through a random expression over its variables whose outermost form
 // comes from the builtin family the seed selects, and last runs the
-// aggregate family: a random GROUP BY / aggregate / HAVING / ORDER BY /
-// LIMIT query over a random aggregate store. Any divergence in errors,
-// the ASK answer, the projection, or the solution multiset (for the
-// aggregate family, the row sequence) is a finding.
+// modifier family: SELECT *, a DISTINCT or plain expression item,
+// CONSTRUCT or DESCRIBE with random ORDER BY / OFFSET / LIMIT over
+// another random body on the same store, and last the aggregate family:
+// a random GROUP BY / aggregate / HAVING / ORDER BY / LIMIT query over a
+// random aggregate store. Any divergence in errors, the ASK answer, the
+// projection, or the solution multiset (for the modifier and aggregate
+// families, the row sequence) is a finding.
 func FuzzExecDifferential(f *testing.F) {
 	for _, seed := range []int64{1, 7, 42, 1337, 99991} {
 		f.Add(seed)
@@ -47,6 +50,8 @@ func FuzzExecDifferential(f *testing.F) {
 		g := &exprGen{rng: rng, vars: []string{"?s", "?p", "?o"}}
 		fam := exprFamilies[int((seed%nFam+nFam)%nFam)]
 		diffColumnarReference(t, sn, `PREFIX ex: <http://example.org/> SELECT * WHERE { ?s ?p ?o FILTER(`+g.family(fam, 3)+`) }`)
+
+		diffOrdered(t, sn, randomModifierQuery(rng, nNodes, nPreds))
 
 		diffOrdered(t, randomAggStore(rng), randomAggQuery(rng))
 	})

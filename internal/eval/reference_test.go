@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -78,10 +79,12 @@ func (ev *evaluator) queryLegacy(q *sparql.Query) (*Result, error) {
 	return nil, fmt.Errorf("eval: unknown query type")
 }
 
-// finishConstruct instantiates the template per solution, returning the
+// finishConstruct orders and slices the solutions (§16.2), then
+// instantiates the template per remaining solution, returning the
 // constructed triples as three-column rows (s, p, o), deduplicated on
 // the term triple (no joined-string keys).
 func (ev *evaluator) finishConstruct(q *sparql.Query, rows []binding) (*Result, error) {
+	rows = applySlice(q, ev.orderSolutions(q, rows))
 	res := &Result{Vars: []string{"s", "p", "o"}}
 	seen := map[[3]string]bool{}
 	emit := func(s, p, o string) {
@@ -105,13 +108,16 @@ func (ev *evaluator) finishConstruct(q *sparql.Query, rows []binding) (*Result, 
 			emit(instantiate(tp.S, b), instantiate(tp.P, b), instantiate(tp.O, b))
 		}
 	}
-	applySlice(q, res)
 	return res, nil
 }
 
-// finishDescribe resolves the described resources to dictionary IDs and
-// reads their triples through the executor's describe.
+// finishDescribe orders and slices the solutions (§16.4), resolves the
+// described resources — the constant terms, and the values the
+// remaining solutions bind to the described variables (the in-scope
+// ones, for DESCRIBE *) — to dictionary IDs and reads their triples
+// through the executor's describe.
 func (ev *evaluator) finishDescribe(q *sparql.Query, rows []binding) (*Result, error) {
+	rows = applySlice(q, ev.orderSolutions(q, rows))
 	targets := map[rdf.ID]bool{}
 	add := func(term string) {
 		if id, ok := ev.st.Lookup(term); ok {
@@ -121,26 +127,16 @@ func (ev *evaluator) finishDescribe(q *sparql.Query, rows []binding) (*Result, e
 	for _, t := range q.DescribeTerms {
 		if txt, ok := ev.termText(t); ok {
 			add(txt)
-			continue
 		}
-		if name, ok := varName(t); ok {
-			for _, b := range rows {
-				if v, bound := b.lookupVar(name); bound {
-					add(v)
-				}
+	}
+	for name := range q.ProjectedVars() {
+		for _, b := range rows {
+			if v, bound := b.lookupVar(name); bound {
+				add(v)
 			}
 		}
 	}
-	if q.DescribeStar {
-		for _, b := range rows {
-			b.eachBound(func(name string) {
-				if v, ok := b.lookupVar(name); ok {
-					add(v)
-				}
-			})
-		}
-	}
-	res := ev.describe(q, targets)
+	res := ev.describe(targets)
 	res.Rows = res.Answer.Rows(ev.st)
 	return res, nil
 }
@@ -645,7 +641,7 @@ func (ev *evaluator) finishSelect(q *sparql.Query, rows []binding) (*Result, err
 	res := ev.projectSelect(q, rows)
 	ev.applyOrder(q, res, rows)
 	applyDistinct(q, res)
-	applySlice(q, res)
+	res.Rows = applySlice(q, res.Rows)
 	return res, nil
 }
 
@@ -655,14 +651,8 @@ func (ev *evaluator) finishSelect(q *sparql.Query, rows []binding) (*Result, err
 func (ev *evaluator) projectSelect(q *sparql.Query, rows []binding) *Result {
 	res := &Result{}
 	if q.SelectStar {
-		seen := map[string]bool{}
-		for _, b := range rows {
-			b.eachBound(func(v string) {
-				if !strings.HasPrefix(v, "_:") && !seen[v] {
-					seen[v] = true
-					res.Vars = append(res.Vars, v)
-				}
-			})
+		for v := range q.ProjectedVars() {
+			res.Vars = append(res.Vars, v)
 		}
 		sort.Strings(res.Vars)
 	} else {
@@ -797,7 +787,7 @@ func (ev *evaluator) finishAggregate(q *sparql.Query, rows []binding) (*Result, 
 	}
 	ev.orderAggregated(q, res, rowGroups)
 	applyDistinct(q, res)
-	applySlice(q, res)
+	res.Rows = applySlice(q, res.Rows)
 	return res, nil
 }
 
@@ -868,27 +858,39 @@ func (ev *evaluator) applyOrder(q *sparql.Query, res *Result, rows []binding) {
 	for i := range res.Rows {
 		pairs[i] = pair{res.Rows[i], rows[i]}
 	}
-	sort.SliceStable(pairs, func(i, j int) bool {
-		for _, k := range q.Mods.OrderBy {
-			vi, ei := ev.eval(k.Expr, pairs[i].b)
-			vj, ej := ev.eval(k.Expr, pairs[j].b)
-			if ei != nil || ej != nil {
-				continue
-			}
-			c := value.Compare(vi, vj)
-			if c == 0 {
-				continue
-			}
-			if k.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
+	sort.SliceStable(pairs, func(i, j int) bool { return ev.orderLess(q, pairs[i].b, pairs[j].b) })
 	for i := range pairs {
 		res.Rows[i] = pairs[i].row
 	}
+}
+
+// orderSolutions returns the solutions in ORDER BY order (a stable sort).
+func (ev *evaluator) orderSolutions(q *sparql.Query, rows []binding) []binding {
+	rows = slices.Clone(rows)
+	sort.SliceStable(rows, func(i, j int) bool { return ev.orderLess(q, rows[i], rows[j]) })
+	return rows
+}
+
+// orderLess is the ORDER BY comparator: the first key on which two
+// solutions differ decides, and a key that fails to evaluate on either
+// is skipped.
+func (ev *evaluator) orderLess(q *sparql.Query, a, b env) bool {
+	for _, k := range q.Mods.OrderBy {
+		va, ea := ev.eval(k.Expr, a)
+		vb, eb := ev.eval(k.Expr, b)
+		if ea != nil || eb != nil {
+			continue
+		}
+		c := value.Compare(va, vb)
+		if c == 0 {
+			continue
+		}
+		if k.Desc {
+			return c > 0
+		}
+		return c < 0
+	}
+	return false
 }
 
 func applyDistinct(q *sparql.Query, res *Result) {
@@ -907,29 +909,20 @@ func applyDistinct(q *sparql.Query, res *Result) {
 	res.Rows = out
 }
 
-func applySlice(q *sparql.Query, res *Result) {
+// applySlice applies OFFSET and LIMIT to a sequence.
+func applySlice[T any](q *sparql.Query, rows []T) []T {
 	if q.Mods.HasOffset {
-		off := int(q.Mods.Offset)
-		if off >= len(res.Rows) {
-			res.Rows = nil
-		} else {
-			res.Rows = res.Rows[off:]
-		}
+		rows = rows[min(q.Mods.Offset, int64(len(rows))):]
 	}
-	if q.Mods.HasLimit && int64(len(res.Rows)) > q.Mods.Limit {
-		res.Rows = res.Rows[:q.Mods.Limit]
+	if q.Mods.HasLimit && int64(len(rows)) > q.Mods.Limit {
+		rows = rows[:q.Mods.Limit]
 	}
+	return rows
 }
 
 func (b binding) lookupVar(name string) (string, bool) {
 	v, ok := b[name]
 	return v, ok
-}
-
-func (b binding) eachBound(fn func(string)) {
-	for k := range b {
-		fn(k)
-	}
 }
 
 func (b binding) exists(ev *evaluator, p sparql.Pattern) (bool, error) {

@@ -1,6 +1,9 @@
 package sparql
 
-import "strings"
+import (
+	"maps"
+	"strings"
+)
 
 // QueryType is one of the four SPARQL query forms.
 type QueryType int
@@ -495,29 +498,92 @@ func addVar(t Term, out map[string]bool) {
 	}
 }
 
+// InScopeVars returns the variables in scope in p (SPARQL 1.1 §18.2.1),
+// with those only a BIND introduces kept apart in bindOnly. Variables
+// that occur only inside FILTER constraints (EXISTS included), MINUS
+// blocks or a subquery's unprojected positions are not in scope; blank
+// nodes are not variables.
+func InScopeVars(p Pattern) (scope, bindOnly map[string]bool) {
+	scope = make(map[string]bool)
+	bindOnly = make(map[string]bool)
+	var walk func(n Pattern)
+	walk = func(n Pattern) {
+		switch t := n.(type) {
+		case *TriplePattern:
+			addVar(t.S, scope)
+			addVar(t.P, scope)
+			addVar(t.O, scope)
+		case *PathPattern:
+			addVar(t.S, scope)
+			addVar(t.O, scope)
+		case *Group:
+			for _, el := range t.Elems {
+				walk(el)
+			}
+		case *Union:
+			walk(t.Left)
+			walk(t.Right)
+		case *Optional:
+			walk(t.Inner)
+		case *GraphGraph:
+			addVar(t.Name, scope)
+			walk(t.Inner)
+		case *ServiceGraph:
+			addVar(t.Name, scope)
+			walk(t.Inner)
+		case *Bind:
+			addVar(t.Var, bindOnly)
+		case *InlineData:
+			for _, v := range t.Vars {
+				addVar(v, scope)
+			}
+		case *SubSelect:
+			if t.Query != nil {
+				for v := range t.Query.ProjectedVars() {
+					scope[v] = true
+				}
+			}
+		}
+		// MINUS and FILTER bind nothing in the enclosing scope.
+	}
+	walk(p)
+	// A variable bound both by BIND and by a pattern is simply in scope.
+	for v := range scope {
+		delete(bindOnly, v)
+	}
+	return scope, bindOnly
+}
+
 // ProjectedVars returns the set of variables the query returns: for
-// SELECT *, all in-scope body variables; for explicit SELECT lists, the
-// listed/aliased variables; for ASK, none.
+// explicit SELECT lists, the listed/aliased variables; for SELECT *, the
+// variables in scope in the WHERE clause (InScopeVars, BIND's included)
+// and those a trailing VALUES clause binds, whether or not any solution
+// binds them; for DESCRIBE, the described variables, and for DESCRIBE *
+// the same in-scope set as SELECT *; for ASK and CONSTRUCT, none.
 func (q *Query) ProjectedVars() map[string]bool {
 	out := make(map[string]bool)
+	star := false
 	switch q.Type {
 	case SelectQuery:
-		if q.SelectStar {
-			if q.Where != nil {
-				return Vars(q.Where)
-			}
-			return out
-		}
+		star = q.SelectStar
 		for _, it := range q.Select {
-			if it.Var.Kind == TermVar {
-				out[it.Var.Value] = true
-			}
+			addVar(it.Var, out)
 		}
 	case DescribeQuery:
+		star = q.DescribeStar
 		for _, t := range q.DescribeTerms {
-			if t.Kind == TermVar {
-				out[t.Value] = true
-			}
+			addVar(t, out)
+		}
+	}
+	if !star {
+		return out
+	}
+	scope, bindOnly := InScopeVars(q.Where)
+	maps.Copy(out, scope)
+	maps.Copy(out, bindOnly)
+	if q.TrailingValues != nil {
+		for _, v := range q.TrailingValues.Vars {
+			addVar(v, out)
 		}
 	}
 	return out

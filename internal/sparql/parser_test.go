@@ -1,6 +1,8 @@
 package sparql
 
 import (
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -512,6 +514,49 @@ func TestProjectedVars(t *testing.T) {
 	pv2 := q2.ProjectedVars()
 	if !pv2["a"] || !pv2["b"] {
 		t.Errorf("star projected = %v", pv2)
+	}
+}
+
+// TestInScopeVars pins the variable-scope table of SPARQL 1.1 §18.2.1
+// and SELECT * / DESCRIBE *'s projection of it: a FILTER (EXISTS
+// included), a MINUS block and a subquery's unprojected positions bind
+// nothing in the enclosing scope, a blank node is not a variable, and a
+// variable only a BIND introduces is in scope but reported apart.
+func TestInScopeVars(t *testing.T) {
+	cases := []struct {
+		src             string
+		scope, bindOnly string
+		projected       string
+	}{
+		{"SELECT * WHERE { ?a <p> ?b . ?b <q> _:c }", "a b", "", "a b"},
+		{"SELECT * WHERE { ?a <p> ?b FILTER(?f > 1) FILTER EXISTS { ?a <q> ?e } }", "a b", "", "a b"},
+		{"SELECT * WHERE { ?a <p> ?b MINUS { ?a <q> ?m } }", "a b", "", "a b"},
+		{"SELECT * WHERE { ?a <p> ?b OPTIONAL { ?b <q> ?o } }", "a b o", "", "a b o"},
+		{"SELECT * WHERE { { ?a <p> ?l } UNION { ?a <q> ?r } }", "a l r", "", "a l r"},
+		{"SELECT * WHERE { GRAPH ?g { ?a <p> ?b } }", "a b g", "", "a b g"},
+		{"SELECT * WHERE { ?a <p> ?o BIND(STR(?o) AS ?s) BIND(1 AS ?a) }", "a o", "s", "a o s"},
+		{"SELECT * WHERE { ?a <p> ?b VALUES ?v { 1 } }", "a b v", "", "a b v"},
+		{"SELECT * WHERE { { SELECT ?a WHERE { ?a <p> ?hidden } } }", "a", "", "a"},
+		{"SELECT * WHERE { { SELECT * WHERE { ?a <p> ?b FILTER(?f) } } }", "a b", "", "a b"},
+		{"SELECT * WHERE { ?a <p> ?b } VALUES ?t { 1 }", "a b", "", "a b t"},
+		{"DESCRIBE * WHERE { ?a <p> ?b FILTER(?f) }", "a b", "", "a b"},
+		{"DESCRIBE ?a WHERE { ?a <p> ?b }", "a b", "", "a"},
+	}
+	keys := func(m map[string]bool) string {
+		return strings.Join(slices.Sorted(maps.Keys(m)), " ")
+	}
+	for _, c := range cases {
+		q := mustParse(t, c.src)
+		scope, bindOnly := InScopeVars(q.Where)
+		if got := keys(scope); got != c.scope {
+			t.Errorf("%s: in scope %q, want %q", c.src, got, c.scope)
+		}
+		if got := keys(bindOnly); got != c.bindOnly {
+			t.Errorf("%s: BIND-only %q, want %q", c.src, got, c.bindOnly)
+		}
+		if got := keys(q.ProjectedVars()); got != c.projected {
+			t.Errorf("%s: projected %q, want %q", c.src, got, c.projected)
+		}
 	}
 }
 
