@@ -507,6 +507,34 @@ func BenchmarkParser(b *testing.B) {
 	}
 }
 
+// BenchmarkQueryString measures the canonical form, the key sparqld
+// computes for every request and the structural dedup for every valid
+// query, cycling through the distinct parseable texts of the loggen
+// corpus at scale 0.0001, seed 1 (8,751 queries).
+func BenchmarkQueryString(b *testing.B) {
+	p := &sparql.Parser{}
+	seen := make(map[string]bool)
+	var qs []*sparql.Query
+	for _, ds := range loggen.GenerateCorpus(0.0001, 1) {
+		for _, e := range ds.Entries {
+			if seen[e] {
+				continue
+			}
+			seen[e] = true
+			if q, err := p.Parse(e); err == nil {
+				qs = append(qs, q)
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		keySink = sparql.QueryString(qs[i%len(qs)])
+	}
+}
+
+var keySink string
+
 // BenchmarkLintRun measures the whole pass suite on one query, cycling
 // through the distinct valid queries of the bench corpus (the sizes and
 // operator mix of the paper's logs): what sparqld pays per request and

@@ -247,7 +247,7 @@ func (la *LiveAnalyzer) process(s *liveSlot, e *logEntry, idx uint64) {
 		s.rep.Valid++
 		label := RepeatShape(q)
 		s.rep.noteShape(label, false)
-		fp := sparql.Fingerprint(q)
+		fp := sparql.QueryString(q)
 		shard := la.shard(fp)
 		shard.mu.Lock()
 		if cur, ok := shard.reps[fp]; !ok || idx < cur.idx {

@@ -242,10 +242,10 @@ type Options struct {
 	// KeepDuplicates analyzes the Valid corpus instead of the Unique one
 	// (the appendix variant, Tables 7-9).
 	KeepDuplicates bool
-	// StructuralDedup deduplicates by sparql.Fingerprint (canonical
-	// variable names, expanded prefixes, normalized whitespace) instead
-	// of exact text, catching alpha-equivalent duplicates the paper's
-	// exact-text dedup misses.
+	// StructuralDedup deduplicates by sparql.QueryString, the result
+	// cache's key (canonical variable names, expanded prefixes,
+	// normalized whitespace), instead of exact text, catching
+	// alpha-equivalent duplicates the paper's exact-text dedup misses.
 	StructuralDedup bool
 	// SkipShapes disables the (comparatively expensive) shape and width
 	// analyses; Table 1-3 statistics are still computed.
@@ -335,7 +335,7 @@ func AnalyzeLog(name string, entries []string, opts Options) *DatasetReport {
 		if !opts.KeepDuplicates {
 			key := raw
 			if opts.StructuralDedup {
-				key = sparql.Fingerprint(q)
+				key = sparql.QueryString(q)
 			}
 			if seen[key] {
 				rep.noteShape(shape, false)

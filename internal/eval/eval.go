@@ -31,7 +31,6 @@ package eval
 import (
 	"context"
 	"sort"
-	"strings"
 
 	"sparqlog/internal/exec"
 	"sparqlog/internal/pathcomp"
@@ -389,15 +388,11 @@ func (ev *evaluator) markPatternVars(p sparql.Pattern, bound map[string]bool) {
 	})
 }
 
-// pathResolver maps path-expression IRI text to store IDs, expanding
-// prefixed names against the prologue first.
+// pathResolver maps a path expression's prefixed names to store IDs,
+// expanding them against the prologue.
 func (ev *evaluator) pathResolver() pathcomp.Resolver {
-	return func(iri string) (rdf.ID, bool) {
-		full := ev.prefixes.Expand(iri, !strings.Contains(iri, "://"))
-		if iri == sparql.RDFType {
-			full = sparql.RDFType
-		}
-		return ev.st.Lookup(full)
+	return func(pname string) (rdf.ID, bool) {
+		return ev.st.Lookup(ev.prefixes.Expand(pname, true))
 	}
 }
 

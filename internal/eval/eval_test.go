@@ -67,6 +67,33 @@ func TestPrefixExpansion(t *testing.T) {
 	}
 }
 
+// A bracketed IRI names itself even when its text looks like a
+// prefixed name of a declared prefix: <foo:bar> is not foo:bar. The
+// parser records which form was written, in triple predicates and path
+// atoms alike, and nothing guesses it back from the text.
+func TestBracketedIRIIsNotExpanded(t *testing.T) {
+	st := rdf.NewStore()
+	st.Add("foo:a", "foo:bar", "foo:b")
+	st.Add("http://x/a", "http://x/bar", "http://x/b")
+	st.Add("http://x/a", sparql.RDFType, "http://x/C")
+	sn := st.Freeze()
+	const prologue = "PREFIX foo: <http://x/> PREFIX http: <urn:bad:> "
+	for _, tc := range []struct{ where, want string }{
+		{"?s <foo:bar> ?o", "foo:a foo:b"},
+		{"?s <foo:bar>+ ?o", "foo:a foo:b"},
+		{"?o ^<foo:bar> ?s", "foo:a foo:b"},
+		{"?s <foo:bar>|<foo:nope> ?o", "foo:a foo:b"},
+		{"?s foo:bar ?o", "http://x/a http://x/b"},
+		{"?s foo:bar+ ?o", "http://x/a http://x/b"},
+		{"?s a+ ?o", "http://x/a http://x/C"},
+	} {
+		res := run(t, sn, prologue+"SELECT ?s ?o WHERE { "+tc.where+" }")
+		if len(res.Rows) != 1 || res.Rows[0][0]+" "+res.Rows[0][1] != tc.want {
+			t.Errorf("%s: rows = %v, want [%s]", tc.where, res.Rows, tc.want)
+		}
+	}
+}
+
 func TestFilterNumeric(t *testing.T) {
 	res := run(t, people(), `PREFIX ex: <http://ex/>
 		SELECT ?p WHERE { ?p ex:age ?a FILTER (?a > 28) }`)

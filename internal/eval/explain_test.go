@@ -125,14 +125,14 @@ func TestExplainShowsEveryOperator(t *testing.T) {
 	}
 	want := []string{
 		"unit",
-		"join ?x urn:special ?z  binds ?x ?z",
-		"join ?x urn:knows ?y  binds ?y",
+		"join ?x <urn:special> ?z  binds ?x ?z",
+		"join ?x <urn:knows> ?y  binds ?y",
 		"optional",
 		"    seed",
-		"    join ?y urn:name ?n",
+		"    join ?y <urn:name> ?n",
 		"minus",
 		"    unit",
-		`    join ?x urn:age "30"`,
+		`    join ?x <urn:age> "30"`,
 		"filter ?x != <urn:a3>",
 		"top-k order by: mode=sort, scanned 1 rows, kept 1",
 		"offset 0 limit 5",
@@ -150,7 +150,7 @@ func TestExplainShowsEveryOperator(t *testing.T) {
 	}
 	// The selective atom is planned first and estimated; the unplanned
 	// operators show no estimate.
-	if !regexp.MustCompile(`(?m)^\s+1\s+1\s+1  join \?x urn:special`).MatchString(text) {
+	if !regexp.MustCompile(`(?m)^\s+1\s+1\s+1  join \?x <urn:special>`).MatchString(text) {
 		t.Fatalf("the planned join does not carry its estimate and rows:\n%s", text)
 	}
 }
@@ -244,7 +244,7 @@ func TestExplainRowLimitRendersTree(t *testing.T) {
 	if !errors.Is(err, exec.ErrRowLimit) {
 		t.Fatalf("err = %v, want %v", err, exec.ErrRowLimit)
 	}
-	for _, want := range []string{"join ?a urn:p ?b", "join ?c urn:p ?d", "error: " + exec.ErrRowLimit.Error()} {
+	for _, want := range []string{"join ?a <urn:p> ?b", "join ?c <urn:p> ?d", "error: " + exec.ErrRowLimit.Error()} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("overflowed transcript lacks %q:\n%s", want, text)
 		}

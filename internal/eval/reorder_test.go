@@ -160,7 +160,7 @@ func TestReorderMovesSelectiveAtomFirst(t *testing.T) {
 	}
 	lines := strings.Split(text, "\n")
 	if len(lines) < 4 || !strings.HasSuffix(lines[1], "  unit") ||
-		!strings.Contains(lines[2], "join ?s urn:tag <urn:gold>") || !strings.Contains(lines[3], "join ?s urn:big ?o") {
+		!strings.Contains(lines[2], "join ?s <urn:tag> <urn:gold>") || !strings.Contains(lines[3], "join ?s <urn:big> ?o") {
 		t.Fatalf("explain did not pull the selective atom first:\n%s", text)
 	}
 	if strings.Contains(text, "note:") {
@@ -174,7 +174,7 @@ func TestReorderMovesSelectiveAtomFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"  union\n", "      seed\n", "      join ?s urn:big ?o", "      join ?s urn:tag ?o", "answer: 51 rows"} {
+	for _, want := range []string{"  union\n", "      seed\n", "      join ?s <urn:big> ?o", "      join ?s <urn:tag> ?o", "answer: 51 rows"} {
 		if !strings.Contains(text2, want) {
 			t.Fatalf("union transcript lacks %q:\n%s", want, text2)
 		}
@@ -196,7 +196,7 @@ func TestExplainPropertyPath(t *testing.T) {
 		`SELECT * WHERE { ?x <urn:p>+ ?y }`:       {"evaluation: multi-source sweep (both ends free) x1", "answer: 3 rows"},
 		// The path's subject comes from the join before it, and the
 		// filter after it is a line of the tree, not a disclaimer.
-		`SELECT * WHERE { ?x <urn:p> ?y . ?y <urn:p>* ?z . FILTER(?x != ?z) }`: {"join ?x urn:p ?y",
+		`SELECT * WHERE { ?x <urn:p> ?y . ?y <urn:p>* ?z . FILTER(?x != ?z) }`: {"join ?x <urn:p> ?y",
 			"path ?y <urn:p>* ?z", "evaluation: forward (subject bound) x2", "filter ?x != ?z", "answer: 3 rows"},
 	} {
 		q, err := sparql.Parse(src)

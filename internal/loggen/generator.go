@@ -617,7 +617,7 @@ func (g *generator) filterExpr(vars []string) sparql.Expr {
 // mix (plus the trivial forms at their corpus rates).
 func (g *generator) pathExpr() sparql.PathExpr {
 	lit := func() sparql.PathExpr {
-		return &sparql.PathIRI{IRI: g.pred[g.rng.Intn(len(g.pred))]}
+		return &sparql.PathIRI{IRI: g.pred[g.rng.Intn(len(g.pred))], PrefixedForm: true}
 	}
 	r := g.rng.Float64()
 	switch {

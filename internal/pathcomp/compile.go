@@ -32,9 +32,10 @@ import (
 	"sparqlog/internal/sparql"
 )
 
-// Resolver maps IRI text as written in a path expression to snapshot
-// IDs; callers typically expand prefixed names first.
-type Resolver func(iri string) (rdf.ID, bool)
+// Resolver maps a prefixed name in a path expression to snapshot IDs,
+// typically by expanding it against the query's prologue. Compile looks
+// a path's full IRIs up in the snapshot directly.
+type Resolver func(pname string) (rdf.ID, bool)
 
 // opKind is the traversal kind of one automaton transition.
 type opKind uint8
@@ -103,8 +104,9 @@ type Path struct {
 	fwdPool, revPool, scPool sync.Pool
 }
 
-// Compile builds the automaton for p against sn's dictionary. IRIs the
-// resolver cannot map compile to dead transitions (they can never match,
+// Compile builds the automaton for p against sn's dictionary: a full
+// IRI is looked up in it, a prefixed name through resolve. IRIs that
+// map to no ID compile to dead transitions (they can never match,
 // exactly as in the interpretive evaluator).
 func Compile(sn *rdf.Snapshot, p sparql.PathExpr, resolve Resolver) *Path {
 	pa := &Path{
@@ -112,11 +114,17 @@ func Compile(sn *rdf.Snapshot, p sparql.PathExpr, resolve Resolver) *Path {
 		expr:  p,
 		class: paths.Classify(p),
 	}
-	fc := &compiler{resolve: resolve}
+	lookup := func(a *sparql.PathIRI) (rdf.ID, bool) {
+		if a.PrefixedForm {
+			return resolve(a.IRI)
+		}
+		return sn.Lookup(a.IRI)
+	}
+	fc := &compiler{lookup: lookup}
 	pa.fwd = fc.build(p, false)
-	rc := &compiler{resolve: resolve}
+	rc := &compiler{lookup: lookup}
 	pa.rev = rc.build(p, true)
-	pa.detectClosure(resolve)
+	pa.detectClosure(lookup)
 	return pa
 }
 
@@ -125,7 +133,7 @@ func Compile(sn *rdf.Snapshot, p sparql.PathExpr, resolve Resolver) *Path {
 // inverted IRI. Negated atoms and nested structure fall back to the
 // general automaton. Unresolved atoms are dropped (they contribute no
 // edges), matching the interpreter.
-func (pa *Path) detectClosure(resolve Resolver) {
+func (pa *Path) detectClosure(lookup func(*sparql.PathIRI) (rdf.ID, bool)) {
 	mod, ok := pa.expr.(*sparql.PathMod)
 	if !ok || (mod.Mod != '*' && mod.Mod != '+') {
 		return
@@ -140,7 +148,7 @@ func (pa *Path) detectClosure(resolve Resolver) {
 	for _, part := range parts {
 		switch a := part.(type) {
 		case *sparql.PathIRI:
-			if pid, ok := resolve(a.IRI); ok {
+			if pid, ok := lookup(a); ok {
 				atoms = append(atoms, dirPred{pid: pid})
 			}
 		case *sparql.PathInverse:
@@ -148,7 +156,7 @@ func (pa *Path) detectClosure(resolve Resolver) {
 			if !isIRI {
 				return
 			}
-			if pid, ok := resolve(iri.IRI); ok {
+			if pid, ok := lookup(iri); ok {
 				atoms = append(atoms, dirPred{pid: pid, inv: true})
 			}
 		default:
@@ -178,9 +186,9 @@ func (pa *Path) NumStates() int { return len(pa.fwd.edges) }
 // compiler builds an epsilon-NFA bottom-up, then eliminates epsilon
 // transitions into the compact nfa form evaluation runs on.
 type compiler struct {
-	resolve Resolver
-	eps     [][]int32
-	edges   [][]edge
+	lookup func(*sparql.PathIRI) (rdf.ID, bool)
+	eps    [][]int32
+	edges  [][]edge
 }
 
 type frag struct{ start, accept int32 }
@@ -210,7 +218,7 @@ func (c *compiler) compile(p sparql.PathExpr, inv bool) frag {
 		if inv {
 			kind = opInv
 		}
-		if pid, ok := c.resolve(n.IRI); ok {
+		if pid, ok := c.lookup(n); ok {
 			c.addEdge(s, edge{kind: kind, pid: pid, to: a})
 		} else {
 			c.addEdge(s, edge{kind: opDead, to: a})
@@ -291,13 +299,13 @@ func (c *compiler) compileNeg(set []sparql.PathExpr, inv bool) frag {
 		switch n := x.(type) {
 		case *sparql.PathIRI:
 			hasFwd = true
-			if pid, ok := c.resolve(n.IRI); ok {
+			if pid, ok := c.lookup(n); ok {
 				exclFwd = append(exclFwd, pid)
 			}
 		case *sparql.PathInverse:
 			if iri, ok := n.X.(*sparql.PathIRI); ok {
 				hasInv = true
-				if pid, ok := c.resolve(iri.IRI); ok {
+				if pid, ok := c.lookup(iri); ok {
 					exclInv = append(exclInv, pid)
 				}
 			}

@@ -7,9 +7,9 @@
 // up, executes on a miss and offers the clean answer back.
 //
 // Keys are opaque strings; the server's are canonical query
-// fingerprints (sparql.QueryString: variable renaming and prefix
-// expansion normalized away, solution modifiers included) behind the
-// row budget, so alpha-equivalent repeats share one entry. The cache is
+// fingerprints (sparql.QueryString, the SPARQL writer's canonical mode:
+// variable renaming and prefix expansion normalized away as each term
+// is written, solution modifiers included) behind the row budget, so alpha-equivalent repeats share one entry. The cache is
 // bound to one immutable rdf.Snapshot at construction; Get and Put
 // compare snapshot identity on every access, so a new snapshot
 // invalidates implicitly — no epoch bookkeeping on the hot path.

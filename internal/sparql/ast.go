@@ -197,11 +197,15 @@ type UnaryExpr struct {
 // FuncCall is a builtin call (BOUND, LANG, REGEX, ...) or a custom function
 // called by IRI.
 type FuncCall struct {
-	// Name is the uppercased builtin keyword, or the IRI for custom calls.
-	Name     string
-	IRICall  bool
-	Args     []Expr
-	Distinct bool // e.g. COUNT(DISTINCT ...) parsed as FuncCall only for non-aggregates
+	// Name is the uppercased builtin keyword, or for custom calls the
+	// IRI as written (a full IRI or a prefixed name).
+	Name    string
+	IRICall bool
+	// PrefixedForm records whether a custom call's IRI was written as a
+	// prefixed name, exactly as Term.PrefixedForm does.
+	PrefixedForm bool
+	Args         []Expr
+	Distinct     bool // e.g. COUNT(DISTINCT ...) parsed as FuncCall only for non-aggregates
 }
 
 // AggregateExpr is one of COUNT, SUM, MIN, MAX, AVG, SAMPLE, GROUP_CONCAT.

@@ -674,7 +674,7 @@ func (p *Parser) parsePropertyList(subj Term) ([]Pattern, error) {
 			if isVar {
 				out = append(out, &TriplePattern{S: subj, P: predVar, O: obj})
 			} else if iri, ok := path.(*PathIRI); ok {
-				out = append(out, &TriplePattern{S: subj, P: Term{Kind: TermIRI, Value: iri.IRI, PrefixedForm: strings.Contains(iri.IRI, ":") && !strings.Contains(iri.IRI, "://")}, O: obj})
+				out = append(out, &TriplePattern{S: subj, P: Term{Kind: TermIRI, Value: iri.IRI, PrefixedForm: iri.PrefixedForm}, O: obj})
 			} else {
 				out = append(out, &PathPattern{S: subj, Path: path, O: obj})
 			}
@@ -919,11 +919,8 @@ func (p *Parser) parsePathElt() (PathExpr, error) {
 
 func (p *Parser) parsePathPrimary() (PathExpr, error) {
 	switch p.tok.Kind {
-	case IRIRef:
-		x := &PathIRI{IRI: p.tok.Text}
-		return x, p.next()
-	case PName:
-		x := &PathIRI{IRI: p.tok.Text}
+	case IRIRef, PName:
+		x := &PathIRI{IRI: p.tok.Text, PrefixedForm: p.tok.Kind == PName}
 		return x, p.next()
 	case A:
 		x := &PathIRI{IRI: RDFType}
@@ -957,7 +954,7 @@ func (p *Parser) parsePathNegatedSet() (PathExpr, error) {
 			}
 			switch p.tok.Kind {
 			case IRIRef, PName:
-				x := &PathInverse{X: &PathIRI{IRI: p.tok.Text}}
+				x := &PathInverse{X: &PathIRI{IRI: p.tok.Text, PrefixedForm: p.tok.Kind == PName}}
 				return x, p.next()
 			case A:
 				x := &PathInverse{X: &PathIRI{IRI: RDFType}}
@@ -967,7 +964,7 @@ func (p *Parser) parsePathNegatedSet() (PathExpr, error) {
 		}
 		switch p.tok.Kind {
 		case IRIRef, PName:
-			x := &PathIRI{IRI: p.tok.Text}
+			x := &PathIRI{IRI: p.tok.Text, PrefixedForm: p.tok.Kind == PName}
 			return x, p.next()
 		case A:
 			x := &PathIRI{IRI: RDFType}
@@ -1589,7 +1586,7 @@ func (p *Parser) parseIRIOrFunction() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &FuncCall{Name: t.Value, IRICall: true, Args: args, Distinct: distinct}, nil
+		return &FuncCall{Name: t.Value, IRICall: true, PrefixedForm: t.PrefixedForm, Args: args, Distinct: distinct}, nil
 	}
 	return &TermExpr{Term: t}, nil
 }

@@ -1,7 +1,5 @@
 package sparql
 
-import "strings"
-
 // PathExpr is a SPARQL 1.1 property-path expression: a regular expression
 // over IRIs with inversion (^) and negated property sets (!).
 // Implementations: *PathIRI, *PathInverse, *PathSeq, *PathAlt, *PathMod,
@@ -10,9 +8,15 @@ type PathExpr interface {
 	path()
 }
 
-// PathIRI is an atomic path: a single predicate IRI (or the keyword 'a').
+// PathIRI is an atomic path: a single predicate IRI (or the keyword 'a',
+// which the parser expands to RDFType).
 type PathIRI struct {
+	// IRI is the IRI as written: a full IRI, or a prefixed name to
+	// expand against the prologue.
 	IRI string
+	// PrefixedForm records whether the IRI was written as a prefixed
+	// name, exactly as Term.PrefixedForm does.
+	PrefixedForm bool
 }
 
 // PathInverse is ^elt: follow an edge in reverse direction.
@@ -52,9 +56,9 @@ func (*PathNeg) path()     {}
 // PathString renders a path expression in SPARQL syntax with minimal
 // parenthesization.
 func PathString(p PathExpr) string {
-	var sb strings.Builder
-	writePath(&sb, p, 0)
-	return sb.String()
+	var w writer
+	w.path(p, 0)
+	return w.String()
 }
 
 // Precedence levels: alt(1) < seq(2) < inverse/mod(3) < atom(4).
@@ -71,73 +75,53 @@ func pathPrec(p PathExpr) int {
 	}
 }
 
-func writePath(sb *strings.Builder, p PathExpr, parent int) {
+func (w *writer) path(p PathExpr, parent int) {
 	prec := pathPrec(p)
 	paren := prec < parent
 	if paren {
-		sb.WriteByte('(')
+		w.WriteByte('(')
 	}
 	switch n := p.(type) {
 	case *PathIRI:
-		writeIRIText(sb, n.IRI)
+		w.verb(n.IRI, n.PrefixedForm)
 	case *PathInverse:
-		sb.WriteByte('^')
-		writePath(sb, n.X, 4)
+		w.WriteByte('^')
+		w.path(n.X, 4)
 	case *PathSeq:
 		for i, part := range n.Parts {
 			if i > 0 {
-				sb.WriteByte('/')
+				w.WriteByte('/')
 			}
-			writePath(sb, part, 3)
+			w.path(part, 3)
 		}
 	case *PathAlt:
 		for i, part := range n.Parts {
 			if i > 0 {
-				sb.WriteByte('|')
+				w.WriteByte('|')
 			}
-			writePath(sb, part, 2)
+			w.path(part, 2)
 		}
 	case *PathMod:
-		writePath(sb, n.X, 4)
-		sb.WriteByte(n.Mod)
+		w.path(n.X, 4)
+		w.WriteByte(n.Mod)
 	case *PathNeg:
-		sb.WriteByte('!')
+		w.WriteByte('!')
 		if len(n.Set) == 1 {
-			writePath(sb, n.Set[0], 4)
+			w.path(n.Set[0], 4)
 		} else {
-			sb.WriteByte('(')
+			w.WriteByte('(')
 			for i, part := range n.Set {
 				if i > 0 {
-					sb.WriteByte('|')
+					w.WriteByte('|')
 				}
-				writePath(sb, part, 2)
+				w.path(part, 2)
 			}
-			sb.WriteByte(')')
+			w.WriteByte(')')
 		}
 	}
 	if paren {
-		sb.WriteByte(')')
+		w.WriteByte(')')
 	}
-}
-
-func writeIRIText(sb *strings.Builder, iri string) {
-	if iri == RDFType {
-		sb.WriteString("a")
-		return
-	}
-	if strings.Contains(iri, "://") || strings.HasPrefix(iri, "urn:") || strings.HasPrefix(iri, "mailto:") {
-		sb.WriteByte('<')
-		sb.WriteString(iri)
-		sb.WriteByte('>')
-		return
-	}
-	if strings.Contains(iri, ":") {
-		sb.WriteString(iri) // prefixed form, as written
-		return
-	}
-	sb.WriteByte('<')
-	sb.WriteString(iri)
-	sb.WriteByte('>')
 }
 
 // IsTrivialPath reports whether the path is one of the two forms the paper

@@ -64,3 +64,23 @@ func TestRoundTripPreservesAnalysis(t *testing.T) {
 		}
 	}
 }
+
+// TestStringKeepsWrittenIRIForm pins that String writes every IRI the
+// way it was written — a bracketed IRI bracketed, a prefixed name bare —
+// in triple predicates, path atoms and function names alike, even when a
+// bracketed IRI's text looks like a prefixed name.
+func TestStringKeepsWrittenIRIForm(t *testing.T) {
+	for _, src := range []string{
+		"SELECT * WHERE { ?s <urn:p> ?o . ?s ex:p ?o }",
+		"PREFIX foo: <http://x/> SELECT * WHERE { ?s <foo:bar>+ ?o . ?s foo:bar/<foo:q> ?o . ?s !(<foo:r>|^foo:r) ?o }",
+		"SELECT * WHERE { ?s a/rdf:type ?o . FILTER ((<foo:f>(?o) && foo:g(?o)) && <http://www.w3.org/1999/02/22-rdf-syntax-ns#type>(?o)) }",
+	} {
+		q, err := sparql.Parse(src)
+		if err != nil {
+			t.Fatalf("parse %q: %v", src, err)
+		}
+		if got := q.String(); got != src {
+			t.Errorf("String changed the written form:\n src: %s\n got: %s", src, got)
+		}
+	}
+}

@@ -5,197 +5,258 @@ import (
 	"strings"
 )
 
-// String renders the query back to SPARQL concrete syntax. The output
-// round-trips through Parse to a structurally identical AST (modulo
-// whitespace), which the serializer tests verify; this property lets the
-// synthetic log generator feed generated queries through the exact same
-// lex/parse pipeline the analyzer uses for real logs.
+// String renders the query back to SPARQL concrete syntax. Every IRI is
+// written the way it was parsed (a prefixed name bare, a full IRI in
+// brackets), so the output re-parses to a structurally identical AST
+// (modulo whitespace), which the serializer tests verify; this property
+// lets the synthetic log generator feed generated queries through the
+// exact same lex/parse pipeline the analyzer uses for real logs.
 func (q *Query) String() string {
-	var sb strings.Builder
-	writeQuery(&sb, q)
-	return sb.String()
+	var w writer
+	w.query(q)
+	return w.String()
 }
 
-func writeQuery(sb *strings.Builder, q *Query) {
-	if q.Prologue.Base != "" {
-		sb.WriteString("BASE <")
-		sb.WriteString(q.Prologue.Base)
-		sb.WriteString("> ")
+// writer is the one SPARQL writer: String, PatternString, ExprString,
+// PathString, QueryString and CanonPatternStrings all render through
+// it. With a canon it writes the canonical form instead of the text as
+// parsed (see QueryString).
+type writer struct {
+	strings.Builder
+	canon *canon
+}
+
+// canon is the renaming state of one canonical rendering: variables and
+// blank nodes are numbered ?v0, ?v1, ... in first-occurrence order, and
+// prefixed names are expanded against the prologue.
+type canon struct {
+	prefixes Prefixes
+	names    map[string]int
+}
+
+func newCanon(prologue Prologue) *canon {
+	return &canon{prefixes: prologue.PrefixMap(), names: make(map[string]int)}
+}
+
+// number returns the number of a variable name, or of a blank node keyed
+// "_:label" (blank nodes are scoped like variables, so they share the
+// namespace and labels do not matter), assigning the next one on first
+// sight.
+func (c *canon) number(key string) int {
+	n, ok := c.names[key]
+	if !ok {
+		n = len(c.names)
+		c.names[key] = n
 	}
-	for _, pd := range q.Prologue.Prefixes {
-		sb.WriteString("PREFIX ")
-		sb.WriteString(pd.Name)
-		sb.WriteString(": <")
-		sb.WriteString(pd.IRI)
-		sb.WriteString("> ")
+	return n
+}
+
+// reserve numbers the variables and blank nodes among ts ahead of their
+// place in the text, where the canonical numbering meets them first.
+func (w *writer) reserve(ts ...Term) {
+	if w.canon == nil {
+		return
+	}
+	for _, t := range ts {
+		switch t.Kind {
+		case TermVar:
+			w.canon.number(t.Value)
+		case TermBlank:
+			w.canon.number("_:" + t.Value)
+		}
+	}
+}
+
+func (w *writer) query(q *Query) {
+	if w.canon == nil {
+		// The canonical form expands prefixed names, so it has no prologue.
+		w.prologue(q.Prologue)
 	}
 	switch q.Type {
 	case SelectQuery:
-		writeSelectCore(sb, q)
+		w.selectCore(q)
 	case AskQuery:
-		sb.WriteString("ASK")
-		writeDatasets(sb, q)
-		sb.WriteByte(' ')
-		writePattern(sb, q.Where)
+		w.WriteString("ASK")
+		w.datasets(q)
+		w.WriteByte(' ')
+		w.pattern(q.Where)
 	case ConstructQuery:
-		sb.WriteString("CONSTRUCT")
+		w.WriteString("CONSTRUCT")
 		if q.ConstructWhere {
-			writeDatasets(sb, q)
-			sb.WriteString(" WHERE ")
-			writePattern(sb, q.Where)
+			// The template is the WHERE clause's triples, numbered first.
+			for _, t := range q.Template {
+				w.reserve(t.S, t.P, t.O)
+			}
+			w.datasets(q)
+			w.WriteString(" WHERE ")
+			w.pattern(q.Where)
 		} else {
-			sb.WriteString(" { ")
+			w.WriteString(" { ")
 			for i, t := range q.Template {
 				if i > 0 {
-					sb.WriteString(" . ")
+					w.WriteString(" . ")
 				}
-				writeTriple(sb, t)
+				w.triple(t)
 			}
-			sb.WriteString(" }")
-			writeDatasets(sb, q)
-			sb.WriteString(" WHERE ")
-			writePattern(sb, q.Where)
+			w.WriteString(" }")
+			w.datasets(q)
+			w.WriteString(" WHERE ")
+			w.pattern(q.Where)
 		}
 	case DescribeQuery:
-		sb.WriteString("DESCRIBE")
+		w.WriteString("DESCRIBE")
 		if q.DescribeStar {
-			sb.WriteString(" *")
+			w.WriteString(" *")
 		}
 		for _, t := range q.DescribeTerms {
-			sb.WriteByte(' ')
-			writeTerm(sb, t)
+			w.WriteByte(' ')
+			w.term(t)
 		}
-		writeDatasets(sb, q)
+		w.datasets(q)
 		if q.Where != nil {
-			sb.WriteString(" WHERE ")
-			writePattern(sb, q.Where)
+			w.WriteString(" WHERE ")
+			w.pattern(q.Where)
 		}
 	}
-	writeModifiers(sb, &q.Mods)
+	w.modifiers(&q.Mods)
 	if q.TrailingValues != nil {
-		sb.WriteByte(' ')
-		writeValues(sb, q.TrailingValues)
+		w.WriteByte(' ')
+		w.values(q.TrailingValues)
 	}
 }
 
-func writeSelectCore(sb *strings.Builder, q *Query) {
-	sb.WriteString("SELECT")
+func (w *writer) prologue(p Prologue) {
+	if p.Base != "" {
+		w.WriteString("BASE <")
+		w.WriteString(p.Base)
+		w.WriteString("> ")
+	}
+	for _, pd := range p.Prefixes {
+		w.WriteString("PREFIX ")
+		w.WriteString(pd.Name)
+		w.WriteString(": <")
+		w.WriteString(pd.IRI)
+		w.WriteString("> ")
+	}
+}
+
+func (w *writer) selectCore(q *Query) {
+	w.WriteString("SELECT")
 	if q.Distinct {
-		sb.WriteString(" DISTINCT")
+		w.WriteString(" DISTINCT")
 	}
 	if q.Reduced {
-		sb.WriteString(" REDUCED")
+		w.WriteString(" REDUCED")
 	}
 	if q.SelectStar {
-		sb.WriteString(" *")
+		w.WriteString(" *")
 	}
 	for _, it := range q.Select {
-		sb.WriteByte(' ')
+		w.WriteByte(' ')
 		if it.Expr != nil {
-			sb.WriteByte('(')
-			writeExpr(sb, it.Expr)
-			sb.WriteString(" AS ?")
-			sb.WriteString(it.Var.Value)
-			sb.WriteByte(')')
+			// (expr AS ?x) numbers ?x before the expression's variables.
+			w.reserve(it.Var)
+			w.WriteByte('(')
+			w.expr(it.Expr)
+			w.WriteString(" AS ")
+			w.variable(it.Var.Value)
+			w.WriteByte(')')
 		} else {
-			sb.WriteByte('?')
-			sb.WriteString(it.Var.Value)
+			w.variable(it.Var.Value)
 		}
 	}
-	writeDatasets(sb, q)
-	sb.WriteString(" WHERE ")
-	writePattern(sb, q.Where)
+	w.datasets(q)
+	w.WriteString(" WHERE ")
+	w.pattern(q.Where)
 }
 
-func writeDatasets(sb *strings.Builder, q *Query) {
+func (w *writer) datasets(q *Query) {
 	for _, d := range q.Datasets {
-		sb.WriteString(" FROM ")
+		w.WriteString(" FROM ")
 		if d.Named {
-			sb.WriteString("NAMED ")
+			w.WriteString("NAMED ")
 		}
-		writeTerm(sb, d.IRI)
+		w.term(d.IRI)
 	}
 }
 
-func writeModifiers(sb *strings.Builder, m *Modifiers) {
+func (w *writer) modifiers(m *Modifiers) {
 	if len(m.GroupBy) > 0 {
-		sb.WriteString(" GROUP BY")
+		w.WriteString(" GROUP BY")
 		for _, gk := range m.GroupBy {
-			sb.WriteByte(' ')
+			w.WriteByte(' ')
 			if gk.AsVar {
-				sb.WriteByte('(')
-				writeExpr(sb, gk.Expr)
-				sb.WriteString(" AS ?")
-				sb.WriteString(gk.Var.Value)
-				sb.WriteByte(')')
+				w.WriteByte('(')
+				w.expr(gk.Expr)
+				w.WriteString(" AS ")
+				w.variable(gk.Var.Value)
+				w.WriteByte(')')
 			} else if te, ok := gk.Expr.(*TermExpr); ok && te.Term.Kind == TermVar {
-				sb.WriteByte('?')
-				sb.WriteString(te.Term.Value)
+				w.variable(te.Term.Value)
 			} else {
-				sb.WriteByte('(')
-				writeExpr(sb, gk.Expr)
-				sb.WriteByte(')')
+				w.WriteByte('(')
+				w.expr(gk.Expr)
+				w.WriteByte(')')
 			}
 		}
 	}
 	if len(m.Having) > 0 {
-		sb.WriteString(" HAVING")
+		w.WriteString(" HAVING")
 		for _, h := range m.Having {
-			sb.WriteString(" (")
-			writeExpr(sb, h)
-			sb.WriteByte(')')
+			w.WriteString(" (")
+			w.expr(h)
+			w.WriteByte(')')
 		}
 	}
 	if len(m.OrderBy) > 0 {
-		sb.WriteString(" ORDER BY")
+		w.WriteString(" ORDER BY")
 		for _, ok := range m.OrderBy {
-			sb.WriteByte(' ')
+			w.WriteByte(' ')
 			if ok.Explicit {
 				if ok.Desc {
-					sb.WriteString("DESC(")
+					w.WriteString("DESC(")
 				} else {
-					sb.WriteString("ASC(")
+					w.WriteString("ASC(")
 				}
-				writeExpr(sb, ok.Expr)
-				sb.WriteByte(')')
+				w.expr(ok.Expr)
+				w.WriteByte(')')
 			} else if te, isTerm := ok.Expr.(*TermExpr); isTerm && te.Term.Kind == TermVar {
-				sb.WriteByte('?')
-				sb.WriteString(te.Term.Value)
+				w.variable(te.Term.Value)
 			} else {
-				sb.WriteByte('(')
-				writeExpr(sb, ok.Expr)
-				sb.WriteByte(')')
+				w.WriteByte('(')
+				w.expr(ok.Expr)
+				w.WriteByte(')')
 			}
 		}
 	}
 	if m.HasLimit {
-		sb.WriteString(" LIMIT ")
-		sb.WriteString(strconv.FormatInt(m.Limit, 10))
+		w.WriteString(" LIMIT ")
+		w.WriteString(strconv.FormatInt(m.Limit, 10))
 	}
 	if m.HasOffset {
-		sb.WriteString(" OFFSET ")
-		sb.WriteString(strconv.FormatInt(m.Offset, 10))
+		w.WriteString(" OFFSET ")
+		w.WriteString(strconv.FormatInt(m.Offset, 10))
 	}
 }
 
-func writePattern(sb *strings.Builder, p Pattern) {
+func (w *writer) pattern(p Pattern) {
 	switch n := p.(type) {
 	case nil:
-		sb.WriteString("{ }")
+		w.WriteString("{ }")
 	case *Group:
-		sb.WriteString("{ ")
+		w.WriteString("{ ")
 		for i, el := range n.Elems {
 			if i > 0 {
-				sb.WriteString(" . ")
+				w.WriteString(" . ")
 			}
-			writeGroupElement(sb, el)
+			w.groupElement(el)
 		}
-		sb.WriteString(" }")
+		w.WriteString(" }")
 	default:
 		// A non-group at top level is wrapped for valid syntax.
-		sb.WriteString("{ ")
-		writeGroupElement(sb, p)
-		sb.WriteString(" }")
+		w.WriteString("{ ")
+		w.groupElement(p)
+		w.WriteString(" }")
 	}
 }
 
@@ -206,280 +267,327 @@ func PatternString(p Pattern) string {
 	if p == nil {
 		return ""
 	}
-	var sb strings.Builder
-	writeGroupElement(&sb, p)
-	return sb.String()
+	var w writer
+	w.groupElement(p)
+	return w.String()
 }
 
-func writeGroupElement(sb *strings.Builder, p Pattern) {
+func (w *writer) groupElement(p Pattern) {
 	switch n := p.(type) {
 	case *TriplePattern:
-		writeTriple(sb, n)
+		w.triple(n)
 	case *PathPattern:
-		writeTerm(sb, n.S)
-		sb.WriteByte(' ')
-		sb.WriteString(PathString(n.Path))
-		sb.WriteByte(' ')
-		writeTerm(sb, n.O)
+		w.term(n.S)
+		w.WriteByte(' ')
+		w.path(n.Path, 0)
+		w.WriteByte(' ')
+		w.term(n.O)
 	case *Group:
-		writePattern(sb, n)
+		w.pattern(n)
 	case *Union:
-		writeUnionOperand(sb, n.Left)
-		sb.WriteString(" UNION ")
-		writeUnionOperand(sb, n.Right)
+		w.unionOperand(n.Left)
+		w.WriteString(" UNION ")
+		w.unionOperand(n.Right)
 	case *Optional:
-		sb.WriteString("OPTIONAL ")
-		writePattern(sb, n.Inner)
+		w.WriteString("OPTIONAL ")
+		w.pattern(n.Inner)
 	case *GraphGraph:
-		sb.WriteString("GRAPH ")
-		writeTerm(sb, n.Name)
-		sb.WriteByte(' ')
-		writePattern(sb, n.Inner)
+		w.WriteString("GRAPH ")
+		w.term(n.Name)
+		w.WriteByte(' ')
+		w.pattern(n.Inner)
 	case *MinusGraph:
-		sb.WriteString("MINUS ")
-		writePattern(sb, n.Inner)
+		w.WriteString("MINUS ")
+		w.pattern(n.Inner)
 	case *ServiceGraph:
-		sb.WriteString("SERVICE ")
+		w.WriteString("SERVICE ")
 		if n.Silent {
-			sb.WriteString("SILENT ")
+			w.WriteString("SILENT ")
 		}
-		writeTerm(sb, n.Name)
-		sb.WriteByte(' ')
-		writePattern(sb, n.Inner)
+		w.term(n.Name)
+		w.WriteByte(' ')
+		w.pattern(n.Inner)
 	case *Filter:
-		sb.WriteString("FILTER (")
-		writeExpr(sb, n.Constraint)
-		sb.WriteByte(')')
+		w.WriteString("FILTER (")
+		w.expr(n.Constraint)
+		w.WriteByte(')')
 	case *Bind:
-		sb.WriteString("BIND (")
-		writeExpr(sb, n.Expr)
-		sb.WriteString(" AS ?")
-		sb.WriteString(n.Var.Value)
-		sb.WriteByte(')')
+		w.WriteString("BIND (")
+		w.expr(n.Expr)
+		w.WriteString(" AS ")
+		w.variable(n.Var.Value)
+		w.WriteByte(')')
 	case *InlineData:
-		writeValues(sb, n)
+		w.values(n)
 	case *SubSelect:
-		sb.WriteString("{ ")
-		writeQuery(sb, n.Query)
-		sb.WriteString(" }")
+		w.WriteString("{ ")
+		w.query(n.Query)
+		w.WriteString(" }")
 	}
 }
 
-// writeUnionOperand always braces union operands, as required by the
+// unionOperand always braces union operands, as required by the
 // grammar (UNION joins GroupGraphPatterns).
-func writeUnionOperand(sb *strings.Builder, p Pattern) {
+func (w *writer) unionOperand(p Pattern) {
 	switch p.(type) {
 	case *Group, *Union:
-		writeGroupElement(sb, p)
+		w.groupElement(p)
 	default:
-		sb.WriteString("{ ")
-		writeGroupElement(sb, p)
-		sb.WriteString(" }")
+		w.WriteString("{ ")
+		w.groupElement(p)
+		w.WriteString(" }")
 	}
 }
 
-func writeValues(sb *strings.Builder, vd *InlineData) {
-	sb.WriteString("VALUES ")
+func (w *writer) values(vd *InlineData) {
+	w.WriteString("VALUES ")
 	if len(vd.Vars) == 1 {
-		sb.WriteByte('?')
-		sb.WriteString(vd.Vars[0].Value)
+		w.variable(vd.Vars[0].Value)
 	} else {
-		sb.WriteByte('(')
+		w.WriteByte('(')
 		for i, v := range vd.Vars {
 			if i > 0 {
-				sb.WriteByte(' ')
+				w.WriteByte(' ')
 			}
-			sb.WriteByte('?')
-			sb.WriteString(v.Value)
+			w.variable(v.Value)
 		}
-		sb.WriteByte(')')
+		w.WriteByte(')')
 	}
-	sb.WriteString(" { ")
+	w.WriteString(" { ")
 	for ri, row := range vd.Rows {
 		if ri > 0 {
-			sb.WriteByte(' ')
+			w.WriteByte(' ')
 		}
 		if len(vd.Vars) == 1 {
-			writeDataValue(sb, row, vd.Undef[ri], 0)
+			w.dataValue(row, vd.Undef[ri], 0)
 		} else {
-			sb.WriteByte('(')
+			w.WriteByte('(')
 			for ci := range row {
 				if ci > 0 {
-					sb.WriteByte(' ')
+					w.WriteByte(' ')
 				}
-				writeDataValue(sb, row, vd.Undef[ri], ci)
+				w.dataValue(row, vd.Undef[ri], ci)
 			}
-			sb.WriteByte(')')
+			w.WriteByte(')')
 		}
 	}
-	sb.WriteString(" }")
+	w.WriteString(" }")
 }
 
-func writeDataValue(sb *strings.Builder, row []Term, undef []bool, i int) {
+func (w *writer) dataValue(row []Term, undef []bool, i int) {
 	if i < len(undef) && undef[i] {
-		sb.WriteString("UNDEF")
+		w.WriteString("UNDEF")
 		return
 	}
-	writeTerm(sb, row[i])
+	w.term(row[i])
 }
 
-func writeTriple(sb *strings.Builder, t *TriplePattern) {
-	writeTerm(sb, t.S)
-	sb.WriteByte(' ')
-	if t.P.Kind == TermIRI && t.P.Value == RDFType {
-		sb.WriteByte('a')
+func (w *writer) triple(t *TriplePattern) {
+	w.term(t.S)
+	w.WriteByte(' ')
+	if t.P.Kind == TermIRI {
+		w.verb(t.P.Value, t.P.PrefixedForm)
 	} else {
-		writeTerm(sb, t.P)
+		w.term(t.P)
 	}
-	sb.WriteByte(' ')
-	writeTerm(sb, t.O)
+	w.WriteByte(' ')
+	w.term(t.O)
 }
 
-func writeTerm(sb *strings.Builder, t Term) {
+// variable writes ?name, renamed under a canon.
+func (w *writer) variable(name string) {
+	w.WriteByte('?')
+	if w.canon == nil {
+		w.WriteString(name)
+		return
+	}
+	w.renamed(name)
+}
+
+// renamed writes the canonical name of a variable, or of a blank node
+// keyed "_:label": v and its number.
+func (w *writer) renamed(key string) {
+	w.WriteByte('v')
+	w.WriteString(strconv.Itoa(w.canon.number(key)))
+}
+
+func (w *writer) term(t Term) {
 	switch t.Kind {
 	case TermVar:
-		sb.WriteByte('?')
-		sb.WriteString(t.Value)
+		w.variable(t.Value)
 	case TermIRI:
-		if t.PrefixedForm {
-			sb.WriteString(t.Value)
-		} else {
-			sb.WriteByte('<')
-			sb.WriteString(t.Value)
-			sb.WriteByte('>')
-		}
+		w.iri(w.expand(t.Value, t.PrefixedForm))
 	case TermBlank:
-		sb.WriteString("_:")
-		sb.WriteString(t.Value)
+		w.WriteString("_:")
+		if w.canon == nil {
+			w.WriteString(t.Value)
+			return
+		}
+		w.renamed("_:" + t.Value)
 	case TermLiteral:
-		writeLiteral(sb, t)
+		w.literal(t)
 	}
 }
 
-func writeLiteral(sb *strings.Builder, t Term) {
+// expand returns the IRI text to write and whether to write it as a
+// prefixed name: as parsed, or under a canon expanded against the
+// prologue and bracketed, so that one IRI has one spelling whatever its
+// prefix and its syntactic position.
+func (w *writer) expand(iri string, prefixed bool) (string, bool) {
+	if w.canon == nil {
+		return iri, prefixed
+	}
+	return w.canon.prefixes.Expand(iri, prefixed), false
+}
+
+// iri writes an IRI: a prefixed name bare, a full IRI in brackets.
+func (w *writer) iri(iri string, prefixed bool) {
+	if prefixed {
+		w.WriteString(iri)
+		return
+	}
+	w.WriteByte('<')
+	w.WriteString(iri)
+	w.WriteByte('>')
+}
+
+// verb writes an IRI in predicate position, where rdf:type is 'a'.
+func (w *writer) verb(iri string, prefixed bool) {
+	iri, prefixed = w.expand(iri, prefixed)
+	if iri == RDFType {
+		w.WriteByte('a')
+		return
+	}
+	w.iri(iri, prefixed)
+}
+
+func (w *writer) literal(t Term) {
 	switch t.Datatype {
 	case "http://www.w3.org/2001/XMLSchema#integer",
 		"http://www.w3.org/2001/XMLSchema#decimal",
 		"http://www.w3.org/2001/XMLSchema#double",
 		"http://www.w3.org/2001/XMLSchema#boolean":
 		// Numeric and boolean literals can be written bare.
-		sb.WriteString(t.Value)
+		w.WriteString(t.Value)
 		return
 	}
-	sb.WriteByte('"')
+	w.WriteByte('"')
 	for i := 0; i < len(t.Value); i++ {
 		c := t.Value[i]
 		switch c {
 		case '"':
-			sb.WriteString(`\"`)
+			w.WriteString(`\"`)
 		case '\\':
-			sb.WriteString(`\\`)
+			w.WriteString(`\\`)
 		case '\n':
-			sb.WriteString(`\n`)
+			w.WriteString(`\n`)
 		case '\r':
-			sb.WriteString(`\r`)
+			w.WriteString(`\r`)
 		case '\t':
-			sb.WriteString(`\t`)
+			w.WriteString(`\t`)
 		default:
-			sb.WriteByte(c)
+			w.WriteByte(c)
 		}
 	}
-	sb.WriteByte('"')
+	w.WriteByte('"')
 	if t.Lang != "" {
-		sb.WriteByte('@')
-		sb.WriteString(t.Lang)
+		w.WriteByte('@')
+		w.WriteString(t.Lang)
 	} else if t.Datatype != "" {
-		sb.WriteString("^^<")
-		sb.WriteString(t.Datatype)
-		sb.WriteByte('>')
+		w.WriteString("^^<")
+		w.WriteString(t.Datatype)
+		w.WriteByte('>')
 	}
 }
 
 // ExprString renders an expression in SPARQL syntax.
 func ExprString(e Expr) string {
-	var sb strings.Builder
-	writeExpr(&sb, e)
-	return sb.String()
+	var w writer
+	w.expr(e)
+	return w.String()
 }
 
-func writeExpr(sb *strings.Builder, e Expr) {
+func (w *writer) expr(e Expr) {
 	switch n := e.(type) {
 	case *BinaryExpr:
-		writeExprOperand(sb, n.L)
-		sb.WriteByte(' ')
-		sb.WriteString(n.Op)
-		sb.WriteByte(' ')
-		writeExprOperand(sb, n.R)
+		w.exprOperand(n.L)
+		w.WriteByte(' ')
+		w.WriteString(n.Op)
+		w.WriteByte(' ')
+		w.exprOperand(n.R)
 	case *UnaryExpr:
-		sb.WriteString(n.Op)
-		writeExprOperand(sb, n.X)
+		w.WriteString(n.Op)
+		w.exprOperand(n.X)
 	case *FuncCall:
 		if n.IRICall {
-			writeIRIText(sb, n.Name)
+			// Written as parsed even under a canon: no function is
+			// defined by IRI, so the call's answer does not depend on
+			// what the name expands to.
+			w.iri(n.Name, n.PrefixedForm)
 		} else {
-			sb.WriteString(n.Name)
+			w.WriteString(n.Name)
 		}
-		sb.WriteByte('(')
+		w.WriteByte('(')
 		if n.Distinct {
-			sb.WriteString("DISTINCT ")
+			w.WriteString("DISTINCT ")
 		}
 		for i, a := range n.Args {
 			if i > 0 {
-				sb.WriteString(", ")
+				w.WriteString(", ")
 			}
-			writeExpr(sb, a)
+			w.expr(a)
 		}
-		sb.WriteByte(')')
+		w.WriteByte(')')
 	case *AggregateExpr:
-		sb.WriteString(n.Name)
-		sb.WriteByte('(')
+		w.WriteString(n.Name)
+		w.WriteByte('(')
 		if n.Distinct {
-			sb.WriteString("DISTINCT ")
+			w.WriteString("DISTINCT ")
 		}
 		if n.Star {
-			sb.WriteByte('*')
+			w.WriteByte('*')
 		} else {
-			writeExpr(sb, n.Arg)
+			w.expr(n.Arg)
 		}
 		if n.HasSep {
-			sb.WriteString(" ; SEPARATOR = \"")
-			sb.WriteString(n.Separator)
-			sb.WriteByte('"')
+			w.WriteString(" ; SEPARATOR = \"")
+			w.WriteString(n.Separator)
+			w.WriteByte('"')
 		}
-		sb.WriteByte(')')
+		w.WriteByte(')')
 	case *ExistsExpr:
 		if n.Not {
-			sb.WriteString("NOT ")
+			w.WriteString("NOT ")
 		}
-		sb.WriteString("EXISTS ")
-		writePattern(sb, n.Pattern)
+		w.WriteString("EXISTS ")
+		w.pattern(n.Pattern)
 	case *TermExpr:
-		writeTerm(sb, n.Term)
+		w.term(n.Term)
 	case *InExpr:
-		writeExprOperand(sb, n.X)
+		w.exprOperand(n.X)
 		if n.Not {
-			sb.WriteString(" NOT")
+			w.WriteString(" NOT")
 		}
-		sb.WriteString(" IN (")
+		w.WriteString(" IN (")
 		for i, a := range n.List {
 			if i > 0 {
-				sb.WriteString(", ")
+				w.WriteString(", ")
 			}
-			writeExpr(sb, a)
+			w.expr(a)
 		}
-		sb.WriteByte(')')
+		w.WriteByte(')')
 	}
 }
 
-// writeExprOperand parenthesizes compound operands so the rendered text
+// exprOperand parenthesizes compound operands so the rendered text
 // preserves the tree structure regardless of operator precedence.
-func writeExprOperand(sb *strings.Builder, e Expr) {
+func (w *writer) exprOperand(e Expr) {
 	switch e.(type) {
 	case *BinaryExpr, *InExpr:
-		sb.WriteByte('(')
-		writeExpr(sb, e)
-		sb.WriteByte(')')
+		w.WriteByte('(')
+		w.expr(e)
+		w.WriteByte(')')
 	default:
-		writeExpr(sb, e)
+		w.expr(e)
 	}
 }
