@@ -1,8 +1,8 @@
 // Package sparqlog's root benchmark harness: one benchmark per table and
-// figure of the paper (see DESIGN.md's experiment index), plus ablation
-// benchmarks for the design choices called out there. Each BenchmarkXxx
-// regenerates its table/figure end to end; EXPERIMENTS.md records the
-// paper-vs-measured comparison produced by cmd/sparqlanalyze.
+// figure of the paper, plus ablation benchmarks for design choices. Each
+// BenchmarkXxx regenerates its table/figure end to end; the
+// paper-vs-measured comparison itself is what cmd/sparqlanalyze prints
+// (README.md), and the end-to-end benchmark is bench/ (bench/README.md).
 package sparqlog
 
 import (
@@ -275,7 +275,7 @@ func BenchmarkAppendixValidCorpus(b *testing.B) {
 	}
 }
 
-// ---------- Ablation benchmarks (DESIGN.md "Design choices") ----------
+// ---------- Ablation benchmarks ----------
 
 // BenchmarkAblationLevenshtein contrasts the full edit-distance DP with
 // the banded early-exit variant used by streak detection.

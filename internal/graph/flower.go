@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // This file implements the petal/flower classification of Definition 6.1:
 // a petal is a pair of nodes s, t joined by at least two node-disjoint
 // paths (a cycle is a petal), and a flower is a node x with three kinds of
@@ -28,20 +30,24 @@ func (g *Graph) biconnectedComponents() [][]int {
 	var stack []edge
 	timer := 0
 
+	inComp := make([]bool, g.n)
 	popComponent := func(u, v int) {
-		nodes := map[int]bool{}
+		var comp []int
 		for len(stack) > 0 {
 			e := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			nodes[e.u] = true
-			nodes[e.v] = true
+			for _, x := range [2]int{e.u, e.v} {
+				if !inComp[x] {
+					inComp[x] = true
+					comp = append(comp, x)
+				}
+			}
 			if e.u == u && e.v == v {
 				break
 			}
 		}
-		comp := make([]int, 0, len(nodes))
-		for n := range nodes {
-			comp = append(comp, n)
+		for _, x := range comp {
+			inComp[x] = false
 		}
 		comps = append(comps, comp)
 	}
@@ -49,21 +55,20 @@ func (g *Graph) biconnectedComponents() [][]int {
 	// Iterative DFS to avoid recursion limits on large star queries.
 	type frame struct {
 		u, parent int
-		neighbors []int
 		idx       int
 	}
 	for s := 0; s < g.n; s++ {
 		if disc[s] != -1 {
 			continue
 		}
-		stackF := []frame{{u: s, parent: -1, neighbors: g.Neighbors(s)}}
+		stackF := []frame{{u: s, parent: -1}}
 		disc[s] = timer
 		low[s] = timer
 		timer++
 		for len(stackF) > 0 {
 			f := &stackF[len(stackF)-1]
-			if f.idx < len(f.neighbors) {
-				v := f.neighbors[f.idx]
+			if f.idx < len(g.adj[f.u]) {
+				v := g.adj[f.u][f.idx]
 				f.idx++
 				if v == f.parent {
 					continue
@@ -73,7 +78,7 @@ func (g *Graph) biconnectedComponents() [][]int {
 					disc[v] = timer
 					low[v] = timer
 					timer++
-					stackF = append(stackF, frame{u: v, parent: f.u, neighbors: g.Neighbors(v)})
+					stackF = append(stackF, frame{u: v, parent: f.u})
 				} else if disc[v] < disc[f.u] {
 					stack = append(stack, edge{f.u, v})
 					if disc[v] < low[f.u] {
@@ -103,13 +108,10 @@ func (g *Graph) biconnectedComponents() [][]int {
 // cycles every node can serve as a terminal, reported by anyTerminal. For
 // proper theta graphs the two high-degree terminals are returned.
 func (g *Graph) petalTerminals(comp []int) (terminals []int, anyTerminal, ok bool) {
-	in := make(map[int]bool, len(comp))
-	for _, u := range comp {
-		in[u] = true
-	}
+	in := g.members(comp)
 	deg := func(u int) int {
 		d := 0
-		for v := range g.adj[u] {
+		for _, v := range g.adj[u] {
 			if in[v] {
 				d++
 			}
@@ -141,6 +143,46 @@ func (g *Graph) petalTerminals(comp []int) (terminals []int, anyTerminal, ok boo
 	}
 }
 
+// flowerCenters returns the nodes that can be a flower's center, as a
+// membership slice with its count: a self-loop is a petal at its own node,
+// and each cyclic biconnected component is a petal whose center is one of
+// its terminals. ok is false when some cyclic component is not a petal.
+func (g *Graph) flowerCenters() (cand []bool, count int, ok bool) {
+	cand = make([]bool, g.n)
+	for u := range cand {
+		cand[u] = true
+	}
+	count = g.n
+	keepOnly := func(allowed []int) {
+		in := g.members(allowed)
+		for u, c := range cand {
+			if c && !in[u] {
+				cand[u] = false
+				count--
+			}
+		}
+	}
+	for u, l := range g.loop {
+		if l {
+			keepOnly([]int{u})
+		}
+	}
+	for _, comp := range g.biconnectedComponents() {
+		if g.componentEdges(comp) <= len(comp)-1 {
+			continue
+		}
+		terms, anyTerm, ok := g.petalTerminals(comp)
+		if !ok {
+			return nil, 0, false
+		}
+		if anyTerm {
+			terms = comp
+		}
+		keepOnly(terms)
+	}
+	return cand, count, true
+}
+
 // IsFlower reports whether the graph is a flower (Definition 6.1). The
 // graph must be connected and non-empty. Trees are flowers; a cyclic graph
 // is a flower when some node x lies in every cyclic biconnected component
@@ -150,59 +192,18 @@ func (g *Graph) IsFlower() bool {
 	if g.n == 0 || !g.Connected() {
 		return false
 	}
-	var cyclic [][]int
-	for _, comp := range g.biconnectedComponents() {
-		if g.componentEdges(comp) > len(comp)-1 {
-			cyclic = append(cyclic, comp)
-		}
+	if g.IsForest() {
+		return true
 	}
-	// Candidate centers: all nodes initially; restrict by each constraint.
-	candidates := make(map[int]bool, g.n)
-	for u := 0; u < g.n; u++ {
-		candidates[u] = true
-	}
-	for u := range g.loops {
-		// Self-loop petals attach at their own node; the center must be
-		// that node or the loop is a petal hanging off the center via...
-		// no: a petal attaches at x directly, so the loop node must be x.
-		for v := range candidates {
-			if v != u {
-				delete(candidates, v)
-			}
-		}
-	}
-	for _, comp := range cyclic {
-		terms, anyTerm, ok := g.petalTerminals(comp)
-		if !ok {
-			return false
-		}
-		allowed := make(map[int]bool)
-		if anyTerm {
-			for _, u := range comp {
-				allowed[u] = true
-			}
-		} else {
-			for _, u := range terms {
-				allowed[u] = true
-			}
-		}
-		for v := range candidates {
-			if !allowed[v] {
-				delete(candidates, v)
-			}
-		}
-		if len(candidates) == 0 {
-			return false
-		}
-	}
-	return len(candidates) > 0
+	_, count, ok := g.flowerCenters()
+	return ok && count > 0
 }
 
 // IsFlowerSet reports whether every connected component is a flower.
 // The empty graph is vacuously a flower set, keeping the Table 4 rows
 // cumulative for queries without triples.
 func (g *Graph) IsFlowerSet() bool {
-	if g.n == 0 {
+	if g.IsForest() {
 		return true
 	}
 	for _, comp := range g.Components() {
@@ -231,26 +232,23 @@ func (g *Graph) Anatomy() (FlowerAnatomy, bool) {
 	}
 	center := g.flowerCenter()
 	a := FlowerAnatomy{Center: center}
-	if g.loops[center] {
+	if g.loop[center] {
 		a.Petals++
 	}
 	// Remove center; classify each remaining component by how it hangs off.
-	var rest []int
-	for u := 0; u < g.n; u++ {
+	rest := make([]int, 0, g.n-1)
+	for u := range g.n {
 		if u != center {
 			rest = append(rest, u)
 		}
 	}
 	sub, orig := g.Subgraph(rest)
+	linked := g.members(g.adj[center])
 	for _, comp := range sub.Components() {
-		compOrig := make(map[int]bool, len(comp))
-		for _, u := range comp {
-			compOrig[orig[u]] = true
-		}
 		// Count edges from the center into this component.
 		links := 0
-		for v := range g.adj[center] {
-			if compOrig[v] {
+		for _, u := range comp {
+			if linked[orig[u]] {
 				links++
 			}
 		}
@@ -267,64 +265,17 @@ func (g *Graph) Anatomy() (FlowerAnatomy, bool) {
 	return a, true
 }
 
-// flowerCenter returns a valid flower center, preferring nodes constrained
-// by cyclic biconnected components, falling back to a maximum-degree node
-// for trees.
+// flowerCenter returns a valid flower center: the smallest candidate of a
+// cyclic flower, or a maximum-degree node of a tree.
 func (g *Graph) flowerCenter() int {
-	var cyclic [][]int
-	for _, comp := range g.biconnectedComponents() {
-		if g.componentEdges(comp) > len(comp)-1 {
-			cyclic = append(cyclic, comp)
-		}
+	if !g.IsForest() {
+		cand, _, _ := g.flowerCenters()
+		return slices.Index(cand, true)
 	}
-	for u := range g.loops {
-		return u
-	}
-	if len(cyclic) > 0 {
-		candidates := make(map[int]bool)
-		terms, anyTerm, _ := g.petalTerminals(cyclic[0])
-		if anyTerm {
-			for _, u := range cyclic[0] {
-				candidates[u] = true
-			}
-		} else {
-			for _, u := range terms {
-				candidates[u] = true
-			}
-		}
-		for _, comp := range cyclic[1:] {
-			terms, anyTerm, _ := g.petalTerminals(comp)
-			allowed := make(map[int]bool)
-			if anyTerm {
-				for _, u := range comp {
-					allowed[u] = true
-				}
-			} else {
-				for _, u := range terms {
-					allowed[u] = true
-				}
-			}
-			for v := range candidates {
-				if !allowed[v] {
-					delete(candidates, v)
-				}
-			}
-		}
-		best := -1
-		for u := range candidates {
-			if best == -1 || u < best {
-				best = u
-			}
-		}
-		if best >= 0 {
-			return best
-		}
-	}
-	// Tree case: pick the highest-degree node.
 	best, bestDeg := 0, -1
-	for u := 0; u < g.n; u++ {
-		if d := len(g.adj[u]); d > bestDeg {
-			best, bestDeg = u, d
+	for u, nb := range g.adj {
+		if len(nb) > bestDeg {
+			best, bestDeg = u, len(nb)
 		}
 	}
 	return best

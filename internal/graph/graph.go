@@ -7,27 +7,40 @@
 // Graphs here are canonical graphs of queries: simple undirected graphs
 // (edge sets, so parallel query edges collapse) that may contain self-loops
 // (from triples like ?x :p ?x).
+//
+// Almost every canonical graph is a small forest, and the representation
+// is laid out for that case. A node's neighbours are a sorted, distinct
+// []int; self-loops are a []bool and a count; AddEdge keeps the number of
+// connected components with a union-find. A graph is then a forest exactly
+// when it has no self-loop and M = N - components, an O(1) test, and the
+// predicates a forest settles by definition (IsForest, IsFlower,
+// IsFlowerSet, Treewidth, Girth) answer it without a search. The searches
+// (biconnected components, girth BFS, exact treewidth) run only on graphs
+// with a cycle.
 package graph
 
-import "sort"
+import "slices"
 
 // Graph is an undirected graph over nodes 0..N-1 with set semantics for
 // edges. Self-loops are permitted and tracked separately from the simple
 // adjacency structure.
 type Graph struct {
-	n     int
-	adj   []map[int]bool
-	loops map[int]bool
-	edges int // number of non-loop edges
+	n      int
+	adj    [][]int // sorted, distinct non-loop neighbours
+	loop   []bool
+	loops  int   // number of nodes with a self-loop
+	edges  int   // number of non-loop edges
+	parent []int // union-find over nodes; only AddEdge writes it
+	comps  int   // number of connected components
 }
 
 // New returns an empty graph with n nodes and no edges.
 func New(n int) *Graph {
-	adj := make([]map[int]bool, n)
-	for i := range adj {
-		adj[i] = make(map[int]bool)
+	parent := make([]int, n)
+	for u := range parent {
+		parent[u] = u
 	}
-	return &Graph{n: n, adj: adj, loops: make(map[int]bool)}
+	return &Graph{n: n, adj: make([][]int, n), loop: make([]bool, n), parent: parent, comps: n}
 }
 
 // N returns the number of nodes.
@@ -37,70 +50,93 @@ func (g *Graph) N() int { return g.n }
 func (g *Graph) M() int { return g.edges }
 
 // Loops returns the number of nodes carrying a self-loop.
-func (g *Graph) Loops() int { return len(g.loops) }
+func (g *Graph) Loops() int { return g.loops }
 
 // AddEdge inserts the undirected edge {u, v}. Adding an existing edge is a
 // no-op (edges form a set); u == v records a self-loop.
 func (g *Graph) AddEdge(u, v int) {
 	if u == v {
-		g.loops[u] = true
+		if !g.loop[u] {
+			g.loop[u] = true
+			g.loops++
+		}
 		return
 	}
-	if !g.adj[u][v] {
-		g.adj[u][v] = true
-		g.adj[v][u] = true
-		g.edges++
+	i, found := slices.BinarySearch(g.adj[u], v)
+	if found {
+		return
 	}
+	g.adj[u] = slices.Insert(g.adj[u], i, v)
+	j, _ := slices.BinarySearch(g.adj[v], u)
+	g.adj[v] = slices.Insert(g.adj[v], j, u)
+	g.edges++
+	if ru, rv := g.find(u), g.find(v); ru != rv {
+		g.parent[ru] = rv
+		g.comps--
+	}
+}
+
+// find returns u's union-find root, halving the path as it goes.
+func (g *Graph) find(u int) int {
+	for g.parent[u] != u {
+		g.parent[u] = g.parent[g.parent[u]]
+		u = g.parent[u]
+	}
+	return u
 }
 
 // HasEdge reports whether {u, v} is an edge (or a self-loop when u == v).
 func (g *Graph) HasEdge(u, v int) bool {
 	if u == v {
-		return g.loops[u]
+		return g.loop[u]
 	}
-	return g.adj[u][v]
+	_, found := slices.BinarySearch(g.adj[u], v)
+	return found
 }
 
 // Degree returns the number of distinct non-loop neighbors of u.
 func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
 
 // HasLoop reports whether node u has a self-loop.
-func (g *Graph) HasLoop(u int) bool { return g.loops[u] }
+func (g *Graph) HasLoop(u int) bool { return g.loop[u] }
 
 // Neighbors returns the sorted neighbor list of u (self-loops excluded).
-func (g *Graph) Neighbors(u int) []int {
-	out := make([]int, 0, len(g.adj[u]))
-	for v := range g.adj[u] {
-		out = append(out, v)
+// The slice is shared with the graph; callers must not modify it.
+func (g *Graph) Neighbors(u int) []int { return g.adj[u] }
+
+// acyclic reports whether the graph without its self-loops is a forest:
+// every edge joins two components, so M = N - components.
+func (g *Graph) acyclic() bool { return g.edges == g.n-g.comps }
+
+// maxDegree returns the largest number of distinct non-loop neighbors.
+func (g *Graph) maxDegree() int {
+	d := 0
+	for _, nb := range g.adj {
+		d = max(d, len(nb))
 	}
-	sort.Ints(out)
-	return out
+	return d
 }
 
 // Components returns the connected components as sorted node slices, in
 // order of smallest contained node.
 func (g *Graph) Components() [][]int {
 	seen := make([]bool, g.n)
-	var comps [][]int
-	for s := 0; s < g.n; s++ {
+	comps := make([][]int, 0, g.comps)
+	for s := range g.n {
 		if seen[s] {
 			continue
 		}
-		var comp []int
-		queue := []int{s}
 		seen[s] = true
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			comp = append(comp, u)
-			for v := range g.adj[u] {
+		comp := []int{s}
+		for i := 0; i < len(comp); i++ {
+			for _, v := range g.adj[comp[i]] {
 				if !seen[v] {
 					seen[v] = true
-					queue = append(queue, v)
+					comp = append(comp, v)
 				}
 			}
 		}
-		sort.Ints(comp)
+		slices.Sort(comp)
 		comps = append(comps, comp)
 	}
 	return comps
@@ -108,41 +144,48 @@ func (g *Graph) Components() [][]int {
 
 // Connected reports whether the graph is connected (true for the empty and
 // single-node graphs).
-func (g *Graph) Connected() bool { return len(g.Components()) <= 1 }
+func (g *Graph) Connected() bool { return g.comps <= 1 }
 
 // Subgraph returns the induced subgraph on nodes, together with the mapping
 // from new node index to original node index.
 func (g *Graph) Subgraph(nodes []int) (*Graph, []int) {
-	idx := make(map[int]int, len(nodes))
-	orig := make([]int, len(nodes))
+	idx := make([]int, g.n)
+	for u := range idx {
+		idx[u] = -1
+	}
 	for i, u := range nodes {
 		idx[u] = i
-		orig[i] = u
 	}
 	sub := New(len(nodes))
 	for i, u := range nodes {
-		if g.loops[u] {
-			sub.loops[i] = true
+		if g.loop[u] {
+			sub.AddEdge(i, i)
 		}
-		for v := range g.adj[u] {
-			if j, ok := idx[v]; ok && i < j {
+		for _, v := range g.adj[u] {
+			if j := idx[v]; j > i {
 				sub.AddEdge(i, j)
 			}
 		}
 	}
-	return sub, orig
+	return sub, slices.Clone(nodes)
+}
+
+// members marks the given nodes in a fresh n-slice.
+func (g *Graph) members(nodes []int) []bool {
+	in := make([]bool, g.n)
+	for _, u := range nodes {
+		in[u] = true
+	}
+	return in
 }
 
 // edgeCount of component nodes (assumes comp is a component: counts edges
 // with both endpoints inside).
 func (g *Graph) componentEdges(comp []int) int {
-	in := make(map[int]bool, len(comp))
-	for _, u := range comp {
-		in[u] = true
-	}
+	in := g.members(comp)
 	cnt := 0
 	for _, u := range comp {
-		for v := range g.adj[u] {
+		for _, v := range g.adj[u] {
 			if in[v] && u < v {
 				cnt++
 			}
@@ -151,82 +194,33 @@ func (g *Graph) componentEdges(comp []int) int {
 	return cnt
 }
 
-func (g *Graph) componentHasLoop(comp []int) bool {
-	for _, u := range comp {
-		if g.loops[u] {
-			return true
-		}
-	}
-	return false
-}
-
 // IsChain reports whether the graph is a single chain (path) of length >= 1:
 // connected, acyclic, all degrees at most two, no self-loops. A single edge
 // is a chain of length one.
 func (g *Graph) IsChain() bool {
-	if g.n == 0 || g.edges == 0 || len(g.loops) > 0 {
-		return false
-	}
-	if !g.Connected() || g.edges != g.n-1 {
-		return false
-	}
-	for u := 0; u < g.n; u++ {
-		if len(g.adj[u]) > 2 {
-			return false
-		}
-	}
-	return true
+	return g.edges > 0 && g.IsTree() && g.maxDegree() <= 2
 }
 
 // IsChainSet reports whether every connected component is a chain.
 // The empty graph is vacuously a chain set (a query without triples).
 func (g *Graph) IsChainSet() bool {
-	if g.n == 0 {
-		return true
-	}
-	if len(g.loops) > 0 {
-		return false
-	}
-	for _, comp := range g.Components() {
-		m := g.componentEdges(comp)
-		if m != len(comp)-1 {
-			return false
-		}
-		for _, u := range comp {
-			if len(g.adj[u]) > 2 {
-				return false
-			}
-		}
-	}
-	return true
+	return g.IsForest() && g.maxDegree() <= 2
 }
 
 // IsSingleEdge reports whether the graph is exactly one edge.
 func (g *Graph) IsSingleEdge() bool {
-	return g.n == 2 && g.edges == 1 && len(g.loops) == 0
+	return g.n == 2 && g.edges == 1 && g.loops == 0
 }
 
 // IsTree reports whether the graph is connected and acyclic with at least
 // one node.
 func (g *Graph) IsTree() bool {
-	if g.n == 0 || len(g.loops) > 0 {
-		return false
-	}
-	return g.Connected() && g.edges == g.n-1
+	return g.n > 0 && g.loops == 0 && g.comps == 1 && g.edges == g.n-1
 }
 
-// IsForest reports whether every component is a tree.
-func (g *Graph) IsForest() bool {
-	if len(g.loops) > 0 {
-		return false
-	}
-	for _, comp := range g.Components() {
-		if g.componentEdges(comp) != len(comp)-1 {
-			return false
-		}
-	}
-	return true
-}
+// IsForest reports whether every component is a tree: no self-loop, and
+// M = N - components.
+func (g *Graph) IsForest() bool { return g.loops == 0 && g.acyclic() }
 
 // IsStar reports whether the graph is a tree with exactly one node having
 // more than two neighbors (Definition in Section 6.1).
@@ -235,8 +229,8 @@ func (g *Graph) IsStar() bool {
 		return false
 	}
 	centers := 0
-	for u := 0; u < g.n; u++ {
-		if len(g.adj[u]) > 2 {
+	for _, nb := range g.adj {
+		if len(nb) > 2 {
 			centers++
 		}
 	}
@@ -246,11 +240,11 @@ func (g *Graph) IsStar() bool {
 // IsCycle reports whether the graph is a single cycle: connected, every
 // degree exactly two, edges == nodes, no self-loops, length >= 3.
 func (g *Graph) IsCycle() bool {
-	if g.n < 3 || len(g.loops) > 0 || g.edges != g.n || !g.Connected() {
+	if g.n < 3 || g.loops > 0 || g.edges != g.n || g.comps != 1 {
 		return false
 	}
-	for u := 0; u < g.n; u++ {
-		if len(g.adj[u]) != 2 {
+	for _, nb := range g.adj {
+		if len(nb) != 2 {
 			return false
 		}
 	}
@@ -260,25 +254,28 @@ func (g *Graph) IsCycle() bool {
 // Girth returns the length of the shortest cycle, or 0 if the graph is
 // acyclic. Self-loops count as cycles of length one.
 func (g *Graph) Girth() int {
-	if len(g.loops) > 0 {
+	if g.loops > 0 {
 		return 1
+	}
+	if g.acyclic() {
+		return 0
 	}
 	best := 0
 	// BFS from every node; a non-tree edge at depth d closes a cycle of
 	// length dist(u)+dist(v)+1.
 	dist := make([]int, g.n)
 	parent := make([]int, g.n)
-	for s := 0; s < g.n; s++ {
+	queue := make([]int, 0, g.n)
+	for s := range g.n {
 		for i := range dist {
 			dist[i] = -1
 		}
 		dist[s] = 0
 		parent[s] = -1
-		queue := []int{s}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for v := range g.adj[u] {
+		queue = append(queue[:0], s)
+		for i := 0; i < len(queue); i++ {
+			u := queue[i]
+			for _, v := range g.adj[u] {
 				if dist[v] == -1 {
 					dist[v] = dist[u] + 1
 					parent[v] = u

@@ -6,7 +6,7 @@ package graph
 // at most two except a single query of treewidth three (Figure 7). The
 // classifier therefore needs three things, all implemented here:
 //
-//  1. a linear-time treewidth-one certificate (forest test),
+//  1. a treewidth-one certificate (the O(1) forest test, M = N - components),
 //  2. a linear-time treewidth-two certificate (series-parallel style
 //     reduction: repeatedly delete degree-<=1 nodes and contract degree-2
 //     nodes; the graph has treewidth <= 2 iff the reduction empties it),
@@ -23,8 +23,8 @@ const MaxExactNodes = 64
 // returns -1 (unknown); such graphs do not occur in the paper's corpus.
 // Self-loops do not affect treewidth and are ignored.
 func (g *Graph) Treewidth() int {
-	if g.n == 0 {
-		return 0
+	if g.acyclic() {
+		return min(g.edges, 1)
 	}
 	best := 0
 	for _, comp := range g.Components() {
@@ -73,7 +73,7 @@ func (g *Graph) widthAtMostTwo() bool {
 	var queue []int
 	for u := 0; u < g.n; u++ {
 		adj[u] = make(map[int]bool, len(g.adj[u]))
-		for v := range g.adj[u] {
+		for _, v := range g.adj[u] {
 			adj[u][v] = true
 		}
 		alive[u] = true
@@ -171,8 +171,6 @@ func (g *Graph) widthAtMost(k int) bool {
 			if len(adj[u]) > k {
 				continue
 			}
-			// Simplicial-first optimization: eliminating a simplicial
-			// node of degree <= k is always safe, no need to branch.
 			removed := eliminateReversible(adj, u)
 			if rec(eliminated|1<<uint(u), remaining-1) {
 				result = true
@@ -192,7 +190,7 @@ func cloneAdj(g *Graph) []map[int]bool {
 	adj := make([]map[int]bool, g.n)
 	for u := 0; u < g.n; u++ {
 		adj[u] = make(map[int]bool, len(g.adj[u]))
-		for v := range g.adj[u] {
+		for _, v := range g.adj[u] {
 			adj[u][v] = true
 		}
 	}

@@ -1,0 +1,98 @@
+package hypergraph_test
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"sparqlog/internal/analysis"
+	"sparqlog/internal/hypergraph"
+	"sparqlog/internal/loggen"
+	"sparqlog/internal/shapes"
+	"sparqlog/internal/sparql"
+)
+
+// checkAgainstOracle compares Acyclic, GHW(3), EdgeComponents and
+// Components of h with the oracle's.
+func checkAgainstOracle(t *testing.T, name string, h *hypergraph.Hypergraph) {
+	t.Helper()
+	if got, want := h.Acyclic(), refAcyclic(h.Edges()); got != want {
+		t.Fatalf("%s: Acyclic = %v, oracle %v (edges %v)", name, got, want, h.Edges())
+	}
+	gd, gok := h.GHW(3)
+	rd, rok := refGHW(h, 3)
+	if gd != rd || gok != rok {
+		t.Fatalf("%s: GHW(3) = %+v %v, oracle %+v %v", name, gd, gok, rd, rok)
+	}
+	labels, want := h.EdgeComponents(), refEdgeComponents(h.Edges())
+	if !slices.Equal(labels, want) {
+		t.Fatalf("%s: EdgeComponents = %v, oracle %v", name, labels, want)
+	}
+	if h.Components() != slices.Max(append([]int{-1}, want...))+1 {
+		t.Fatalf("%s: Components = %d, oracle labels %v", name, h.Components(), want)
+	}
+}
+
+// TestOracleRandomHypergraphs draws hypergraphs over up to 130 vertices,
+// so edges cross the 64-bit word boundary of the GYO bitsets, with
+// repeated vertices inside an edge, duplicate edges and nested edges.
+func TestOracleRandomHypergraphs(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	for range 4000 {
+		n := 1 + rng.Intn(130)
+		// A few vertex ids spread over 0..n-1 keep edges overlapping.
+		pool := rng.Perm(n)[:1+rng.Intn(min(n, 9))]
+		h := hypergraph.New(n)
+		var want [][]int
+		for range rng.Intn(10) {
+			var vs []int
+			switch {
+			case len(want) > 0 && rng.Intn(4) == 0: // a duplicate or nested edge
+				e := want[rng.Intn(len(want))]
+				vs = slices.Clone(e[:1+rng.Intn(len(e))])
+				rng.Shuffle(len(vs), func(i, j int) { vs[i], vs[j] = vs[j], vs[i] })
+			default:
+				for range 1 + rng.Intn(4) {
+					vs = append(vs, pool[rng.Intn(len(pool))])
+				}
+			}
+			h.AddEdge(vs...)
+			want = append(want, refEdge(vs))
+		}
+		if !slices.EqualFunc(h.Edges(), want, slices.Equal) {
+			t.Fatalf("Edges = %v, oracle %v", h.Edges(), want)
+		}
+		checkAgainstOracle(t, "random hypergraph", h)
+	}
+}
+
+func TestOracleCorpusHypergraphs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("corpus replay")
+	}
+	seen := map[string]bool{}
+	hypergraphs := 0
+	for _, seed := range []int64{1, 2017} {
+		for _, ds := range loggen.GenerateCorpus(1e-4, seed) {
+			for _, e := range ds.Entries {
+				if seen[e] {
+					continue
+				}
+				seen[e] = true
+				q, err := sparql.Parse(e)
+				if err != nil || len(q.Triples()) == 0 {
+					continue
+				}
+				for _, opts := range []shapes.Options{
+					{},
+					{ExcludeConstants: true},
+					{CollapseEqual: analysis.EqualityCollapses(q)},
+				} {
+					checkAgainstOracle(t, e, shapes.CanonicalHypergraph(q.Triples(), opts))
+					hypergraphs++
+				}
+			}
+		}
+	}
+	t.Logf("%d canonical hypergraphs agree with the oracle", hypergraphs)
+}

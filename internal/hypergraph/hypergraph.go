@@ -8,11 +8,16 @@
 // the predicate position are the ones requiring hypergraph analysis; they
 // are small (the cyclic ones have at most a few dozen vertices), so an
 // exact search over edge covers with memoization is practical.
+//
+// An edge is a sorted, distinct []int of vertices. The GYO test runs over
+// flat bitsets, ceil(n/64) words per edge, so it works for any number of
+// vertices; the exact width search packs a vertex set and an edge set into
+// one uint64 each and is therefore capped at 64 vertices and 64 edges.
 package hypergraph
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // Hypergraph is a hypergraph over vertices 0..N-1. The exact width search
@@ -34,22 +39,16 @@ func (h *Hypergraph) N() int { return h.n }
 // NumEdges returns the number of hyperedges.
 func (h *Hypergraph) NumEdges() int { return len(h.edges) }
 
-// AddEdge inserts a hyperedge over the given vertices. Duplicate vertices
-// within an edge are collapsed; an empty edge is ignored.
+// AddEdge inserts a hyperedge over the given vertices, each in 0..N-1.
+// Duplicate vertices within an edge are collapsed; an empty edge is
+// ignored.
 func (h *Hypergraph) AddEdge(vertices ...int) {
 	if len(vertices) == 0 {
 		return
 	}
-	seen := make(map[int]bool, len(vertices))
-	var e []int
-	for _, v := range vertices {
-		if !seen[v] {
-			seen[v] = true
-			e = append(e, v)
-		}
-	}
-	sort.Ints(e)
-	h.edges = append(h.edges, e)
+	e := slices.Clone(vertices)
+	slices.Sort(e)
+	h.edges = append(h.edges, slices.Compact(e))
 }
 
 // Edges returns the hyperedges (shared backing; callers must not mutate).
@@ -60,90 +59,80 @@ func (h *Hypergraph) Edges() [][]int { return h.edges }
 // and (b) remove edges contained in another edge, until fixpoint. The
 // hypergraph is acyclic iff all edges disappear. Acyclicity coincides with
 // generalized hypertree width <= 1 for non-trivial hypergraphs.
+//
+// Each edge is a row of ceil(n/64) words in one flat bitset; size counts a
+// live edge's vertices (0 once the edge is gone) and occ counts the live
+// edges a vertex occurs in.
 func (h *Hypergraph) Acyclic() bool {
-	// Work on copies of the edge sets.
-	edges := make([]map[int]bool, 0, len(h.edges))
-	for _, e := range h.edges {
-		m := make(map[int]bool, len(e))
+	m, words := len(h.edges), (h.n+63)/64
+	set := make([]uint64, m*words)
+	size := make([]int, m)
+	occ := make([]int, h.n)
+	row := func(i int) []uint64 { return set[i*words : (i+1)*words] }
+	live := m
+	for i, e := range h.edges {
+		r := row(i)
 		for _, v := range e {
-			m[v] = true
+			r[v/64] |= 1 << (v % 64)
+			occ[v]++
 		}
-		edges = append(edges, m)
+		size[i] = len(e)
 	}
-	for {
-		changed := false
-		// Vertex occurrence counts.
-		occ := make(map[int]int)
-		for _, e := range edges {
-			for v := range e {
-				occ[v]++
-			}
-		}
-		for _, e := range edges {
-			for v := range e {
-				if occ[v] == 1 {
-					delete(e, v)
-					changed = true
-				}
-			}
-		}
-		// Remove empty edges and edges contained in another edge.
-		var kept []map[int]bool
-		for i, e := range edges {
-			if len(e) == 0 {
-				changed = true
+	for changed := true; changed && live > 0; {
+		changed = false
+		// (a) A vertex in exactly one live edge leaves it; an edge left
+		// empty is gone.
+		for i := range m {
+			if size[i] == 0 {
 				continue
 			}
-			contained := false
-			for j, f := range edges {
-				if i == j || len(e) > len(f) {
-					continue
-				}
-				if j < i && len(e) == len(f) && equalSets(e, f) {
-					contained = true // duplicate: keep only the first
-					break
-				}
-				if isSubset(e, f) && !(len(e) == len(f) && j > i) {
-					if len(e) < len(f) {
-						contained = true
-						break
+			r := row(i)
+			for w, word := range r {
+				for ; word != 0; word &= word - 1 {
+					b := bits.TrailingZeros64(word)
+					if v := w*64 + b; occ[v] == 1 {
+						r[w] &^= 1 << b
+						occ[v] = 0
+						size[i]--
+						changed = true
 					}
 				}
 			}
-			if contained {
-				changed = true
+			if size[i] == 0 {
+				live--
+			}
+		}
+		// (b) An edge contained in another live edge is gone. Of two equal
+		// edges, the one tested first goes and the other stays.
+		for i := range m {
+			if size[i] == 0 {
 				continue
 			}
-			kept = append(kept, e)
-		}
-		edges = kept
-		if !changed {
-			return len(edges) == 0
-		}
-		if len(edges) == 0 {
-			return true
+			r := row(i)
+			for j := range m {
+				if j == i || size[j] < size[i] || !subset(r, row(j)) {
+					continue
+				}
+				for w, word := range r {
+					for ; word != 0; word &= word - 1 {
+						occ[w*64+bits.TrailingZeros64(word)]--
+					}
+					r[w] = 0
+				}
+				size[i] = 0
+				live--
+				changed = true
+				break
+			}
 		}
 	}
+	return live == 0
 }
 
-func equalSets(a, b map[int]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for v := range a {
-		if !b[v] {
-			return false
-		}
-	}
-	return true
-}
-
-func isSubset(a, b map[int]bool) bool {
-	if len(a) > len(b) {
-		return false
-	}
-	for v := range a {
-		if !b[v] {
+// subset reports whether bitset a is contained in bitset b.
+func subset(a, b []uint64) bool {
+	for w := range a {
+		if a[w]&^b[w] != 0 {
 			return false
 		}
 	}
@@ -211,39 +200,33 @@ func sliceEqual(a, b []int) bool {
 // connected when they share a vertex, transitively. Isolated vertices
 // contribute no component; with no edges the result is empty.
 func (h *Hypergraph) EdgeComponents() []int {
-	labels := make([]int, len(h.edges))
-	for i := range labels {
-		labels[i] = -1
-	}
 	// Union-find over vertices, then edges inherit their root.
-	parent := make(map[int]int)
-	var find func(v int) int
-	find = func(v int) int {
-		p, ok := parent[v]
-		if !ok || p == v {
-			parent[v] = v
-			return v
+	parent := make([]int, h.n)
+	for v := range parent {
+		parent[v] = v
+	}
+	find := func(v int) int {
+		for parent[v] != v {
+			parent[v] = parent[parent[v]]
+			v = parent[v]
 		}
-		r := find(p)
-		parent[v] = r
-		return r
+		return v
 	}
 	for _, e := range h.edges {
 		for _, v := range e[1:] {
 			parent[find(v)] = find(e[0])
 		}
 	}
+	labels := make([]int, len(h.edges))
+	label := make([]int, h.n) // root -> its component index + 1
 	next := 0
-	roots := make(map[int]int)
 	for i, e := range h.edges {
 		r := find(e[0])
-		c, ok := roots[r]
-		if !ok {
-			c = next
-			roots[r] = c
+		if label[r] == 0 {
 			next++
+			label[r] = next
 		}
-		labels[i] = c
+		labels[i] = label[r] - 1
 	}
 	return labels
 }

@@ -1,0 +1,177 @@
+package hypergraph_test
+
+// The map-based kernels that the bitset GYO and the slice union-find
+// replaced, kept as the oracle for TestOracleRandomHypergraphs and
+// TestOracleCorpusHypergraphs.
+
+import (
+	"sort"
+
+	"sparqlog/internal/hypergraph"
+)
+
+// refEdge is the parent's AddEdge: vertices deduplicated through a map,
+// then sorted.
+func refEdge(vertices []int) []int {
+	seen := make(map[int]bool, len(vertices))
+	var e []int
+	for _, v := range vertices {
+		if !seen[v] {
+			seen[v] = true
+			e = append(e, v)
+		}
+	}
+	sort.Ints(e)
+	return e
+}
+
+// refAcyclic is GYO over map[int]bool edge sets, recounting vertex
+// occurrences on every round.
+func refAcyclic(in [][]int) bool {
+	// Work on copies of the edge sets.
+	edges := make([]map[int]bool, 0, len(in))
+	for _, e := range in {
+		m := make(map[int]bool, len(e))
+		for _, v := range e {
+			m[v] = true
+		}
+		edges = append(edges, m)
+	}
+	for {
+		changed := false
+		// Vertex occurrence counts.
+		occ := make(map[int]int)
+		for _, e := range edges {
+			for v := range e {
+				occ[v]++
+			}
+		}
+		for _, e := range edges {
+			for v := range e {
+				if occ[v] == 1 {
+					delete(e, v)
+					changed = true
+				}
+			}
+		}
+		// Remove empty edges and edges contained in another edge.
+		var kept []map[int]bool
+		for i, e := range edges {
+			if len(e) == 0 {
+				changed = true
+				continue
+			}
+			contained := false
+			for j, f := range edges {
+				if i == j || len(e) > len(f) {
+					continue
+				}
+				if j < i && len(e) == len(f) && equalSets(e, f) {
+					contained = true // duplicate: keep only the first
+					break
+				}
+				if isSubset(e, f) && !(len(e) == len(f) && j > i) {
+					if len(e) < len(f) {
+						contained = true
+						break
+					}
+				}
+			}
+			if contained {
+				changed = true
+				continue
+			}
+			kept = append(kept, e)
+		}
+		edges = kept
+		if !changed {
+			return len(edges) == 0
+		}
+		if len(edges) == 0 {
+			return true
+		}
+	}
+}
+
+func equalSets(a, b map[int]bool) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for v := range a {
+		if !b[v] {
+			return false
+		}
+	}
+	return true
+}
+
+func isSubset(a, b map[int]bool) bool {
+	if len(a) > len(b) {
+		return false
+	}
+	for v := range a {
+		if !b[v] {
+			return false
+		}
+	}
+	return true
+}
+
+// refEdgeComponents is the union-find over a map of vertices.
+func refEdgeComponents(edges [][]int) []int {
+	labels := make([]int, len(edges))
+	for i := range labels {
+		labels[i] = -1
+	}
+	// Union-find over vertices, then edges inherit their root.
+	parent := make(map[int]int)
+	var find func(v int) int
+	find = func(v int) int {
+		p, ok := parent[v]
+		if !ok || p == v {
+			parent[v] = v
+			return v
+		}
+		r := find(p)
+		parent[v] = r
+		return r
+	}
+	for _, e := range edges {
+		for _, v := range e[1:] {
+			parent[find(v)] = find(e[0])
+		}
+	}
+	next := 0
+	roots := make(map[int]int)
+	for i, e := range edges {
+		r := find(e[0])
+		c, ok := roots[r]
+		if !ok {
+			c = next
+			roots[r] = c
+			next++
+		}
+		labels[i] = c
+	}
+	return labels
+}
+
+// refGHW is GHW with refAcyclic as its width-one test; the exact search
+// behind it is the package's own.
+func refGHW(h *hypergraph.Hypergraph, maxK int) (hypergraph.Decomposition, bool) {
+	if h.NumEdges() == 0 {
+		return hypergraph.Decomposition{Width: 0, Nodes: 0}, true
+	}
+	if refAcyclic(h.Edges()) {
+		return hypergraph.Decomposition{Width: 1, Nodes: h.MaximalEdges()}, true
+	}
+	if h.N() > 64 || h.NumEdges() > 64 {
+		return hypergraph.Decomposition{}, false
+	}
+	for k := 2; k <= maxK; k++ {
+		if nodes, ok := hypergraph.GHWAtMost(h, k); ok {
+			return hypergraph.Decomposition{Width: k, Nodes: nodes}, true
+		}
+	}
+	return hypergraph.Decomposition{}, false
+}

@@ -1,7 +1,7 @@
 // Package repro regenerates the tables and figures of the paper's log
 // study from the synthetic corpus, printing rows in the paper's layout so
 // that measured and published values can be compared side by side
-// (recorded in EXPERIMENTS.md). The engine experiment, Figure 3, is
+// (`sparqlanalyze -experiment all`; see README.md). The engine experiment, Figure 3, is
 // engine.Figure3: it lives beside the two engines it races, so that
 // sparqld, which prints its /stats study through this package, links no
 // engine.
