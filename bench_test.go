@@ -330,7 +330,7 @@ func BenchmarkAblationShapeFastPath(b *testing.B) {
 }
 
 // BenchmarkAblationIndexes contrasts indexed lookup with a full predicate
-// scan for bound-subject access, justifying the store's four index
+// scan for bound-subject access, justifying the snapshot's three index
 // orderings.
 func BenchmarkAblationIndexes(b *testing.B) {
 	g := gmark.Generate(gmark.Config{Nodes: 4000, Seed: 5})
@@ -344,11 +344,12 @@ func BenchmarkAblationIndexes(b *testing.B) {
 		}
 	})
 	b.Run("scan", func(b *testing.B) {
+		_, subs := st.PredicateEdges(pid)
 		for i := 0; i < b.N; i++ {
 			s := subjects[i%len(subjects)]
 			n := 0
-			for _, t := range st.ScanPredicate(pid) {
-				if t.S == s {
+			for _, sub := range subs {
+				if sub == s {
 					n++
 				}
 			}
@@ -694,7 +695,7 @@ func TestBenchHarnessSmoke(t *testing.T) {
 	if len(g.Workload(gmark.Cycle, 3, 2, 3)) == 0 {
 		t.Error("empty gMark workload")
 	}
-	if len(g.Snapshot.ScanPredicate(g.PredID["cites"])) == 0 {
+	if objs, _ := g.Snapshot.PredicateEdges(g.PredID["cites"]); len(objs) == 0 {
 		t.Error("gMark store missing cites edges")
 	}
 

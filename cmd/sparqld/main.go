@@ -20,7 +20,8 @@
 //	/healthz  liveness probe
 //
 // The -log file is written in core.FormatApache, so it can be replayed
-// through cmd/sparqlog for offline analysis of the served workload.
+// through `sparqlanalyze -log FILE -format apache` for offline analysis
+// of the served workload.
 package main
 
 import (

@@ -256,15 +256,7 @@ func (ex *graphExec) enumerate(a Atom, yield func(s, p, o rdf.ID) error) error {
 		}
 		return nil
 	case pb:
-		for _, t := range sn.ScanPredicate(p) {
-			if err := ex.tk.check(1023); err != nil {
-				return err
-			}
-			if err := yield(t.S, t.P, t.O); err != nil {
-				return err
-			}
-		}
-		return nil
+		return scan(sn, p, true, &ex.tk, yield)
 	case sb:
 		// Subject-only: the SPO index holds the subject's full edge list;
 		// no need to scan the store.
@@ -291,14 +283,35 @@ func (ex *graphExec) enumerate(a Atom, yield func(s, p, o rdf.ID) error) error {
 		}
 		return nil
 	default:
-		for _, t := range sn.Triples() {
-			if err := ex.tk.check(1023); err != nil {
+		return scan(sn, 0, false, &ex.tk, yield)
+	}
+}
+
+// scan yields the triples with predicate p, read off its POS row, or,
+// when p is not bound, every triple, read off the SPO rows.
+func scan(sn *rdf.Snapshot, p rdf.ID, pb bool, tk *ticker, yield func(s, p, o rdf.ID) error) error {
+	if pb {
+		objs, subs := sn.PredicateEdges(p)
+		for i := range subs {
+			if err := tk.check(1023); err != nil {
 				return err
 			}
-			if err := yield(t.S, t.P, t.O); err != nil {
+			if err := yield(subs[i], p, objs[i]); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
+	for s := range rdf.ID(sn.NumTerms()) {
+		preds, objs := sn.SubjectEdges(s)
+		for i := range preds {
+			if err := tk.check(1023); err != nil {
+				return err
+			}
+			if err := yield(s, preds[i], objs[i]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

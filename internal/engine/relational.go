@@ -103,15 +103,6 @@ func joinAtom(sn *rdf.Snapshot, cur *relation, atom Atom, tk *ticker, maxRows in
 	}
 	out := &relation{vars: append(append([]int{}, cur.vars...), newVars...)}
 
-	// Candidate triples: restrict by constant predicate when available
-	// (the relational engine's single index), else scan the relation.
-	var scan []rdf.Triple
-	if !atom.P.IsVar {
-		scan = sn.ScanPredicate(atom.P.ID)
-	} else {
-		scan = sn.Triples()
-	}
-
 	// Build a hash table on the join key over the smaller side: we always
 	// hash the scan side keyed by shared-variable values, then probe with
 	// cur rows (modelling a hash join without optimizer statistics).
@@ -141,14 +132,18 @@ func joinAtom(sn *rdf.Snapshot, cur *relation, atom Atom, tk *ticker, maxRows in
 		}
 		return k, true
 	}
+	// Candidate triples: restrict by constant predicate when available
+	// (the relational engine's single index), else scan the relation.
 	ht := make(map[key][]rdf.Triple)
-	for _, t := range scan {
-		if err := tk.check(4095); err != nil {
-			return nil, err
-		}
+	err := scan(sn, atom.P.ID, !atom.P.IsVar, tk, func(s, p, o rdf.ID) error {
+		t := rdf.Triple{S: s, P: p, O: o}
 		if k, ok := makeKeyFromTriple(t); ok {
 			ht[k] = append(ht[k], t)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	for _, row := range cur.rows {
 		if err := tk.check(1023); err != nil {

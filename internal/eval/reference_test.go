@@ -368,9 +368,10 @@ func (ev *evaluator) matchTriple(tp *sparql.TriplePattern, b binding, yield func
 			}
 		}
 	case pb:
-		for _, t := range st.ScanPredicate(p) {
-			if consistent(t.S, t.P, t.O) {
-				emit(t.S, t.P, t.O)
+		objs, subs := st.PredicateEdges(p)
+		for i := range subs {
+			if consistent(subs[i], p, objs[i]) {
+				emit(subs[i], p, objs[i])
 			}
 		}
 	case sb:

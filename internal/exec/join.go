@@ -141,28 +141,28 @@ func (j *joinOp) processRow(c *Ctx, in *Batch, row int) error {
 		}
 		j.out.AppendFanout(in, row, len(preds), slots, vals)
 	case pb:
-		j.scrS, j.scrO = j.scrS[:0], j.scrO[:0]
-		for _, t := range sn.ScanPredicate(p) {
-			if err := c.Check(4095); err != nil {
-				return err
+		objs, subs := sn.PredicateEdges(p)
+		if j.soSame {
+			j.scrS, j.scrO = j.scrS[:0], j.scrO[:0]
+			for i := range subs {
+				if subs[i] == objs[i] {
+					j.scrS = append(j.scrS, subs[i])
+					j.scrO = append(j.scrO, objs[i])
+				}
 			}
-			if j.soSame && t.S != t.O {
-				continue
-			}
-			j.scrS = append(j.scrS, t.S)
-			j.scrO = append(j.scrO, t.O)
+			subs, objs = j.scrS, j.scrO
 		}
-		if len(j.scrS) == 0 {
+		if len(subs) == 0 {
 			return nil
 		}
 		slots, vals := noslot, [3][]rdf.ID{}
 		if a.S.IsVar {
-			slots[0], vals[0] = a.S.Var, j.scrS
+			slots[0], vals[0] = a.S.Var, subs
 		}
 		if a.O.IsVar {
-			slots[2], vals[2] = a.O.Var, j.scrO
+			slots[2], vals[2] = a.O.Var, objs
 		}
-		j.out.AppendFanout(in, row, len(j.scrS), slots, vals)
+		j.out.AppendFanout(in, row, len(subs), slots, vals)
 	case sb:
 		preds, objs := sn.SubjectEdges(s)
 		if len(preds) == 0 {
@@ -217,16 +217,19 @@ func (j *joinOp) processRow(c *Ctx, in *Batch, row int) error {
 		j.out.AppendFanout(in, row, len(subs), slots, vals)
 	default:
 		j.scrS, j.scrP, j.scrO = j.scrS[:0], j.scrP[:0], j.scrO[:0]
-		for _, t := range sn.Triples() {
-			if err := c.Check(4095); err != nil {
+		for s := range rdf.ID(sn.NumTerms()) {
+			if err := c.Check(255); err != nil {
 				return err
 			}
-			if j.spSame && t.S != t.P || j.soSame && t.S != t.O || j.poSame && t.P != t.O {
-				continue
+			preds, objs := sn.SubjectEdges(s)
+			for i := range preds {
+				if j.spSame && s != preds[i] || j.soSame && s != objs[i] || j.poSame && preds[i] != objs[i] {
+					continue
+				}
+				j.scrS = append(j.scrS, s)
+				j.scrP = append(j.scrP, preds[i])
+				j.scrO = append(j.scrO, objs[i])
 			}
-			j.scrS = append(j.scrS, t.S)
-			j.scrP = append(j.scrP, t.P)
-			j.scrO = append(j.scrO, t.O)
 		}
 		if len(j.scrS) == 0 {
 			return nil

@@ -34,14 +34,16 @@ func TestGenerateSchemaConformance(t *testing.T) {
 		return false
 	}
 	pid := g.PredID["cites"]
-	for _, tr := range g.Snapshot.ScanPredicate(pid) {
-		if !inType(tr.S, Paper) || !inType(tr.O, Paper) {
+	objs, subs := g.Snapshot.PredicateEdges(pid)
+	for i := range subs {
+		if !inType(subs[i], Paper) || !inType(objs[i], Paper) {
 			t.Fatal("cites edge violates schema")
 		}
 	}
 	aid := g.PredID["authoredBy"]
-	for _, tr := range g.Snapshot.ScanPredicate(aid) {
-		if !inType(tr.S, Paper) || !inType(tr.O, Researcher) {
+	objs, subs = g.Snapshot.PredicateEdges(aid)
+	for i := range subs {
+		if !inType(subs[i], Paper) || !inType(objs[i], Researcher) {
 			t.Fatal("authoredBy edge violates schema")
 		}
 	}

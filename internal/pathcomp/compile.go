@@ -7,11 +7,13 @@
 // are expanded, so cyclic data costs each product node once.
 //
 // The dominant Table-5 expression types of the source paper — a*, a+,
-// and (a1|···|ak)* / (a1|···|ak)+ — bypass the product construction
-// entirely and run as single-bitset closures directly on the SPO/OSP
-// posting lists (the classification of internal/paths selects the fast
-// path). Everything else, including inverse atoms and negated property
-// sets, goes through the general automaton.
+// and (a1|···|ak)* / (a1|···|ak)+, with plain or inverted atoms — bypass
+// the product construction entirely and run as single-bitset closures
+// over an adjacency built from the atoms' POS rows. detectClosure
+// recognizes them from the expression's structure; the Table-5 class
+// of internal/paths is only reported, by Describe. Everything else,
+// including negated property sets and nested structure, goes through
+// the general automaton.
 //
 // A compiled Path is immutable after Compile (its sync.Pools are the
 // only mutable state). Compilation is resolver-dependent (the same text
@@ -27,7 +29,6 @@ import (
 	"strings"
 	"sync"
 
-	"sparqlog/internal/paths"
 	"sparqlog/internal/rdf"
 	"sparqlog/internal/sparql"
 )
@@ -97,8 +98,6 @@ type Path struct {
 	reflexive bool
 	atoms     []dirPred
 
-	class paths.Class
-
 	// Scratch pools, keyed by direction for the product runners. Values
 	// are returned reset, ready for the next search.
 	fwdPool, revPool, scPool sync.Pool
@@ -109,11 +108,7 @@ type Path struct {
 // map to no ID compile to dead transitions (they can never match,
 // exactly as in the interpretive evaluator).
 func Compile(sn *rdf.Snapshot, p sparql.PathExpr, resolve Resolver) *Path {
-	pa := &Path{
-		sn:    sn,
-		expr:  p,
-		class: paths.Classify(p),
-	}
+	pa := &Path{sn: sn, expr: p}
 	lookup := func(a *sparql.PathIRI) (rdf.ID, bool) {
 		if a.PrefixedForm {
 			return resolve(a.IRI)
@@ -167,10 +162,6 @@ func (pa *Path) detectClosure(lookup func(*sparql.PathIRI) (rdf.ID, bool)) {
 	pa.reflexive = mod.Mod == '*'
 	pa.atoms = atoms
 }
-
-// Class returns the Table-5 classification computed at compile time
-// (it also selected the fast path, when one applies).
-func (pa *Path) Class() paths.Class { return pa.class }
 
 // Snapshot returns the snapshot the path was compiled against.
 func (pa *Path) Snapshot() *rdf.Snapshot { return pa.sn }

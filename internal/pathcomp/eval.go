@@ -400,13 +400,14 @@ func (pa *Path) closureAdjacency(chk *ticker) (*adjacency, error) {
 	nTerms := sn.NumTerms()
 	ad := &adjacency{off: make([]uint32, nTerms+1)}
 	for _, at := range pa.atoms {
-		for _, t := range sn.ScanPredicate(at.pid) {
+		objs, subs := sn.PredicateEdges(at.pid)
+		srcs := subs
+		if at.inv {
+			srcs = objs
+		}
+		for _, src := range srcs {
 			if err := chk.tick(); err != nil {
 				return nil, err
-			}
-			src := t.S
-			if at.inv {
-				src = t.O
 			}
 			ad.off[src+1]++
 		}
@@ -417,15 +418,16 @@ func (pa *Path) closureAdjacency(chk *ticker) (*adjacency, error) {
 	ad.dst = make([]rdf.ID, ad.off[nTerms])
 	fill := append([]uint32(nil), ad.off...)
 	for _, at := range pa.atoms {
-		for _, t := range sn.ScanPredicate(at.pid) {
+		objs, subs := sn.PredicateEdges(at.pid)
+		srcs, dsts := subs, objs
+		if at.inv {
+			srcs, dsts = objs, subs
+		}
+		for i, src := range srcs {
 			if err := chk.tick(); err != nil {
 				return nil, err
 			}
-			src, dst := t.S, t.O
-			if at.inv {
-				src, dst = dst, src
-			}
-			ad.dst[fill[src]] = dst
+			ad.dst[fill[src]] = dsts[i]
 			fill[src]++
 		}
 	}

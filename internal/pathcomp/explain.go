@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"strings"
 
+	"sparqlog/internal/paths"
 	"sparqlog/internal/rdf"
 )
 
 // Describe renders the forward automaton as one line per state, for
-// the -explain transcript. term resolves predicate IDs to their text
+// the -explain transcript, under a header that names the expression's
+// Table-5 class. term resolves predicate IDs to their text
 // (nil falls back to #id).
 func (pa *Path) Describe(term func(rdf.ID) string) string {
 	render := func(pid rdf.ID) string {
@@ -28,7 +30,7 @@ func (pa *Path) Describe(term func(rdf.ID) string) string {
 		}
 		fmt.Fprintf(&b, "; fast path: %d-predicate closure (%s form)", len(pa.atoms), mode)
 	}
-	fmt.Fprintf(&b, "; class %s\n", pa.class.Type)
+	fmt.Fprintf(&b, "; class %s\n", paths.Classify(pa.expr).Type)
 	for q, edges := range pa.fwd.edges {
 		b.WriteString("  state ")
 		fmt.Fprintf(&b, "%d", q)

@@ -181,6 +181,28 @@ func TestPairsOrderedAndLimited(t *testing.T) {
 	}
 }
 
+// TestDescribeNamesClass pins the header line of Describe: it ends with
+// the expression's Table-5 type, in the table's notation, whether or not
+// the path runs as a closure.
+func TestDescribeNamesClass(t *testing.T) {
+	sn := chainCycleStore()
+	for expr, class := range map[string]string{
+		"<p>*":       "a*",
+		"<p>+":       "a+",
+		"(<p>|<q>)*": "(a1|···|ak)*",
+		"(<p>/<q>)*": "(a/b)*",
+		"<p>*/<q>":   "a*/b",
+		"<p>/<q>":    "a1/···/ak",
+		"^<p>":       "unclassified",
+	} {
+		desc := Compile(sn, parsePath(t, expr), resolverOf(sn)).Describe(sn.TermOf)
+		header, _, _ := strings.Cut(desc, "\n")
+		if want := "; class " + class; !strings.HasSuffix(header, want) {
+			t.Errorf("Describe(%s) header = %q, want it to end with %q", expr, header, want)
+		}
+	}
+}
+
 func TestDescribeAndEstimate(t *testing.T) {
 	sn := chainCycleStore()
 	cp := Compile(sn, parsePath(t, "<p>*/<q>"), resolverOf(sn))

@@ -9,11 +9,11 @@
 // symmetric variant of each type (e.g. b/a* for a*/b) is folded into the
 // type listed in the table.
 //
-// Classification is no longer only reporting: the compiled path engine
-// (internal/pathcomp) classifies every expression at compile time and
-// uses the result to select evaluation fast paths — the dominant types
-// a*, a+, (a1|···|ak)* and (a1|···|ak)+ run as direct posting-list
-// closures instead of the general product-automaton search.
+// Classification is reporting only. The compiled path engine
+// (internal/pathcomp) runs the dominant types a*, a+, (a1|···|ak)* and
+// (a1|···|ak)+ as closures instead of the general product-automaton
+// search, but it recognizes them from the expression's structure; it
+// classifies an expression only to name its type in -explain output.
 package paths
 
 import (

@@ -172,7 +172,7 @@ func parseHexRune(hex string) (rune, error) {
 	return r, nil
 }
 
-// WriteNTriples serializes the snapshot as N-Triples, in insertion order,
+// WriteNTriples serializes the snapshot as N-Triples, in SPO order,
 // writing IRIs in angle brackets and everything else as plain literals
 // (the dictionary does not retain term kinds, so the heuristic brackets
 // terms that look like IRIs). Terms whose text cannot survive the IRI or
@@ -181,7 +181,7 @@ func parseHexRune(hex string) (rune, error) {
 // exactly.
 func (sn *Snapshot) WriteNTriples(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	for _, t := range sn.triples {
+	for _, t := range sn.Triples() {
 		if err := writeTerm(bw, sn.TermOf(t.S)); err != nil {
 			return err
 		}

@@ -3,24 +3,20 @@ package rdf
 import "sort"
 
 // Snapshot is an immutable, goroutine-shareable view of a Store's
-// contents at Freeze time: its distinct triples in three CSR-style
-// orderings (SPO, POS, OSP) — per first component, a contiguous run of
-// the remaining two components sorted lexicographically, addressed by a
-// dense offsets array — plus a predicate-grouped scan order. Lookups
-// return subslices of the dense arrays — no allocation, no mutation, so
-// any number of goroutines may query one Snapshot concurrently.
+// contents at Freeze time: its dictionary and its distinct triples in
+// three CSR-style orderings (SPO, POS, OSP) — per first component, a
+// contiguous run of the remaining two components sorted
+// lexicographically, addressed by a dense offsets array. Every lookup
+// and every scan returns subslices of those arrays — no allocation, no
+// mutation, so any number of goroutines may query one Snapshot
+// concurrently.
 type Snapshot struct {
-	dict    map[string]ID // shared with the Store, which never writes it again
-	terms   []string      // shares the Store's backing array up to len
-	triples []Triple      // first occurrences, in insertion order
+	dict  map[string]ID // shared with the Store, which never writes it again
+	terms []string      // shares the Store's backing array up to len
 
 	spo csr // subject -> (predicate, object)
 	pos csr // predicate -> (object, subject)
 	osp csr // object -> (subject, predicate)
-
-	// Scan order: triples grouped by predicate, insertion order
-	// preserved within each group; pos.off delimits the groups.
-	byPred []Triple
 
 	// stats is the statistics block computed once from the indexes;
 	// immutable like everything else here.
@@ -54,9 +50,12 @@ func (x *csr) list(a, b ID) []ID {
 }
 
 // entry is one triple with its components permuted into an ordering's
-// (first, second, third), followed, in the SPO build, by its position in
-// the builder's insertion order.
-type entry [4]uint32
+// (first, second, third).
+type entry [3]ID
+
+// rotate moves an entry's third component to the front: SPO becomes
+// OSP, and OSP becomes POS.
+func (e entry) rotate() entry { return entry{e[2], e[0], e[1]} }
 
 // radix is Freeze's scratch: two entry buffers and one counter per term,
 // plus one. IDs are dense, so every sort Freeze needs is a sequence of
@@ -88,8 +87,10 @@ func (r *radix) pass(dst, src []entry, k int) {
 	}
 }
 
-// place is the last pass, by first component: it writes the index's
-// offsets and its second and third components directly.
+// place is a stable pass by first component that writes an index's
+// offsets and its second and third components directly. es must
+// already be ordered by (second, third) for the rows to come out
+// sorted.
 func (r *radix) place(es []entry) csr {
 	x := csr{off: make([]uint32, len(r.count)), b: make([]ID, len(es)), c: make([]ID, len(es))}
 	starts(x.off, es, 0)
@@ -102,19 +103,9 @@ func (r *radix) place(es []entry) csr {
 	return x
 }
 
-// buildCSR indexes es, one entry per distinct triple, by stable passes
-// on its third, then second, then first component.
-func (r *radix) buildCSR(es []entry) csr {
-	tmp := r.tmp[:len(es)]
-	r.pass(tmp, es, 2)
-	r.pass(es, tmp, 1)
-	return r.place(es)
-}
-
 // Freeze builds an immutable Snapshot of the store's current contents,
 // in time linear in triples plus terms. Duplicate triples are dropped
-// here: the Snapshot keeps each triple's first occurrence, in insertion
-// order. The Snapshot shares the store's term table and dictionary
+// here. The Snapshot shares the store's term table and dictionary
 // instead of copying them (see Store). Freeze may be called repeatedly;
 // each call returns an independent Snapshot unaffected by later Store
 // mutation.
@@ -124,49 +115,35 @@ func (s *Store) Freeze() *Snapshot {
 	sn := &Snapshot{dict: s.dict, terms: s.terms[:nTerms:nTerms]}
 	r := &radix{es: make([]entry, n), tmp: make([]entry, n), count: make([]uint32, nTerms+1)}
 
-	// SPO sorts the insertion positions along: ties keep insertion order,
-	// so duplicates end up adjacent with their first occurrence first.
+	// Three stable passes sort by (s, p, o); duplicates end up adjacent
+	// and all but one are skipped.
 	for i, t := range s.triples {
-		r.es[i] = entry{t.S, t.P, t.O, uint32(i)}
+		r.es[i] = entry{t.S, t.P, t.O}
 	}
 	r.pass(r.tmp, r.es, 2)
 	r.pass(r.es, r.tmp, 1)
 	r.pass(r.tmp, r.es, 0)
-	first := NewBitset(n)
-	distinct := r.tmp[:0]
+	es := r.es[:0]
 	for _, e := range r.tmp {
-		if d := len(distinct); d > 0 && e[0] == distinct[d-1][0] && e[1] == distinct[d-1][1] && e[2] == distinct[d-1][2] {
-			continue
-		}
-		first.Set(e[3])
-		distinct = append(distinct, e)
-	}
-	sn.triples = make([]Triple, 0, len(distinct))
-	for i, t := range s.triples {
-		if first.Has(ID(i)) {
-			sn.triples = append(sn.triples, t)
+		if len(es) == 0 || e != es[len(es)-1] {
+			es = append(es, e)
 		}
 	}
-	sn.spo = r.place(distinct)
+	sn.spo = r.place(es)
 
-	es := r.es[:len(sn.triples)]
-	for i, t := range sn.triples {
-		es[i] = entry{t.P, t.O, t.S}
+	// The distinct entries are in (s, p, o) order, so one stable pass by
+	// object orders them (o, s, p), and a second one by predicate,
+	// applied to that, orders them (p, o, s).
+	for i, e := range es {
+		es[i] = e.rotate()
 	}
-	sn.pos = r.buildCSR(es)
-	for i, t := range sn.triples {
-		es[i] = entry{t.O, t.S, t.P}
+	sn.osp = r.place(es)
+	tmp := r.tmp[:len(es)]
+	r.pass(tmp, es, 0)
+	for i, e := range tmp {
+		tmp[i] = e.rotate()
 	}
-	sn.osp = r.buildCSR(es)
-
-	// POS's offsets delimit the predicate runs; filling them in
-	// insertion order keeps it within each run.
-	sn.byPred = make([]Triple, len(sn.triples))
-	copy(r.count, sn.pos.off)
-	for _, t := range sn.triples {
-		sn.byPred[r.count[t.P]] = t
-		r.count[t.P]++
-	}
+	sn.pos = r.place(tmp)
 	sn.stats = computeStats(sn)
 	return sn
 }
@@ -192,11 +169,20 @@ func (sn *Snapshot) TermOf(id ID) string {
 func (sn *Snapshot) NumTerms() int { return len(sn.terms) }
 
 // Len returns the number of distinct triples.
-func (sn *Snapshot) Len() int { return len(sn.triples) }
+func (sn *Snapshot) Len() int { return len(sn.spo.b) }
 
-// Triples returns all triples in insertion order (shared backing; do not
-// mutate).
-func (sn *Snapshot) Triples() []Triple { return sn.triples }
+// Triples returns a fresh copy of all triples, in SPO order. It is for
+// exporting a snapshot; a query reads an index row instead.
+func (sn *Snapshot) Triples() []Triple {
+	out := make([]Triple, 0, sn.Len())
+	for s := range ID(len(sn.terms)) {
+		preds, objs := sn.spo.row(s)
+		for i := range preds {
+			out = append(out, Triple{s, preds[i], objs[i]})
+		}
+	}
+	return out
+}
 
 // Has reports whether the snapshot contains the triple.
 func (sn *Snapshot) Has(sub, pred, obj ID) bool {
@@ -222,6 +208,10 @@ func (sn *Snapshot) SubjectEdges(sub ID) (preds, objs []ID) { return sn.spo.row(
 // triples with the given object, sorted by (subject, predicate).
 func (sn *Snapshot) ObjectEdges(obj ID) (subs, preds []ID) { return sn.osp.row(obj) }
 
+// PredicateEdges returns the parallel (objects, subjects) slices of all
+// triples with the given predicate, sorted by (object, subject).
+func (sn *Snapshot) PredicateEdges(pred ID) (objs, subs []ID) { return sn.pos.row(pred) }
+
 // SubjectDegree returns the number of triples with the given subject.
 func (sn *Snapshot) SubjectDegree(sub ID) int {
 	bs, _ := sn.spo.row(sub)
@@ -232,21 +222,4 @@ func (sn *Snapshot) SubjectDegree(sub ID) int {
 func (sn *Snapshot) ObjectDegree(obj ID) int {
 	bs, _ := sn.osp.row(obj)
 	return len(bs)
-}
-
-// ScanPredicate returns all triples with the given predicate, in
-// insertion order.
-func (sn *Snapshot) ScanPredicate(pred ID) []Triple {
-	if int(pred)+1 >= len(sn.pos.off) {
-		return nil
-	}
-	return sn.byPred[sn.pos.off[pred]:sn.pos.off[pred+1]]
-}
-
-// PredicateCardinality returns the number of triples with the predicate.
-func (sn *Snapshot) PredicateCardinality(pred ID) int {
-	if int(pred)+1 >= len(sn.pos.off) {
-		return 0
-	}
-	return int(sn.pos.off[pred+1] - sn.pos.off[pred])
 }

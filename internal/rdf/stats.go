@@ -53,7 +53,7 @@ func (st *Stats) Predicate(p ID) PredStats {
 func computeStats(sn *Snapshot) *Stats {
 	nTerms := len(sn.terms)
 	st := &Stats{
-		Triples: len(sn.triples),
+		Triples: sn.Len(),
 		pred:    make([]PredStats, nTerms),
 	}
 	for p := 0; p < nTerms; p++ {

@@ -2,11 +2,12 @@
 // encoding. The mutable Store is a single-writer, append-only builder:
 // terms are interned to dense IDs and triples appended as they arrive,
 // duplicates included. Freeze drops the duplicates and converts the
-// triples into an immutable Snapshot carrying three index orderings
-// (SPO, POS, OSP) as compact sorted posting lists, plus a predicate-
-// grouped scan order; the Snapshot is safe to share across goroutines
-// and is the data substrate the query engines of package engine build on
-// (the chain/cycle experiment of Section 5.1, Figure 3).
+// triples into an immutable Snapshot: the dictionary plus three index
+// orderings (SPO, POS, OSP) as compact sorted posting lists, which hold
+// the only copies of the triples. Every scan reads an index row. The
+// Snapshot is safe to share across goroutines and is the data substrate
+// of the query executor and of the engines of package engine (the
+// chain/cycle experiment of Section 5.1, Figure 3).
 package rdf
 
 import (
@@ -36,7 +37,7 @@ type Triple struct {
 type Store struct {
 	dict    map[string]ID
 	terms   []string
-	triples []Triple // every Add, in insertion order
+	triples []Triple // every Add, duplicates included
 	shared  bool     // a Snapshot reads dict: clone it before inserting
 }
 

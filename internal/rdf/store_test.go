@@ -53,8 +53,8 @@ func TestAddAndLookup(t *testing.T) {
 	if sn.Has(s2id, pid, o2id) {
 		t.Error("Has found non-existent triple")
 	}
-	if sn.PredicateCardinality(pid) != 3 {
-		t.Errorf("predicate cardinality = %d", sn.PredicateCardinality(pid))
+	if objs, _ := sn.PredicateEdges(pid); len(objs) != 3 {
+		t.Errorf("predicate edges = %d, want 3", len(objs))
 	}
 	if sn.SubjectDegree(sid) != 2 || sn.ObjectDegree(oid) != 2 {
 		t.Errorf("degrees = %d/%d, want 2/2", sn.SubjectDegree(sid), sn.ObjectDegree(oid))
@@ -187,27 +187,11 @@ func TestMissingLookups(t *testing.T) {
 	if sn.Objects(99, 98) != nil {
 		t.Error("objects of unknown ids should be nil")
 	}
-	if sn.ScanPredicate(97) != nil || sn.PredicateCardinality(97) != 0 {
+	if objs, subs := sn.PredicateEdges(97); objs != nil || subs != nil {
 		t.Error("scan of unknown predicate should be empty")
 	}
 	if sn.TermOf(12345) != "" {
 		t.Error("unknown id must map to empty string")
-	}
-}
-
-func TestScanPredicateInsertionOrder(t *testing.T) {
-	s := NewStore()
-	s.Add("z", "p", "y")
-	s.Add("a", "q", "b")
-	s.Add("a", "p", "b")
-	sn := s.Freeze()
-	pid, _ := sn.Lookup("p")
-	scan := sn.ScanPredicate(pid)
-	if len(scan) != 2 {
-		t.Fatalf("scan = %d, want 2", len(scan))
-	}
-	if sn.TermOf(scan[0].S) != "z" || sn.TermOf(scan[1].S) != "a" {
-		t.Errorf("scan order not insertion order: %v", scan)
 	}
 }
 
@@ -232,7 +216,7 @@ func TestSnapshotConcurrentReads(t *testing.T) {
 				sn.Has(id, id%7, id%11)
 				sn.SubjectEdges(id)
 				sn.ObjectEdges(id)
-				sn.ScanPredicate(id % 7)
+				sn.PredicateEdges(id % 7)
 			}
 		}(g)
 	}

@@ -58,7 +58,8 @@ type Config struct {
 	Analyzer core.Options
 	// LogWriter, when set, receives one Apache-style endpoint log line
 	// per served query request — the paper's input format, so the
-	// server's own log can be fed back through cmd/sparqlog.
+	// server's own log can be fed back through
+	// `sparqlanalyze -log FILE -format apache`.
 	LogWriter io.Writer
 	// CorpusName labels the self-analysis report; default "sparqld".
 	CorpusName string
@@ -337,7 +338,8 @@ func (s *Server) writeCachedBody(w http.ResponseWriter, r *http.Request, ct, key
 
 // logRequest appends one Apache-style log line for the request. The
 // shape matches core.FormatApache's query= extraction, so the file the
-// server writes is directly analyzable by the cmd/sparqlog pipeline.
+// server writes is directly analyzable by
+// `sparqlanalyze -log FILE -format apache`.
 func (s *Server) logRequest(r *http.Request, raw string) {
 	if s.logW == nil {
 		return

@@ -1,13 +1,15 @@
 // Load benchmark: what `sparqld -data` pays before it serves, on an
 // in-memory N-Triples rendering of a 20k-node gMark Bib graph. "read"
 // parses and interns every line into a fresh store, "freeze" builds a
-// snapshot's indexes from a loaded one. Both run in CI's bench-artifacts
+// snapshot's indexes from a loaded one and reports the heap a snapshot
+// retains per triple (B/triple). Both run in CI's bench-artifacts
 // job; the end-to-end numbers they explain are bench/'s
 // rdf.read_ntriples_s and rdf.freeze_s, whose sum is most of setup_s.
 package sparqlog
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"sparqlog/internal/gmark"
@@ -42,5 +44,18 @@ func BenchmarkLoad(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			loadSink = st.Freeze()
 		}
+		b.StopTimer()
+		// B/triple is the live heap a snapshot retains once its builder
+		// is gone (dictionary, term table, indexes and statistics), per
+		// distinct triple, measured across two garbage collections the
+		// way bench/ measures rdf.bytes_per_triple.
+		var before, after runtime.MemStats
+		loadSink = nil
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		loadSink = read(b).Freeze()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/float64(loadSink.Len()), "B/triple")
 	})
 }
