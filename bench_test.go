@@ -126,7 +126,7 @@ func BenchmarkSec44Projection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var yes, ind, sub int
 		for _, q := range qs {
-			switch analysis.Projection(q) {
+			switch analysis.Projection(sparql.ScopeOf(q)) {
 			case analysis.UsesProjection:
 				yes++
 			case analysis.Indeterminate:
@@ -665,7 +665,7 @@ func TestBenchHarnessSmoke(t *testing.T) {
 	for _, q := range qs {
 		analysis.QueryKeywords(q)
 		analysis.TripleCount(q)
-		analysis.Projection(q)
+		analysis.Projection(sparql.ScopeOf(q))
 		analysis.UsesSubqueries(q)
 		f := analysis.ClassifyFragments(q)
 		if q.Type == sparql.SelectQuery || q.Type == sparql.AskQuery {

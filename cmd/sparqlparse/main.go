@@ -40,7 +40,7 @@ func main() {
 	fmt.Println("normalized:  ", q.String())
 	fmt.Println("triples:     ", analysis.TripleCount(q))
 	fmt.Println("operator set:", analysis.Operators(q).Key())
-	fmt.Println("projection:  ", analysis.Projection(q))
+	fmt.Println("projection:  ", analysis.Projection(sparql.ScopeOf(q)))
 	frag := analysis.ClassifyFragments(q)
 	fmt.Printf("fragments:    AOF=%v CQ=%v CPF=%v CQF=%v well-designed=%v CQOF=%v (interface width %d)\n",
 		frag.AOF, frag.CQ, frag.CPF, frag.CQF, frag.WellDesigned, frag.CQOF, frag.InterfaceWidth)

@@ -35,7 +35,7 @@ func main() {
 	k := analysis.QueryKeywords(q)
 	fmt.Printf("keywords:       Select=%v Filter=%v And=%v\n", k.Select, k.Filter, k.And)
 	fmt.Println("operator set:  ", analysis.Operators(q).Key())
-	fmt.Println("projection:    ", analysis.Projection(q))
+	fmt.Println("projection:    ", analysis.Projection(sparql.ScopeOf(q)))
 
 	frag := analysis.ClassifyFragments(q)
 	fmt.Printf("fragments:      AOF=%v CQ=%v CQF=%v CQOF=%v\n", frag.AOF, frag.CQ, frag.CQF, frag.CQOF)

@@ -179,7 +179,7 @@ func TestProjection(t *testing.T) {
 		{"DESCRIBE ?x WHERE { ?x <p> ?y }", NoProjection},
 	}
 	for _, tc := range tests {
-		if got := Projection(parse(t, tc.src)); got != tc.want {
+		if got := Projection(sparql.ScopeOf(parse(t, tc.src))); got != tc.want {
 			t.Errorf("Projection(%q) = %v, want %v", tc.src, got, tc.want)
 		}
 	}

@@ -26,7 +26,7 @@ func (v ProjectionVerdict) String() string {
 	}
 }
 
-// Projection classifies one query following the test in Section 18.2.1 of
+// Projection classifies s.Query following the test in Section 18.2.1 of
 // the SPARQL 1.1 recommendation, as interpreted by the paper:
 //
 //   - a SELECT query uses projection when some in-scope variable of its
@@ -38,39 +38,21 @@ func (v ProjectionVerdict) String() string {
 //     14.98% consists of SELECT and ASK queries only);
 //   - when BIND-introduced variables are the only candidates, the verdict
 //     is Indeterminate, mirroring the paper's 1.3% undetermined share.
-func Projection(q *sparql.Query) ProjectionVerdict {
-	switch q.Type {
-	case sparql.SelectQuery, sparql.AskQuery:
-	default:
-		return NoProjection
+func Projection(s *sparql.Scope) ProjectionVerdict {
+	q := s.Query
+	switch {
+	case q.Type != sparql.SelectQuery && q.Type != sparql.AskQuery: // not classified
+	case q.Type == sparql.AskQuery && s.InScope.Len() > 0:
+		return UsesProjection
+	case q.Type == sparql.AskQuery && s.BindOnly.Len() > 0:
+		return Indeterminate
+	case q.Type == sparql.AskQuery || q.SelectStar: // no projection
+	case s.InScope.AndNot(s.Projected).Len() > 0:
+		return UsesProjection
+	case s.BindOnly.AndNot(s.Projected).Len() > 0:
+		return Indeterminate
 	}
-	inScope, bindVars := sparql.InScopeVars(q.Where)
-	switch q.Type {
-	case sparql.AskQuery:
-		if len(inScope) > 0 {
-			return UsesProjection
-		}
-		if len(bindVars) > 0 {
-			return Indeterminate
-		}
-		return NoProjection
-	default: // SELECT
-		if q.SelectStar {
-			return NoProjection
-		}
-		projected := q.ProjectedVars()
-		for v := range inScope {
-			if !projected[v] {
-				return UsesProjection
-			}
-		}
-		for v := range bindVars {
-			if !projected[v] {
-				return Indeterminate
-			}
-		}
-		return NoProjection
-	}
+	return NoProjection
 }
 
 // UsesSubqueries reports whether the query contains a subquery anywhere in

@@ -390,7 +390,13 @@ func (rep *DatasetReport) analyzeQuery(q *sparql.Query, lr *lint.Result, opts Op
 	rep.TripleSum += tc
 	rep.TripleHist[bucket(tc)]++
 	rep.OperatorSet.Add(analysis.Operators(q))
-	switch analysis.Projection(q) {
+	var sc *sparql.Scope // the lint pass's, when there was one
+	if lr != nil {
+		sc = lr.Scope
+	} else {
+		sc = sparql.ScopeOf(q)
+	}
+	switch analysis.Projection(sc) {
 	case analysis.UsesProjection:
 		rep.ProjYes++
 	case analysis.Indeterminate:

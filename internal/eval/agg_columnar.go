@@ -191,7 +191,7 @@ func (b *aggBuild) rewrite(e sparql.Expr) sparql.Expr {
 }
 
 // planAggregate compiles the query's aggregate finishing onto columnar
-// operators. Must run after collectVars and before the schema width
+// operators. Must run after the Scope's slots and before the schema width
 // freezes: it assigns the hidden slots.
 func (ce *colExec) planAggregate(q *sparql.Query) *aggPlan {
 	b := &aggBuild{ce: ce}

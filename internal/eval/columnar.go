@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"strconv"
 
@@ -47,6 +46,7 @@ import (
 // colExec is one columnar query execution.
 type colExec struct {
 	ev     *evaluator
+	scope  *sparql.Scope
 	schema *exec.Schema
 	pool   *exec.Pool
 	ec     *exec.Ctx
@@ -100,10 +100,10 @@ func (r rowEnv) exists(ev *evaluator, p sparql.Pattern) (bool, error) {
 	return r.ce.exists(p, r.b, r.row)
 }
 
-// query evaluates q on a fresh execution over ev's snapshot;
-// subqueries recurse through here.
-func (ev *evaluator) query(q *sparql.Query) (*Result, error) {
-	ce := &colExec{ev: ev, schema: exec.NewSchema(), pool: exec.NewPool(ev.st)}
+// query evaluates q, whose Scope is sc, on a fresh execution over ev's
+// snapshot; subqueries recurse through here.
+func (ev *evaluator) query(q *sparql.Query, sc *sparql.Scope) (*Result, error) {
+	ce := &colExec{ev: ev, scope: sc, schema: exec.NewSchema(), pool: exec.NewPool(ev.st)}
 	ev.colPool = ce.pool
 	// Harvest runtime recoveries after execution, whichever return path
 	// is taken (subquery executions accumulate into the same evaluator).
@@ -121,16 +121,19 @@ func (ev *evaluator) query(q *sparql.Query) (*Result, error) {
 	// Harvest the probe meter whichever return path is taken; subquery
 	// executions build their own colExec and accumulate the same way.
 	defer func() { ev.probes += ce.ec.Probes }()
-	ce.collectVars(q)
-	// Aggregate planning and the projection's layout assign hidden
-	// slots, so they must run while the schema is still open — before
-	// the width freezes.
+	// Every variable a pattern binds has a slot before the first
+	// operator is built, so every batch has the full width. Aggregate
+	// planning and the projection's layout assign hidden slots while
+	// the schema is still open, before the width freezes.
+	for i := range sc.Bound.All() {
+		ce.schema.Slot(sc.Names[i])
+	}
+	sel := q
+	if q.Grouped() && (q.Type == sparql.SelectQuery || q.Type == sparql.AskQuery) {
+		ce.aggPlan = ce.planAggregate(q)
+		sel = ce.aggPlan.rq
+	}
 	if q.Type == sparql.SelectQuery {
-		sel := q
-		if hasAggregates(q) {
-			ce.aggPlan = ce.planAggregate(q)
-			sel = ce.aggPlan.rq
-		}
 		ce.cols = ce.columns(sel)
 	}
 	width := ce.schema.Len()
@@ -140,7 +143,7 @@ func (ev *evaluator) query(q *sparql.Query) (*Result, error) {
 	switch {
 	case q.Where == nil:
 		// No WHERE: the unit row flows straight to the modifiers.
-	case !ev.lim.noStatic && lint.EmptyUnder(q, ev.prefixes):
+	case !ev.lim.noStatic && lint.EmptyUnder(sc, ev.prefixes):
 		// The linter proved the WHERE clause can never produce a row
 		// (unsatisfiable filter, empty VALUES, LIMIT 0 subquery, …):
 		// short-circuit to an empty source without compiling the tree
@@ -158,6 +161,7 @@ func (ev *evaluator) query(q *sparql.Query) (*Result, error) {
 	ce.pulled(root)
 	switch q.Type {
 	case sparql.AskQuery:
+		root, _ = ce.grouped(q, root)
 		n, err := exec.Count(ce.ec, root, 1)
 		if err != nil {
 			return nil, err
@@ -173,80 +177,12 @@ func (ev *evaluator) query(q *sparql.Query) (*Result, error) {
 	return nil, fmt.Errorf("eval: unknown query type")
 }
 
-// collectVars assigns a slot to every variable the query can bind,
-// anywhere: the WHERE tree (including EXISTS patterns inside filter
-// and bind expressions, which sparql.Walk descends into), subquery
-// projections, trailing VALUES, and EXISTS patterns inside projection
-// and modifier expressions. The schema is complete before the first
-// operator is built, so every batch has the full width.
-func (ce *colExec) collectVars(q *sparql.Query) {
-	addTerm := func(t sparql.Term) {
-		if name, ok := varName(t); ok {
-			ce.schema.Slot(name)
-		}
-	}
-	handler := func(n sparql.Pattern) bool {
-		switch x := n.(type) {
-		case *sparql.TriplePattern:
-			addTerm(x.S)
-			addTerm(x.P)
-			addTerm(x.O)
-		case *sparql.PathPattern:
-			addTerm(x.S)
-			addTerm(x.O)
-		case *sparql.Bind:
-			ce.schema.Slot(x.Var.Value)
-		case *sparql.InlineData:
-			for _, v := range x.Vars {
-				ce.schema.Slot(v.Value)
-			}
-		case *sparql.GraphGraph:
-			addTerm(x.Name)
-		case *sparql.SubSelect:
-			// A subquery only exposes its projected variables; its
-			// internal variables are scoped to its own execution and
-			// must not widen every outer batch with dead columns.
-			if x.Query != nil {
-				for v := range x.Query.ProjectedVars() {
-					ce.schema.Slot(v)
-				}
-			}
-			return false
-		}
-		return true
-	}
-	if q.Where != nil {
-		sparql.Walk(q.Where, handler)
-	}
-	if q.TrailingValues != nil {
-		for _, v := range q.TrailingValues.Vars {
-			ce.schema.Slot(v.Value)
-		}
-	}
-	var exprs []sparql.Expr
-	for _, it := range q.Select {
-		exprs = append(exprs, it.Expr)
-	}
-	for _, k := range q.Mods.OrderBy {
-		exprs = append(exprs, k.Expr)
-	}
-	for _, g := range q.Mods.GroupBy {
-		exprs = append(exprs, g.Expr)
-	}
-	exprs = append(exprs, q.Mods.Having...)
-	for _, e := range exprs {
-		if e != nil {
-			sparql.WalkExprPatterns(e, handler)
-		}
-	}
-}
-
-// slot returns the slot of a variable collected by collectVars; a miss
-// is a compiler bug (the schema is sealed once operators exist).
+// slot returns the slot of a variable the Scope counts as bound; a
+// miss is a compiler bug (the schema is sealed once operators exist).
 func (ce *colExec) slot(name string) int {
 	s, ok := ce.schema.SlotOf(name)
 	if !ok {
-		panic("eval: variable " + name + " missed by collectVars")
+		panic("eval: variable " + name + " has no slot")
 	}
 	return s
 }
@@ -470,7 +406,7 @@ func (ce *colExec) compileSubselect(ss *sparql.SubSelect, in exec.Operator) exec
 	var rows [][]rdf.ID
 	return ce.traced(exec.NewApply(in, true, func(c *exec.Ctx, b *exec.Batch, row int, out *exec.Batch) error {
 		if !loaded {
-			sub, err := ce.ev.query(ss.Query)
+			sub, err := ce.ev.query(ss.Query, ce.scope.Sub(ss.Query))
 			if err != nil {
 				return err
 			}
@@ -624,7 +560,7 @@ func (ce *colExec) finishDescribe(q *sparql.Query, root exec.Operator) (*Result,
 		}
 	}
 	var slots []int
-	for v := range q.ProjectedVars() {
+	for _, v := range ce.scope.NamesOf(ce.scope.Projected) {
 		if s, ok := ce.schema.SlotOf(v); ok {
 			slots = append(slots, s)
 		}
@@ -643,27 +579,33 @@ func (ce *colExec) finishDescribe(q *sparql.Query, root exec.Operator) (*Result,
 	return ce.ev.describe(targets), nil
 }
 
-// finishSelect runs GROUP BY/HAVING through exec.GroupBy plus per-group
-// filters (planAggregate's rewrite), then the solution modifiers, and
-// drains the stream into the answer's ID columns.
+// finishSelect groups, then runs the solution modifiers, and drains
+// the stream into the answer's ID columns.
 func (ce *colExec) finishSelect(q *sparql.Query, root exec.Operator) (*Result, error) {
-	if ap := ce.aggPlan; ap != nil {
-		for _, bn := range ap.binds {
-			root, _ = ce.compile(bn, root, nil) // a BIND compiles without error
-		}
-		ce.group = exec.NewGroupBy(root, ap.spec, ce.pool.Text, ce.pool.Intern)
-		root = ce.group
-		for i, h := range ap.having {
-			root = ce.traced(exec.NewFilter(root, func(c *exec.Ctx, b *exec.Batch, row int) bool {
-				v, err := ce.evalRow(h, b, row)
-				return err == nil && v.Truthy()
-			}), &q.Mods.Having[i])
-		}
-		// From here on the stream is the rewritten query's: aggregates
-		// live in hidden slots, grouping and having are done.
-		q = ap.rq
-	}
+	root, q = ce.grouped(q, root)
 	return ce.project(ce.modifiers(q, root, ce.cols), ce.cols)
+}
+
+// grouped runs GROUP BY and HAVING (planAggregate's rewrite) when the
+// query is grouped, and returns the stream and the query it answers
+// from there on: the rewrite, its aggregates in hidden slots.
+func (ce *colExec) grouped(q *sparql.Query, root exec.Operator) (exec.Operator, *sparql.Query) {
+	ap := ce.aggPlan
+	if ap == nil {
+		return root, q
+	}
+	for _, bn := range ap.binds {
+		root, _ = ce.compile(bn, root, nil) // a BIND compiles without error
+	}
+	ce.group = exec.NewGroupBy(root, ap.spec, ce.pool.Text, ce.pool.Intern)
+	root = ce.group
+	for i, h := range ap.having {
+		root = ce.traced(exec.NewFilter(root, func(c *exec.Ctx, b *exec.Batch, row int) bool {
+			v, err := ce.evalRow(h, b, row)
+			return err == nil && v.Truthy()
+		}), &q.Mods.Having[i])
+	}
+	return root, ap.rq
 }
 
 // evalRow evaluates an ORDER BY key, a HAVING constraint or a
@@ -691,7 +633,7 @@ const hiddenItemPrefix = " item"
 
 // columns lays out the projection, assigning the slots it needs (a
 // variable nothing binds is a column of unbound cells). SELECT *
-// projects sparql.Query.ProjectedVars, sorted. An expression item
+// projects the Scope's Projected variables, sorted. An expression item
 // evaluates into a hidden slot; where it fails, the item keeps its
 // alias's binding — except in an aggregate stream, where it projects
 // unbound (a group row's binding of a WHERE variable the alias shadows
@@ -700,7 +642,9 @@ const hiddenItemPrefix = " item"
 func (ce *colExec) columns(q *sparql.Query) []column {
 	var cols []column
 	if q.SelectStar {
-		for _, v := range slices.Sorted(maps.Keys(q.ProjectedVars())) {
+		names := ce.scope.NamesOf(ce.scope.Projected)
+		slices.Sort(names)
+		for _, v := range names {
 			cols = append(cols, column{name: v, slot: ce.schema.Slot(v), keep: -1})
 		}
 		return cols

@@ -88,7 +88,7 @@ func TestLoggenCorpusDifferential(t *testing.T) {
 				t.Fatalf("%q: row %d\ncolumnar:  %q\nreference: %q", src, i, a, b)
 			}
 		}
-		if hasAggregates(q) {
+		if q.Grouped() {
 			aggs++
 		}
 		rows += len(gotRows)

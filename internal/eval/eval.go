@@ -15,7 +15,7 @@
 // once, as operators on the solution stream, for every query form:
 // ORDER BY, the projection's expressions, DISTINCT, then OFFSET/LIMIT,
 // which stops the pull once it is met. SELECT * projects the WHERE
-// clause's in-scope variables (sparql.InScopeVars), and CONSTRUCT and
+// clause's in-scope variables (sparql.Scope), and CONSTRUCT and
 // DESCRIBE order and slice solutions, as SPARQL 1.1 §16.2 and §16.4
 // specify. The map-binding evaluator the executor replaced lives in
 // this package's tests as the reference the differential suites
@@ -150,7 +150,7 @@ func (ev *evaluator) run(q *sparql.Query) (*Result, error) {
 	if h := TestHookExecute; h != nil {
 		h(q)
 	}
-	res, err := ev.query(q)
+	res, err := ev.query(q, sparql.ScopeOf(q))
 	if err == nil {
 		res.Recovered = ev.recovered
 		res.Probes = ev.probes
@@ -394,28 +394,4 @@ func (ev *evaluator) pathResolver() pathcomp.Resolver {
 	return func(pname string) (rdf.ID, bool) {
 		return ev.st.Lookup(ev.prefixes.Expand(pname, true))
 	}
-}
-
-// hasAggregates reports whether the query needs grouped evaluation.
-func hasAggregates(q *sparql.Query) bool {
-	if len(q.Mods.GroupBy) > 0 {
-		return true
-	}
-	for _, it := range q.Select {
-		if containsAggregate(it.Expr) {
-			return true
-		}
-	}
-	return false
-}
-
-func containsAggregate(e sparql.Expr) bool {
-	found := false
-	sparql.WalkExpr(e, func(x sparql.Expr) bool {
-		if _, ok := x.(*sparql.AggregateExpr); ok {
-			found = true
-		}
-		return !found
-	})
-	return found
 }

@@ -108,7 +108,7 @@ func (g *exprGen) family(name string, depth int) string {
 
 // TestClosedExpressionDifferential is the contract between the static
 // folder and the evaluator: sparqld answers a query the linter proves
-// empty without evaluating it, so whenever lint.Empty holds for
+// empty without evaluating it, so whenever lint.Run's Empty holds for
 // FILTER(<closed expression>), evaluating with the short circuit off
 // must drop the row, on the executor and the reference. (The converse
 // is not claimed: the folder may fail to prove an emptiness that is
@@ -127,7 +127,7 @@ func TestClosedExpressionDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("generator produced unparsable query %q: %v", src, err)
 		}
-		static := lint.Empty(q)
+		static := lint.Run(q).Empty
 		columnar, err := QueryWithLimits(sn, q, Limits{noStatic: true})
 		if err != nil {
 			t.Fatalf("columnar eval of %q: %v", src, err)
@@ -141,7 +141,7 @@ func TestClosedExpressionDifferential(t *testing.T) {
 		}
 		switch kept := len(columnar.Rows) > 0; {
 		case static && kept:
-			t.Fatalf("unsound: lint.Empty holds for %q but the row survives evaluation", src)
+			t.Fatalf("unsound: lint.Run's Empty holds for %q but the row survives evaluation", src)
 		case static:
 			empties++
 		case kept:
@@ -193,8 +193,8 @@ func TestTermTestsFollowTermKind(t *testing.T) {
 				t.Errorf("FILTER(%s) (%s) kept %q, want %q", tc.filter, ev.name, got, tc.want)
 			}
 		}
-		if got := lint.Empty(q); got != (tc.want == nil) {
-			t.Errorf("lint.Empty with FILTER(%s) = %v, want %v", tc.filter, got, tc.want == nil)
+		if got := lint.Run(q).Empty; got != (tc.want == nil) {
+			t.Errorf("lint.Run's Empty with FILTER(%s) = %v, want %v", tc.filter, got, tc.want == nil)
 		}
 	}
 }

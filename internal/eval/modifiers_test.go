@@ -107,6 +107,47 @@ func TestSelectStarProjectsInScopeVariables(t *testing.T) {
 	}
 }
 
+// TestImplicitGrouping: an aggregate in HAVING or ORDER BY groups all
+// solutions into one group (§18.2.4.1), as one in SELECT does, and an
+// ASK, grouped implicitly or by GROUP BY, answers whether a group
+// survives its HAVING.
+func TestImplicitGrouping(t *testing.T) {
+	st := rdf.NewStore()
+	st.Add("urn:s1", "urn:p", "urn:o1")
+	st.Add("urn:s2", "urn:p", "urn:o2")
+	sn := st.Freeze()
+	for _, c := range []specCase{
+		{
+			name: "HAVING",
+			src:  `SELECT (1 AS ?one) { ?s ?p ?o } HAVING (COUNT(?s) > 100)`,
+			vars: []string{"one"},
+		},
+		{
+			name: "ORDER BY",
+			src:  `SELECT (1 AS ?one) { ?s ?p ?o } ORDER BY COUNT(?s)`,
+			vars: []string{"one"},
+			rows: [][]string{{"1"}},
+		},
+	} {
+		t.Run(c.name, func(t *testing.T) { checkSpec(t, sn, c) })
+	}
+	for src, want := range map[string]bool{
+		`ASK { ?s ?p ?o } HAVING (COUNT(?s) > 100)`: false,
+		`ASK { ?s ?p ?o } HAVING (COUNT(?s) = 2)`:   true,
+		// An explicit GROUP BY's HAVING counts for ASK too.
+		`ASK { ?s ?p ?o } GROUP BY ?s HAVING (COUNT(*) > 100)`: false,
+		`ASK { ?s ?p ?o } GROUP BY ?s HAVING (COUNT(*) = 1)`:   true,
+	} {
+		q, err := sparql.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res, err := Query(sn, q); err != nil || res.Bool != want {
+			t.Errorf("%s: %v, %v; want %v", src, res, err, want)
+		}
+	}
+}
+
 // TestConstructModifiersApplyToSolutions: ORDER BY, OFFSET and LIMIT
 // pick the solutions the template is instantiated with (§16.2), so one
 // kept solution yields every triple of its template.

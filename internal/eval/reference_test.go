@@ -68,6 +68,17 @@ func (ev *evaluator) queryLegacy(q *sparql.Query) (*Result, error) {
 	}
 	switch q.Type {
 	case sparql.AskQuery:
+		if q.Grouped() {
+			// ASK keeps any group HAVING keeps; like the executor's
+			// ASK, it ignores LIMIT and OFFSET.
+			aq := *q
+			aq.Mods.HasLimit, aq.Mods.HasOffset = false, false
+			res, err := ev.finishAggregate(&aq, rows)
+			if err != nil {
+				return nil, err
+			}
+			return &Result{Bool: len(res.Rows) > 0}, nil
+		}
 		return &Result{Bool: len(rows) > 0}, nil
 	case sparql.SelectQuery:
 		return ev.finishSelect(q, rows)
@@ -129,7 +140,8 @@ func (ev *evaluator) finishDescribe(q *sparql.Query, rows []binding) (*Result, e
 			add(txt)
 		}
 	}
-	for name := range q.ProjectedVars() {
+	sc := sparql.ScopeOf(q)
+	for _, name := range sc.NamesOf(sc.Projected) {
 		for _, b := range rows {
 			if v, bound := b.lookupVar(name); bound {
 				add(v)
@@ -636,7 +648,7 @@ func (ev *evaluator) filter(c sparql.Expr, in []binding) ([]binding, error) {
 // ---------- SELECT finishing: grouping, ordering, projection ----------
 
 func (ev *evaluator) finishSelect(q *sparql.Query, rows []binding) (*Result, error) {
-	if hasAggregates(q) {
+	if q.Grouped() {
 		return ev.finishAggregate(q, rows)
 	}
 	res := ev.projectSelect(q, rows)
@@ -652,9 +664,8 @@ func (ev *evaluator) finishSelect(q *sparql.Query, rows []binding) (*Result, err
 func (ev *evaluator) projectSelect(q *sparql.Query, rows []binding) *Result {
 	res := &Result{}
 	if q.SelectStar {
-		for v := range q.ProjectedVars() {
-			res.Vars = append(res.Vars, v)
-		}
+		sc := sparql.ScopeOf(q)
+		res.Vars = sc.NamesOf(sc.Projected)
 		sort.Strings(res.Vars)
 	} else {
 		for _, it := range q.Select {

@@ -24,7 +24,8 @@ import (
 //     are those direct elements plus this one filter, and
 //   - drop is not an AS target of the projection or GROUP BY (which
 //     would rebind it).
-func canCollapse(q *sparql.Query, g *sparql.Group, i int) (keep, drop string, ok bool) {
+func canCollapse(sc *sparql.Scope, g *sparql.Group, i int) (keep, drop string, ok bool) {
+	q := sc.Query
 	fl, isFilter := g.Elems[i].(*sparql.Filter)
 	if !isFilter || q.Where == nil {
 		return "", "", false
@@ -43,7 +44,7 @@ func canCollapse(q *sparql.Query, g *sparql.Group, i int) (keep, drop string, ok
 		}
 		// All of drop's WHERE-tree occurrences must be the direct
 		// elements plus the one occurrence in this filter.
-		return countPatternOcc(q.Where, drop) == dDirect+1
+		return countPatternOcc(sc, q.Where, drop) == dDirect+1
 	}
 	if try(x, y) {
 		return x, y, true
@@ -82,8 +83,8 @@ func directTripleOcc(g *sparql.Group, name string) int {
 // filter and bind expressions (including EXISTS bodies — matches
 // there observe outer bindings), VALUES columns. Subqueries count one
 // occurrence when they project the variable and are otherwise opaque
-// (their interior is a different scope).
-func countPatternOcc(p sparql.Pattern, name string) int {
+// (their interior is a different scope). sc is the query's Scope.
+func countPatternOcc(sc *sparql.Scope, p sparql.Pattern, name string) int {
 	n := 0
 	term := func(t sparql.Term) {
 		if t.Kind == sparql.TermVar && t.Value == name {
@@ -97,7 +98,7 @@ func countPatternOcc(p sparql.Pattern, name string) int {
 			case *sparql.TermExpr:
 				term(t.Term)
 			case *sparql.ExistsExpr:
-				n += countPatternOcc(t.Pattern, name)
+				n += countPatternOcc(sc, t.Pattern, name)
 			}
 			return true
 		})
@@ -142,7 +143,7 @@ func countPatternOcc(p sparql.Pattern, name string) int {
 				term(v)
 			}
 		case *sparql.SubSelect:
-			if t.Query != nil && t.Query.ProjectedVars()[name] {
+			if sub := sc.Sub(t.Query); sub != nil && sub.In(sub.Projected, name) {
 				n++
 			}
 		}

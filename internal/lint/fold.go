@@ -62,12 +62,21 @@ func (s sval) dropClass() bool {
 }
 
 // folder folds expressions under a prefix environment and a set of
-// dead variables (variables no pattern of the query can bind, which
-// therefore error in every strict position).
+// dead variables of a scope (variables no pattern of the query can
+// bind, which therefore error in every strict position).
 type folder struct {
 	prefixes sparql.Prefixes
-	dead     map[string]bool
+	sc       *sparql.Scope
+	dead     sparql.VarSet
 }
+
+// newFolder folds in scope sc, where the variables live binds are the
+// ones that are not dead.
+func newFolder(sc *sparql.Scope, prefixes sparql.Prefixes, live sparql.VarSet) *folder {
+	return &folder{prefixes: prefixes, sc: sc, dead: sc.Mentioned.AndNot(live)}
+}
+
+func (f *folder) isDead(name string) bool { return f.sc.In(f.dead, name) }
 
 // fold abstracts eval's eval().
 func (f *folder) fold(e sparql.Expr) sval {
@@ -75,7 +84,7 @@ func (f *folder) fold(e sparql.Expr) sval {
 	case *sparql.TermExpr:
 		switch n.Term.Kind {
 		case sparql.TermVar:
-			if f.dead[n.Term.Value] {
+			if f.isDead(n.Term.Value) {
 				return errS()
 			}
 			return unknownS()
@@ -210,7 +219,7 @@ func (f *folder) foldFunc(n *sparql.FuncCall) sval {
 	case "BOUND":
 		if len(n.Args) == 1 {
 			if te, ok := n.Args[0].(*sparql.TermExpr); ok && te.Term.Kind == sparql.TermVar {
-				if f.dead[te.Term.Value] {
+				if f.isDead(te.Term.Value) {
 					return knownB(false)
 				}
 				return unknownS()

@@ -46,7 +46,7 @@ func FuzzLintNoPanic(f *testing.F) {
 		}
 		// A statically-empty query must carry the proof in some form the
 		// evaluator can also reach (EmptyUnder is what eval consults).
-		if r.Empty != EmptyUnder(q, q.Prologue.PrefixMap()) {
+		if r.Empty != EmptyUnder(sparql.ScopeOf(q), q.Prologue.PrefixMap()) {
 			t.Fatalf("Empty/EmptyUnder disagree on %q", src)
 		}
 	})

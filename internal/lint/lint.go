@@ -12,8 +12,12 @@
 // collapsible variable equalities are all statically detectable
 // pathologies that predict evaluation cost or emptiness before a
 // single triple is touched. Beyond reporting, the same machinery feeds
-// the evaluator: Empty proves a WHERE clause yields no solutions so
-// eval can short-circuit without index probes.
+// the evaluator: EmptyUnder proves a WHERE clause yields no solutions
+// so eval can short-circuit without index probes.
+//
+// Passes do not decide which variables are bound: they read the
+// query's sparql.Scope. A variable it has Mentioned but not Bindable
+// is dead; like an EXISTS body, a MINUS body binds only inside itself.
 package lint
 
 import (
@@ -90,15 +94,10 @@ func Passes() []*Pass {
 // Ctx is the shared state one Run invocation exposes to every pass.
 type Ctx struct {
 	Query *sparql.Query
-	// Bindable is the set of variables some pattern of the query can
-	// bind (triple/path positions, GRAPH names, BIND targets, VALUES
-	// columns, subquery projections, trailing VALUES). A variable
-	// outside this set is unbound in every solution.
-	Bindable map[string]bool
 
 	// scopes is the query's variable scopes (the top query first, then
-	// each subquery), built once per Run and shared by every pass;
-	// passes only read them.
+	// each subquery), built once per Run from one sparql.ScopeOf and
+	// shared by every pass; passes only read them.
 	scopes []*scope
 
 	current *Pass
@@ -120,8 +119,11 @@ func (c *Ctx) Report(path, snippet, format string, args ...any) {
 type Result struct {
 	Diagnostics []Diagnostic
 	// Empty reports that the WHERE clause provably yields no solutions
-	// on any dataset (see Empty).
+	// on any dataset (see EmptyUnder).
 	Empty bool
+	// Scope is the query's variable analysis the passes read, for a
+	// caller with more scope questions.
+	Scope *sparql.Scope
 }
 
 // Codes returns the distinct diagnostic codes, sorted.
@@ -156,75 +158,13 @@ func (r *Result) Max() (Severity, bool) {
 // Run applies every registered pass to the query and returns the
 // combined diagnostics in pass-code order.
 func Run(q *sparql.Query) *Result {
-	sc := scopes(q)
-	c := &Ctx{Query: q, Bindable: sc[0].bindable, scopes: sc}
+	c := &Ctx{Query: q, scopes: scopes(sparql.ScopeOf(q))}
 	for _, p := range Passes() {
 		c.current = p
 		p.Run(c)
 	}
-	return &Result{Diagnostics: c.diags, Empty: Empty(q)}
-}
-
-// bindableVars collects every variable some pattern of the query can
-// bind. EXISTS bodies are excluded: their matches never extend the
-// outer solution.
-func bindableVars(q *sparql.Query) map[string]bool {
-	out := make(map[string]bool)
-	if q.Where != nil {
-		collectBindable(q.Where, out)
-	}
-	if q.TrailingValues != nil {
-		for _, v := range q.TrailingValues.Vars {
-			if v.Kind == sparql.TermVar {
-				out[v.Value] = true
-			}
-		}
-	}
-	// GROUP BY ... AS ?v introduces a binding visible to projection.
-	for _, gk := range q.Mods.GroupBy {
-		if gk.AsVar && gk.Var.Kind == sparql.TermVar {
-			out[gk.Var.Value] = true
-		}
-	}
-	return out
-}
-
-func collectBindable(p sparql.Pattern, out map[string]bool) {
-	addTerm := func(t sparql.Term) {
-		if t.Kind == sparql.TermVar && t.Value != "" {
-			out[t.Value] = true
-		}
-	}
-	sparql.Walk(p, func(n sparql.Pattern) bool {
-		switch t := n.(type) {
-		case *sparql.TriplePattern:
-			addTerm(t.S)
-			addTerm(t.P)
-			addTerm(t.O)
-		case *sparql.PathPattern:
-			addTerm(t.S)
-			addTerm(t.O)
-		case *sparql.GraphGraph:
-			addTerm(t.Name)
-		case *sparql.Bind:
-			addTerm(t.Var)
-			return false // EXISTS inside the expression binds nothing
-		case *sparql.InlineData:
-			for _, v := range t.Vars {
-				addTerm(v)
-			}
-		case *sparql.SubSelect:
-			if t.Query != nil {
-				for v := range t.Query.ProjectedVars() {
-					out[v] = true
-				}
-			}
-			return false
-		case *sparql.Filter:
-			return false // EXISTS matches never bind outward
-		}
-		return true
-	})
+	top := c.scopes[0]
+	return &Result{Diagnostics: c.diags, Empty: EmptyUnder(top.sc, top.f[0].prefixes), Scope: top.sc}
 }
 
 // location is where a walk stands: the structural path of the node
@@ -234,6 +174,7 @@ func collectBindable(p sparql.Pattern, out map[string]bool) {
 type location struct {
 	root  string
 	steps []step
+	minus int // how many MINUS bodies the walk stands in
 }
 
 // step is one edge of the path: a fixed label (".optional", ...) or,
@@ -298,7 +239,9 @@ func (w *walker) walk(p sparql.Pattern) {
 	case *sparql.GraphGraph:
 		w.down(n.Inner, step{label: ".graph"})
 	case *sparql.MinusGraph:
+		w.at.minus++
 		w.down(n.Inner, step{label: ".minus"})
+		w.at.minus--
 	case *sparql.ServiceGraph:
 		w.down(n.Inner, step{label: ".service"})
 	}

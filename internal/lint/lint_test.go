@@ -141,6 +141,29 @@ func TestPassCodes(t *testing.T) {
 			`SELECT (COUNT(*) AS ?c) WHERE { ?s <urn:p> ?o } GROUP BY (?o AS ?k) ORDER BY ?k`,
 			"",
 		},
+		{
+			// Like an EXISTS body, a MINUS body binds only inside
+			// itself: ?z is dead outside it and live within it.
+			"minus-binds-nothing-outward",
+			`SELECT ?x { ?x <p> ?y MINUS { ?x <q> ?z } FILTER(?z > 1) }`,
+			"SQL001,SQL003",
+		},
+		{
+			"minus-only-projection",
+			`SELECT ?z { ?x <p> ?y MINUS { ?x <q> ?z } }`,
+			"SQL004",
+		},
+		{
+			"minus-body-binds-inside",
+			`SELECT ?x { ?x <p> ?y MINUS { ?x <q> ?z FILTER(?z > 1) } }`,
+			"",
+		},
+		{
+			// What one MINUS body binds stays live in another's.
+			"minus-bodies-share",
+			`SELECT ?x { ?x <p> ?y MINUS { ?x <q> ?z } MINUS { ?x <r> ?w FILTER(?z > 1) } }`,
+			"",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -190,6 +213,16 @@ func TestUnboundOrderKeyScoping(t *testing.T) {
 	}
 }
 
+// TestCartesianProductNames pins SQL002's rendering of a component: its
+// variables as ?name and its blank node labels as _:label, sorted.
+func TestCartesianProductNames(t *testing.T) {
+	r := Run(parse(t, `SELECT * { ?a <q> _:b . _:b <r> ?c . ?d <s> ?e }`))
+	const want = "group is a cartesian product of 2 disconnected components: {_:b ?a ?c} × {?d ?e}"
+	if len(r.Diagnostics) != 1 || r.Diagnostics[0].Message != want {
+		t.Fatalf("diagnostics %v, want one: %s", r.Diagnostics, want)
+	}
+}
+
 // TestEmpty checks the static-emptiness decision across the pattern
 // algebra.
 func TestEmpty(t *testing.T) {
@@ -206,6 +239,8 @@ func TestEmpty(t *testing.T) {
 			`SELECT * WHERE { ?s ?p ?o OPTIONAL { ?s <urn:q> ?x . FILTER(false) } }`, false},
 		{"minus-never-propagates",
 			`SELECT * WHERE { ?s ?p ?o MINUS { ?s <urn:q> ?x . FILTER(false) } }`, false},
+		{"minus-binds-nothing-outward",
+			`SELECT ?x { ?x <p> ?y MINUS { ?x <q> ?z } FILTER(?z > 1) }`, true},
 		{"union-one-live",
 			`SELECT * WHERE { { ?s ?p ?o . FILTER(false) } UNION { ?s ?p ?o } }`, false},
 		{"union-both-dead",
@@ -227,7 +262,7 @@ func TestEmpty(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := Empty(parse(t, tc.src)); got != tc.empty {
+			if got := Run(parse(t, tc.src)).Empty; got != tc.empty {
 				t.Fatalf("Empty = %v, want %v", got, tc.empty)
 			}
 		})

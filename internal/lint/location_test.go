@@ -77,17 +77,17 @@ func TestLocationsMatchEagerWalk(t *testing.T) {
 	nodes, diags := 0, 0
 	for _, q := range locationCorpus(t) {
 		paths := map[string]bool{}
-		for _, s := range scopes(q) {
-			if s.q.Where == nil {
+		for _, s := range scopes(sparql.ScopeOf(q)) {
+			if s.sc.Query.Where == nil {
 				continue
 			}
 			var eager, lazy []visit
-			eagerWalkPath(s.q.Where, s.wherePath(), func(p sparql.Pattern, path string) bool {
+			eagerWalkPath(s.sc.Query.Where, s.wherePath(), func(p sparql.Pattern, path string) bool {
 				eager = append(eager, visit{p, path})
 				paths[path] = true
 				return true
 			})
-			walkPath(s.q.Where, s.wherePath(), func(p sparql.Pattern, at *location) bool {
+			walkPath(s.sc.Query.Where, s.wherePath(), func(p sparql.Pattern, at *location) bool {
 				lazy = append(lazy, visit{p, at.String()})
 				return true
 			})

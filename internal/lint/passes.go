@@ -2,7 +2,7 @@ package lint
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"sparqlog/internal/analysis"
@@ -69,41 +69,41 @@ func init() {
 	})
 }
 
-// scope is one variable scope: the top query, or one subquery. Each
-// has its own bindable/dead variable sets; the prefix environment is
-// always the outer query's (the evaluator resolves subquery IRIs
-// against it).
+// scope is one variable scope, the top query's or a subquery's. Its
+// folders' dead variables are those no solution can carry: f[0]'s
+// outside MINUS bodies, f[1]'s inside one, where what MINUS bodies bind
+// is live. Prefixes are the outer query's, as the evaluator's are.
 type scope struct {
-	q        *sparql.Query
-	prefix   string // "" for the top query, else "<path>." of the subselect
-	f        *folder
-	bindable map[string]bool
+	sc     *sparql.Scope
+	prefix string // "" for the top query, else "<path>." of the subselect
+	f      [2]*folder
 }
 
 func (s *scope) wherePath() string { return s.prefix + "where" }
 
-func scopes(q *sparql.Query) []*scope {
-	prefixes := q.Prologue.PrefixMap()
+// folder returns the folder for a walk standing at l.
+func (s *scope) folder(l *location) *folder { return s.f[min(l.minus, 1)] }
+
+func scopes(top *sparql.Scope) []*scope {
+	prefixes := top.Query.Prologue.PrefixMap()
 	var out []*scope
-	var collect func(q *sparql.Query, prefix string)
-	collect = func(q *sparql.Query, prefix string) {
-		out = append(out, &scope{
-			q:        q,
-			prefix:   prefix,
-			f:        &folder{prefixes: prefixes, dead: deadVars(q)},
-			bindable: bindableVars(q),
-		})
-		if q.Where == nil {
+	var collect func(sc *sparql.Scope, prefix string)
+	collect = func(sc *sparql.Scope, prefix string) {
+		out = append(out, &scope{sc: sc, prefix: prefix, f: [2]*folder{
+			newFolder(sc, prefixes, sc.Bindable),
+			newFolder(sc, prefixes, sc.Bindable.Or(sc.MinusOnly)),
+		}})
+		if sc.Query.Where == nil {
 			return
 		}
-		walkPath(q.Where, prefix+"where", func(p sparql.Pattern, at *location) bool {
+		walkPath(sc.Query.Where, prefix+"where", func(p sparql.Pattern, at *location) bool {
 			if ss, ok := p.(*sparql.SubSelect); ok && ss.Query != nil {
-				collect(ss.Query, at.String()+".")
+				collect(sc.Sub(ss.Query), at.String()+".")
 			}
 			return true
 		})
 	}
-	collect(q, "")
+	collect(top, "")
 	return out
 }
 
@@ -111,12 +111,12 @@ func scopes(q *sparql.Query) []*scope {
 
 func runUnsatFilter(c *Ctx) {
 	for _, s := range c.scopes {
-		if s.q.Where == nil {
+		if s.sc.Query.Where == nil {
 			continue
 		}
-		walkPath(s.q.Where, s.wherePath(), func(p sparql.Pattern, at *location) bool {
+		walkPath(s.sc.Query.Where, s.wherePath(), func(p sparql.Pattern, at *location) bool {
 			if fl, ok := p.(*sparql.Filter); ok {
-				if reason, unsat := s.f.unsatReason(fl.Constraint); unsat {
+				if reason, unsat := s.folder(at).unsatReason(fl.Constraint); unsat {
 					c.Report(at.String(), sparql.PatternString(fl),
 						"FILTER never keeps a row: %s", reason)
 				}
@@ -130,12 +130,12 @@ func runUnsatFilter(c *Ctx) {
 
 func runCartesianProduct(c *Ctx) {
 	for _, s := range c.scopes {
-		if s.q.Where == nil {
+		if s.sc.Query.Where == nil {
 			continue
 		}
-		walkPath(s.q.Where, s.wherePath(), func(p sparql.Pattern, at *location) bool {
+		walkPath(s.sc.Query.Where, s.wherePath(), func(p sparql.Pattern, at *location) bool {
 			if g, ok := p.(*sparql.Group); ok {
-				checkGroupProduct(c, g, at)
+				checkGroupProduct(c, s, g, at)
 			}
 			return true
 		})
@@ -143,206 +143,127 @@ func runCartesianProduct(c *Ctx) {
 }
 
 // checkGroupProduct builds the variable hypergraph of one group: one
-// edge per var-bearing element. Elements that multiply rows (triples,
-// paths, unions, nested groups, GRAPH, subselects, VALUES) are "join"
-// edges; the rest (filters, binds, OPTIONAL, MINUS, SERVICE) only
-// connect components. Two or more components that each contain a join
-// edge form a cartesian product.
-func checkGroupProduct(c *Ctx, g *sparql.Group, at *location) {
-	type edge struct {
-		vars []string
-		join bool
-	}
-	var edges []edge
-	for _, el := range g.Elems {
-		vs := make(map[string]bool)
-		join := false
-		switch t := el.(type) {
-		case *sparql.TriplePattern:
-			nodeVar(t.S, vs)
-			nodeVar(t.P, vs)
-			nodeVar(t.O, vs)
-			join = true
-		case *sparql.PathPattern:
-			nodeVar(t.S, vs)
-			nodeVar(t.O, vs)
-			join = true
-		case *sparql.Group, *sparql.Union, *sparql.GraphGraph, *sparql.SubSelect:
-			for v := range sparql.Vars(el) {
-				vs[v] = true
+// edge per var-bearing element, the element's variables as the scope
+// numbers them (sparql.Scope.Elems). Elements that multiply rows
+// (triples, paths, unions, nested groups, GRAPH, subselects, VALUES)
+// are "join" edges; the rest (filters, binds, OPTIONAL, MINUS, SERVICE)
+// only connect components. Two or more components that each contain a
+// join edge form a cartesian product.
+func checkGroupProduct(c *Ctx, s *scope, g *sparql.Group, at *location) {
+	elems := s.sc.Elems(g)
+	var edges []int // the elements with variables, one edge each
+	n := 0
+	for i, set := range elems {
+		if set.Len() > 0 {
+			edges = append(edges, i)
+			if joins(g.Elems[i]) {
+				n++
 			}
-			join = true
-		case *sparql.InlineData:
-			for _, v := range t.Vars {
-				nodeVar(v, vs)
-			}
-			join = len(t.Rows) > 1
-		case *sparql.Filter:
-			for v := range sparql.ExprVars(t.Constraint) {
-				vs[v] = true
-			}
-		case *sparql.Bind:
-			for v := range sparql.ExprVars(t.Expr) {
-				vs[v] = true
-			}
-			nodeVar(t.Var, vs)
-		default: // Optional, MinusGraph, ServiceGraph: connectors only
-			for v := range sparql.Vars(el) {
-				vs[v] = true
-			}
-		}
-		if len(vs) == 0 {
-			continue
-		}
-		names := make([]string, 0, len(vs))
-		for v := range vs {
-			names = append(names, v)
-		}
-		sort.Strings(names)
-		edges = append(edges, edge{vars: names, join: join})
-	}
-	joins := 0
-	for _, e := range edges {
-		if e.join {
-			joins++
 		}
 	}
-	if joins < 2 {
+	if n < 2 {
 		return
 	}
-	vid := make(map[string]int)
-	for _, e := range edges {
-		for _, v := range e.vars {
-			if _, ok := vid[v]; !ok {
-				vid[v] = len(vid)
-			}
-		}
-	}
-	h := hypergraph.New(len(vid))
-	for _, e := range edges {
-		ids := make([]int, len(e.vars))
-		for i, v := range e.vars {
-			ids[i] = vid[v]
-		}
-		h.AddEdge(ids...)
+	h := hypergraph.New(len(s.sc.Names))
+	for _, i := range edges {
+		h.AddEdge(slices.Collect(elems[i].All())...)
 	}
 	labels := h.EdgeComponents()
-	compHasJoin := make(map[int]bool)
-	compVars := make(map[int][]string)
-	for i, e := range edges {
-		comp := labels[i]
-		if e.join {
-			compHasJoin[comp] = true
-		}
-		compVars[comp] = append(compVars[comp], e.vars...)
+	comps := make([]sparql.VarSet, slices.Max(labels)+1)
+	hasJoin := make([]bool, len(comps))
+	for k, i := range edges {
+		comps[labels[k]] = comps[labels[k]].Or(elems[i])
+		hasJoin[labels[k]] = hasJoin[labels[k]] || joins(g.Elems[i])
 	}
-	var joinComps []int
-	for comp, has := range compHasJoin {
-		if has {
-			joinComps = append(joinComps, comp)
+	var parts []string
+	for comp, set := range comps {
+		if !hasJoin[comp] {
+			continue
 		}
+		names := s.sc.NamesOf(set)
+		slices.Sort(names)
+		for j, n := range names {
+			if !strings.HasPrefix(n, "_:") {
+				names[j] = "?" + n
+			}
+		}
+		parts = append(parts, "{"+strings.Join(names, " ")+"}")
 	}
-	if len(joinComps) < 2 {
+	if len(parts) < 2 {
 		return
 	}
-	sort.Ints(joinComps)
-	var parts []string
-	for _, comp := range joinComps {
-		parts = append(parts, "{?"+strings.Join(dedupSorted(compVars[comp]), " ?")+"}")
-	}
 	c.Report(at.String(), "", "group is a cartesian product of %d disconnected components: %s",
-		len(joinComps), strings.Join(parts, " × "))
+		len(parts), strings.Join(parts, " × "))
 }
 
-func nodeVar(t sparql.Term, out map[string]bool) {
-	switch t.Kind {
-	case sparql.TermVar:
-		if t.Value != "" {
-			out[t.Value] = true
-		}
-	case sparql.TermBlank:
-		// Blank nodes join like variables within the query.
-		out["_:"+t.Value] = true
+// joins reports whether a group element multiplies rows.
+func joins(el sparql.Pattern) bool {
+	switch t := el.(type) {
+	case *sparql.TriplePattern, *sparql.PathPattern, *sparql.Group, *sparql.Union, *sparql.GraphGraph, *sparql.SubSelect:
+		return true
+	case *sparql.InlineData:
+		return len(t.Rows) > 1
 	}
-}
-
-func dedupSorted(vs []string) []string {
-	sort.Strings(vs)
-	out := vs[:0]
-	for i, v := range vs {
-		if i == 0 || v != vs[i-1] {
-			out = append(out, v)
-		}
-	}
-	return out
+	return false
 }
 
 // ---------- SQL003 ----------
 
 func runUnboundFilterVar(c *Ctx) {
 	for _, s := range c.scopes {
-		if s.q.Where == nil {
+		if s.sc.Query.Where == nil {
 			continue
 		}
-		walkPath(s.q.Where, s.wherePath(), func(p sparql.Pattern, at *location) bool {
+		walkPath(s.sc.Query.Where, s.wherePath(), func(p sparql.Pattern, at *location) bool {
 			fl, ok := p.(*sparql.Filter)
 			if !ok {
 				return true
 			}
-			for _, v := range sortedVars(exprOwnVars(fl.Constraint)) {
-				if !s.bindable[v] {
-					c.Report(at.String(), sparql.ExprString(fl.Constraint),
-						"FILTER uses ?%s, which no pattern of the query can bind", v)
-				}
+			for _, v := range ownVars(fl.Constraint, s.folder(at).isDead) {
+				c.Report(at.String(), sparql.ExprString(fl.Constraint),
+					"FILTER uses ?%s, which no pattern of the query can bind", v)
 			}
 			return true
 		})
 	}
 }
 
-// exprOwnVars collects the variables of an expression excluding
-// EXISTS bodies, which bind their own matches.
-func exprOwnVars(e sparql.Expr) map[string]bool {
-	out := make(map[string]bool)
+// ownVars returns, sorted and once each, the variables e mentions
+// outside its EXISTS bodies (which bind their own matches) that keep
+// holds for.
+func ownVars(e sparql.Expr, keep func(string) bool) []string {
+	var out []string
 	sparql.WalkExpr(e, func(x sparql.Expr) bool {
-		if te, ok := x.(*sparql.TermExpr); ok && te.Term.Kind == sparql.TermVar && te.Term.Value != "" {
-			out[te.Term.Value] = true
+		if te, ok := x.(*sparql.TermExpr); ok && te.Term.Kind == sparql.TermVar && te.Term.Value != "" && keep(te.Term.Value) {
+			out = append(out, te.Term.Value)
 		}
 		return true
 	})
-	return out
-}
-
-func sortedVars(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // ---------- SQL004 ----------
 
 func runDeadProjection(c *Ctx) {
 	for _, s := range c.scopes {
-		switch s.q.Type {
+		switch s.sc.Query.Type {
 		case sparql.SelectQuery:
-			if s.q.SelectStar {
+			if s.sc.Query.SelectStar {
 				continue
 			}
-			for i, it := range s.q.Select {
+			for i, it := range s.sc.Query.Select {
 				if it.Expr != nil || it.Var.Kind != sparql.TermVar {
 					continue
 				}
-				if !s.bindable[it.Var.Value] {
+				if !s.sc.In(s.sc.Bindable, it.Var.Value) {
 					c.Report(fmt.Sprintf("%sselect[%d]", s.prefix, i), "?"+it.Var.Value,
 						"projected variable ?%s is never bound: the column is null in every row", it.Var.Value)
 				}
 			}
 		case sparql.DescribeQuery:
-			for i, t := range s.q.DescribeTerms {
-				if t.Kind == sparql.TermVar && !s.bindable[t.Value] {
+			for i, t := range s.sc.Query.DescribeTerms {
+				if t.Kind == sparql.TermVar && !s.sc.In(s.sc.Bindable, t.Value) {
 					c.Report(fmt.Sprintf("%sdescribe[%d]", s.prefix, i), "?"+t.Value,
 						"described variable ?%s is never bound", t.Value)
 				}
@@ -355,14 +276,14 @@ func runDeadProjection(c *Ctx) {
 
 func runNonWellDesigned(c *Ctx) {
 	for _, s := range c.scopes {
-		if s.q.Where == nil {
+		if s.sc.Query.Where == nil {
 			continue
 		}
-		frag := analysis.ClassifyFragments(s.q)
-		if !frag.AOF || !hasOptional(s.q.Where) {
+		frag := analysis.ClassifyFragments(s.sc.Query)
+		if !frag.AOF || !hasOptional(s.sc.Query.Where) {
 			continue
 		}
-		if !analysis.WellDesigned(s.q.Where) {
+		if !analysis.WellDesigned(s.sc.Query.Where) {
 			c.Report(s.wherePath(), "",
 				"pattern is not well-designed: an OPTIONAL variable is reused outside its optional scope (non-monotone semantics, evaluation blowup risk)")
 		}
@@ -385,10 +306,10 @@ func hasOptional(p sparql.Pattern) bool {
 
 func runDuplicateUnion(c *Ctx) {
 	for _, s := range c.scopes {
-		if s.q.Where == nil {
+		if s.sc.Query.Where == nil {
 			continue
 		}
-		walkPath(s.q.Where, s.wherePath(), func(p sparql.Pattern, at *location) bool {
+		walkPath(s.sc.Query.Where, s.wherePath(), func(p sparql.Pattern, at *location) bool {
 			if u, ok := p.(*sparql.Union); ok {
 				// Compare the branches canonically (prefixes expanded,
 				// variables renamed under one shared context): catches
@@ -414,11 +335,11 @@ func runCollapsibleEquality(c *Ctx) {
 	// (occurrence counting is per scope); equality filters in
 	// subqueries are still reported, just without that advice.
 	for _, s := range c.scopes {
-		if s.q.Where == nil {
+		if s.sc.Query.Where == nil {
 			continue
 		}
 		top := s.prefix == ""
-		walkPath(s.q.Where, s.wherePath(), func(p sparql.Pattern, at *location) bool {
+		walkPath(s.sc.Query.Where, s.wherePath(), func(p sparql.Pattern, at *location) bool {
 			g, ok := p.(*sparql.Group)
 			if !ok {
 				return true
@@ -434,7 +355,7 @@ func runCollapsibleEquality(c *Ctx) {
 				}
 				epath := fmt.Sprintf("%s.group[%d]", at, i)
 				if top {
-					if keep, drop, ok := canCollapse(c.Query, g, i); ok {
+					if keep, drop, ok := canCollapse(s.sc, g, i); ok {
 						c.Report(epath, sparql.PatternString(fl),
 							"equality FILTER(?%s = ?%s) can be collapsed into the graph pattern (substitute ?%s := ?%s)", x, y, drop, keep)
 						continue
@@ -457,27 +378,9 @@ func runCollapsibleEquality(c *Ctx) {
 // error keys pairwise, the sort is a silent no-op on that key.
 func runUnboundOrderKey(c *Ctx) {
 	for _, s := range c.scopes {
-		if len(s.q.Mods.OrderBy) == 0 {
-			continue
-		}
-		aliased := make(map[string]bool)
-		if !s.q.SelectStar {
-			for _, it := range s.q.Select {
-				if it.Expr != nil && it.Var.Kind == sparql.TermVar && it.Var.Value != "" {
-					aliased[it.Var.Value] = true
-				}
-			}
-		}
-		for _, gk := range s.q.Mods.GroupBy {
-			if gk.AsVar && gk.Var.Kind == sparql.TermVar && gk.Var.Value != "" {
-				aliased[gk.Var.Value] = true
-			}
-		}
-		for i, ok := range s.q.Mods.OrderBy {
-			for _, v := range sortedVars(exprOwnVars(ok.Expr)) {
-				if s.bindable[v] || aliased[v] {
-					continue
-				}
+		unbound := func(v string) bool { return !s.sc.In(s.sc.Bindable, v) && !isAsTarget(s.sc.Query, v) }
+		for i, ok := range s.sc.Query.Mods.OrderBy {
+			for _, v := range ownVars(ok.Expr, unbound) {
 				c.Report(fmt.Sprintf("%sorderby[%d]", s.prefix, i), sparql.ExprString(ok.Expr),
 					"ORDER BY key uses ?%s, which nothing in the query binds: the sort is a silent no-op on that key", v)
 			}

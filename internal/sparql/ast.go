@@ -1,7 +1,7 @@
 package sparql
 
 import (
-	"maps"
+	"slices"
 	"strings"
 )
 
@@ -431,166 +431,35 @@ func WalkExpr(e Expr, fn func(Expr) bool) {
 	}
 }
 
-// Vars returns the set of variable names occurring in the pattern,
-// including inside filters, binds, and nested structures. The result map
-// is keyed by variable name without the leading question mark.
-func Vars(p Pattern) map[string]bool {
-	out := make(map[string]bool)
-	collectVars(p, out)
-	return out
-}
-
-func collectVars(p Pattern, out map[string]bool) {
-	Walk(p, func(n Pattern) bool {
-		switch t := n.(type) {
-		case *TriplePattern:
-			addVar(t.S, out)
-			addVar(t.P, out)
-			addVar(t.O, out)
-		case *PathPattern:
-			addVar(t.S, out)
-			addVar(t.O, out)
-		case *GraphGraph:
-			addVar(t.Name, out)
-		case *ServiceGraph:
-			addVar(t.Name, out)
-		case *Filter:
-			collectExprVars(t.Constraint, out)
-		case *Bind:
-			collectExprVars(t.Expr, out)
-			addVar(t.Var, out)
-		case *InlineData:
-			for _, v := range t.Vars {
-				addVar(v, out)
-			}
-		case *SubSelect:
-			// A subquery only exposes its projected variables.
-			if t.Query != nil {
-				for v := range t.Query.ProjectedVars() {
-					out[v] = true
-				}
-			}
-			return false
-		}
+// Grouped reports whether the query's solutions are grouped (SPARQL 1.1
+// §18.2.4.1): it has a GROUP BY, or an aggregate in SELECT, HAVING or
+// ORDER BY, which groups all solutions into one group.
+func (q *Query) Grouped() bool {
+	if len(q.Mods.GroupBy) > 0 {
 		return true
-	})
+	}
+	for _, it := range q.Select {
+		if hasAggregate(it.Expr) {
+			return true
+		}
+	}
+	for _, k := range q.Mods.OrderBy {
+		if hasAggregate(k.Expr) {
+			return true
+		}
+	}
+	return slices.ContainsFunc(q.Mods.Having, hasAggregate)
 }
 
-// ExprVars returns the set of variable names in an expression, including
-// variables inside EXISTS patterns.
-func ExprVars(e Expr) map[string]bool {
-	out := make(map[string]bool)
-	collectExprVars(e, out)
-	return out
-}
-
-func collectExprVars(e Expr, out map[string]bool) {
+func hasAggregate(e Expr) bool {
+	found := false
 	WalkExpr(e, func(x Expr) bool {
-		switch t := x.(type) {
-		case *TermExpr:
-			addVar(t.Term, out)
-		case *ExistsExpr:
-			collectVars(t.Pattern, out)
+		if _, ok := x.(*AggregateExpr); ok {
+			found = true
 		}
-		return true
+		return !found
 	})
-}
-
-func addVar(t Term, out map[string]bool) {
-	if t.Kind == TermVar && t.Value != "" {
-		out[t.Value] = true
-	}
-}
-
-// InScopeVars returns the variables in scope in p (SPARQL 1.1 §18.2.1),
-// with those only a BIND introduces kept apart in bindOnly. Variables
-// that occur only inside FILTER constraints (EXISTS included), MINUS
-// blocks or a subquery's unprojected positions are not in scope; blank
-// nodes are not variables.
-func InScopeVars(p Pattern) (scope, bindOnly map[string]bool) {
-	scope = make(map[string]bool)
-	bindOnly = make(map[string]bool)
-	var walk func(n Pattern)
-	walk = func(n Pattern) {
-		switch t := n.(type) {
-		case *TriplePattern:
-			addVar(t.S, scope)
-			addVar(t.P, scope)
-			addVar(t.O, scope)
-		case *PathPattern:
-			addVar(t.S, scope)
-			addVar(t.O, scope)
-		case *Group:
-			for _, el := range t.Elems {
-				walk(el)
-			}
-		case *Union:
-			walk(t.Left)
-			walk(t.Right)
-		case *Optional:
-			walk(t.Inner)
-		case *GraphGraph:
-			addVar(t.Name, scope)
-			walk(t.Inner)
-		case *ServiceGraph:
-			addVar(t.Name, scope)
-			walk(t.Inner)
-		case *Bind:
-			addVar(t.Var, bindOnly)
-		case *InlineData:
-			for _, v := range t.Vars {
-				addVar(v, scope)
-			}
-		case *SubSelect:
-			if t.Query != nil {
-				for v := range t.Query.ProjectedVars() {
-					scope[v] = true
-				}
-			}
-		}
-		// MINUS and FILTER bind nothing in the enclosing scope.
-	}
-	walk(p)
-	// A variable bound both by BIND and by a pattern is simply in scope.
-	for v := range scope {
-		delete(bindOnly, v)
-	}
-	return scope, bindOnly
-}
-
-// ProjectedVars returns the set of variables the query returns: for
-// explicit SELECT lists, the listed/aliased variables; for SELECT *, the
-// variables in scope in the WHERE clause (InScopeVars, BIND's included)
-// and those a trailing VALUES clause binds, whether or not any solution
-// binds them; for DESCRIBE, the described variables, and for DESCRIBE *
-// the same in-scope set as SELECT *; for ASK and CONSTRUCT, none.
-func (q *Query) ProjectedVars() map[string]bool {
-	out := make(map[string]bool)
-	star := false
-	switch q.Type {
-	case SelectQuery:
-		star = q.SelectStar
-		for _, it := range q.Select {
-			addVar(it.Var, out)
-		}
-	case DescribeQuery:
-		star = q.DescribeStar
-		for _, t := range q.DescribeTerms {
-			addVar(t, out)
-		}
-	}
-	if !star {
-		return out
-	}
-	scope, bindOnly := InScopeVars(q.Where)
-	maps.Copy(out, scope)
-	maps.Copy(out, bindOnly)
-	if q.TrailingValues != nil {
-		for _, v := range q.TrailingValues.Vars {
-			addVar(v, out)
-		}
-	}
-	return out
+	return found
 }
 
 // Triples returns every triple pattern in the query body (including those

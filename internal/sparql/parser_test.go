@@ -1,7 +1,6 @@
 package sparql
 
 import (
-	"maps"
 	"slices"
 	"strings"
 	"testing"
@@ -489,6 +488,11 @@ func TestParseGraphWithVariable(t *testing.T) {
 	}
 }
 
+// names renders a Scope set as its sorted names.
+func names(s *Scope, set VarSet) string {
+	return strings.Join(slices.Sorted(slices.Values(s.NamesOf(set))), " ")
+}
+
 func TestVarsCollection(t *testing.T) {
 	q := mustParse(t, `SELECT * WHERE {
 		?s <p> ?o .
@@ -496,24 +500,23 @@ func TestVarsCollection(t *testing.T) {
 		FILTER (?y > 1)
 		BIND (str(?s) AS ?z)
 	}`)
-	vars := Vars(q.Where)
-	for _, v := range []string{"s", "o", "x", "y", "z"} {
-		if !vars[v] {
-			t.Errorf("missing variable %s in %v", v, vars)
-		}
+	s := ScopeOf(q)
+	if got := names(s, s.Mentioned); got != "o s x y z" {
+		t.Errorf("mentioned = %q", got)
+	}
+	if got := s.Names; !slices.Equal(got, []string{"s", "o", "x", "y", "z"}) {
+		t.Errorf("numbering = %q, want the walk's pre-order", got)
 	}
 }
 
 func TestProjectedVars(t *testing.T) {
-	q := mustParse(t, "SELECT ?a ?b WHERE { ?a <p> ?b . ?b <q> ?c }")
-	pv := q.ProjectedVars()
-	if !pv["a"] || !pv["b"] || pv["c"] {
-		t.Errorf("projected = %v", pv)
+	s := ScopeOf(mustParse(t, "SELECT ?a ?b WHERE { ?a <p> ?b . ?b <q> ?c }"))
+	if got := names(s, s.Projected); got != "a b" {
+		t.Errorf("projected = %q", got)
 	}
-	q2 := mustParse(t, "SELECT * WHERE { ?a <p> ?b }")
-	pv2 := q2.ProjectedVars()
-	if !pv2["a"] || !pv2["b"] {
-		t.Errorf("star projected = %v", pv2)
+	s = ScopeOf(mustParse(t, "SELECT * WHERE { ?a <p> ?b }"))
+	if got := names(s, s.Projected); got != "a b" {
+		t.Errorf("star projected = %q", got)
 	}
 }
 
@@ -521,41 +524,51 @@ func TestProjectedVars(t *testing.T) {
 // and SELECT * / DESCRIBE *'s projection of it: a FILTER (EXISTS
 // included), a MINUS block and a subquery's unprojected positions bind
 // nothing in the enclosing scope, a blank node is not a variable, and a
-// variable only a BIND introduces is in scope but reported apart.
+// variable only a BIND introduces is in scope but reported apart. The
+// bindable column is what a solution can carry (BIND targets, trailing
+// VALUES and GROUP BY aliases too); the minus column is what only a
+// MINUS body binds, which is not bindable.
 func TestInScopeVars(t *testing.T) {
 	cases := []struct {
 		src             string
 		scope, bindOnly string
 		projected       string
+		bindable, minus string
 	}{
-		{"SELECT * WHERE { ?a <p> ?b . ?b <q> _:c }", "a b", "", "a b"},
-		{"SELECT * WHERE { ?a <p> ?b FILTER(?f > 1) FILTER EXISTS { ?a <q> ?e } }", "a b", "", "a b"},
-		{"SELECT * WHERE { ?a <p> ?b MINUS { ?a <q> ?m } }", "a b", "", "a b"},
-		{"SELECT * WHERE { ?a <p> ?b OPTIONAL { ?b <q> ?o } }", "a b o", "", "a b o"},
-		{"SELECT * WHERE { { ?a <p> ?l } UNION { ?a <q> ?r } }", "a l r", "", "a l r"},
-		{"SELECT * WHERE { GRAPH ?g { ?a <p> ?b } }", "a b g", "", "a b g"},
-		{"SELECT * WHERE { ?a <p> ?o BIND(STR(?o) AS ?s) BIND(1 AS ?a) }", "a o", "s", "a o s"},
-		{"SELECT * WHERE { ?a <p> ?b VALUES ?v { 1 } }", "a b v", "", "a b v"},
-		{"SELECT * WHERE { { SELECT ?a WHERE { ?a <p> ?hidden } } }", "a", "", "a"},
-		{"SELECT * WHERE { { SELECT * WHERE { ?a <p> ?b FILTER(?f) } } }", "a b", "", "a b"},
-		{"SELECT * WHERE { ?a <p> ?b } VALUES ?t { 1 }", "a b", "", "a b t"},
-		{"DESCRIBE * WHERE { ?a <p> ?b FILTER(?f) }", "a b", "", "a b"},
-		{"DESCRIBE ?a WHERE { ?a <p> ?b }", "a b", "", "a"},
-	}
-	keys := func(m map[string]bool) string {
-		return strings.Join(slices.Sorted(maps.Keys(m)), " ")
+		{"SELECT * WHERE { ?a <p> ?b . ?b <q> _:c }", "a b", "", "a b", "a b", ""},
+		{"SELECT * WHERE { ?a <p> ?b FILTER(?f > 1) FILTER EXISTS { ?a <q> ?e } }", "a b", "", "a b", "a b", ""},
+		{"SELECT * WHERE { ?a <p> ?b MINUS { ?a <q> ?m } }", "a b", "", "a b", "a b", "m"},
+		{"SELECT * WHERE { ?a <p> ?b MINUS { ?a <q> ?m MINUS { ?m <r> ?n } FILTER EXISTS { ?m <s> ?e } } }", "a b", "", "a b", "a b", "m n"},
+		{"SELECT * WHERE { ?a <p> ?b MINUS { ?a <q> ?b } }", "a b", "", "a b", "a b", ""},
+		{"SELECT * WHERE { ?a <p> ?b OPTIONAL { ?b <q> ?o } }", "a b o", "", "a b o", "a b o", ""},
+		{"SELECT * WHERE { { ?a <p> ?l } UNION { ?a <q> ?r } }", "a l r", "", "a l r", "a l r", ""},
+		{"SELECT * WHERE { GRAPH ?g { ?a <p> ?b } }", "a b g", "", "a b g", "a b g", ""},
+		{"SELECT * WHERE { SERVICE ?g { ?a <p> ?b } }", "a b g", "", "a b g", "a b", ""},
+		{"SELECT * WHERE { ?a <p> ?o BIND(STR(?o) AS ?s) BIND(1 AS ?a) }", "a o", "s", "a o s", "a o s", ""},
+		{"SELECT * WHERE { ?a <p> ?b VALUES ?v { 1 } }", "a b v", "", "a b v", "a b v", ""},
+		{"SELECT * WHERE { { SELECT ?a WHERE { ?a <p> ?hidden } } }", "a", "", "a", "a", ""},
+		{"SELECT * WHERE { { SELECT * WHERE { ?a <p> ?b FILTER(?f) } } }", "a b", "", "a b", "a b", ""},
+		{"SELECT * WHERE { ?a <p> ?b } VALUES ?t { 1 }", "a b", "", "a b t", "a b t", ""},
+		{"SELECT ?k WHERE { ?a <p> ?b } GROUP BY (?a AS ?k)", "a b", "", "k", "a b k", ""},
+		{"DESCRIBE * WHERE { ?a <p> ?b FILTER(?f) }", "a b", "", "a b", "a b", ""},
+		{"DESCRIBE ?a WHERE { ?a <p> ?b }", "a b", "", "a", "a b", ""},
 	}
 	for _, c := range cases {
-		q := mustParse(t, c.src)
-		scope, bindOnly := InScopeVars(q.Where)
-		if got := keys(scope); got != c.scope {
-			t.Errorf("%s: in scope %q, want %q", c.src, got, c.scope)
-		}
-		if got := keys(bindOnly); got != c.bindOnly {
-			t.Errorf("%s: BIND-only %q, want %q", c.src, got, c.bindOnly)
-		}
-		if got := keys(q.ProjectedVars()); got != c.projected {
-			t.Errorf("%s: projected %q, want %q", c.src, got, c.projected)
+		s := ScopeOf(mustParse(t, c.src))
+		for _, col := range []struct {
+			what string
+			set  VarSet
+			want string
+		}{
+			{"in scope", s.InScope, c.scope},
+			{"BIND-only", s.BindOnly, c.bindOnly},
+			{"projected", s.Projected, c.projected},
+			{"bindable", s.Bindable, c.bindable},
+			{"MINUS-only", s.MinusOnly, c.minus},
+		} {
+			if got := names(s, col.set); got != col.want {
+				t.Errorf("%s: %s %q, want %q", c.src, col.what, got, col.want)
+			}
 		}
 	}
 }

@@ -1,0 +1,403 @@
+package sparql
+
+import (
+	"iter"
+	"math/bits"
+	"slices"
+)
+
+// VarSet is a set of one Scope's variable numbers, one bit each. Every
+// scope question is a VarSet or an operation on two of them. Numbers
+// below 64 have a word of their own, so the sets of a query with no
+// more variables than that allocate nothing.
+type VarSet struct {
+	lo   uint64
+	high []uint64 // numbers 64 and up, 64 to a word
+}
+
+// word returns the bits of numbers 64w to 64w+63.
+func (s VarSet) word(w int) uint64 {
+	switch {
+	case w == 0:
+		return s.lo
+	case w <= len(s.high):
+		return s.high[w-1]
+	}
+	return 0
+}
+
+// Has reports whether variable i is in the set.
+func (s VarSet) Has(i int) bool { return s.word(i>>6)&(1<<(i&63)) != 0 }
+
+// Len returns the number of variables in the set.
+func (s VarSet) Len() int {
+	n := 0
+	for w := range 1 + len(s.high) {
+		n += bits.OnesCount64(s.word(w))
+	}
+	return n
+}
+
+// All yields the set's variable numbers in ascending order.
+func (s VarSet) All() iter.Seq[int] {
+	return func(yield func(int) bool) {
+		for wi := range 1 + len(s.high) {
+			for w := s.word(wi); w != 0; w &= w - 1 {
+				if !yield(wi<<6 + bits.TrailingZeros64(w)) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// Or returns the union of s and t as a new set.
+func (s VarSet) Or(t VarSet) VarSet {
+	out := VarSet{lo: s.lo, high: slices.Clone(s.high)}
+	out.union(t)
+	return out
+}
+
+// AndNot returns the variables of s that are not in t, as a new set.
+func (s VarSet) AndNot(t VarSet) VarSet {
+	out := VarSet{lo: s.lo &^ t.lo, high: slices.Clone(s.high)}
+	for i := range out.high {
+		out.high[i] &^= t.word(i + 1)
+	}
+	return out
+}
+
+// or sets bits b in word w.
+func (s *VarSet) or(w int, b uint64) {
+	if w == 0 {
+		s.lo |= b
+		return
+	}
+	for len(s.high) < w {
+		s.high = append(s.high, 0)
+	}
+	s.high[w-1] |= b
+}
+
+func (s *VarSet) add(i int) { s.or(i>>6, 1<<(i&63)) }
+
+func (s *VarSet) union(t VarSet) {
+	for w := range 1 + len(t.high) {
+		s.or(w, t.word(w))
+	}
+}
+
+// Scope is the variable analysis of one query, computed by ScopeOf in
+// a single walk: the query's variables numbered densely, and every set
+// a scope question needs as a VarSet over those numbers. It is the one
+// place that decides which variables a pattern mentions, binds or has
+// in scope; the linter, the study's projection test and the
+// evaluator's slot table read it. Its sets must not be modified.
+type Scope struct {
+	Query *Query
+
+	// Names holds the variables by number, in the pre-order of a Walk
+	// of the WHERE clause (a BIND's target before its expression), then
+	// the trailing VALUES, the modifiers' expressions, and what only the
+	// projection or a GROUP BY alias names. A triple's or path's blank
+	// node label is numbered too, as "_:label": eval binds it.
+	Names []string
+
+	// Mentioned is every variable the WHERE clause mentions: in
+	// patterns, in FILTER and BIND expressions (EXISTS bodies
+	// included), in MINUS bodies, as a GRAPH or SERVICE name, and in a
+	// subquery's projection (its interior is its own Scope). Blank
+	// nodes are not variables.
+	Mentioned VarSet
+	// InScope is the variables in scope in the WHERE clause (SPARQL 1.1
+	// §18.2.1), except those only a BIND introduces, which are in
+	// BindOnly. FILTER (EXISTS included) and MINUS bind nothing in
+	// scope.
+	InScope, BindOnly VarSet
+	// Projected is what the query returns: the SELECT list (aliases
+	// included) or the described variables; for SELECT * and DESCRIBE
+	// *, InScope and BindOnly plus the trailing VALUES columns, whether
+	// or not a solution binds them. ASK and CONSTRUCT project nothing.
+	Projected VarSet
+	// Bindable is every variable a solution of the query can carry:
+	// pattern positions, GRAPH names, BIND targets, VALUES columns
+	// (trailing ones too), subquery projections and GROUP BY aliases.
+	// An EXISTS body and a MINUS body bind only inside themselves. A
+	// variable Mentioned but not Bindable is unbound in every solution.
+	Bindable VarSet
+	// MinusOnly is what only MINUS bodies bind: bound inside one, and
+	// in no solution of the query.
+	MinusOnly VarSet
+	// Bound is every variable and blank node label some pattern binds
+	// anywhere in the query, EXISTS and MINUS bodies included: the
+	// evaluator's slots.
+	Bound VarSet
+
+	subs  map[*Query]*Scope
+	index map[string]int // name → number, the inverse of Names
+}
+
+// region is where a pattern's bindings are seen.
+type region uint8
+
+const (
+	outward  region = iota // in the query's solutions
+	inMinus                // only inside a MINUS body
+	inExists               // only inside an EXISTS body
+)
+
+// ScopeOf analyses the variables of q and of each of its subqueries.
+func ScopeOf(q *Query) *Scope {
+	s := &Scope{Query: q, Names: make([]string, 0, 8), index: make(map[string]int)}
+	if q.Where != nil {
+		s.Mentioned = s.pattern(q.Where, outward)
+	}
+	var trailing VarSet
+	if q.TrailingValues != nil {
+		for _, v := range q.TrailingValues.Vars {
+			if name, ok := varOf(v); ok {
+				s.bind(name, outward, &trailing)
+			}
+		}
+	}
+	// Only the EXISTS bodies of these expressions bind; the numbering
+	// follows the evaluator's order.
+	for _, it := range q.Select {
+		s.expr(it.Expr)
+	}
+	for _, k := range q.Mods.OrderBy {
+		s.expr(k.Expr)
+	}
+	for _, g := range q.Mods.GroupBy {
+		s.expr(g.Expr)
+	}
+	for _, h := range q.Mods.Having {
+		s.expr(h)
+	}
+	project := func(t Term) {
+		if name, ok := varOf(t); ok {
+			s.Projected.add(s.number(name))
+		}
+	}
+	star := false
+	switch q.Type {
+	case SelectQuery:
+		star = q.SelectStar
+		for _, it := range q.Select {
+			project(it.Var)
+		}
+	case DescribeQuery:
+		star = q.DescribeStar
+		for _, t := range q.DescribeTerms {
+			project(t)
+		}
+	}
+	for _, g := range q.Mods.GroupBy {
+		if name, ok := varOf(g.Var); ok && g.AsVar {
+			s.Bindable.add(s.number(name))
+		}
+	}
+	// A variable bound both by BIND and by a pattern is simply in scope.
+	s.BindOnly = s.BindOnly.AndNot(s.InScope)
+	s.MinusOnly = s.MinusOnly.AndNot(s.Bindable)
+	if star {
+		s.Projected.union(s.InScope)
+		s.Projected.union(s.BindOnly)
+		s.Projected.union(trailing)
+	}
+	return s
+}
+
+// In reports whether the named variable is in set.
+func (s *Scope) In(set VarSet, name string) bool {
+	i, ok := s.index[name]
+	return ok && set.Has(i)
+}
+
+// NamesOf returns the names of set's variables, in number order.
+func (s *Scope) NamesOf(set VarSet) []string {
+	out := make([]string, 0, set.Len())
+	for i := range set.All() {
+		out = append(out, s.Names[i])
+	}
+	return out
+}
+
+// Sub returns the Scope of a subquery of the query: one in the WHERE
+// clause, in an EXISTS body, or in a modifier's EXISTS. It is nil for a
+// query that is none of these.
+func (s *Scope) Sub(q *Query) *Scope { return s.subs[q] }
+
+// Elems returns, per element of g, a group of the query, the variables
+// the element mentions (Mentioned, element by element); a triple or
+// path element's blank node labels count too, since within a group
+// they join like variables. It walks g's elements as ScopeOf did, into
+// a scratch Scope that shares s's numbering, and leaves s unchanged.
+func (s *Scope) Elems(g *Group) []VarSet {
+	t := Scope{index: s.index, subs: s.subs}
+	out := make([]VarSet, len(g.Elems))
+	for i, el := range g.Elems {
+		_, out[i] = t.element(el, outward)
+	}
+	return out
+}
+
+// ExprVars returns the set of variable names in an expression; an
+// EXISTS body's are its Scope's Mentioned.
+func ExprVars(e Expr) map[string]bool {
+	out := make(map[string]bool)
+	WalkExpr(e, func(x Expr) bool {
+		switch t := x.(type) {
+		case *TermExpr:
+			if name, ok := varOf(t.Term); ok {
+				out[name] = true
+			}
+		case *ExistsExpr:
+			s := ScopeOf(&Query{Where: t.Pattern})
+			for i := range s.Mentioned.All() {
+				out[s.Names[i]] = true
+			}
+		}
+		return true
+	})
+	return out
+}
+
+func (s *Scope) number(name string) int {
+	if i, ok := s.index[name]; ok {
+		return i
+	}
+	i := len(s.Names)
+	s.Names = append(s.Names, name)
+	s.index[name] = i
+	return i
+}
+
+// bind numbers a variable a pattern of region r binds and records it,
+// where r is outward, in scope too: scope is InScope, BindOnly or one
+// for trailing VALUES columns.
+func (s *Scope) bind(name string, r region, scope *VarSet) int {
+	i := s.number(name)
+	s.Bound.add(i)
+	switch r {
+	case outward:
+		s.Bindable.add(i)
+		scope.add(i)
+	case inMinus:
+		s.MinusOnly.add(i)
+	}
+	return i
+}
+
+// pattern walks one pattern node of region r and returns the
+// variables it mentions.
+func (s *Scope) pattern(p Pattern, r region) VarSet {
+	m, _ := s.element(p, r)
+	return m
+}
+
+// element is pattern, also returning p's set as a group element (see
+// Elems): the same, plus a triple's or path's blank node labels. Both
+// sets may be kept: callers read them and do not modify them.
+func (s *Scope) element(p Pattern, r region) (m, edge VarSet) {
+	switch n := p.(type) {
+	case *TriplePattern:
+		return s.nodes(r, n.S, n.P, n.O)
+	case *PathPattern:
+		return s.nodes(r, n.S, n.O)
+	case *Group:
+		for _, el := range n.Elems {
+			m.union(s.pattern(el, r))
+		}
+	case *Union:
+		m.union(s.pattern(n.Left, r))
+		m.union(s.pattern(n.Right, r))
+	case *Optional:
+		m = s.pattern(n.Inner, r)
+	case *GraphGraph:
+		m, _ = s.nodes(r, n.Name)
+		m.union(s.pattern(n.Inner, r))
+	case *ServiceGraph:
+		if name, ok := varOf(n.Name); ok {
+			i := s.number(name)
+			m.add(i)
+			if r == outward {
+				s.InScope.add(i)
+			}
+		}
+		m.union(s.pattern(n.Inner, r))
+	case *MinusGraph:
+		if r == outward {
+			r = inMinus
+		}
+		m = s.pattern(n.Inner, r)
+	case *Filter:
+		m = s.expr(n.Constraint)
+	case *Bind:
+		if name, ok := varOf(n.Var); ok {
+			m.add(s.bind(name, r, &s.BindOnly))
+		}
+		m.union(s.expr(n.Expr))
+	case *InlineData:
+		for _, v := range n.Vars {
+			if name, ok := varOf(v); ok {
+				m.add(s.bind(name, r, &s.InScope))
+			}
+		}
+	case *SubSelect:
+		if n.Query == nil {
+			break
+		}
+		sub := s.subs[n.Query] // set already when Elems walks again
+		if sub == nil {
+			sub = ScopeOf(n.Query)
+			if s.subs == nil {
+				s.subs = make(map[*Query]*Scope)
+			}
+			s.subs[n.Query] = sub
+		}
+		for j := range sub.Projected.All() {
+			m.add(s.bind(sub.Names[j], r, &s.InScope))
+		}
+	}
+	return m, m
+}
+
+// nodes numbers the terms of a triple or path pattern (or a GRAPH
+// name) of region r, records what they bind, and returns their
+// variables, and their variables and blank node labels.
+func (s *Scope) nodes(r region, ts ...Term) (vars, nodes VarSet) {
+	var blanks VarSet
+	for _, t := range ts {
+		if name, ok := varOf(t); ok {
+			vars.add(s.bind(name, r, &s.InScope))
+		} else if t.Kind == TermBlank {
+			i := s.number("_:" + t.Value)
+			s.Bound.add(i)
+			blanks.add(i)
+		}
+	}
+	return vars, vars.Or(blanks)
+}
+
+// expr returns the variables an expression mentions, EXISTS bodies
+// included; what those bodies bind stays inside them.
+func (s *Scope) expr(e Expr) VarSet {
+	var m VarSet
+	WalkExpr(e, func(x Expr) bool {
+		switch t := x.(type) {
+		case *TermExpr:
+			if name, ok := varOf(t.Term); ok {
+				m.add(s.number(name))
+			}
+		case *ExistsExpr:
+			m.union(s.pattern(t.Pattern, inExists))
+		}
+		return true
+	})
+	return m
+}
+
+func varOf(t Term) (string, bool) {
+	return t.Value, t.Kind == TermVar && t.Value != ""
+}
