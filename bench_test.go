@@ -75,8 +75,8 @@ func BenchmarkTable2Keywords(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		counts := 0
 		for _, q := range qs {
-			k := analysis.QueryKeywords(q)
-			if k.Select || k.Ask {
+			k := analysis.Scan(q).Keywords
+			if k.Has(analysis.KwSelect) || k.Has(analysis.KwAsk) {
 				counts++
 			}
 		}
@@ -93,7 +93,8 @@ func BenchmarkFigure1Triples(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var hist [core.SizeHistBuckets]int
 		for _, q := range qs {
-			tc := analysis.TripleCount(q)
+			f := analysis.Scan(q)
+			tc := f.TripleCount()
 			if tc >= len(hist) {
 				tc = len(hist) - 1
 			}
@@ -110,7 +111,7 @@ func BenchmarkTable3OperatorSets(b *testing.B) {
 		d := analysis.NewDistribution()
 		for _, q := range qs {
 			if q.Type == sparql.SelectQuery || q.Type == sparql.AskQuery {
-				d.Add(analysis.Operators(q))
+				d.Add(analysis.Scan(q).Operators)
 			}
 		}
 		if d.Total == 0 {
@@ -132,7 +133,7 @@ func BenchmarkSec44Projection(b *testing.B) {
 			case analysis.Indeterminate:
 				ind++
 			}
-			if analysis.UsesSubqueries(q) {
+			if analysis.Scan(q).Subquery {
 				sub++
 			}
 		}
@@ -141,7 +142,8 @@ func BenchmarkSec44Projection(b *testing.B) {
 }
 
 // BenchmarkFigure3ChainCycle regenerates the chain/cycle engine
-// comparison (scaled down; run cmd/shapebench for the full figure).
+// comparison (scaled down; run sparqlanalyze -experiment figure3 for
+// the full figure).
 func BenchmarkFigure3ChainCycle(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, data := engine.Figure3(6000, 8, benchConfig().Seed, 400*time.Millisecond)
@@ -158,7 +160,7 @@ func BenchmarkFigure5FragmentSizes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var cq, cqf, cqof int
 		for _, q := range qs {
-			f := analysis.ClassifyFragments(q)
+			f := classify(q)
 			if f.CQ {
 				cq++
 			}
@@ -175,6 +177,13 @@ func BenchmarkFigure5FragmentSizes(b *testing.B) {
 	}
 }
 
+// classify is the fragment classification of q: its scan and Scope,
+// then ClassifyFragments.
+func classify(q *sparql.Query) analysis.Fragments {
+	f := analysis.Scan(q)
+	return analysis.ClassifyFragments(&f, sparql.ScopeOf(q))
+}
+
 // BenchmarkTable4Shapes regenerates the cumulative shape analysis.
 func BenchmarkTable4Shapes(b *testing.B) {
 	qs := parsedBenchQueries(b)
@@ -184,7 +193,7 @@ func BenchmarkTable4Shapes(b *testing.B) {
 		_ = counts
 		classified := 0
 		for _, q := range qs {
-			f := analysis.ClassifyFragments(q)
+			f := classify(q)
 			if !f.CQ || f.HasVarPredicate {
 				continue
 			}
@@ -207,7 +216,7 @@ func BenchmarkSec61Girth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		hist := map[int]int{}
 		for _, q := range qs {
-			f := analysis.ClassifyFragments(q)
+			f := classify(q)
 			if !f.CQ || f.HasVarPredicate {
 				continue
 			}
@@ -226,7 +235,7 @@ func BenchmarkSec62Hypertree(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, q := range qs {
-			f := analysis.ClassifyFragments(q)
+			f := classify(q)
 			if !f.CQOF || !f.HasVarPredicate {
 				continue
 			}
@@ -663,13 +672,12 @@ func TestBenchHarnessSmoke(t *testing.T) {
 	dist := analysis.NewDistribution()
 	paths := core.NewCorpusReport("smoke").Paths
 	for _, q := range qs {
-		analysis.QueryKeywords(q)
-		analysis.TripleCount(q)
-		analysis.Projection(sparql.ScopeOf(q))
-		analysis.UsesSubqueries(q)
-		f := analysis.ClassifyFragments(q)
+		scan := analysis.Scan(q)
+		sc := sparql.ScopeOf(q)
+		analysis.Projection(sc)
+		f := analysis.ClassifyFragments(&scan, sc)
 		if q.Type == sparql.SelectQuery || q.Type == sparql.AskQuery {
-			dist.Add(analysis.Operators(q))
+			dist.Add(scan.Operators)
 		}
 		for _, pp := range q.PathPatterns() {
 			paths.Add(pp.Path)

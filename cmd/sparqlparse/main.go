@@ -38,17 +38,19 @@ func main() {
 	}
 	fmt.Println("type:        ", q.Type)
 	fmt.Println("normalized:  ", q.String())
-	fmt.Println("triples:     ", analysis.TripleCount(q))
-	fmt.Println("operator set:", analysis.Operators(q).Key())
-	fmt.Println("projection:  ", analysis.Projection(sparql.ScopeOf(q)))
-	frag := analysis.ClassifyFragments(q)
+	f := analysis.Scan(q)
+	sc := sparql.ScopeOf(q)
+	fmt.Println("triples:     ", f.TripleCount())
+	fmt.Println("operator set:", f.Operators.Key())
+	fmt.Println("projection:  ", analysis.Projection(sc))
+	frag := analysis.ClassifyFragments(&f, sc)
 	fmt.Printf("fragments:    AOF=%v CQ=%v CPF=%v CQF=%v well-designed=%v CQOF=%v (interface width %d)\n",
 		frag.AOF, frag.CQ, frag.CPF, frag.CQF, frag.WellDesigned, frag.CQOF, frag.InterfaceWidth)
 	if q.Type != sparql.SelectQuery && q.Type != sparql.AskQuery || q.Where == nil {
 		return
 	}
 	triples := q.Triples()
-	collapses := analysis.EqualityCollapses(q)
+	collapses := f.Collapses
 	if frag.HasVarPredicate {
 		h := shapes.CanonicalHypergraph(triples, shapes.Options{CollapseEqual: collapses})
 		fmt.Printf("hypergraph:   %d vertices, %d edges\n", h.N(), h.NumEdges())

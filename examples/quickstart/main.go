@@ -29,15 +29,19 @@ func main() {
 		panic(err)
 	}
 	fmt.Println("query type:    ", q.Type)
-	fmt.Println("triple patterns:", len(q.Triples()))
-	fmt.Println("property paths: ", len(q.PathPatterns()))
+	// One walk reads the query's syntax; its Scope, its variables.
+	f := analysis.Scan(q)
+	sc := sparql.ScopeOf(q)
+	fmt.Println("triple patterns:", f.Triples)
+	fmt.Println("property paths: ", f.Paths)
 
-	k := analysis.QueryKeywords(q)
-	fmt.Printf("keywords:       Select=%v Filter=%v And=%v\n", k.Select, k.Filter, k.And)
-	fmt.Println("operator set:  ", analysis.Operators(q).Key())
-	fmt.Println("projection:    ", analysis.Projection(sparql.ScopeOf(q)))
+	k := f.Keywords
+	fmt.Printf("keywords:       Select=%v Filter=%v And=%v\n",
+		k.Has(analysis.KwSelect), k.Has(analysis.KwFilter), k.Has(analysis.KwAnd))
+	fmt.Println("operator set:  ", f.Operators.Key())
+	fmt.Println("projection:    ", analysis.Projection(sc))
 
-	frag := analysis.ClassifyFragments(q)
+	frag := analysis.ClassifyFragments(&f, sc)
 	fmt.Printf("fragments:      AOF=%v CQ=%v CQF=%v CQOF=%v\n", frag.AOF, frag.CQ, frag.CQF, frag.CQOF)
 
 	// Shape of the conjunctive part: the two plain triples form a star

@@ -15,6 +15,16 @@ func parse(t *testing.T, src string) *sparql.Query {
 	return q
 }
 
+// scan is Scan of the parsed src.
+func scan(t *testing.T, src string) Features { return Scan(parse(t, src)) }
+
+// fragments is ClassifyFragments of the parsed src.
+func fragments(t *testing.T, src string) Fragments {
+	q := parse(t, src)
+	f := Scan(q)
+	return ClassifyFragments(&f, sparql.ScopeOf(q))
+}
+
 func TestKeywordsBasic(t *testing.T) {
 	q := parse(t, `SELECT DISTINCT ?s WHERE {
 		?s <p> ?o .
@@ -23,39 +33,35 @@ func TestKeywordsBasic(t *testing.T) {
 		{ ?s <a> ?b } UNION { ?s <c> ?d }
 		GRAPH <g> { ?s <e> ?f }
 	} ORDER BY ?s LIMIT 10 OFFSET 5`)
-	k := QueryKeywords(q)
-	if !k.Select || k.Ask {
+	k := Scan(q).Keywords
+	if !k.Has(KwSelect) || k.Has(KwAsk) {
 		t.Error("query type flags wrong")
 	}
-	for name, got := range map[string]bool{
-		"Distinct": k.Distinct, "Limit": k.Limit, "Offset": k.Offset,
-		"OrderBy": k.OrderBy, "Filter": k.Filter, "And": k.And,
-		"Union": k.Union, "Opt": k.Opt, "Graph": k.Graph,
-	} {
-		if !got {
-			t.Errorf("keyword %s not detected", name)
+	for _, w := range []Keyword{KwDistinct, KwLimit, KwOffset, KwOrderBy, KwFilter, KwAnd, KwUnion, KwOpt, KwGraph} {
+		if !k.Has(w) {
+			t.Errorf("keyword %s not detected", w)
 		}
 	}
-	if k.Minus || k.NotExists || k.GroupBy {
+	if k.Has(KwMinus) || k.Has(KwNotExists) || k.Has(KwGroupBy) {
 		t.Error("false positives in keyword scan")
 	}
 }
 
 func TestKeywordsAndSemantics(t *testing.T) {
 	// A single triple has no And.
-	if QueryKeywords(parse(t, "SELECT * WHERE { ?s <p> ?o }")).And {
+	if scan(t, "SELECT * WHERE { ?s <p> ?o }").Keywords.Has(KwAnd) {
 		t.Error("single triple must not set And")
 	}
 	// Two triples have And.
-	if !QueryKeywords(parse(t, "SELECT * WHERE { ?s <p> ?o . ?o <q> ?z }")).And {
+	if !scan(t, "SELECT * WHERE { ?s <p> ?o . ?o <q> ?z }").Keywords.Has(KwAnd) {
 		t.Error("two triples must set And")
 	}
 	// Triple + FILTER does not create And.
-	if QueryKeywords(parse(t, "SELECT * WHERE { ?s <p> ?o FILTER(?o > 1) }")).And {
+	if scan(t, "SELECT * WHERE { ?s <p> ?o FILTER(?o > 1) }").Keywords.Has(KwAnd) {
 		t.Error("triple+filter must not set And")
 	}
 	// Triple + OPTIONAL does not create And.
-	if QueryKeywords(parse(t, "SELECT * WHERE { ?s <p> ?o OPTIONAL { ?s <q> ?x } }")).And {
+	if scan(t, "SELECT * WHERE { ?s <p> ?o OPTIONAL { ?s <q> ?x } }").Keywords.Has(KwAnd) {
 		t.Error("triple+optional must not set And")
 	}
 }
@@ -65,25 +71,27 @@ func TestKeywordsAggregatesAndNegation(t *testing.T) {
 		?s <p> ?v FILTER NOT EXISTS { ?s <bad> ?x }
 		MINUS { ?s <worse> ?y }
 	} GROUP BY ?s HAVING (SUM(?v) > 10)`)
-	k := QueryKeywords(q)
-	if !k.Count || !k.Max || !k.Sum || !k.GroupBy || !k.Having {
-		t.Errorf("aggregate flags = %+v", k)
+	k := Scan(q).Keywords
+	for _, w := range []Keyword{KwCount, KwMax, KwSum, KwGroupBy, KwHaving} {
+		if !k.Has(w) {
+			t.Errorf("aggregate keyword %s not detected", w)
+		}
 	}
-	if !k.NotExists || !k.Minus {
+	if !k.Has(KwNotExists) || !k.Has(KwMinus) {
 		t.Error("negation flags missing")
 	}
-	if k.Exists {
+	if k.Has(KwExists) {
 		t.Error("plain EXISTS should not be set for NOT EXISTS")
 	}
 }
 
 func TestKeywordsSubquery(t *testing.T) {
 	q := parse(t, `SELECT ?s WHERE { { SELECT DISTINCT ?s WHERE { ?s <p> ?o } LIMIT 3 } }`)
-	k := QueryKeywords(q)
-	if !k.SubQuery || !k.Distinct || !k.Limit {
-		t.Errorf("subquery keyword merge failed: %+v", k)
+	k := Scan(q).Keywords
+	if !k.Has(KwSubQuery) || !k.Has(KwDistinct) || !k.Has(KwLimit) {
+		t.Errorf("subquery keyword merge failed: %b", k)
 	}
-	if k.Ask {
+	if k.Has(KwAsk) || !k.Has(KwSelect) {
 		t.Error("inner select must not set outer type flags")
 	}
 }
@@ -100,7 +108,8 @@ func TestTripleCount(t *testing.T) {
 		{"SELECT * WHERE { ?s <p> ?o OPTIONAL { ?o <q> ?z . ?z <r> ?w } }", 3},
 	}
 	for _, tc := range tests {
-		if got := TripleCount(parse(t, tc.src)); got != tc.want {
+		f := scan(t, tc.src)
+		if got := f.TripleCount(); got != tc.want {
 			t.Errorf("TripleCount(%q) = %d, want %d", tc.src, got, tc.want)
 		}
 	}
@@ -126,7 +135,7 @@ func TestOperatorSets(t *testing.T) {
 		{"DESCRIBE <x>", "none"},
 	}
 	for _, tc := range tests {
-		if got := Operators(parse(t, tc.src)).Key(); got != tc.want {
+		if got := scan(t, tc.src).Operators.Key(); got != tc.want {
 			t.Errorf("Operators(%q) = %s, want %s", tc.src, got, tc.want)
 		}
 	}
@@ -142,7 +151,7 @@ func TestDistributionSubtotals(t *testing.T) {
 		"SELECT * WHERE { { ?s <a> ?o } UNION { ?s <b> ?o } }", // U
 		"SELECT * WHERE { GRAPH <g> { ?s ?p ?o } }",            // G
 	} {
-		d.Add(Operators(parse(t, src)))
+		d.Add(scan(t, src).Operators)
 	}
 	if got := d.CPFSubtotal(); got != 3 {
 		t.Errorf("CPF subtotal = %d, want 3", got)
@@ -186,16 +195,16 @@ func TestProjection(t *testing.T) {
 }
 
 func TestUsesSubqueries(t *testing.T) {
-	if UsesSubqueries(parse(t, "SELECT * WHERE { ?s ?p ?o }")) {
+	if scan(t, "SELECT * WHERE { ?s ?p ?o }").Subquery {
 		t.Error("false positive")
 	}
-	if !UsesSubqueries(parse(t, "SELECT ?s WHERE { { SELECT ?s WHERE { ?s <p> ?o } } }")) {
+	if !scan(t, "SELECT ?s WHERE { { SELECT ?s WHERE { ?s <p> ?o } } }").Subquery {
 		t.Error("subquery not detected")
 	}
 }
 
 func TestFragmentsCQ(t *testing.T) {
-	f := ClassifyFragments(parse(t, "SELECT * WHERE { ?s <p> ?o . ?o <q> ?z }"))
+	f := fragments(t, "SELECT * WHERE { ?s <p> ?o . ?o <q> ?z }")
 	if !f.AOF || !f.CQ || !f.CPF || !f.CQF || !f.WellDesigned || !f.CQOF {
 		t.Errorf("fragments = %+v, want all CQ-like flags", f)
 	}
@@ -206,39 +215,39 @@ func TestFragmentsCQ(t *testing.T) {
 
 func TestFragmentsCPFAndCQF(t *testing.T) {
 	// Simple filter (one variable): CQF.
-	f := ClassifyFragments(parse(t, "SELECT * WHERE { ?s <p> ?o FILTER(?o > 1) }"))
+	f := fragments(t, "SELECT * WHERE { ?s <p> ?o FILTER(?o > 1) }")
 	if !f.CPF || !f.CQF || f.CQ {
 		t.Errorf("simple filter: %+v", f)
 	}
 	// Equality of two variables: still CQF.
-	f2 := ClassifyFragments(parse(t, "SELECT * WHERE { ?s <p> ?o . ?s <q> ?z FILTER(?o = ?z) }"))
+	f2 := fragments(t, "SELECT * WHERE { ?s <p> ?o . ?s <q> ?z FILTER(?o = ?z) }")
 	if !f2.CQF {
 		t.Errorf("?x=?y filter should be simple: %+v", f2)
 	}
 	// Two-variable non-equality filter: CPF but not CQF.
-	f3 := ClassifyFragments(parse(t, "SELECT * WHERE { ?s <p> ?o . ?s <q> ?z FILTER(?o > ?z) }"))
+	f3 := fragments(t, "SELECT * WHERE { ?s <p> ?o . ?s <q> ?z FILTER(?o > ?z) }")
 	if !f3.CPF || f3.CQF {
 		t.Errorf("complex filter: %+v", f3)
 	}
 }
 
 func TestFragmentsAOF(t *testing.T) {
-	f := ClassifyFragments(parse(t, "SELECT * WHERE { ?s <p> ?o OPTIONAL { ?s <q> ?x } }"))
+	f := fragments(t, "SELECT * WHERE { ?s <p> ?o OPTIONAL { ?s <q> ?x } }")
 	if !f.AOF || f.CQ || f.CPF {
 		t.Errorf("AOF with OPT: %+v", f)
 	}
 	// UNION leaves AOF.
-	f2 := ClassifyFragments(parse(t, "SELECT * WHERE { { ?s <a> ?o } UNION { ?s <b> ?o } }"))
+	f2 := fragments(t, "SELECT * WHERE { { ?s <a> ?o } UNION { ?s <b> ?o } }")
 	if f2.AOF {
 		t.Errorf("union must not be AOF: %+v", f2)
 	}
 	// Property path leaves AOF.
-	f3 := ClassifyFragments(parse(t, "SELECT * WHERE { ?s <a>* ?o }"))
+	f3 := fragments(t, "SELECT * WHERE { ?s <a>* ?o }")
 	if f3.AOF {
 		t.Errorf("path must not be AOF: %+v", f3)
 	}
 	// CONSTRUCT is never AOF.
-	f4 := ClassifyFragments(parse(t, "CONSTRUCT { ?s <p> ?o } WHERE { ?s <p> ?o }"))
+	f4 := fragments(t, "CONSTRUCT { ?s <p> ?o } WHERE { ?s <p> ?o }")
 	if f4.AOF {
 		t.Error("construct must not be AOF")
 	}
@@ -247,12 +256,12 @@ func TestFragmentsAOF(t *testing.T) {
 func TestWellDesignedPaperExamples(t *testing.T) {
 	// P1 and P2 from Example 5.4 are well-designed with interface width 1.
 	p1 := `SELECT * WHERE { { ?A <name> ?N OPTIONAL { ?A <email> ?E } } OPTIONAL { ?A <webPage> ?W } }`
-	f1 := ClassifyFragments(parse(t, p1))
+	f1 := fragments(t, p1)
 	if !f1.WellDesigned || f1.InterfaceWidth != 1 || !f1.CQOF {
 		t.Errorf("P1: %+v", f1)
 	}
 	p2 := `SELECT * WHERE { ?A <name> ?N OPTIONAL { ?A <email> ?E OPTIONAL { ?A <webPage> ?W } } }`
-	f2 := ClassifyFragments(parse(t, p2))
+	f2 := fragments(t, p2)
 	if !f2.WellDesigned || f2.InterfaceWidth != 1 || !f2.CQOF {
 		t.Errorf("P2: %+v", f2)
 	}
@@ -261,7 +270,7 @@ func TestWellDesignedPaperExamples(t *testing.T) {
 func TestNotWellDesigned(t *testing.T) {
 	// ?x appears in the OPTIONAL (not in its left side) and outside it.
 	src := `SELECT * WHERE { ?a <p> ?b OPTIONAL { ?b <q> ?x } ?c <r> ?x }`
-	f := ClassifyFragments(parse(t, src))
+	f := fragments(t, src)
 	if !f.AOF {
 		t.Fatal("should be AOF")
 	}
@@ -276,7 +285,7 @@ func TestNotWellDesigned(t *testing.T) {
 func TestInterfaceWidthTwo(t *testing.T) {
 	// Root shares two variables with the OPTIONAL child.
 	src := `SELECT * WHERE { ?A <knows> ?B OPTIONAL { ?A <worksWith> ?B } }`
-	f := ClassifyFragments(parse(t, src))
+	f := fragments(t, src)
 	if !f.WellDesigned {
 		t.Fatal("well-designed expected")
 	}
@@ -290,32 +299,35 @@ func TestInterfaceWidthTwo(t *testing.T) {
 
 func TestEqualityCollapses(t *testing.T) {
 	q := parse(t, "SELECT * WHERE { ?a <p> ?b . ?c <q> ?d FILTER(?b = ?c) FILTER(?a > 1) }")
-	pairs := EqualityCollapses(q)
+	pairs := Scan(q).Collapses
 	if len(pairs) != 1 || pairs[0] != [2]string{"b", "c"} {
 		t.Errorf("pairs = %v", pairs)
 	}
 }
 
 func TestVarPredicateFlag(t *testing.T) {
-	f := ClassifyFragments(parse(t, "ASK { ?x ?p ?y . ?y ?p ?z }"))
+	f := fragments(t, "ASK { ?x ?p ?y . ?y ?p ?z }")
 	if !f.HasVarPredicate || !f.CQ {
 		t.Errorf("var predicate CQ: %+v", f)
 	}
 }
 
 func TestPatternTreeShape(t *testing.T) {
-	q := parse(t, `SELECT * WHERE { ?A <name> ?N OPTIONAL { ?A <email> ?E } OPTIONAL { ?A <web> ?W } }`)
-	pt := buildPatternTree(q.Where)
-	if len(pt.Triples) != 1 || len(pt.Children) != 2 {
-		t.Fatalf("pattern tree root: %d triples, %d children", len(pt.Triples), len(pt.Children))
+	// The root {?A name ?N} has two OPTIONAL children, each sharing ?A
+	// with it: width 1.
+	f := fragments(t, `SELECT * WHERE { ?A <name> ?N OPTIONAL { ?A <email> ?E } OPTIONAL { ?A <web> ?W } }`)
+	if !f.WellDesigned || f.InterfaceWidth != 1 || !f.CQOF {
+		t.Errorf("pattern tree of two children: %+v", f)
 	}
-	if pt.Size() != 3 {
-		t.Errorf("size = %d, want 3", pt.Size())
+	// Nested groups flatten into their node: the child shares ?A and ?N.
+	f = fragments(t, `SELECT * WHERE { ?A <name> ?X { ?X <alias> ?N } OPTIONAL { ?A <nick> ?N } }`)
+	if !f.WellDesigned || f.InterfaceWidth != 2 || f.CQOF {
+		t.Errorf("flattened node: %+v", f)
 	}
 }
 
 func TestBodylessQueryFragments(t *testing.T) {
-	f := ClassifyFragments(parse(t, "DESCRIBE <x>"))
+	f := fragments(t, "DESCRIBE <x>")
 	if f.AOF || f.CQ {
 		t.Error("bodyless describe must not be classified")
 	}
@@ -328,9 +340,9 @@ func TestDistributionMerge(t *testing.T) {
 		"SELECT * WHERE { ?x <p> ?y . ?y <q> ?z }",
 		"SELECT * WHERE { ?x <p> ?y FILTER(?y > 1) }",
 	} {
-		a.Add(Operators(parse(t, src)))
+		a.Add(scan(t, src).Operators)
 	}
-	b.Add(Operators(parse(t, "SELECT * WHERE { ?x <p> ?y FILTER(?y > 1) }")))
+	b.Add(scan(t, "SELECT * WHERE { ?x <p> ?y FILTER(?y > 1) }").Operators)
 	a.Merge(b)
 	if a.Total != 3 {
 		t.Errorf("merged total = %d, want 3", a.Total)

@@ -28,329 +28,207 @@ type Fragments struct {
 	HasVarPredicate bool
 }
 
-// ClassifyFragments computes the fragment membership of one query.
-func ClassifyFragments(q *sparql.Query) Fragments {
-	var f Fragments
-	if q.Type != sparql.SelectQuery && q.Type != sparql.AskQuery {
-		return f
+// ClassifyFragments computes the fragment membership of sc.Query from
+// its Features f and its Scope sc.
+func ClassifyFragments(f *Features, sc *sparql.Scope) Fragments {
+	var fr Fragments
+	q := sc.Query
+	if q.Type != sparql.SelectQuery && q.Type != sparql.AskQuery || q.Where == nil {
+		return fr
 	}
-	if q.Where == nil {
-		return f
+	fr.HasVarPredicate = f.varPredicate
+	fr.AOF = !f.beyondAOF
+	fr.CQ = fr.AOF && !f.opt && !f.filter
+	fr.CPF = fr.AOF && !f.opt
+	fr.CQF = fr.CPF && !f.complexFilter
+	if !fr.AOF {
+		return fr
 	}
-	feats := scanFeatures(q.Where)
-	for _, t := range q.Triples() {
-		if t.P.IsVar() {
-			f.HasVarPredicate = true
-			break
+	// Without an OPTIONAL the fold has no Opt node and the pattern
+	// tree is one node.
+	fr.WellDesigned = true
+	if f.opt {
+		v := aofVars{sc}
+		fr.WellDesigned = v.wellDesigned(q.Where, sparql.VarSet{})
+		if fr.WellDesigned {
+			fr.InterfaceWidth = v.interfaceWidth(q.Where)
 		}
 	}
-	f.AOF = !feats.beyondAOF
-	f.CQ = f.AOF && !feats.opt && !feats.filter
-	f.CPF = f.AOF && !feats.opt
-	f.CQF = f.CPF && feats.allFiltersSimple
-	if !f.AOF {
-		return f
-	}
-	bt := foldBinary(q.Where)
-	f.WellDesigned = wellDesigned(bt)
-	if f.WellDesigned {
-		pt := buildPatternTree(q.Where)
-		f.InterfaceWidth = interfaceWidth(pt)
-		f.CQOF = f.InterfaceWidth <= 1
-	}
-	return f
+	fr.CQOF = fr.WellDesigned && fr.InterfaceWidth <= 1
+	return fr
 }
 
-// WellDesigned reports whether an AOF pattern is well-designed
-// (Definition 5.3), checked on the binary And/Opt fold of the pattern.
-// The verdict is only meaningful for AOF patterns (triples, And, Opt,
-// Filter); callers should gate on ClassifyFragments(...).AOF first.
-func WellDesigned(p sparql.Pattern) bool {
-	return wellDesigned(foldBinary(p))
-}
-
-// bodyFeatures summarizes the feature scan used by the fragment tests.
-type bodyFeatures struct {
-	opt              bool
-	filter           bool
-	allFiltersSimple bool
-	beyondAOF        bool
-}
-
-func scanFeatures(p sparql.Pattern) bodyFeatures {
-	f := bodyFeatures{allFiltersSimple: true}
-	sparql.Walk(p, func(n sparql.Pattern) bool {
-		switch t := n.(type) {
-		case *sparql.Group, *sparql.TriplePattern:
-		case *sparql.Optional:
-			f.opt = true
-		case *sparql.Filter:
-			f.filter = true
-			if !SimpleFilter(t.Constraint) {
-				f.allFiltersSimple = false
-			}
-			// EXISTS embeds patterns, leaving the AOF fragment.
-			sparql.WalkExpr(t.Constraint, func(x sparql.Expr) bool {
-				if _, ok := x.(*sparql.ExistsExpr); ok {
-					f.beyondAOF = true
-				}
-				return true
-			})
-		default:
-			f.beyondAOF = true
-			return false
-		}
-		return true
-	})
-	return f
-}
-
-// SimpleFilter implements Definition 5.2's filter condition: the constraint
-// has at most one variable, or is exactly of the form ?x = ?y.
+// SimpleFilter implements Definition 5.2's filter condition: the
+// constraint mentions at most one variable, or is exactly ?x = ?y. A
+// constraint with an EXISTS body is not simple.
 func SimpleFilter(e sparql.Expr) bool {
-	if len(sparql.ExprVars(e)) <= 1 {
+	first, simple := "", true
+	sparql.WalkExpr(e, func(x sparql.Expr) bool {
+		switch t := x.(type) {
+		case *sparql.TermExpr:
+			if v := t.Term; v.Kind == sparql.TermVar && v.Value != "" {
+				if first == "" {
+					first = v.Value
+				} else if v.Value != first {
+					simple = false
+				}
+			}
+		case *sparql.ExistsExpr:
+			simple = false
+		}
+		return simple
+	})
+	if simple {
 		return true
 	}
-	_, _, ok := equalityVars(e)
+	_, _, ok := EqualityVars(e)
 	return ok
 }
 
-// equalityVars matches constraints of the exact form ?x = ?y.
-func equalityVars(e sparql.Expr) (string, string, bool) {
-	be, ok := e.(*sparql.BinaryExpr)
-	if !ok || be.Op != "=" {
+// EqualityVars matches constraints of the exact form ?x = ?y with x
+// and y distinct.
+func EqualityVars(e sparql.Expr) (x, y string, ok bool) {
+	be, isBin := e.(*sparql.BinaryExpr)
+	if !isBin || be.Op != "=" {
 		return "", "", false
 	}
 	l, lok := be.L.(*sparql.TermExpr)
 	r, rok := be.R.(*sparql.TermExpr)
-	if !lok || !rok || l.Term.Kind != sparql.TermVar || r.Term.Kind != sparql.TermVar {
+	if !lok || !rok || l.Term.Kind != sparql.TermVar || r.Term.Kind != sparql.TermVar || l.Term.Value == r.Term.Value {
 		return "", "", false
 	}
 	return l.Term.Value, r.Term.Value, true
 }
 
-// EqualityCollapses extracts the ?x = ?y filter pairs used to collapse
-// canonical-graph nodes (footnote 20 of the paper).
-func EqualityCollapses(q *sparql.Query) [][2]string {
-	var out [][2]string
-	sparql.Walk(q.Where, func(p sparql.Pattern) bool {
-		if f, ok := p.(*sparql.Filter); ok {
-			if x, y, ok := equalityVars(f.Constraint); ok {
-				out = append(out, [2]string{x, y})
-			}
+// aofVars decides the variable conditions of Section 5.2 for the
+// groups of an AOF pattern, on the per-element variable sets of the
+// query's Scope.
+type aofVars struct{ sc *sparql.Scope }
+
+// elems returns the variables each element of g mentions; the blank
+// node labels Elems adds are not variables.
+func (a aofVars) elems(g *sparql.Group) []sparql.VarSet {
+	es := a.sc.Elems(g)
+	for i := range es {
+		es[i] = es[i].And(a.sc.Mentioned)
+	}
+	return es
+}
+
+// wellDesigned checks Definition 5.3 on the binary And/Opt algebra of
+// p, a pattern of the AOF fragment, whose variables outside p are
+// outside. A group folds left to right, each OPTIONAL becoming an Opt
+// node whose left operand is the fold of the elements before it; for
+// every Opt node, each variable of its right operand that its left
+// one lacks must occur nowhere outside the node. A nested group whose
+// only non-empty element is an OPTIONAL folds to that Opt node with
+// nothing on its left, which the enclosing group takes as its own.
+func (a aofVars) wellDesigned(p sparql.Pattern, outside sparql.VarSet) bool {
+	g, ok := p.(*sparql.Group)
+	if !ok {
+		return true // a triple or filter holds no Opt node
+	}
+	es := a.elems(g)
+	var left sparql.VarSet // the variables of the fold so far
+	for i, el := range g.Elems {
+		// right is what occurs past el: the group's later elements and
+		// everything outside the group.
+		right := outside
+		for _, e := range es[i+1:] {
+			right = right.Or(e)
 		}
-		return true
-	})
-	return out
+		if o := optionalOf(el); o != nil {
+			if es[i].AndNot(left).And(right).Len() > 0 {
+				return false
+			}
+			el = o.Inner
+		}
+		if !a.wellDesigned(el, left.Or(right)) {
+			return false
+		}
+		left = left.Or(es[i])
+	}
+	return true
 }
 
-// ---------- Binary algebra fold and well-designedness ----------
-
-// binNode is the binary And/Opt algebra tree of an AOF pattern. Leaves are
-// triple patterns or filter constraints (filters contribute variable
-// occurrences per the paper's variable condition).
-type binNode struct {
-	kind   byte // 't' triple, 'f' filter, 'a' And, 'o' Opt
-	triple *sparql.TriplePattern
-	filter sparql.Expr
-	l, r   *binNode
-}
-
-// foldBinary converts a group-structured AOF pattern into the binary
-// algebra: elements fold left-to-right, OPTIONAL elements become Opt nodes
-// whose left operand is the accumulated prefix.
-func foldBinary(p sparql.Pattern) *binNode {
+// optionalOf returns the OPTIONAL that p folds to as an Opt node with
+// nothing on its left: p itself, or the one of a group whose only
+// non-empty element folds to it. It is nil for any other p.
+func optionalOf(p sparql.Pattern) *sparql.Optional {
 	switch n := p.(type) {
-	case nil:
-		return nil
-	case *sparql.TriplePattern:
-		return &binNode{kind: 't', triple: n}
-	case *sparql.Filter:
-		return &binNode{kind: 'f', filter: n.Constraint}
 	case *sparql.Optional:
-		return &binNode{kind: 'o', r: foldBinary(n.Inner)}
+		return n
 	case *sparql.Group:
-		var acc *binNode
+		var o *sparql.Optional
 		for _, el := range n.Elems {
-			child := foldBinary(el)
-			if child == nil {
+			if empty(el) {
 				continue
 			}
-			if child.kind == 'o' && child.l == nil {
-				// OPTIONAL folds against the accumulated prefix (possibly
-				// empty, representing the unit pattern).
-				child.l = acc
-				acc = child
-				continue
+			if o != nil {
+				return nil
 			}
-			if acc == nil {
-				acc = child
-			} else {
-				acc = &binNode{kind: 'a', l: acc, r: child}
+			if o = optionalOf(el); o == nil {
+				return nil
 			}
 		}
-		return acc
+		return o
 	}
 	return nil
 }
 
-func binVars(n *binNode, out map[string]int) {
-	if n == nil {
-		return
+// empty reports whether p folds to nothing: a group of empty groups.
+func empty(p sparql.Pattern) bool {
+	g, ok := p.(*sparql.Group)
+	if !ok {
+		return false
 	}
-	switch n.kind {
-	case 't':
-		for _, t := range []sparql.Term{n.triple.S, n.triple.P, n.triple.O} {
-			if t.Kind == sparql.TermVar {
-				out[t.Value]++
-			}
+	for _, el := range g.Elems {
+		if !empty(el) {
+			return false
 		}
-	case 'f':
-		for v := range sparql.ExprVars(n.filter) {
-			out[v]++
-		}
-	default:
-		binVars(n.l, out)
-		binVars(n.r, out)
 	}
+	return true
 }
 
-// wellDesigned checks Definition 5.3 on the binary tree: for every Opt
-// node (L Opt R), each variable of R that does not occur in L must occur
-// nowhere outside this Opt node.
-func wellDesigned(root *binNode) bool {
-	if root == nil {
-		return true
+// interfaceWidth computes Example 5.4's interface width of the pattern
+// tree of p, a well-designed AOF pattern: the most variables a node's
+// conjunctive part shares with one of its child subtrees. A node is a
+// group's triples and filters, nested groups flattened into it, and
+// each OPTIONAL among them is a child (the Opt normal form, which
+// preserves the semantics of well-designed patterns).
+func (a aofVars) interfaceWidth(p sparql.Pattern) int {
+	var node sparql.VarSet
+	var kids []child
+	a.flatten(p, &node, &kids)
+	w := 0
+	for _, c := range kids {
+		w = max(w, node.And(c.vars).Len(), a.interfaceWidth(c.inner))
 	}
-	total := map[string]int{}
-	binVars(root, total)
-	ok := true
-	var visit func(n *binNode)
-	visit = func(n *binNode) {
-		if n == nil || !ok {
-			return
-		}
-		if n.kind == 'o' {
-			lv := map[string]int{}
-			binVars(n.l, lv)
-			rv := map[string]int{}
-			binVars(n.r, rv)
-			self := map[string]int{}
-			binVars(n, self)
-			for v := range rv {
-				if lv[v] > 0 {
-					continue
-				}
-				// v must occur only inside this Opt occurrence.
-				if total[v] != self[v] {
-					ok = false
-					return
-				}
-			}
-		}
-		visit(n.l)
-		visit(n.r)
-	}
-	visit(root)
-	return ok
+	return w
 }
 
-// ---------- Pattern trees and interface width ----------
-
-// PatternTree is the Currying-based tree encoding of Example 5.4: each
-// node holds the conjunctive part at its level; each OPTIONAL becomes a
-// child subtree.
-type PatternTree struct {
-	Triples  []*sparql.TriplePattern
-	Filters  []sparql.Expr
-	Children []*PatternTree
+// child is one OPTIONAL of a pattern-tree node and its variables.
+type child struct {
+	inner sparql.Pattern
+	vars  sparql.VarSet
 }
 
-// buildPatternTree constructs the pattern tree of a well-designed AOF
-// pattern directly from the group structure (the Opt-normal-form
-// transformation is semantics-preserving exactly for well-designed
-// patterns, which is the only case this function is used in).
-func buildPatternTree(p sparql.Pattern) *PatternTree {
-	node := &PatternTree{}
-	var absorb func(q sparql.Pattern)
-	absorb = func(q sparql.Pattern) {
-		switch n := q.(type) {
-		case nil:
-		case *sparql.TriplePattern:
-			node.Triples = append(node.Triples, n)
-		case *sparql.Filter:
-			node.Filters = append(node.Filters, n.Constraint)
+// flatten adds the variables of p's conjunctive part to node and its
+// OPTIONALs to kids.
+func (a aofVars) flatten(p sparql.Pattern, node *sparql.VarSet, kids *[]child) {
+	g, ok := p.(*sparql.Group)
+	if !ok {
+		return // a node without children has width 0, whatever its variables
+	}
+	es := a.elems(g)
+	for i, el := range g.Elems {
+		switch n := el.(type) {
 		case *sparql.Optional:
-			node.Children = append(node.Children, buildPatternTree(n.Inner))
+			*kids = append(*kids, child{n.Inner, es[i]})
 		case *sparql.Group:
-			for _, el := range n.Elems {
-				absorb(el)
-			}
+			a.flatten(n, node, kids)
+		default:
+			*node = node.Or(es[i])
 		}
 	}
-	absorb(p)
-	return node
-}
-
-// NodeVars returns the variables of the node's own conjunctive part.
-func (t *PatternTree) NodeVars() map[string]bool {
-	out := make(map[string]bool)
-	for _, tr := range t.Triples {
-		for _, term := range []sparql.Term{tr.S, tr.P, tr.O} {
-			if term.Kind == sparql.TermVar {
-				out[term.Value] = true
-			}
-		}
-	}
-	for _, f := range t.Filters {
-		for v := range sparql.ExprVars(f) {
-			out[v] = true
-		}
-	}
-	return out
-}
-
-// SubtreeVars returns the variables of the whole subtree.
-func (t *PatternTree) SubtreeVars() map[string]bool {
-	out := t.NodeVars()
-	for _, c := range t.Children {
-		for v := range c.SubtreeVars() {
-			out[v] = true
-		}
-	}
-	return out
-}
-
-// Size returns the number of nodes in the pattern tree.
-func (t *PatternTree) Size() int {
-	n := 1
-	for _, c := range t.Children {
-		n += c.Size()
-	}
-	return n
-}
-
-// interfaceWidth computes the maximum number of variables shared between a
-// node's conjunctive part and any child subtree (Example 5.4).
-func interfaceWidth(t *PatternTree) int {
-	if t == nil {
-		return 0
-	}
-	width := 0
-	nv := t.NodeVars()
-	for _, c := range t.Children {
-		shared := 0
-		for v := range c.SubtreeVars() {
-			if nv[v] {
-				shared++
-			}
-		}
-		if shared > width {
-			width = shared
-		}
-		if w := interfaceWidth(c); w > width {
-			width = w
-		}
-	}
-	return width
 }

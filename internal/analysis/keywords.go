@@ -1,126 +1,97 @@
 // Package analysis implements the per-query analyses of Sections 4 and 5
 // of the paper: keyword usage (Table 2), operator-set distribution
-// (Table 3), triple counting (Figure 1), the projection test of Section
-// 4.4, and the fragment hierarchy CQ / CPF / CQF / AOF / well-designed /
-// CQOF of Section 5.2.
+// (Table 3), triple counting (Figure 1), the subquery and projection
+// tests of Section 4.4, and the fragment hierarchy CQ / CPF / CQF / AOF /
+// well-designed / CQOF of Section 5.2.
+//
+// A query is read twice, once for its syntax and once for its
+// variables: Scan walks it once and returns its Features, everything
+// the per-query tables read off the syntax; the query's sparql.Scope
+// answers every variable question (Projection, and the
+// well-designedness and interface width ClassifyFragments decides on
+// the Scope's per-element sets).
 package analysis
 
 import "sparqlog/internal/sparql"
 
-// Keywords records which SPARQL keywords a query uses, one flag per row of
-// Table 2. Counting is per query: a query using FILTER five times sets
-// Filter once.
-type Keywords struct {
+// Keyword is one SPARQL keyword Scan records. The first TableTwoRows
+// are the rows of Table 2, in the paper's order; the rest are the
+// other SPARQL 1.1 features (each <1% in the corpus; Section 4.1
+// footnote 9).
+type Keyword uint8
+
+// Keywords, Table 2's rows first.
+const (
 	// Query types.
-	Select, Ask, Describe, Construct bool
+	KwSelect Keyword = iota
+	KwAsk
+	KwDescribe
+	KwConstruct
 	// Solution modifiers.
-	Distinct, Reduced, Limit, Offset, OrderBy bool
+	KwDistinct
+	KwLimit
+	KwOffset
+	KwOrderBy
 	// Body operators.
-	Filter, And, Union, Opt, Graph bool
-	NotExists, Minus, Exists       bool
+	KwFilter
+	KwAnd
+	KwUnion
+	KwOpt
+	KwGraph
+	KwNotExists
+	KwMinus
+	KwExists
 	// Aggregates and grouping.
-	Count, Max, Min, Avg, Sum, Sample, GroupConcat bool
-	GroupBy, Having                                bool
-	// Other SPARQL 1.1 features (each <1% in the corpus; Section 4.1
-	// footnote 9).
-	Service, Bind, Values bool
-	SubQuery              bool
-	PropertyPath          bool
+	KwCount
+	KwMax
+	KwMin
+	KwAvg
+	KwSum
+	KwGroupBy
+	KwHaving
+	// Other features.
+	KwReduced
+	KwSample
+	KwGroupConcat
+	KwService
+	KwBind
+	KwValues
+	KwSubQuery
+	KwPropertyPath
+	numKeywords
+)
+
+// TableTwoRows is the number of keywords that are rows of Table 2.
+const TableTwoRows = int(KwHaving) + 1
+
+var keywordNames = [numKeywords]string{
+	"Select", "Ask", "Describe", "Construct",
+	"Distinct", "Limit", "Offset", "Order By",
+	"Filter", "And", "Union", "Opt", "Graph",
+	"Not Exists", "Minus", "Exists",
+	"Count", "Max", "Min", "Avg", "Sum",
+	"Group By", "Having",
+	"Reduced", "Sample", "Group Concat", "Service", "Bind", "Values",
+	"Subquery", "Property Path",
 }
 
-// QueryKeywords scans one query, including subquery bodies and patterns
-// nested in EXISTS constraints.
-func QueryKeywords(q *sparql.Query) Keywords {
-	var k Keywords
-	switch q.Type {
-	case sparql.SelectQuery:
-		k.Select = true
-	case sparql.AskQuery:
-		k.Ask = true
-	case sparql.DescribeQuery:
-		k.Describe = true
-	case sparql.ConstructQuery:
-		k.Construct = true
-	}
-	k.Distinct = q.Distinct
-	k.Reduced = q.Reduced
-	scanModifiers(&k, &q.Mods)
-	if q.TrailingValues != nil {
-		k.Values = true
-	}
-	scanPattern(&k, q.Where)
-	for _, it := range q.Select {
-		if it.Expr != nil {
-			scanExpr(&k, it.Expr)
-		}
-	}
-	return k
-}
+// String returns the keyword's name, as Table 2 labels its row.
+func (k Keyword) String() string { return keywordNames[k] }
 
-func scanModifiers(k *Keywords, m *sparql.Modifiers) {
-	if m.HasLimit {
-		k.Limit = true
-	}
-	if m.HasOffset {
-		k.Offset = true
-	}
-	if len(m.OrderBy) > 0 {
-		k.OrderBy = true
-	}
-	if len(m.GroupBy) > 0 {
-		k.GroupBy = true
-	}
-	if len(m.Having) > 0 {
-		k.Having = true
-	}
-	for _, h := range m.Having {
-		scanExpr(k, h)
-	}
-	for _, o := range m.OrderBy {
-		scanExpr(k, o.Expr)
-	}
-	for _, g := range m.GroupBy {
-		scanExpr(k, g.Expr)
-	}
-}
+// Keywords is the set of keywords a query uses, one bit per Keyword.
+// Counting is per query: a query using FILTER five times holds Filter
+// once.
+type Keywords uint32
 
-func scanPattern(k *Keywords, p sparql.Pattern) {
-	sparql.Walk(p, func(n sparql.Pattern) bool {
-		switch t := n.(type) {
-		case *sparql.Group:
-			if countJoinable(t) >= 2 {
-				k.And = true
-			}
-		case *sparql.Union:
-			k.Union = true
-		case *sparql.Optional:
-			k.Opt = true
-		case *sparql.GraphGraph:
-			k.Graph = true
-		case *sparql.MinusGraph:
-			k.Minus = true
-		case *sparql.ServiceGraph:
-			k.Service = true
-		case *sparql.Filter:
-			k.Filter = true
-			scanExpr(k, t.Constraint)
-		case *sparql.Bind:
-			k.Bind = true
-			scanExpr(k, t.Expr)
-		case *sparql.InlineData:
-			k.Values = true
-		case *sparql.PathPattern:
-			k.PropertyPath = true
-		case *sparql.SubSelect:
-			k.SubQuery = true
-			if t.Query != nil {
-				sub := QueryKeywords(t.Query)
-				mergeKeywords(k, sub)
-			}
-			return false
-		}
-		return true
-	})
+// Has reports whether k holds w.
+func (k Keywords) Has(w Keyword) bool { return k&(1<<w) != 0 }
+
+func (k *Keywords) set(w Keyword) { *k |= 1 << w }
+
+// aggregates maps an aggregate function to its keyword.
+var aggregates = map[string]Keyword{
+	"COUNT": KwCount, "MAX": KwMax, "MIN": KwMin, "AVG": KwAvg,
+	"SUM": KwSum, "SAMPLE": KwSample, "GROUP_CONCAT": KwGroupConcat,
 }
 
 // countJoinable counts the group elements that the SPARQL algebra joins
@@ -137,76 +108,4 @@ func countJoinable(g *sparql.Group) int {
 		}
 	}
 	return n
-}
-
-func scanExpr(k *Keywords, e sparql.Expr) {
-	sparql.WalkExpr(e, func(x sparql.Expr) bool {
-		switch t := x.(type) {
-		case *sparql.ExistsExpr:
-			if t.Not {
-				k.NotExists = true
-			} else {
-				k.Exists = true
-			}
-			scanPattern(k, t.Pattern)
-		case *sparql.AggregateExpr:
-			switch t.Name {
-			case "COUNT":
-				k.Count = true
-			case "MAX":
-				k.Max = true
-			case "MIN":
-				k.Min = true
-			case "AVG":
-				k.Avg = true
-			case "SUM":
-				k.Sum = true
-			case "SAMPLE":
-				k.Sample = true
-			case "GROUP_CONCAT":
-				k.GroupConcat = true
-			}
-		}
-		return true
-	})
-}
-
-func mergeKeywords(k *Keywords, sub Keywords) {
-	// Query-type flags of subqueries are not merged (the outer query's
-	// type is what Table 2 counts); everything else is.
-	k.Distinct = k.Distinct || sub.Distinct
-	k.Reduced = k.Reduced || sub.Reduced
-	k.Limit = k.Limit || sub.Limit
-	k.Offset = k.Offset || sub.Offset
-	k.OrderBy = k.OrderBy || sub.OrderBy
-	k.Filter = k.Filter || sub.Filter
-	k.And = k.And || sub.And
-	k.Union = k.Union || sub.Union
-	k.Opt = k.Opt || sub.Opt
-	k.Graph = k.Graph || sub.Graph
-	k.NotExists = k.NotExists || sub.NotExists
-	k.Minus = k.Minus || sub.Minus
-	k.Exists = k.Exists || sub.Exists
-	k.Count = k.Count || sub.Count
-	k.Max = k.Max || sub.Max
-	k.Min = k.Min || sub.Min
-	k.Avg = k.Avg || sub.Avg
-	k.Sum = k.Sum || sub.Sum
-	k.Sample = k.Sample || sub.Sample
-	k.GroupConcat = k.GroupConcat || sub.GroupConcat
-	k.GroupBy = k.GroupBy || sub.GroupBy
-	k.Having = k.Having || sub.Having
-	k.Service = k.Service || sub.Service
-	k.Bind = k.Bind || sub.Bind
-	k.Values = k.Values || sub.Values
-	k.SubQuery = true
-	k.PropertyPath = k.PropertyPath || sub.PropertyPath
-}
-
-// TripleCount returns the number of triple patterns in the query body,
-// counting property-path patterns as one triple each (matching the
-// triple-block counting of Section 4.2) and descending into nested
-// patterns, subqueries, and EXISTS constraints.
-func TripleCount(q *sparql.Query) int {
-	return len(q.Triples()) + len(q.PathPatterns())
 }

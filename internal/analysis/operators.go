@@ -3,8 +3,6 @@ package analysis
 import (
 	"sort"
 	"strings"
-
-	"sparqlog/internal/sparql"
 )
 
 // OperatorSet identifies which of the five operators of Table 3 a query
@@ -48,41 +46,6 @@ func (s OperatorSet) Key() string {
 // (Definition 4.1): only triples, And, and Filter.
 func (s OperatorSet) IsCPF() bool {
 	return !s.Other && !s.Opt && !s.Graph && !s.Union
-}
-
-// Operators computes the operator set of a query body. A nil body yields
-// the empty set ("none", matching the paper's treatment of bodyless
-// queries).
-func Operators(q *sparql.Query) OperatorSet {
-	var s OperatorSet
-	sparql.Walk(q.Where, func(n sparql.Pattern) bool {
-		switch t := n.(type) {
-		case *sparql.Group:
-			if countJoinable(t) >= 2 {
-				s.And = true
-			}
-		case *sparql.Union:
-			s.Union = true
-		case *sparql.Optional:
-			s.Opt = true
-		case *sparql.GraphGraph:
-			s.Graph = true
-		case *sparql.Filter:
-			s.Filter = true
-			sparql.WalkExpr(t.Constraint, func(x sparql.Expr) bool {
-				if _, ok := x.(*sparql.ExistsExpr); ok {
-					s.Other = true
-				}
-				return true
-			})
-		case *sparql.MinusGraph, *sparql.ServiceGraph, *sparql.Bind,
-			*sparql.InlineData, *sparql.SubSelect, *sparql.PathPattern:
-			s.Other = true
-			return false
-		}
-		return true
-	})
-	return s
 }
 
 // Distribution aggregates operator-set counts across queries, keyed by the

@@ -54,17 +54,3 @@ func Projection(s *sparql.Scope) ProjectionVerdict {
 	}
 	return NoProjection
 }
-
-// UsesSubqueries reports whether the query contains a subquery anywhere in
-// its body (Section 4.4: 0.54% of the corpus).
-func UsesSubqueries(q *sparql.Query) bool {
-	found := false
-	sparql.Walk(q.Where, func(p sparql.Pattern) bool {
-		if _, ok := p.(*sparql.SubSelect); ok {
-			found = true
-			return false
-		}
-		return !found
-	})
-	return found
-}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"sparqlog/internal/analysis"
 	"sparqlog/internal/lint"
 	"sparqlog/internal/sparql"
 )
@@ -81,11 +82,12 @@ type seenEntry struct {
 
 // classRep is the current representative of one fingerprint class:
 // the parsed query of the earliest occurrence seen so far, plus its
-// repeat-shape label (identical across the class, cached so report
-// time never re-walks the AST).
+// scan and repeat-shape label (the label is identical across the
+// class; both are kept so report time never re-walks the AST).
 type classRep struct {
 	idx   uint64
 	q     *sparql.Query
+	f     analysis.Features
 	label string
 }
 
@@ -206,7 +208,7 @@ func (la *LiveAnalyzer) Report() *DatasetReport {
 	for _, r := range reps {
 		rep.Unique++
 		rep.noteShapeUnique(r.label)
-		rep.analyzeQuery(r.q, nil, la.opts)
+		rep.analyzeQuery(r.q, &r.f, nil, la.opts)
 	}
 	return rep
 }
@@ -230,8 +232,9 @@ func (la *LiveAnalyzer) process(s *liveSlot, e *logEntry, idx uint64) {
 		}
 		s.rep.Valid++
 		s.rep.Unique++
-		s.rep.noteShape(RepeatShape(q), true)
-		s.rep.analyzeQuery(q, e.lint, la.opts)
+		f := analysis.Scan(q)
+		s.rep.noteShape(RepeatShape(q, &f), true)
+		s.rep.analyzeQuery(q, &f, e.lint, la.opts)
 	case la.opts.StructuralDedup:
 		// Structural dedup keys on the fingerprint, which needs the parse
 		// anyway; every occurrence is parsed and counted Valid. Analysis
@@ -245,13 +248,14 @@ func (la *LiveAnalyzer) process(s *liveSlot, e *logEntry, idx uint64) {
 			return
 		}
 		s.rep.Valid++
-		label := RepeatShape(q)
+		f := analysis.Scan(q)
+		label := RepeatShape(q, &f)
 		s.rep.noteShape(label, false)
 		fp := sparql.QueryString(q)
 		shard := la.shard(fp)
 		shard.mu.Lock()
 		if cur, ok := shard.reps[fp]; !ok || idx < cur.idx {
-			shard.reps[fp] = classRep{idx: idx, q: q, label: label}
+			shard.reps[fp] = classRep{idx: idx, q: q, f: f, label: label}
 		}
 		shard.mu.Unlock()
 	default:
@@ -277,16 +281,19 @@ func (la *LiveAnalyzer) process(s *liveSlot, e *logEntry, idx uint64) {
 				if err != nil {
 					return
 				}
-				label = RepeatShape(q)
+				f := analysis.Scan(q)
+				label = RepeatShape(q, &f)
 			}
 			s.rep.Valid++
 			s.rep.noteShape(label, false)
 			return
 		}
 		q, err := e.parse(s.parser)
+		var f analysis.Features
 		var label string
 		if err == nil {
-			label = RepeatShape(q)
+			f = analysis.Scan(q)
+			label = RepeatShape(q, &f)
 		}
 		shard.mu.Lock()
 		if err != nil {
@@ -304,7 +311,7 @@ func (la *LiveAnalyzer) process(s *liveSlot, e *logEntry, idx uint64) {
 		s.rep.Valid++
 		s.rep.Unique++
 		s.rep.noteShape(label, true)
-		s.rep.analyzeQuery(q, e.lint, la.opts)
+		s.rep.analyzeQuery(q, &f, e.lint, la.opts)
 	}
 }
 

@@ -19,14 +19,13 @@ import (
 
 // KeywordOrder lists Table 2's rows in the paper's order; DatasetReport
 // keyword maps use these keys.
-var KeywordOrder = []string{
-	"Select", "Ask", "Describe", "Construct",
-	"Distinct", "Limit", "Offset", "Order By",
-	"Filter", "And", "Union", "Opt", "Graph",
-	"Not Exists", "Minus", "Exists",
-	"Count", "Max", "Min", "Avg", "Sum",
-	"Group By", "Having",
-}
+var KeywordOrder = func() []string {
+	out := make([]string, analysis.TableTwoRows)
+	for i := range out {
+		out[i] = analysis.Keyword(i).String()
+	}
+	return out
+}()
 
 // ShapeCounts holds the cumulative shape rows of Table 4 for one fragment.
 type ShapeCounts struct {
@@ -181,8 +180,8 @@ type RepeatStat struct {
 // operator keywords that dominate evaluation cost. The label is a
 // function of the parsed structure only, so alpha-equivalent queries
 // share one label and the table is identical whichever dedup mode
-// produced it.
-func RepeatShape(q *sparql.Query) string {
+// produced it. f is q's scan.
+func RepeatShape(q *sparql.Query, f *analysis.Features) string {
 	var sb strings.Builder
 	switch q.Type {
 	case sparql.SelectQuery:
@@ -196,25 +195,26 @@ func RepeatShape(q *sparql.Query) string {
 	default:
 		sb.WriteString("OTHER")
 	}
-	if b := bucket(analysis.TripleCount(q)); b == SizeHistBuckets-1 {
+	if b := bucket(f.TripleCount()); b == SizeHistBuckets-1 {
 		fmt.Fprintf(&sb, "/%d+t", b)
 	} else {
 		fmt.Fprintf(&sb, "/%dt", b)
 	}
-	k := analysis.QueryKeywords(q)
+	k := f.Keywords
 	flag := func(name string, on bool) {
 		if on {
 			sb.WriteByte('+')
 			sb.WriteString(name)
 		}
 	}
-	flag("distinct", k.Distinct)
-	flag("filter", k.Filter)
-	flag("opt", k.Opt)
-	flag("union", k.Union)
-	flag("agg", k.Count || k.Max || k.Min || k.Avg || k.Sum || k.GroupBy)
-	flag("order", k.OrderBy)
-	flag("limit", k.Limit)
+	flag("distinct", k.Has(analysis.KwDistinct))
+	flag("filter", k.Has(analysis.KwFilter))
+	flag("opt", k.Has(analysis.KwOpt))
+	flag("union", k.Has(analysis.KwUnion))
+	flag("agg", k.Has(analysis.KwCount) || k.Has(analysis.KwMax) || k.Has(analysis.KwMin) ||
+		k.Has(analysis.KwAvg) || k.Has(analysis.KwSum) || k.Has(analysis.KwGroupBy))
+	flag("order", k.Has(analysis.KwOrderBy))
+	flag("limit", k.Has(analysis.KwLimit))
 	return sb.String()
 }
 
@@ -331,7 +331,8 @@ func AnalyzeLog(name string, entries []string, opts Options) *DatasetReport {
 			continue
 		}
 		rep.Valid++
-		shape := RepeatShape(q)
+		f := analysis.Scan(q)
+		shape := RepeatShape(q, &f)
 		if !opts.KeepDuplicates {
 			key := raw
 			if opts.StructuralDedup {
@@ -345,7 +346,7 @@ func AnalyzeLog(name string, entries []string, opts Options) *DatasetReport {
 		}
 		rep.noteShape(shape, true)
 		rep.Unique++
-		rep.analyzeQuery(q, nil, opts)
+		rep.analyzeQuery(q, &f, nil, opts)
 	}
 	return rep
 }
@@ -358,16 +359,18 @@ func AnalyzeQueries(name string, qs []*sparql.Query, opts Options) *DatasetRepor
 		rep.Total++
 		rep.Valid++
 		rep.Unique++
-		rep.noteShape(RepeatShape(q), true)
-		rep.analyzeQuery(q, nil, opts)
+		f := analysis.Scan(q)
+		rep.noteShape(RepeatShape(q, &f), true)
+		rep.analyzeQuery(q, &f, nil, opts)
 	}
 	return rep
 }
 
-// analyzeQuery folds one query into the report. lr is the query's lint
-// result when the caller already has it (a serving endpoint lints every
-// request for its response header); nil means lint here if opts.Lint.
-func (rep *DatasetReport) analyzeQuery(q *sparql.Query, lr *lint.Result, opts Options) {
+// analyzeQuery folds one query into the report. f is q's scan. lr is
+// the query's lint result when the caller already has it (a serving
+// endpoint lints every request for its response header); nil means lint
+// here if opts.Lint.
+func (rep *DatasetReport) analyzeQuery(q *sparql.Query, f *analysis.Features, lr *lint.Result, opts Options) {
 	if !q.HasBody() {
 		rep.Bodyless++
 	}
@@ -377,19 +380,20 @@ func (rep *DatasetReport) analyzeQuery(q *sparql.Query, lr *lint.Result, opts Op
 		}
 		rep.addLint(lr)
 	}
-	k := analysis.QueryKeywords(q)
-	rep.addKeywords(k)
-	for _, pp := range q.PathPatterns() {
-		rep.Paths.Add(pp.Path)
+	rep.addKeywords(f.Keywords)
+	if f.Paths > 0 {
+		for _, pp := range q.PathPatterns() {
+			rep.Paths.Add(pp.Path)
+		}
 	}
 	if q.Type != sparql.SelectQuery && q.Type != sparql.AskQuery {
 		return
 	}
 	rep.SelectAsk++
-	tc := analysis.TripleCount(q)
+	tc := f.TripleCount()
 	rep.TripleSum += tc
 	rep.TripleHist[bucket(tc)]++
-	rep.OperatorSet.Add(analysis.Operators(q))
+	rep.OperatorSet.Add(f.Operators)
 	var sc *sparql.Scope // the lint pass's, when there was one
 	if lr != nil {
 		sc = lr.Scope
@@ -402,10 +406,10 @@ func (rep *DatasetReport) analyzeQuery(q *sparql.Query, lr *lint.Result, opts Op
 	case analysis.Indeterminate:
 		rep.ProjInd++
 	}
-	if analysis.UsesSubqueries(q) {
+	if f.Subquery {
 		rep.Subqueries++
 	}
-	frag := analysis.ClassifyFragments(q)
+	frag := analysis.ClassifyFragments(f, sc)
 	if !frag.AOF {
 		return
 	}
@@ -432,7 +436,7 @@ func (rep *DatasetReport) analyzeQuery(q *sparql.Query, lr *lint.Result, opts Op
 		return
 	}
 	triples := q.Triples()
-	collapses := analysis.EqualityCollapses(q)
+	collapses := f.Collapses
 	if frag.HasVarPredicate {
 		if frag.CQOF {
 			rep.VarPredAOF++
@@ -530,34 +534,11 @@ func bucket(tc int) int {
 }
 
 func (rep *DatasetReport) addKeywords(k analysis.Keywords) {
-	inc := func(name string, b bool) {
-		if b {
+	for i, name := range KeywordOrder {
+		if k.Has(analysis.Keyword(i)) {
 			rep.Keywords[name]++
 		}
 	}
-	inc("Select", k.Select)
-	inc("Ask", k.Ask)
-	inc("Describe", k.Describe)
-	inc("Construct", k.Construct)
-	inc("Distinct", k.Distinct)
-	inc("Limit", k.Limit)
-	inc("Offset", k.Offset)
-	inc("Order By", k.OrderBy)
-	inc("Filter", k.Filter)
-	inc("And", k.And)
-	inc("Union", k.Union)
-	inc("Opt", k.Opt)
-	inc("Graph", k.Graph)
-	inc("Not Exists", k.NotExists)
-	inc("Minus", k.Minus)
-	inc("Exists", k.Exists)
-	inc("Count", k.Count)
-	inc("Max", k.Max)
-	inc("Min", k.Min)
-	inc("Avg", k.Avg)
-	inc("Sum", k.Sum)
-	inc("Group By", k.GroupBy)
-	inc("Having", k.Having)
 }
 
 // AvgTriples is the mean triple count over Select/Ask queries (the Avg#T

@@ -162,7 +162,7 @@ func TestOracleCorpusGraphs(t *testing.T) {
 		for _, opts := range []shapes.Options{
 			{},
 			{ExcludeConstants: true},
-			{CollapseEqual: analysis.EqualityCollapses(q)},
+			{CollapseEqual: analysis.Scan(q).Collapses},
 		} {
 			g, _ := shapes.CanonicalGraph(triples, opts)
 			checkAgainstOracle(t, sparql.QueryString(q), g, refFrom(g))

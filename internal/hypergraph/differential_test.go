@@ -86,7 +86,7 @@ func TestOracleCorpusHypergraphs(t *testing.T) {
 				for _, opts := range []shapes.Options{
 					{},
 					{ExcludeConstants: true},
-					{CollapseEqual: analysis.EqualityCollapses(q)},
+					{CollapseEqual: analysis.Scan(q).Collapses},
 				} {
 					checkAgainstOracle(t, e, shapes.CanonicalHypergraph(q.Triples(), opts))
 					hypergraphs++

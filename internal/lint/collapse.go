@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"sparqlog/internal/analysis"
 	"sparqlog/internal/sparql"
 )
 
@@ -30,7 +31,7 @@ func canCollapse(sc *sparql.Scope, g *sparql.Group, i int) (keep, drop string, o
 	if !isFilter || q.Where == nil {
 		return "", "", false
 	}
-	x, y, isEq := eqVars(fl.Constraint)
+	x, y, isEq := analysis.EqualityVars(fl.Constraint)
 	if !isEq {
 		return "", "", false
 	}

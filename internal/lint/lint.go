@@ -22,8 +22,10 @@ package lint
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"sparqlog/internal/sparql"
 )
@@ -79,17 +81,16 @@ type Pass struct {
 	Run      func(c *Ctx)
 }
 
+// passes is the registry, kept sorted by code as passes register.
 var passes []*Pass
 
-func register(p *Pass) { passes = append(passes, p) }
-
-// Passes returns the registered passes sorted by code.
-func Passes() []*Pass {
-	out := make([]*Pass, len(passes))
-	copy(out, passes)
-	sort.Slice(out, func(i, j int) bool { return out[i].Code < out[j].Code })
-	return out
+func register(p *Pass) {
+	passes = append(passes, p)
+	slices.SortFunc(passes, func(a, b *Pass) int { return strings.Compare(a.Code, b.Code) })
 }
+
+// Passes returns a copy of the registered passes, sorted by code.
+func Passes() []*Pass { return slices.Clone(passes) }
 
 // Ctx is the shared state one Run invocation exposes to every pass.
 type Ctx struct {
@@ -159,7 +160,7 @@ func (r *Result) Max() (Severity, bool) {
 // combined diagnostics in pass-code order.
 func Run(q *sparql.Query) *Result {
 	c := &Ctx{Query: q, scopes: scopes(sparql.ScopeOf(q))}
-	for _, p := range Passes() {
+	for _, p := range passes {
 		c.current = p
 		p.Run(c)
 	}

@@ -276,30 +276,12 @@ func runDeadProjection(c *Ctx) {
 
 func runNonWellDesigned(c *Ctx) {
 	for _, s := range c.scopes {
-		if s.sc.Query.Where == nil {
-			continue
-		}
-		frag := analysis.ClassifyFragments(s.sc.Query)
-		if !frag.AOF || !hasOptional(s.sc.Query.Where) {
-			continue
-		}
-		if !analysis.WellDesigned(s.sc.Query.Where) {
+		f := analysis.Scan(s.sc.Query)
+		if frag := analysis.ClassifyFragments(&f, s.sc); frag.AOF && !frag.WellDesigned {
 			c.Report(s.wherePath(), "",
 				"pattern is not well-designed: an OPTIONAL variable is reused outside its optional scope (non-monotone semantics, evaluation blowup risk)")
 		}
 	}
-}
-
-func hasOptional(p sparql.Pattern) bool {
-	found := false
-	sparql.Walk(p, func(n sparql.Pattern) bool {
-		if _, ok := n.(*sparql.Optional); ok {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }
 
 // ---------- SQL006 ----------
@@ -349,7 +331,7 @@ func runCollapsibleEquality(c *Ctx) {
 				if !ok {
 					continue
 				}
-				x, y, ok := eqVars(fl.Constraint)
+				x, y, ok := analysis.EqualityVars(fl.Constraint)
 				if !ok {
 					continue
 				}
@@ -386,18 +368,4 @@ func runUnboundOrderKey(c *Ctx) {
 			}
 		}
 	}
-}
-
-// eqVars matches constraints of the exact form ?x = ?y with x != y.
-func eqVars(e sparql.Expr) (string, string, bool) {
-	be, ok := e.(*sparql.BinaryExpr)
-	if !ok || be.Op != "=" {
-		return "", "", false
-	}
-	l, lok := asVar(be.L)
-	r, rok := asVar(be.R)
-	if !lok || !rok || l == r {
-		return "", "", false
-	}
-	return l, r, true
 }

@@ -117,7 +117,7 @@ func serveParsed(t *testing.T, s *Server, ctx context.Context, q *sparql.Query) 
 		t.Fatal(err)
 	}
 	var r served
-	r.ans, r.out, r.key, r.hit = s.execute(ctx, q)
+	r.ans, r.out, r.key, r.hit = s.execute(ctx, q, sparql.ScopeOf(q))
 	return r
 }
 
@@ -237,13 +237,17 @@ func TestCachedDifferentialRandom(t *testing.T) {
 	}
 }
 
-// TestCacheKeyAlphaEquivalence: variable renaming and prefix spelling
-// must share one entry; different modifiers must not.
+// TestCacheKeyAlphaEquivalence: renaming an unprojected variable and
+// respelling a prefix must share one entry; renaming a projected
+// variable, and different modifiers, must not.
 func TestCacheKeyAlphaEquivalence(t *testing.T) {
 	s := New(Config{Snapshot: socialStore(), CacheMinCost: -1})
 	serveQuery(t, s, `SELECT ?x WHERE { ?x <urn:age> ?a }`)
-	if !serveQuery(t, s, `SELECT ?other WHERE { ?other <urn:age> ?v }`).hit {
-		t.Fatal("alpha-equivalent repeat missed the cache")
+	if !serveQuery(t, s, `SELECT ?x WHERE { ?x <urn:age> ?v }`).hit {
+		t.Fatal("repeat renaming an unprojected variable missed the cache")
+	}
+	if serveQuery(t, s, `SELECT ?other WHERE { ?other <urn:age> ?v }`).hit {
+		t.Fatal("repeat renaming the projected variable shared the entry of another name")
 	}
 	if !serveQuery(t, s, `PREFIX u: <urn:> SELECT ?x WHERE { ?x u:age ?a }`).hit {
 		t.Fatal("prefix-spelled repeat missed the cache")
@@ -345,15 +349,17 @@ func TestCostAdmissionThroughEval(t *testing.T) {
 	}
 }
 
-// TestCacheKeyBytes pins the key's bytes to the form the cache was
-// first keyed with: the row budget eval applies (MaxRows 0 resolves to
-// eval.DefaultMaxRows), a bar, the canonical query text.
+// TestCacheKeyBytes pins the key's bytes: the row budget eval applies
+// (MaxRows 0 resolves to eval.DefaultMaxRows), a bar, the projected
+// names in Scope order, a bar, the canonical query text.
 func TestCacheKeyBytes(t *testing.T) {
 	sn := socialStore()
-	for _, src := range []string{
-		`SELECT ?x WHERE { ?x <urn:age> ?a } LIMIT 3`,
-		`PREFIX u: <urn:> ASK { ?s u:p "lit|with|bars" }`,
+	for _, tc := range []struct{ src, names string }{
+		{`SELECT ?x WHERE { ?x <urn:age> ?a } LIMIT 3`, "x"},
+		{`SELECT ?n ?x WHERE { ?x <urn:age> ?a BIND(?a AS ?n) }`, "x n"},
+		{`PREFIX u: <urn:> ASK { ?s u:p "lit|with|bars" }`, ""},
 	} {
+		src := tc.src
 		q, err := sparql.Parse(src)
 		if err != nil {
 			t.Fatal(err)
@@ -363,9 +369,9 @@ func TestCacheKeyBytes(t *testing.T) {
 			if budget == 0 {
 				budget = eval.DefaultMaxRows
 			}
-			want := fmt.Sprintf("mr%d|%s", budget, sparql.QueryString(q))
+			want := fmt.Sprintf("mr%d|%s|%s", budget, tc.names, sparql.QueryString(q))
 			s := New(Config{Snapshot: sn, Limits: eval.Limits{MaxRows: mr}})
-			if got := s.cacheKey(q); got != want {
+			if got := s.cacheKey(q, sparql.ScopeOf(q)); got != want {
 				t.Fatalf("cacheKey = %q, want %q", got, want)
 			}
 		}
@@ -383,7 +389,7 @@ func TestCacheFillRetainsAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	fill := serveParsed(t, s, context.Background(), q)
-	if fill.out.Err != nil || fill.hit || fill.key != s.cacheKey(q) {
+	if fill.out.Err != nil || fill.hit || fill.key != s.cacheKey(q, sparql.ScopeOf(q)) {
 		t.Fatalf("fill: %+v", fill)
 	}
 	held, ok := s.qc.Get(s.ex.Snapshot(), fill.key)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"sparqlog/internal/loggen"
+	"sparqlog/internal/rdf"
 )
 
 // cacheGet issues one GET and returns status, headers, and body.
@@ -162,14 +163,17 @@ func TestCacheSecondSightingLifecycle(t *testing.T) {
 	}
 }
 
-// TestCacheAlphaEquivalentRequests: a renamed variant of a served query
-// must be a cache hit — the key is the canonical fingerprint, not the
-// request text.
+// TestCacheAlphaEquivalentRequests: a request that only respells a
+// prefix is answered from the entry its variant filled; one that also
+// renames the projected variables is not, because its answer is in its
+// own names.
 func TestCacheAlphaEquivalentRequests(t *testing.T) {
 	s, ts := newTestServer(t, Config{CacheMinCost: -1})
 	const a = `PREFIX bib: <http://gmark.bib/p/>
 SELECT ?x ?y WHERE { ?x bib:cites ?y } LIMIT 5`
 	const b = `PREFIX p: <http://gmark.bib/p/>
+SELECT ?x ?y WHERE { ?x p:cites ?y } LIMIT 5`
+	const c = `PREFIX p: <http://gmark.bib/p/>
 SELECT ?paper ?cited WHERE { ?paper p:cites ?cited } LIMIT 5`
 	if status, _, _ := cacheGet(t, ts, a, "", ""); status != 200 {
 		t.Fatal("first variant failed")
@@ -179,10 +183,87 @@ SELECT ?paper ?cited WHERE { ?paper p:cites ?cited } LIMIT 5`
 		t.Fatal("second variant failed")
 	}
 	if got := h.Get("X-Sparqld-Cache"); got != "hit" {
-		t.Fatalf("alpha-equivalent request = %q, want hit", got)
+		t.Fatalf("prefix-respelled request = %q, want hit", got)
 	}
 	if s.ResultCache().Hits() == 0 {
 		t.Fatal("cache counted no hits")
+	}
+	status, h, body := cacheGet(t, ts, c, "", "")
+	if status != 200 {
+		t.Fatal("renamed variant failed")
+	}
+	if got := h.Get("X-Sparqld-Cache"); got != "miss" {
+		t.Fatalf("request renaming the projected variables = %q, want miss", got)
+	}
+	if vars, _ := decodeJSONRows(t, body); strings.Join(vars, " ") != "paper cited" {
+		t.Fatalf("renamed variant answered with head %v", vars)
+	}
+}
+
+// TestCacheHitAnswersInItsOwnVariables sends pairs of queries of one
+// canonical text that project different names, in every format: the
+// second of a pair must get its own answer, the one a server without a
+// cache gives, both after its pair's fill (miss, then hit) and on the
+// conditional path, where its pair's ETag must not turn it into a 304.
+func TestCacheHitAnswersInItsOwnVariables(t *testing.T) {
+	st := rdf.NewStore()
+	st.Add("urn:s", "urn:p", "urn:o")
+	for i := 0; i < 12; i++ {
+		st.Add(fmt.Sprintf("urn:n%d", i), "urn:next", fmt.Sprintf("urn:n%d", (i+1)%12))
+	}
+	sn := st.Freeze()
+	pairs := [][2]string{
+		// The same header, the values swapped.
+		{`SELECT * WHERE { ?a <urn:p> ?b }`, `SELECT * WHERE { ?b <urn:p> ?a }`},
+		// Another header.
+		{`SELECT ?from (COUNT(?to) AS ?n) WHERE { ?from <urn:next>+ ?to } GROUP BY ?from ORDER BY ?from LIMIT 3`,
+			`SELECT ?s (COUNT(?o) AS ?reach) WHERE { ?s <urn:next>+ ?o } GROUP BY ?s ORDER BY ?s LIMIT 3`},
+	}
+	_, plain := newTestServer(t, Config{Snapshot: sn, CacheBytes: -1})
+	for pi, pair := range pairs {
+		for ci, ct := range []string{ctJSON, ctXML, ctCSV, ctTSV} {
+			format := []string{"json", "xml", "csv", "tsv"}[ci]
+			var want [2][]byte
+			for i, q := range pair {
+				_, _, want[i] = cacheGet(t, plain, q, ct, "")
+			}
+			if bytes.Equal(want[0], want[1]) {
+				t.Fatalf("%s: the pair answers alike:\n%s", ct, want[0])
+			}
+			check := func(t *testing.T, step string, i int, wantCache string, status int, h http.Header, body []byte) {
+				t.Helper()
+				if status != 200 || h.Get("X-Sparqld-Cache") != wantCache || !bytes.Equal(body, want[i]) {
+					t.Fatalf("%s %q: status %d, cache %q, body\n%s\nwant 200, %s,\n%s",
+						step, pair[i], status, h.Get("X-Sparqld-Cache"), body, wantCache, want[i])
+				}
+			}
+			t.Run(fmt.Sprintf("pair%d/%s/miss-hit", pi, format), func(t *testing.T) {
+				_, ts := newTestServer(t, Config{Snapshot: sn, CacheMinCost: -1})
+				status, h, body := cacheGet(t, ts, pair[0], ct, "")
+				check(t, "fill", 0, "miss", status, h, body)
+				status, h, body = cacheGet(t, ts, pair[1], ct, "")
+				check(t, "after its pair's fill", 1, "miss", status, h, body)
+				status, h, body = cacheGet(t, ts, pair[1], ct, "")
+				check(t, "repeat", 1, "hit", status, h, body)
+				status, h, body = cacheGet(t, ts, pair[0], ct, "")
+				check(t, "pair repeat", 0, "hit", status, h, body)
+			})
+			t.Run(fmt.Sprintf("pair%d/%s/conditional", pi, format), func(t *testing.T) {
+				_, ts := newTestServer(t, Config{Snapshot: sn, CacheMinCost: -1})
+				cacheGet(t, ts, pair[0], ct, "")
+				status, h, body := cacheGet(t, ts, pair[0], ct, "")
+				check(t, "body hit", 0, "hit", status, h, body)
+				etag := h.Get("ETag")
+				status, h, body = cacheGet(t, ts, pair[1], ct, etag)
+				check(t, "conditional on its pair's ETag", 1, "miss", status, h, body)
+				if h.Get("ETag") == etag {
+					t.Fatalf("the pair shares the ETag %s", etag)
+				}
+				if status, _, _ := cacheGet(t, ts, pair[1], ct, h.Get("ETag")); status != http.StatusNotModified {
+					t.Fatalf("conditional on its own ETag = %d, want 304", status)
+				}
+			})
+		}
 	}
 }
 

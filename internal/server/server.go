@@ -236,7 +236,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	ans, out, key, hit := s.execute(r.Context(), q)
+	ans, out, key, hit := s.execute(r.Context(), q, lr.Scope)
 	s.live.Observe(out)
 
 	if out.Err != nil {
@@ -278,13 +278,14 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // key when it is resident afterwards (a hit, or an admitted fill) and
 // empty otherwise; ans is nil when out holds an error. The slot is
 // released however execute returns, a panic included: a slot that
-// leaked would be capacity gone for the life of the process.
-func (s *Server) execute(ctx context.Context, q *sparql.Query) (ans *exec.Answer, out service.QueryOutcome, key string, hit bool) {
+// leaked would be capacity gone for the life of the process. sc is q's
+// Scope.
+func (s *Server) execute(ctx context.Context, q *sparql.Query, sc *sparql.Scope) (ans *exec.Answer, out service.QueryOutcome, key string, hit bool) {
 	defer s.gate.Release()
 	sn := s.ex.Snapshot()
 	if s.qc != nil {
 		start := time.Now()
-		key = s.cacheKey(q)
+		key = s.cacheKey(q, sc)
 		if r, ok := s.qc.Get(sn, key); ok {
 			// A hit is a served query whose latency is the lookup.
 			return r.Answer, service.QueryOutcome{Duration: time.Since(start)}, key, true
@@ -300,11 +301,28 @@ func (s *Server) execute(ctx context.Context, q *sparql.Query) (ans *exec.Answer
 	return res.Answer, out, key, false
 }
 
-// cacheKey is q's result-cache key: the row budget, then the canonical
+// cacheKey is q's result-cache key: the row budget, the names q
+// projects in the order of sc (q's Scope) and a bar, then the canonical
 // query text (variable-renaming- and prefix-invariant, solution
-// modifiers included), so alpha-equivalent repeats share one entry.
-func (s *Server) cacheKey(q *sparql.Query) string {
-	return s.keyPrefix + sparql.QueryString(q)
+// modifiers included). Queries of one canonical text number their
+// variables alike, so equal names there mean equal answers: a
+// query that respells a prefix or renames a variable it does not
+// project shares its entry, and one that renames a projected variable,
+// whose answer is in its own names, does not.
+func (s *Server) cacheKey(q *sparql.Query, sc *sparql.Scope) string {
+	canon := sparql.QueryString(q)
+	var b strings.Builder
+	b.Grow(len(s.keyPrefix) + 16 + len(canon))
+	b.WriteString(s.keyPrefix)
+	sep := ""
+	for i := range sc.Projected.All() {
+		b.WriteString(sep)
+		b.WriteString(sc.Names[i])
+		sep = " "
+	}
+	b.WriteByte('|')
+	b.WriteString(canon)
+	return b.String()
 }
 
 // writeCachedBody serves a cache-resident result. On a body hit the

@@ -67,6 +67,18 @@ func (s VarSet) AndNot(t VarSet) VarSet {
 	return out
 }
 
+// And returns the variables in both s and t, as a new set.
+func (s VarSet) And(t VarSet) VarSet {
+	out := VarSet{lo: s.lo & t.lo}
+	if n := min(len(s.high), len(t.high)); n > 0 {
+		out.high = make([]uint64, n)
+		for i := range out.high {
+			out.high[i] = s.high[i] & t.high[i]
+		}
+	}
+	return out
+}
+
 // or sets bits b in word w.
 func (s *VarSet) or(w int, b uint64) {
 	if w == 0 {
@@ -239,27 +251,6 @@ func (s *Scope) Elems(g *Group) []VarSet {
 	for i, el := range g.Elems {
 		_, out[i] = t.element(el, outward)
 	}
-	return out
-}
-
-// ExprVars returns the set of variable names in an expression; an
-// EXISTS body's are its Scope's Mentioned.
-func ExprVars(e Expr) map[string]bool {
-	out := make(map[string]bool)
-	WalkExpr(e, func(x Expr) bool {
-		switch t := x.(type) {
-		case *TermExpr:
-			if name, ok := varOf(t.Term); ok {
-				out[name] = true
-			}
-		case *ExistsExpr:
-			s := ScopeOf(&Query{Where: t.Pattern})
-			for i := range s.Mentioned.All() {
-				out[s.Names[i]] = true
-			}
-		}
-		return true
-	})
 	return out
 }
 
