@@ -282,6 +282,36 @@ func TestNotWellDesigned(t *testing.T) {
 	}
 }
 
+// TestNestedOptionalFoldsInItsGroup: a nested group is one operand of
+// its enclosing group's fold, so an OPTIONAL with nothing before it in
+// its group has the unit pattern on its left, not the enclosing
+// group's elements.
+func TestNestedOptionalFoldsInItsGroup(t *testing.T) {
+	for _, tc := range []struct {
+		src          string
+		wellDesigned bool
+		width        int
+	}{
+		// P And (unit Opt Q), ?x in Q and P: not well-designed.
+		{`SELECT * WHERE { ?x <p> ?y { OPTIONAL { ?x <q> ?z } } }`, false, 0},
+		{`SELECT * WHERE { ?x <p> ?y { { } OPTIONAL { ?x <q> ?z } { } } }`, false, 0},
+		{`SELECT * WHERE { { OPTIONAL { ?x <q> ?z } } ?x <p> ?y }`, false, 0},
+		// Q shares nothing with P: well-designed, and the nested node
+		// shares nothing with its child.
+		{`SELECT * WHERE { ?x <p> ?y { OPTIONAL { ?a <q> ?z } } }`, true, 0},
+		{`SELECT * WHERE { { OPTIONAL { ?x <q> ?z } } }`, true, 0},
+		// Q's left side in its own group binds what it shares.
+		{`SELECT * WHERE { ?x <p> ?y { ?x <r> ?w OPTIONAL { ?x <q> ?w } } }`, true, 2},
+		{`SELECT * WHERE { ?x <p> ?y { ?y <r> ?w OPTIONAL { ?w <q> ?z } } }`, true, 1},
+	} {
+		f := fragments(t, tc.src)
+		if !f.AOF || f.WellDesigned != tc.wellDesigned || f.WellDesigned && f.InterfaceWidth != tc.width ||
+			f.CQOF != (tc.wellDesigned && tc.width <= 1) {
+			t.Errorf("%s: %+v, want well-designed %v, width %d", tc.src, f, tc.wellDesigned, tc.width)
+		}
+	}
+}
+
 func TestInterfaceWidthTwo(t *testing.T) {
 	// Root shares two variables with the OPTIONAL child.
 	src := `SELECT * WHERE { ?A <knows> ?B OPTIONAL { ?A <worksWith> ?B } }`

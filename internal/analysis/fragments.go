@@ -118,11 +118,12 @@ func (a aofVars) elems(g *sparql.Group) []sparql.VarSet {
 // wellDesigned checks Definition 5.3 on the binary And/Opt algebra of
 // p, a pattern of the AOF fragment, whose variables outside p are
 // outside. A group folds left to right, each OPTIONAL becoming an Opt
-// node whose left operand is the fold of the elements before it; for
-// every Opt node, each variable of its right operand that its left
-// one lacks must occur nowhere outside the node. A nested group whose
-// only non-empty element is an OPTIONAL folds to that Opt node with
-// nothing on its left, which the enclosing group takes as its own.
+// node whose left operand is the fold of the group's elements before
+// it; for every Opt node, each variable of its right operand that its
+// left one lacks must occur nowhere outside the node. A nested group is
+// one operand of its enclosing group's fold: its OPTIONALs fold inside
+// it, so one with nothing before it in its group has the unit pattern
+// on its left ({ P { OPTIONAL { Q } } } is P And (unit Opt Q)).
 func (a aofVars) wellDesigned(p sparql.Pattern, outside sparql.VarSet) bool {
 	g, ok := p.(*sparql.Group)
 	if !ok {
@@ -137,7 +138,7 @@ func (a aofVars) wellDesigned(p sparql.Pattern, outside sparql.VarSet) bool {
 		for _, e := range es[i+1:] {
 			right = right.Or(e)
 		}
-		if o := optionalOf(el); o != nil {
+		if o, ok := el.(*sparql.Optional); ok {
 			if es[i].AndNot(left).And(right).Len() > 0 {
 				return false
 			}
@@ -151,51 +152,16 @@ func (a aofVars) wellDesigned(p sparql.Pattern, outside sparql.VarSet) bool {
 	return true
 }
 
-// optionalOf returns the OPTIONAL that p folds to as an Opt node with
-// nothing on its left: p itself, or the one of a group whose only
-// non-empty element folds to it. It is nil for any other p.
-func optionalOf(p sparql.Pattern) *sparql.Optional {
-	switch n := p.(type) {
-	case *sparql.Optional:
-		return n
-	case *sparql.Group:
-		var o *sparql.Optional
-		for _, el := range n.Elems {
-			if empty(el) {
-				continue
-			}
-			if o != nil {
-				return nil
-			}
-			if o = optionalOf(el); o == nil {
-				return nil
-			}
-		}
-		return o
-	}
-	return nil
-}
-
-// empty reports whether p folds to nothing: a group of empty groups.
-func empty(p sparql.Pattern) bool {
-	g, ok := p.(*sparql.Group)
-	if !ok {
-		return false
-	}
-	for _, el := range g.Elems {
-		if !empty(el) {
-			return false
-		}
-	}
-	return true
-}
-
 // interfaceWidth computes Example 5.4's interface width of the pattern
 // tree of p, a well-designed AOF pattern: the most variables a node's
 // conjunctive part shares with one of its child subtrees. A node is a
 // group's triples and filters, nested groups flattened into it, and
-// each OPTIONAL among them is a child (the Opt normal form, which
-// preserves the semantics of well-designed patterns).
+// each OPTIONAL among them is a child: the Opt normal form, which
+// rewrites (P1 Opt P2) And P3 to (P1 And P3) Opt P2 and preserves the
+// semantics of well-designed patterns only. A nested group's OPTIONAL
+// thus joins the enclosing node; on a well-designed pattern the
+// variables it shares with that node are the ones it shares with its
+// own left side in the group, so the width is the algebra's.
 func (a aofVars) interfaceWidth(p sparql.Pattern) int {
 	var node sparql.VarSet
 	var kids []child

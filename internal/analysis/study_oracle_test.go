@@ -414,7 +414,7 @@ func refEqualityCollapses(q *sparql.Query) [][2]string {
 // triple patterns or filter constraints (filters contribute variable
 // occurrences per the paper's variable condition).
 type refBinNode struct {
-	kind   byte // 't' triple, 'f' filter, 'a' And, 'o' Opt
+	kind   byte // 't' triple, 'f' filter, 'a' And, 'o' Opt, 'u' unit
 	triple *sparql.TriplePattern
 	filter sparql.Expr
 	l, r   *refBinNode
@@ -441,9 +441,14 @@ func refFoldBinary(p sparql.Pattern) *refBinNode {
 				continue
 			}
 			if child.kind == 'o' && child.l == nil {
-				// OPTIONAL folds against the accumulated prefix (possibly
-				// empty, representing the unit pattern).
+				// OPTIONAL folds against the accumulated prefix, the
+				// unit pattern when nothing precedes it in this group; a
+				// nested group's Opt node is one operand of the
+				// enclosing fold, never its own.
 				child.l = acc
+				if acc == nil {
+					child.l = &refBinNode{kind: 'u'}
+				}
 				acc = child
 				continue
 			}

@@ -25,27 +25,32 @@ const dedupShards = 64
 // to AnalyzeLog's.
 //
 // Two drivers feed it. Add is the push side: entries arrive one at a
-// time over the lifetime of a process — a serving endpoint feeding each
-// request's query through the paper's pipeline as it happens (as
-// AddParsed, since it has parsed the request to answer it) — spread
-// across slots round-robin by a global counter that doubles as the
-// entry's log position, and Report can be asked for the
-// statistics-so-far at any moment. StreamAnalyzer is the pull side: it
-// drains one finite stream in chunks, pool worker w into slot w. Add,
-// AddParsed and Report are safe for arbitrary concurrency.
+// time over the lifetime of a process, spread across slots round-robin
+// by a global counter that doubles as the entry's log position, and
+// Report can be asked for the statistics-so-far at any moment.
+// AddRequest is Add for a serving endpoint, which needs each request's
+// query parsed and linted to answer it: the exact-dedup table that
+// counts a repeat also hands it the parse of its text's earlier
+// sighting. StreamAnalyzer is the pull side: it drains one finite
+// stream in chunks, pool worker w into slot w. Add, AddRequest and
+// Report are safe for arbitrary concurrency.
 //
-// Memory: the shards retain one copy of each distinct valid entry's
-// text — the floor any exact deduplication needs (unparseable entries
-// keep no state and are re-parsed on repetition). In StructuralDedup
-// mode they instead retain one parsed representative per fingerprint
+// Memory: exact dedup keys its table on a 128-bit hash of each distinct
+// valid entry's text (textKey), so an entry costs its key and its
+// repeat label, not its text; unparseable entries keep no state and are
+// re-parsed on repetition. Texts AddRequest has seen twice also keep a
+// prepared Request, under preparedBudget. In StructuralDedup mode the
+// shards instead retain one parsed representative per fingerprint
 // class; with KeepDuplicates nothing at all.
 type LiveAnalyzer struct {
 	opts   Options
 	name   string
-	seed   maphash.Seed
 	shards []dedupShard
 	slots  []liveSlot
 	ctr    atomic.Uint64
+	// keyOf is the exact-dedup key of an entry text, hashed under this
+	// analyzer's two seeds (tests inject collisions through it).
+	keyOf func(string) textKey
 }
 
 // liveSlot is one worker's private state. The lock serializes pushed
@@ -57,28 +62,70 @@ type liveSlot struct {
 	mu     sync.Mutex
 	rep    *DatasetReport
 	parser *sparql.Parser
+	// repeats counts the entries served a prepared Request.
+	repeats uint64
 }
 
 // dedupShard is one lock-striped slice of the global seen-set.
 type dedupShard struct {
 	mu sync.Mutex
-	// seen is keyed by raw entry text (exact dedup).
-	seen map[string]seenEntry
+	// seen is keyed by the hash of the raw entry text (exact dedup).
+	seen map[textKey]seenEntry
+	// prepared is the bytes charged to this shard's prepared requests
+	// (at most preparedBudget/dedupShards).
+	prepared int
 	// reps is keyed by fingerprint (structural dedup).
 	reps map[string]classRep
 }
 
+// textKey is the exact-dedup key of an entry text: two independently
+// seeded 64-bit hashes of it. With n distinct texts in one table, the
+// chance that any two share a key is at most n²/2¹²⁹ (below 10⁻²¹ for
+// n = 10⁹). A collision counts the later text in the study as a valid
+// repeat of the earlier one, and does nothing else: a prepared Request
+// is served only to a request of equal text.
+type textKey [2]uint64
+
 // seenEntry is the recorded state of one distinct entry text in exact
-// dedup. While valid is false a slot has claimed the entry and is
-// still parsing it; once true, label is the repeat-shape label of the
+// dedup. While label is empty a slot has claimed the entry and is
+// still parsing it; once set, label is the repeat-shape label of the
 // parsed query, so duplicate occurrences can be counted into the
 // repeat-rate table without re-parsing. (Unparseable entries keep no
 // state: their key is deleted again, so duplicates of them simply
-// re-parse and re-fail.)
+// re-parse and re-fail.) prep is the text's prepared Request, taken
+// from AddRequest on the text's second sighting.
 type seenEntry struct {
-	valid bool
 	label string
+	prep  *Request
 }
+
+// Request is one served query as AddRequest hands it back: the parse
+// of its text, the lint result (with the query's Scope) and the
+// canonical text. A prepared Request is shared by every repeat of its
+// text, concurrently, so nobody may mutate it or what it points to.
+type Request struct {
+	Query *sparql.Query
+	Lint  *lint.Result
+	// Canon is sparql.QueryString(Query), which the serving endpoint
+	// keys its result cache on.
+	Canon string
+	// text is the request's query text, which a prepared Request is
+	// compared against before it serves a repeat.
+	text string
+}
+
+// preparedBudget bounds the bytes that prepared Requests may hold, as
+// preparedCost charges them: about 5,500 texts of the loggen corpus,
+// whose prepared Requests hold 3.0 KB of heap each on average. Past it,
+// texts are still counted but no longer prepared.
+const preparedBudget = 16 << 20
+
+// preparedCost is what r is charged against preparedBudget: the heap
+// its parse, lint result, canonical text and text copy hold, as a
+// straight-line fit to what they measure over the distinct loggen
+// corpus texts (1.9 KB at 150 text bytes, 4.7 KB at 530;
+// TestPreparedCostTracksHeap).
+func preparedCost(r *Request) int { return 768 + 7*len(r.text) }
 
 // classRep is the current representative of one fingerprint class:
 // the parsed query of the earliest occurrence seen so far, plus its
@@ -98,12 +145,15 @@ func NewLiveAnalyzer(name string, opts Options, workers int) *LiveAnalyzer {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	seeds := [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()}
 	la := &LiveAnalyzer{
 		opts:   opts,
 		name:   name,
-		seed:   maphash.MakeSeed(),
 		shards: make([]dedupShard, dedupShards),
 		slots:  make([]liveSlot, workers),
+		keyOf: func(s string) textKey {
+			return textKey{maphash.String(seeds[0], s), maphash.String(seeds[1], s)}
+		},
 	}
 	for i := range la.shards {
 		switch {
@@ -112,7 +162,7 @@ func NewLiveAnalyzer(name string, opts Options, workers int) *LiveAnalyzer {
 		case opts.StructuralDedup:
 			la.shards[i].reps = make(map[string]classRep)
 		default:
-			la.shards[i].seen = make(map[string]seenEntry)
+			la.shards[i].seen = make(map[textKey]seenEntry)
 		}
 	}
 	for i := range la.slots {
@@ -122,16 +172,25 @@ func NewLiveAnalyzer(name string, opts Options, workers int) *LiveAnalyzer {
 	return la
 }
 
-// logEntry is one entry on its way through process: its text and, when
-// the caller parsed it already (AddParsed), the outcome of that parse
-// (one of q and err is set) and the query's lint result. Left unparsed,
-// process parses it with the slot's parser if, and only when, the dedup
-// state needs the parse.
+// logEntry is one entry on its way through process: its text and, from
+// AddRequest, the outcome of its parse (one of q and err is set) and,
+// when it parsed, the Request built from it, which the exact-dedup table
+// may keep for the text's repeats. Left unparsed, process parses it
+// with the slot's parser if, and only when, the dedup state needs the
+// parse.
 type logEntry struct {
-	raw  string
-	q    *sparql.Query
-	err  error
-	lint *lint.Result
+	raw string
+	q   *sparql.Query
+	err error
+	req *Request
+}
+
+// lint is the entry's lint result when AddRequest linted it, else nil.
+func (e *logEntry) lint() *lint.Result {
+	if e.req == nil {
+		return nil
+	}
+	return e.req.Lint
 }
 
 func (e *logEntry) parse(p *sparql.Parser) (*sparql.Query, error) {
@@ -149,16 +208,47 @@ func (la *LiveAnalyzer) Add(raw string) {
 	la.add(&logEntry{raw: raw})
 }
 
-// AddParsed is Add for a caller that has parsed the entry itself, as a
-// serving endpoint must before it can answer: q and perr are what
-// sparql.Parse returned for raw, and lr is lint.Run(q) if the caller
-// has it (nil otherwise, and always when the parse failed). The entry
-// is counted exactly as Add(raw) counts it, without a second parse or
-// lint. The analyzer only reads q and may retain it (structural dedup
-// keeps a class's representative), so the caller must not mutate it
-// afterwards.
-func (la *LiveAnalyzer) AddParsed(raw string, q *sparql.Query, perr error, lr *lint.Result) {
-	la.add(&logEntry{raw: raw, q: q, err: perr, lint: lr})
+// AddRequest is Add for a serving endpoint, which must parse and lint
+// a request's query before it can answer it: it counts raw exactly as
+// Add(raw) does and returns the outcome of parsing raw, the Request or
+// the parse error. In exact-dedup mode a text's second sighting leaves
+// its Request in the dedup table (while preparedBudget lasts), and
+// every later repeat is handed that Request after one lookup, with no
+// parse, lint or canonicalization; other texts are parsed and linted
+// here, outside every lock. The Request is shared and must not be
+// mutated.
+func (la *LiveAnalyzer) AddRequest(raw string) (*Request, error) {
+	if la.shards[0].seen != nil {
+		key := la.keyOf(raw)
+		shard := la.shard(key)
+		shard.mu.Lock()
+		st := shard.seen[key]
+		shard.mu.Unlock()
+		if r := st.prep; r != nil && r.text == raw {
+			la.addRepeat(st.label)
+			return r, nil
+		}
+	}
+	q, err := sparql.Parse(raw)
+	e := &logEntry{raw: raw, q: q, err: err}
+	if err == nil {
+		e.req = &Request{Query: q, Lint: lint.Run(q), Canon: sparql.QueryString(q), text: raw}
+	}
+	la.add(e)
+	return e.req, err
+}
+
+// addRepeat counts a repeat of a prepared text: a valid duplicate of
+// the repeat shape label, as process counts one.
+func (la *LiveAnalyzer) addRepeat(label string) {
+	idx := la.ctr.Add(1) - 1
+	s := &la.slots[idx%uint64(len(la.slots))]
+	s.mu.Lock()
+	s.rep.Total++
+	s.rep.Valid++
+	s.rep.noteShape(label, false)
+	s.repeats++
+	s.mu.Unlock()
 }
 
 func (la *LiveAnalyzer) add(e *logEntry) {
@@ -171,6 +261,25 @@ func (la *LiveAnalyzer) add(e *logEntry) {
 
 // Entries returns the number of entries added so far.
 func (la *LiveAnalyzer) Entries() uint64 { return la.ctr.Load() }
+
+// Prepared returns how many entries AddRequest has served a prepared
+// Request so far, and the bytes the prepared Requests are charged
+// (preparedCost; at most preparedBudget).
+func (la *LiveAnalyzer) Prepared() (served uint64, bytes int) {
+	for i := range la.slots {
+		s := &la.slots[i]
+		s.mu.Lock()
+		served += s.repeats
+		s.mu.Unlock()
+	}
+	for i := range la.shards {
+		sh := &la.shards[i]
+		sh.mu.Lock()
+		bytes += sh.prepared
+		sh.mu.Unlock()
+	}
+	return served, bytes
+}
 
 // Report merges the current partial state into a fresh DatasetReport —
 // the same statistics AnalyzeLog would produce over the entries
@@ -234,7 +343,7 @@ func (la *LiveAnalyzer) process(s *liveSlot, e *logEntry, idx uint64) {
 		s.rep.Unique++
 		f := analysis.Scan(q)
 		s.rep.noteShape(RepeatShape(q, &f), true)
-		s.rep.analyzeQuery(q, &f, e.lint, la.opts)
+		s.rep.analyzeQuery(q, &f, e.lint(), la.opts)
 	case la.opts.StructuralDedup:
 		// Structural dedup keys on the fingerprint, which needs the parse
 		// anyway; every occurrence is parsed and counted Valid. Analysis
@@ -251,8 +360,13 @@ func (la *LiveAnalyzer) process(s *liveSlot, e *logEntry, idx uint64) {
 		f := analysis.Scan(q)
 		label := RepeatShape(q, &f)
 		s.rep.noteShape(label, false)
-		fp := sparql.QueryString(q)
-		shard := la.shard(fp)
+		var fp string
+		if e.req != nil {
+			fp = e.req.Canon
+		} else {
+			fp = sparql.QueryString(q)
+		}
+		shard := la.shard(la.keyOf(fp))
 		shard.mu.Lock()
 		if cur, ok := shard.reps[fp]; !ok || idx < cur.idx {
 			shard.reps[fp] = classRep{idx: idx, q: q, f: f, label: label}
@@ -264,16 +378,26 @@ func (la *LiveAnalyzer) process(s *liveSlot, e *logEntry, idx uint64) {
 		// each distinct entry is parsed once (twice in the rare race where
 		// a duplicate arrives mid-parse — identical text parses
 		// identically, so the result is unchanged).
-		shard := la.shard(raw)
+		key := la.keyOf(raw)
+		shard := la.shard(key)
 		shard.mu.Lock()
-		st, dup := shard.seen[raw]
+		st, dup := shard.seen[key]
 		if !dup {
-			shard.seen[raw] = seenEntry{}
+			shard.seen[key] = seenEntry{}
+		} else if st.label != "" && st.prep == nil && e.req != nil {
+			// The text's second sighting on the serving path: its
+			// Request answers the repeats to come, while the budget
+			// lasts.
+			if c := preparedCost(e.req); shard.prepared+c <= preparedBudget/dedupShards {
+				shard.prepared += c
+				st.prep = e.req
+				shard.seen[key] = st
+			}
 		}
 		shard.mu.Unlock()
 		if dup {
 			label := st.label
-			if !st.valid {
+			if label == "" {
 				// The claimer is still parsing; parse our identical copy
 				// to learn validity (and the repeat label) without
 				// waiting on it.
@@ -300,9 +424,9 @@ func (la *LiveAnalyzer) process(s *liveSlot, e *logEntry, idx uint64) {
 			// Keep no state for unparseable entries, mirroring
 			// AnalyzeLog: duplicates of them re-parse (and re-fail)
 			// instead of inflating the shards with invalid noise.
-			delete(shard.seen, raw)
+			delete(shard.seen, key)
 		} else {
-			shard.seen[raw] = seenEntry{valid: true, label: label}
+			shard.seen[key] = seenEntry{label: label}
 		}
 		shard.mu.Unlock()
 		if err != nil {
@@ -311,10 +435,10 @@ func (la *LiveAnalyzer) process(s *liveSlot, e *logEntry, idx uint64) {
 		s.rep.Valid++
 		s.rep.Unique++
 		s.rep.noteShape(label, true)
-		s.rep.analyzeQuery(q, &f, e.lint, la.opts)
+		s.rep.analyzeQuery(q, &f, e.lint(), la.opts)
 	}
 }
 
-func (la *LiveAnalyzer) shard(key string) *dedupShard {
-	return &la.shards[maphash.String(la.seed, key)%uint64(len(la.shards))]
+func (la *LiveAnalyzer) shard(key textKey) *dedupShard {
+	return &la.shards[key[0]%uint64(len(la.shards))]
 }

@@ -2,6 +2,9 @@ package core
 
 import (
 	"reflect"
+	"runtime"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -13,8 +16,11 @@ import (
 // TestLiveMatchesBatch feeds a fixture log entry-by-entry through a
 // LiveAnalyzer (serially, so entry indexes match log order) and checks
 // the final Report deeply equals AnalyzeLog over the same entries, for
-// every dedup mode, whether an entry arrives as text (Add) or already
-// parsed (AddParsed). Mid-stream reports must be consistent prefixes.
+// every dedup mode, whether an entry arrives as text (Add) or as a
+// served request (AddRequest). Mid-stream reports must be consistent
+// prefixes. AddRequest must hand back what parsing the text gives, and
+// in exact dedup, the same Request to the repeats of a text it has
+// seen twice.
 func TestLiveMatchesBatch(t *testing.T) {
 	optionSets := map[string]Options{
 		"default":         {},
@@ -29,6 +35,8 @@ func TestLiveMatchesBatch(t *testing.T) {
 		want := AnalyzeLog(ds.Name, ds.Entries, opts)
 		la := NewLiveAnalyzer(ds.Name, opts, 4)
 		half := len(ds.Entries) / 2
+		served := map[string]*Request{}
+		shared := 0
 		for i, e := range ds.Entries {
 			if i == half {
 				// A mid-stream snapshot must match the batch analysis of
@@ -40,22 +48,37 @@ func TestLiveMatchesBatch(t *testing.T) {
 					diffReports(t, wantMid, mid)
 				}
 			}
-			// Both entries into process: as text, and as a serving
-			// endpoint hands a request over, parsed and (every other
-			// time) linted already.
-			if i%2 == 0 {
+			// Entries go in as text, and (two in three) as a serving
+			// endpoint hands a request over.
+			if i%3 == 0 {
 				la.Add(e)
 				continue
 			}
-			q, err := sparql.Parse(e)
-			var lr *lint.Result
-			if err == nil && i%4 == 1 {
-				lr = lint.Run(q)
+			r, err := la.AddRequest(e)
+			q, perr := sparql.Parse(e)
+			if (err == nil) != (perr == nil) || err != nil && err.Error() != perr.Error() {
+				t.Fatalf("%s: AddRequest(%q) error %v, parse error %v", label, e, err, perr)
 			}
-			la.AddParsed(e, q, err, lr)
+			if err != nil {
+				continue
+			}
+			if canon := sparql.QueryString(q); r.Canon != canon || sparql.QueryString(r.Query) != canon {
+				t.Fatalf("%s: AddRequest(%q) canon %q, want %q", label, e, r.Canon, canon)
+			}
+			if !reflect.DeepEqual(r.Lint, lint.Run(r.Query)) || !reflect.DeepEqual(r.Lint.Diagnostics, lint.Run(q).Diagnostics) {
+				t.Fatalf("%s: AddRequest(%q) lint differs from lint.Run", label, e)
+			}
+			if served[e] == r {
+				shared++
+			}
+			served[e] = r
 		}
 		if la.Entries() != uint64(len(ds.Entries)) {
 			t.Errorf("%s: entries = %d, want %d", label, la.Entries(), len(ds.Entries))
+		}
+		exact := !opts.KeepDuplicates && !opts.StructuralDedup
+		if exact != (shared > 0) {
+			t.Errorf("%s: %d requests served a prepared Request, want some only in exact dedup", label, shared)
 		}
 		got := la.Report()
 		if !reflect.DeepEqual(want, got) {
@@ -71,8 +94,72 @@ func TestLiveMatchesBatch(t *testing.T) {
 	}
 }
 
-// feedConcurrently Adds the entries from eight goroutines, each taking
-// every eighth entry; Wait on the result for them to finish.
+// TestLivePreparesOnSecondSighting: a text seen once keeps no prepared
+// Request (one-off texts hold only their dedup key); its second
+// sighting's Request is kept, charged and served to the third.
+func TestLivePreparesOnSecondSighting(t *testing.T) {
+	la := NewLiveAnalyzer("prepare", Options{Lint: true}, 1)
+	const q = "SELECT ?x WHERE { ?x <p> ?y }"
+	first, err := la.AddRequest(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served, bytes := la.Prepared(); served != 0 || bytes != 0 {
+		t.Fatalf("after a first sighting: %d served prepared, %d B prepared", served, bytes)
+	}
+	second, _ := la.AddRequest(q)
+	third, _ := la.AddRequest(q)
+	served, bytes := la.Prepared()
+	if second == first || third != second || served != 1 || bytes != preparedCost(second) {
+		t.Fatalf("after three sightings: %d served prepared, %d B prepared (want 1, %d)", served, bytes, preparedCost(second))
+	}
+}
+
+// TestLiveHashCollision makes every text share one dedup key. A
+// colliding text is counted as a repeat of the text that holds the key
+// (the study's miscount the collision bound covers), and is still
+// answered from its own parse, never from the other text's prepared
+// Request.
+func TestLiveHashCollision(t *testing.T) {
+	la := NewLiveAnalyzer("collide", Options{Lint: true}, 2)
+	la.keyOf = func(string) textKey { return textKey{7, 7} }
+	const a, b = "SELECT ?x WHERE { ?x <p> ?y }", "ASK { <s> <q> ?z }"
+	qb, err := sparql.Parse(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prepared *Request
+	for i := 0; i < 3; i++ {
+		r, err := la.AddRequest(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 2 && r != prepared {
+			t.Fatal("the third sighting of a text is not served its prepared Request")
+		}
+		prepared = r
+	}
+	for i := 0; i < 3; i++ {
+		r, err := la.AddRequest(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r == prepared || r.Query.Type != sparql.AskQuery || r.Canon != sparql.QueryString(qb) {
+			t.Fatalf("colliding text %q was answered with %q", b, r.Canon)
+		}
+	}
+	if r, _ := la.AddRequest(a); r != prepared {
+		t.Fatal("the colliding text displaced the prepared Request")
+	}
+	rep := la.Report()
+	if rep.Total != 7 || rep.Valid != 7 || rep.Unique != 1 {
+		t.Fatalf("total/valid/unique = %d/%d/%d, want 7/7/1", rep.Total, rep.Valid, rep.Unique)
+	}
+}
+
+// feedConcurrently feeds the entries from eight goroutines, each taking
+// every eighth entry, half of them through Add and half through
+// AddRequest; Wait on the result for them to finish.
 func feedConcurrently(la *LiveAnalyzer, entries []string) *sync.WaitGroup {
 	var wg sync.WaitGroup
 	const feeders = 8
@@ -81,16 +168,21 @@ func feedConcurrently(la *LiveAnalyzer, entries []string) *sync.WaitGroup {
 		go func() {
 			defer wg.Done()
 			for i := f; i < len(entries); i += feeders {
-				la.Add(entries[i])
+				if f%2 == 0 {
+					la.Add(entries[i])
+				} else {
+					la.AddRequest(entries[i])
+				}
 			}
 		}()
 	}
 	return &wg
 }
 
-// TestLiveConcurrentAdds hammers Add from many goroutines (run under
-// -race in CI) and checks the order-independent counters against the
-// batch pipeline. Exact-text dedup is order-independent in full.
+// TestLiveConcurrentAdds hammers Add and AddRequest from many
+// goroutines (run under -race in CI) and checks the order-independent
+// counters against the batch pipeline. Exact-text dedup is
+// order-independent in full.
 func TestLiveConcurrentAdds(t *testing.T) {
 	ds := loggen.Generate(loggen.Profiles()[2], 900, 7)
 	want := AnalyzeLog(ds.Name, ds.Entries, Options{})
@@ -150,5 +242,52 @@ func TestLiveStructuralReportDuringAdds(t *testing.T) {
 		t.Errorf("counters differ from batch: got %d/%d/%d noise %d, want %d/%d/%d noise %d",
 			got.Total, got.Valid, got.Unique, got.NoiseRemoved,
 			want.Total, want.Valid, want.Unique, want.NoiseRemoved)
+	}
+}
+
+// TestPreparedCostTracksHeap holds preparedCost, which preparedBudget
+// is counted in, to within a quarter of the heap that prepared Requests
+// of the distinct loggen corpus texts hold, overall and for the
+// shortest and the longest quarter of the texts.
+func TestPreparedCostTracksHeap(t *testing.T) {
+	seen := map[string]bool{}
+	var texts []string
+	for _, p := range loggen.Profiles() {
+		for _, e := range loggen.Generate(p, 1500, 1).Entries {
+			if _, err := sparql.Parse(e); err == nil && !seen[e] {
+				seen[e] = true
+				texts = append(texts, e)
+			}
+		}
+	}
+	sort.Slice(texts, func(i, j int) bool { return len(texts[i]) < len(texts[j]) })
+	n := len(texts)
+	for _, part := range []struct {
+		name  string
+		texts []string
+	}{{"all", texts}, {"shortest", texts[:n/4]}, {"longest", texts[3*n/4:]}} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		reqs := make([]*Request, len(part.texts))
+		for i, e := range part.texts {
+			// The text is copied, as a request's is its own.
+			e = strings.Clone(e)
+			q, _ := sparql.Parse(e)
+			reqs[i] = &Request{Query: q, Lint: lint.Run(q), Canon: sparql.QueryString(q), text: e}
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		cost := 0
+		for _, r := range reqs {
+			cost += preparedCost(r)
+		}
+		heap := float64(after.HeapAlloc-before.HeapAlloc) / float64(len(reqs))
+		charged := float64(cost) / float64(len(reqs))
+		t.Logf("%s: %d texts, heap %.0f B, charged %.0f B per prepared Request", part.name, len(reqs), heap, charged)
+		if charged < 0.75*heap || charged > 1.25*heap {
+			t.Errorf("%s: charged %.0f B per prepared Request for %.0f B of heap", part.name, charged, heap)
+		}
+		runtime.KeepAlive(reqs)
 	}
 }

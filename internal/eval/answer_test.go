@@ -22,7 +22,7 @@ func sameAsQueryContext(t *testing.T, sn *rdf.Snapshot, src string, lim Limits) 
 		t.Fatalf("parse %q: %v", src, err)
 	}
 	full, ferr := QueryContext(context.Background(), sn, q, lim)
-	ans, aerr := QueryAnswer(context.Background(), sn, q, lim)
+	ans, aerr := QueryAnswer(context.Background(), sn, q, nil, lim)
 	if (ferr == nil) != (aerr == nil) {
 		t.Fatalf("error divergence on %q: QueryContext=%v QueryAnswer=%v", src, ferr, aerr)
 	}

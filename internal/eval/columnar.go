@@ -6,7 +6,6 @@ import (
 	"strconv"
 
 	"sparqlog/internal/exec"
-	"sparqlog/internal/lint"
 	"sparqlog/internal/pathcomp"
 	"sparqlog/internal/plan"
 	"sparqlog/internal/rdf"
@@ -101,8 +100,9 @@ func (r rowEnv) exists(ev *evaluator, p sparql.Pattern) (bool, error) {
 }
 
 // query evaluates q, whose Scope is sc, on a fresh execution over ev's
-// snapshot; subqueries recurse through here.
-func (ev *evaluator) query(q *sparql.Query, sc *sparql.Scope) (*Result, error) {
+// snapshot; subqueries recurse through here. empty is ev.emptyUnder(sc),
+// the static proof that q's WHERE clause matches nothing.
+func (ev *evaluator) query(q *sparql.Query, sc *sparql.Scope, empty bool) (*Result, error) {
 	ce := &colExec{ev: ev, scope: sc, schema: exec.NewSchema(), pool: exec.NewPool(ev.st)}
 	ev.colPool = ce.pool
 	// Harvest runtime recoveries after execution, whichever return path
@@ -143,7 +143,7 @@ func (ev *evaluator) query(q *sparql.Query, sc *sparql.Scope) (*Result, error) {
 	switch {
 	case q.Where == nil:
 		// No WHERE: the unit row flows straight to the modifiers.
-	case !ev.lim.noStatic && lint.EmptyUnder(sc, ev.prefixes):
+	case empty:
 		// The linter proved the WHERE clause can never produce a row
 		// (unsatisfiable filter, empty VALUES, LIMIT 0 subquery, …):
 		// short-circuit to an empty source without compiling the tree
@@ -406,7 +406,8 @@ func (ce *colExec) compileSubselect(ss *sparql.SubSelect, in exec.Operator) exec
 	var rows [][]rdf.ID
 	return ce.traced(exec.NewApply(in, true, func(c *exec.Ctx, b *exec.Batch, row int, out *exec.Batch) error {
 		if !loaded {
-			sub, err := ce.ev.query(ss.Query, ce.scope.Sub(ss.Query))
+			sc := ce.scope.Sub(ss.Query)
+			sub, err := ce.ev.query(ss.Query, sc, ce.ev.emptyUnder(sc))
 			if err != nil {
 				return err
 			}

@@ -19,7 +19,7 @@ func runCounted(t *testing.T, sn *rdf.Snapshot, src string) (*Result, int64) {
 		t.Fatal(err)
 	}
 	ev := &evaluator{st: sn, prefixes: q.Prologue.PrefixMap(), lim: Limits{MaxRows: DefaultMaxRows}, ctx: context.Background()}
-	res, err := ev.query(q, sparql.ScopeOf(q))
+	res, err := ev.run(q, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func TestLoggenCorpusDifferential(t *testing.T) {
 	for _, q := range qs {
 		src := sparql.QueryString(q)
 		want, werr := queryReference(sn, q, lim)
-		got, gerr := QueryAnswer(context.Background(), sn, q, lim)
+		got, gerr := QueryAnswer(context.Background(), sn, q, nil, lim)
 		if werr != nil {
 			overflowed++
 			continue

@@ -33,6 +33,7 @@ import (
 	"sort"
 
 	"sparqlog/internal/exec"
+	"sparqlog/internal/lint"
 	"sparqlog/internal/pathcomp"
 	"sparqlog/internal/plan"
 	"sparqlog/internal/rdf"
@@ -125,7 +126,7 @@ func QueryWithLimits(sn *rdf.Snapshot, q *sparql.Query, lim Limits) (*Result, er
 // QueryContext is QueryAnswer plus the row form: Result.Rows holds the
 // answer materialized as strings, owned by the caller.
 func QueryContext(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim Limits) (*Result, error) {
-	res, err := QueryAnswer(ctx, sn, q, lim)
+	res, err := QueryAnswer(ctx, sn, q, nil, lim)
 	if err != nil {
 		return nil, err
 	}
@@ -137,25 +138,43 @@ func QueryContext(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim Li
 // polled from the executor's inner loops; an expired context surfaces
 // as exec.ErrTimeout. The result carries the columnar Answer and no
 // string rows: nothing on the way from the executor to a serializer
-// materializes text.
-func QueryAnswer(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim Limits) (*Result, error) {
+// materializes text. lr is q's lint result when the caller has one, as
+// a serving endpoint does for its response header: the evaluation then
+// takes lr.Scope and lr.Empty instead of analysing q's variables and
+// proving its emptiness itself. A nil lr means derive both.
+func QueryAnswer(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lr *lint.Result, lim Limits) (*Result, error) {
 	if lim.MaxRows <= 0 {
 		lim.MaxRows = DefaultMaxRows
 	}
-	return (&evaluator{st: sn, prefixes: q.Prologue.PrefixMap(), lim: lim, ctx: ctx}).run(q)
+	return (&evaluator{st: sn, prefixes: q.Prologue.PrefixMap(), lim: lim, ctx: ctx}).run(q, lr)
 }
 
-// run is one execution of q: QueryAnswer's, or Explain's.
-func (ev *evaluator) run(q *sparql.Query) (*Result, error) {
+// run is one execution of q, linted as lr when that is not nil:
+// QueryAnswer's, or Explain's.
+func (ev *evaluator) run(q *sparql.Query, lr *lint.Result) (*Result, error) {
 	if h := TestHookExecute; h != nil {
 		h(q)
 	}
-	res, err := ev.query(q, sparql.ScopeOf(q))
+	var sc *sparql.Scope
+	var empty bool
+	if lr != nil {
+		sc, empty = lr.Scope, lr.Empty && !ev.lim.noStatic
+	} else {
+		sc = sparql.ScopeOf(q)
+		empty = ev.emptyUnder(sc)
+	}
+	res, err := ev.query(q, sc, empty)
 	if err == nil {
 		res.Recovered = ev.recovered
 		res.Probes = ev.probes
 	}
 	return res, err
+}
+
+// emptyUnder is lint.EmptyUnder(sc) under ev's prologue, or false when
+// the static-emptiness short circuit is off.
+func (ev *evaluator) emptyUnder(sc *sparql.Scope) bool {
+	return !ev.lim.noStatic && lint.EmptyUnder(sc, ev.prefixes)
 }
 
 // TestHookExecute, when set, runs at the start of every execution,

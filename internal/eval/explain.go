@@ -41,7 +41,7 @@ func Explain(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query) (string, er
 	x := &explainTrace{src: map[exec.Operator]any{}, steps: map[*sparql.TriplePattern]planStep{}}
 	ev := &evaluator{st: sn, prefixes: q.Prologue.PrefixMap(), lim: Limits{MaxRows: DefaultMaxRows}, ctx: ctx, explain: x}
 	start := time.Now()
-	res, err := ev.run(q)
+	res, err := ev.run(q, nil)
 	elapsed := time.Since(start)
 
 	var b strings.Builder

@@ -86,7 +86,7 @@ func TestExplainMatchesExecution(t *testing.T) {
 		if executions != 1 {
 			t.Fatalf("%s: Explain executed the query %d times, want once", src, executions)
 		}
-		res, err := QueryAnswer(context.Background(), sn, q, Limits{})
+		res, err := QueryAnswer(context.Background(), sn, q, nil, Limits{})
 		if err != nil {
 			t.Fatal(err)
 		}

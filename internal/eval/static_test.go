@@ -1,9 +1,11 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
+	"sparqlog/internal/lint"
 	"sparqlog/internal/rdf"
 	"sparqlog/internal/sparql"
 )
@@ -123,4 +125,39 @@ func BenchmarkStaticShortCircuit(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestQueryAnswerTakesTheLintVerdict: given the request's lint result,
+// evaluation takes its emptiness verdict and does not derive one. A
+// statically empty query answers with zero probes, as without a lint
+// result, and a verdict the evaluation would not have reached is still
+// the one it obeys.
+func TestQueryAnswerTakesTheLintVerdict(t *testing.T) {
+	sn := socialStore()
+	empty, err := sparql.Parse(`SELECT ?s WHERE { ?s <urn:age> ?o . FILTER(?o > 5 && ?o < 3) }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := QueryAnswer(context.Background(), sn, empty, lint.Run(empty), Limits{})
+	if err != nil || res.Probes != 0 || res.Answer.Len() != 0 {
+		t.Fatalf("statically empty query: %d probes, %v", res.Probes, err)
+	}
+	q, err := sparql.Parse(`SELECT ?s ?o WHERE { ?s <urn:knows> ?o }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lr := lint.Run(q)
+	if lr.Empty {
+		t.Fatal("lint proves a plain triple pattern empty")
+	}
+	full, err := QueryAnswer(context.Background(), sn, q, lr, Limits{})
+	if err != nil || full.Answer.Len() == 0 {
+		t.Fatalf("linted query: %d rows, %v", full.Answer.Len(), err)
+	}
+	proved := *lr
+	proved.Empty = true
+	res, err = QueryAnswer(context.Background(), sn, q, &proved, Limits{})
+	if err != nil || res.Probes != 0 || res.Answer.Len() != 0 {
+		t.Fatalf("verdict not taken: %d probes, %d rows, %v", res.Probes, res.Answer.Len(), err)
+	}
 }

@@ -102,6 +102,18 @@ func TestPassCodes(t *testing.T) {
 			"",
 		},
 		{
+			// The nested group is P And (unit Opt Q): ?s is in Q, not
+			// in the unit pattern on its left, and occurs outside.
+			"nested-optional-with-nothing-on-its-left",
+			`SELECT * WHERE { ?s <urn:p> ?o { OPTIONAL { ?s <urn:q> ?x } } }`,
+			"SQL005",
+		},
+		{
+			"nested-optional-after-its-left-side",
+			`SELECT * WHERE { ?s <urn:p> ?o { ?s <urn:r> ?w OPTIONAL { ?s <urn:q> ?x } } }`,
+			"",
+		},
+		{
 			"duplicate-union",
 			`SELECT * WHERE { { ?s <urn:p> ?o } UNION { ?s <urn:p> ?o } }`,
 			"SQL006",

@@ -10,8 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"sparqlog/internal/core"
 	"sparqlog/internal/eval"
 	"sparqlog/internal/exec"
+	"sparqlog/internal/lint"
 	"sparqlog/internal/rdf"
 	"sparqlog/internal/service"
 	"sparqlog/internal/sparql"
@@ -117,8 +119,13 @@ func serveParsed(t *testing.T, s *Server, ctx context.Context, q *sparql.Query) 
 		t.Fatal(err)
 	}
 	var r served
-	r.ans, r.out, r.key, r.hit = s.execute(ctx, q, sparql.ScopeOf(q))
+	r.ans, r.out, r.key, r.hit = s.execute(ctx, request(q))
 	return r
+}
+
+// request is q as the analyzer hands a served query over.
+func request(q *sparql.Query) *core.Request {
+	return &core.Request{Query: q, Lint: lint.Run(q), Canon: sparql.QueryString(q)}
 }
 
 // serveQuery is serveParsed for query text.
@@ -371,7 +378,7 @@ func TestCacheKeyBytes(t *testing.T) {
 			}
 			want := fmt.Sprintf("mr%d|%s|%s", budget, tc.names, sparql.QueryString(q))
 			s := New(Config{Snapshot: sn, Limits: eval.Limits{MaxRows: mr}})
-			if got := s.cacheKey(q, sparql.ScopeOf(q)); got != want {
+			if got := s.cacheKey(request(q)); got != want {
 				t.Fatalf("cacheKey = %q, want %q", got, want)
 			}
 		}
@@ -389,7 +396,7 @@ func TestCacheFillRetainsAnswer(t *testing.T) {
 		t.Fatal(err)
 	}
 	fill := serveParsed(t, s, context.Background(), q)
-	if fill.out.Err != nil || fill.hit || fill.key != s.cacheKey(q, sparql.ScopeOf(q)) {
+	if fill.out.Err != nil || fill.hit || fill.key != s.cacheKey(request(q)) {
 		t.Fatalf("fill: %+v", fill)
 	}
 	held, ok := s.qc.Get(s.ex.Snapshot(), fill.key)

@@ -60,6 +60,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("sparqld_log_entries_total", "Entries fed to the self-analysis stream.", s.an.Entries())
 	counter("sparqld_log_valid_total", "Self-analysis: parseable queries (Table 1 Valid).", rep.Valid)
 	counter("sparqld_log_unique_total", "Self-analysis: unique queries (Table 1 Unique).", rep.Unique)
+	prepared, preparedBytes := s.an.Prepared()
+	counter("sparqld_prepared_requests_total", "Repeats served the parse, lint and canonical text of their text's earlier sighting.", prepared)
+	gauge("sparqld_prepared_bytes", "Bytes charged to prepared requests, under a fixed budget.", preparedBytes)
 
 	// Static-analysis aggregates, one labeled series per diagnostic
 	// code, emitted in sorted order so scrapes are stable.

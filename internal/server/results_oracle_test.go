@@ -335,7 +335,7 @@ func TestWriteResultMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parse %q: %v", src, err)
 		}
-		res, err := eval.QueryAnswer(context.Background(), sn, q, eval.Limits{})
+		res, err := eval.QueryAnswer(context.Background(), sn, q, nil, eval.Limits{})
 		if err != nil {
 			t.Fatalf("evaluate %q: %v", src, err)
 		}

@@ -18,7 +18,6 @@ import (
 	"sparqlog/internal/core"
 	"sparqlog/internal/eval"
 	"sparqlog/internal/exec"
-	"sparqlog/internal/lint"
 	"sparqlog/internal/qcache"
 	"sparqlog/internal/rdf"
 	"sparqlog/internal/service"
@@ -203,15 +202,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// self-analysis stream, malformed ones included: the paper's
 	// Table 1 distinguishes Total (all logged queries) from Valid
 	// (parseable ones), and the analyzer draws that line itself. The
-	// request is parsed and linted once, here; the analyzer and the
-	// executor share the result (both only read the AST).
+	// analyzer also hands the request back parsed, linted and
+	// canonicalized, from its dedup table when the text is a repeat;
+	// the request is shared, and everything below only reads it.
 	s.logRequest(r, raw)
-	q, err := sparql.Parse(raw)
-	var lr *lint.Result
-	if err == nil {
-		lr = lint.Run(q)
-	}
-	s.an.AddParsed(raw, q, err, lr)
+	req, err := s.an.AddRequest(raw)
 	if err != nil {
 		plainError(w, http.StatusBadRequest, "malformed query: "+err.Error())
 		return
@@ -220,7 +215,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// The distinct diagnostic codes ride along as a response header, so
 	// clients learn about unsatisfiable filters or cartesian products
 	// next to the (often empty) answer they explain.
-	if codes := lr.Codes(); len(codes) > 0 {
+	if codes := req.Lint.Codes(); len(codes) > 0 {
 		w.Header().Set("X-Sparqld-Lint", strings.Join(codes, ","))
 	}
 
@@ -236,7 +231,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	ans, out, key, hit := s.execute(r.Context(), q, lr.Scope)
+	ans, out, key, hit := s.execute(r.Context(), req)
 	s.live.Observe(out)
 
 	if out.Err != nil {
@@ -262,36 +257,36 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if key != "" {
 		// Cache-resident result: reuse (or attach) the serialized body
 		// for this content type, with a conditional-GET fast path.
-		s.writeCachedBody(w, r, ct, key, ans, q.Type == sparql.AskQuery)
+		s.writeCachedBody(w, r, ct, key, ans, req.Query.Type == sparql.AskQuery)
 		return
 	}
 	w.Header().Set("Content-Type", ct+"; charset=utf-8")
-	_ = writeResult(w, ct, s.ex.Snapshot(), ans, q.Type == sparql.AskQuery)
+	_ = writeResult(w, ct, s.ex.Snapshot(), ans, req.Query.Type == sparql.AskQuery)
 }
 
-// execute answers q in the evaluation slot the caller acquired, and is
-// where a request's cache verdict is decided. A resident entry answers
-// without executing (hit); otherwise the Executor runs the query, and a
-// clean answer — no error, no deadline truncation, no row-limit
-// overflow, no silent SERVICE recovery — is offered to the cache with
-// its execution time as the admission cost. key is the answer's cache
-// key when it is resident afterwards (a hit, or an admitted fill) and
-// empty otherwise; ans is nil when out holds an error. The slot is
-// released however execute returns, a panic included: a slot that
-// leaked would be capacity gone for the life of the process. sc is q's
-// Scope.
-func (s *Server) execute(ctx context.Context, q *sparql.Query, sc *sparql.Scope) (ans *exec.Answer, out service.QueryOutcome, key string, hit bool) {
+// execute answers req in the evaluation slot the caller acquired, and
+// is where a request's cache verdict is decided. A resident entry
+// answers without executing (hit); otherwise the Executor runs the
+// query, and a clean answer — no error, no deadline truncation, no
+// row-limit overflow, no silent SERVICE recovery — is offered to the
+// cache with its execution time as the admission cost. key is the
+// answer's cache key when it is resident afterwards (a hit, or an
+// admitted fill) and empty otherwise; ans is nil when out holds an
+// error. The slot is released however execute returns, a panic
+// included: a slot that leaked would be capacity gone for the life of
+// the process.
+func (s *Server) execute(ctx context.Context, req *core.Request) (ans *exec.Answer, out service.QueryOutcome, key string, hit bool) {
 	defer s.gate.Release()
 	sn := s.ex.Snapshot()
 	if s.qc != nil {
 		start := time.Now()
-		key = s.cacheKey(q, sc)
+		key = s.cacheKey(req)
 		if r, ok := s.qc.Get(sn, key); ok {
 			// A hit is a served query whose latency is the lookup.
 			return r.Answer, service.QueryOutcome{Duration: time.Since(start)}, key, true
 		}
 	}
-	res, out := s.ex.Execute(ctx, q)
+	res, out := s.ex.ExecuteLinted(ctx, req.Query, req.Lint)
 	if out.Err != nil {
 		return nil, out, "", false
 	}
@@ -301,18 +296,18 @@ func (s *Server) execute(ctx context.Context, q *sparql.Query, sc *sparql.Scope)
 	return res.Answer, out, key, false
 }
 
-// cacheKey is q's result-cache key: the row budget, the names q
-// projects in the order of sc (q's Scope) and a bar, then the canonical
-// query text (variable-renaming- and prefix-invariant, solution
-// modifiers included). Queries of one canonical text number their
-// variables alike, so equal names there mean equal answers: a
+// cacheKey is req's result-cache key: the row budget, the names the
+// query projects in the order of its Scope and a bar, then the
+// canonical query text (variable-renaming- and prefix-invariant,
+// solution modifiers included). Queries of one canonical text number
+// their variables alike, so equal names there mean equal answers: a
 // query that respells a prefix or renames a variable it does not
 // project shares its entry, and one that renames a projected variable,
 // whose answer is in its own names, does not.
-func (s *Server) cacheKey(q *sparql.Query, sc *sparql.Scope) string {
-	canon := sparql.QueryString(q)
+func (s *Server) cacheKey(req *core.Request) string {
+	sc := req.Lint.Scope
 	var b strings.Builder
-	b.Grow(len(s.keyPrefix) + 16 + len(canon))
+	b.Grow(len(s.keyPrefix) + 16 + len(req.Canon))
 	b.WriteString(s.keyPrefix)
 	sep := ""
 	for i := range sc.Projected.All() {
@@ -321,7 +316,7 @@ func (s *Server) cacheKey(q *sparql.Query, sc *sparql.Scope) string {
 		sep = " "
 	}
 	b.WriteByte('|')
-	b.WriteString(canon)
+	b.WriteString(req.Canon)
 	return b.String()
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"sparqlog/internal/eval"
 	"sparqlog/internal/exec"
+	"sparqlog/internal/lint"
 	"sparqlog/internal/rdf"
 	"sparqlog/internal/sparql"
 )
@@ -86,7 +87,7 @@ func RunQueries(ctx context.Context, sn *rdf.Snapshot, queries []*sparql.Query, 
 // normalizing timed-out durations to the full budget (the Figure 3
 // convention).
 func runOneQuery(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim eval.Limits, timeout time.Duration) QueryOutcome {
-	_, out := executeOne(ctx, sn, q, lim, timeout)
+	_, out := executeOne(ctx, sn, q, nil, lim, timeout)
 	return out
 }
 
@@ -94,8 +95,9 @@ func runOneQuery(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim eva
 // entry the serving layer (Executor.Execute) serializes from, with the
 // same deadline and duration conventions as the batch pool. The result
 // carries the columnar Answer only (eval.QueryAnswer): counting rows
-// and serving them never materializes strings.
-func executeOne(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim eval.Limits, timeout time.Duration) (*eval.Result, QueryOutcome) {
+// and serving them never materializes strings. lr is q's lint result
+// when the caller has one, else nil.
+func executeOne(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lr *lint.Result, lim eval.Limits, timeout time.Duration) (*eval.Result, QueryOutcome) {
 	qctx := ctx
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -112,7 +114,7 @@ func executeOne(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim eval
 		return nil, out
 	}
 	start := time.Now()
-	res, err := eval.QueryAnswer(qctx, sn, q, lim)
+	res, err := eval.QueryAnswer(qctx, sn, q, lr, lim)
 	out := QueryOutcome{Duration: time.Since(start), Err: err}
 	if err != nil {
 		if errors.Is(err, exec.ErrTimeout) {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"sparqlog/internal/eval"
+	"sparqlog/internal/lint"
 	"sparqlog/internal/pathcomp"
 	"sparqlog/internal/plan"
 	"sparqlog/internal/rdf"
@@ -59,5 +60,12 @@ func (e *Executor) Timeout() time.Duration { return e.tmout }
 // accounting exactly as the batch pool reports them; res is nil when
 // the outcome holds an error.
 func (e *Executor) Execute(ctx context.Context, q *sparql.Query) (*eval.Result, QueryOutcome) {
-	return executeOne(ctx, e.sn, q, e.lim, e.tmout)
+	return executeOne(ctx, e.sn, q, nil, e.lim, e.tmout)
+}
+
+// ExecuteLinted is Execute for a caller that has linted q: lr is
+// lint.Run(q), whose Scope and emptiness verdict the evaluation takes
+// instead of deriving its own (eval.QueryAnswer).
+func (e *Executor) ExecuteLinted(ctx context.Context, q *sparql.Query, lr *lint.Result) (*eval.Result, QueryOutcome) {
+	return executeOne(ctx, e.sn, q, lr, e.lim, e.tmout)
 }

@@ -49,7 +49,7 @@ func BenchmarkResultCache(b *testing.B) {
 	// server does after a clean miss.
 	fill := func(b *testing.B, c *qcache.Cache, key string) {
 		start := time.Now()
-		res, err := eval.QueryAnswer(ctx, sn, q, lim)
+		res, err := eval.QueryAnswer(ctx, sn, q, nil, lim)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func BenchmarkResultCache(b *testing.B) {
 	b.Run("uncached", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := eval.QueryAnswer(ctx, sn, q, lim)
+			res, err := eval.QueryAnswer(ctx, sn, q, nil, lim)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -191,3 +191,73 @@ func BenchmarkServeBodyHit(b *testing.B) {
 		})
 	}
 }
+
+// logRepeatQuery is a tiny query of the paper's endpoint mix (one
+// triple, a bound constant), which executes in microseconds, far below
+// sparqld's result-cache admission floor: every request executes, and
+// what a repeat saves over a first sighting is the request's analysis.
+// %d is the LIMIT, which a first sighting makes new.
+const logRepeatQuery = `SELECT ?x WHERE { <http://gmark.bib/paper/5> bib:cites ?x } LIMIT %d`
+
+// BenchmarkServeLogRepeat: one tiny uncached request through the
+// handler, as a first sighting (new text: parse, lint, canonical text
+// and a first-sighting study entry) and as a repeat (its prepared
+// Request from the dedup table: one lookup). The in-process cell of
+// bench/'s serve-log-mix, whose requests are 57% exact repeats.
+func BenchmarkServeLogRepeat(b *testing.B) {
+	b.Run("first-sighting", func(b *testing.B) {
+		h := logRepeatServer(b).Handler()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			serveOnce(b, h, fmt.Sprintf(logRepeatQuery, 1000+i), serveAccepts[0], "")
+		}
+	})
+	b.Run("repeat", func(b *testing.B) {
+		h := logRepeatServer(b).Handler()
+		q := fmt.Sprintf(logRepeatQuery, 1)
+		serveOnce(b, h, q, serveAccepts[0], "")
+		serveOnce(b, h, q, serveAccepts[0], "")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			serveOnce(b, h, q, serveAccepts[0], "")
+		}
+	})
+}
+
+// logRepeatServer is heavyServer with an admission floor no request
+// meets, so that a stall (a GC pause, a descheduled goroutine) never
+// lets logRepeatQuery into the result cache mid-measurement.
+func logRepeatServer(tb testing.TB) *server.Server { return heavyServer(tb, time.Hour) }
+
+// repeatAllocsBudget bounds the handler's allocations for a repeat of
+// logRepeatQuery. The handler made 98 of them at the commit before a
+// repeat was served its prepared request (parse, lint and the canonical
+// text on every request) and makes 42 since; the budget leaves room for
+// the protocol layer to drift.
+const repeatAllocsBudget = 55
+
+// TestServeRepeatAllocBudget holds a repeat's handler allocations under
+// repeatAllocsBudget: the request is built once and served again and
+// again, so the count is the handler's alone.
+func TestServeRepeatAllocBudget(t *testing.T) {
+	h := logRepeatServer(t).Handler()
+	q := "PREFIX bib: <http://gmark.bib/p/>\n" + fmt.Sprintf(logRepeatQuery, 1)
+	req := httptest.NewRequest("GET", "/query?query="+url.QueryEscape(q), nil)
+	req.Header.Set("Accept", serveAccepts[0])
+	var w *discardResponse
+	serve := func() {
+		w = &discardResponse{h: http.Header{}, status: http.StatusOK}
+		h.ServeHTTP(w, req)
+	}
+	serve() // first sighting
+	serve() // second: the dedup table keeps the prepared request
+	allocs := testing.AllocsPerRun(200, serve)
+	if w.status != http.StatusOK || w.h.Get("X-Sparqld-Cache") != "miss" || w.n == 0 {
+		t.Fatalf("status %d, cache %q, %d body bytes", w.status, w.h.Get("X-Sparqld-Cache"), w.n)
+	}
+	t.Logf("%.0f allocations per repeat", allocs)
+	if allocs > repeatAllocsBudget {
+		t.Fatalf("a repeat allocates %.0f times, budget %d", allocs, repeatAllocsBudget)
+	}
+}
