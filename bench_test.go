@@ -517,6 +517,31 @@ func BenchmarkParser(b *testing.B) {
 	}
 }
 
+// BenchmarkParseCorpus measures one parse, cycling through the distinct
+// texts of the loggen corpus at scale 0.0001, seed 1, malformed ones
+// included: what the study pays for each distinct entry and sparqld for
+// each first sighting of a text.
+func BenchmarkParseCorpus(b *testing.B) {
+	seen := make(map[string]bool)
+	var texts []string
+	for _, ds := range loggen.GenerateCorpus(0.0001, 1) {
+		for _, e := range ds.Entries {
+			if !seen[e] {
+				seen[e] = true
+				texts = append(texts, e)
+			}
+		}
+	}
+	p := &sparql.Parser{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		parseSink, _ = p.Parse(texts[i%len(texts)])
+	}
+}
+
+var parseSink *sparql.Query
+
 // BenchmarkQueryString measures the canonical form, the key sparqld
 // computes for every request and the structural dedup for every valid
 // query, cycling through the distinct parseable texts of the loggen

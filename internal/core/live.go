@@ -327,6 +327,14 @@ func (la *LiveAnalyzer) Report() *DatasetReport {
 // is the entry's global position in the log. The caller must own s.
 func (la *LiveAnalyzer) process(s *liveSlot, e *logEntry, idx uint64) {
 	raw := e.raw
+	var key textKey
+	if la.shards[0].seen != nil {
+		// Exact dedup: the key is hashed once, here.
+		key = la.keyOf(raw)
+		if la.countRepeat(s, key, e) {
+			return
+		}
+	}
 	if !looksLikeQuery(raw) {
 		s.rep.NoiseRemoved++
 		return
@@ -377,8 +385,8 @@ func (la *LiveAnalyzer) process(s *liveSlot, e *logEntry, idx uint64) {
 		// analyzes it; later occurrences reuse the recorded validity, so
 		// each distinct entry is parsed once (twice in the rare race where
 		// a duplicate arrives mid-parse — identical text parses
-		// identically, so the result is unchanged).
-		key := la.keyOf(raw)
+		// identically, so the result is unchanged). Repeats of a text
+		// whose label is recorded were counted by countRepeat.
 		shard := la.shard(key)
 		shard.mu.Lock()
 		st, dup := shard.seen[key]
@@ -437,6 +445,26 @@ func (la *LiveAnalyzer) process(s *liveSlot, e *logEntry, idx uint64) {
 		s.rep.noteShape(label, true)
 		s.rep.analyzeQuery(q, &f, e.lint(), la.opts)
 	}
+}
+
+// countRepeat counts e into s as a valid repeat, and reports true, when
+// e's text (hashed to key) is in the exact-dedup table with its label
+// recorded and e brings no Request for the entry to keep (on the
+// serving path, a text's entry lacking a prepared Request takes the
+// next one). Such a text passed the noise scan when it was first seen,
+// so a repeat skips the scan along with the parse.
+func (la *LiveAnalyzer) countRepeat(s *liveSlot, key textKey, e *logEntry) bool {
+	shard := la.shard(key)
+	shard.mu.Lock()
+	st := shard.seen[key]
+	shard.mu.Unlock()
+	if st.label == "" || st.prep == nil && e.req != nil {
+		return false
+	}
+	s.rep.Total++
+	s.rep.Valid++
+	s.rep.noteShape(st.label, false)
+	return true
 }
 
 func (la *LiveAnalyzer) shard(key textKey) *dedupShard {

@@ -30,6 +30,7 @@ package eval
 
 import (
 	"context"
+	"regexp"
 	"sort"
 
 	"sparqlog/internal/exec"
@@ -140,13 +141,20 @@ func QueryContext(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lim Li
 // string rows: nothing on the way from the executor to a serializer
 // materializes text. lr is q's lint result when the caller has one, as
 // a serving endpoint does for its response header: the evaluation then
-// takes lr.Scope and lr.Empty instead of analysing q's variables and
-// proving its emptiness itself. A nil lr means derive both.
+// takes lr.Scope, lr.Empty and lr.Prefixes instead of analysing q's
+// variables, proving its emptiness and collecting its prefixes itself.
+// A nil lr means derive all three.
 func QueryAnswer(ctx context.Context, sn *rdf.Snapshot, q *sparql.Query, lr *lint.Result, lim Limits) (*Result, error) {
 	if lim.MaxRows <= 0 {
 		lim.MaxRows = DefaultMaxRows
 	}
-	return (&evaluator{st: sn, prefixes: q.Prologue.PrefixMap(), lim: lim, ctx: ctx}).run(q, lr)
+	ev := &evaluator{st: sn, lim: lim, ctx: ctx}
+	if lr != nil {
+		ev.prefixes = lr.Prefixes
+	} else {
+		ev.prefixes = q.Prologue.PrefixMap()
+	}
+	return ev.run(q, lr)
 }
 
 // run is one execution of q, linted as lr when that is not nil:
@@ -207,6 +215,9 @@ type evaluator struct {
 	// explain collects what Explain renders; nil on every other
 	// evaluation, where the compiler records nothing.
 	explain *explainTrace
+	// regexes holds REGEX's compiled patterns by (pattern, flags), nil
+	// for one that does not compile (see regex).
+	regexes map[[2]string]*regexp.Regexp
 }
 
 // termText renders a query term as store text; variables and blanks

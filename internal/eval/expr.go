@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"regexp"
 
 	"sparqlog/internal/sparql"
 	"sparqlog/internal/value"
@@ -95,6 +96,25 @@ func (ev *evaluator) eval(e sparql.Expr, b env) (value.Value, error) {
 	return value.Value{}, errEval
 }
 
+// regex is REGEX's compiled pattern under its flags, compiled on first
+// use in this evaluation and kept for the rows after it; a pattern that
+// does not compile is kept as the expression error.
+func (ev *evaluator) regex(pattern, flags value.Value) (*regexp.Regexp, error) {
+	k := [2]string{pattern.Lex(), flags.Lex()}
+	re, seen := ev.regexes[k]
+	if !seen {
+		re, _ = value.CompileRegex(pattern, flags)
+		if ev.regexes == nil {
+			ev.regexes = make(map[[2]string]*regexp.Regexp)
+		}
+		ev.regexes[k] = re
+	}
+	if re == nil {
+		return nil, errEval
+	}
+	return re, nil
+}
+
 func (ev *evaluator) evalBinary(n *sparql.BinaryExpr, b env) (value.Value, error) {
 	switch n.Op {
 	case "&&":
@@ -161,7 +181,11 @@ func (ev *evaluator) evalFunc(n *sparql.FuncCall, b env) (value.Value, error) {
 		if err != nil {
 			flags = value.Str("")
 		}
-		return checked(value.Regex(x, pat, flags))
+		re, err := ev.regex(pat, flags)
+		if err != nil {
+			return value.Value{}, err
+		}
+		return value.RegexMatch(re, x), nil
 	case "IF":
 		c, err := arg(0)
 		if err != nil {

@@ -125,6 +125,10 @@ type Result struct {
 	// Scope is the query's variable analysis the passes read, for a
 	// caller with more scope questions.
 	Scope *sparql.Scope
+	// Prefixes is the query's prefix map (its Prologue's PrefixMap),
+	// which the passes expanded prefixed names against. It may be shared
+	// with other callers and must not be modified.
+	Prefixes sparql.Prefixes
 }
 
 // Codes returns the distinct diagnostic codes, sorted.
@@ -165,7 +169,8 @@ func Run(q *sparql.Query) *Result {
 		p.Run(c)
 	}
 	top := c.scopes[0]
-	return &Result{Diagnostics: c.diags, Empty: EmptyUnder(top.sc, top.f[0].prefixes), Scope: top.sc}
+	prefixes := top.f[0].prefixes
+	return &Result{Diagnostics: c.diags, Empty: EmptyUnder(top.sc, prefixes), Scope: top.sc, Prefixes: prefixes}
 }
 
 // location is where a walk stands: the structural path of the node

@@ -8,23 +8,28 @@ import (
 
 // Lexer turns SPARQL source text into a stream of tokens.
 //
-// The lexer is hand-written for speed: query-log analysis tokenizes hundreds
-// of millions of small queries, so it avoids regular expressions and
-// allocates only for token text that requires escape decoding.
+// The lexer is hand-written for speed: query-log analysis tokenizes
+// hundreds of millions of small queries, so it reads each byte once and
+// keeps nothing but its byte offset. A token carries the offset of its
+// first byte; a line and column exist only in a SyntaxError, which
+// computes them from the offset when it is built (PositionAt). Names,
+// prefixed names and variables classify ASCII bytes by table and decode
+// a rune only at a byte >= 0x80. Token text is a slice of the source,
+// except a string literal with an escape sequence, whose decoded text is
+// the lexer's only allocation.
 type Lexer struct {
-	src  string
-	pos  int
-	line int
-	col  int
+	src string
+	pos int
 }
 
 // NewLexer returns a lexer over src.
 func NewLexer(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1}
+	return &Lexer{src: src}
 }
 
-func (l *Lexer) errorf(pos Position, format string, args ...any) error {
-	return &SyntaxError{Pos: pos, Msg: sprintf(format, args...)}
+// errorf builds a SyntaxError at byte offset pos of the source.
+func (l *Lexer) errorf(pos int, format string, args ...any) error {
+	return &SyntaxError{Pos: PositionAt(l.src, pos), Msg: sprintf(format, args...)}
 }
 
 // sprintf is a tiny indirection so the lexer does not import fmt on the
@@ -36,17 +41,6 @@ func sprintf(format string, args ...any) string {
 	return fmtSprintf(format, args...)
 }
 
-func (l *Lexer) position() Position {
-	return Position{Offset: l.pos, Line: l.line, Col: l.col}
-}
-
-func (l *Lexer) peekByte() byte {
-	if l.pos >= len(l.src) {
-		return 0
-	}
-	return l.src[l.pos]
-}
-
 func (l *Lexer) peekByteAt(off int) byte {
 	if l.pos+off >= len(l.src) {
 		return 0
@@ -54,28 +48,26 @@ func (l *Lexer) peekByteAt(off int) byte {
 	return l.src[l.pos+off]
 }
 
-func (l *Lexer) advance(n int) {
-	for i := 0; i < n && l.pos < len(l.src); i++ {
-		if l.src[l.pos] == '\n' {
-			l.line++
-			l.col = 1
-		} else {
-			l.col++
-		}
-		l.pos++
-	}
+// emit returns the n-byte token of the given kind at the current offset
+// and moves past it.
+func (l *Lexer) emit(kind TokenKind, n int) Token {
+	t := Token{Kind: kind, Text: l.src[l.pos : l.pos+n], Pos: l.pos}
+	l.pos += n
+	return t
 }
 
 func (l *Lexer) skipSpaceAndComments() {
 	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		switch {
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '\f' || c == 0x0b:
-			l.advance(1)
-		case c == '#':
-			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-				l.advance(1)
+		switch l.src[l.pos] {
+		case ' ', '\t', '\r', '\n', '\f', 0x0b:
+			l.pos++
+		case '#':
+			i := strings.IndexByte(l.src[l.pos:], '\n')
+			if i < 0 {
+				l.pos = len(l.src)
+				return
 			}
+			l.pos += i + 1
 		default:
 			return
 		}
@@ -85,121 +77,96 @@ func (l *Lexer) skipSpaceAndComments() {
 // Next returns the next token, or an error on malformed input.
 func (l *Lexer) Next() (Token, error) {
 	l.skipSpaceAndComments()
-	pos := l.position()
-	if l.pos >= len(l.src) {
+	pos := l.pos
+	if pos >= len(l.src) {
 		return Token{Kind: EOF, Pos: pos}, nil
 	}
-	c := l.src[l.pos]
+	c := l.src[pos]
 	switch c {
 	case '{':
-		l.advance(1)
-		return Token{Kind: LBrace, Text: "{", Pos: pos}, nil
+		return l.emit(LBrace, 1), nil
 	case '}':
-		l.advance(1)
-		return Token{Kind: RBrace, Text: "}", Pos: pos}, nil
+		return l.emit(RBrace, 1), nil
 	case '(':
 		// NIL: '(' WS* ')'
 		if tok, ok := l.tryCompound(')', NIL, "()"); ok {
-			tok.Pos = pos
 			return tok, nil
 		}
-		l.advance(1)
-		return Token{Kind: LParen, Text: "(", Pos: pos}, nil
+		return l.emit(LParen, 1), nil
 	case ')':
-		l.advance(1)
-		return Token{Kind: RParen, Text: ")", Pos: pos}, nil
+		return l.emit(RParen, 1), nil
 	case '[':
 		// ANON: '[' WS* ']'
 		if tok, ok := l.tryCompound(']', ANON, "[]"); ok {
-			tok.Pos = pos
 			return tok, nil
 		}
-		l.advance(1)
-		return Token{Kind: LBracket, Text: "[", Pos: pos}, nil
+		return l.emit(LBracket, 1), nil
 	case ']':
-		l.advance(1)
-		return Token{Kind: RBracket, Text: "]", Pos: pos}, nil
+		return l.emit(RBracket, 1), nil
 	case ';':
-		l.advance(1)
-		return Token{Kind: Semicolon, Text: ";", Pos: pos}, nil
+		return l.emit(Semicolon, 1), nil
 	case ',':
-		l.advance(1)
-		return Token{Kind: Comma, Text: ",", Pos: pos}, nil
+		return l.emit(Comma, 1), nil
 	case '=':
-		l.advance(1)
-		return Token{Kind: Eq, Text: "=", Pos: pos}, nil
+		return l.emit(Eq, 1), nil
 	case '!':
 		if l.peekByteAt(1) == '=' {
-			l.advance(2)
-			return Token{Kind: Neq, Text: "!=", Pos: pos}, nil
+			return l.emit(Neq, 2), nil
 		}
-		l.advance(1)
-		return Token{Kind: Bang, Text: "!", Pos: pos}, nil
+		return l.emit(Bang, 1), nil
 	case '<':
-		return l.lexLtOrIRI(pos)
+		return l.lexLtOrIRI(), nil
 	case '>':
 		if l.peekByteAt(1) == '=' {
-			l.advance(2)
-			return Token{Kind: Ge, Text: ">=", Pos: pos}, nil
+			return l.emit(Ge, 2), nil
 		}
-		l.advance(1)
-		return Token{Kind: Gt, Text: ">", Pos: pos}, nil
+		return l.emit(Gt, 1), nil
 	case '&':
 		if l.peekByteAt(1) == '&' {
-			l.advance(2)
-			return Token{Kind: AndAnd, Text: "&&", Pos: pos}, nil
+			return l.emit(AndAnd, 2), nil
 		}
 		return Token{}, l.errorf(pos, "unexpected '&'")
 	case '|':
 		if l.peekByteAt(1) == '|' {
-			l.advance(2)
-			return Token{Kind: OrOr, Text: "||", Pos: pos}, nil
+			return l.emit(OrOr, 2), nil
 		}
-		l.advance(1)
-		return Token{Kind: Pipe, Text: "|", Pos: pos}, nil
+		return l.emit(Pipe, 1), nil
 	case '+':
-		l.advance(1)
-		return Token{Kind: Plus, Text: "+", Pos: pos}, nil
+		return l.emit(Plus, 1), nil
 	case '-':
-		l.advance(1)
-		return Token{Kind: Minus, Text: "-", Pos: pos}, nil
+		return l.emit(Minus, 1), nil
 	case '*':
-		l.advance(1)
-		return Token{Kind: Star, Text: "*", Pos: pos}, nil
+		return l.emit(Star, 1), nil
 	case '/':
-		l.advance(1)
-		return Token{Kind: Slash, Text: "/", Pos: pos}, nil
+		return l.emit(Slash, 1), nil
 	case '^':
 		if l.peekByteAt(1) == '^' {
-			l.advance(2)
-			return Token{Kind: CaretCaret, Text: "^^", Pos: pos}, nil
+			return l.emit(CaretCaret, 2), nil
 		}
-		l.advance(1)
-		return Token{Kind: Caret, Text: "^", Pos: pos}, nil
+		return l.emit(Caret, 1), nil
 	case '?', '$':
-		return l.lexVarOrQuestion(pos)
+		return l.lexVarOrQuestion()
 	case '@':
-		return l.lexLangTag(pos)
+		return l.lexLangTag()
 	case '\'', '"':
-		return l.lexString(pos)
+		return l.lexString()
 	case '_':
 		if l.peekByteAt(1) == ':' {
-			return l.lexBlankNode(pos)
+			return l.lexBlankNode()
 		}
-		return l.lexIdentOrPName(pos)
+		return l.lexIdentOrPName()
 	case '.':
 		// A dot may start a number (.5) or be the triple terminator.
 		if isDigit(l.peekByteAt(1)) {
-			return l.lexNumber(pos)
+			return l.lexNumber(), nil
 		}
-		l.advance(1)
-		return Token{Kind: Dot, Text: ".", Pos: pos}, nil
+		return l.emit(Dot, 1), nil
 	}
 	if isDigit(c) {
-		return l.lexNumber(pos)
+		return l.lexNumber(), nil
 	}
-	if isPNCharsBase(l.peekRune()) || c == ':' {
-		return l.lexIdentOrPName(pos)
+	if c == ':' || c < utf8.RuneSelf && asciiClass[c]&cBase != 0 || c >= utf8.RuneSelf && isPNCharsBase(l.peekRune()) {
+		return l.lexIdentOrPName()
 	}
 	return Token{}, l.errorf(pos, "unexpected character %q", string(rune(c)))
 }
@@ -207,16 +174,14 @@ func (l *Lexer) Next() (Token, error) {
 // tryCompound matches '(' WS* ')' style two-character tokens that may have
 // interior whitespace (NIL and ANON).
 func (l *Lexer) tryCompound(closer byte, kind TokenKind, text string) (Token, bool) {
-	i := l.pos + 1
-	for i < len(l.src) {
-		c := l.src[i]
-		if c == ' ' || c == '\t' || c == '\r' || c == '\n' {
-			i++
+	for i := l.pos + 1; i < len(l.src); i++ {
+		switch l.src[i] {
+		case ' ', '\t', '\r', '\n':
 			continue
-		}
-		if c == closer {
-			l.advance(i + 1 - l.pos)
-			return Token{Kind: kind, Text: text}, true
+		case closer:
+			t := Token{Kind: kind, Text: text, Pos: l.pos}
+			l.pos = i + 1
+			return t, true
 		}
 		return Token{}, false
 	}
@@ -231,59 +196,77 @@ func (l *Lexer) peekRune() rune {
 	return r
 }
 
-// lexLtOrIRI disambiguates '<' between an IRIREF and the less-than operator.
-// An IRIREF is a '<' followed by characters excluding control characters,
-// space, and <>"{}|^` and backslash, terminated by '>'. Anything else is the
-// operator.
-func (l *Lexer) lexLtOrIRI(pos Position) (Token, error) {
-	if l.peekByteAt(1) == '=' {
-		l.advance(2)
-		return Token{Kind: Le, Text: "<=", Pos: pos}, nil
-	}
-	i := l.pos + 1
+// scanName returns the end of the run of name characters that starts at
+// byte offset i: ASCII bytes whose asciiClass has a bit of class, and
+// wider runes that satisfy wide.
+func (l *Lexer) scanName(i int, class uint8, wide func(rune) bool) int {
 	for i < len(l.src) {
-		c := l.src[i]
-		if c == '>' {
-			text := l.src[l.pos+1 : i]
-			l.advance(i + 1 - l.pos)
-			return Token{Kind: IRIRef, Text: text, Pos: pos}, nil
+		if c := l.src[i]; c < utf8.RuneSelf {
+			if asciiClass[c]&class == 0 {
+				break
+			}
+			i++
+			continue
 		}
-		if c <= 0x20 || c == '<' || c == '"' || c == '{' || c == '}' || c == '|' || c == '^' || c == '`' || c == '\\' {
-			break
-		}
-		i++
-	}
-	l.advance(1)
-	return Token{Kind: Lt, Text: "<", Pos: pos}, nil
-}
-
-// lexVarOrQuestion lexes ?name and $name variables; a bare '?' (as used for
-// the zero-or-one path modifier) is returned as a Question token.
-func (l *Lexer) lexVarOrQuestion(pos Position) (Token, error) {
-	lead := l.src[l.pos]
-	r, size := utf8.DecodeRuneInString(l.src[l.pos+1:])
-	if !isVarNameStart(r) {
-		if lead == '$' {
-			return Token{}, l.errorf(pos, "'$' must start a variable name")
-		}
-		l.advance(1)
-		return Token{Kind: Question, Text: "?", Pos: pos}, nil
-	}
-	i := l.pos + 1 + size
-	for i < len(l.src) {
 		r, size := utf8.DecodeRuneInString(l.src[i:])
-		if !isVarNameCont(r) {
+		if !wide(r) {
 			break
 		}
 		i += size
 	}
-	text := l.src[l.pos+1 : i]
-	l.advance(i - l.pos)
-	return Token{Kind: Var, Text: text, Pos: pos}, nil
+	return i
 }
 
-func (l *Lexer) lexLangTag(pos Position) (Token, error) {
-	i := l.pos + 1
+// lexLtOrIRI disambiguates '<' between an IRIREF and the less-than operator.
+// An IRIREF is a '<' followed by characters excluding control characters,
+// space, and <>"{}|^` and backslash, terminated by '>'. Anything else is the
+// operator.
+func (l *Lexer) lexLtOrIRI() Token {
+	if l.peekByteAt(1) == '=' {
+		return l.emit(Le, 2)
+	}
+	for i := l.pos + 1; i < len(l.src); i++ {
+		c := l.src[i]
+		if c == '>' {
+			t := Token{Kind: IRIRef, Text: l.src[l.pos+1 : i], Pos: l.pos}
+			l.pos = i + 1
+			return t
+		}
+		if c <= 0x20 || c == '<' || c == '"' || c == '{' || c == '}' || c == '|' || c == '^' || c == '`' || c == '\\' {
+			break
+		}
+	}
+	return l.emit(Lt, 1)
+}
+
+// lexVarOrQuestion lexes ?name and $name variables; a bare '?' (as used for
+// the zero-or-one path modifier) is returned as a Question token.
+func (l *Lexer) lexVarOrQuestion() (Token, error) {
+	pos := l.pos
+	i := pos + 1
+	var start bool
+	if i < len(l.src) && l.src[i] < utf8.RuneSelf {
+		start = asciiClass[l.src[i]]&cVar != 0
+		i++
+	} else {
+		r, size := utf8.DecodeRuneInString(l.src[i:])
+		start = isVarNameStart(r)
+		i += size
+	}
+	if !start {
+		if l.src[pos] == '$' {
+			return Token{}, l.errorf(pos, "'$' must start a variable name")
+		}
+		return l.emit(Question, 1), nil
+	}
+	i = l.scanName(i, cVar, isVarNameCont)
+	l.pos = i
+	return Token{Kind: Var, Text: l.src[pos+1 : i], Pos: pos}, nil
+}
+
+func (l *Lexer) lexLangTag() (Token, error) {
+	pos := l.pos
+	i := pos + 1
 	start := i
 	for i < len(l.src) && (isAlpha(l.src[i]) || (i > start && (isDigit(l.src[i]) || l.src[i] == '-'))) {
 		i++
@@ -291,21 +274,14 @@ func (l *Lexer) lexLangTag(pos Position) (Token, error) {
 	if i == start {
 		return Token{}, l.errorf(pos, "expected language tag after '@'")
 	}
-	text := l.src[start:i]
-	l.advance(i - l.pos)
-	return Token{Kind: LangTag, Text: text, Pos: pos}, nil
+	l.pos = i
+	return Token{Kind: LangTag, Text: l.src[start:i], Pos: pos}, nil
 }
 
-func (l *Lexer) lexBlankNode(pos Position) (Token, error) {
-	i := l.pos + 2 // skip "_:"
-	start := i
-	for i < len(l.src) {
-		r, size := utf8.DecodeRuneInString(l.src[i:])
-		if !isPNChars(r) && r != '.' {
-			break
-		}
-		i += size
-	}
+func (l *Lexer) lexBlankNode() (Token, error) {
+	pos := l.pos
+	start := pos + 2 // skip "_:"
+	i := l.scanName(start, cChars|cDot, isPNChars)
 	// Trailing dots belong to the statement, not the label.
 	for i > start && l.src[i-1] == '.' {
 		i--
@@ -313,12 +289,11 @@ func (l *Lexer) lexBlankNode(pos Position) (Token, error) {
 	if i == start {
 		return Token{}, l.errorf(pos, "expected blank node label after '_:'")
 	}
-	text := l.src[start:i]
-	l.advance(i - l.pos)
-	return Token{Kind: BlankNode, Text: text, Pos: pos}, nil
+	l.pos = i
+	return Token{Kind: BlankNode, Text: l.src[start:i], Pos: pos}, nil
 }
 
-func (l *Lexer) lexNumber(pos Position) (Token, error) {
+func (l *Lexer) lexNumber() Token {
 	i := l.pos
 	for i < len(l.src) && isDigit(l.src[i]) {
 		i++
@@ -349,150 +324,174 @@ func (l *Lexer) lexNumber(pos Position) (Token, error) {
 			i = k
 		}
 	}
-	text := l.src[l.pos:i]
-	l.advance(i - l.pos)
-	return Token{Kind: NumberLit, Text: text, Pos: pos}, nil
+	return l.emit(NumberLit, i-l.pos)
 }
 
-func (l *Lexer) lexString(pos Position) (Token, error) {
-	quote := l.src[l.pos]
-	long := false
-	if l.peekByteAt(1) == quote && l.peekByteAt(2) == quote {
-		long = true
-		l.advance(3)
-	} else {
-		l.advance(1)
+// lexString lexes a short or long string literal. Its text is the slice
+// of the source between the quotes until an escape sequence is met; from
+// there on it is decoded into a copy.
+func (l *Lexer) lexString() (Token, error) {
+	pos := l.pos
+	quote := l.src[pos]
+	long := l.peekByteAt(1) == quote && l.peekByteAt(2) == quote
+	start := pos + 1
+	if long {
+		start = pos + 3
 	}
 	var sb strings.Builder
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
+	escaped := false
+	for i := start; i < len(l.src); {
+		c := l.src[i]
 		if c == '\\' {
-			esc := l.peekByteAt(1)
-			switch esc {
-			case 't':
-				sb.WriteByte('\t')
-			case 'b':
-				sb.WriteByte('\b')
-			case 'n':
-				sb.WriteByte('\n')
-			case 'r':
-				sb.WriteByte('\r')
-			case 'f':
-				sb.WriteByte('\f')
-			case '"', '\'', '\\':
-				sb.WriteByte(esc)
-			case 'u', 'U':
-				n := 4
-				if esc == 'U' {
-					n = 8
-				}
-				if l.pos+2+n > len(l.src) {
-					return Token{}, l.errorf(pos, "truncated unicode escape")
-				}
-				hex := l.src[l.pos+2 : l.pos+2+n]
-				v, err := parseHex(hex)
-				if err != nil {
-					return Token{}, l.errorf(pos, "bad unicode escape \\%c%s", esc, hex)
-				}
-				sb.WriteRune(rune(v))
-				l.advance(2 + n)
-				continue
-			default:
-				return Token{}, l.errorf(pos, "bad escape sequence \\%c", esc)
+			if !escaped {
+				sb.WriteString(l.src[start:i])
+				escaped = true
 			}
-			l.advance(2)
+			n, err := l.unescape(&sb, pos, i)
+			if err != nil {
+				l.pos = i
+				return Token{}, err
+			}
+			i += n
 			continue
 		}
-		if long {
-			if c == quote && l.peekByteAt(1) == quote && l.peekByteAt(2) == quote {
-				l.advance(3)
-				return Token{Kind: StringLit, Text: sb.String(), Pos: pos}, nil
+		closer := 0 // the length of the closing quote at i
+		switch {
+		case c != quote:
+			if !long && (c == '\n' || c == '\r') {
+				l.pos = i
+				return Token{}, l.errorf(pos, "newline in string literal")
 			}
+		case !long:
+			closer = 1
+		case i+2 < len(l.src) && l.src[i+1] == quote && l.src[i+2] == quote:
+			closer = 3
+		}
+		if closer > 0 {
+			l.pos = i + closer
+			text := l.src[start:i]
+			if escaped {
+				text = sb.String()
+			}
+			return Token{Kind: StringLit, Text: text, Pos: pos}, nil
+		}
+		if escaped {
 			sb.WriteByte(c)
-			l.advance(1)
-			continue
 		}
-		if c == quote {
-			l.advance(1)
-			return Token{Kind: StringLit, Text: sb.String(), Pos: pos}, nil
-		}
-		if c == '\n' || c == '\r' {
-			return Token{}, l.errorf(pos, "newline in string literal")
-		}
-		sb.WriteByte(c)
-		l.advance(1)
+		i++
 	}
+	l.pos = len(l.src)
 	return Token{}, l.errorf(pos, "unterminated string literal")
+}
+
+// unescape decodes the escape sequence at byte offset i of the string
+// literal that starts at pos into sb, and returns its length.
+func (l *Lexer) unescape(sb *strings.Builder, pos, i int) (int, error) {
+	var esc byte
+	if i+1 < len(l.src) {
+		esc = l.src[i+1]
+	}
+	switch esc {
+	case 't':
+		sb.WriteByte('\t')
+	case 'b':
+		sb.WriteByte('\b')
+	case 'n':
+		sb.WriteByte('\n')
+	case 'r':
+		sb.WriteByte('\r')
+	case 'f':
+		sb.WriteByte('\f')
+	case '"', '\'', '\\':
+		sb.WriteByte(esc)
+	case 'u', 'U':
+		n := 4
+		if esc == 'U' {
+			n = 8
+		}
+		if i+2+n > len(l.src) {
+			return 0, l.errorf(pos, "truncated unicode escape")
+		}
+		hex := l.src[i+2 : i+2+n]
+		v, err := parseHex(hex)
+		if err != nil {
+			return 0, l.errorf(pos, "bad unicode escape \\%c%s", esc, hex)
+		}
+		sb.WriteRune(rune(v))
+		return 2 + n, nil
+	default:
+		return 0, l.errorf(pos, "bad escape sequence \\%c", esc)
+	}
+	return 2, nil
 }
 
 // lexIdentOrPName lexes bare identifiers (keywords, boolean literals,
 // builtin names) and prefixed names such as foaf:name or rdf: .
-func (l *Lexer) lexIdentOrPName(pos Position) (Token, error) {
-	i := l.pos
+func (l *Lexer) lexIdentOrPName() (Token, error) {
+	pos := l.pos
 	// Prefix part: PN_CHARS_BASE (PN_CHARS | '.')* — may be empty (":x").
-	for i < len(l.src) {
-		r, size := utf8.DecodeRuneInString(l.src[i:])
-		if i == l.pos {
-			if !isPNCharsBase(r) {
-				break
-			}
-		} else if !isPNChars(r) && r != '.' {
-			break
+	i := pos
+	if c := l.src[i]; c < utf8.RuneSelf {
+		if asciiClass[c]&cBase != 0 {
+			i = l.scanName(i+1, cChars|cDot, isPNChars)
 		}
-		i += size
+	} else if r, size := utf8.DecodeRuneInString(l.src[i:]); isPNCharsBase(r) {
+		i = l.scanName(i+size, cChars|cDot, isPNChars)
 	}
 	// Trailing dots are statement terminators, not name parts.
-	for i > l.pos && l.src[i-1] == '.' {
+	for i > pos && l.src[i-1] == '.' {
 		i--
 	}
 	if i >= len(l.src) || l.src[i] != ':' {
 		// Bare identifier (keyword, function name, or 'a').
-		if i == l.pos {
-			if l.src[l.pos] == ':' {
-				i = l.pos // empty prefix, fall through to PName
-			} else {
-				return Token{}, l.errorf(pos, "unexpected character %q", string(l.peekRune()))
-			}
-		} else {
-			text := l.src[l.pos:i]
-			l.advance(i - l.pos)
-			if text == "a" {
-				return Token{Kind: A, Text: "a", Pos: pos}, nil
-			}
-			return Token{Kind: Ident, Text: text, Pos: pos}, nil
+		if i == pos {
+			return Token{}, l.errorf(pos, "unexpected character %q", string(l.peekRune()))
 		}
+		l.pos = i
+		text := l.src[pos:i]
+		if text == "a" {
+			return Token{Kind: A, Text: "a", Pos: pos}, nil
+		}
+		return Token{Kind: Ident, Text: text, Pos: pos}, nil
 	}
 	// PName: consume ':' and local part.
 	i++ // ':'
 	start := i
+scan:
 	for i < len(l.src) {
 		// Local names allow PN_CHARS, '.', ':', '%XX' escapes and
-		// backslash escapes of punctuation (PN_LOCAL_ESC).
+		// backslash escapes of punctuation (PN_LOCAL_ESC); the first
+		// character may not be '.'.
 		c := l.src[i]
-		if c == '%' && i+2 < len(l.src) && isHex(l.src[i+1]) && isHex(l.src[i+2]) {
+		switch {
+		case c == '%' && i+2 < len(l.src) && isHex(l.src[i+1]) && isHex(l.src[i+2]):
 			i += 3
-			continue
-		}
-		if c == '\\' && i+1 < len(l.src) && isLocalEsc(l.src[i+1]) {
+		case c == '\\' && i+1 < len(l.src) && isLocalEsc(l.src[i+1]):
 			i += 2
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(l.src[i:])
-		if i == start {
-			if !isPNChars(r) && r != ':' && !isDigit(byte(r&0x7f)) {
-				break
+		case c < utf8.RuneSelf:
+			class := cChars | cColon
+			if i > start {
+				class |= cDot
 			}
-		} else if !isPNChars(r) && r != '.' && r != ':' {
-			break
+			if asciiClass[c]&class == 0 {
+				break scan
+			}
+			i++
+		default:
+			// A first rune whose low seven bits spell an ASCII digit is
+			// admitted too.
+			r, size := utf8.DecodeRuneInString(l.src[i:])
+			if !isPNChars(r) && (i > start || !isDigit(byte(r&0x7f))) {
+				break scan
+			}
+			i += size
 		}
-		i += size
 	}
 	for i > start && l.src[i-1] == '.' {
 		i--
 	}
-	text := l.src[l.pos:i]
-	l.advance(i - l.pos)
-	return Token{Kind: PName, Text: text, Pos: pos}, nil
+	l.pos = i
+	return Token{Kind: PName, Text: l.src[pos:i], Pos: pos}, nil
 }
 
 // Character class helpers.
@@ -510,6 +509,34 @@ func isLocalEsc(c byte) bool {
 	}
 	return false
 }
+
+// ASCII character classes of the name productions, as the bits of
+// asciiClass.
+const (
+	cBase  uint8 = 1 << iota // PN_CHARS_BASE: a letter
+	cChars                   // PN_CHARS: a letter, a digit, '_' or '-'
+	cVar                     // VARNAME: a letter, a digit or '_'
+	cDot                     // '.'
+	cColon                   // ':'
+)
+
+// asciiClass classifies each ASCII byte for the name scanners. It agrees
+// with isPNCharsBase, isPNChars and isVarNameStart/isVarNameCont on every
+// ASCII rune; a byte >= 0x80 is decoded and tested with those instead.
+var asciiClass = func() (t [utf8.RuneSelf]uint8) {
+	for c := 'a'; c <= 'z'; c++ {
+		t[c] = cBase | cChars | cVar
+		t[c-'a'+'A'] = cBase | cChars | cVar
+	}
+	for c := '0'; c <= '9'; c++ {
+		t[c] = cChars | cVar
+	}
+	t['_'] = cChars | cVar
+	t['-'] = cChars
+	t['.'] = cDot
+	t[':'] = cColon
+	return t
+}()
 
 func isPNCharsBase(r rune) bool {
 	if r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' {

@@ -1,6 +1,9 @@
 package sparql
 
-import "testing"
+import (
+	"testing"
+	"unicode/utf8"
+)
 
 func lexAll(t *testing.T, src string) []Token {
 	t.Helper()
@@ -106,12 +109,16 @@ func TestLexComments(t *testing.T) {
 }
 
 func TestLexPositions(t *testing.T) {
-	toks := lexAll(t, "SELECT\n  ?x")
-	if toks[0].Pos.Line != 1 || toks[0].Pos.Col != 1 {
-		t.Errorf("first pos = %+v", toks[0].Pos)
+	const src = "SELECT\n  ?x"
+	toks := lexAll(t, src)
+	if toks[0].Pos != 0 || toks[1].Pos != 9 {
+		t.Errorf("offsets = %d, %d, want 0, 9", toks[0].Pos, toks[1].Pos)
 	}
-	if toks[1].Pos.Line != 2 || toks[1].Pos.Col != 3 {
-		t.Errorf("second pos = %+v", toks[1].Pos)
+	if p := PositionAt(src, toks[0].Pos); p.String() != "1:1" {
+		t.Errorf("first pos = %+v, want 1:1", p)
+	}
+	if p := PositionAt(src, toks[1].Pos); p.String() != "2:3" {
+		t.Errorf("second pos = %+v, want 2:3", p)
 	}
 }
 
@@ -145,5 +152,29 @@ over lines"""`)
 	want := "a \"quoted\" thing\nover lines"
 	if toks[0].Text != want {
 		t.Errorf("text = %q, want %q", toks[0].Text, want)
+	}
+}
+
+// TestASCIIClassMatchesRunePredicates holds the name scanners' ASCII
+// table to the rune predicates it stands in for, on every ASCII byte.
+func TestASCIIClassMatchesRunePredicates(t *testing.T) {
+	for c := 0; c < utf8.RuneSelf; c++ {
+		r, class := rune(c), asciiClass[c]
+		for _, tc := range []struct {
+			name string
+			bit  uint8
+			want bool
+		}{
+			{"PN_CHARS_BASE", cBase, isPNCharsBase(r)},
+			{"PN_CHARS", cChars, isPNChars(r)},
+			{"VARNAME start", cVar, isVarNameStart(r)},
+			{"VARNAME continuation", cVar, isVarNameCont(r)},
+			{"'.'", cDot, r == '.'},
+			{"':'", cColon, r == ':'},
+		} {
+			if got := class&tc.bit != 0; got != tc.want {
+				t.Errorf("%q: %s is %v in asciiClass, %v by the rune predicate", r, tc.name, got, tc.want)
+			}
+		}
 	}
 }

@@ -1,19 +1,27 @@
 package sparql
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 )
 
 // Parser is a recursive-descent parser for the SPARQL 1.1 query language.
-// A Parser may be reused across queries via Parse; zero value is not usable,
-// construct with NewParser or use the package-level Parse.
+// The zero value is ready to use, and a Parser may be reused across
+// queries via Parse (one at a time); the package-level Parse makes a
+// fresh one.
 type Parser struct {
-	lex      *Lexer
+	lex      Lexer
 	tok      Token // current token
 	ahead    Token // one-token lookahead, valid when hasAhead
 	hasAhead bool
 	blankSeq int
+	// prefixes and selects collect the PREFIX declarations and the
+	// SELECT items being parsed, the latter as a stack (a subquery's
+	// SELECT clause may open inside an outer one's expression). The
+	// query gets a copy of its part at its exact size.
+	prefixes []PrefixDecl
+	selects  []SelectItem
 }
 
 // Parse parses a single SPARQL query.
@@ -24,8 +32,11 @@ func Parse(src string) (*Query, error) {
 
 // Parse parses src as one complete query, resetting parser state.
 func (p *Parser) Parse(src string) (*Query, error) {
-	p.lex = NewLexer(src)
+	p.lex = Lexer{src: src}
 	p.hasAhead = false
+	clear(p.prefixes)
+	clear(p.selects)
+	p.prefixes, p.selects = p.prefixes[:0], p.selects[:0]
 	p.blankSeq = 0
 	if err := p.next(); err != nil {
 		return nil, err
@@ -41,7 +52,7 @@ func (p *Parser) Parse(src string) (*Query, error) {
 }
 
 func (p *Parser) errorf(format string, args ...any) error {
-	return &SyntaxError{Pos: p.tok.Pos, Msg: fmtSprintf(format, args...)}
+	return &SyntaxError{Pos: PositionAt(p.lex.src, p.tok.Pos), Msg: fmtSprintf(format, args...)}
 }
 
 func (p *Parser) next() error {
@@ -176,14 +187,28 @@ func (p *Parser) parsePrologue(q *Query) error {
 			if p.tok.Kind != IRIRef {
 				return p.errorf("expected IRI in PREFIX declaration")
 			}
-			q.Prologue.Prefixes = append(q.Prologue.Prefixes, PrefixDecl{Name: name, IRI: p.tok.Text})
+			p.prefixes = append(p.prefixes, PrefixDecl{Name: name, IRI: p.tok.Text})
 			if err := p.next(); err != nil {
 				return err
 			}
 		default:
+			q.Prologue.Prefixes = take(&p.prefixes, 0)
 			return nil
 		}
 	}
+}
+
+// take returns a copy of (*scratch)[mark:] at its exact size, nil when
+// it is empty, and truncates *scratch to mark.
+func take[T any](scratch *[]T, mark int) []T {
+	s := *scratch
+	if len(s) == mark {
+		return nil
+	}
+	out := slices.Clone(s[mark:])
+	clear(s[mark:])
+	*scratch = s[:mark]
+	return out
 }
 
 func (p *Parser) parseSelectQuery(q *Query) error {
@@ -217,10 +242,11 @@ func (p *Parser) parseSelectClause(q *Query) error {
 		q.SelectStar = true
 		return p.next()
 	}
+	mark := len(p.selects)
 	for {
 		switch p.tok.Kind {
 		case Var:
-			q.Select = append(q.Select, SelectItem{Var: Variable(p.tok.Text)})
+			p.selects = append(p.selects, SelectItem{Var: Variable(p.tok.Text)})
 			if err := p.next(); err != nil {
 				return err
 			}
@@ -245,11 +271,12 @@ func (p *Parser) parseSelectClause(q *Query) error {
 			if err := p.expect(RParen); err != nil {
 				return err
 			}
-			q.Select = append(q.Select, SelectItem{Var: v, Expr: e})
+			p.selects = append(p.selects, SelectItem{Var: v, Expr: e})
 		default:
-			if len(q.Select) == 0 {
+			if len(p.selects) == mark {
 				return p.errorf("expected variable or expression in SELECT clause, found %q", p.tok.Text)
 			}
+			q.Select = take(&p.selects, mark)
 			return nil
 		}
 	}
@@ -465,10 +492,9 @@ func (p *Parser) parseGroupGraphPattern() (*Group, error) {
 	}
 }
 
-// parseGroupElement parses one element of a group graph pattern. Triple
-// blocks may expand blank-node property lists into multiple triples, which
-// are appended directly to grp; in that case the primary pattern is still
-// returned and auxiliary triples were already appended.
+// parseGroupElement parses one element of a group graph pattern and
+// returns it, except a triples block, which appends the patterns it
+// expands to to grp itself and returns nil.
 func (p *Parser) parseGroupElement(grp *Group) (Pattern, error) {
 	switch {
 	case p.isKw("OPTIONAL"):
@@ -603,36 +629,35 @@ func (p *Parser) parseGroupElement(grp *Group) (Pattern, error) {
 		return node, nil
 	default:
 		// TriplesSameSubjectPath.
-		return p.parseTriplesSameSubject(grp)
+		return nil, p.parseTriplesSameSubject(grp)
 	}
 }
 
-// parseTriplesSameSubject parses one subject with its property list,
-// appending all but the first resulting pattern to grp and returning the
-// first.
-func (p *Parser) parseTriplesSameSubject(grp *Group) (Pattern, error) {
-	var pending []Pattern
-	subj, err := p.parseGraphNode(&pending)
+// parseTriplesSameSubject parses one subject with its property list and
+// appends the patterns it expands to to grp, in source order except that
+// the first of them goes last: the order the AST has always had, which
+// every canonical text and study report reflects.
+func (p *Parser) parseTriplesSameSubject(grp *Group) error {
+	mark := len(grp.Elems)
+	subj, err := p.parseGraphNode(&grp.Elems)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// A bare blank-node property list may have an empty property list
 	// after it: "[ :p :o ] ." is a valid triples block.
-	if len(pending) > 0 && !p.verbFollows() {
-		first := pending[0]
-		grp.Elems = append(grp.Elems, pending[1:]...)
-		return first, nil
+	if len(grp.Elems) == mark || p.verbFollows() {
+		if err := p.parsePropertyList(subj, &grp.Elems); err != nil {
+			return err
+		}
 	}
-	pats, err := p.parsePropertyList(subj)
-	if err != nil {
-		return nil, err
+	if len(grp.Elems) == mark {
+		return p.errorf("expected predicate after subject")
 	}
-	all := append(pending, pats...)
-	if len(all) == 0 {
-		return nil, p.errorf("expected predicate after subject")
-	}
-	grp.Elems = append(grp.Elems, all[1:]...)
-	return all[0], nil
+	block := grp.Elems[mark:]
+	first := block[0]
+	copy(block, block[1:])
+	block[len(block)-1] = first
+	return nil
 }
 
 // verbFollows reports whether the current token can start a verb (predicate
@@ -645,43 +670,33 @@ func (p *Parser) verbFollows() bool {
 	return false
 }
 
-// parsePropertyList parses verb objectList (';' (verb objectList)?)*.
-func (p *Parser) parsePropertyList(subj Term) ([]Pattern, error) {
-	var out []Pattern
+// parsePropertyList parses verb objectList (';' (verb objectList)?)* and
+// appends the patterns it expands to to dst: each triple or path pattern,
+// then those of its object's blank-node property list or collection.
+func (p *Parser) parsePropertyList(subj Term, dst *[]Pattern) error {
 	for {
-		isVar := p.tok.Kind == Var
-		var predVar Term
-		var path PathExpr
-		if isVar {
-			predVar = Variable(p.tok.Text)
-			if err := p.next(); err != nil {
-				return nil, err
-			}
-		} else {
-			px, err := p.parsePath()
-			if err != nil {
-				return nil, err
-			}
-			path = px
+		verb, path, err := p.parseVerb()
+		if err != nil {
+			return err
 		}
 		// Object list.
 		for {
-			var pending []Pattern
-			obj, err := p.parseGraphNode(&pending)
+			// The pattern's slot comes before the patterns its object
+			// expands to, which parseGraphNode appends.
+			at := len(*dst)
+			*dst = append(*dst, nil)
+			obj, err := p.parseGraphNode(dst)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if isVar {
-				out = append(out, &TriplePattern{S: subj, P: predVar, O: obj})
-			} else if iri, ok := path.(*PathIRI); ok {
-				out = append(out, &TriplePattern{S: subj, P: Term{Kind: TermIRI, Value: iri.IRI, PrefixedForm: iri.PrefixedForm}, O: obj})
+			if path != nil {
+				(*dst)[at] = &PathPattern{S: subj, Path: path, O: obj}
 			} else {
-				out = append(out, &PathPattern{S: subj, Path: path, O: obj})
+				(*dst)[at] = &TriplePattern{S: subj, P: verb, O: obj}
 			}
-			out = append(out, pending...)
 			if p.tok.Kind == Comma {
 				if err := p.next(); err != nil {
-					return nil, err
+					return err
 				}
 				continue
 			}
@@ -689,27 +704,62 @@ func (p *Parser) parsePropertyList(subj Term) ([]Pattern, error) {
 		}
 		if p.tok.Kind == Semicolon {
 			if err := p.next(); err != nil {
-				return nil, err
+				return err
 			}
 			// Trailing semicolons are permitted.
 			for p.tok.Kind == Semicolon {
 				if err := p.next(); err != nil {
-					return nil, err
+					return err
 				}
 			}
 			if !p.verbFollows() {
-				return out, nil
+				return nil
 			}
 			continue
 		}
-		return out, nil
+		return nil
 	}
+}
+
+// parseVerb parses a predicate: a variable or an IRI comes back as the
+// term, any other path as the path expression. An IRI is a plain
+// predicate unless a path operator follows it, which one token of
+// lookahead tells without building the path.
+func (p *Parser) parseVerb() (Term, PathExpr, error) {
+	switch p.tok.Kind {
+	case Var:
+		v := Variable(p.tok.Text)
+		return v, nil, p.next()
+	case IRIRef, PName, A:
+		next, err := p.peek()
+		if err != nil {
+			return Term{}, nil, err
+		}
+		switch next.Kind {
+		case Slash, Pipe, Star, Plus, Question:
+		default:
+			t := Term{Kind: TermIRI, Value: p.tok.Text, PrefixedForm: p.tok.Kind == PName}
+			if p.tok.Kind == A {
+				t.Value = RDFType
+			}
+			return t, nil, p.next()
+		}
+	}
+	path, err := p.parsePath()
+	if err != nil {
+		return Term{}, nil, err
+	}
+	// A parenthesized IRI, "(<p>)", is a plain predicate too.
+	if iri, ok := path.(*PathIRI); ok {
+		return Term{Kind: TermIRI, Value: iri.IRI, PrefixedForm: iri.PrefixedForm}, nil, nil
+	}
+	return Term{}, path, nil
 }
 
 // parseGraphNode parses a term in subject or object position, including
 // blank-node property lists and collections, whose expansion triples are
-// appended to pending.
-func (p *Parser) parseGraphNode(pending *[]Pattern) (Term, error) {
+// appended to dst.
+func (p *Parser) parseGraphNode(dst *[]Pattern) (Term, error) {
 	switch p.tok.Kind {
 	case Var:
 		t := Variable(p.tok.Text)
@@ -755,21 +805,19 @@ func (p *Parser) parseGraphNode(pending *[]Pattern) (Term, error) {
 			return Term{}, err
 		}
 		b := p.freshBlank()
-		pats, err := p.parsePropertyList(b)
-		if err != nil {
+		if err := p.parsePropertyList(b, dst); err != nil {
 			return Term{}, err
 		}
 		if err := p.expect(RBracket); err != nil {
 			return Term{}, err
 		}
-		*pending = append(*pending, pats...)
 		return b, nil
 	case NIL:
 		t := Term{Kind: TermIRI, Value: rdfNil}
 		return t, p.next()
 	case LParen:
 		// Collection: ( node1 node2 ... ) expands to rdf:first/rest chains.
-		return p.parseCollection(pending)
+		return p.parseCollection(dst)
 	}
 	return Term{}, p.errorf("expected term, found %s %q", p.tok.Kind, p.tok.Text)
 }
@@ -780,7 +828,7 @@ const (
 	rdfNil   = "http://www.w3.org/1999/02/22-rdf-syntax-ns#nil"
 )
 
-func (p *Parser) parseCollection(pending *[]Pattern) (Term, error) {
+func (p *Parser) parseCollection(dst *[]Pattern) (Term, error) {
 	if err := p.expect(LParen); err != nil {
 		return Term{}, err
 	}
@@ -793,17 +841,17 @@ func (p *Parser) parseCollection(pending *[]Pattern) (Term, error) {
 		}
 		if !first {
 			next := p.freshBlank()
-			*pending = append(*pending, &TriplePattern{S: cur, P: IRI(rdfRest), O: next})
+			*dst = append(*dst, &TriplePattern{S: cur, P: IRI(rdfRest), O: next})
 			cur = next
 		}
 		first = false
-		node, err := p.parseGraphNode(pending)
+		node, err := p.parseGraphNode(dst)
 		if err != nil {
 			return Term{}, err
 		}
-		*pending = append(*pending, &TriplePattern{S: cur, P: IRI(rdfFirst), O: node})
+		*dst = append(*dst, &TriplePattern{S: cur, P: IRI(rdfFirst), O: node})
 	}
-	*pending = append(*pending, &TriplePattern{S: cur, P: IRI(rdfRest), O: IRI(rdfNil)})
+	*dst = append(*dst, &TriplePattern{S: cur, P: IRI(rdfRest), O: IRI(rdfNil)})
 	return head, p.next()
 }
 

@@ -12,7 +12,10 @@
 // aggregates, and solution modifiers.
 package sparql
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // TokenKind enumerates lexical token categories.
 type TokenKind int
@@ -80,7 +83,7 @@ func (k TokenKind) String() string {
 	return fmt.Sprintf("TokenKind(%d)", int(k))
 }
 
-// Token is a single lexical unit with its source position.
+// Token is a single lexical unit with its offset in the source.
 type Token struct {
 	Kind TokenKind
 	// Text is the token's surface form. For IRIRef the angle brackets are
@@ -88,14 +91,28 @@ type Token struct {
 	// quotes are stripped and escapes are decoded; for LangTag the @ is
 	// stripped.
 	Text string
-	Pos  Position
+	// Pos is the byte offset of the token's first byte in the source;
+	// PositionAt gives its line and column.
+	Pos int
 }
 
-// Position locates a token in the input.
+// Position locates a byte of the input.
 type Position struct {
 	Offset int // byte offset, 0-based
 	Line   int // 1-based
 	Col    int // 1-based, in bytes
+}
+
+// PositionAt returns the position of byte offset off of src: its line is
+// one more than the newlines before it, its column one more than the
+// bytes between it and the last of them.
+func PositionAt(src string, off int) Position {
+	before := src[:off]
+	return Position{
+		Offset: off,
+		Line:   1 + strings.Count(before, "\n"),
+		Col:    off - strings.LastIndexByte(before, '\n'),
+	}
 }
 
 // String renders the position as "line:col".

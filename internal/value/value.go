@@ -218,20 +218,34 @@ func Call(name string, a, b Value) (v Value, ok bool) {
 	return Value{}, false
 }
 
-// Regex is REGEX(text, pattern, flags): of the flags only "i" has an
-// effect, and a pattern that does not compile is an expression error.
-// How a missing or erroring flags argument is treated is the caller's
-// control flow; it passes Str("") for "no flags".
+// Regex is REGEX(text, pattern, flags), compiling the pattern for this
+// one call; a caller that tests many texts against one pattern compiles
+// it once with CompileRegex and matches with RegexMatch. How a missing
+// or erroring flags argument is treated is the caller's control flow; it
+// passes Str("") for "no flags".
 func Regex(text, pattern, flags Value) (v Value, ok bool) {
+	re, ok := CompileRegex(pattern, flags)
+	if !ok {
+		return Value{}, false
+	}
+	return RegexMatch(re, text), true
+}
+
+// CompileRegex compiles REGEX's pattern under its flags: of the flags
+// only "i" has an effect, and a pattern that does not compile is an
+// expression error (ok=false, re nil).
+func CompileRegex(pattern, flags Value) (re *regexp.Regexp, ok bool) {
 	expr := pattern.lex
 	if strings.Contains(flags.lex, "i") {
 		expr = "(?i)" + expr
 	}
 	re, err := regexp.Compile(expr)
-	if err != nil {
-		return Value{}, false
-	}
-	return Bool(re.MatchString(text.lex)), true
+	return re, err == nil
+}
+
+// RegexMatch is REGEX's answer for text under a compiled pattern.
+func RegexMatch(re *regexp.Regexp, text Value) Value {
+	return Bool(re.MatchString(text.lex))
 }
 
 func ceil(f float64) float64 {
