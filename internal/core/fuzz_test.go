@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -104,6 +105,61 @@ func FuzzLooksLikeQuery(f *testing.F) {
 	f.Fuzz(func(t *testing.T, entry string) {
 		if got, want := looksLikeQuery(entry), looksLikeQueryByToUpper(entry); got != want {
 			t.Fatalf("looksLikeQuery(%q) = %v, the upper-casing test says %v", entry, got, want)
+		}
+	})
+}
+
+// FuzzLiveMatchesBatch feeds a LiveAnalyzer a short log picked by the
+// input bytes: each byte chooses an entry from a pool (valid texts,
+// which the log may repeat, unparseable texts, noise lines, and the
+// fuzzer's own string) and whether it arrives through Add or
+// AddRequest. In exact, structural and keep-duplicates dedup the report
+// must equal AnalyzeLog's over the same log.
+func FuzzLiveMatchesBatch(f *testing.F) {
+	pool := []string{
+		"SELECT ?x WHERE { ?x <p> ?y }",
+		"PREFIX e: <http://e/> SELECT ?x WHERE { ?x e:p ?y }",
+		"SELECT ?a WHERE { ?a <p> ?b }",
+		"ASK { <s> <q> ?z OPTIONAL { ?z <r> ?w } }",
+		"SELECT ?x WHERE { ?x <p>+ ?y FILTER(?y > 1) }",
+		"SELECT ?x WHERE { ?x <p> ",
+		"ASK {",
+		"GET /favicon.ico",
+		"",
+	}
+	f.Add([]byte{0, 0x80, 0x80, 1, 2, 0x85, 5, 7, 0x87, 0x89, 9}, "SELECT * WHERE { ?s ?p ?o }")
+	f.Add([]byte{3, 0x83, 3, 0x83, 0x86, 6, 8, 0x88}, "CONSTRUCT { ?s <p> ?o } WHERE { ?s <q> ?o }")
+	f.Add([]byte{9, 0x89, 9, 0x89, 4, 0x84}, "select nothing")
+	f.Fuzz(func(t *testing.T, picks []byte, own string) {
+		if len(picks) > 64 {
+			picks = picks[:64]
+		}
+		log := make([]string, len(picks))
+		for i, b := range picks {
+			if n := int(b&0x7f) % (len(pool) + 1); n < len(pool) {
+				log[i] = pool[n]
+			} else {
+				log[i] = own
+			}
+		}
+		for _, opts := range []Options{
+			{Lint: true},
+			{StructuralDedup: true, Lint: true},
+			{KeepDuplicates: true, Lint: true},
+			{KeepDuplicates: true, StructuralDedup: true},
+		} {
+			la := NewLiveAnalyzer("fuzz", opts, 2)
+			for i, e := range log {
+				if picks[i]&0x80 != 0 {
+					la.AddRequest(e)
+				} else {
+					la.Add(e)
+				}
+			}
+			if want, got := AnalyzeLog("fuzz", log, opts), la.Report(); !reflect.DeepEqual(want, got) {
+				diffReports(t, want, got)
+				t.Fatalf("%+v: live report differs from batch over %q", opts, log)
+			}
 		}
 	})
 }

@@ -29,19 +29,22 @@ const dedupShards = 64
 // by a global counter that doubles as the entry's log position, and
 // Report can be asked for the statistics-so-far at any moment.
 // AddRequest is Add for a serving endpoint, which needs each request's
-// query parsed and linted to answer it: the exact-dedup table that
-// counts a repeat also hands it the parse of its text's earlier
-// sighting. StreamAnalyzer is the pull side: it drains one finite
-// stream in chunks, pool worker w into slot w. Add, AddRequest and
-// Report are safe for arbitrary concurrency.
+// query parsed and linted to answer it. StreamAnalyzer is the pull
+// side: it drains one finite stream in chunks, pool worker w into slot
+// w. Add, AddRequest and Report are safe for arbitrary concurrency.
+//
+// In exact dedup an entry's claim hashes its text once and settles, in
+// one shard-locked lookup, whether the text is a repeat, in flight or
+// new; no entry takes more than two shard locks (see claim).
 //
 // Memory: exact dedup keys its table on a 128-bit hash of each distinct
 // valid entry's text (textKey), so an entry costs its key and its
-// repeat label, not its text; unparseable entries keep no state and are
-// re-parsed on repetition. Texts AddRequest has seen twice also keep a
-// prepared Request, under preparedBudget. In StructuralDedup mode the
-// shards instead retain one parsed representative per fingerprint
-// class; with KeepDuplicates nothing at all.
+// repeat label, not its text; noise and unparseable entries keep no
+// state and are re-scanned on repetition. Texts AddRequest has seen
+// twice also keep a prepared Request, under preparedBudget. In
+// StructuralDedup mode the shards instead retain one parsed
+// representative per fingerprint class; with KeepDuplicates nothing at
+// all.
 type LiveAnalyzer struct {
 	opts   Options
 	name   string
@@ -86,14 +89,12 @@ type dedupShard struct {
 // is served only to a request of equal text.
 type textKey [2]uint64
 
-// seenEntry is the recorded state of one distinct entry text in exact
-// dedup. While label is empty a slot has claimed the entry and is
-// still parsing it; once set, label is the repeat-shape label of the
-// parsed query, so duplicate occurrences can be counted into the
-// repeat-rate table without re-parsing. (Unparseable entries keep no
-// state: their key is deleted again, so duplicates of them simply
-// re-parse and re-fail.) prep is the text's prepared Request, taken
-// from AddRequest on the text's second sighting.
+// seenEntry is the state of one distinct entry text in exact dedup.
+// While label is empty an entry holds the text's claim and has not
+// settled it; once set, label is the repeat-shape label of the parsed
+// query, so repeats are counted into the repeat-rate table without a
+// parse. prep is the text's prepared Request, kept from AddRequest on
+// the text's second served sighting.
 type seenEntry struct {
 	label string
 	prep  *Request
@@ -172,25 +173,37 @@ func NewLiveAnalyzer(name string, opts Options, workers int) *LiveAnalyzer {
 	return la
 }
 
-// logEntry is one entry on its way through process: its text and, from
-// AddRequest, the outcome of its parse (one of q and err is set) and,
-// when it parsed, the Request built from it, which the exact-dedup table
-// may keep for the text's repeats. Left unparsed, process parses it
-// with the slot's parser if, and only when, the dedup state needs the
-// parse.
-type logEntry struct {
-	raw string
-	q   *sparql.Query
-	err error
-	req *Request
-}
+// claimState is what an entry's claim found for its text in the
+// exact-dedup table: unclaimed (the analyzer does not dedup on exact
+// text), claimedNew (the text was absent and the claim put its key in
+// the table, for the entry to settle), inFlight (another entry holds
+// the claim and has not settled it) or recorded (the text is valid and
+// labelled: the entry is a repeat).
+type claimState uint8
 
-// lint is the entry's lint result when AddRequest linted it, else nil.
-func (e *logEntry) lint() *lint.Result {
-	if e.req == nil {
-		return nil
-	}
-	return e.req.Lint
+const (
+	unclaimed claimState = iota
+	claimedNew
+	inFlight
+	recorded
+)
+
+// logEntry is one entry on its way through process: its text, its
+// claim on the exact-dedup table (the text's key, what the claim found,
+// and for a recorded text its seenEntry) and, from AddRequest, the
+// outcome of its parse (one of q and err is set) and the Request
+// AddRequest returns for it (for a repeat served prepared, the prepared
+// one, and no parse). Left unparsed, process parses it with the slot's
+// parser if, and only when, the claim needs the parse.
+type logEntry struct {
+	raw   string
+	key   textKey
+	state claimState
+	seen  seenEntry
+	q     *sparql.Query
+	err   error
+	lr    *lint.Result // the parse's lint result when AddRequest linted it
+	req   *Request
 }
 
 func (e *logEntry) parse(p *sparql.Parser) (*sparql.Query, error) {
@@ -200,55 +213,95 @@ func (e *logEntry) parse(p *sparql.Parser) (*sparql.Query, error) {
 	return e.q, e.err
 }
 
+// claim returns raw's logEntry with its claim: in exact dedup, raw is
+// hashed once and one shard-locked lookup finds it recorded, in flight
+// or absent, putting an absent text's key in the table.
+func (la *LiveAnalyzer) claim(raw string) logEntry {
+	e := logEntry{raw: raw}
+	if la.shards[0].seen == nil {
+		return e
+	}
+	e.key = la.keyOf(raw)
+	sh := la.shard(e.key)
+	sh.mu.Lock()
+	st, ok := sh.seen[e.key]
+	if !ok {
+		sh.seen[e.key] = seenEntry{}
+	}
+	sh.mu.Unlock()
+	switch {
+	case !ok:
+		e.state = claimedNew
+	case st.label == "":
+		e.state = inFlight
+	default:
+		e.state, e.seen = recorded, st
+	}
+	return e
+}
+
+// settle ends a claimedNew entry's claim: a valid text's label is
+// recorded, and "" releases the key of a noise or unparseable text,
+// which keeps no state (as in AnalyzeLog, its duplicates re-scan and
+// re-fail). Entries holding no new claim are left alone.
+func (la *LiveAnalyzer) settle(e *logEntry, label string) {
+	if e.state != claimedNew {
+		return
+	}
+	sh := la.shard(e.key)
+	sh.mu.Lock()
+	if label == "" {
+		delete(sh.seen, e.key)
+	} else {
+		sh.seen[e.key] = seenEntry{label: label}
+	}
+	sh.mu.Unlock()
+}
+
+// admit keeps e's Request, from a served repeat of a recorded text, for
+// the repeats to come, unless the text is prepared already or the
+// shard's share of preparedBudget is spent.
+func (la *LiveAnalyzer) admit(e *logEntry) {
+	sh := la.shard(e.key)
+	sh.mu.Lock()
+	st := sh.seen[e.key]
+	if c := preparedCost(e.req); st.prep == nil && sh.prepared+c <= preparedBudget/dedupShards {
+		sh.prepared += c
+		st.prep = e.req
+		sh.seen[e.key] = st
+	}
+	sh.mu.Unlock()
+}
+
 // Add feeds one raw log entry (the decoded query text of one request)
 // through cleaning, dedup, parsing, and analysis. Concurrent Adds
 // spread across the slots; two Adds contend only when they land on the
 // same slot or dedup shard.
 func (la *LiveAnalyzer) Add(raw string) {
-	la.add(&logEntry{raw: raw})
+	e := la.claim(raw)
+	la.add(&e)
 }
 
 // AddRequest is Add for a serving endpoint, which must parse and lint
 // a request's query before it can answer it: it counts raw exactly as
 // Add(raw) does and returns the outcome of parsing raw, the Request or
-// the parse error. In exact-dedup mode a text's second sighting leaves
-// its Request in the dedup table (while preparedBudget lasts), and
-// every later repeat is handed that Request after one lookup, with no
-// parse, lint or canonicalization; other texts are parsed and linted
-// here, outside every lock. The Request is shared and must not be
-// mutated.
+// the parse error. It claims raw before it parses: in exact dedup, a
+// recorded text whose entry holds a prepared Request of equal text is
+// handed that Request, with no parse, lint or canonicalization. Other
+// texts are parsed and linted here, outside every lock, and a text's
+// second sighting leaves its Request in the dedup table (while
+// preparedBudget lasts) for the repeats to come. The Request is shared
+// and must not be mutated.
 func (la *LiveAnalyzer) AddRequest(raw string) (*Request, error) {
-	if la.shards[0].seen != nil {
-		key := la.keyOf(raw)
-		shard := la.shard(key)
-		shard.mu.Lock()
-		st := shard.seen[key]
-		shard.mu.Unlock()
-		if r := st.prep; r != nil && r.text == raw {
-			la.addRepeat(st.label)
-			return r, nil
-		}
+	e := la.claim(raw)
+	if r := e.seen.prep; r != nil && r.text == raw {
+		e.req = r
+	} else if e.q, e.err = sparql.Parse(raw); e.err == nil {
+		e.lr = lint.Run(e.q)
+		e.req = &Request{Query: e.q, Lint: e.lr, Canon: sparql.QueryString(e.q), text: raw}
 	}
-	q, err := sparql.Parse(raw)
-	e := &logEntry{raw: raw, q: q, err: err}
-	if err == nil {
-		e.req = &Request{Query: q, Lint: lint.Run(q), Canon: sparql.QueryString(q), text: raw}
-	}
-	la.add(e)
-	return e.req, err
-}
-
-// addRepeat counts a repeat of a prepared text: a valid duplicate of
-// the repeat shape label, as process counts one.
-func (la *LiveAnalyzer) addRepeat(label string) {
-	idx := la.ctr.Add(1) - 1
-	s := &la.slots[idx%uint64(len(la.slots))]
-	s.mu.Lock()
-	s.rep.Total++
-	s.rep.Valid++
-	s.rep.noteShape(label, false)
-	s.repeats++
-	s.mu.Unlock()
+	la.add(&e)
+	return e.req, e.err
 }
 
 func (la *LiveAnalyzer) add(e *logEntry) {
@@ -284,14 +337,15 @@ func (la *LiveAnalyzer) Prepared() (served uint64, bytes int) {
 // Report merges the current partial state into a fresh DatasetReport —
 // the same statistics AnalyzeLog would produce over the entries
 // processed so far (for StructuralDedup, over the representatives as
-// currently elected). The live state is untouched; Add keeps
-// accumulating. Add is blocked only for the merge and a copy of the
-// representative list: the per-class analysis, which is O(classes ×
-// shape analysis), runs after the locks are released.
+// currently elected; in exact dedup, a repeat whose first sighting is
+// still being processed already counts as a repeat). The live state is
+// untouched; Add keeps accumulating. Add is blocked only for the merge
+// and a copy of the representative list: the per-class analysis, which
+// is O(classes × shape analysis), runs after the locks are released.
 func (la *LiveAnalyzer) Report() *DatasetReport {
 	// Quiesce: entry processing only runs under a slot lock, so holding
-	// every slot lock stops mutation of partials and shards alike (the
-	// slot locks also order us after each worker's shard writes).
+	// every slot lock stops mutation of partials and representatives
+	// (the slot locks also order us after each worker's shard writes).
 	for i := range la.slots {
 		la.slots[i].mu.Lock()
 	}
@@ -322,149 +376,75 @@ func (la *LiveAnalyzer) Report() *DatasetReport {
 	return rep
 }
 
-// process runs one entry through cleaning, dedup, parsing, and
-// analysis into slot s, mirroring the per-entry body of AnalyzeLog. idx
-// is the entry's global position in the log. The caller must own s.
+// process runs one claimed entry through cleaning, parsing and analysis
+// into slot s, mirroring the per-entry body of AnalyzeLog in every
+// dedup mode. idx is the entry's global position in the log. The caller
+// must own s.
 func (la *LiveAnalyzer) process(s *liveSlot, e *logEntry, idx uint64) {
-	raw := e.raw
-	var key textKey
-	if la.shards[0].seen != nil {
-		// Exact dedup: the key is hashed once, here.
-		key = la.keyOf(raw)
-		if la.countRepeat(s, key, e) {
-			return
-		}
-	}
-	if !looksLikeQuery(raw) {
+	// A recorded text passed the noise scan and parsed when it was
+	// first seen: it skips both, along with the shape scan.
+	if e.state != recorded && !looksLikeQuery(e.raw) {
 		s.rep.NoiseRemoved++
+		la.settle(e, "")
 		return
 	}
 	s.rep.Total++
-	switch {
-	case la.opts.KeepDuplicates:
-		// The appendix corpus analyzes every duplicate: no dedup state.
+	label := e.seen.label
+	if e.state != recorded {
 		q, err := e.parse(s.parser)
 		if err != nil {
+			la.settle(e, "")
 			return
 		}
-		s.rep.Valid++
-		s.rep.Unique++
 		f := analysis.Scan(q)
-		s.rep.noteShape(RepeatShape(q, &f), true)
-		s.rep.analyzeQuery(q, &f, e.lint(), la.opts)
-	case la.opts.StructuralDedup:
-		// Structural dedup keys on the fingerprint, which needs the parse
-		// anyway; every occurrence is parsed and counted Valid. Analysis
-		// is deferred to Report: each shard tracks the earliest
-		// occurrence of each class, because fingerprint-equal queries
-		// need not analyze identically (fingerprinting expands prefixes;
-		// the shape analyses see the original terms), and AnalyzeLog
-		// analyzes the class's first occurrence in log order.
-		q, err := e.parse(s.parser)
-		if err != nil {
-			return
-		}
-		s.rep.Valid++
-		f := analysis.Scan(q)
-		label := RepeatShape(q, &f)
-		s.rep.noteShape(label, false)
-		var fp string
-		if e.req != nil {
-			fp = e.req.Canon
-		} else {
-			fp = sparql.QueryString(q)
-		}
-		shard := la.shard(la.keyOf(fp))
-		shard.mu.Lock()
-		if cur, ok := shard.reps[fp]; !ok || idx < cur.idx {
-			shard.reps[fp] = classRep{idx: idx, q: q, f: f, label: label}
-		}
-		shard.mu.Unlock()
-	default:
-		// Exact-text dedup: the first slot to claim an entry parses and
-		// analyzes it; later occurrences reuse the recorded validity, so
-		// each distinct entry is parsed once (twice in the rare race where
-		// a duplicate arrives mid-parse — identical text parses
-		// identically, so the result is unchanged). Repeats of a text
-		// whose label is recorded were counted by countRepeat.
-		shard := la.shard(key)
-		shard.mu.Lock()
-		st, dup := shard.seen[key]
-		if !dup {
-			shard.seen[key] = seenEntry{}
-		} else if st.label != "" && st.prep == nil && e.req != nil {
-			// The text's second sighting on the serving path: its
-			// Request answers the repeats to come, while the budget
-			// lasts.
-			if c := preparedCost(e.req); shard.prepared+c <= preparedBudget/dedupShards {
-				shard.prepared += c
-				st.prep = e.req
-				shard.seen[key] = st
-			}
-		}
-		shard.mu.Unlock()
-		if dup {
-			label := st.label
-			if label == "" {
-				// The claimer is still parsing; parse our identical copy
-				// to learn validity (and the repeat label) without
-				// waiting on it.
-				q, err := e.parse(s.parser)
-				if err != nil {
-					return
-				}
-				f := analysis.Scan(q)
-				label = RepeatShape(q, &f)
-			}
+		label = RepeatShape(q, &f)
+		switch {
+		case la.opts.KeepDuplicates || e.state == claimedNew:
+			// Any entry when duplicates are kept, or a new text in
+			// exact dedup: analyzed here.
+			la.settle(e, label)
 			s.rep.Valid++
-			s.rep.noteShape(label, false)
+			s.rep.Unique++
+			s.rep.noteShape(label, true)
+			s.rep.analyzeQuery(q, &f, e.lr, la.opts)
 			return
+		case la.opts.StructuralDedup:
+			// Analysis is deferred to Report: each shard tracks the
+			// earliest occurrence of each fingerprint class, because
+			// fingerprint-equal queries need not analyze identically
+			// (fingerprinting expands prefixes; the shape analyses see
+			// the original terms), and AnalyzeLog analyzes the class's
+			// first occurrence in log order.
+			var fp string
+			if e.req != nil {
+				fp = e.req.Canon
+			} else {
+				fp = sparql.QueryString(q)
+			}
+			sh := la.shard(la.keyOf(fp))
+			sh.mu.Lock()
+			if cur, ok := sh.reps[fp]; !ok || idx < cur.idx {
+				sh.reps[fp] = classRep{idx: idx, q: q, f: f, label: label}
+			}
+			sh.mu.Unlock()
 		}
-		q, err := e.parse(s.parser)
-		var f analysis.Features
-		var label string
-		if err == nil {
-			f = analysis.Scan(q)
-			label = RepeatShape(q, &f)
-		}
-		shard.mu.Lock()
-		if err != nil {
-			// Keep no state for unparseable entries, mirroring
-			// AnalyzeLog: duplicates of them re-parse (and re-fail)
-			// instead of inflating the shards with invalid noise.
-			delete(shard.seen, key)
-		} else {
-			shard.seen[key] = seenEntry{label: label}
-		}
-		shard.mu.Unlock()
-		if err != nil {
-			return
-		}
-		s.rep.Valid++
-		s.rep.Unique++
-		s.rep.noteShape(label, true)
-		s.rep.analyzeQuery(q, &f, e.lint(), la.opts)
 	}
-}
-
-// countRepeat counts e into s as a valid repeat, and reports true, when
-// e's text (hashed to key) is in the exact-dedup table with its label
-// recorded and e brings no Request for the entry to keep (on the
-// serving path, a text's entry lacking a prepared Request takes the
-// next one). Such a text passed the noise scan when it was first seen,
-// so a repeat skips the scan along with the parse.
-func (la *LiveAnalyzer) countRepeat(s *liveSlot, key textKey, e *logEntry) bool {
-	shard := la.shard(key)
-	shard.mu.Lock()
-	st := shard.seen[key]
-	shard.mu.Unlock()
-	if st.label == "" || st.prep == nil && e.req != nil {
-		return false
-	}
-	s.rep.Total++
+	// A repeat: of a recorded text, of a text whose first sighting is
+	// in flight (whose identical copy was just parsed), or, in
+	// structural dedup, any occurrence, the class's Unique being
+	// counted at Report.
 	s.rep.Valid++
-	s.rep.noteShape(st.label, false)
-	return true
+	s.rep.noteShape(label, false)
+	// From AddRequest, a recorded text's repeat was served its prepared
+	// Request or, finding none, offers its own; a colliding text finds
+	// another text's, and answers from its own parse.
+	if e.state == recorded && e.req != nil {
+		if e.req == e.seen.prep {
+			s.repeats++
+		} else if e.seen.prep == nil {
+			la.admit(e)
+		}
+	}
 }
 
 func (la *LiveAnalyzer) shard(key textKey) *dedupShard {

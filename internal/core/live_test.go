@@ -29,6 +29,8 @@ func TestLiveMatchesBatch(t *testing.T) {
 		"structural":      {StructuralDedup: true},
 		"lint":            {Lint: true},
 		"structural-lint": {StructuralDedup: true, Lint: true},
+		// KeepDuplicates wins over StructuralDedup, as in AnalyzeLog.
+		"keep-structural": {KeepDuplicates: true, StructuralDedup: true},
 	}
 	ds := loggen.Generate(loggen.Profiles()[0], 1200, 44)
 	for label, opts := range optionSets {
@@ -289,5 +291,95 @@ func TestPreparedCostTracksHeap(t *testing.T) {
 			t.Errorf("%s: charged %.0f B per prepared Request for %.0f B of heap", part.name, charged, heap)
 		}
 		runtime.KeepAlive(reqs)
+	}
+}
+
+// TestLiveHashesOnce counts the exact-dedup hashes: every entry, through
+// Add or AddRequest, first sighting, second sighting, prepared repeat,
+// noise or unparseable text, hashes its text exactly once.
+func TestLiveHashesOnce(t *testing.T) {
+	la := NewLiveAnalyzer("hash", Options{Lint: true}, 2)
+	calls := 0
+	keyOf := la.keyOf
+	la.keyOf = func(s string) textKey {
+		calls++
+		return keyOf(s)
+	}
+	const q, r = "SELECT ?x WHERE { ?x <p> ?y }", "ASK { <s> <q> ?z }"
+	const noise, broken = "GET /favicon.ico", "SELECT ?x WHERE { ?x <p> "
+	for i, in := range []struct {
+		text   string
+		served bool
+	}{
+		{q, true},  // first sighting, served
+		{q, true},  // second sighting: its Request is prepared
+		{q, true},  // served prepared
+		{q, false}, // a repeat counted from Add
+		{r, false}, // first sighting, from Add
+		{r, true},  // second sighting, served
+		{r, true},  // served prepared
+		// Noise and unparseable texts, twice each way.
+		{noise, false},
+		{noise, true},
+		{noise, false},
+		{noise, true},
+		{broken, true},
+		{broken, false},
+		{broken, true},
+		{broken, false},
+	} {
+		if in.served {
+			la.AddRequest(in.text)
+		} else {
+			la.Add(in.text)
+		}
+		if calls != i+1 {
+			t.Fatalf("entry %d (%q, served %v): %d hashes in all, want %d", i, in.text, in.served, calls, i+1)
+		}
+	}
+	if served, _ := la.Prepared(); served != 2 {
+		t.Errorf("%d entries served prepared, want 2", served)
+	}
+	rep := la.Report()
+	if rep.NoiseRemoved != 4 || rep.Total != 11 || rep.Valid != 7 || rep.Unique != 2 {
+		t.Errorf("noise/total/valid/unique = %d/%d/%d/%d, want 4/11/7/2", rep.NoiseRemoved, rep.Total, rep.Valid, rep.Unique)
+	}
+}
+
+// TestLiveClaimRelease feeds a log whose noise and unparseable texts
+// repeat from eight goroutines, through Add and AddRequest (under -race
+// in CI). A claim on an invalid text is released, so afterwards the
+// exact-dedup table holds exactly the distinct valid texts, each with
+// its label recorded, and the report equals the batch pipeline's.
+func TestLiveClaimRelease(t *testing.T) {
+	entries := loggen.Generate(loggen.Profiles()[2], 600, 11).Entries
+	invalid := []string{"GET /favicon.ico", "SELECT ?x WHERE { ?x <p> ", "ASK {", "robots.txt"}
+	var log []string
+	for i, e := range entries {
+		log = append(log, e, invalid[i%len(invalid)])
+	}
+	valid := map[string]bool{}
+	for _, e := range log {
+		if _, err := sparql.Parse(e); err == nil && looksLikeQuery(e) {
+			valid[e] = true
+		}
+	}
+	la := NewLiveAnalyzer("release", Options{}, 4)
+	feedConcurrently(la, log).Wait()
+	held := 0
+	for i := range la.shards {
+		for _, st := range la.shards[i].seen {
+			if st.label == "" {
+				t.Error("a claim was never settled")
+			}
+			held++
+		}
+	}
+	if held != len(valid) {
+		t.Errorf("the table holds %d texts, want the %d distinct valid ones", held, len(valid))
+	}
+	if want, got := AnalyzeLog("release", log, Options{}), la.Report(); !reflect.DeepEqual(want, got) {
+		t.Error("live report differs from batch")
+		diffReports(t, want, got)
 	}
 }

@@ -68,7 +68,8 @@ func (sa *StreamAnalyzer) AnalyzeSeq(name string, seq iter.Seq[string]) *Dataset
 			defer wg.Done()
 			for c := range chunks {
 				for i, raw := range c.entries {
-					la.process(slot, &logEntry{raw: raw}, c.base+uint64(i))
+					e := la.claim(raw)
+					la.process(slot, &e, c.base+uint64(i))
 				}
 			}
 		}()

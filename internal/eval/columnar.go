@@ -76,14 +76,22 @@ type existsPlan struct {
 }
 
 // rowEnv adapts one batch row to the expression evaluator's env: text
-// materializes only when an expression touches a variable.
+// materializes only when an expression touches a variable. Each compiled
+// operator owns one, moved to each row it evaluates on (at); an EXISTS
+// runs inner operators in the middle of the outer expression.
 type rowEnv struct {
 	ce  *colExec
 	b   *exec.Batch
 	row int
 }
 
-func (r rowEnv) lookupVar(name string) (string, bool) {
+// at points r at row of b and returns it.
+func (r *rowEnv) at(b *exec.Batch, row int) *rowEnv {
+	r.b, r.row = b, row
+	return r
+}
+
+func (r *rowEnv) lookupVar(name string) (string, bool) {
 	slot, ok := r.ce.schema.SlotOf(name)
 	if !ok {
 		return "", false
@@ -95,7 +103,7 @@ func (r rowEnv) lookupVar(name string) (string, bool) {
 	return r.ce.pool.Text(id), true
 }
 
-func (r rowEnv) exists(ev *evaluator, p sparql.Pattern) (bool, error) {
+func (r *rowEnv) exists(ev *evaluator, p sparql.Pattern) (bool, error) {
 	return r.ce.exists(p, r.b, r.row)
 }
 
@@ -283,9 +291,9 @@ func (ce *colExec) compile(p sparql.Pattern, in exec.Operator, bound map[string]
 		return ce.compileFilter(n.Constraint, in), nil
 	case *sparql.Bind:
 		slot := ce.slot(n.Var.Value)
-		expr := n.Expr
+		expr, env := n.Expr, &rowEnv{ce: ce}
 		return ce.traced(exec.NewApply(in, false, func(c *exec.Ctx, b *exec.Batch, row int, out *exec.Batch) error {
-			v, err := ev.eval(expr, rowEnv{ce, b, row})
+			v, err := ev.eval(expr, env.at(b, row))
 			r := out.AppendRow(b, row)
 			if err == nil {
 				// Intern maps the empty lexical form to Unbound; skip
@@ -332,8 +340,9 @@ func copyBound(bound map[string]bool) map[string]bool {
 }
 
 func (ce *colExec) compileFilter(e sparql.Expr, in exec.Operator) exec.Operator {
+	env := &rowEnv{ce: ce}
 	return ce.traced(exec.NewFilter(in, func(c *exec.Ctx, b *exec.Batch, row int) bool {
-		v, err := ce.ev.eval(e, rowEnv{ce, b, row})
+		v, err := ce.ev.eval(e, env.at(b, row))
 		return err == nil && v.Truthy()
 	}), e)
 }
@@ -601,8 +610,9 @@ func (ce *colExec) grouped(q *sparql.Query, root exec.Operator) (exec.Operator, 
 	ce.group = exec.NewGroupBy(root, ap.spec, ce.pool.Text, ce.pool.Intern)
 	root = ce.group
 	for i, h := range ap.having {
+		env := &rowEnv{ce: ce}
 		root = ce.traced(exec.NewFilter(root, func(c *exec.Ctx, b *exec.Batch, row int) bool {
-			v, err := ce.evalRow(h, b, row)
+			v, err := ce.evalRow(h, env.at(b, row))
 			return err == nil && v.Truthy()
 		}), &q.Mods.Having[i])
 	}
@@ -610,13 +620,13 @@ func (ce *colExec) grouped(q *sparql.Query, root exec.Operator) (exec.Operator, 
 }
 
 // evalRow evaluates an ORDER BY key, a HAVING constraint or a
-// projection expression on one row of the stream: a solution, or in an
-// aggregate stream a group row.
-func (ce *colExec) evalRow(e sparql.Expr, b *exec.Batch, row int) (value.Value, error) {
+// projection expression on the row of the stream env is at: a solution,
+// or in an aggregate stream a group row.
+func (ce *colExec) evalRow(e sparql.Expr, env *rowEnv) (value.Value, error) {
 	if ce.group != nil {
-		return ce.ev.evalAggRow(e, rowEnv{ce, b, row}, ce.group.SyntheticEmpty())
+		return ce.ev.evalAggRow(e, env, ce.group.SyntheticEmpty())
 	}
-	return ce.ev.eval(e, rowEnv{ce, b, row})
+	return ce.ev.eval(e, env)
 }
 
 // column is one projected column: the slot the answer copies and, for
@@ -727,9 +737,10 @@ func (ce *colExec) orderKeys(q *sparql.Query) []orderKeyPlan {
 // orderBy sorts the stream on the keys with exec.TopK, keeping the first
 // keep rows (-1: all).
 func (ce *colExec) orderBy(root exec.Operator, keys []orderKeyPlan, keep int) exec.Operator {
+	env := &rowEnv{ce: ce}
 	keyFn := func(b *exec.Batch, row int, out []exec.SortKey) {
 		for i, k := range keys {
-			v, err := ce.evalRow(k.expr, b, row)
+			v, err := ce.evalRow(k.expr, env.at(b, row))
 			if err != nil {
 				if k.errAsEmpty {
 					// A projected-column key reads the cell text,
@@ -779,6 +790,7 @@ func (ce *colExec) items(root exec.Operator, cols []column) exec.Operator {
 	if len(exprs) == 0 {
 		return root
 	}
+	env := &rowEnv{ce: ce}
 	return ce.traced(exec.NewApply(root, false, func(c *exec.Ctx, b *exec.Batch, row int, out *exec.Batch) error {
 		r := out.AppendRow(b, row)
 		for _, it := range exprs {
@@ -786,7 +798,7 @@ func (ce *colExec) items(root exec.Operator, cols []column) exec.Operator {
 			if it.keep >= 0 {
 				id = b.Get(it.keep, row)
 			}
-			if v, err := ce.evalRow(it.expr, b, row); err == nil {
+			if v, err := ce.evalRow(it.expr, env.at(b, row)); err == nil {
 				id = ce.pool.Intern(v.Lex())
 			}
 			out.Set(it.slot, r, id)

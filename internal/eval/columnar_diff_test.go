@@ -99,6 +99,16 @@ func TestColumnarDifferentialOperators(t *testing.T) {
 		`SELECT * WHERE { ?x <urn:name> ?n FILTER EXISTS { ?x <urn:age> ?a } }`,
 		`SELECT * WHERE { ?x <urn:name> ?n FILTER NOT EXISTS { ?x <urn:tag> <urn:gold> } }`,
 		`SELECT * WHERE { ?x <urn:name> ?n FILTER NOT EXISTS { ?x <urn:age> ?a FILTER NOT EXISTS { ?x <urn:tag> <urn:gold> } } }`,
+		// An EXISTS runs its inner operators in the middle of the outer
+		// expression, which then reads the outer row again: each
+		// operator evaluates on its own env (an inner row binds ?a where
+		// the outer row leaves it unbound).
+		`SELECT * WHERE { ?x <urn:knows> ?y OPTIONAL { ?y <urn:age> ?a } FILTER (EXISTS { ?y <urn:knows> ?z . ?z <urn:age> ?a FILTER (?a > 0) } && !BOUND(?a)) }`,
+		`SELECT ?x ?e WHERE { ?x <urn:knows> ?y OPTIONAL { ?y <urn:age> ?a } BIND (EXISTS { ?y <urn:knows> ?z . ?z <urn:age> ?a FILTER (?a > 0) } && !BOUND(?a) AS ?e) }`,
+		`SELECT * WHERE { ?x <urn:age> ?a FILTER (EXISTS { ?x <urn:knows> ?y FILTER (?y != <urn:a4>) } && ?a > 22) }`,
+		`SELECT * WHERE { ?x <urn:knows> ?y FILTER (NOT EXISTS { ?y <urn:knows> ?z . ?z <urn:age> ?b FILTER (?b > 24) } || ?x = <urn:a0>) }`,
+		`SELECT * WHERE { ?x <urn:age> ?a BIND (EXISTS { ?x <urn:knows> ?y BIND (?a + 1 AS ?c) FILTER (?c > 25) } AS ?e) }`,
+		`SELECT ?x (EXISTS { ?x <urn:knows> ?y FILTER (?y != <urn:a1>) } && BOUND(?a) AS ?e) WHERE { ?x <urn:knows> ?z OPTIONAL { ?x <urn:age> ?a } } ORDER BY DESC(EXISTS { ?z <urn:age> ?w FILTER (?w > 22) }) ?x`,
 		// BIND, VALUES (inline and trailing), GRAPH, SERVICE.
 		`SELECT * WHERE { ?x <urn:age> ?a BIND (?a * 2 AS ?d) FILTER (?d > 48) }`,
 		`SELECT * WHERE { ?x <urn:knows> ?y VALUES ?x { <urn:a2> <urn:a7> <urn:absent> } }`,

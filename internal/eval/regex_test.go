@@ -45,3 +45,32 @@ func TestRegexCompiledOncePerEvaluation(t *testing.T) {
 		t.Errorf("REGEX allocates %.0f objects more than CONTAINS over %d rows, want at most %d", extra, rows, 2*rows)
 	}
 }
+
+// TestFilterEnvPerOperator pins one expression env per compiled
+// operator: a FILTER over 2,000 rows allocates no object per row for
+// the row it evaluates on (it made one for each).
+func TestFilterEnvPerOperator(t *testing.T) {
+	const rows = 2000
+	st := rdf.NewStore()
+	for i := 0; i < rows; i++ {
+		st.Add(fmt.Sprintf("urn:s%d", i), "urn:next", fmt.Sprintf("urn:o%d", i))
+	}
+	sn := st.Freeze()
+	q, err := sparql.Parse(`SELECT ?s WHERE { ?s <urn:next> ?o FILTER (?o != <urn:o7>) }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perRow := testing.AllocsPerRun(5, func() {
+		res, err := QueryAnswer(context.Background(), sn, q, nil, Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Answer.Len(); got != rows-1 {
+			t.Fatalf("%d rows, want %d", got, rows-1)
+		}
+	}) / rows
+	t.Logf("%.3f objects per row over %d rows", perRow, rows)
+	if perRow > 0.25 {
+		t.Errorf("a FILTER query allocates %.3f objects per row, want at most 0.25", perRow)
+	}
+}

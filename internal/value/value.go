@@ -28,10 +28,14 @@ type Value struct {
 
 // Text reads a term's text as a value: numeric when the whole text
 // parses as a float (so "1e3", "+1" and "NaN" are numbers and "" is
-// not), plain otherwise.
+// not), plain otherwise. A float starts, after its sign, with a digit,
+// '.', or "inf" or "nan" in any case; other texts (an IRI, a name) skip
+// ParseFloat, whose error for them would allocate.
 func Text(s string) Value {
-	if n, err := strconv.ParseFloat(s, 64); err == nil && s != "" {
-		return Value{lex: s, num: n, isNum: true}
+	if d := strings.TrimLeft(s, "+-"); d != "" && strings.IndexByte("0123456789.iInN", d[0]) >= 0 {
+		if n, err := strconv.ParseFloat(s, 64); err == nil {
+			return Value{lex: s, num: n, isNum: true}
+		}
 	}
 	return Value{lex: s}
 }

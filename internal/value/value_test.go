@@ -2,7 +2,12 @@ package value
 
 import (
 	"math"
+	"math/rand"
+	"strconv"
 	"testing"
+
+	"sparqlog/internal/loggen"
+	"sparqlog/internal/sparql"
 )
 
 // TestText pins the by-lexical-form numeric reading: a text is a
@@ -239,6 +244,61 @@ func TestKindOf(t *testing.T) {
 	for _, tc := range cases {
 		if got := KindOf(tc.text); got != tc.want {
 			t.Errorf("KindOf(%q) = %v, want %v", tc.text, got, tc.want)
+		}
+	}
+}
+
+// TestTextMatchesParseFloat pins Text's numeric reading to
+// strconv.ParseFloat, which it skips for texts no float starts like:
+// over random strings drawn mostly from the bytes floats are made of,
+// and over every token of the loggen corpus (literals, IRIs, names,
+// numbers).
+func TestTextMatchesParseFloat(t *testing.T) {
+	check := func(s string) {
+		t.Helper()
+		n, err := strconv.ParseFloat(s, 64)
+		v := Text(s)
+		if v.IsNum() != (err == nil) || err == nil && v.Float() != n && !(math.IsNaN(n) && math.IsNaN(v.Float())) {
+			t.Fatalf("Text(%q) = (%v, %v), ParseFloat gives (%v, %v)", s, v.IsNum(), v.Float(), n, err)
+		}
+	}
+	const alphabet = "0123456789+-.eEiInNfFaAtTyYxXpP_ \x00\xff"
+	rng := rand.New(rand.NewSource(1))
+	buf := make([]byte, 0, 12)
+	for i := 0; i < 300000; i++ {
+		buf = buf[:0]
+		for n := rng.Intn(12); len(buf) < n; {
+			if rng.Intn(8) == 0 {
+				buf = append(buf, byte(rng.Intn(256)))
+			} else {
+				buf = append(buf, alphabet[rng.Intn(len(alphabet))])
+			}
+		}
+		check(string(buf))
+	}
+	for _, w := range []string{"inf", "+Inf", "-infinity", "INFINITY", "nan", "-NaN", "+nan", ".5", "-.5e1", "0x1p-2", "1_000", "0x_1p0", "in", "na", "+", "-", "."} {
+		check(w)
+	}
+	for _, p := range loggen.Profiles() {
+		for _, e := range loggen.Generate(p, 300, 1).Entries {
+			lx := sparql.NewLexer(e)
+			for {
+				tok, err := lx.Next()
+				if err != nil || tok.Kind == sparql.EOF {
+					break
+				}
+				check(tok.Text)
+			}
+		}
+	}
+}
+
+// TestTextOfANameAllocatesNothing: a text that cannot be a number is
+// read without a throwaway ParseFloat error.
+func TestTextOfANameAllocatesNothing(t *testing.T) {
+	for _, s := range []string{"http://example.org/x", "Paris", "", "-x"} {
+		if n := testing.AllocsPerRun(100, func() { Text(s) }); n != 0 {
+			t.Errorf("Text(%q) allocates %v objects", s, n)
 		}
 	}
 }
