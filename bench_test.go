@@ -184,9 +184,11 @@ func classify(q *sparql.Query) analysis.Fragments {
 	return analysis.ClassifyFragments(&f, sparql.ScopeOf(q))
 }
 
-// BenchmarkTable4Shapes regenerates the cumulative shape analysis.
+// BenchmarkTable4Shapes regenerates the cumulative shape analysis, with
+// one shapes.Builder as a study worker keeps.
 func BenchmarkTable4Shapes(b *testing.B) {
 	qs := parsedBenchQueries(b)
+	var sb shapes.Builder
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var counts core.ShapeCounts
@@ -197,7 +199,7 @@ func BenchmarkTable4Shapes(b *testing.B) {
 			if !f.CQ || f.HasVarPredicate {
 				continue
 			}
-			g, _ := shapes.CanonicalGraph(q.Triples(), shapes.Options{})
+			g, _ := sb.Graph(sb.Triples(q), shapes.Options{})
 			r := shapes.Classify(g)
 			if r.FlowerSet || r.Treewidth >= 0 {
 				classified++
@@ -209,9 +211,11 @@ func BenchmarkTable4Shapes(b *testing.B) {
 	}
 }
 
-// BenchmarkSec61Girth regenerates the shortest-cycle analysis.
+// BenchmarkSec61Girth regenerates the shortest-cycle analysis, with one
+// shapes.Builder as a study worker keeps.
 func BenchmarkSec61Girth(b *testing.B) {
 	qs := parsedBenchQueries(b)
+	var sb shapes.Builder
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		hist := map[int]int{}
@@ -220,7 +224,7 @@ func BenchmarkSec61Girth(b *testing.B) {
 			if !f.CQ || f.HasVarPredicate {
 				continue
 			}
-			g, _ := shapes.CanonicalGraph(q.Triples(), shapes.Options{})
+			g, _ := sb.Graph(sb.Triples(q), shapes.Options{})
 			if gi := g.Girth(); gi > 0 {
 				hist[gi]++
 			}
@@ -229,9 +233,11 @@ func BenchmarkSec61Girth(b *testing.B) {
 }
 
 // BenchmarkSec62Hypertree regenerates the hypertree-width analysis of
-// predicate-variable queries.
+// predicate-variable queries, with one shapes.Builder as a study worker
+// keeps.
 func BenchmarkSec62Hypertree(b *testing.B) {
 	qs := parsedBenchQueries(b)
+	var sb shapes.Builder
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, q := range qs {
@@ -239,7 +245,7 @@ func BenchmarkSec62Hypertree(b *testing.B) {
 			if !f.CQOF || !f.HasVarPredicate {
 				continue
 			}
-			h := shapes.CanonicalHypergraph(q.Triples(), shapes.Options{})
+			h := sb.Hypergraph(sb.Triples(q), shapes.Options{})
 			h.GHW(3)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 
 	"sparqlog/internal/analysis"
 	"sparqlog/internal/lint"
+	"sparqlog/internal/shapes"
 	"sparqlog/internal/sparql"
 )
 
@@ -65,6 +66,7 @@ type liveSlot struct {
 	mu     sync.Mutex
 	rep    *DatasetReport
 	parser *sparql.Parser
+	shapes shapes.Builder
 	// repeats counts the entries served a prepared Request.
 	repeats uint64
 }
@@ -368,10 +370,11 @@ func (la *LiveAnalyzer) Report() *DatasetReport {
 	// the shards keep their state for the next snapshot. A stored query
 	// is never mutated (a better representative replaces the map entry),
 	// so reading it here needs no lock.
+	var b shapes.Builder
 	for _, r := range reps {
 		rep.Unique++
 		rep.noteShapeUnique(r.label)
-		rep.analyzeQuery(r.q, &r.f, nil, la.opts)
+		rep.analyzeQuery(r.q, &r.f, nil, la.opts, &b)
 	}
 	return rep
 }
@@ -406,7 +409,7 @@ func (la *LiveAnalyzer) process(s *liveSlot, e *logEntry, idx uint64) {
 			s.rep.Valid++
 			s.rep.Unique++
 			s.rep.noteShape(label, true)
-			s.rep.analyzeQuery(q, &f, e.lr, la.opts)
+			s.rep.analyzeQuery(q, &f, e.lr, la.opts, &s.shapes)
 			return
 		case la.opts.StructuralDedup:
 			// Analysis is deferred to Report: each shard tracks the

@@ -6,7 +6,7 @@
 package core
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 	"unicode/utf8"
 
@@ -182,29 +182,30 @@ type RepeatStat struct {
 // share one label and the table is identical whichever dedup mode
 // produced it. f is q's scan.
 func RepeatShape(q *sparql.Query, f *analysis.Features) string {
-	var sb strings.Builder
+	var buf [64]byte // the longest label is 57 bytes
+	sb := buf[:0]
 	switch q.Type {
 	case sparql.SelectQuery:
-		sb.WriteString("SELECT")
+		sb = append(sb, "SELECT"...)
 	case sparql.AskQuery:
-		sb.WriteString("ASK")
+		sb = append(sb, "ASK"...)
 	case sparql.ConstructQuery:
-		sb.WriteString("CONSTRUCT")
+		sb = append(sb, "CONSTRUCT"...)
 	case sparql.DescribeQuery:
-		sb.WriteString("DESCRIBE")
+		sb = append(sb, "DESCRIBE"...)
 	default:
-		sb.WriteString("OTHER")
+		sb = append(sb, "OTHER"...)
 	}
-	if b := bucket(f.TripleCount()); b == SizeHistBuckets-1 {
-		fmt.Fprintf(&sb, "/%d+t", b)
-	} else {
-		fmt.Fprintf(&sb, "/%dt", b)
+	b := bucket(f.TripleCount())
+	sb = strconv.AppendInt(append(sb, '/'), int64(b), 10)
+	if b == SizeHistBuckets-1 {
+		sb = append(sb, '+')
 	}
+	sb = append(sb, 't')
 	k := f.Keywords
 	flag := func(name string, on bool) {
 		if on {
-			sb.WriteByte('+')
-			sb.WriteString(name)
+			sb = append(append(sb, '+'), name...)
 		}
 	}
 	flag("distinct", k.Has(analysis.KwDistinct))
@@ -215,7 +216,7 @@ func RepeatShape(q *sparql.Query, f *analysis.Features) string {
 		k.Has(analysis.KwAvg) || k.Has(analysis.KwSum) || k.Has(analysis.KwGroupBy))
 	flag("order", k.Has(analysis.KwOrderBy))
 	flag("limit", k.Has(analysis.KwLimit))
-	return sb.String()
+	return string(sb)
 }
 
 // noteShape records one valid occurrence of a repeat shape; unique
@@ -319,6 +320,7 @@ func hasPrefixUpperASCII(s, kw string) bool {
 func AnalyzeLog(name string, entries []string, opts Options) *DatasetReport {
 	rep := NewCorpusReport(name)
 	parser := &sparql.Parser{}
+	var b shapes.Builder
 	seen := make(map[string]bool)
 	for _, raw := range entries {
 		if !looksLikeQuery(raw) {
@@ -346,7 +348,7 @@ func AnalyzeLog(name string, entries []string, opts Options) *DatasetReport {
 		}
 		rep.noteShape(shape, true)
 		rep.Unique++
-		rep.analyzeQuery(q, &f, nil, opts)
+		rep.analyzeQuery(q, &f, nil, opts, &b)
 	}
 	return rep
 }
@@ -355,13 +357,14 @@ func AnalyzeLog(name string, entries []string, opts Options) *DatasetReport {
 // tests and the repro harness).
 func AnalyzeQueries(name string, qs []*sparql.Query, opts Options) *DatasetReport {
 	rep := NewCorpusReport(name)
+	var b shapes.Builder
 	for _, q := range qs {
 		rep.Total++
 		rep.Valid++
 		rep.Unique++
 		f := analysis.Scan(q)
 		rep.noteShape(RepeatShape(q, &f), true)
-		rep.analyzeQuery(q, &f, nil, opts)
+		rep.analyzeQuery(q, &f, nil, opts, &b)
 	}
 	return rep
 }
@@ -369,8 +372,8 @@ func AnalyzeQueries(name string, qs []*sparql.Query, opts Options) *DatasetRepor
 // analyzeQuery folds one query into the report. f is q's scan. lr is
 // the query's lint result when the caller already has it (a serving
 // endpoint lints every request for its response header); nil means lint
-// here if opts.Lint.
-func (rep *DatasetReport) analyzeQuery(q *sparql.Query, f *analysis.Features, lr *lint.Result, opts Options) {
+// here if opts.Lint. b builds the query's canonical (hyper)graphs.
+func (rep *DatasetReport) analyzeQuery(q *sparql.Query, f *analysis.Features, lr *lint.Result, opts Options, b *shapes.Builder) {
 	if !q.HasBody() {
 		rep.Bodyless++
 	}
@@ -435,12 +438,12 @@ func (rep *DatasetReport) analyzeQuery(q *sparql.Query, f *analysis.Features, lr
 	if opts.SkipShapes {
 		return
 	}
-	triples := q.Triples()
+	triples := b.Triples(q)
 	collapses := f.Collapses
 	if frag.HasVarPredicate {
 		if frag.CQOF {
 			rep.VarPredAOF++
-			h := shapes.CanonicalHypergraph(triples, shapes.Options{CollapseEqual: collapses})
+			h := b.Hypergraph(triples, shapes.Options{CollapseEqual: collapses})
 			if d, ok := h.GHW(3); ok {
 				switch d.Width {
 				case 0, 1:
@@ -470,7 +473,7 @@ func (rep *DatasetReport) analyzeQuery(q *sparql.Query, f *analysis.Features, lr
 			i, o.CollapseEqual = 1, collapses
 		}
 		if reports[i] == nil {
-			g, _ := shapes.CanonicalGraph(triples, o)
+			g, _ := b.Graph(triples, o)
 			r := shapes.Classify(g)
 			reports[i] = &r
 		}
@@ -484,7 +487,7 @@ func (rep *DatasetReport) analyzeQuery(q *sparql.Query, f *analysis.Features, lr
 			rep.GirthHist[g]++
 		}
 		// Variables-only rerun (constants dropped).
-		gNoConst, _ := shapes.CanonicalGraph(triples, shapes.Options{ExcludeConstants: true})
+		gNoConst, _ := b.Graph(triples, shapes.Options{ExcludeConstants: true})
 		rep.ShapeCQNoConst.add(shapes.Classify(gNoConst))
 		if r.SingleEdge {
 			for _, t := range triples {

@@ -43,6 +43,30 @@ func New(n int) *Graph {
 	return &Graph{n: n, adj: make([][]int, n), loop: make([]bool, n), parent: parent, comps: n}
 }
 
+// Reset empties g into a graph with n nodes and no edges. The node and
+// adjacency storage is kept for the edges added next, so a graph reused
+// across builds stops allocating once it has held its largest one;
+// slices Neighbors returned before the reset are overwritten.
+func (g *Graph) Reset(n int) {
+	g.n, g.loops, g.edges, g.comps = n, 0, 0, n
+	g.adj, g.loop, g.parent = resize(g.adj, n), resize(g.loop, n), resize(g.parent, n)
+	for u := range n {
+		g.adj[u] = g.adj[u][:0]
+		g.loop[u] = false
+		g.parent[u] = u
+	}
+}
+
+// resize returns s resliced to n elements, growing its storage only when
+// n exceeds its capacity. Elements past len(s) keep what they held
+// before, which for adj is the neighbour storage Reset reuses.
+func resize[T any](s []T, n int) []T {
+	if n > cap(s) {
+		s = slices.Grow(s[:cap(s)], n-cap(s))
+	}
+	return s[:n]
+}
+
 // N returns the number of nodes.
 func (g *Graph) N() int { return g.n }
 

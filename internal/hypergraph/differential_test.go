@@ -66,6 +66,66 @@ func TestOracleRandomHypergraphs(t *testing.T) {
 	}
 }
 
+// TestOracleLargeHypergraphs draws the sizes the GYO worklist exists
+// for: chains, trees and cycles of 16 to 80 edges, half of them with
+// their vertices scattered over up to twice as many ids, so many span
+// more than 64, with duplicate and nested edges mixed in.
+func TestOracleLargeHypergraphs(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	over64, searched := 0, 0
+	for trial := range 600 {
+		shape := []string{"chain", "tree", "cycle"}[trial%3]
+		m := 16 + rng.Intn(65)
+		var edges [][]int
+		next := 0
+		fresh := func() int { next++; return next - 1 }
+		for i := range m {
+			var e []int
+			switch {
+			case i == 0:
+			case shape == "tree":
+				p := edges[rng.Intn(len(edges))]
+				e = append(e, p[rng.Intn(len(p))])
+			default:
+				p := edges[i-1]
+				e = append(e, p[len(p)-1])
+			}
+			for range 1 + rng.Intn(2) {
+				e = append(e, fresh())
+			}
+			if shape == "cycle" && i == m-1 {
+				e = append(e, edges[0][0])
+			}
+			edges = append(edges, e)
+		}
+		for range rng.Intn(4) { // a duplicate or nested edge
+			e := edges[rng.Intn(len(edges))]
+			edges = append(edges, slices.Clone(e[:1+rng.Intn(len(e))]))
+		}
+		n := next
+		if trial%2 == 0 {
+			n += rng.Intn(next + 1)
+		}
+		ids := rng.Perm(n)
+		h := hypergraph.New(n)
+		for _, e := range edges {
+			vs := make([]int, len(e))
+			for k, v := range e {
+				vs[k] = ids[v]
+			}
+			h.AddEdge(vs...)
+		}
+		if n > 64 {
+			over64++
+		}
+		if !h.Acyclic() && n <= 64 && h.NumEdges() <= 64 {
+			searched++
+		}
+		checkAgainstOracle(t, shape, h)
+	}
+	t.Logf("600 hypergraphs: %d over more than 64 vertex ids, %d cyclic within the exact width search", over64, searched)
+}
+
 func TestOracleCorpusHypergraphs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus replay")

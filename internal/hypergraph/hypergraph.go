@@ -11,8 +11,12 @@
 //
 // An edge is a sorted, distinct []int of vertices. The GYO test runs over
 // flat bitsets, ceil(n/64) words per edge, so it works for any number of
-// vertices; the exact width search packs a vertex set and an edge set into
-// one uint64 each and is therefore capped at 64 vertices and 64 edges.
+// vertices, and off a worklist: a vertex is visited when it is left in
+// one edge, and an edge is tested for containment only after it shrinks,
+// against the edges of its first vertex, so a chain of m edges costs
+// O(m) tests rather than a rescan of all m² pairs per round. The exact
+// width search packs a vertex set and an edge set into one uint64 each
+// and is therefore capped at 64 vertices and 64 edges.
 package hypergraph
 
 import (
@@ -39,6 +43,15 @@ func (h *Hypergraph) N() int { return h.n }
 // NumEdges returns the number of hyperedges.
 func (h *Hypergraph) NumEdges() int { return len(h.edges) }
 
+// Reset empties h into a hypergraph with n vertices and no edges. The
+// edges' storage is kept for the edges added next, so a hypergraph
+// reused across builds stops allocating once it has held its largest
+// one; slices Edges returned before the reset are overwritten.
+func (h *Hypergraph) Reset(n int) {
+	h.n = n
+	h.edges = h.edges[:0]
+}
+
 // AddEdge inserts a hyperedge over the given vertices, each in 0..N-1.
 // Duplicate vertices within an edge are collapsed; an empty edge is
 // ignored.
@@ -46,7 +59,11 @@ func (h *Hypergraph) AddEdge(vertices ...int) {
 	if len(vertices) == 0 {
 		return
 	}
-	e := slices.Clone(vertices)
+	var e []int
+	if i := len(h.edges); i < cap(h.edges) {
+		e = h.edges[:i+1][i][:0] // the storage of a reset edge
+	}
+	e = append(e, vertices...)
 	slices.Sort(e)
 	h.edges = append(h.edges, slices.Compact(e))
 }
@@ -60,16 +77,32 @@ func (h *Hypergraph) Edges() [][]int { return h.edges }
 // hypergraph is acyclic iff all edges disappear. Acyclicity coincides with
 // generalized hypertree width <= 1 for non-trivial hypergraphs.
 //
-// Each edge is a row of ceil(n/64) words in one flat bitset; size counts a
-// live edge's vertices (0 once the edge is gone) and occ counts the live
-// edges a vertex occurs in.
+// The reduction runs off one worklist instead of rescanning every edge
+// pair each round (after Tarjan and Yannakakis, 1984). A vertex is
+// visited when its count of live edges drops to one, and an edge is
+// tested for containment only after it loses a vertex, since only a
+// shrinking edge can become a subset. A containing edge shares every
+// vertex of the tested one, so only the edges incident to its first
+// vertex are candidates.
+//
+// Each edge is a row of ceil(n/64) words in one flat bitset; size counts
+// a live edge's vertices (0 once the edge is gone), occ counts the live
+// edges a vertex occurs in, inc lists each vertex's edges (from start[v]
+// to start[v+1]), and the worklist holds an edge i as i and a vertex v
+// as -1-v. An edge is on the worklist at most once at a time (queued),
+// and a vertex only once in all, so n+m entries suffice.
 func (h *Hypergraph) Acyclic() bool {
-	m, words := len(h.edges), (h.n+63)/64
+	m, n, words := len(h.edges), h.n, (h.n+63)/64
+	incidences := 0
+	for _, e := range h.edges {
+		incidences += len(e)
+	}
 	set := make([]uint64, m*words)
-	size := make([]int, m)
-	occ := make([]int, h.n)
+	scratch := make([]int, 3*m+3*n+1+incidences)
+	size, queued, scratch := scratch[:m], scratch[m:2*m], scratch[2*m:]
+	occ, start, scratch := scratch[:n], scratch[n:2*n+1], scratch[2*n+1:]
+	inc, work := scratch[:incidences], scratch[incidences:incidences]
 	row := func(i int) []uint64 { return set[i*words : (i+1)*words] }
-	live := m
 	for i, e := range h.edges {
 		r := row(i)
 		for _, v := range e {
@@ -78,52 +111,79 @@ func (h *Hypergraph) Acyclic() bool {
 		}
 		size[i] = len(e)
 	}
-	for changed := true; changed && live > 0; {
-		changed = false
-		// (a) A vertex in exactly one live edge leaves it; an edge left
-		// empty is gone.
-		for i := range m {
-			if size[i] == 0 {
-				continue
-			}
-			r := row(i)
-			for w, word := range r {
-				for ; word != 0; word &= word - 1 {
-					b := bits.TrailingZeros64(word)
-					if v := w*64 + b; occ[v] == 1 {
-						r[w] &^= 1 << b
-						occ[v] = 0
-						size[i]--
-						changed = true
-					}
-				}
-			}
-			if size[i] == 0 {
-				live--
-			}
+	for v := range n {
+		start[v+1] = start[v] + occ[v]
+		occ[v] = 0
+	}
+	for i, e := range h.edges {
+		for _, v := range e {
+			inc[start[v]+occ[v]] = i
+			occ[v]++
 		}
-		// (b) An edge contained in another live edge is gone. Of two equal
-		// edges, the one tested first goes and the other stays.
-		for i := range m {
-			if size[i] == 0 {
-				continue
-			}
-			r := row(i)
-			for j := range m {
-				if j == i || size[j] < size[i] || !subset(r, row(j)) {
+		queued[i] = 1
+		work = append(work, i)
+	}
+	for v := range n {
+		if occ[v] == 1 {
+			work = append(work, -1-v)
+		}
+	}
+	live := m
+	for len(work) > 0 && live > 0 {
+		x := work[len(work)-1]
+		work = work[:len(work)-1]
+		if x < 0 {
+			// (a) v is in one live edge: it leaves it. An edge left
+			// empty is gone; one that shrank is tested again.
+			v := -1 - x
+			for _, i := range inc[start[v]:start[v+1]] {
+				r := row(i)
+				if r[v/64]&(1<<(v%64)) == 0 {
 					continue
 				}
-				for w, word := range r {
-					for ; word != 0; word &= word - 1 {
-						occ[w*64+bits.TrailingZeros64(word)]--
-					}
-					r[w] = 0
+				r[v/64] &^= 1 << (v % 64)
+				occ[v] = 0
+				if size[i]--; size[i] == 0 {
+					live--
+				} else if queued[i] == 0 {
+					queued[i] = 1
+					work = append(work, i)
 				}
-				size[i] = 0
-				live--
-				changed = true
 				break
 			}
+			continue
+		}
+		// (b) Edge i goes if another live edge contains it. Of two equal
+		// edges, the one tested first goes and the other stays.
+		i := x
+		queued[i] = 0
+		if size[i] == 0 {
+			continue
+		}
+		r := row(i)
+		first := 0
+		for w, word := range r {
+			if word != 0 {
+				first = w*64 + bits.TrailingZeros64(word)
+				break
+			}
+		}
+		for _, j := range inc[start[first]:start[first+1]] {
+			if j == i || size[j] < size[i] || !subset(r, row(j)) {
+				continue
+			}
+			for w, word := range r {
+				for ; word != 0; word &= word - 1 {
+					v := w*64 + bits.TrailingZeros64(word)
+					if occ[v]--; occ[v] == 1 {
+						work = append(work, -1-v)
+					}
+				}
+				r[w] = 0
+			}
+			size[i] = 0
+			live--
+			break
 		}
 	}
 	return live == 0

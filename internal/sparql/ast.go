@@ -465,15 +465,18 @@ func hasAggregate(e Expr) bool {
 // Triples returns every triple pattern in the query body (including those
 // nested in OPTIONAL, UNION, GRAPH, subqueries and EXISTS), in source order.
 // Property-path patterns are not included; see PathPatterns.
-func (q *Query) Triples() []*TriplePattern {
-	var out []*TriplePattern
+func (q *Query) Triples() []*TriplePattern { return q.AppendTriples(nil) }
+
+// AppendTriples appends the triple patterns Triples returns to dst, so a
+// caller can collect them into storage it reuses.
+func (q *Query) AppendTriples(dst []*TriplePattern) []*TriplePattern {
 	Walk(q.Where, func(p Pattern) bool {
 		if t, ok := p.(*TriplePattern); ok {
-			out = append(out, t)
+			dst = append(dst, t)
 		}
 		return true
 	})
-	return out
+	return dst
 }
 
 // PathPatterns returns every property-path pattern in the query body.

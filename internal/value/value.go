@@ -28,11 +28,13 @@ type Value struct {
 
 // Text reads a term's text as a value: numeric when the whole text
 // parses as a float (so "1e3", "+1" and "NaN" are numbers and "" is
-// not), plain otherwise. A float starts, after its sign, with a digit,
-// '.', or "inf" or "nan" in any case; other texts (an IRI, a name) skip
-// ParseFloat, whose error for them would allocate.
+// not), plain otherwise. After its sign, a float starts with a digit or
+// '.', or is "inf", "infinity" or "nan" in any case; other texts (an
+// IRI, a name such as "info" or "Italy") skip ParseFloat, whose error
+// for them would allocate.
 func Text(s string) Value {
-	if d := strings.TrimLeft(s, "+-"); d != "" && strings.IndexByte("0123456789.iInN", d[0]) >= 0 {
+	if d := strings.TrimLeft(s, "+-"); d != "" && (strings.IndexByte("0123456789.", d[0]) >= 0 ||
+		strings.EqualFold(d, "inf") || strings.EqualFold(d, "infinity") || strings.EqualFold(d, "nan")) {
 		if n, err := strconv.ParseFloat(s, 64); err == nil {
 			return Value{lex: s, num: n, isNum: true}
 		}

@@ -276,7 +276,7 @@ func TestTextMatchesParseFloat(t *testing.T) {
 		}
 		check(string(buf))
 	}
-	for _, w := range []string{"inf", "+Inf", "-infinity", "INFINITY", "nan", "-NaN", "+nan", ".5", "-.5e1", "0x1p-2", "1_000", "0x_1p0", "in", "na", "+", "-", "."} {
+	for _, w := range []string{"inf", "+Inf", "-infinity", "INFINITY", "nan", "-NaN", "+nan", ".5", "-.5e1", "0x1p-2", "1_000", "0x_1p0", "in", "na", "+", "-", ".", "infx", "Infinity", "INFINIT", "nan1", "-NaN", "info", "nano"} {
 		check(w)
 	}
 	for _, p := range loggen.Profiles() {
@@ -296,7 +296,7 @@ func TestTextMatchesParseFloat(t *testing.T) {
 // TestTextOfANameAllocatesNothing: a text that cannot be a number is
 // read without a throwaway ParseFloat error.
 func TestTextOfANameAllocatesNothing(t *testing.T) {
-	for _, s := range []string{"http://example.org/x", "Paris", "", "-x"} {
+	for _, s := range []string{"http://example.org/x", "Paris", "", "-x", "info", "name-15", "Italy", "nano"} {
 		if n := testing.AllocsPerRun(100, func() { Text(s) }); n != 0 {
 			t.Errorf("Text(%q) allocates %v objects", s, n)
 		}
