@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"sparqlog/internal/sparql"
 )
 
 // FuzzCleanEntry throws arbitrary log lines at the cleaning front end of
@@ -31,23 +33,63 @@ func FuzzCleanEntry(f *testing.F) {
 			if format == FormatPlain && got != line {
 				t.Fatalf("FormatPlain must be the identity: %q -> %q", line, got)
 			}
+			if want := refDecodeEntry(line, format); got != want {
+				t.Fatalf("DecodeEntry(%q, %d) = %q, the string decoder says %q", line, format, got, want)
+			}
+			if b := appendEntry([]byte("dst:"), []byte(line), format); string(b) != "dst:"+got {
+				t.Fatalf("appendEntry(%q, %d) appends %q, want %q", line, format, b, got)
+			}
 		}
 		looksLikeQuery(line)
 
 		// Decoding inverts encoding for every string.
 		enc := percentEncode(line)
-		dec, ok := urlDecode(enc)
+		dec, ok := appendURLDecoded(nil, []byte(enc))
 		if !ok {
-			t.Fatalf("urlDecode rejected well-formed encoding %q of %q", enc, line)
+			t.Fatalf("appendURLDecoded rejected well-formed encoding %q of %q", enc, line)
 		}
-		if dec != line {
-			t.Fatalf("urlDecode(percentEncode(%q)) = %q", line, dec)
+		if string(dec) != line {
+			t.Fatalf("appendURLDecoded(percentEncode(%q)) = %q", line, dec)
 		}
 	})
 }
 
+// refDecodeEntry is DecodeEntry as it was before log lines were decoded
+// into byte buffers: string in, string out.
+func refDecodeEntry(line string, format LogFormat) string {
+	i := strings.Index(line, "query=")
+	if format == FormatPlain || i < 0 {
+		return line
+	}
+	rest := line[i+len("query="):]
+	if j := strings.IndexAny(rest, "& \""); j >= 0 {
+		rest = rest[:j]
+	}
+	var sb strings.Builder
+	for i := 0; i < len(rest); i++ {
+		switch c := rest[i]; c {
+		case '+':
+			sb.WriteByte(' ')
+		case '%':
+			if i+2 >= len(rest) {
+				return line
+			}
+			hi, ok1 := unhex(rest[i+1])
+			lo, ok2 := unhex(rest[i+2])
+			if !ok1 || !ok2 {
+				return line
+			}
+			sb.WriteByte(hi<<4 | lo)
+			i += 2
+		default:
+			sb.WriteByte(c)
+		}
+	}
+	return sb.String()
+}
+
 // percentEncode is the test's reference encoder: every byte outside
-// [A-Za-z0-9] as %XX (the strictest form urlDecode must accept).
+// [A-Za-z0-9] as %XX (the strictest form appendURLDecoded must accept).
 func percentEncode(s string) string {
 	const hex = "0123456789ABCDEF"
 	var sb strings.Builder
@@ -80,7 +122,9 @@ func looksLikeQueryByToUpper(entry string) bool {
 // FuzzLooksLikeQuery holds the allocation-free cleaning test to the
 // upper-casing one on every input, so Total and NoiseRemoved cannot
 // move: ASCII in any case, keywords cut short by the end of the entry,
-// and the non-ASCII runes whose upper case is a keyword letter.
+// and the non-ASCII runes whose upper case is a keyword letter. It also
+// holds the parser to the scan and to sparql.MayParse: a text that
+// parses is query-like and may parse.
 func FuzzLooksLikeQuery(f *testing.F) {
 	for _, s := range []string{
 		"SELECT * WHERE { ?s ?p ?o }",
@@ -98,6 +142,9 @@ func FuzzLooksLikeQuery(f *testing.F) {
 		"é select",              // non-ASCII beside an ASCII keyword
 		"é nothing",             // non-ASCII, no keyword
 		"sel\xffect", "ask\xc5", // invalid UTF-8
+		"AS\u212A { ?s ?p ?o }",      // the Kelvin sign folds to k
+		"\u017FELECT * { ?s ?p ?o }", // the long s folds to s
+		"# comment\n\vprefix e: <u> ask {}",
 		"",
 	} {
 		f.Add(s)
@@ -105,6 +152,12 @@ func FuzzLooksLikeQuery(f *testing.F) {
 	f.Fuzz(func(t *testing.T, entry string) {
 		if got, want := looksLikeQuery(entry), looksLikeQueryByToUpper(entry); got != want {
 			t.Fatalf("looksLikeQuery(%q) = %v, the upper-casing test says %v", entry, got, want)
+		}
+		// The live study parses only a text that may parse and scans
+		// only a text that does not, which is exact only if every text
+		// that parses both may parse and is query-like.
+		if _, err := sparql.Parse(entry); err == nil && !(looksLikeQuery(entry) && sparql.MayParse(entry)) {
+			t.Fatalf("%q parses but is not query-like or is turned away by MayParse", entry)
 		}
 	})
 }

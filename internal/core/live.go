@@ -41,9 +41,13 @@ const dedupShards = 64
 // Memory: exact dedup keys its table on a 128-bit hash of each distinct
 // valid entry's text (textKey), so an entry costs its key and its
 // repeat label, not its text; noise and unparseable entries keep no
-// state and are re-scanned on repetition. Texts AddRequest has seen
-// twice also keep a prepared Request, under preparedBudget. In
-// StructuralDedup mode the shards instead retain one parsed
+// state and are parsed again on repetition. An entry is parsed before
+// it is scanned for noise, and only a failed parse is scanned; an entry
+// that begins with no keyword a query can start with is scanned
+// unparsed (process). The stream claims an entry from its bytes, and a
+// recorded text never becomes a string (claimBytes). Texts AddRequest
+// has seen twice also keep a prepared Request, under preparedBudget.
+// In StructuralDedup mode the shards instead retain one parsed
 // representative per fingerprint class; with KeepDuplicates nothing at
 // all.
 type LiveAnalyzer struct {
@@ -52,9 +56,11 @@ type LiveAnalyzer struct {
 	shards []dedupShard
 	slots  []liveSlot
 	ctr    atomic.Uint64
-	// keyOf is the exact-dedup key of an entry text, hashed under this
-	// analyzer's two seeds (tests inject collisions through it).
-	keyOf func(string) textKey
+	// seeds are the two hash seeds of this analyzer's textKeys.
+	seeds [2]maphash.Seed
+	// keyHook, when set, rewrites every textKey the analyzer computes:
+	// tests count hashes and inject collisions through it.
+	keyHook func(textKey) textKey
 }
 
 // liveSlot is one worker's private state. The lock serializes pushed
@@ -148,15 +154,12 @@ func NewLiveAnalyzer(name string, opts Options, workers int) *LiveAnalyzer {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	seeds := [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()}
 	la := &LiveAnalyzer{
 		opts:   opts,
 		name:   name,
 		shards: make([]dedupShard, dedupShards),
 		slots:  make([]liveSlot, workers),
-		keyOf: func(s string) textKey {
-			return textKey{maphash.String(seeds[0], s), maphash.String(seeds[1], s)}
-		},
+		seeds:  [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()},
 	}
 	for i := range la.shards {
 		switch {
@@ -173,6 +176,24 @@ func NewLiveAnalyzer(name string, opts Options, workers int) *LiveAnalyzer {
 		la.slots[i].parser = &sparql.Parser{}
 	}
 	return la
+}
+
+// keyOf is the textKey of the text s.
+func (la *LiveAnalyzer) keyOf(s string) textKey {
+	return la.hooked(textKey{maphash.String(la.seeds[0], s), maphash.String(la.seeds[1], s)})
+}
+
+// keyOfBytes is keyOf of a text held as bytes: maphash hashes a string
+// and its bytes alike, so a text has one key however it is held.
+func (la *LiveAnalyzer) keyOfBytes(b []byte) textKey {
+	return la.hooked(textKey{maphash.Bytes(la.seeds[0], b), maphash.Bytes(la.seeds[1], b)})
+}
+
+func (la *LiveAnalyzer) hooked(k textKey) textKey {
+	if la.keyHook != nil {
+		return la.keyHook(k)
+	}
+	return k
 }
 
 // claimState is what an entry's claim found for its text in the
@@ -196,7 +217,8 @@ const (
 // outcome of its parse (one of q and err is set) and the Request
 // AddRequest returns for it (for a repeat served prepared, the prepared
 // one, and no parse). Left unparsed, process parses it with the slot's
-// parser if, and only when, the claim needs the parse.
+// parser if, and only when, the claim needs the parse and the text may
+// parse.
 type logEntry struct {
 	raw   string
 	key   textKey
@@ -208,11 +230,14 @@ type logEntry struct {
 	req   *Request
 }
 
-func (e *logEntry) parse(p *sparql.Parser) (*sparql.Query, error) {
-	if e.q == nil && e.err == nil {
+// parse returns e's query, nil if its text does not parse. A text
+// that cannot begin a query (sparql.MayParse) never reaches the parser,
+// which would fail on it at several times the cost of the noise scan.
+func (e *logEntry) parse(p *sparql.Parser) *sparql.Query {
+	if e.q == nil && e.err == nil && sparql.MayParse(e.raw) {
 		e.q, e.err = p.Parse(e.raw)
 	}
-	return e.q, e.err
+	return e.q
 }
 
 // claim returns raw's logEntry with its claim: in exact dedup, raw is
@@ -220,11 +245,31 @@ func (e *logEntry) parse(p *sparql.Parser) (*sparql.Query, error) {
 // or absent, putting an absent text's key in the table.
 func (la *LiveAnalyzer) claim(raw string) logEntry {
 	e := logEntry{raw: raw}
-	if la.shards[0].seen == nil {
-		return e
+	if la.shards[0].seen != nil {
+		la.lookup(&e, la.keyOf(raw))
 	}
-	e.key = la.keyOf(raw)
-	sh := la.shard(e.key)
+	return e
+}
+
+// claimBytes is claim of a text held in bytes that the caller reuses
+// once process returns: a recorded text is counted from its key and
+// never becomes a string; any other is copied once, and its parse
+// slices the copy.
+func (la *LiveAnalyzer) claimBytes(b []byte) logEntry {
+	var e logEntry
+	if la.shards[0].seen != nil {
+		la.lookup(&e, la.keyOfBytes(b))
+	}
+	if e.state != recorded {
+		e.raw = string(b)
+	}
+	return e
+}
+
+// lookup settles e's claim on key in one shard-locked lookup.
+func (la *LiveAnalyzer) lookup(e *logEntry, key textKey) {
+	e.key = key
+	sh := la.shard(key)
 	sh.mu.Lock()
 	st, ok := sh.seen[e.key]
 	if !ok {
@@ -239,13 +284,12 @@ func (la *LiveAnalyzer) claim(raw string) logEntry {
 	default:
 		e.state, e.seen = recorded, st
 	}
-	return e
 }
 
 // settle ends a claimedNew entry's claim: a valid text's label is
 // recorded, and "" releases the key of a noise or unparseable text,
-// which keeps no state (as in AnalyzeLog, its duplicates re-scan and
-// re-fail). Entries holding no new claim are left alone.
+// which keeps no state (as in AnalyzeLog, its duplicates fail again).
+// Entries holding no new claim are left alone.
 func (la *LiveAnalyzer) settle(e *logEntry, label string) {
 	if e.state != claimedNew {
 		return
@@ -379,23 +423,30 @@ func (la *LiveAnalyzer) Report() *DatasetReport {
 	return rep
 }
 
-// process runs one claimed entry through cleaning, parsing and analysis
-// into slot s, mirroring the per-entry body of AnalyzeLog in every
-// dedup mode. idx is the entry's global position in the log. The caller
-// must own s.
+// process runs one claimed entry through parsing, cleaning and analysis
+// into slot s, with the counts of the per-entry body of AnalyzeLog in
+// every dedup mode. AnalyzeLog scans for noise before it parses; the
+// reverse order counts alike, since a text that parses is never noise
+// (FuzzLooksLikeQuery). It saves the scan on each new valid text. Noise
+// pays a test of its first bytes on top of the scan, and a failed parse
+// only if it begins with a keyword a query can start with
+// (sparql.MayParse). idx is the entry's global position in the log.
+// The caller must own s.
 func (la *LiveAnalyzer) process(s *liveSlot, e *logEntry, idx uint64) {
-	// A recorded text passed the noise scan and parsed when it was
-	// first seen: it skips both, along with the shape scan.
-	if e.state != recorded && !looksLikeQuery(e.raw) {
-		s.rep.NoiseRemoved++
-		la.settle(e, "")
-		return
-	}
-	s.rep.Total++
+	// A recorded text parsed when it was first seen: it skips the parse
+	// and the shape scan.
 	label := e.seen.label
 	if e.state != recorded {
-		q, err := e.parse(s.parser)
-		if err != nil {
+		q := e.parse(s.parser)
+		if q == nil {
+			// Only a text that does not parse is scanned for noise: one
+			// that parses holds an ASCII query-form keyword, which the
+			// scan would find (keywords are ASCII to the parser).
+			if looksLikeQuery(e.raw) {
+				s.rep.Total++
+			} else {
+				s.rep.NoiseRemoved++
+			}
 			la.settle(e, "")
 			return
 		}
@@ -406,6 +457,7 @@ func (la *LiveAnalyzer) process(s *liveSlot, e *logEntry, idx uint64) {
 			// Any entry when duplicates are kept, or a new text in
 			// exact dedup: analyzed here.
 			la.settle(e, label)
+			s.rep.Total++
 			s.rep.Valid++
 			s.rep.Unique++
 			s.rep.noteShape(label, true)
@@ -436,6 +488,7 @@ func (la *LiveAnalyzer) process(s *liveSlot, e *logEntry, idx uint64) {
 	// in flight (whose identical copy was just parsed), or, in
 	// structural dedup, any occurrence, the class's Unique being
 	// counted at Report.
+	s.rep.Total++
 	s.rep.Valid++
 	s.rep.noteShape(label, false)
 	// From AddRequest, a recorded text's repeat was served its prepared

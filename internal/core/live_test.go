@@ -124,7 +124,7 @@ func TestLivePreparesOnSecondSighting(t *testing.T) {
 // Request.
 func TestLiveHashCollision(t *testing.T) {
 	la := NewLiveAnalyzer("collide", Options{Lint: true}, 2)
-	la.keyOf = func(string) textKey { return textKey{7, 7} }
+	la.keyHook = func(textKey) textKey { return textKey{7, 7} }
 	const a, b = "SELECT ?x WHERE { ?x <p> ?y }", "ASK { <s> <q> ?z }"
 	qb, err := sparql.Parse(b)
 	if err != nil {
@@ -300,10 +300,9 @@ func TestPreparedCostTracksHeap(t *testing.T) {
 func TestLiveHashesOnce(t *testing.T) {
 	la := NewLiveAnalyzer("hash", Options{Lint: true}, 2)
 	calls := 0
-	keyOf := la.keyOf
-	la.keyOf = func(s string) textKey {
+	la.keyHook = func(k textKey) textKey {
 		calls++
-		return keyOf(s)
+		return k
 	}
 	const q, r = "SELECT ?x WHERE { ?x <p> ?y }", "ASK { <s> <q> ?z }"
 	const noise, broken = "GET /favicon.ico", "SELECT ?x WHERE { ?x <p> "

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"io"
 	"strings"
 )
@@ -33,24 +34,33 @@ type EntryScanner struct {
 	sc     *bufio.Scanner
 	format LogFormat
 	entry  string
+	buf    []byte // the decoded entry, before it is copied to entry
 }
 
 // NewEntryScanner returns a scanner over r in the given format.
 func NewEntryScanner(r io.Reader, format LogFormat) *EntryScanner {
+	return &EntryScanner{sc: newLineScanner(r), format: format}
+}
+
+// newLineScanner returns the line scanner every log reader uses: lines
+// of up to 16 MiB, read in 64 KiB blocks. Its buffer grows only to hold
+// a longer line.
+func newLineScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
-	return &EntryScanner{sc: sc, format: format}
+	sc.Buffer(make([]byte, 0, 64<<10), 1<<24)
+	return sc
 }
 
 // Scan advances to the next non-blank entry, reporting false at EOF or on
 // a read error (see Err).
 func (s *EntryScanner) Scan() bool {
 	for s.sc.Scan() {
-		line := strings.TrimSpace(s.sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(s.sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
-		s.entry = DecodeEntry(line, s.format)
+		s.buf = appendEntry(s.buf[:0], line, s.format)
+		s.entry = string(s.buf)
 		return true
 	}
 	return false
@@ -73,71 +83,71 @@ func ReadLog(r io.Reader, format LogFormat) ([]string, error) {
 	return out, sc.Err()
 }
 
-// DecodeEntry normalizes one raw log line into query text per the format.
+// DecodeEntry normalizes one raw log line into query text per the
+// format, as appendEntry does.
 func DecodeEntry(line string, format LogFormat) string {
-	switch format {
-	case FormatPlain:
-		return line
-	case FormatApache:
-		if q, ok := extractQueryParam(line); ok {
-			return q
-		}
-		return line
-	default: // FormatAuto
-		if strings.Contains(line, "query=") {
-			if q, ok := extractQueryParam(line); ok {
-				return q
+	if format != FormatPlain {
+		if i := strings.Index(line, "query="); i >= 0 {
+			param := line[i+len("query="):]
+			if j := strings.IndexAny(param, "& \""); j >= 0 {
+				param = param[:j]
+			}
+			if out, ok := appendURLDecoded(make([]byte, 0, len(param)), param); ok {
+				return string(out)
 			}
 		}
-		return line
 	}
+	return line
 }
 
-// extractQueryParam pulls the query= URL parameter out of a request line
-// and percent-decodes it.
-func extractQueryParam(line string) (string, bool) {
-	i := strings.Index(line, "query=")
-	if i < 0 {
-		return "", false
+// appendEntry appends the query text of one raw log line, decoded per
+// the format, to dst. FormatPlain keeps the line. FormatApache and
+// FormatAuto, which differ only in name, percent-decode the line's
+// query= URL parameter, and keep a line that has none or whose
+// parameter holds a malformed escape.
+func appendEntry(dst, line []byte, format LogFormat) []byte {
+	if format != FormatPlain {
+		if i := bytes.Index(line, []byte("query=")); i >= 0 {
+			// Parameter boundaries: & ends the parameter; a space ends
+			// the URL (Apache log format: "GET /sparql?query=...
+			// HTTP/1.1").
+			param := line[i+len("query="):]
+			if j := bytes.IndexAny(param, "& \""); j >= 0 {
+				param = param[:j]
+			}
+			if out, ok := appendURLDecoded(dst, param); ok {
+				return out
+			}
+		}
 	}
-	// Parameter boundaries: & ends the parameter; a space ends the URL
-	// (Apache log format: "GET /sparql?query=... HTTP/1.1").
-	rest := line[i+len("query="):]
-	if j := strings.IndexAny(rest, "& \""); j >= 0 {
-		rest = rest[:j]
-	}
-	decoded, ok := urlDecode(rest)
-	if !ok {
-		return "", false
-	}
-	return decoded, true
+	return append(dst, line...)
 }
 
-// urlDecode percent-decodes s, treating '+' as space (query strings).
-// It reports ok=false for malformed escapes.
-func urlDecode(s string) (string, bool) {
-	var sb strings.Builder
-	sb.Grow(len(s))
+// appendURLDecoded appends s percent-decoded to dst, treating '+' as
+// space (query strings). It reports ok=false, and returns dst as it
+// was, for a malformed escape.
+func appendURLDecoded[S string | []byte](dst []byte, s S) ([]byte, bool) {
+	out := dst
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; c {
 		case '+':
-			sb.WriteByte(' ')
+			out = append(out, ' ')
 		case '%':
 			if i+2 >= len(s) {
-				return "", false
+				return dst, false
 			}
 			hi, ok1 := unhex(s[i+1])
 			lo, ok2 := unhex(s[i+2])
 			if !ok1 || !ok2 {
-				return "", false
+				return dst, false
 			}
-			sb.WriteByte(hi<<4 | lo)
+			out = append(out, hi<<4|lo)
 			i += 2
 		default:
-			sb.WriteByte(c)
+			out = append(out, c)
 		}
 	}
-	return sb.String(), true
+	return out, true
 }
 
 func unhex(c byte) (byte, bool) {

@@ -19,9 +19,11 @@ func TestURLDecode(t *testing.T) {
 		{"%41%42", "AB", true},
 	}
 	for _, tc := range tests {
-		got, ok := urlDecode(tc.in)
-		if ok != tc.ok || got != tc.want {
-			t.Errorf("urlDecode(%q) = %q, %v; want %q, %v", tc.in, got, ok, tc.want, tc.ok)
+		// Decoding appends to what dst holds, and a malformed escape
+		// leaves dst as it was.
+		got, ok := appendURLDecoded([]byte("dst:"), []byte(tc.in))
+		if ok != tc.ok || string(got) != "dst:"+tc.want {
+			t.Errorf("appendURLDecoded(%q) = %q, %v; want %q, %v", tc.in, got, ok, "dst:"+tc.want, tc.ok)
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"net/url"
 	"reflect"
 	"slices"
 	"strings"
@@ -120,16 +122,27 @@ func TestStreamEdgeCases(t *testing.T) {
 // the original terms), so the stream must analyze the class's first
 // occurrence in log order, exactly like AnalyzeLog — regardless of which
 // worker reaches it first. A chunk of noise between the two forms puts
-// them in different chunks, so two workers race to them.
+// them in different chunks, so two workers race to them. Led by a
+// chunk's worth of noise less one, the first form is the last entry of
+// its chunk and the second the first of its own, so a chunk that lost
+// its base would elect the second.
 func TestStreamStructuralRepresentative(t *testing.T) {
 	prefixed := "PREFIX ex: <http://e/> SELECT ?x WHERE { <http://e/p> <http://e/q> ?x . ex:p <http://e/q2> ?x }"
 	expanded := "SELECT ?x WHERE { <http://e/p> <http://e/q> ?x . <http://e/p> <http://e/q2> ?x }"
 	opts := Options{StructuralDedup: true}
-	for _, pair := range [][2]string{
-		{prefixed, expanded},
-		{expanded, prefixed},
+	noise := "GET /robots.txt"
+	for _, c := range []struct {
+		pair [2]string
+		lead int
+	}{
+		{[2]string{prefixed, expanded}, 0},
+		{[2]string{expanded, prefixed}, 0},
+		{[2]string{prefixed, expanded}, chunkSize - 1},
+		{[2]string{expanded, prefixed}, chunkSize - 1},
 	} {
-		entries := append([]string{pair[0]}, slices.Repeat([]string{"GET /robots.txt"}, chunkSize)...)
+		pair := c.pair
+		entries := append(slices.Repeat([]string{noise}, c.lead), pair[0])
+		entries = append(entries, slices.Repeat([]string{noise}, chunkSize)...)
 		entries = append(entries, pair[1])
 		want := AnalyzeLog("fp", entries, opts)
 		if want.Unique != 1 {
@@ -139,7 +152,7 @@ func TestStreamStructuralRepresentative(t *testing.T) {
 		for trial := 0; trial < 20; trial++ {
 			got := sa.AnalyzeSeq("fp", slices.Values(entries))
 			if !reflect.DeepEqual(want, got) {
-				t.Errorf("trial %d, order %q: stream analyzed the wrong representative", trial, entries[0])
+				t.Errorf("trial %d, lead %d, order %q: stream analyzed the wrong representative", trial, c.lead, pair[0])
 				diffReports(t, want, got)
 				break
 			}
@@ -219,5 +232,153 @@ func TestMergeOverlappingShards(t *testing.T) {
 	}
 	if merged.MaxDecompNodes != wantMax {
 		t.Errorf("MaxDecompNodes=%d, want max %d", merged.MaxDecompNodes, wantMax)
+	}
+}
+
+// intakeLog renders a log for AnalyzeReader that spans many chunk
+// buffers and holds every kind of line the intake must treat as
+// ReadLog does: Apache request lines (percent-encoded queries, a
+// malformed escape, no query= at all), CRLF endings, blank and
+// whitespace-only lines, Unicode-space padding, noise, unparseable
+// texts, repeats in other chunks, and a query longer than chunkBytes,
+// twice. Most of its bytes are long lines that are cheap to analyze:
+// noise, and a few queries with a long literal, each repeated.
+func intakeLog() string {
+	ds := loggen.Generate(loggen.Profiles()[0], 2500, 47)
+	// Filler bytes that start no keyword keep the noise scan fast.
+	literal := func(n, i int) string { return strings.Repeat(string(rune('0'+i%10)), n) + "x" }
+	long := `SELECT * WHERE { ?s <urn:p> "` + literal(chunkBytes, 0) + `" }`
+	var b strings.Builder
+	for i, e := range ds.Entries {
+		switch {
+		case i%7 == 0:
+			fmt.Fprintf(&b, "127.0.0.1 - - [12/Jun/2015:10:00:00 +0000] \"GET /sparql?query=%s&format=json HTTP/1.1\" 200 1234\n", url.QueryEscape(e))
+		case i%11 == 0:
+			b.WriteString("\u00a0 " + e + "\u2003\u3000\n")
+		case i%13 == 0:
+			b.WriteString(e + "\r\n")
+		default:
+			b.WriteString(e + "\n")
+		}
+		switch i % 97 {
+		case 0:
+			b.WriteString("\n \t \n\u3000\u2003\r\n")
+		case 1:
+			b.WriteString("GET /robots.txt HTTP/1.1\nSELECT ?x WHERE { ?x <p> \nPOST /sparql HTTP/1.1 400\n#select\n")
+		case 2:
+			b.WriteString("\"GET /sparql?query=SELECT%zz+*+%7B%7D HTTP/1.1\" 200 1\n\"GET /sparql?query=&x=1 HTTP/1.1\"\n")
+		}
+		switch {
+		case i%2 == 0:
+			fmt.Fprintf(&b, "GET /resource/%s HTTP/1.1\n", literal(7000, i))
+		case i%10 == 1:
+			fmt.Fprintf(&b, "ASK { ?s <urn:p> \"%s\" }\n", literal(2000, i/10))
+		}
+		if i == 100 || i == 2000 {
+			b.WriteString(long + "\n")
+		}
+	}
+	return b.String()
+}
+
+// TestStreamReaderMatchesReadLog holds AnalyzeReader, which decodes
+// lines into recycled chunk buffers, to AnalyzeLog over ReadLog's
+// strings, in every format, pool size and dedup mode. The log is more
+// than twice the bytes of all the chunk buffers a pool of 1 keeps, so
+// each of them is reused more than once.
+func TestStreamReaderMatchesReadLog(t *testing.T) {
+	log := intakeLog()
+	if len(log) < 2*(1+1)*chunkBytes {
+		t.Fatalf("the log is %d bytes, too short to recycle every buffer twice", len(log))
+	}
+	modes := map[string]Options{
+		"exact":           {SkipShapes: true},
+		"structural":      {SkipShapes: true, StructuralDedup: true},
+		"keep-duplicates": {SkipShapes: true, KeepDuplicates: true},
+		"keep+structural": {SkipShapes: true, KeepDuplicates: true, StructuralDedup: true},
+	}
+	for _, format := range []LogFormat{FormatPlain, FormatApache, FormatAuto} {
+		entries, err := ReadLog(strings.NewReader(log), format)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for label, opts := range modes {
+			want := AnalyzeLog("intake", entries, opts)
+			for _, workers := range []int{1, 4} {
+				got, err := (&StreamAnalyzer{Opts: opts, Workers: workers}).AnalyzeReader("intake", strings.NewReader(log), format)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("format %d, %s, %d workers: AnalyzeReader differs from AnalyzeLog(ReadLog)", format, label, workers)
+					diffReports(t, want, got)
+				}
+			}
+		}
+	}
+}
+
+// TestStreamRepeatAllocs: in pull mode, a repeat of a recorded text is
+// hashed from the chunk's bytes and counted, and allocates nothing.
+func TestStreamRepeatAllocs(t *testing.T) {
+	const q = "SELECT ?x WHERE { ?x <p> ?y }"
+	la := NewLiveAnalyzer("allocs", Options{}, 1)
+	la.Add(q)
+	b, slot := []byte(q), &la.slots[0]
+	if got := testing.AllocsPerRun(100, func() {
+		e := la.claimBytes(b)
+		la.process(slot, &e, 1)
+	}); got != 0 {
+		t.Errorf("a pull-mode repeat allocates %v times, want 0", got)
+	}
+	if rep := la.Report(); rep.Valid < 100 || rep.Unique != 1 {
+		t.Errorf("valid/unique = %d/%d, want the repeats counted against one text", rep.Valid, rep.Unique)
+	}
+}
+
+// TestTextKeyOfBytes: a text has one key whether it is held as a string
+// (Add, AddRequest) or as bytes (the stream's chunks).
+func TestTextKeyOfBytes(t *testing.T) {
+	la := NewLiveAnalyzer("keys", Options{}, 1)
+	for _, s := range []string{"", "SELECT ?x WHERE { ?x <p> ?y }", "ſelect \xff", strings.Repeat("ASK {} ", 300)} {
+		if k, kb := la.keyOf(s), la.keyOfBytes([]byte(s)); k != kb {
+			t.Errorf("%q: key %x from the string, %x from its bytes", s, k, kb)
+		}
+	}
+}
+
+// TestIntakeRecycle: a pool of one worker circulates two chunks, and a
+// drained chunk comes back to the reader empty with its buffer, unless
+// an oversized entry grew that past chunkBytes: then the chunk's next
+// fill makes a buffer of chunkBytes again.
+func TestIntakeRecycle(t *testing.T) {
+	in := newIntake(1)
+	if len(in.free) != 2 {
+		t.Fatalf("a pool of one worker holds %d chunks, want 2", len(in.free))
+	}
+	fill := func(n int) *chunk {
+		c := in.room(n)
+		c.buf = append(c.buf, make([]byte, n)...)
+		c.ends = append(c.ends, len(c.buf))
+		in.send()
+		return c
+	}
+	fill(3 * chunkBytes)
+	in.recycle(<-in.chunks)
+	small := fill(10)
+	in.recycle(<-in.chunks)
+	kept := &small.buf[:1][0]
+	for range 2 { // the oversized chunk, then the small one
+		c := in.room(10)
+		if len(c.buf) != 0 || len(c.ends) != 0 || cap(c.buf) != chunkBytes {
+			t.Fatalf("refilled chunk holds %d bytes, %d entries, capacity %d", len(c.buf), len(c.ends), cap(c.buf))
+		}
+		if c == small && &c.buf[:1][0] != kept {
+			t.Fatal("a drained chunk's buffer was not reused")
+		}
+		if c.base != 2 {
+			t.Fatalf("refilled chunk's base is %d, want 2", c.base)
+		}
+		in.cur = nil
 	}
 }

@@ -12,12 +12,15 @@ import (
 	"sparqlog/internal/sparql"
 )
 
-// checkAgainstOracle compares Acyclic, GHW(3), EdgeComponents and
-// Components of h with the oracle's.
+// checkAgainstOracle compares Acyclic, MaximalEdges, GHW(3),
+// EdgeComponents and Components of h with the oracle's.
 func checkAgainstOracle(t *testing.T, name string, h *hypergraph.Hypergraph) {
 	t.Helper()
 	if got, want := h.Acyclic(), refAcyclic(h.Edges()); got != want {
 		t.Fatalf("%s: Acyclic = %v, oracle %v (edges %v)", name, got, want, h.Edges())
+	}
+	if got, want := h.MaximalEdges(), refMaximalEdges(h.Edges()); got != want {
+		t.Fatalf("%s: MaximalEdges = %d, oracle %d (edges %v)", name, got, want, h.Edges())
 	}
 	gd, gok := h.GHW(3)
 	rd, rok := refGHW(h, 3)
@@ -124,6 +127,19 @@ func TestOracleLargeHypergraphs(t *testing.T) {
 		checkAgainstOracle(t, shape, h)
 	}
 	t.Logf("600 hypergraphs: %d over more than 64 vertex ids, %d cyclic within the exact width search", over64, searched)
+}
+
+// TestMaximalEdgesDedup counts one maximal edge among a duplicate, a
+// contained edge and one containing all, as the oracle does.
+func TestMaximalEdgesDedup(t *testing.T) {
+	h := hypergraph.New(3)
+	h.AddEdge(0, 1)
+	h.AddEdge(0, 1)    // duplicate
+	h.AddEdge(0)       // contained
+	h.AddEdge(0, 1, 2) // contains all
+	if got, want := h.MaximalEdges(), refMaximalEdges(h.Edges()); got != 1 || want != 1 {
+		t.Errorf("maximal edges = %d, oracle %d, want 1", got, want)
+	}
 }
 
 func TestOracleCorpusHypergraphs(t *testing.T) {

@@ -200,23 +200,50 @@ func subset(a, b []uint64) bool {
 }
 
 // MaximalEdges returns the number of edges that are not contained in
-// another edge. For acyclic hypergraphs this is the node count of the
-// natural join-tree decomposition, which the paper uses as a caching
-// indicator (Section 6.2).
+// another edge; of equal edges, the first counts. For acyclic
+// hypergraphs this is the node count of the natural join-tree
+// decomposition, which the paper uses as a caching indicator (Section
+// 6.2).
+//
+// An edge that contains e holds e's smallest vertex, e[0], so e is
+// tested only against the edges incident to e[0]: inc lists each
+// vertex's edges, from start[v] to start[v+1], in edge order. Both live
+// on the stack for a hypergraph of a typical query.
 func (h *Hypergraph) MaximalEdges() int {
+	incidences := 0
+	for _, e := range h.edges {
+		incidences += len(e)
+	}
+	var stack [128]int
+	start := stack[:]
+	if need := h.n + 1 + incidences; need > len(stack) {
+		start = make([]int, need)
+	}
+	start, inc := start[:h.n+1], start[h.n+1:]
+	for _, e := range h.edges {
+		for _, v := range e {
+			start[v+1]++
+		}
+	}
+	for v := range h.n {
+		start[v+1] += start[v]
+	}
+	for i, e := range h.edges {
+		for _, v := range e {
+			inc[start[v]] = i
+			start[v]++
+		}
+	}
+	// Filling moved each start[v] to start[v+1]: shift it back.
+	copy(start[1:], start[:h.n])
+	start[0] = 0
 	cnt := 0
 	for i, e := range h.edges {
 		maximal := true
-		for j, f := range h.edges {
-			if i == j {
-				continue
-			}
-			if len(e) < len(f) && sliceSubset(e, f) {
+		for _, j := range inc[start[e[0]]:start[e[0]+1]] {
+			f := h.edges[j]
+			if len(e) < len(f) && sliceSubset(e, f) || len(e) == len(f) && j < i && slices.Equal(e, f) {
 				maximal = false
-				break
-			}
-			if len(e) == len(f) && j < i && sliceEqual(e, f) {
-				maximal = false // deduplicate equal edges
 				break
 			}
 		}
@@ -241,18 +268,6 @@ func sliceSubset(a, b []int) bool {
 		}
 	}
 	return i == len(a)
-}
-
-func sliceEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // EdgeComponents labels every hyperedge with a connected-component

@@ -99,17 +99,6 @@ func TestGHWAcyclicJoinTreeNodes(t *testing.T) {
 	}
 }
 
-func TestMaximalEdgesDedup(t *testing.T) {
-	h := New(3)
-	h.AddEdge(0, 1)
-	h.AddEdge(0, 1)    // duplicate
-	h.AddEdge(0)       // contained
-	h.AddEdge(0, 1, 2) // contains all
-	if got := h.MaximalEdges(); got != 1 {
-		t.Errorf("maximal edges = %d, want 1", got)
-	}
-}
-
 func TestGHWGrid(t *testing.T) {
 	// 3x3 grid of binary edges has treewidth 3... its ghw is 2 (known:
 	// ghw <= tw; for grids ghw(3x3) = 2 since two rows of 3 vertices can

@@ -5,6 +5,7 @@ package hypergraph_test
 // TestOracleCorpusHypergraphs.
 
 import (
+	"slices"
 	"sort"
 
 	"sparqlog/internal/hypergraph"
@@ -163,7 +164,7 @@ func refGHW(h *hypergraph.Hypergraph, maxK int) (hypergraph.Decomposition, bool)
 		return hypergraph.Decomposition{Width: 0, Nodes: 0}, true
 	}
 	if refAcyclic(h.Edges()) {
-		return hypergraph.Decomposition{Width: 1, Nodes: h.MaximalEdges()}, true
+		return hypergraph.Decomposition{Width: 1, Nodes: refMaximalEdges(h.Edges())}, true
 	}
 	if h.N() > 64 || h.NumEdges() > 64 {
 		return hypergraph.Decomposition{}, false
@@ -174,4 +175,48 @@ func refGHW(h *hypergraph.Hypergraph, maxK int) (hypergraph.Decomposition, bool)
 		}
 	}
 	return hypergraph.Decomposition{}, false
+}
+
+// refMaximalEdges is the parent's MaximalEdges: every pair of edges
+// compared, an edge counted unless a longer edge contains it or an
+// equal edge comes before it.
+func refMaximalEdges(edges [][]int) int {
+	cnt := 0
+	for i, e := range edges {
+		maximal := true
+		for j, f := range edges {
+			if i == j {
+				continue
+			}
+			if len(e) < len(f) && refSubset(e, f) {
+				maximal = false
+				break
+			}
+			if len(e) == len(f) && j < i && slices.Equal(e, f) {
+				maximal = false // deduplicate equal edges
+				break
+			}
+		}
+		if maximal {
+			cnt++
+		}
+	}
+	return cnt
+}
+
+// refSubset reports whether sorted a is contained in sorted b.
+func refSubset(a, b []int) bool {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] == b[j]:
+			i++
+			j++
+		case a[i] > b[j]:
+			j++
+		default:
+			return false
+		}
+	}
+	return i == len(a)
 }

@@ -40,6 +40,7 @@ func TestShapeKernelAllocs(t *testing.T) {
 		{"Classify(single edge)", 0, func() { Classify(edge) }},
 		{"Classify(five-node star)", 0, func() { Classify(star) }},
 		{"GHW(3) of a two-edge acyclic hypergraph", 3, func() { twoEdges.GHW(3) }},
+		{"MaximalEdges of a two-edge hypergraph", 0, func() { twoEdges.MaximalEdges() }},
 		{"warm Builder.Graph + Classify(single edge)", 0, build(edgeTriples)},
 		{"warm Builder.Graph + Classify(five-node star)", 0, build(starTriples)},
 	} {

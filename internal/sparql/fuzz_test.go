@@ -10,7 +10,7 @@ import (
 // panic, and any query it accepts must survive the serializer round-trip:
 // the serialized form re-parses, and serialization is a fixpoint (the
 // same property TestGeneratedCorpusRoundTrips checks on generator
-// output, here extended to adversarial input).
+// output, here extended to adversarial input). MayParse must admit it.
 func FuzzParse(f *testing.F) {
 	for _, s := range parseSeeds {
 		f.Add(s)
@@ -20,6 +20,9 @@ func FuzzParse(f *testing.F) {
 		q, err := p.Parse(src)
 		if err != nil {
 			return
+		}
+		if !sparql.MayParse(src) {
+			t.Fatalf("MayParse(%q) = false for a text that parses", src)
 		}
 		text := q.String()
 		q2, err := p.Parse(text)

@@ -88,10 +88,48 @@ func (p *Parser) expect(kind TokenKind) error {
 	return p.next()
 }
 
-// isKw reports whether the current token is the given keyword
-// (case-insensitive).
+// isKw reports whether the current token is the given keyword, an
+// upper-case ASCII word, in any ASCII letter case. SPARQL keywords are
+// ASCII: only a-z fold, so no other rune (the Kelvin sign, the long s)
+// spells a keyword.
 func (p *Parser) isKw(kw string) bool {
-	return p.tok.Kind == Ident && strings.EqualFold(p.tok.Text, kw)
+	return p.tok.Kind == Ident && spellsKw(p.tok.Text, kw)
+}
+
+// spellsKw reports whether t is the upper-case ASCII word kw in any
+// ASCII letter case.
+func spellsKw(t, kw string) bool {
+	if len(t) != len(kw) {
+		return false
+	}
+	for i := 0; i < len(kw); i++ {
+		c := t[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		if c != kw[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// MayParse reports whether src, past leading white space and comments,
+// begins with a keyword that a query's first token can be: BASE,
+// PREFIX, SELECT, ASK, CONSTRUCT or DESCRIBE, in any ASCII letter case.
+// Parse fails on every src for which it is false, so a caller that
+// needs no syntax error can skip the parse, which costs several times
+// this test even when it fails at the first token.
+func MayParse(src string) bool {
+	l := Lexer{src: src}
+	l.skipSpaceAndComments()
+	rest := src[l.pos:]
+	for _, kw := range [...]string{"SELECT", "ASK", "CONSTRUCT", "DESCRIBE", "PREFIX", "BASE"} {
+		if len(rest) >= len(kw) && spellsKw(rest[:len(kw)], kw) {
+			return true
+		}
+	}
+	return false
 }
 
 // acceptKw consumes the keyword if present.

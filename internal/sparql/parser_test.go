@@ -479,6 +479,58 @@ func TestParseKeywordCaseInsensitive(t *testing.T) {
 	mustParse(t, "sElEcT DiStInCt ?x wHeRe { ?x ?p ?o } oRdEr bY ?x lImIt 3")
 }
 
+// TestParseKeywordsAreASCII: only ASCII letters fold in a keyword, so
+// a non-ASCII rune whose case folds onto a keyword letter (the Kelvin
+// sign U+212A, the long s U+017F) spells no keyword.
+func TestParseKeywordsAreASCII(t *testing.T) {
+	for _, src := range []string{
+		"AS\u212A { ?s ?p ?o }",
+		"\u017FELECT * { ?s ?p ?o }",
+	} {
+		if _, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) succeeded, want a syntax error", src)
+		}
+	}
+}
+
+// TestMayParse: MayParse admits every text that parses, past white
+// space, comments and any ASCII letter case, and turns away texts whose
+// first token no query starts with.
+func TestMayParse(t *testing.T) {
+	for _, src := range []string{
+		"SELECT * { ?s ?p ?o }",
+		"ask {}",
+		"  \t\n# a comment\n\f\vPrefix ex: <http://ex/> SELECT * { ?s ex:p ?o }",
+		"bAsE <http://ex/> DESCRIBE <x>",
+		"construct { ?s ?p ?o } where { ?s ?p ?o }",
+	} {
+		if _, err := Parse(src); err != nil {
+			t.Fatalf("Parse(%q): %v", src, err)
+		}
+		if !MayParse(src) {
+			t.Errorf("MayParse(%q) = false for a text that parses", src)
+		}
+	}
+	for _, src := range []string{
+		"",
+		"# only a comment",
+		"GET /resource/Paris HTTP/1.1",
+		`127.0.0.1 - - [12/Jun/2015:10:00:00 +0000] "GET /sparql?query=SELECT HTTP/1.1"`,
+		`{"event":"ping"}`,
+		"AS\u212A { ?s ?p ?o }",
+		"\u017FELECT * { ?s ?p ?o }",
+		"SELEC * {}",
+		"\u00a0SELECT * {}", // no-break space is not SPARQL white space
+	} {
+		if MayParse(src) {
+			t.Errorf("MayParse(%q) = true", src)
+		}
+		if _, err := Parse(src); err == nil {
+			t.Errorf("Parse(%q) succeeded", src)
+		}
+	}
+}
+
 func TestParseGraphWithVariable(t *testing.T) {
 	q := mustParse(t, "SELECT * WHERE { GRAPH ?g { ?s ?p ?o } }")
 	grp := q.Where.(*Group)

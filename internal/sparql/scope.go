@@ -145,9 +145,21 @@ type Scope struct {
 	// evaluator's slots.
 	Bound VarSet
 
-	subs  map[*Query]*Scope
-	index map[string]int // name → number, the inverse of Names
+	subs map[*Query]*Scope
+	// index is the inverse of Names, name to number, built by ScopeOf
+	// only once Names holds more than scanNames; below that a name is
+	// found by a scan of Names. It is never built on a read: a Scope
+	// may be read concurrently.
+	index map[string]int
+	// names is the first storage of Names, so a query with few
+	// variables allocates only its Scope.
+	names [8]string
 }
+
+// scanNames is the most names a Scope numbers by a scan of Names; past
+// it, ScopeOf builds index, so a query with many variables does not
+// number them in quadratic time.
+const scanNames = 16
 
 // region is where a pattern's bindings are seen.
 type region uint8
@@ -160,7 +172,8 @@ const (
 
 // ScopeOf analyses the variables of q and of each of its subqueries.
 func ScopeOf(q *Query) *Scope {
-	s := &Scope{Query: q, Names: make([]string, 0, 8), index: make(map[string]int)}
+	s := &Scope{Query: q}
+	s.Names = s.names[:0]
 	if q.Where != nil {
 		s.Mentioned = s.pattern(q.Where, outward)
 	}
@@ -188,7 +201,7 @@ func ScopeOf(q *Query) *Scope {
 	}
 	project := func(t Term) {
 		if name, ok := varOf(t); ok {
-			s.Projected.add(s.number(name))
+			s.Projected.add(s.number("", name))
 		}
 	}
 	star := false
@@ -206,7 +219,7 @@ func ScopeOf(q *Query) *Scope {
 	}
 	for _, g := range q.Mods.GroupBy {
 		if name, ok := varOf(g.Var); ok && g.AsVar {
-			s.Bindable.add(s.number(name))
+			s.Bindable.add(s.number("", name))
 		}
 	}
 	// A variable bound both by BIND and by a pattern is simply in scope.
@@ -222,7 +235,7 @@ func ScopeOf(q *Query) *Scope {
 
 // In reports whether the named variable is in set.
 func (s *Scope) In(set VarSet, name string) bool {
-	i, ok := s.index[name]
+	i, ok := s.find("", name)
 	return ok && set.Has(i)
 }
 
@@ -244,9 +257,10 @@ func (s *Scope) Sub(q *Query) *Scope { return s.subs[q] }
 // the element mentions (Mentioned, element by element); a triple or
 // path element's blank node labels count too, since within a group
 // they join like variables. It walks g's elements as ScopeOf did, into
-// a scratch Scope that shares s's numbering, and leaves s unchanged.
+// a scratch Scope that shares s's numbering, and leaves s unchanged
+// (its Names are capped, so the scratch cannot append into them).
 func (s *Scope) Elems(g *Group) []VarSet {
-	t := Scope{index: s.index, subs: s.subs}
+	t := Scope{Names: s.Names[:len(s.Names):len(s.Names)], index: s.index, subs: s.subs}
 	out := make([]VarSet, len(g.Elems))
 	for i, el := range g.Elems {
 		_, out[i] = t.element(el, outward)
@@ -254,13 +268,39 @@ func (s *Scope) Elems(g *Group) []VarSet {
 	return out
 }
 
-func (s *Scope) number(name string) int {
-	if i, ok := s.index[name]; ok {
+// find returns the number of the name prefix+name, where prefix is ""
+// for a variable and "_:" for a blank node label.
+func (s *Scope) find(prefix, name string) (int, bool) {
+	if s.index != nil {
+		i, ok := s.index[prefix+name]
+		return i, ok
+	}
+	for i, n := range s.Names {
+		if len(n) == len(prefix)+len(name) && n[:len(prefix)] == prefix && n[len(prefix):] == name {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// number returns the number of the name prefix+name (see find),
+// numbering it next if it is new.
+func (s *Scope) number(prefix, name string) int {
+	if i, ok := s.find(prefix, name); ok {
 		return i
 	}
+	name = prefix + name
 	i := len(s.Names)
 	s.Names = append(s.Names, name)
-	s.index[name] = i
+	switch {
+	case s.index != nil:
+		s.index[name] = i
+	case len(s.Names) > scanNames:
+		s.index = make(map[string]int, 2*len(s.Names))
+		for j, n := range s.Names {
+			s.index[n] = j
+		}
+	}
 	return i
 }
 
@@ -268,7 +308,7 @@ func (s *Scope) number(name string) int {
 // where r is outward, in scope too: scope is InScope, BindOnly or one
 // for trailing VALUES columns.
 func (s *Scope) bind(name string, r region, scope *VarSet) int {
-	i := s.number(name)
+	i := s.number("", name)
 	s.Bound.add(i)
 	switch r {
 	case outward:
@@ -310,7 +350,7 @@ func (s *Scope) element(p Pattern, r region) (m, edge VarSet) {
 		m.union(s.pattern(n.Inner, r))
 	case *ServiceGraph:
 		if name, ok := varOf(n.Name); ok {
-			i := s.number(name)
+			i := s.number("", name)
 			m.add(i)
 			if r == outward {
 				s.InScope.add(i)
@@ -363,7 +403,7 @@ func (s *Scope) nodes(r region, ts ...Term) (vars, nodes VarSet) {
 		if name, ok := varOf(t); ok {
 			vars.add(s.bind(name, r, &s.InScope))
 		} else if t.Kind == TermBlank {
-			i := s.number("_:" + t.Value)
+			i := s.number("_:", t.Value)
 			s.Bound.add(i)
 			blanks.add(i)
 		}
@@ -379,7 +419,7 @@ func (s *Scope) expr(e Expr) VarSet {
 		switch t := x.(type) {
 		case *TermExpr:
 			if name, ok := varOf(t.Term); ok {
-				m.add(s.number(name))
+				m.add(s.number("", name))
 			}
 		case *ExistsExpr:
 			m.union(s.pattern(t.Pattern, inExists))
