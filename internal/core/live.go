@@ -39,9 +39,11 @@ const dedupShards = 64
 // new; no entry takes more than two shard locks (see claim).
 //
 // Memory: exact dedup keys its table on a 128-bit hash of each distinct
-// valid entry's text (textKey), so an entry costs its key and its
-// repeat label, not its text; noise and unparseable entries keep no
-// state and are parsed again on repetition. An entry is parsed before
+// valid entry's text (textKey), so a distinct text costs one 24-byte
+// slot holding its key and its repeat shape as a code (seenTable), not
+// its text: 32 to 64 B of heap at the table's load, 36 to 52 B measured
+// (TestDedupHeapPerText). Noise and unparseable entries keep no state
+// and are parsed again on repetition. An entry is parsed before
 // it is scanned for noise, and only a failed parse is scanned; an entry
 // that begins with no keyword a query can start with is scanned
 // unparsed (process). The stream claims an entry from its bytes, and a
@@ -51,8 +53,11 @@ const dedupShards = 64
 // representative per fingerprint class; with KeepDuplicates nothing at
 // all.
 type LiveAnalyzer struct {
-	opts   Options
-	name   string
+	opts Options
+	name string
+	// exact is whether the analyzer dedups on exact text, in the shards'
+	// seen tables.
+	exact  bool
 	shards []dedupShard
 	slots  []liveSlot
 	ctr    atomic.Uint64
@@ -81,7 +86,7 @@ type liveSlot struct {
 type dedupShard struct {
 	mu sync.Mutex
 	// seen is keyed by the hash of the raw entry text (exact dedup).
-	seen map[textKey]seenEntry
+	seen seenTable
 	// prepared is the bytes charged to this shard's prepared requests
 	// (at most preparedBudget/dedupShards).
 	prepared int
@@ -96,17 +101,6 @@ type dedupShard struct {
 // repeat of the earlier one, and does nothing else: a prepared Request
 // is served only to a request of equal text.
 type textKey [2]uint64
-
-// seenEntry is the state of one distinct entry text in exact dedup.
-// While label is empty an entry holds the text's claim and has not
-// settled it; once set, label is the repeat-shape label of the parsed
-// query, so repeats are counted into the repeat-rate table without a
-// parse. prep is the text's prepared Request, kept from AddRequest on
-// the text's second served sighting.
-type seenEntry struct {
-	label string
-	prep  *Request
-}
 
 // Request is one served query as AddRequest hands it back: the parse
 // of its text, the lint result (with the query's Scope) and the
@@ -138,13 +132,13 @@ func preparedCost(r *Request) int { return 768 + 7*len(r.text) }
 
 // classRep is the current representative of one fingerprint class:
 // the parsed query of the earliest occurrence seen so far, plus its
-// scan and repeat-shape label (the label is identical across the
-// class; both are kept so report time never re-walks the AST).
+// scan and repeat shape (the shape is identical across the class; both
+// are kept so report time never re-walks the AST).
 type classRep struct {
 	idx   uint64
 	q     *sparql.Query
 	f     analysis.Features
-	label string
+	shape shapeCode
 }
 
 // NewLiveAnalyzer returns an empty analyzer. workers is the number of
@@ -157,6 +151,7 @@ func NewLiveAnalyzer(name string, opts Options, workers int) *LiveAnalyzer {
 	la := &LiveAnalyzer{
 		opts:   opts,
 		name:   name,
+		exact:  !opts.KeepDuplicates && !opts.StructuralDedup,
 		shards: make([]dedupShard, dedupShards),
 		slots:  make([]liveSlot, workers),
 		seeds:  [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()},
@@ -168,7 +163,7 @@ func NewLiveAnalyzer(name string, opts Options, workers int) *LiveAnalyzer {
 		case opts.StructuralDedup:
 			la.shards[i].reps = make(map[string]classRep)
 		default:
-			la.shards[i].seen = make(map[textKey]seenEntry)
+			la.shards[i].seen = newSeenTable()
 		}
 	}
 	for i := range la.slots {
@@ -201,7 +196,7 @@ func (la *LiveAnalyzer) hooked(k textKey) textKey {
 // text), claimedNew (the text was absent and the claim put its key in
 // the table, for the entry to settle), inFlight (another entry holds
 // the claim and has not settled it) or recorded (the text is valid and
-// labelled: the entry is a repeat).
+// its repeat shape known: the entry is a repeat).
 type claimState uint8
 
 const (
@@ -213,17 +208,18 @@ const (
 
 // logEntry is one entry on its way through process: its text, its
 // claim on the exact-dedup table (the text's key, what the claim found,
-// and for a recorded text its seenEntry) and, from AddRequest, the
-// outcome of its parse (one of q and err is set) and the Request
-// AddRequest returns for it (for a repeat served prepared, the prepared
-// one, and no parse). Left unparsed, process parses it with the slot's
-// parser if, and only when, the claim needs the parse and the text may
-// parse.
+// and for a recorded text its repeat shape and prepared Request, if it
+// has one) and, from AddRequest, the outcome of its parse (one of q and
+// err is set) and the Request AddRequest returns for it (for a repeat
+// served prepared, the prepared one, and no parse). Left unparsed,
+// process parses it with the slot's parser if, and only when, the claim
+// needs the parse and the text may parse.
 type logEntry struct {
 	raw   string
 	key   textKey
 	state claimState
-	seen  seenEntry
+	shape shapeCode
+	prep  *Request
 	q     *sparql.Query
 	err   error
 	lr    *lint.Result // the parse's lint result when AddRequest linted it
@@ -245,7 +241,7 @@ func (e *logEntry) parse(p *sparql.Parser) *sparql.Query {
 // or absent, putting an absent text's key in the table.
 func (la *LiveAnalyzer) claim(raw string) logEntry {
 	e := logEntry{raw: raw}
-	if la.shards[0].seen != nil {
+	if la.exact {
 		la.lookup(&e, la.keyOf(raw))
 	}
 	return e
@@ -257,7 +253,7 @@ func (la *LiveAnalyzer) claim(raw string) logEntry {
 // slices the copy.
 func (la *LiveAnalyzer) claimBytes(b []byte) logEntry {
 	var e logEntry
-	if la.shards[0].seen != nil {
+	if la.exact {
 		la.lookup(&e, la.keyOfBytes(b))
 	}
 	if e.state != recorded {
@@ -271,36 +267,32 @@ func (la *LiveAnalyzer) lookup(e *logEntry, key textKey) {
 	e.key = key
 	sh := la.shard(key)
 	sh.mu.Lock()
-	st, ok := sh.seen[e.key]
-	if !ok {
-		sh.seen[e.key] = seenEntry{}
+	st, ok := sh.seen.claim(key)
+	if ok && st.shape != 0 {
+		e.prep = sh.seen.prepared(st)
 	}
 	sh.mu.Unlock()
 	switch {
 	case !ok:
 		e.state = claimedNew
-	case st.label == "":
+	case st.shape == 0:
 		e.state = inFlight
 	default:
-		e.state, e.seen = recorded, st
+		e.state, e.shape = recorded, st.shape
 	}
 }
 
-// settle ends a claimedNew entry's claim: a valid text's label is
-// recorded, and "" releases the key of a noise or unparseable text,
+// settle ends a claimedNew entry's claim: a valid text's repeat shape
+// is recorded, and 0 releases the key of a noise or unparseable text,
 // which keeps no state (as in AnalyzeLog, its duplicates fail again).
 // Entries holding no new claim are left alone.
-func (la *LiveAnalyzer) settle(e *logEntry, label string) {
+func (la *LiveAnalyzer) settle(e *logEntry, shape shapeCode) {
 	if e.state != claimedNew {
 		return
 	}
 	sh := la.shard(e.key)
 	sh.mu.Lock()
-	if label == "" {
-		delete(sh.seen, e.key)
-	} else {
-		sh.seen[e.key] = seenEntry{label: label}
-	}
+	sh.seen.settle(e.key, shape)
 	sh.mu.Unlock()
 }
 
@@ -310,11 +302,8 @@ func (la *LiveAnalyzer) settle(e *logEntry, label string) {
 func (la *LiveAnalyzer) admit(e *logEntry) {
 	sh := la.shard(e.key)
 	sh.mu.Lock()
-	st := sh.seen[e.key]
-	if c := preparedCost(e.req); st.prep == nil && sh.prepared+c <= preparedBudget/dedupShards {
+	if c := preparedCost(e.req); sh.prepared+c <= preparedBudget/dedupShards && sh.seen.prepare(e.key, e.req) {
 		sh.prepared += c
-		st.prep = e.req
-		sh.seen[e.key] = st
 	}
 	sh.mu.Unlock()
 }
@@ -340,7 +329,7 @@ func (la *LiveAnalyzer) Add(raw string) {
 // and must not be mutated.
 func (la *LiveAnalyzer) AddRequest(raw string) (*Request, error) {
 	e := la.claim(raw)
-	if r := e.seen.prep; r != nil && r.text == raw {
+	if r := e.prep; r != nil && r.text == raw {
 		e.req = r
 	} else if e.q, e.err = sparql.Parse(raw); e.err == nil {
 		e.lr = lint.Run(e.q)
@@ -417,7 +406,7 @@ func (la *LiveAnalyzer) Report() *DatasetReport {
 	var b shapes.Builder
 	for _, r := range reps {
 		rep.Unique++
-		rep.noteShapeUnique(r.label)
+		rep.noteShapeUnique(r.shape)
 		rep.analyzeQuery(r.q, &r.f, nil, la.opts, &b)
 	}
 	return rep
@@ -435,7 +424,7 @@ func (la *LiveAnalyzer) Report() *DatasetReport {
 func (la *LiveAnalyzer) process(s *liveSlot, e *logEntry, idx uint64) {
 	// A recorded text parsed when it was first seen: it skips the parse
 	// and the shape scan.
-	label := e.seen.label
+	shape := e.shape
 	if e.state != recorded {
 		q := e.parse(s.parser)
 		if q == nil {
@@ -447,20 +436,20 @@ func (la *LiveAnalyzer) process(s *liveSlot, e *logEntry, idx uint64) {
 			} else {
 				s.rep.NoiseRemoved++
 			}
-			la.settle(e, "")
+			la.settle(e, 0)
 			return
 		}
 		f := analysis.Scan(q)
-		label = RepeatShape(q, &f)
+		shape = shapeOf(q, &f)
 		switch {
 		case la.opts.KeepDuplicates || e.state == claimedNew:
 			// Any entry when duplicates are kept, or a new text in
 			// exact dedup: analyzed here.
-			la.settle(e, label)
+			la.settle(e, shape)
 			s.rep.Total++
 			s.rep.Valid++
 			s.rep.Unique++
-			s.rep.noteShape(label, true)
+			s.rep.noteShape(shape, true)
 			s.rep.analyzeQuery(q, &f, e.lr, la.opts, &s.shapes)
 			return
 		case la.opts.StructuralDedup:
@@ -479,7 +468,7 @@ func (la *LiveAnalyzer) process(s *liveSlot, e *logEntry, idx uint64) {
 			sh := la.shard(la.keyOf(fp))
 			sh.mu.Lock()
 			if cur, ok := sh.reps[fp]; !ok || idx < cur.idx {
-				sh.reps[fp] = classRep{idx: idx, q: q, f: f, label: label}
+				sh.reps[fp] = classRep{idx: idx, q: q, f: f, shape: shape}
 			}
 			sh.mu.Unlock()
 		}
@@ -490,14 +479,14 @@ func (la *LiveAnalyzer) process(s *liveSlot, e *logEntry, idx uint64) {
 	// counted at Report.
 	s.rep.Total++
 	s.rep.Valid++
-	s.rep.noteShape(label, false)
+	s.rep.noteShape(shape, false)
 	// From AddRequest, a recorded text's repeat was served its prepared
 	// Request or, finding none, offers its own; a colliding text finds
 	// another text's, and answers from its own parse.
 	if e.state == recorded && e.req != nil {
-		if e.req == e.seen.prep {
+		if e.req == e.prep {
 			s.repeats++
-		} else if e.seen.prep == nil {
+		} else if e.prep == nil {
 			la.admit(e)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -294,6 +295,39 @@ func TestPreparedCostTracksHeap(t *testing.T) {
 	}
 }
 
+// TestDedupHeapPerText holds the live heap that exact dedup keeps for
+// each distinct valid text to at most 64 B (its key and repeat shape in
+// one 24-byte slot at the table's load), read from runtime.MemStats
+// after a GC as 20k to 300k distinct texts go in.
+func TestDedupHeapPerText(t *testing.T) {
+	if testing.Short() {
+		t.Skip("300k entries")
+	}
+	text := func(i int) string { return "ASK { <s> <p> " + strconv.Itoa(i) + " }" }
+	la := NewLiveAnalyzer("heap", Options{}, 1)
+	la.Add(text(0))
+	var base, ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&base)
+	n := 1
+	for _, want := range []int{20_000, 50_000, 100_000, 150_000, 300_000} {
+		for ; n < want; n++ {
+			la.Add(text(n))
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		per := float64(int64(ms.HeapAlloc)-int64(base.HeapAlloc)) / float64(n-1)
+		t.Logf("%d distinct texts: %.1f B of live heap each", n, per)
+		if per > 64 {
+			t.Errorf("%d distinct texts hold %.1f B of live heap each, want at most 64", n, per)
+		}
+	}
+	if rep := la.Report(); rep.Unique != n {
+		t.Fatalf("unique = %d, want %d", rep.Unique, n)
+	}
+	runtime.KeepAlive(la)
+}
+
 // TestLiveHashesOnce counts the exact-dedup hashes: every entry, through
 // Add or AddRequest, first sighting, second sighting, prepared repeat,
 // noise or unparseable text, hashes its text exactly once.
@@ -349,7 +383,7 @@ func TestLiveHashesOnce(t *testing.T) {
 // repeat from eight goroutines, through Add and AddRequest (under -race
 // in CI). A claim on an invalid text is released, so afterwards the
 // exact-dedup table holds exactly the distinct valid texts, each with
-// its label recorded, and the report equals the batch pipeline's.
+// its repeat shape recorded, and the report equals the batch pipeline's.
 func TestLiveClaimRelease(t *testing.T) {
 	entries := loggen.Generate(loggen.Profiles()[2], 600, 11).Entries
 	invalid := []string{"GET /favicon.ico", "SELECT ?x WHERE { ?x <p> ", "ASK {", "robots.txt"}
@@ -367,8 +401,11 @@ func TestLiveClaimRelease(t *testing.T) {
 	feedConcurrently(la, log).Wait()
 	held := 0
 	for i := range la.shards {
-		for _, st := range la.shards[i].seen {
-			if st.label == "" {
+		for _, st := range la.shards[i].seen.slots {
+			if !st.full {
+				continue
+			}
+			if st.shape == 0 {
 				t.Error("a claim was never settled")
 			}
 			held++

@@ -6,7 +6,6 @@
 package core
 
 import (
-	"strconv"
 	"strings"
 	"unicode/utf8"
 
@@ -175,69 +174,6 @@ type RepeatStat struct {
 	Total, Unique int
 }
 
-// RepeatShape returns the coarse structural label used for workload
-// repeat-rate accounting: query form, bucketed triple count, and the
-// operator keywords that dominate evaluation cost. The label is a
-// function of the parsed structure only, so alpha-equivalent queries
-// share one label and the table is identical whichever dedup mode
-// produced it. f is q's scan.
-func RepeatShape(q *sparql.Query, f *analysis.Features) string {
-	var buf [64]byte // the longest label is 57 bytes
-	sb := buf[:0]
-	switch q.Type {
-	case sparql.SelectQuery:
-		sb = append(sb, "SELECT"...)
-	case sparql.AskQuery:
-		sb = append(sb, "ASK"...)
-	case sparql.ConstructQuery:
-		sb = append(sb, "CONSTRUCT"...)
-	case sparql.DescribeQuery:
-		sb = append(sb, "DESCRIBE"...)
-	default:
-		sb = append(sb, "OTHER"...)
-	}
-	b := bucket(f.TripleCount())
-	sb = strconv.AppendInt(append(sb, '/'), int64(b), 10)
-	if b == SizeHistBuckets-1 {
-		sb = append(sb, '+')
-	}
-	sb = append(sb, 't')
-	k := f.Keywords
-	flag := func(name string, on bool) {
-		if on {
-			sb = append(append(sb, '+'), name...)
-		}
-	}
-	flag("distinct", k.Has(analysis.KwDistinct))
-	flag("filter", k.Has(analysis.KwFilter))
-	flag("opt", k.Has(analysis.KwOpt))
-	flag("union", k.Has(analysis.KwUnion))
-	flag("agg", k.Has(analysis.KwCount) || k.Has(analysis.KwMax) || k.Has(analysis.KwMin) ||
-		k.Has(analysis.KwAvg) || k.Has(analysis.KwSum) || k.Has(analysis.KwGroupBy))
-	flag("order", k.Has(analysis.KwOrderBy))
-	flag("limit", k.Has(analysis.KwLimit))
-	return string(sb)
-}
-
-// noteShape records one valid occurrence of a repeat shape; unique
-// additionally counts it as its class's representative.
-func (rep *DatasetReport) noteShape(label string, unique bool) {
-	s := rep.Repeats[label]
-	s.Total++
-	if unique {
-		s.Unique++
-	}
-	rep.Repeats[label] = s
-}
-
-// noteShapeUnique counts a class representative whose occurrences were
-// already recorded (the deferred-analysis paths of structural dedup).
-func (rep *DatasetReport) noteShapeUnique(label string) {
-	s := rep.Repeats[label]
-	s.Unique++
-	rep.Repeats[label] = s
-}
-
 // Options configures the pipeline.
 type Options struct {
 	// KeepDuplicates analyzes the Valid corpus instead of the Unique one
@@ -334,7 +270,7 @@ func AnalyzeLog(name string, entries []string, opts Options) *DatasetReport {
 		}
 		rep.Valid++
 		f := analysis.Scan(q)
-		shape := RepeatShape(q, &f)
+		shape := shapeOf(q, &f)
 		if !opts.KeepDuplicates {
 			key := raw
 			if opts.StructuralDedup {
@@ -363,7 +299,7 @@ func AnalyzeQueries(name string, qs []*sparql.Query, opts Options) *DatasetRepor
 		rep.Valid++
 		rep.Unique++
 		f := analysis.Scan(q)
-		rep.noteShape(RepeatShape(q, &f), true)
+		rep.noteShape(shapeOf(q, &f), true)
 		rep.analyzeQuery(q, &f, nil, opts, &b)
 	}
 	return rep

@@ -51,7 +51,8 @@ func refRepeatShape(q *sparql.Query, f *analysis.Features) string {
 
 // TestRepeatShapeOracle pins RepeatShape's label of every distinct
 // valid loggen text at scale 1e-4, seeds 1 and 2017, to the fmt
-// oracle's, and its cost to the one allocation of the label.
+// oracle's, and its cost to no allocation: the label is a slice of the
+// table of every label.
 func TestRepeatShapeOracle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus replay")
@@ -88,8 +89,57 @@ func TestRepeatShapeOracle(t *testing.T) {
 	if got, want := RepeatShape(q, &f), "SELECT/12+t+distinct+filter+opt+union+agg+order+limit"; got != want {
 		t.Fatalf("RepeatShape = %q, oracle %q", got, want)
 	}
-	if n := testing.AllocsPerRun(100, func() { RepeatShape(q, &f) }); n != 1 {
-		t.Errorf("RepeatShape allocates %v objects, want 1 (the label)", n)
+	if n := testing.AllocsPerRun(100, func() { RepeatShape(q, &f) }); n != 0 {
+		t.Errorf("RepeatShape allocates %v objects, want 0 (the label is the table's)", n)
 	}
 	t.Logf("%d distinct texts, %d labels agree with the oracle", len(seen), len(labels))
+}
+
+// TestShapeCodesExhaustive walks all 8,320 repeat codes: splitting and
+// joining each round-trips, the code of a query and scan built from its
+// form, triple bucket and flags is that code, and its label is the fmt
+// oracle's spelling. Which of the six keywords sets the agg flag,
+// whether a triple is a path, and counts past the last bucket rotate
+// with the code.
+func TestShapeCodesExhaustive(t *testing.T) {
+	if shapeCodes != 8320 {
+		t.Fatalf("%d repeat codes, want 8,320", shapeCodes)
+	}
+	flagKw := [...][]analysis.Keyword{
+		{analysis.KwDistinct},
+		{analysis.KwFilter},
+		{analysis.KwOpt},
+		{analysis.KwUnion},
+		{analysis.KwCount, analysis.KwMax, analysis.KwMin, analysis.KwAvg, analysis.KwSum, analysis.KwGroupBy},
+		{analysis.KwOrderBy},
+		{analysis.KwLimit},
+	}
+	forms := [...]sparql.QueryType{sparql.SelectQuery, sparql.AskQuery, sparql.ConstructQuery, sparql.DescribeQuery, 9}
+	for c := shapeCode(1); int(c) <= shapeCodes; c++ {
+		form, b, flags := c.split()
+		if form >= len(forms) || b >= SizeHistBuckets || flags >= repeatFlagSets || joinShape(form, b, flags) != c {
+			t.Fatalf("code %d splits into form %d, bucket %d, flags %b", c, form, b, flags)
+		}
+		q := &sparql.Query{Type: forms[form]}
+		tc := b
+		if b == SizeHistBuckets-1 {
+			tc += int(c) % 5
+		}
+		f := analysis.Features{Paths: min(tc, int(c)%2)}
+		f.Triples = tc - f.Paths
+		for i, kws := range flagKw {
+			if flags&(1<<i) != 0 {
+				kw := kws[int(c)%len(kws)]
+				f.Keywords |= 1 << kw
+			}
+		}
+		// Keywords outside every flag change no code.
+		f.Keywords |= 1 << analysis.KwGraph
+		if got := shapeOf(q, &f); got != c {
+			t.Fatalf("code %d: the query of its parts has code %d", c, got)
+		}
+		if got, want := c.label(), refRepeatShape(q, &f); got != want {
+			t.Fatalf("code %d: label %q, oracle %q", c, got, want)
+		}
+	}
 }

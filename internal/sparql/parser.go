@@ -114,6 +114,32 @@ func spellsKw(t, kw string) bool {
 	return true
 }
 
+// upperASCII is s with a-z upper-cased: how a function or aggregate
+// name is matched and written. Like keywords (spellsKw), names fold
+// only ASCII letters, so no other rune (the long s, the dotless i)
+// becomes one. A name with no lower-case ASCII letter is returned as
+// it is.
+func upperASCII(s string) string {
+	i := 0
+	for i < len(s) && (s[i] < 'a' || 'z' < s[i]) {
+		i++
+	}
+	if i == len(s) {
+		return s
+	}
+	var sb strings.Builder
+	sb.Grow(len(s))
+	sb.WriteString(s[:i])
+	for ; i < len(s); i++ {
+		c := s[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		sb.WriteByte(c)
+	}
+	return sb.String()
+}
+
 // MayParse reports whether src, past leading white space and comments,
 // begins with a keyword that a query's first token can be: BASE,
 // PREFIX, SELECT, ASK, CONSTRUCT or DESCRIBE, in any ASCII letter case.
@@ -1707,7 +1733,7 @@ func (p *Parser) builtinFollows() bool {
 	if p.tok.Kind != Ident {
 		return false
 	}
-	up := strings.ToUpper(p.tok.Text)
+	up := upperASCII(p.tok.Text)
 	switch up {
 	case "EXISTS", "NOT":
 		return true
@@ -1727,7 +1753,7 @@ func (p *Parser) builtinFollows() bool {
 }
 
 func (p *Parser) parseBuiltInOrFunction() (Expr, error) {
-	name := strings.ToUpper(p.tok.Text)
+	name := upperASCII(p.tok.Text)
 	switch name {
 	case "EXISTS":
 		if err := p.next(); err != nil {

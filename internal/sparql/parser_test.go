@@ -493,6 +493,38 @@ func TestParseKeywordsAreASCII(t *testing.T) {
 	}
 }
 
+// TestFunctionNamesFoldASCII: function and aggregate names fold only
+// ASCII letters, as keywords do. A long s does not spell SUM, a dotless
+// i does not spell ISBLANK (nor, upper case already, does a Kelvin
+// sign), and a lower-case sum is the SUM aggregate.
+func TestFunctionNamesFoldASCII(t *testing.T) {
+	projected := func(src string) Expr {
+		t.Helper()
+		q, err := Parse(src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", src, err)
+		}
+		return q.Select[0].Expr
+	}
+	if a, ok := projected("SELECT (sum(?x) AS ?y) WHERE { ?x ?p ?o } GROUP BY ?p").(*AggregateExpr); !ok || a.Name != "SUM" {
+		t.Errorf("sum(?x) is not the SUM aggregate")
+	}
+	if f, ok := projected("SELECT (\u017FUM(?x) AS ?y) WHERE { ?x ?p ?o } GROUP BY ?p").(*FuncCall); !ok || f.Name != "\u017FUM" {
+		t.Errorf("\u017FUM(?x) is not a call of \u017FUM")
+	}
+	for name, want := range map[string]string{"\u0131sBLANK": "\u0131SBLANK", "isBLAN\u212A": "ISBLAN\u212A"} {
+		if f, ok := projected("SELECT (" + name + "(?x) AS ?y) WHERE { ?x ?p ?o }").(*FuncCall); !ok || f.Name != want {
+			t.Errorf("%s(?x) is not a call of %s", name, want)
+		}
+	}
+	if got := upperASCII("isBLANK"); got != "ISBLANK" {
+		t.Errorf("upperASCII(isBLANK) = %q", got)
+	}
+	if n := testing.AllocsPerRun(100, func() { upperASCII("ISBLANK") }); n != 0 {
+		t.Errorf("upperASCII of an upper-case name allocates %v times", n)
+	}
+}
+
 // TestMayParse: MayParse admits every text that parses, past white
 // space, comments and any ASCII letter case, and turns away texts whose
 // first token no query starts with.
