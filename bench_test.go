@@ -527,10 +527,12 @@ func BenchmarkParser(b *testing.B) {
 	}
 }
 
-// BenchmarkParseCorpus measures one parse, cycling through the distinct
-// texts of the loggen corpus at scale 0.0001, seed 1, malformed ones
-// included: what the study pays for each distinct entry and sparqld for
-// each first sighting of a text.
+// BenchmarkParseCorpus measures one parse, cycling in log order through
+// the distinct texts of the loggen corpus at scale 0.0001, seed 1,
+// malformed ones included: on one reused Parser, what the study pays
+// for each distinct entry (a prologue repeated from the text before is
+// compared, not lexed), and on a fresh Parser each time, what sparqld
+// pays for each first sighting of a text.
 func BenchmarkParseCorpus(b *testing.B) {
 	seen := make(map[string]bool)
 	var texts []string
@@ -542,12 +544,19 @@ func BenchmarkParseCorpus(b *testing.B) {
 			}
 		}
 	}
-	p := &sparql.Parser{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		parseSink, _ = p.Parse(texts[i%len(texts)])
-	}
+	b.Run("reused", func(b *testing.B) {
+		p := &sparql.Parser{}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			parseSink, _ = p.Parse(texts[i%len(texts)])
+		}
+	})
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			parseSink, _ = sparql.Parse(texts[i%len(texts)])
+		}
+	})
 }
 
 var parseSink *sparql.Query

@@ -118,8 +118,11 @@ func lintOne(src string, ntriples bool) int {
 	return 1
 }
 
-// summary aggregates lint results over a stream of log entries.
+// summary aggregates lint results over a stream of log entries, parsed
+// on one Parser so that a prologue repeated from the entry before is
+// compared, not lexed.
 type summary struct {
+	parser   sparql.Parser
 	entries  int
 	parsed   int
 	empty    int
@@ -140,7 +143,7 @@ func newSummary(ntriples bool) *summary {
 
 func (s *summary) add(raw string) {
 	s.entries++
-	q, err := sparql.Parse(raw)
+	q, err := s.parser.Parse(raw)
 	if err != nil {
 		return
 	}

@@ -409,6 +409,7 @@ func (la *LiveAnalyzer) Report() *DatasetReport {
 		rep.noteShapeUnique(r.shape)
 		rep.analyzeQuery(r.q, &r.f, nil, la.opts, &b)
 	}
+	rep.spellRepeats()
 	return rep
 }
 

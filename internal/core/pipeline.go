@@ -164,6 +164,10 @@ type DatasetReport struct {
 	// result cache could absorb, which is what makes cache sizing
 	// data-driven from the paper's own unique-vs-valid observation.
 	Repeats map[string]RepeatStat
+	// byShape holds repeat counts by shape code not yet spelled into
+	// Repeats: a report being filled counts there, and spellRepeats
+	// (or Merge) folds them in. A report handed out has none.
+	byShape *shapeCounts
 }
 
 // RepeatStat is one row of the repeat-rate table: Total counts valid
@@ -286,6 +290,7 @@ func AnalyzeLog(name string, entries []string, opts Options) *DatasetReport {
 		rep.Unique++
 		rep.analyzeQuery(q, &f, nil, opts, &b)
 	}
+	rep.spellRepeats()
 	return rep
 }
 
@@ -302,6 +307,7 @@ func AnalyzeQueries(name string, qs []*sparql.Query, opts Options) *DatasetRepor
 		rep.noteShape(shapeOf(q, &f), true)
 		rep.analyzeQuery(q, &f, nil, opts, &b)
 	}
+	rep.spellRepeats()
 	return rep
 }
 
@@ -498,7 +504,9 @@ func (rep *DatasetReport) SelectAskShare() float64 {
 	return float64(rep.SelectAsk) / float64(rep.Unique)
 }
 
-// Merge folds another report into this one (corpus aggregation).
+// Merge folds another report into this one (corpus aggregation). It
+// reads o without changing it, and leaves rep's repeat-rate table
+// spelled.
 func (rep *DatasetReport) Merge(o *DatasetReport) {
 	rep.Total += o.Total
 	rep.Valid += o.Valid
@@ -557,14 +565,12 @@ func (rep *DatasetReport) Merge(o *DatasetReport) {
 		}
 	}
 	rep.LintEmpty += o.LintEmpty
-	if rep.Repeats == nil && len(o.Repeats) > 0 {
-		rep.Repeats = make(map[string]RepeatStat)
-	}
+	rep.spellRepeats()
 	for k, v := range o.Repeats {
-		s := rep.Repeats[k]
-		s.Total += v.Total
-		s.Unique += v.Unique
-		rep.Repeats[k] = s
+		rep.addRepeat(k, v)
+	}
+	if o.byShape != nil {
+		rep.addShapeCounts(o.byShape)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 // shapeCode is a repeat shape (RepeatShape) as a number: 1 +
 // (form × SizeHistBuckets + triple bucket) × repeatFlagSets + flag set,
 // so 1 to shapeCodes. 0 is no shape. The study counts repeats by code
-// and spells the label only to key DatasetReport.Repeats, from a table
-// of every label built once.
+// (shapeCounts) and spells the label only to key DatasetReport.Repeats,
+// from a table of every label built once.
 type shapeCode uint16
 
 // repeatForms are the query forms of a repeat label, by sparql.QueryType;
@@ -113,23 +113,61 @@ var shapeLabels = sync.OnceValue(func() *shapeLabelTable {
 	return t
 })
 
+// shapeCounts is a repeat-rate table by shape code, indexed by code (0
+// is unused).
+type shapeCounts [shapeCodes + 1]RepeatStat
+
 // noteShape records one valid occurrence of a repeat shape; unique
-// additionally counts it as its class's representative.
+// additionally counts it as its class's representative. It counts by
+// code: the label is spelled when the report is merged or handed out
+// (spellRepeats).
 func (rep *DatasetReport) noteShape(c shapeCode, unique bool) {
-	label := c.label()
-	s := rep.Repeats[label]
+	s := &rep.shapeCounts()[c]
 	s.Total++
 	if unique {
 		s.Unique++
 	}
-	rep.Repeats[label] = s
 }
 
 // noteShapeUnique counts a class representative whose occurrences were
 // already recorded (the deferred-analysis paths of structural dedup).
 func (rep *DatasetReport) noteShapeUnique(c shapeCode) {
-	label := c.label()
-	s := rep.Repeats[label]
-	s.Unique++
-	rep.Repeats[label] = s
+	rep.shapeCounts()[c].Unique++
+}
+
+// shapeCounts returns rep's counts by code, made on first use.
+func (rep *DatasetReport) shapeCounts() *shapeCounts {
+	if rep.byShape == nil {
+		rep.byShape = new(shapeCounts)
+	}
+	return rep.byShape
+}
+
+// spellRepeats moves the counts rep keeps by code into Repeats, under
+// their labels.
+func (rep *DatasetReport) spellRepeats() {
+	if rep.byShape != nil {
+		rep.addShapeCounts(rep.byShape)
+		rep.byShape = nil
+	}
+}
+
+// addShapeCounts adds counts by code to Repeats, under their labels.
+func (rep *DatasetReport) addShapeCounts(counts *shapeCounts) {
+	for c, s := range counts {
+		if s != (RepeatStat{}) {
+			rep.addRepeat(shapeCode(c).label(), s)
+		}
+	}
+}
+
+// addRepeat adds s to the Repeats row of label.
+func (rep *DatasetReport) addRepeat(label string, s RepeatStat) {
+	if rep.Repeats == nil {
+		rep.Repeats = make(map[string]RepeatStat)
+	}
+	r := rep.Repeats[label]
+	r.Total += s.Total
+	r.Unique += s.Unique
+	rep.Repeats[label] = r
 }

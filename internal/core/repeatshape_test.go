@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -141,5 +142,71 @@ func TestShapeCodesExhaustive(t *testing.T) {
 		if got, want := c.label(), refRepeatShape(q, &f); got != want {
 			t.Fatalf("code %d: label %q, oracle %q", c, got, want)
 		}
+	}
+}
+
+// TestRepeatsCountedByCode checks the repeat-rate table, counted by
+// shape code and spelled when reports merge or are handed out, against
+// one counted by label straight from the fmt oracle: AnalyzeLog's, a
+// two-slot LiveAnalyzer's Report (asked twice, as a Report must leave
+// the slots' counts as they were) and a Merge of the two halves of the
+// log. Counting an entry allocates nothing once a report counts by code.
+func TestRepeatsCountedByCode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("corpus replay")
+	}
+	for _, ds := range loggen.GenerateCorpus(1e-4, 1)[:4] {
+		want := map[string]RepeatStat{}
+		seen := map[string]bool{}
+		for _, e := range ds.Entries {
+			if !looksLikeQuery(e) {
+				continue
+			}
+			q, err := sparql.Parse(e)
+			if err != nil {
+				continue
+			}
+			f := analysis.Scan(q)
+			label := refRepeatShape(q, &f)
+			s := want[label]
+			s.Total++
+			if !seen[e] {
+				seen[e] = true
+				s.Unique++
+			}
+			want[label] = s
+		}
+		opts := Options{SkipShapes: true}
+		check := func(how string, rep *DatasetReport) {
+			t.Helper()
+			if !reflect.DeepEqual(rep.Repeats, want) || rep.byShape != nil {
+				t.Fatalf("%s %s: Repeats = %v (pending %v), oracle %v", ds.Name, how, rep.Repeats, rep.byShape != nil, want)
+			}
+		}
+		check("AnalyzeLog", AnalyzeLog(ds.Name, ds.Entries, opts))
+		la := NewLiveAnalyzer(ds.Name, opts, 2)
+		for _, e := range ds.Entries {
+			la.Add(e)
+		}
+		check("Report", la.Report())
+		check("second Report", la.Report())
+		half := len(ds.Entries) / 2
+		merged := NewCorpusReport(ds.Name)
+		first, second := AnalyzeLog(ds.Name, ds.Entries[:half], Options{KeepDuplicates: true}), AnalyzeLog(ds.Name, ds.Entries[half:], Options{KeepDuplicates: true})
+		merged.Merge(first)
+		merged.Merge(second)
+		for label, s := range want {
+			if got := merged.Repeats[label]; got.Total != s.Total || got.Unique != s.Total {
+				t.Fatalf("%s Merge: %s counts %+v, oracle %d occurrences", ds.Name, label, got, s.Total)
+			}
+		}
+		if len(merged.Repeats) != len(want) || first.byShape != nil || merged.byShape != nil {
+			t.Fatalf("%s Merge: %d labels, oracle %d", ds.Name, len(merged.Repeats), len(want))
+		}
+	}
+	rep := NewCorpusReport("allocs")
+	rep.noteShape(1, true)
+	if n := testing.AllocsPerRun(100, func() { rep.noteShape(shapeCode(shapeCodes), false) }); n != 0 {
+		t.Errorf("noteShape allocates %v objects, want 0", n)
 	}
 }

@@ -9,8 +9,10 @@ import (
 // Lexer turns SPARQL source text into a stream of tokens.
 //
 // The lexer is hand-written for speed: query-log analysis tokenizes
-// hundreds of millions of small queries, so it reads each byte once and
-// keeps nothing but its byte offset. A token carries the offset of its
+// hundreds of millions of small queries, so it keeps nothing but its
+// byte offset, and it can start at any offset. A reused Parser starts it
+// past the PREFIX lines a text repeats from the text before: a repeated
+// prologue is compared, not lexed. A token carries the offset of its
 // first byte; a line and column exist only in a SyntaxError, which
 // computes them from the offset when it is built (PositionAt). Names,
 // prefixed names and variables classify ASCII bytes by table and decode

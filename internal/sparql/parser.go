@@ -10,18 +10,49 @@ import (
 // The zero value is ready to use, and a Parser may be reused across
 // queries via Parse (one at a time); the package-level Parse makes a
 // fresh one.
+//
+// A reused Parser reads a repeated prologue once: it remembers the
+// PREFIX declarations of the last prologue it parsed (prologueMemo), and
+// a text that begins with the same bytes is compared, not lexed, up to
+// the end of the last declaration they share. Queries parsed by one
+// Parser may then share the backing array of Prologue.Prefixes, whose
+// strings may slice an earlier query's text; like the rest of an AST,
+// it must not be written to.
 type Parser struct {
 	lex      Lexer
 	tok      Token // current token
 	ahead    Token // one-token lookahead, valid when hasAhead
 	hasAhead bool
 	blankSeq int
-	// prefixes and selects collect the PREFIX declarations and the
-	// SELECT items being parsed, the latter as a stack (a subquery's
-	// SELECT clause may open inside an outer one's expression). The
-	// query gets a copy of its part at its exact size.
+	// prefixes and selects collect the PREFIX declarations read past the
+	// reused ones and the SELECT items being parsed, the latter as a
+	// stack (a subquery's SELECT clause may open inside an outer one's
+	// expression). The query gets a copy of its part at its exact size.
 	prefixes []PrefixDecl
 	selects  []SelectItem
+	// memo is the last prologue parsed, and reused is the number of its
+	// declarations the text being parsed begins with.
+	memo   prologueMemo
+	reused int
+}
+
+// memoDecls is the most PREFIX declarations a prologueMemo records:
+// more than endpoint UIs' boilerplate blocks hold, and few enough to
+// keep their offsets in the Parser itself, so that a fresh Parser
+// (the package-level Parse) pays no allocation for them.
+const memoDecls = 16
+
+// prologueMemo is the leading run of PREFIX declarations of the last
+// prologue a Parser read, before any BASE and at most memoDecls of them.
+// Declaration i of decls ends at byte offset ends[i] of src, just past
+// its IRI's '>'. A text whose first ends[i] bytes equal src's holds
+// declarations 0..i as they are: the lexer keeps nothing but its offset,
+// and an IRIREF token ends at its '>' without reading on.
+type prologueMemo struct {
+	src   string
+	decls []PrefixDecl // a query's Prologue.Prefixes, never written
+	ends  [memoDecls]int
+	n     int // declarations recorded
 }
 
 // Parse parses a single SPARQL query.
@@ -30,9 +61,11 @@ func Parse(src string) (*Query, error) {
 	return p.Parse(src)
 }
 
-// Parse parses src as one complete query, resetting parser state.
+// Parse parses src as one complete query, resetting parser state but
+// for the prologue memo: the lexer starts past the memo's declarations
+// that src begins with.
 func (p *Parser) Parse(src string) (*Query, error) {
-	p.lex = Lexer{src: src}
+	p.lex = Lexer{src: src, pos: p.reuse(src)}
 	p.hasAhead = false
 	clear(p.prefixes)
 	clear(p.selects)
@@ -49,6 +82,23 @@ func (p *Parser) Parse(src string) (*Query, error) {
 		return nil, p.errorf("unexpected %s %q after end of query", p.tok.Kind, p.tok.Text)
 	}
 	return q, nil
+}
+
+// reuse returns the byte offset just past the longest run of the memo's
+// declarations that src begins with, byte for byte, and keeps their
+// number in p.reused.
+func (p *Parser) reuse(src string) int {
+	m := &p.memo
+	k, at := 0, 0
+	for k < m.n {
+		end := m.ends[k]
+		if end > len(src) || src[at:end] != m.src[at:end] {
+			break
+		}
+		k, at = k+1, end
+	}
+	p.reused = k
+	return at
 }
 
 func (p *Parser) errorf(format string, args ...any) error {
@@ -185,29 +235,26 @@ func (p *Parser) freshBlank() Term {
 // ---------- Query unit ----------
 
 func (p *Parser) parseQueryUnit() (*Query, error) {
-	q := &Query{Mods: Modifiers{Limit: -1, Offset: -1}}
-	if err := p.parsePrologue(q); err != nil {
+	var pro Prologue
+	if err := p.parsePrologue(&pro); err != nil {
 		return nil, err
 	}
+	var form func(*Query) error
 	switch {
 	case p.isKw("SELECT"):
-		if err := p.parseSelectQuery(q); err != nil {
-			return nil, err
-		}
+		form = p.parseSelectQuery
 	case p.isKw("ASK"):
-		if err := p.parseAskQuery(q); err != nil {
-			return nil, err
-		}
+		form = p.parseAskQuery
 	case p.isKw("CONSTRUCT"):
-		if err := p.parseConstructQuery(q); err != nil {
-			return nil, err
-		}
+		form = p.parseConstructQuery
 	case p.isKw("DESCRIBE"):
-		if err := p.parseDescribeQuery(q); err != nil {
-			return nil, err
-		}
+		form = p.parseDescribeQuery
 	default:
-		return nil, p.errorf("expected SELECT, ASK, CONSTRUCT, or DESCRIBE, found %q", p.tok.Text)
+		return nil, p.formError()
+	}
+	q := &Query{Prologue: pro, Mods: Modifiers{Limit: -1, Offset: -1}}
+	if err := form(q); err != nil {
+		return nil, err
 	}
 	// Trailing VALUES clause.
 	if p.isKw("VALUES") {
@@ -220,17 +267,34 @@ func (p *Parser) parseQueryUnit() (*Query, error) {
 	return q, nil
 }
 
-func (p *Parser) parsePrologue(q *Query) error {
+// formError is the error of a text whose prologue is followed by no
+// query form: a noise line fails here, at its first token, so the
+// message is built without fmt (as errorf's %q would spell it).
+func (p *Parser) formError() error {
+	var buf [96]byte
+	msg := append(buf[:0], "expected SELECT, ASK, CONSTRUCT, or DESCRIBE, found "...)
+	msg = strconv.AppendQuote(msg, p.tok.Text)
+	return &SyntaxError{Pos: PositionAt(p.lex.src, p.tok.Pos), Msg: string(msg)}
+}
+
+// parsePrologue parses the BASE and PREFIX lines that follow the
+// p.reused declarations of the memo, and records the declarations read
+// before any BASE for the memo (closePrologue).
+func (p *Parser) parsePrologue(pro *Prologue) error {
+	var ends [memoDecls]int // where the declarations recorded here end
+	n := 0
+	record := true // no BASE read yet
 	for {
 		switch {
 		case p.isKw("BASE"):
+			record = false
 			if err := p.next(); err != nil {
 				return err
 			}
 			if p.tok.Kind != IRIRef {
 				return p.errorf("expected IRI after BASE")
 			}
-			q.Prologue.Base = p.tok.Text
+			pro.Base = p.tok.Text
 			if err := p.next(); err != nil {
 				return err
 			}
@@ -251,15 +315,46 @@ func (p *Parser) parsePrologue(q *Query) error {
 			if p.tok.Kind != IRIRef {
 				return p.errorf("expected IRI in PREFIX declaration")
 			}
+			if p.prefixes == nil {
+				// Room for a boilerplate block in one allocation, where
+				// growing from empty would take four for seven lines.
+				p.prefixes = make([]PrefixDecl, 0, memoDecls/2)
+			}
 			p.prefixes = append(p.prefixes, PrefixDecl{Name: name, IRI: p.tok.Text})
+			if record && p.reused+n < memoDecls {
+				ends[n] = p.tok.Pos + len(p.tok.Text) + len("<>")
+				n++
+			}
 			if err := p.next(); err != nil {
 				return err
 			}
 		default:
-			q.Prologue.Prefixes = take(&p.prefixes, 0)
+			pro.Prefixes = p.closePrologue(ends[:n])
 			return nil
 		}
 	}
+}
+
+// closePrologue returns the prologue's declarations: the memo's reused
+// ones, then those read. With none read, that is the memo's own slice,
+// capped at its length so that no append writes to it. Otherwise the
+// prologue, whose recorded declarations end at ends, becomes the memo.
+func (p *Parser) closePrologue(ends []int) []PrefixDecl {
+	m, k := &p.memo, p.reused
+	if len(p.prefixes) == 0 {
+		if k == 0 {
+			return nil
+		}
+		return m.decls[:k:k]
+	}
+	out := make([]PrefixDecl, k+len(p.prefixes))
+	copy(out, m.decls[:k])
+	copy(out[k:], p.prefixes)
+	clear(p.prefixes)
+	p.prefixes = p.prefixes[:0]
+	m.src, m.decls = p.lex.src, out
+	m.n = k + copy(m.ends[k:], ends)
+	return out
 }
 
 // take returns a copy of (*scratch)[mark:] at its exact size, nil when
