@@ -25,7 +25,7 @@ func main() {
 	seed := flag.Int64("seed", 2017, "generator seed")
 	logFile := flag.String("log", "", "analyze this log file instead of generating a corpus")
 	valid := flag.Bool("valid", false, "keep duplicates (appendix Tables 7-9 variant)")
-	format := flag.String("format", "plain", "log file format: plain, apache, auto (per-line sniffing)")
+	format := flag.String("format", "plain", "log file format: plain, or apache (alias auto: a line without a query= parameter is kept as it is)")
 	workers := flag.Int("workers", 0, "streaming worker pool size for -log (0 = all cores)")
 	experiment := flag.String("experiment", "all",
 		"which experiment to run: all, table1, table2, table3, table4, table5, table6, figure1, figure3, figure5, sec44, sec61, sec62, appendix, windows")
@@ -50,12 +50,10 @@ func main() {
 
 	var lf core.LogFormat
 	switch *format {
-	case "auto":
-		lf = core.FormatAuto
+	case "auto", "apache":
+		lf = core.FormatApache
 	case "plain":
 		lf = core.FormatPlain
-	case "apache":
-		lf = core.FormatApache
 	default:
 		fmt.Fprintf(os.Stderr, "sparqlanalyze: unknown format %q\n", *format)
 		os.Exit(2)

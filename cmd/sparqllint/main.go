@@ -34,7 +34,7 @@ import (
 func main() {
 	query := flag.String("query", "", "lint this query text and exit")
 	logFile := flag.String("log", "", "lint every query of this log file")
-	format := flag.String("format", "auto", "log file format: plain, apache, auto")
+	format := flag.String("format", "auto", "log file format: plain, or apache (alias auto: a line without a query= parameter is kept as it is)")
 	scale := flag.Float64("scale", 0.0001, "synthetic corpus scale (no -query/-log)")
 	seed := flag.Int64("seed", 2017, "synthetic corpus seed")
 	ntriples := flag.Bool("ntriples", false, "emit individual diagnostics as N-Triples")
@@ -46,12 +46,10 @@ func main() {
 
 	var lf core.LogFormat
 	switch *format {
-	case "auto":
-		lf = core.FormatAuto
+	case "auto", "apache":
+		lf = core.FormatApache
 	case "plain":
 		lf = core.FormatPlain
-	case "apache":
-		lf = core.FormatApache
 	default:
 		fmt.Fprintf(os.Stderr, "sparqllint: unknown format %q\n", *format)
 		os.Exit(2)

@@ -28,7 +28,7 @@ func FuzzCleanEntry(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, line string) {
-		for _, format := range []LogFormat{FormatAuto, FormatPlain, FormatApache} {
+		for _, format := range []LogFormat{FormatApache, FormatPlain} {
 			got := DecodeEntry(line, format)
 			if format == FormatPlain && got != line {
 				t.Fatalf("FormatPlain must be the identity: %q -> %q", line, got)

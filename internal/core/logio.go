@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"slices"
 	"strings"
 )
 
@@ -15,16 +16,14 @@ type LogFormat int
 
 // Supported log formats.
 const (
-	// FormatAuto sniffs the format per line: Apache-style lines are
-	// detected by the "?query=" parameter, otherwise the raw line is the
-	// query.
-	FormatAuto LogFormat = iota
+	// FormatApache, the zero value, extracts and URL-decodes the query=
+	// parameter of request lines. A line without one, or whose parameter
+	// holds a malformed escape, is kept verbatim (and dropped by
+	// cleaning if it is not a query), so a log that mixes request lines
+	// and plain queries reads as both.
+	FormatApache LogFormat = iota
 	// FormatPlain treats every line as one query.
 	FormatPlain
-	// FormatApache extracts and URL-decodes the query= parameter from
-	// request lines; lines without one are kept verbatim (and will be
-	// dropped by cleaning if they are not queries).
-	FormatApache
 )
 
 // EntryScanner streams decoded log entries from a reader one at a time,
@@ -84,43 +83,48 @@ func ReadLog(r io.Reader, format LogFormat) ([]string, error) {
 }
 
 // DecodeEntry normalizes one raw log line into query text per the
-// format, as appendEntry does.
+// format, as appendEntry does; a line it keeps is returned as it is.
 func DecodeEntry(line string, format LogFormat) string {
-	if format != FormatPlain {
-		if i := strings.Index(line, "query="); i >= 0 {
-			param := line[i+len("query="):]
-			if j := strings.IndexAny(param, "& \""); j >= 0 {
-				param = param[:j]
-			}
-			if out, ok := appendURLDecoded(make([]byte, 0, len(param)), param); ok {
-				return string(out)
-			}
-		}
+	if out, ok := appendQuery(nil, line, format); ok {
+		return string(out)
 	}
 	return line
 }
 
 // appendEntry appends the query text of one raw log line, decoded per
-// the format, to dst. FormatPlain keeps the line. FormatApache and
-// FormatAuto, which differ only in name, percent-decode the line's
-// query= URL parameter, and keep a line that has none or whose
-// parameter holds a malformed escape.
+// the format, to dst.
 func appendEntry(dst, line []byte, format LogFormat) []byte {
-	if format != FormatPlain {
-		if i := bytes.Index(line, []byte("query=")); i >= 0 {
-			// Parameter boundaries: & ends the parameter; a space ends
-			// the URL (Apache log format: "GET /sparql?query=...
-			// HTTP/1.1").
-			param := line[i+len("query="):]
-			if j := bytes.IndexAny(param, "& \""); j >= 0 {
-				param = param[:j]
-			}
-			if out, ok := appendURLDecoded(dst, param); ok {
-				return out
-			}
-		}
+	if out, ok := appendQuery(dst, line, format); ok {
+		return out
 	}
 	return append(dst, line...)
+}
+
+// appendQuery appends the percent-decoded query= URL parameter of line
+// to dst. It reports ok=false, and returns dst as it was, when the line
+// is to be kept as it is: under FormatPlain, without the parameter, or
+// with a malformed escape in it.
+func appendQuery[S string | []byte](dst []byte, line S, format LogFormat) ([]byte, bool) {
+	i := -1
+	if format != FormatPlain {
+		switch l := any(line).(type) {
+		case string:
+			i = strings.Index(l, "query=")
+		case []byte:
+			i = bytes.Index(l, []byte("query="))
+		}
+	}
+	if i < 0 {
+		return dst, false
+	}
+	// & ends the parameter, and a space or a quote the URL (Apache log
+	// format: "GET /sparql?query=... HTTP/1.1").
+	param := line[i+len("query="):]
+	n := 0
+	for n < len(param) && param[n] != '&' && param[n] != ' ' && param[n] != '"' {
+		n++
+	}
+	return appendURLDecoded(slices.Grow(dst, n), param[:n])
 }
 
 // appendURLDecoded appends s percent-decoded to dst, treating '+' as

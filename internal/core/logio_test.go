@@ -35,9 +35,9 @@ func TestDecodeEntryApache(t *testing.T) {
 	if got != want {
 		t.Errorf("DecodeEntry = %q, want %q", got, want)
 	}
-	// Auto mode detects the same.
-	if DecodeEntry(line, FormatAuto) != want {
-		t.Error("auto detection failed")
+	// The zero value is FormatApache.
+	if DecodeEntry(line, LogFormat(0)) != want {
+		t.Error("the zero format does not decode")
 	}
 	// Plain mode passes through.
 	if DecodeEntry(line, FormatPlain) != line {
@@ -59,7 +59,7 @@ func TestReadLogEndToEnd(t *testing.T) {
 		"SELECT * WHERE { ?s ?p ?o }",
 		"GET /robots.txt HTTP/1.1",
 	}, "\n")
-	entries, err := ReadLog(strings.NewReader(log), FormatAuto)
+	entries, err := ReadLog(strings.NewReader(log), FormatApache)
 	if err != nil {
 		t.Fatal(err)
 	}

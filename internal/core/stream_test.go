@@ -297,7 +297,7 @@ func TestStreamReaderMatchesReadLog(t *testing.T) {
 		"keep-duplicates": {SkipShapes: true, KeepDuplicates: true},
 		"keep+structural": {SkipShapes: true, KeepDuplicates: true, StructuralDedup: true},
 	}
-	for _, format := range []LogFormat{FormatPlain, FormatApache, FormatAuto} {
+	for _, format := range []LogFormat{FormatPlain, FormatApache} {
 		entries, err := ReadLog(strings.NewReader(log), format)
 		if err != nil {
 			t.Fatal(err)

@@ -13,7 +13,7 @@ import (
 // rewrites the query's aggregate expressions: every AggregateExpr
 // reachable through BinaryExpr/UnaryExpr chains (the exact set the
 // reference evaluator's evalAggregateExpr descends) is replaced by a
-// hidden variable whose schema slot the GroupBy operator fills with the
+// hidden variable whose slot the GroupBy operator fills with the
 // finalized aggregate, and the surrounding expression then evaluates
 // per emitted group row through evalAggRow. What is not a slot yet is
 // made one: expression group keys and computed aggregate arguments
@@ -85,12 +85,13 @@ type aggBuild struct {
 // BIND does: an error or an empty lexical form binds nothing.
 func (b *aggBuild) bind(name string, e sparql.Expr) {
 	b.binds = append(b.binds, &sparql.Bind{Var: sparql.Variable(name), Expr: e})
-	b.ce.schema.Slot(name)
 }
 
 // hidden names a fresh hidden input slot.
 func (b *aggBuild) hidden() string {
-	return hiddenInPrefix + strconv.Itoa(len(b.binds))
+	name := hiddenInPrefix + strconv.Itoa(len(b.binds))
+	b.ce.hide(name)
+	return name
 }
 
 // aggKindOf maps a parsed aggregate onto its columnar kind. An unknown
@@ -129,7 +130,7 @@ func exprVar(e sparql.Expr) (string, bool) {
 }
 
 // aggVar returns the hidden-variable leaf standing for the aggregate,
-// registering its spec (and schema slot) on first sight. A star form
+// registering its spec (and hidden slot) on first sight. A star form
 // other than COUNT(*) and an unknown aggregate read no argument (Slot
 // -1: SUM(*) is 0, GROUP_CONCAT(*) is "", the rest are errors); a
 // computed argument reads the hidden slot it is evaluated into.
@@ -143,7 +144,7 @@ func (b *aggBuild) aggVar(a *sparql.AggregateExpr) sparql.Expr {
 			b.bind(name, a.Arg)
 		}
 		argName = name
-		if s, ok := b.ce.schema.SlotOf(name); ok {
+		if s, ok := b.ce.slotOf(name); ok {
 			slot = s
 		}
 	}
@@ -162,7 +163,7 @@ func (b *aggBuild) aggVar(a *sparql.AggregateExpr) sparql.Expr {
 		mark = string(hiddenConcatMark)
 	}
 	name := hiddenAggPrefix + mark + strconv.Itoa(len(b.specs))
-	out := b.ce.schema.Slot(name)
+	out := b.ce.hide(name)
 	b.specs = append(b.specs, exec.AggSpec{
 		Kind: kind, Slot: slot, Out: out, Distinct: distinct, Sep: sep,
 	})
@@ -191,8 +192,8 @@ func (b *aggBuild) rewrite(e sparql.Expr) sparql.Expr {
 }
 
 // planAggregate compiles the query's aggregate finishing onto columnar
-// operators. Must run after the Scope's slots and before the schema width
-// freezes: it assigns the hidden slots.
+// operators. Must run before the width freezes: it numbers the hidden
+// slots.
 func (ce *colExec) planAggregate(q *sparql.Query) *aggPlan {
 	b := &aggBuild{ce: ce}
 	ap := &aggPlan{}
@@ -218,7 +219,7 @@ func (ce *colExec) planAggregate(q *sparql.Query) *aggPlan {
 			name = b.hidden()
 			b.bind(name, gk.Expr)
 		}
-		if s, ok := ce.schema.SlotOf(name); ok {
+		if s, ok := ce.slotOf(name); ok {
 			ap.spec.Keys = append(ap.spec.Keys, s)
 			carried[s] = true
 		}
@@ -228,10 +229,10 @@ func (ce *colExec) planAggregate(q *sparql.Query) *aggPlan {
 	// first captures a variable's value in the group's first input row
 	// (AggFirst), which is what the reference reads from the group's
 	// first member: a projected plain variable that is not a key, and
-	// every variable a finishing expression reads. Hidden slots (a
-	// leading space) are the compiler's own and never captured.
+	// every variable a finishing expression reads. Hidden slots (past
+	// the Scope's names) are the compiler's own and never captured.
 	first := func(s int) {
-		if !carried[s] && !strings.HasPrefix(ce.schema.Name(s), " ") {
+		if !carried[s] && s < len(ce.scope.Names) {
 			carried[s] = true
 			b.specs = append(b.specs, exec.AggSpec{Kind: exec.AggFirst, Slot: s, Out: s})
 		}
@@ -240,7 +241,7 @@ func (ce *colExec) planAggregate(q *sparql.Query) *aggPlan {
 	for _, it := range q.Select {
 		if it.Expr != nil {
 			it.Expr = b.rewrite(it.Expr)
-		} else if s, ok := ce.schema.SlotOf(it.Var.Value); ok {
+		} else if s, ok := ce.slotOf(it.Var.Value); ok {
 			first(s)
 		}
 		sel = append(sel, it)
@@ -281,11 +282,11 @@ func (ce *colExec) planAggregate(q *sparql.Query) *aggPlan {
 		sparql.WalkExpr(e, func(x sparql.Expr) bool {
 			switch n := x.(type) {
 			case *sparql.ExistsExpr:
-				for s := 0; s < ce.schema.Len(); s++ {
+				for s := range ce.width() {
 					first(s)
 				}
 			case *sparql.TermExpr:
-				if s, ok := ce.schema.SlotOf(n.Term.Value); ok && n.Term.Kind == sparql.TermVar {
+				if s, ok := ce.slotOf(n.Term.Value); ok && n.Term.Kind == sparql.TermVar {
 					first(s)
 				}
 			}

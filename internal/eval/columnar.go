@@ -15,9 +15,10 @@ import (
 
 // This file is the slot-based columnar executor, the one evaluator
 // queries run on. The WHERE clause compiles once into a tree of
-// internal/exec operators over a query-wide Schema (every variable
-// gets a dense slot; plan variable indexes are slots), and solutions
-// flow through it as ID batches. Strings appear only at the edges:
+// internal/exec operators whose slots are the query's variable numbers
+// (slot i is the Scope's Names[i], and the compiler's hidden names take
+// the slots after them; plan variables are slots), and solutions flow
+// through it as ID batches. Strings appear only at the edges:
 // constants resolve against the snapshot dictionary at compile time,
 // computed values (BIND, VALUES, expression projections) intern into
 // the execution's Pool overflow, and expressions (FILTER, ORDER BY
@@ -44,9 +45,12 @@ import (
 
 // colExec is one columnar query execution.
 type colExec struct {
-	ev     *evaluator
-	scope  *sparql.Scope
-	schema *exec.Schema
+	ev    *evaluator
+	scope *sparql.Scope
+	// hidden holds the compiler's own names (aggregates, computed
+	// arguments and expression items, each with a leading space), slot
+	// len(scope.Names)+i for hidden[i].
+	hidden []string
 	pool   *exec.Pool
 	ec     *exec.Ctx
 
@@ -92,7 +96,7 @@ func (r *rowEnv) at(b *exec.Batch, row int) *rowEnv {
 }
 
 func (r *rowEnv) lookupVar(name string) (string, bool) {
-	slot, ok := r.ce.schema.SlotOf(name)
+	slot, ok := r.ce.slotOf(name)
 	if !ok {
 		return "", false
 	}
@@ -111,7 +115,7 @@ func (r *rowEnv) exists(ev *evaluator, p sparql.Pattern) (bool, error) {
 // snapshot; subqueries recurse through here. empty is ev.emptyUnder(sc),
 // the static proof that q's WHERE clause matches nothing.
 func (ev *evaluator) query(q *sparql.Query, sc *sparql.Scope, empty bool) (*Result, error) {
-	ce := &colExec{ev: ev, scope: sc, schema: exec.NewSchema(), pool: exec.NewPool(ev.st)}
+	ce := &colExec{ev: ev, scope: sc, pool: exec.NewPool(ev.st)}
 	ev.colPool = ce.pool
 	// Harvest runtime recoveries after execution, whichever return path
 	// is taken (subquery executions accumulate into the same evaluator).
@@ -129,13 +133,10 @@ func (ev *evaluator) query(q *sparql.Query, sc *sparql.Scope, empty bool) (*Resu
 	// Harvest the probe meter whichever return path is taken; subquery
 	// executions build their own colExec and accumulate the same way.
 	defer func() { ev.probes += ce.ec.Probes }()
-	// Every variable a pattern binds has a slot before the first
-	// operator is built, so every batch has the full width. Aggregate
-	// planning and the projection's layout assign hidden slots while
-	// the schema is still open, before the width freezes.
-	for i := range sc.Bound.All() {
-		ce.schema.Slot(sc.Names[i])
-	}
+	// Every variable has its slot before the first operator is built,
+	// so every batch has the full width. Aggregate planning and the
+	// projection's layout number their hidden names before the width
+	// freezes.
 	sel := q
 	if q.Grouped() && (q.Type == sparql.SelectQuery || q.Type == sparql.AskQuery) {
 		ce.aggPlan = ce.planAggregate(q)
@@ -144,10 +145,9 @@ func (ev *evaluator) query(q *sparql.Query, sc *sparql.Scope, empty bool) (*Resu
 	if q.Type == sparql.SelectQuery {
 		ce.cols = ce.columns(sel)
 	}
-	width := ce.schema.Len()
+	width := ce.width()
 	var root exec.Operator = exec.NewUnit(width)
 	var err error
-	bound := map[string]bool{}
 	switch {
 	case q.Where == nil:
 		// No WHERE: the unit row flows straight to the modifiers.
@@ -158,7 +158,7 @@ func (ev *evaluator) query(q *sparql.Query, sc *sparql.Scope, empty bool) (*Resu
 		// or touching a single snapshot index (Result.Probes stays 0).
 		root = ce.traced(exec.NewSeed(width), "empty: the linter proved the WHERE clause matches nothing")
 	default:
-		root, err = ce.compile(q.Where, root, bound)
+		root, err = ce.compile(q.Where, root, make([]bool, width))
 		if err != nil {
 			return nil, err
 		}
@@ -185,32 +185,84 @@ func (ev *evaluator) query(q *sparql.Query, sc *sparql.Scope, empty bool) (*Resu
 	return nil, fmt.Errorf("eval: unknown query type")
 }
 
-// slot returns the slot of a variable the Scope counts as bound; a
-// miss is a compiler bug (the schema is sealed once operators exist).
-func (ce *colExec) slot(name string) int {
-	s, ok := ce.schema.SlotOf(name)
+// slotOf returns the slot of a variable, of a blank node label written
+// "_:label", or of a hidden name.
+func (ce *colExec) slotOf(name string) (int, bool) {
+	if i, ok := ce.scope.Find("", name); ok {
+		return i, true
+	}
+	i := slices.Index(ce.hidden, name)
+	return len(ce.scope.Names) + i, i >= 0
+}
+
+// termSlot returns the slot of a variable (a hidden one too) or of a
+// blank node term.
+func (ce *colExec) termSlot(t sparql.Term) (int, bool) {
+	switch t.Kind {
+	case sparql.TermVar:
+		return ce.slotOf(t.Value)
+	case sparql.TermBlank:
+		return ce.scope.Find("_:", t.Value)
+	}
+	return 0, false
+}
+
+// slot is termSlot for a term that must have a slot: a variable or
+// blank node the Scope numbers, or a hidden name. A miss is a compiler
+// bug.
+func (ce *colExec) slot(t sparql.Term) int {
+	s, ok := ce.termSlot(t)
 	if !ok {
-		panic("eval: variable " + name + " has no slot")
+		panic("eval: " + t.Value + " has no slot")
 	}
 	return s
 }
 
-// compile lowers a pattern onto an operator consuming in. bound tracks
-// variables possibly bound by already-compiled operators — planning
-// input only, never correctness.
-func (ce *colExec) compile(p sparql.Pattern, in exec.Operator, bound map[string]bool) (exec.Operator, error) {
+// hide numbers a hidden name, in the next slot.
+func (ce *colExec) hide(name string) int {
+	ce.hidden = append(ce.hidden, name)
+	return ce.width() - 1
+}
+
+// width is the number of slots. It is fixed once operators exist.
+func (ce *colExec) width() int { return len(ce.scope.Names) + len(ce.hidden) }
+
+// compile lowers a pattern onto an operator consuming in. bound holds,
+// by slot, the variables possibly bound by already-compiled operators —
+// planning input only, never correctness.
+func (ce *colExec) compile(p sparql.Pattern, in exec.Operator, bound []bool) (exec.Operator, error) {
 	ev := ce.ev
-	width := ce.schema.Len()
+	width := ce.width()
 	switch n := p.(type) {
 	case *sparql.Group:
-		elems := n.Elems
-		if !ev.lim.noReorder {
-			elems = ev.reorderElems(elems, copyBound(bound))
+		// planned is what the group's runs of adjacent triples are
+		// planned under: bound as the group starts, plus what each
+		// earlier element can bind (markPatternVars), a FILTER's EXISTS
+		// body included. bound itself skips FILTERs and takes a GRAPH
+		// name as it is compiled, so the two differ. nil: no run of two
+		// triples to plan.
+		var planned []bool
+		if !ev.lim.noReorder && hasRun(n.Elems) {
+			planned = slices.Clone(bound)
 		}
 		var filters []sparql.Expr
 		cur := in
 		var err error
-		for _, el := range elems {
+		for i := 0; i < len(n.Elems); {
+			if j := runEnd(n.Elems, i); planned != nil && j-i > 1 {
+				cur = ce.compileRun(n.Elems[i:j], cur, planned)
+				for _, tp := range n.Elems[i:j] {
+					ce.markPatternVars(tp, planned)
+					ce.markPatternVars(tp, bound)
+				}
+				i = j
+				continue
+			}
+			el := n.Elems[i]
+			i++
+			if planned != nil {
+				ce.markPatternVars(el, planned)
+			}
 			if f, ok := el.(*sparql.Filter); ok {
 				filters = append(filters, f.Constraint)
 				continue
@@ -219,7 +271,7 @@ func (ce *colExec) compile(p sparql.Pattern, in exec.Operator, bound map[string]
 			if err != nil {
 				return nil, err
 			}
-			ev.markPatternVars(el, bound)
+			ce.markPatternVars(el, bound)
 		}
 		for _, f := range filters {
 			cur = ce.compileFilter(f, cur)
@@ -231,18 +283,18 @@ func (ce *colExec) compile(p sparql.Pattern, in exec.Operator, bound map[string]
 		return ce.traced(ce.compilePath(n, in), n), nil
 	case *sparql.Union:
 		lseed, rseed := exec.NewSeed(width), exec.NewSeed(width)
-		left, err := ce.compile(n.Left, lseed, copyBound(bound))
+		left, err := ce.compile(n.Left, lseed, slices.Clone(bound))
 		if err != nil {
 			return nil, err
 		}
-		right, err := ce.compile(n.Right, rseed, copyBound(bound))
+		right, err := ce.compile(n.Right, rseed, slices.Clone(bound))
 		if err != nil {
 			return nil, err
 		}
 		return exec.NewUnion(in, left, lseed, right, rseed), nil
 	case *sparql.Optional:
 		seed := exec.NewSeed(width)
-		inner, err := ce.compile(n.Inner, seed, copyBound(bound))
+		inner, err := ce.compile(n.Inner, seed, slices.Clone(bound))
 		if err != nil {
 			return nil, err
 		}
@@ -250,15 +302,14 @@ func (ce *colExec) compile(p sparql.Pattern, in exec.Operator, bound map[string]
 	case *sparql.MinusGraph:
 		// The removal set evaluates from the unit binding, lazily: a
 		// MINUS whose input died never evaluates its body.
-		inner, err := ce.compile(n.Inner, exec.NewUnit(width), map[string]bool{})
+		inner, err := ce.compile(n.Inner, exec.NewUnit(width), make([]bool, width))
 		if err != nil {
 			return nil, err
 		}
 		return exec.NewMinus(in, inner), nil
 	case *sparql.GraphGraph:
 		cur := in
-		if v, ok := varName(n.Name); ok {
-			slot := ce.slot(v)
+		if slot, ok := ce.termSlot(n.Name); ok {
 			gid := ce.pool.Intern(DefaultGraph)
 			cur = ce.traced(exec.NewApply(in, false, func(c *exec.Ctx, b *exec.Batch, row int, out *exec.Batch) error {
 				if cv := b.Get(slot, row); cv != exec.Unbound && cv != gid {
@@ -268,7 +319,7 @@ func (ce *colExec) compile(p sparql.Pattern, in exec.Operator, bound map[string]
 				out.Set(slot, r, gid)
 				return nil
 			}), n)
-			bound[v] = true
+			bound[slot] = true
 		}
 		return ce.compile(n.Inner, cur, bound)
 	case *sparql.ServiceGraph:
@@ -276,7 +327,7 @@ func (ce *colExec) compile(p sparql.Pattern, in exec.Operator, bound map[string]
 			return ce.compile(n.Inner, in, bound)
 		}
 		seed := exec.NewSeed(width)
-		inner, err := ce.compile(n.Inner, seed, copyBound(bound))
+		inner, err := ce.compile(n.Inner, seed, slices.Clone(bound))
 		if err != nil {
 			// SILENT swallows the failure and the input passes through.
 			// Counted as a recovery: compile-time failure is no-op
@@ -290,7 +341,7 @@ func (ce *colExec) compile(p sparql.Pattern, in exec.Operator, bound map[string]
 	case *sparql.Filter:
 		return ce.compileFilter(n.Constraint, in), nil
 	case *sparql.Bind:
-		slot := ce.slot(n.Var.Value)
+		slot := ce.slot(n.Var)
 		expr, env := n.Expr, &rowEnv{ce: ce}
 		return ce.traced(exec.NewApply(in, false, func(c *exec.Ctx, b *exec.Batch, row int, out *exec.Batch) error {
 			v, err := ev.eval(expr, env.at(b, row))
@@ -331,12 +382,74 @@ func (ce *colExec) pulled(root exec.Operator) {
 	}
 }
 
-func copyBound(bound map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(bound))
-	for k, v := range bound {
-		out[k] = v
+// hasRun reports whether elems has two adjacent triple patterns.
+func hasRun(elems []sparql.Pattern) bool {
+	for i := range elems {
+		if runEnd(elems, i)-i > 1 {
+			return true
+		}
 	}
-	return out
+	return false
+}
+
+// runEnd returns the end of the run of triple patterns that starts at
+// elems[i]: i itself when elems[i] is not one.
+func runEnd(elems []sparql.Pattern, i int) int {
+	for i < len(elems) {
+		if _, ok := elems[i].(*sparql.TriplePattern); !ok {
+			break
+		}
+		i++
+	}
+	return i
+}
+
+// compileRun joins a run of two or more adjacent triple patterns. Each
+// resolves to its atom once; the planner orders the atoms with the slots
+// as its variables, seeded with planned (the slots bound before the
+// run), and the joins follow its order.
+func (ce *colExec) compileRun(run []sparql.Pattern, in exec.Operator, planned []bool) exec.Operator {
+	atoms := make([]plan.Atom, len(run))
+	for i, el := range run {
+		atoms[i] = ce.compileAtom(el.(*sparql.TriplePattern))
+	}
+	p := plan.Planner{Stats: ce.ev.st.Stats()}.PlanBound(atoms, len(planned), planned)
+	if x := ce.ev.explain; x != nil {
+		x.planned(run, p, atoms, planned, ce.scope.Names)
+	}
+	for _, ai := range p.Order {
+		in = ce.traced(exec.NewJoin(ce.ev.st, in, atoms[ai]), run[ai])
+	}
+	return in
+}
+
+// markPatternVars marks the slots a group element can bind, for
+// planning purposes only (a miss costs plan quality, never
+// correctness; OPTIONAL/UNION variables are not guaranteed bound at
+// runtime, but planning as if they were beats ignoring them). Nested
+// patterns are walked recursively; a subquery's own variables have no
+// slot unless the query names them too.
+func (ce *colExec) markPatternVars(p sparql.Pattern, bound []bool) {
+	mark := func(ts ...sparql.Term) {
+		for _, t := range ts {
+			if s, ok := ce.termSlot(t); ok {
+				bound[s] = true
+			}
+		}
+	}
+	sparql.Walk(p, func(n sparql.Pattern) bool {
+		switch x := n.(type) {
+		case *sparql.TriplePattern:
+			mark(x.S, x.P, x.O)
+		case *sparql.PathPattern:
+			mark(x.S, x.O)
+		case *sparql.Bind:
+			mark(x.Var)
+		case *sparql.InlineData:
+			mark(x.Vars...)
+		}
+		return true
+	})
 }
 
 func (ce *colExec) compileFilter(e sparql.Expr, in exec.Operator) exec.Operator {
@@ -358,8 +471,7 @@ func (ce *colExec) compileAtom(tp *sparql.TriplePattern) plan.Atom {
 			}
 			return plan.C(^rdf.ID(0))
 		}
-		name, _ := varName(t)
-		return plan.V(ce.slot(name))
+		return plan.V(ce.slot(t))
 	}
 	return plan.Atom{S: ref(tp.S), P: ref(tp.P), O: ref(tp.O)}
 }
@@ -375,8 +487,7 @@ func (ce *colExec) compilePath(pp *sparql.PathPattern, in exec.Operator) exec.Op
 			id, known := ev.st.Lookup(txt)
 			return exec.PathConst(id, known)
 		}
-		name, _ := varName(t)
-		return exec.PathVar(ce.slot(name))
+		return exec.PathVar(ce.slot(t))
 	}
 	return exec.NewPath(ev.st, in, cp, end(pp.S), end(pp.O))
 }
@@ -384,7 +495,7 @@ func (ce *colExec) compilePath(pp *sparql.PathPattern, in exec.Operator) exec.Op
 func (ce *colExec) compileValues(vd *sparql.InlineData, in exec.Operator) exec.Operator {
 	slots := make([]int, len(vd.Vars))
 	for i, v := range vd.Vars {
-		slots[i] = ce.slot(v.Value)
+		slots[i] = ce.slot(v)
 	}
 	rows := make([][]rdf.ID, len(vd.Rows))
 	for ri, row := range vd.Rows {
@@ -426,7 +537,7 @@ func (ce *colExec) compileSubselect(ss *sparql.SubSelect, in exec.Operator) exec
 			ans := sub.Answer
 			slots = make([]int, len(ans.Vars))
 			for i, v := range ans.Vars {
-				if s, ok := ce.schema.SlotOf(v); ok {
+				if s, ok := ce.slotOf(v); ok {
 					slots[i] = s
 				} else {
 					slots[i] = -1
@@ -479,8 +590,8 @@ func (ce *colExec) compileSubselect(ss *sparql.SubSelect, in exec.Operator) exec
 func (ce *colExec) exists(p sparql.Pattern, b *exec.Batch, row int) (bool, error) {
 	sp, ok := ce.existsPlans[p]
 	if !ok {
-		seed := exec.NewSeed(ce.schema.Len())
-		root, err := ce.compile(p, seed, map[string]bool{})
+		seed := exec.NewSeed(ce.width())
+		root, err := ce.compile(p, seed, make([]bool, ce.width()))
 		sp = &existsPlan{seed: seed, root: root, err: err}
 		if ce.existsPlans == nil {
 			ce.existsPlans = map[sparql.Pattern]*existsPlan{}
@@ -522,8 +633,7 @@ func (ce *colExec) finishConstruct(q *sparql.Query, root exec.Operator) (*Result
 		if txt, ok := ce.ev.termText(t); ok {
 			return plan.C(ce.pool.Intern(txt))
 		}
-		name, _ := varName(t)
-		if s, ok := ce.schema.SlotOf(name); ok {
+		if s, ok := ce.termSlot(t); ok {
 			return plan.V(s)
 		}
 		return plan.C(exec.Unbound)
@@ -570,10 +680,8 @@ func (ce *colExec) finishDescribe(q *sparql.Query, root exec.Operator) (*Result,
 		}
 	}
 	var slots []int
-	for _, v := range ce.scope.NamesOf(ce.scope.Projected) {
-		if s, ok := ce.schema.SlotOf(v); ok {
-			slots = append(slots, s)
-		}
+	for s := range ce.scope.Projected.All() {
+		slots = append(slots, s)
 	}
 	root = ce.modifiers(q, root, nil)
 	err := ce.each(root, func(b *exec.Batch) {
@@ -656,7 +764,7 @@ func (ce *colExec) columns(q *sparql.Query) []column {
 		names := ce.scope.NamesOf(ce.scope.Projected)
 		slices.Sort(names)
 		for _, v := range names {
-			cols = append(cols, column{name: v, slot: ce.schema.Slot(v), keep: -1})
+			cols = append(cols, column{name: v, slot: ce.slot(sparql.Variable(v)), keep: -1})
 		}
 		return cols
 	}
@@ -666,14 +774,14 @@ func (ce *colExec) columns(q *sparql.Query) []column {
 		hv, bare := exprVar(it.Expr)
 		switch {
 		case agg && bare && isHiddenAggVar(hv):
-			c.slot = ce.slot(hv)
+			c.slot = ce.slot(sparql.Variable(hv))
 		case it.Expr != nil:
-			c.slot, c.expr = ce.schema.Slot(hiddenItemPrefix+strconv.Itoa(i)), it.Expr
-			if s, ok := ce.schema.SlotOf(it.Var.Value); ok && !agg {
+			c.slot, c.expr = ce.hide(hiddenItemPrefix+strconv.Itoa(i)), it.Expr
+			if s, ok := ce.slotOf(it.Var.Value); ok && !agg {
 				c.keep = s
 			}
 		default:
-			c.slot = ce.schema.Slot(it.Var.Value)
+			c.slot = ce.slot(it.Var)
 		}
 		cols = append(cols, c)
 	}

@@ -5,8 +5,8 @@
 // GROUP BY with aggregates, HAVING).
 //
 // Evaluation runs on the slot-based columnar executor (internal/exec):
-// the WHERE clause compiles once into an operator tree over a
-// query-wide variable→slot schema and solutions flow through it as
+// the WHERE clause compiles once into an operator tree whose slots are
+// the query's variable numbers (sparql.Scope), and solutions flow through it as
 // rdf.ID batches, with strings only at the edges (see columnar.go); the
 // answer itself is ID columns (exec.Answer), which QueryAnswer returns
 // as they are and QueryContext additionally renders as string rows.
@@ -233,18 +233,6 @@ func (ev *evaluator) termText(t sparql.Term) (string, bool) {
 	}
 }
 
-// varName returns the binding key for a variable or blank node (blank
-// nodes act as non-projectable variables in patterns).
-func varName(t sparql.Term) (string, bool) {
-	switch t.Kind {
-	case sparql.TermVar:
-		return t.Value, true
-	case sparql.TermBlank:
-		return "_:" + t.Value, true
-	}
-	return "", false
-}
-
 // describe returns every triple whose subject or object is one of
 // the described resources (the common "concise bounded description"
 // approximation; the output of DESCRIBE is implementation-defined).
@@ -281,141 +269,6 @@ func (ev *evaluator) describe(targets map[rdf.ID]bool) *Result {
 	}
 	// Index rows hold dictionary IDs only: the answer has no overflow.
 	return answered(exec.NewPool(ev.st).Answer([]string{"s", "p", "o"}, t.cols, t.n))
-}
-
-// reorderElems is the order-rewriting core shared by the compiler
-// (which seeds bound from the statically bound slots) and the test-only
-// reference evaluator (which seeds it from its first incoming row).
-// It marks every variable the elements can bind into bound as it goes.
-func (ev *evaluator) reorderElems(elems []sparql.Pattern, bound map[string]bool) []sparql.Pattern {
-	multi := false
-	for i := 1; i < len(elems); i++ {
-		_, a := elems[i-1].(*sparql.TriplePattern)
-		_, b := elems[i].(*sparql.TriplePattern)
-		if a && b {
-			multi = true
-			break
-		}
-	}
-	if !multi {
-		return elems
-	}
-	out := make([]sparql.Pattern, 0, len(elems))
-	for i := 0; i < len(elems); {
-		tp, ok := elems[i].(*sparql.TriplePattern)
-		if !ok {
-			ev.markPatternVars(elems[i], bound)
-			out = append(out, elems[i])
-			i++
-			continue
-		}
-		run := []*sparql.TriplePattern{tp}
-		j := i + 1
-		for ; j < len(elems); j++ {
-			next, ok := elems[j].(*sparql.TriplePattern)
-			if !ok {
-				break
-			}
-			run = append(run, next)
-		}
-		for _, t := range ev.orderRun(run, bound) {
-			out = append(out, t)
-		}
-		for _, t := range run {
-			for _, term := range [3]sparql.Term{t.S, t.P, t.O} {
-				if name, ok := varName(term); ok {
-					bound[name] = true
-				}
-			}
-		}
-		i = j
-	}
-	return out
-}
-
-// compileBGP compiles triple patterns to planner atoms, returning the
-// variable-name table (planner variable index -> binding name).
-// Constants missing from the dictionary compile to an out-of-dictionary
-// ID, whose zero statistics order the (necessarily empty) atom first.
-func (ev *evaluator) compileBGP(patterns []*sparql.TriplePattern) ([]plan.Atom, []string) {
-	varIdx := map[string]int{}
-	var names []string
-	idx := func(name string) int {
-		if i, ok := varIdx[name]; ok {
-			return i
-		}
-		varIdx[name] = len(names)
-		names = append(names, name)
-		return len(names) - 1
-	}
-	toRef := func(t sparql.Term) plan.TermRef {
-		if txt, ok := ev.termText(t); ok {
-			if id, known := ev.st.Lookup(txt); known {
-				return plan.C(id)
-			}
-			return plan.C(^rdf.ID(0))
-		}
-		name, _ := varName(t)
-		return plan.V(idx(name))
-	}
-	atoms := make([]plan.Atom, len(patterns))
-	for i, tp := range patterns {
-		atoms[i] = plan.Atom{S: toRef(tp.S), P: toRef(tp.P), O: toRef(tp.O)}
-	}
-	return atoms, names
-}
-
-// orderRun plans one basic graph pattern, seeded with the variables
-// earlier elements of its group bind.
-func (ev *evaluator) orderRun(run []*sparql.TriplePattern, bound map[string]bool) []*sparql.TriplePattern {
-	if len(run) < 2 {
-		return run
-	}
-	atoms, names := ev.compileBGP(run)
-	initial := make([]bool, len(names))
-	for i, name := range names {
-		initial[i] = bound[name]
-	}
-	p := plan.Planner{Stats: ev.st.Stats()}.PlanBound(atoms, len(names), initial)
-	ordered := make([]*sparql.TriplePattern, len(run))
-	for k, ai := range p.Order {
-		ordered[k] = run[ai]
-	}
-	if x := ev.explain; x != nil {
-		x.planned(run, p, atoms, names, initial)
-	}
-	return ordered
-}
-
-// markPatternVars marks the variables a non-triple group element can
-// bind, for planning purposes only (a miss costs plan quality, never
-// correctness; OPTIONAL/UNION variables are not guaranteed bound at
-// runtime, but planning as if they were beats ignoring them). Nested
-// patterns are walked recursively.
-func (ev *evaluator) markPatternVars(p sparql.Pattern, bound map[string]bool) {
-	sparql.Walk(p, func(n sparql.Pattern) bool {
-		switch x := n.(type) {
-		case *sparql.TriplePattern:
-			for _, t := range [3]sparql.Term{x.S, x.P, x.O} {
-				if name, ok := varName(t); ok {
-					bound[name] = true
-				}
-			}
-		case *sparql.PathPattern:
-			for _, t := range [2]sparql.Term{x.S, x.O} {
-				if name, ok := varName(t); ok {
-					bound[name] = true
-				}
-			}
-		case *sparql.Bind:
-			bound[x.Var.Value] = true
-		case *sparql.InlineData:
-			for _, v := range x.Vars {
-				bound[v.Value] = true
-			}
-		}
-		return true
-	})
 }
 
 // pathResolver maps a path expression's prefixed names to store IDs,

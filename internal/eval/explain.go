@@ -84,9 +84,10 @@ type planStep struct {
 	binds []string
 }
 
-// planned records the plan of one ordered run of triple patterns;
-// variables bound before the run bind nowhere in it.
-func (x *explainTrace) planned(run []*sparql.TriplePattern, p *plan.Plan, atoms []plan.Atom, names []string, initial []bool) {
+// planned records the plan of one ordered run of triple patterns, whose
+// variables are slots that names names; variables bound before the run
+// bind nowhere in it.
+func (x *explainTrace) planned(run []sparql.Pattern, p *plan.Plan, atoms []plan.Atom, initial []bool, names []string) {
 	bound := slices.Clone(initial)
 	for k, ai := range p.Order {
 		var vars []string
@@ -96,7 +97,7 @@ func (x *explainTrace) planned(run []*sparql.TriplePattern, p *plan.Plan, atoms 
 				vars = append(vars, varLabel(names[r.Var]))
 			}
 		}
-		x.steps[run[ai]] = planStep{est: p.Rows[k], binds: vars}
+		x.steps[run[ai].(*sparql.TriplePattern)] = planStep{est: p.Rows[k], binds: vars}
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"sparqlog/internal/exec"
 	"sparqlog/internal/pathcomp"
+	"sparqlog/internal/plan"
 	"sparqlog/internal/rdf"
 	"sparqlog/internal/sparql"
 	"sparqlog/internal/value"
@@ -21,9 +22,11 @@ import (
 // operator at a time, every intermediate result materialized, and the
 // solution modifiers run on string rows. It shares with the executor
 // what is not evaluation strategy: the expression evaluator (expr.go),
-// term resolution, compiled property paths, the planner's BGP order
-// (reorderElems) and DESCRIBE's index read (describe). No binary can
-// reach it.
+// term resolution, compiled property paths, the planner
+// (plan.Planner) and DESCRIBE's index read (describe). It plans its
+// basic graph patterns by variable name, seeded with its first incoming
+// row (reorderElems, at the end of this file), where the executor plans
+// the same runs on slots. No binary can reach it.
 
 // queryReference evaluates q on the reference evaluator under the same
 // limits QueryWithLimits takes. The result carries
@@ -1061,3 +1064,147 @@ var evaluators = []struct {
 	name string
 	run  func(*rdf.Snapshot, *sparql.Query, Limits) (*Result, error)
 }{{"columnar", QueryWithLimits}, {"reference", queryReference}}
+
+// reorderElems rewrites a group's elements with every run of adjacent
+// triple patterns in the planner's order, seeded with bound (reorderBGPs
+// fills it from the first incoming row). It marks every variable the
+// elements can bind into bound as it goes.
+func (ev *evaluator) reorderElems(elems []sparql.Pattern, bound map[string]bool) []sparql.Pattern {
+	multi := false
+	for i := 1; i < len(elems); i++ {
+		_, a := elems[i-1].(*sparql.TriplePattern)
+		_, b := elems[i].(*sparql.TriplePattern)
+		if a && b {
+			multi = true
+			break
+		}
+	}
+	if !multi {
+		return elems
+	}
+	out := make([]sparql.Pattern, 0, len(elems))
+	for i := 0; i < len(elems); {
+		tp, ok := elems[i].(*sparql.TriplePattern)
+		if !ok {
+			ev.markPatternVars(elems[i], bound)
+			out = append(out, elems[i])
+			i++
+			continue
+		}
+		run := []*sparql.TriplePattern{tp}
+		j := i + 1
+		for ; j < len(elems); j++ {
+			next, ok := elems[j].(*sparql.TriplePattern)
+			if !ok {
+				break
+			}
+			run = append(run, next)
+		}
+		for _, t := range ev.orderRun(run, bound) {
+			out = append(out, t)
+		}
+		for _, t := range run {
+			for _, term := range [3]sparql.Term{t.S, t.P, t.O} {
+				if name, ok := varName(term); ok {
+					bound[name] = true
+				}
+			}
+		}
+		i = j
+	}
+	return out
+}
+
+// compileBGP compiles triple patterns to planner atoms, returning the
+// variable-name table (planner variable index -> binding name).
+// Constants missing from the dictionary compile to an out-of-dictionary
+// ID, whose zero statistics order the (necessarily empty) atom first.
+func (ev *evaluator) compileBGP(patterns []*sparql.TriplePattern) ([]plan.Atom, []string) {
+	varIdx := map[string]int{}
+	var names []string
+	idx := func(name string) int {
+		if i, ok := varIdx[name]; ok {
+			return i
+		}
+		varIdx[name] = len(names)
+		names = append(names, name)
+		return len(names) - 1
+	}
+	toRef := func(t sparql.Term) plan.TermRef {
+		if txt, ok := ev.termText(t); ok {
+			if id, known := ev.st.Lookup(txt); known {
+				return plan.C(id)
+			}
+			return plan.C(^rdf.ID(0))
+		}
+		name, _ := varName(t)
+		return plan.V(idx(name))
+	}
+	atoms := make([]plan.Atom, len(patterns))
+	for i, tp := range patterns {
+		atoms[i] = plan.Atom{S: toRef(tp.S), P: toRef(tp.P), O: toRef(tp.O)}
+	}
+	return atoms, names
+}
+
+// orderRun plans one basic graph pattern, seeded with the variables
+// earlier elements of its group bind.
+func (ev *evaluator) orderRun(run []*sparql.TriplePattern, bound map[string]bool) []*sparql.TriplePattern {
+	if len(run) < 2 {
+		return run
+	}
+	atoms, names := ev.compileBGP(run)
+	initial := make([]bool, len(names))
+	for i, name := range names {
+		initial[i] = bound[name]
+	}
+	p := plan.Planner{Stats: ev.st.Stats()}.PlanBound(atoms, len(names), initial)
+	ordered := make([]*sparql.TriplePattern, len(run))
+	for k, ai := range p.Order {
+		ordered[k] = run[ai]
+	}
+	return ordered
+}
+
+// markPatternVars marks the variables a non-triple group element can
+// bind, for planning purposes only (a miss costs plan quality, never
+// correctness; OPTIONAL/UNION variables are not guaranteed bound at
+// runtime, but planning as if they were beats ignoring them). Nested
+// patterns are walked recursively.
+func (ev *evaluator) markPatternVars(p sparql.Pattern, bound map[string]bool) {
+	sparql.Walk(p, func(n sparql.Pattern) bool {
+		switch x := n.(type) {
+		case *sparql.TriplePattern:
+			for _, t := range [3]sparql.Term{x.S, x.P, x.O} {
+				if name, ok := varName(t); ok {
+					bound[name] = true
+				}
+			}
+		case *sparql.PathPattern:
+			for _, t := range [2]sparql.Term{x.S, x.O} {
+				if name, ok := varName(t); ok {
+					bound[name] = true
+				}
+			}
+		case *sparql.Bind:
+			bound[x.Var.Value] = true
+		case *sparql.InlineData:
+			for _, v := range x.Vars {
+				bound[v.Value] = true
+			}
+		}
+		return true
+	})
+}
+
+// varName returns the binding key for a variable or blank node (blank
+// nodes act as non-projectable variables in patterns).
+func varName(t sparql.Term) (string, bool) {
+	switch t.Kind {
+	case sparql.TermVar:
+		return t.Value, true
+	case sparql.TermBlank:
+		return "_:" + t.Value, true
+	}
+	return "", false
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -181,6 +182,63 @@ func TestReorderMovesSelectiveAtomFirst(t *testing.T) {
 	}
 }
 
+// TestRunPlanInput pins what a run of triples is planned under.
+// A GRAPH name does not count for the runs of the GRAPH's own group:
+// "?y <urn:q> ?x" (2 triples) joins before "?g <urn:p> ?x", which a
+// bound ?g would make the connected, first atom. It counts for a group
+// nested after the GRAPH, here an OPTIONAL's: "?g <urn:p> ?x" joins
+// first there. So do the variables of an earlier FILTER's EXISTS body.
+func TestRunPlanInput(t *testing.T) {
+	st := rdf.NewStore()
+	st.Add(DefaultGraph, "urn:p", "urn:x1")
+	st.Add(DefaultGraph, "urn:p", "urn:x2")
+	for i := 0; i < 4; i++ {
+		st.Add(fmt.Sprintf("urn:s%d", i), "urn:p", fmt.Sprintf("urn:x%d", i))
+	}
+	st.Add("urn:y1", "urn:q", "urn:x2")
+	st.Add("urn:y2", "urn:q", "urn:x1")
+	sn := st.Freeze()
+	graphRows := [][]string{{"urn:s3", "urn:x1", "urn:y2"}, {"urn:s3", "urn:x2", "urn:y1"}}
+	for _, tc := range []struct {
+		src   string
+		joins []string
+		rows  [][]string
+	}{
+		{`SELECT ?s ?x ?y WHERE { GRAPH ?g { ?s <urn:p> <urn:x3> } ?g <urn:p> ?x . ?y <urn:q> ?x }`,
+			[]string{"join ?s <urn:p> <urn:x3>", "join ?y <urn:q> ?x  binds ?y ?x", "join ?g <urn:p> ?x  binds ?g"}, graphRows},
+		{`SELECT ?s ?x ?y WHERE { GRAPH ?g { ?s <urn:p> <urn:x3> } OPTIONAL { ?g <urn:p> ?x . ?y <urn:q> ?x } }`,
+			[]string{"join ?s <urn:p> <urn:x3>", "join ?g <urn:p> ?x  binds ?x", "join ?y <urn:q> ?x  binds ?y"}, graphRows},
+		{`SELECT ?g ?x ?y WHERE { ?s <urn:p> <urn:x3> FILTER EXISTS { ?g <urn:p> ?z } ?g <urn:p> ?x . ?y <urn:q> ?x }`,
+			[]string{"join ?s <urn:p> <urn:x3>", "join ?g <urn:p> ?x  binds ?x", "join ?y <urn:q> ?x  binds ?y"},
+			[][]string{{DefaultGraph, "urn:x1", "urn:y2"}, {"urn:s1", "urn:x1", "urn:y2"}, {DefaultGraph, "urn:x2", "urn:y1"}, {"urn:s2", "urn:x2", "urn:y1"}}},
+	} {
+		q, err := sparql.Parse(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Query(sn, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Rows, tc.rows) {
+			t.Errorf("%s: rows %q, want %q", tc.src, res.Rows, tc.rows)
+		}
+		text, err := Explain(context.Background(), sn, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var joins []string
+		for _, line := range strings.Split(text, "\n") {
+			if i := strings.Index(line, "join "); i >= 0 {
+				joins = append(joins, line[i:])
+			}
+		}
+		if !reflect.DeepEqual(joins, tc.joins) {
+			t.Errorf("%s: joins %q, want %q:\n%s", tc.src, joins, tc.joins, text)
+		}
+	}
+}
+
 // TestExplainPropertyPath: a path operator's line carries its compiled
 // automaton, the evaluation it ran for its input rows, its estimated
 // reach, and the rows it emitted.
@@ -265,10 +323,38 @@ func BenchmarkEvalJoinOrderSyntactic(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := QueryWithLimits(g.Snapshot, q, Limits{noReorder: true}); err != nil {
+		if _, err := QueryAnswer(context.Background(), g.Snapshot, q, nil, Limits{noReorder: true}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestBGPCompiledOnce pins that a run of triple patterns is compiled
+// once: each of the four prefixed constants is expanded and looked up
+// for its join's atom, and the planner orders those atoms. QueryAnswer
+// makes 79 allocations here; a pre-pass that built the planner its own
+// atoms (expanding every constant again) and name table made 95.
+func TestBGPCompiledOnce(t *testing.T) {
+	sn := socialStore()
+	q, err := sparql.Parse(`PREFIX u: <urn:> SELECT ?x ?z WHERE { ?x u:knows ?y . ?y u:knows ?z . ?x u:tag <urn:gold> . ?z u:age ?a }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		res, err := QueryAnswer(context.Background(), sn, q, nil, Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = res.Answer.Len()
+	})
+	if rows != 3 {
+		t.Fatalf("%d rows, want 3", rows)
+	}
+	if allocs > 85 {
+		t.Fatalf("QueryAnswer of a 4-triple BGP: %.0f allocations, want at most 85", allocs)
 	}
 }

@@ -1,3 +1,25 @@
+// Package exec is the slot-based columnar query executor the SPARQL
+// evaluator (internal/eval) runs queries on. A query's variables have
+// dense slot indexes, which the caller numbers once (eval's slot i is
+// the i-th variable of the query's sparql.Scope); intermediate results
+// flow through the operator tree as fixed-capacity Batches — one
+// rdf.ID column per slot — instead of per-row map[string]string
+// bindings. Strings exist only at the edges: parse-time constants
+// resolve through the snapshot dictionary (or intern into a Pool
+// overflow for computed values), and a query's result is an Answer —
+// ID columns plus that overflow — whose text is read when a response
+// is serialized, not before.
+//
+// Operators are pull-based: Next returns the operator's next output
+// batch, or nil at end of stream. Batches are owned by the operator
+// that returns them and are overwritten by the following Next call, so
+// a consumer must copy what it keeps. All operators preserve the
+// row order of the row-at-a-time evaluation they replaced, which keeps
+// the columnar executor result-identical (including solution-modifier
+// tie-breaks) to the legacy materialized path it is tested against.
+//
+// A query is one such pipeline, pulled on the goroutine that asked for
+// it: no operator starts a goroutine.
 package exec
 
 import (

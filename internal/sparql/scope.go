@@ -103,8 +103,8 @@ func (s *VarSet) union(t VarSet) {
 // a single walk: the query's variables numbered densely, and every set
 // a scope question needs as a VarSet over those numbers. It is the one
 // place that decides which variables a pattern mentions, binds or has
-// in scope; the linter, the study's projection test and the
-// evaluator's slot table read it. Its sets must not be modified.
+// in scope; the linter and the study's projection test read it, and
+// the evaluator's slots are its numbers. Its sets must not be modified.
 type Scope struct {
 	Query *Query
 
@@ -112,7 +112,8 @@ type Scope struct {
 	// of the WHERE clause (a BIND's target before its expression), then
 	// the trailing VALUES, the modifiers' expressions, and what only the
 	// projection or a GROUP BY alias names. A triple's or path's blank
-	// node label is numbered too, as "_:label": eval binds it.
+	// node label is numbered too, as "_:label": eval binds it. The
+	// evaluator's slot i holds Names[i].
 	Names []string
 
 	// Mentioned is every variable the WHERE clause mentions: in
@@ -141,8 +142,7 @@ type Scope struct {
 	// in no solution of the query.
 	MinusOnly VarSet
 	// Bound is every variable and blank node label some pattern binds
-	// anywhere in the query, EXISTS and MINUS bodies included: the
-	// evaluator's slots.
+	// anywhere in the query, EXISTS and MINUS bodies included.
 	Bound VarSet
 
 	subs map[*Query]*Scope
@@ -235,7 +235,7 @@ func ScopeOf(q *Query) *Scope {
 
 // In reports whether the named variable is in set.
 func (s *Scope) In(set VarSet, name string) bool {
-	i, ok := s.find("", name)
+	i, ok := s.Find("", name)
 	return ok && set.Has(i)
 }
 
@@ -268,9 +268,10 @@ func (s *Scope) Elems(g *Group) []VarSet {
 	return out
 }
 
-// find returns the number of the name prefix+name, where prefix is ""
-// for a variable and "_:" for a blank node label.
-func (s *Scope) find(prefix, name string) (int, bool) {
+// Find returns the number of the name prefix+name, where prefix is ""
+// for a variable and "_:" for a blank node label; the two are compared
+// in place, not concatenated.
+func (s *Scope) Find(prefix, name string) (int, bool) {
 	if s.index != nil {
 		i, ok := s.index[prefix+name]
 		return i, ok
@@ -283,10 +284,10 @@ func (s *Scope) find(prefix, name string) (int, bool) {
 	return 0, false
 }
 
-// number returns the number of the name prefix+name (see find),
+// number returns the number of the name prefix+name (see Find),
 // numbering it next if it is new.
 func (s *Scope) number(prefix, name string) int {
-	if i, ok := s.find(prefix, name); ok {
+	if i, ok := s.Find(prefix, name); ok {
 		return i
 	}
 	name = prefix + name

@@ -90,7 +90,7 @@ func TestScopeNumbersPastScan(t *testing.T) {
 		if label, ok := strings.CutPrefix(n, "_:"); ok {
 			prefix, name = "_:", label
 		}
-		if j, ok := s.find(prefix, name); !ok || j != i {
+		if j, ok := s.Find(prefix, name); !ok || j != i {
 			t.Errorf("%q is number %d, found as %d %v", n, i, j, ok)
 		}
 	}
