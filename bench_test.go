@@ -566,7 +566,6 @@ var parseSink *sparql.Query
 // query, cycling through the distinct parseable texts of the loggen
 // corpus at scale 0.0001, seed 1 (8,751 queries).
 func BenchmarkQueryString(b *testing.B) {
-	p := &sparql.Parser{}
 	seen := make(map[string]bool)
 	var qs []*sparql.Query
 	for _, ds := range loggen.GenerateCorpus(0.0001, 1) {
@@ -575,7 +574,8 @@ func BenchmarkQueryString(b *testing.B) {
 				continue
 			}
 			seen[e] = true
-			if q, err := p.Parse(e); err == nil {
+			// Every tree is kept: each is parsed on a Parser of its own.
+			if q, err := sparql.Parse(e); err == nil {
 				qs = append(qs, q)
 			}
 		}
@@ -702,11 +702,11 @@ func TestBenchHarnessSmoke(t *testing.T) {
 		t.Error("appendix (valid) corpus must be at least the unique corpus")
 	}
 
-	// Per-query analyses over parsed queries.
-	p := &sparql.Parser{}
+	// Per-query analyses over parsed queries, each kept, so each parsed
+	// on a Parser of its own.
 	var qs []*sparql.Query
 	for _, e := range ds.Entries {
-		if q, err := p.Parse(e); err == nil {
+		if q, err := sparql.Parse(e); err == nil {
 			qs = append(qs, q)
 		}
 	}
@@ -822,14 +822,14 @@ var (
 func parsedBenchQueries(b *testing.B) []*sparql.Query {
 	b.Helper()
 	parsedOnce.Do(func() {
-		p := &sparql.Parser{}
 		seen := map[string]bool{}
 		for _, ds := range benchCorpus() {
 			for _, e := range ds.Entries {
 				if seen[e] {
 					continue
 				}
-				q, err := p.Parse(e)
+				// Every tree is kept: each is parsed on a Parser of its own.
+				q, err := sparql.Parse(e)
 				if err != nil {
 					continue
 				}

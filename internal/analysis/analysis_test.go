@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"strings"
 	"testing"
 
 	"sparqlog/internal/sparql"
@@ -138,6 +139,47 @@ func TestOperatorSets(t *testing.T) {
 		if got := scan(t, tc.src).Operators.Key(); got != tc.want {
 			t.Errorf("Operators(%q) = %s, want %s", tc.src, got, tc.want)
 		}
+	}
+}
+
+// TestOperatorSetKeyTable holds Key's table to the rendering it
+// replaced, which joined the set's letters for every query, over all 64
+// combinations of the six flags; and a key costs no allocation.
+func TestOperatorSetKeyTable(t *testing.T) {
+	joined := func(s OperatorSet) string {
+		if s.Other {
+			return "other"
+		}
+		var parts []string
+		if s.And {
+			parts = append(parts, "A")
+		}
+		if s.Opt {
+			parts = append(parts, "O")
+		}
+		if s.Union {
+			parts = append(parts, "U")
+		}
+		if s.Graph {
+			parts = append(parts, "G")
+		}
+		if s.Filter {
+			parts = append(parts, "F")
+		}
+		if len(parts) == 0 {
+			return "none"
+		}
+		return strings.Join(parts, ", ")
+	}
+	for i := range 64 {
+		s := OperatorSet{And: i&1 != 0, Filter: i&2 != 0, Opt: i&4 != 0, Graph: i&8 != 0, Union: i&16 != 0, Other: i&32 != 0}
+		if got, want := s.Key(), joined(s); got != want {
+			t.Errorf("%+v: Key() = %q, want %q", s, got, want)
+		}
+	}
+	s := OperatorSet{And: true, Opt: true, Filter: true}
+	if n := testing.AllocsPerRun(100, func() { _ = s.Key() }); n != 0 {
+		t.Errorf("Key allocates %v times, want 0", n)
 	}
 }
 

@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"sort"
-	"strings"
-)
+import "strings"
 
 // OperatorSet identifies which of the five operators of Table 3 a query
 // body uses, plus whether it uses anything beyond them ("other features"
@@ -20,33 +17,33 @@ func (s OperatorSet) Key() string {
 	if s.Other {
 		return "other"
 	}
-	var parts []string
-	if s.And {
-		parts = append(parts, "A")
+	i := 0
+	for b, on := range [...]bool{s.And, s.Opt, s.Union, s.Graph, s.Filter} {
+		if on {
+			i |= 1 << b
+		}
 	}
-	if s.Opt {
-		parts = append(parts, "O")
-	}
-	if s.Union {
-		parts = append(parts, "U")
-	}
-	if s.Graph {
-		parts = append(parts, "G")
-	}
-	if s.Filter {
-		parts = append(parts, "F")
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, ", ")
+	return operatorKeys[i]
 }
 
-// IsCPF reports whether the body is a conjunctive pattern with filters
-// (Definition 4.1): only triples, And, and Filter.
-func (s OperatorSet) IsCPF() bool {
-	return !s.Other && !s.Opt && !s.Graph && !s.Union
-}
+// operatorKeys holds Key of each set without Other, indexed by its
+// flags in Table 3's order, A the lowest bit: built once, so that
+// counting a query's set builds no string.
+var operatorKeys = func() (keys [32]string) {
+	for i := range keys {
+		var parts []string
+		for b, name := range [...]string{"A", "O", "U", "G", "F"} {
+			if i&(1<<b) != 0 {
+				parts = append(parts, name)
+			}
+		}
+		keys[i] = "none"
+		if len(parts) > 0 {
+			keys[i] = strings.Join(parts, ", ")
+		}
+	}
+	return keys
+}()
 
 // Distribution aggregates operator-set counts across queries, keyed by the
 // paper's notation.
@@ -95,19 +92,4 @@ func (d *Distribution) PlusGraph() int {
 // PlusUnion returns the additional queries covered when Union joins CPF.
 func (d *Distribution) PlusUnion() int {
 	return d.Counts["U"] + d.Counts["U, F"] + d.Counts["A, U"] + d.Counts["A, U, F"]
-}
-
-// SortedKeys returns the observed operator-set keys, largest count first.
-func (d *Distribution) SortedKeys() []string {
-	keys := make([]string, 0, len(d.Counts))
-	for k := range d.Counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if d.Counts[keys[i]] != d.Counts[keys[j]] {
-			return d.Counts[keys[i]] > d.Counts[keys[j]]
-		}
-		return keys[i] < keys[j]
-	})
-	return keys
 }

@@ -8,7 +8,6 @@ import (
 
 	"sparqlog/internal/analysis"
 	"sparqlog/internal/lint"
-	"sparqlog/internal/shapes"
 	"sparqlog/internal/sparql"
 )
 
@@ -74,10 +73,13 @@ type LiveAnalyzer struct {
 // Padding between slots is not worth the complexity at typical slot
 // counts.
 type liveSlot struct {
-	mu     sync.Mutex
-	rep    *DatasetReport
-	parser *sparql.Parser
-	shapes shapes.Builder
+	mu  sync.Mutex
+	rep *DatasetReport
+	// parser's trees live until its next Parse, and analyzer's storage
+	// until the next analysis: an entry's parse and analysis are done
+	// before the slot takes the next.
+	parser   *sparql.Parser
+	analyzer analyzer
 	// repeats counts the entries served a prepared Request.
 	repeats uint64
 }
@@ -403,11 +405,11 @@ func (la *LiveAnalyzer) Report() *DatasetReport {
 	// the shards keep their state for the next snapshot. A stored query
 	// is never mutated (a better representative replaces the map entry),
 	// so reading it here needs no lock.
-	var b shapes.Builder
+	var a analyzer
 	for _, r := range reps {
 		rep.Unique++
 		rep.noteShapeUnique(r.shape)
-		rep.analyzeQuery(r.q, &r.f, nil, la.opts, &b)
+		rep.analyzeQuery(r.q, &r.f, nil, la.opts, &a)
 	}
 	rep.spellRepeats()
 	return rep
@@ -451,7 +453,7 @@ func (la *LiveAnalyzer) process(s *liveSlot, e *logEntry, idx uint64) {
 			s.rep.Valid++
 			s.rep.Unique++
 			s.rep.noteShape(shape, true)
-			s.rep.analyzeQuery(q, &f, e.lr, la.opts, &s.shapes)
+			s.rep.analyzeQuery(q, &f, e.lr, la.opts, &s.analyzer)
 			return
 		case la.opts.StructuralDedup:
 			// Analysis is deferred to Report: each shard tracks the
@@ -469,6 +471,12 @@ func (la *LiveAnalyzer) process(s *liveSlot, e *logEntry, idx uint64) {
 			sh := la.shard(la.keyOf(fp))
 			sh.mu.Lock()
 			if cur, ok := sh.reps[fp]; !ok || idx < cur.idx {
+				if e.req == nil {
+					// The slot's parser recycles q at its next parse, and
+					// a representative outlives it: it is parsed again, on
+					// a Parser of its own. (AddRequest's parse is one.)
+					q, _ = sparql.Parse(e.raw)
+				}
 				sh.reps[fp] = classRep{idx: idx, q: q, f: f, shape: shape}
 			}
 			sh.mu.Unlock()

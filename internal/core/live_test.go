@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"sort"
@@ -21,8 +22,16 @@ import (
 // served request (AddRequest). Mid-stream reports must be consistent
 // prefixes. AddRequest must hand back what parsing the text gives, and
 // in exact dedup, the same Request to the repeats of a text it has
-// seen twice.
+// seen twice. It runs on four slots and on one, where a structural
+// class's representative outlives many parses on its slot's parser
+// (TestMain poisons a recycled tree).
 func TestLiveMatchesBatch(t *testing.T) {
+	for _, workers := range []int{4, 1} {
+		testLiveMatchesBatch(t, workers)
+	}
+}
+
+func testLiveMatchesBatch(t *testing.T, workers int) {
 	optionSets := map[string]Options{
 		"default":         {},
 		"keep-duplicates": {KeepDuplicates: true},
@@ -35,8 +44,9 @@ func TestLiveMatchesBatch(t *testing.T) {
 	}
 	ds := loggen.Generate(loggen.Profiles()[0], 1200, 44)
 	for label, opts := range optionSets {
+		label = fmt.Sprintf("%s/%d slots", label, workers)
 		want := AnalyzeLog(ds.Name, ds.Entries, opts)
-		la := NewLiveAnalyzer(ds.Name, opts, 4)
+		la := NewLiveAnalyzer(ds.Name, opts, workers)
 		half := len(ds.Entries) / 2
 		served := map[string]*Request{}
 		shared := 0

@@ -260,7 +260,7 @@ func hasPrefixUpperASCII(s, kw string) bool {
 func AnalyzeLog(name string, entries []string, opts Options) *DatasetReport {
 	rep := NewCorpusReport(name)
 	parser := &sparql.Parser{}
-	var b shapes.Builder
+	var a analyzer
 	seen := make(map[string]bool)
 	for _, raw := range entries {
 		if !looksLikeQuery(raw) {
@@ -288,7 +288,7 @@ func AnalyzeLog(name string, entries []string, opts Options) *DatasetReport {
 		}
 		rep.noteShape(shape, true)
 		rep.Unique++
-		rep.analyzeQuery(q, &f, nil, opts, &b)
+		rep.analyzeQuery(q, &f, nil, opts, &a)
 	}
 	rep.spellRepeats()
 	return rep
@@ -298,24 +298,33 @@ func AnalyzeLog(name string, entries []string, opts Options) *DatasetReport {
 // tests and the repro harness).
 func AnalyzeQueries(name string, qs []*sparql.Query, opts Options) *DatasetReport {
 	rep := NewCorpusReport(name)
-	var b shapes.Builder
+	var a analyzer
 	for _, q := range qs {
 		rep.Total++
 		rep.Valid++
 		rep.Unique++
 		f := analysis.Scan(q)
 		rep.noteShape(shapeOf(q, &f), true)
-		rep.analyzeQuery(q, &f, nil, opts, &b)
+		rep.analyzeQuery(q, &f, nil, opts, &a)
 	}
 	rep.spellRepeats()
 	return rep
 }
 
+// analyzer is the storage a loop of analyzeQuery calls reuses from one
+// query to the next: the builder of the canonical (hyper)graphs, and
+// the Scope of a query that has no lint result. What a call leaves in
+// it is valid until the next.
+type analyzer struct {
+	shapes shapes.Builder
+	scope  sparql.Scope
+}
+
 // analyzeQuery folds one query into the report. f is q's scan. lr is
 // the query's lint result when the caller already has it (a serving
 // endpoint lints every request for its response header); nil means lint
-// here if opts.Lint. b builds the query's canonical (hyper)graphs.
-func (rep *DatasetReport) analyzeQuery(q *sparql.Query, f *analysis.Features, lr *lint.Result, opts Options, b *shapes.Builder) {
+// here if opts.Lint. a is the storage the analysis reuses.
+func (rep *DatasetReport) analyzeQuery(q *sparql.Query, f *analysis.Features, lr *lint.Result, opts Options, a *analyzer) {
 	if !q.HasBody() {
 		rep.Bodyless++
 	}
@@ -339,11 +348,11 @@ func (rep *DatasetReport) analyzeQuery(q *sparql.Query, f *analysis.Features, lr
 	rep.TripleSum += tc
 	rep.TripleHist[bucket(tc)]++
 	rep.OperatorSet.Add(f.Operators)
-	var sc *sparql.Scope // the lint pass's, when there was one
+	sc := &a.scope // or the lint pass's, when there was one
 	if lr != nil {
 		sc = lr.Scope
 	} else {
-		sc = sparql.ScopeOf(q)
+		sc.Analyze(q)
 	}
 	switch analysis.Projection(sc) {
 	case analysis.UsesProjection:
@@ -380,6 +389,7 @@ func (rep *DatasetReport) analyzeQuery(q *sparql.Query, f *analysis.Features, lr
 	if opts.SkipShapes {
 		return
 	}
+	b := &a.shapes
 	triples := b.Triples(q)
 	collapses := f.Collapses
 	if frag.HasVarPredicate {
@@ -408,18 +418,18 @@ func (rep *DatasetReport) analyzeQuery(q *sparql.Query, f *analysis.Features, lr
 	// The fragments see at most two distinct graphs, without and with
 	// the ?x = ?y collapses, and one when the query has no such filter
 	// (always so for a CQ); each is built and classified once.
-	var reports [2]*shapes.Report
+	var reports [2]shapes.Report
+	var classified [2]bool
 	classify := func(withCollapse bool) shapes.Report {
 		i, o := 0, shapes.Options{}
 		if withCollapse && len(collapses) > 0 {
 			i, o.CollapseEqual = 1, collapses
 		}
-		if reports[i] == nil {
+		if !classified[i] {
 			g, _ := b.Graph(triples, o)
-			r := shapes.Classify(g)
-			reports[i] = &r
+			reports[i], classified[i] = shapes.Classify(g), true
 		}
-		return *reports[i]
+		return reports[i]
 	}
 	if frag.CQ {
 		r := classify(false)

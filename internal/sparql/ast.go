@@ -56,6 +56,12 @@ type Term struct {
 	Datatype string
 	// PrefixedForm records whether an IRI was written as a prefixed name.
 	PrefixedForm bool
+	// num is the number the parser gave a variable or blank node label:
+	// each distinct one of a text is numbered from 1, variables and
+	// labels alike, in the order they are read; 0 for any other term and
+	// for a term the parser did not make. ScopeOf numbers a scope by it.
+	// It fills the struct's padding, so a Term stays 64 bytes.
+	num int32
 }
 
 // RDFType is the IRI the keyword 'a' abbreviates. The parser expands 'a'

@@ -20,14 +20,15 @@ const twoPrefixes = "PREFIX dbo: <http://dbpedia.org/ontology/> PREFIX dbr: <htt
 
 // reuseChecker parses texts one after another on one Parser and fails
 // the test unless each parse is exactly a fresh Parser's: the same AST
-// (reflect.DeepEqual) and the same error. It also re-checks the previous
-// text's AST, which the later parse must not have changed.
+// (reflect.DeepEqual) and the same error. With TestHookPoison set (see
+// TestMain), it also reads the previous text's tree again, which the
+// later parse must have poisoned: its root, and each of its triples.
 type reuseChecker struct {
 	t       *testing.T
 	p       sparql.Parser
 	prev    string
 	prevQ   *sparql.Query
-	started bool
+	triples []*sparql.TriplePattern // prevQ's
 }
 
 func (c *reuseChecker) parse(src string) {
@@ -40,12 +41,20 @@ func (c *reuseChecker) parse(src string) {
 	if !reflect.DeepEqual(got, want) {
 		c.t.Fatalf("after %q, Parse(%q):\n AST   %s\n fresh %s", c.prev, src, dump(got), dump(want))
 	}
-	if c.started {
-		if again, _ := sparql.Parse(c.prev); !reflect.DeepEqual(c.prevQ, again) {
-			c.t.Fatalf("Parse(%q) changed the AST of the text before it, %q", src, c.prev)
+	if c.prevQ != nil && sparql.TestHookPoison.Load() {
+		if !strings.Contains(c.prevQ.String(), sparql.RecycledIRI) {
+			c.t.Fatalf("after Parse(%q), the tree of the text before it, %q, is not poisoned: %s", src, c.prev, c.prevQ)
+		}
+		for _, tp := range c.triples {
+			if tp.S.Value != sparql.RecycledIRI || tp.O.Value != sparql.RecycledIRI {
+				c.t.Fatalf("after Parse(%q), a triple of the text before it, %q, is not poisoned: %+v", src, c.prev, *tp)
+			}
 		}
 	}
-	c.prev, c.prevQ, c.started = src, got, true
+	c.prev, c.prevQ, c.triples = src, got, nil
+	if got != nil {
+		c.triples = got.Triples()
+	}
 }
 
 func errText(err error) string {
@@ -146,12 +155,16 @@ func TestPrologueMemo(t *testing.T) {
 // TestPrologueMemoAllocs pins the memo's saving: a reused Parser that
 // meets a prologue it has just read shares its declarations, one
 // allocation fewer than a parse that must lex them (the same text after
-// one with other IRIs). A fresh Parser (the package-level Parse, what a
-// serving endpoint runs on a text's first sighting) pays nothing for
-// the memo, and makes room for the seven declarations at once: 9
-// allocations, the lexed parse's plus the parser's scratch slices (12
-// while the declarations' scratch grew from empty).
+// one with other IRIs). Its tree comes from recycled slabs, so the
+// repeated prologue costs nothing at all. A fresh Parser (the
+// package-level Parse, what a serving endpoint runs on a text's first
+// sighting) pays nothing for the memo, and makes room for the seven
+// declarations at once: 8 allocations, the declarations' scratch and
+// their copy, one chunk for each of the five node types of the tree (a
+// query, a SELECT list, a group, its elements, a triple) and one for
+// the parser's stacks.
 func TestPrologueMemoAllocs(t *testing.T) {
+	unpoisoned(t)
 	text := boilerplate + "SELECT ?v0 ?v1 WHERE { ?v0 foaf:knows ?v1 }"
 	other := strings.ReplaceAll(text, "http://", "https://")
 	var p sparql.Parser
@@ -161,9 +174,9 @@ func TestPrologueMemoAllocs(t *testing.T) {
 	repeated := testing.AllocsPerRun(100, func() { p.Parse(text) })
 	lexed := testing.AllocsPerRun(100, func() { p.Parse(other); p.Parse(text) }) / 2
 	fresh := testing.AllocsPerRun(100, func() { sparql.Parse(text) })
-	if repeated != lexed-1 || fresh != 9 {
-		t.Errorf("a repeated prologue costs %v allocations, a lexed one %v, a fresh parse %v; want %v, %v, 9",
-			repeated, lexed, fresh, lexed-1, lexed)
+	if repeated != 0 || lexed != 1 || fresh != 8 {
+		t.Errorf("a repeated prologue costs %v allocations, a lexed one %v, a fresh parse %v; want 0, 1, 8",
+			repeated, lexed, fresh)
 	}
 }
 
@@ -184,6 +197,7 @@ func TestQueryFormError(t *testing.T) {
 			t.Errorf("Parse(%q) = %v\n want %s", src, err, want)
 		}
 	}
+	unpoisoned(t)
 	var p sparql.Parser
 	for _, src := range []string{"GET /index.html HTTP/1.1", "127.0.0.1 - - [10/Oct/2000]"} {
 		if n := testing.AllocsPerRun(100, func() { p.Parse(src) }); n != 2 {
@@ -192,9 +206,10 @@ func TestQueryFormError(t *testing.T) {
 	}
 }
 
-// FuzzParserReuse is the prologue memo's differential: parsing a and
+// FuzzParserReuse is the reused Parser's differential: parsing a and
 // then b on one Parser gives b exactly what a fresh Parser gives it, the
-// same AST and the same error, and leaves a's AST as it was.
+// same AST and the same error, prologue memo and recycled slabs
+// notwithstanding, and poisons a's tree.
 func FuzzParserReuse(f *testing.F) {
 	body := "SELECT * WHERE { ?s dbo:p ?o }"
 	for _, pair := range [][2]string{

@@ -1,7 +1,6 @@
 package sparql
 
 import (
-	"slices"
 	"strconv"
 	"strings"
 )
@@ -11,29 +10,69 @@ import (
 // queries via Parse (one at a time); the package-level Parse makes a
 // fresh one.
 //
+// A tree a Parser returns is valid until its next Parse. The Parser
+// takes the tree's nodes from slabs it owns (nodes), and Parse recycles
+// them for the next tree: a reused Parser that has met its largest text
+// allocates no nodes at all. A caller that keeps a tree past the next
+// Parse parses it on a Parser it does not reuse, such as the
+// package-level Parse, whose tree is its own for as long as it is
+// referenced. TestHookPoison makes that contract checked: each Parse
+// then poisons the tree before it.
+//
+// The parser numbers each distinct variable and blank node label of a
+// text as it reads it (Term.num), so that ScopeOf numbers a scope by
+// array lookups, not name comparisons.
+//
 // A reused Parser reads a repeated prologue once: it remembers the
 // PREFIX declarations of the last prologue it parsed (prologueMemo), and
 // a text that begins with the same bytes is compared, not lexed, up to
 // the end of the last declaration they share. Queries parsed by one
 // Parser may then share the backing array of Prologue.Prefixes, whose
-// strings may slice an earlier query's text; like the rest of an AST,
-// it must not be written to.
+// strings may slice an earlier query's text; the memo owns that array,
+// which outlives the trees, and like the rest of an AST it must not be
+// written to.
 type Parser struct {
 	lex      Lexer
 	tok      Token // current token
 	ahead    Token // one-token lookahead, valid when hasAhead
 	hasAhead bool
 	blankSeq int
-	// prefixes and selects collect the PREFIX declarations read past the
-	// reused ones and the SELECT items being parsed, the latter as a
-	// stack (a subquery's SELECT clause may open inside an outer one's
-	// expression). The query gets a copy of its part at its exact size.
+	// prefixes collects the PREFIX declarations read past the reused
+	// ones. selects, elems and exprs are stacks of the SELECT items,
+	// group elements and call arguments being parsed (a list may open
+	// inside another: a subquery's SELECT clause in an outer one's
+	// expression, a group in a group). A node gets a copy of its part
+	// at its exact size, from the slabs.
 	prefixes []PrefixDecl
 	selects  []SelectItem
+	elems    []Pattern
+	exprs    []Expr
+	// names lists the variables and blank node labels of the text by
+	// number, less one; past scanNames of them, index finds them.
+	names []nameKey
+	index map[nameKey]int32
+	nodes nodes
 	// memo is the last prologue parsed, and reused is the number of its
 	// declarations the text being parsed begins with.
 	memo   prologueMemo
 	reused int
+}
+
+// scratch is the first storage of a Parser's stacks and names, made
+// in one allocation once a text has a query form, so that a fresh
+// Parser parses a small query with no more for them. It is kept off
+// the Parser, which the package-level Parse then keeps on its stack.
+type scratch struct {
+	selects [4]SelectItem
+	elems   [8]Pattern
+	exprs   [4]Expr
+	names   [8]nameKey
+}
+
+// nameKey is a variable's name or, with blank set, a blank node label.
+type nameKey struct {
+	name  string
+	blank bool
 }
 
 // memoDecls is the most PREFIX declarations a prologueMemo records:
@@ -55,7 +94,8 @@ type prologueMemo struct {
 	n     int // declarations recorded
 }
 
-// Parse parses a single SPARQL query.
+// Parse parses a single SPARQL query on a fresh Parser, so the tree is
+// the caller's for as long as it keeps it.
 func Parse(src string) (*Query, error) {
 	p := &Parser{}
 	return p.Parse(src)
@@ -63,13 +103,16 @@ func Parse(src string) (*Query, error) {
 
 // Parse parses src as one complete query, resetting parser state but
 // for the prologue memo: the lexer starts past the memo's declarations
-// that src begins with.
+// that src begins with. The tree it returned before is recycled.
 func (p *Parser) Parse(src string) (*Query, error) {
 	p.lex = Lexer{src: src, pos: p.reuse(src)}
 	p.hasAhead = false
+	p.nodes.recycle(TestHookPoison.Load())
 	clear(p.prefixes)
 	clear(p.selects)
 	p.prefixes, p.selects = p.prefixes[:0], p.selects[:0]
+	p.elems, p.exprs, p.names = p.elems[:0], p.exprs[:0], p.names[:0]
+	clear(p.index)
 	p.blankSeq = 0
 	if err := p.next(); err != nil {
 		return nil, err
@@ -229,7 +272,60 @@ func (p *Parser) expectKw(kw string) error {
 
 func (p *Parser) freshBlank() Term {
 	p.blankSeq++
-	return Term{Kind: TermBlank, Value: "gen" + strconv.Itoa(p.blankSeq)}
+	return p.blank("gen" + strconv.Itoa(p.blankSeq))
+}
+
+// variable returns the variable the current token names, numbered.
+func (p *Parser) variable() Term {
+	name := p.tok.Text
+	return Term{Kind: TermVar, Value: name, num: p.number(nameKey{name: name})}
+}
+
+// blank returns the blank node of a label, numbered.
+func (p *Parser) blank(label string) Term {
+	return Term{Kind: TermBlank, Value: label, num: p.number(nameKey{name: label, blank: true})}
+}
+
+// number returns the number of a variable or blank node label in the
+// text being parsed, numbering it next if it is new.
+func (p *Parser) number(k nameKey) int32 {
+	if len(p.names) > scanNames {
+		if n, ok := p.index[k]; ok {
+			return n
+		}
+	} else {
+		for i, n := range p.names {
+			if n == k {
+				return int32(i + 1)
+			}
+		}
+	}
+	p.names = append(p.names, k)
+	n := int32(len(p.names))
+	switch {
+	case n == scanNames+1:
+		if p.index == nil {
+			p.index = make(map[nameKey]int32, 2*scanNames)
+		}
+		for i, k := range p.names {
+			p.index[k] = int32(i + 1)
+		}
+	case n > scanNames+1:
+		p.index[k] = n
+	}
+	return n
+}
+
+// alloc returns a node of s holding v.
+func alloc[T any](s *slab[T], v T) *T {
+	x := &s.take(1)[0]
+	*x = v
+	return x
+}
+
+// termExpr returns a term expression node of t.
+func (p *Parser) termExpr(t Term) *TermExpr {
+	return alloc(&p.nodes.terms, TermExpr{Term: t})
 }
 
 // ---------- Query unit ----------
@@ -252,7 +348,11 @@ func (p *Parser) parseQueryUnit() (*Query, error) {
 	default:
 		return nil, p.formError()
 	}
-	q := &Query{Prologue: pro, Mods: Modifiers{Limit: -1, Offset: -1}}
+	if p.names == nil {
+		b := new(scratch)
+		p.selects, p.elems, p.exprs, p.names = b.selects[:0], b.elems[:0], b.exprs[:0], b.names[:0]
+	}
+	q := alloc(&p.nodes.queries, Query{Prologue: pro, Mods: Modifiers{Limit: -1, Offset: -1}})
 	if err := form(q); err != nil {
 		return nil, err
 	}
@@ -357,19 +457,6 @@ func (p *Parser) closePrologue(ends []int) []PrefixDecl {
 	return out
 }
 
-// take returns a copy of (*scratch)[mark:] at its exact size, nil when
-// it is empty, and truncates *scratch to mark.
-func take[T any](scratch *[]T, mark int) []T {
-	s := *scratch
-	if len(s) == mark {
-		return nil
-	}
-	out := slices.Clone(s[mark:])
-	clear(s[mark:])
-	*scratch = s[:mark]
-	return out
-}
-
 func (p *Parser) parseSelectQuery(q *Query) error {
 	q.Type = SelectQuery
 	if err := p.parseSelectClause(q); err != nil {
@@ -405,7 +492,7 @@ func (p *Parser) parseSelectClause(q *Query) error {
 	for {
 		switch p.tok.Kind {
 		case Var:
-			p.selects = append(p.selects, SelectItem{Var: Variable(p.tok.Text)})
+			p.selects = append(p.selects, SelectItem{Var: p.variable()})
 			if err := p.next(); err != nil {
 				return err
 			}
@@ -423,7 +510,7 @@ func (p *Parser) parseSelectClause(q *Query) error {
 			if p.tok.Kind != Var {
 				return p.errorf("expected variable after AS")
 			}
-			v := Variable(p.tok.Text)
+			v := p.variable()
 			if err := p.next(); err != nil {
 				return err
 			}
@@ -435,7 +522,7 @@ func (p *Parser) parseSelectClause(q *Query) error {
 			if len(p.selects) == mark {
 				return p.errorf("expected variable or expression in SELECT clause, found %q", p.tok.Text)
 			}
-			q.Select = take(&p.selects, mark)
+			q.Select = take(&p.selects, mark, &p.nodes.items)
 			return nil
 		}
 	}
@@ -527,7 +614,7 @@ func (p *Parser) parseDescribeQuery(q *Query) error {
 		for {
 			switch p.tok.Kind {
 			case Var:
-				q.DescribeTerms = append(q.DescribeTerms, Variable(p.tok.Text))
+				q.DescribeTerms = append(q.DescribeTerms, p.variable())
 			case IRIRef:
 				q.DescribeTerms = append(q.DescribeTerms, IRI(p.tok.Text))
 			case PName:
@@ -608,10 +695,10 @@ func (p *Parser) parseGroupGraphPattern() (*Group, error) {
 	if err := p.expect(LBrace); err != nil {
 		return nil, err
 	}
-	grp := &Group{}
+	grp := alloc(&p.nodes.groups, Group{})
 	// Subquery form: '{' SELECT ... '}'.
 	if p.isKw("SELECT") {
-		sub := &Query{Mods: Modifiers{Limit: -1, Offset: -1}}
+		sub := alloc(&p.nodes.queries, Query{Mods: Modifiers{Limit: -1, Offset: -1}})
 		if err := p.parseSelectQuery(sub); err != nil {
 			return nil, err
 		}
@@ -622,25 +709,28 @@ func (p *Parser) parseGroupGraphPattern() (*Group, error) {
 			}
 			sub.TrailingValues = vd
 		}
-		grp.Elems = append(grp.Elems, &SubSelect{Query: sub})
+		grp.Elems = p.nodes.patterns.take(1)
+		grp.Elems[0] = &SubSelect{Query: sub}
 		if err := p.expect(RBrace); err != nil {
 			return nil, err
 		}
 		return grp, nil
 	}
+	mark := len(p.elems)
 	for {
 		if p.tok.Kind == RBrace {
+			grp.Elems = take(&p.elems, mark, &p.nodes.patterns)
 			return grp, p.next()
 		}
 		if p.tok.Kind == EOF {
 			return nil, p.errorf("unexpected end of input in group graph pattern")
 		}
-		el, err := p.parseGroupElement(grp)
+		el, err := p.parseGroupElement()
 		if err != nil {
 			return nil, err
 		}
 		if el != nil {
-			grp.Elems = append(grp.Elems, el)
+			p.elems = append(p.elems, el)
 		}
 		// An optional dot separates elements.
 		if p.tok.Kind == Dot {
@@ -652,9 +742,9 @@ func (p *Parser) parseGroupGraphPattern() (*Group, error) {
 }
 
 // parseGroupElement parses one element of a group graph pattern and
-// returns it, except a triples block, which appends the patterns it
-// expands to to grp itself and returns nil.
-func (p *Parser) parseGroupElement(grp *Group) (Pattern, error) {
+// returns it, except a triples block, which pushes the patterns it
+// expands to onto the group's elements itself and returns nil.
+func (p *Parser) parseGroupElement() (Pattern, error) {
 	switch {
 	case p.isKw("OPTIONAL"):
 		if err := p.next(); err != nil {
@@ -664,7 +754,7 @@ func (p *Parser) parseGroupElement(grp *Group) (Pattern, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Optional{Inner: inner}, nil
+		return alloc(&p.nodes.optionals, Optional{Inner: inner}), nil
 	case p.isKw("MINUS"):
 		if err := p.next(); err != nil {
 			return nil, err
@@ -680,7 +770,7 @@ func (p *Parser) parseGroupElement(grp *Group) (Pattern, error) {
 		}
 		var name Term
 		if p.tok.Kind == Var {
-			name = Variable(p.tok.Text)
+			name = p.variable()
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -708,7 +798,7 @@ func (p *Parser) parseGroupElement(grp *Group) (Pattern, error) {
 		}
 		var name Term
 		if p.tok.Kind == Var {
-			name = Variable(p.tok.Text)
+			name = p.variable()
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -732,7 +822,7 @@ func (p *Parser) parseGroupElement(grp *Group) (Pattern, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Filter{Constraint: c}, nil
+		return alloc(&p.nodes.filters, Filter{Constraint: c}), nil
 	case p.isKw("BIND"):
 		if err := p.next(); err != nil {
 			return nil, err
@@ -750,7 +840,7 @@ func (p *Parser) parseGroupElement(grp *Group) (Pattern, error) {
 		if p.tok.Kind != Var {
 			return nil, p.errorf("expected variable after AS in BIND")
 		}
-		v := Variable(p.tok.Text)
+		v := p.variable()
 		if err := p.next(); err != nil {
 			return nil, err
 		}
@@ -775,7 +865,7 @@ func (p *Parser) parseGroupElement(grp *Group) (Pattern, error) {
 			if err != nil {
 				return nil, err
 			}
-			node = &Union{Left: node, Right: right}
+			node = alloc(&p.nodes.unions, Union{Left: node, Right: right})
 		}
 		// A braced subquery collapses to the SubSelect itself, so that
 		// serialization (which always braces subqueries) round-trips
@@ -788,31 +878,31 @@ func (p *Parser) parseGroupElement(grp *Group) (Pattern, error) {
 		return node, nil
 	default:
 		// TriplesSameSubjectPath.
-		return nil, p.parseTriplesSameSubject(grp)
+		return nil, p.parseTriplesSameSubject()
 	}
 }
 
 // parseTriplesSameSubject parses one subject with its property list and
-// appends the patterns it expands to to grp, in source order except that
-// the first of them goes last: the order the AST has always had, which
-// every canonical text and study report reflects.
-func (p *Parser) parseTriplesSameSubject(grp *Group) error {
-	mark := len(grp.Elems)
-	subj, err := p.parseGraphNode(&grp.Elems)
+// pushes the patterns it expands to onto p.elems, in source order except
+// that the first of them goes last: the order the AST has always had,
+// which every canonical text and study report reflects.
+func (p *Parser) parseTriplesSameSubject() error {
+	mark := len(p.elems)
+	subj, err := p.parseGraphNode()
 	if err != nil {
 		return err
 	}
 	// A bare blank-node property list may have an empty property list
 	// after it: "[ :p :o ] ." is a valid triples block.
-	if len(grp.Elems) == mark || p.verbFollows() {
-		if err := p.parsePropertyList(subj, &grp.Elems); err != nil {
+	if len(p.elems) == mark || p.verbFollows() {
+		if err := p.parsePropertyList(subj); err != nil {
 			return err
 		}
 	}
-	if len(grp.Elems) == mark {
+	if len(p.elems) == mark {
 		return p.errorf("expected predicate after subject")
 	}
-	block := grp.Elems[mark:]
+	block := p.elems[mark:]
 	first := block[0]
 	copy(block, block[1:])
 	block[len(block)-1] = first
@@ -830,9 +920,10 @@ func (p *Parser) verbFollows() bool {
 }
 
 // parsePropertyList parses verb objectList (';' (verb objectList)?)* and
-// appends the patterns it expands to to dst: each triple or path pattern,
-// then those of its object's blank-node property list or collection.
-func (p *Parser) parsePropertyList(subj Term, dst *[]Pattern) error {
+// pushes the patterns it expands to onto p.elems: each triple or path
+// pattern, then those of its object's blank-node property list or
+// collection.
+func (p *Parser) parsePropertyList(subj Term) error {
 	for {
 		verb, path, err := p.parseVerb()
 		if err != nil {
@@ -842,16 +933,16 @@ func (p *Parser) parsePropertyList(subj Term, dst *[]Pattern) error {
 		for {
 			// The pattern's slot comes before the patterns its object
 			// expands to, which parseGraphNode appends.
-			at := len(*dst)
-			*dst = append(*dst, nil)
-			obj, err := p.parseGraphNode(dst)
+			at := len(p.elems)
+			p.elems = append(p.elems, nil)
+			obj, err := p.parseGraphNode()
 			if err != nil {
 				return err
 			}
 			if path != nil {
-				(*dst)[at] = &PathPattern{S: subj, Path: path, O: obj}
+				p.elems[at] = &PathPattern{S: subj, Path: path, O: obj}
 			} else {
-				(*dst)[at] = &TriplePattern{S: subj, P: verb, O: obj}
+				p.elems[at] = alloc(&p.nodes.triples, TriplePattern{S: subj, P: verb, O: obj})
 			}
 			if p.tok.Kind == Comma {
 				if err := p.next(); err != nil {
@@ -887,7 +978,7 @@ func (p *Parser) parsePropertyList(subj Term, dst *[]Pattern) error {
 func (p *Parser) parseVerb() (Term, PathExpr, error) {
 	switch p.tok.Kind {
 	case Var:
-		v := Variable(p.tok.Text)
+		v := p.variable()
 		return v, nil, p.next()
 	case IRIRef, PName, A:
 		next, err := p.peek()
@@ -917,11 +1008,11 @@ func (p *Parser) parseVerb() (Term, PathExpr, error) {
 
 // parseGraphNode parses a term in subject or object position, including
 // blank-node property lists and collections, whose expansion triples are
-// appended to dst.
-func (p *Parser) parseGraphNode(dst *[]Pattern) (Term, error) {
+// pushed onto p.elems.
+func (p *Parser) parseGraphNode() (Term, error) {
 	switch p.tok.Kind {
 	case Var:
-		t := Variable(p.tok.Text)
+		t := p.variable()
 		return t, p.next()
 	case IRIRef:
 		t := IRI(p.tok.Text)
@@ -930,7 +1021,7 @@ func (p *Parser) parseGraphNode(dst *[]Pattern) (Term, error) {
 		t := Term{Kind: TermIRI, Value: p.tok.Text, PrefixedForm: true}
 		return t, p.next()
 	case BlankNode:
-		t := Term{Kind: TermBlank, Value: p.tok.Text}
+		t := p.blank(p.tok.Text)
 		return t, p.next()
 	case ANON:
 		return p.freshBlank(), p.next()
@@ -964,7 +1055,7 @@ func (p *Parser) parseGraphNode(dst *[]Pattern) (Term, error) {
 			return Term{}, err
 		}
 		b := p.freshBlank()
-		if err := p.parsePropertyList(b, dst); err != nil {
+		if err := p.parsePropertyList(b); err != nil {
 			return Term{}, err
 		}
 		if err := p.expect(RBracket); err != nil {
@@ -976,7 +1067,7 @@ func (p *Parser) parseGraphNode(dst *[]Pattern) (Term, error) {
 		return t, p.next()
 	case LParen:
 		// Collection: ( node1 node2 ... ) expands to rdf:first/rest chains.
-		return p.parseCollection(dst)
+		return p.parseCollection()
 	}
 	return Term{}, p.errorf("expected term, found %s %q", p.tok.Kind, p.tok.Text)
 }
@@ -987,7 +1078,7 @@ const (
 	rdfNil   = "http://www.w3.org/1999/02/22-rdf-syntax-ns#nil"
 )
 
-func (p *Parser) parseCollection(dst *[]Pattern) (Term, error) {
+func (p *Parser) parseCollection() (Term, error) {
 	if err := p.expect(LParen); err != nil {
 		return Term{}, err
 	}
@@ -1000,17 +1091,17 @@ func (p *Parser) parseCollection(dst *[]Pattern) (Term, error) {
 		}
 		if !first {
 			next := p.freshBlank()
-			*dst = append(*dst, &TriplePattern{S: cur, P: IRI(rdfRest), O: next})
+			p.elems = append(p.elems, alloc(&p.nodes.triples, TriplePattern{S: cur, P: IRI(rdfRest), O: next}))
 			cur = next
 		}
 		first = false
-		node, err := p.parseGraphNode(dst)
+		node, err := p.parseGraphNode()
 		if err != nil {
 			return Term{}, err
 		}
-		*dst = append(*dst, &TriplePattern{S: cur, P: IRI(rdfFirst), O: node})
+		p.elems = append(p.elems, alloc(&p.nodes.triples, TriplePattern{S: cur, P: IRI(rdfFirst), O: node}))
 	}
-	*dst = append(*dst, &TriplePattern{S: cur, P: IRI(rdfRest), O: IRI(rdfNil)})
+	p.elems = append(p.elems, alloc(&p.nodes.triples, TriplePattern{S: cur, P: IRI(rdfRest), O: IRI(rdfNil)}))
 	return head, p.next()
 }
 
@@ -1221,7 +1312,7 @@ func (p *Parser) parseInlineData() (*InlineData, error) {
 	oneVar := false
 	switch p.tok.Kind {
 	case Var:
-		vd.Vars = []Term{Variable(p.tok.Text)}
+		vd.Vars = []Term{p.variable()}
 		oneVar = true
 		if err := p.next(); err != nil {
 			return nil, err
@@ -1231,7 +1322,7 @@ func (p *Parser) parseInlineData() (*InlineData, error) {
 			return nil, err
 		}
 		for p.tok.Kind == Var {
-			vd.Vars = append(vd.Vars, Variable(p.tok.Text))
+			vd.Vars = append(vd.Vars, p.variable())
 			if err := p.next(); err != nil {
 				return nil, err
 			}
@@ -1431,7 +1522,7 @@ func (p *Parser) parseNonNegInt() (int64, error) {
 func (p *Parser) parseGroupKey() (GroupKey, bool, error) {
 	switch {
 	case p.tok.Kind == Var:
-		gk := GroupKey{Expr: &TermExpr{Term: Variable(p.tok.Text)}}
+		gk := GroupKey{Expr: p.termExpr(p.variable())}
 		return gk, true, p.next()
 	case p.tok.Kind == LParen:
 		if err := p.next(); err != nil {
@@ -1448,7 +1539,7 @@ func (p *Parser) parseGroupKey() (GroupKey, bool, error) {
 			if p.tok.Kind != Var {
 				return GroupKey{}, false, p.errorf("expected variable after AS")
 			}
-			gk.Var = Variable(p.tok.Text)
+			gk.Var = p.variable()
 			gk.AsVar = true
 			if err := p.next(); err != nil {
 				return GroupKey{}, false, err
@@ -1497,7 +1588,7 @@ func (p *Parser) parseOrderKey(m *Modifiers) (bool, error) {
 		m.OrderBy = append(m.OrderBy, OrderKey{Desc: desc, Explicit: true, Expr: e})
 		return true, nil
 	case p.tok.Kind == Var:
-		m.OrderBy = append(m.OrderBy, OrderKey{Expr: &TermExpr{Term: Variable(p.tok.Text)}})
+		m.OrderBy = append(m.OrderBy, OrderKey{Expr: p.termExpr(p.variable())})
 		return true, p.next()
 	case p.tok.Kind == LParen:
 		if err := p.next(); err != nil {
@@ -1566,7 +1657,7 @@ func (p *Parser) parseOrExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinaryExpr{Op: "||", L: l, R: r}
+		l = alloc(&p.nodes.binaries, BinaryExpr{Op: "||", L: l, R: r})
 	}
 	return l, nil
 }
@@ -1584,7 +1675,7 @@ func (p *Parser) parseAndExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinaryExpr{Op: "&&", L: l, R: r}
+		l = alloc(&p.nodes.binaries, BinaryExpr{Op: "&&", L: l, R: r})
 	}
 	return l, nil
 }
@@ -1617,7 +1708,7 @@ func (p *Parser) parseRelExpr() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &InExpr{X: l, List: list}, nil
+			return alloc(&p.nodes.ins, InExpr{X: l, List: list}), nil
 		}
 		if p.isKw("NOT") {
 			if err := p.next(); err != nil {
@@ -1630,7 +1721,7 @@ func (p *Parser) parseRelExpr() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			return &InExpr{X: l, Not: true, List: list}, nil
+			return alloc(&p.nodes.ins, InExpr{X: l, Not: true, List: list}), nil
 		}
 		return l, nil
 	}
@@ -1641,7 +1732,7 @@ func (p *Parser) parseRelExpr() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &BinaryExpr{Op: op, L: l, R: r}, nil
+	return alloc(&p.nodes.binaries, BinaryExpr{Op: op, L: l, R: r}), nil
 }
 
 func (p *Parser) parseExprList() ([]Expr, error) {
@@ -1651,13 +1742,13 @@ func (p *Parser) parseExprList() ([]Expr, error) {
 	if err := p.expect(LParen); err != nil {
 		return nil, err
 	}
-	var out []Expr
+	mark := len(p.exprs)
 	for {
 		e, err := p.parseExpression()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, e)
+		p.exprs = append(p.exprs, e)
 		if p.tok.Kind == Comma {
 			if err := p.next(); err != nil {
 				return nil, err
@@ -1666,7 +1757,7 @@ func (p *Parser) parseExprList() ([]Expr, error) {
 		}
 		break
 	}
-	return out, p.expect(RParen)
+	return take(&p.exprs, mark, &p.nodes.exprs), p.expect(RParen)
 }
 
 func (p *Parser) parseAddExpr() (Expr, error) {
@@ -1686,7 +1777,7 @@ func (p *Parser) parseAddExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinaryExpr{Op: op, L: l, R: r}
+		l = alloc(&p.nodes.binaries, BinaryExpr{Op: op, L: l, R: r})
 	}
 	return l, nil
 }
@@ -1708,7 +1799,7 @@ func (p *Parser) parseMulExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		l = &BinaryExpr{Op: op, L: l, R: r}
+		l = alloc(&p.nodes.binaries, BinaryExpr{Op: op, L: l, R: r})
 	}
 	return l, nil
 }
@@ -1723,7 +1814,7 @@ func (p *Parser) parseUnaryExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryExpr{Op: "!", X: x}, nil
+		return alloc(&p.nodes.unaries, UnaryExpr{Op: "!", X: x}), nil
 	case Minus:
 		if err := p.next(); err != nil {
 			return nil, err
@@ -1732,7 +1823,7 @@ func (p *Parser) parseUnaryExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryExpr{Op: "-", X: x}, nil
+		return alloc(&p.nodes.unaries, UnaryExpr{Op: "-", X: x}), nil
 	case Plus:
 		if err := p.next(); err != nil {
 			return nil, err
@@ -1741,7 +1832,7 @@ func (p *Parser) parseUnaryExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &UnaryExpr{Op: "+", X: x}, nil
+		return alloc(&p.nodes.unaries, UnaryExpr{Op: "+", X: x}), nil
 	}
 	return p.parsePrimaryExpr()
 }
@@ -1758,7 +1849,7 @@ func (p *Parser) parsePrimaryExpr() (Expr, error) {
 		}
 		return e, p.expect(RParen)
 	case Var:
-		e := &TermExpr{Term: Variable(p.tok.Text)}
+		e := p.termExpr(p.variable())
 		return e, p.next()
 	case IRIRef, PName:
 		return p.parseIRIOrFunction()
@@ -1767,13 +1858,13 @@ func (p *Parser) parsePrimaryExpr() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &TermExpr{Term: t}, nil
+		return p.termExpr(t), nil
 	case NumberLit:
-		e := &TermExpr{Term: Term{Kind: TermLiteral, Value: p.tok.Text, Datatype: numericDatatype(p.tok.Text)}}
+		e := p.termExpr(Term{Kind: TermLiteral, Value: p.tok.Text, Datatype: numericDatatype(p.tok.Text)})
 		return e, p.next()
 	case Ident:
 		if p.isKw("TRUE") || p.isKw("FALSE") {
-			e := &TermExpr{Term: Term{Kind: TermLiteral, Value: strings.ToLower(p.tok.Text), Datatype: "http://www.w3.org/2001/XMLSchema#boolean"}}
+			e := p.termExpr(Term{Kind: TermLiteral, Value: strings.ToLower(p.tok.Text), Datatype: "http://www.w3.org/2001/XMLSchema#boolean"})
 			return e, p.next()
 		}
 		return p.parseBuiltInOrFunction()
@@ -1793,9 +1884,9 @@ func (p *Parser) parseIRIOrFunction() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &FuncCall{Name: t.Value, IRICall: true, PrefixedForm: t.PrefixedForm, Args: args, Distinct: distinct}, nil
+		return alloc(&p.nodes.calls, FuncCall{Name: t.Value, IRICall: true, PrefixedForm: t.PrefixedForm, Args: args, Distinct: distinct}), nil
 	}
-	return &TermExpr{Term: t}, nil
+	return p.termExpr(t), nil
 }
 
 var aggregateNames = map[string]bool{
@@ -1858,7 +1949,7 @@ func (p *Parser) parseBuiltInOrFunction() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ExistsExpr{Pattern: pat}, nil
+		return alloc(&p.nodes.exists, ExistsExpr{Pattern: pat}), nil
 	case "NOT":
 		if err := p.next(); err != nil {
 			return nil, err
@@ -1870,7 +1961,7 @@ func (p *Parser) parseBuiltInOrFunction() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &ExistsExpr{Not: true, Pattern: pat}, nil
+		return alloc(&p.nodes.exists, ExistsExpr{Not: true, Pattern: pat}), nil
 	}
 	if aggregateNames[name] {
 		return p.parseAggregate(name)
@@ -1880,7 +1971,7 @@ func (p *Parser) parseBuiltInOrFunction() (Expr, error) {
 	}
 	if p.tok.Kind != LParen && p.tok.Kind != NIL {
 		if zeroArgBuiltins[name] {
-			return &FuncCall{Name: name}, nil
+			return alloc(&p.nodes.calls, FuncCall{Name: name}), nil
 		}
 		return nil, p.errorf("expected ( after %s", name)
 	}
@@ -1888,7 +1979,7 @@ func (p *Parser) parseBuiltInOrFunction() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FuncCall{Name: name, Args: args, Distinct: distinct}, nil
+	return alloc(&p.nodes.calls, FuncCall{Name: name, Args: args, Distinct: distinct}), nil
 }
 
 func (p *Parser) parseArgList() ([]Expr, bool, error) {
@@ -1904,14 +1995,14 @@ func (p *Parser) parseArgList() ([]Expr, bool, error) {
 	} else if ok {
 		distinct = true
 	}
-	var args []Expr
+	mark := len(p.exprs)
 	if p.tok.Kind != RParen {
 		for {
 			e, err := p.parseExpression()
 			if err != nil {
 				return nil, false, err
 			}
-			args = append(args, e)
+			p.exprs = append(p.exprs, e)
 			if p.tok.Kind == Comma {
 				if err := p.next(); err != nil {
 					return nil, false, err
@@ -1921,7 +2012,7 @@ func (p *Parser) parseArgList() ([]Expr, bool, error) {
 			break
 		}
 	}
-	return args, distinct, p.expect(RParen)
+	return take(&p.exprs, mark, &p.nodes.exprs), distinct, p.expect(RParen)
 }
 
 func (p *Parser) parseAggregate(name string) (Expr, error) {
@@ -1931,7 +2022,7 @@ func (p *Parser) parseAggregate(name string) (Expr, error) {
 	if err := p.expect(LParen); err != nil {
 		return nil, err
 	}
-	agg := &AggregateExpr{Name: name}
+	agg := alloc(&p.nodes.aggs, AggregateExpr{Name: name})
 	if ok, err := p.acceptKw("DISTINCT"); err != nil {
 		return nil, err
 	} else if ok {

@@ -1,9 +1,11 @@
 package sparql
 
 import (
+	"maps"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func mustParse(t *testing.T, src string) *Query {
@@ -740,5 +742,45 @@ func TestParserReuse(t *testing.T) {
 	}
 	if _, err := p.Parse("ASK { ?s ?p ?o }"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestParserNumbersNames: each distinct variable and blank node label
+// of a text gets one number, in the order the parser reads them, shared
+// by a subquery and the query around it. A variable and a label of one
+// spelling differ, and a generated blank node's label is a label like
+// any other (ScopeOf names both _:gen1). Term stays 64 bytes.
+func TestParserNumbersNames(t *testing.T) {
+	q := mustParse(t, "SELECT ?x WHERE { ?x <p> _:x . ?y <q> [ <r> ?x ] . _:gen1 <s> ?y { SELECT ?y { ?y <t> ?z } } }")
+	want := map[string]int32{"?x": 1, "_:x": 2, "?y": 3, "_:gen1": 4, "?z": 5}
+	got := map[string]int32{}
+	note := func(t Term) {
+		switch t.Kind {
+		case TermVar:
+			got["?"+t.Value] = t.num
+		case TermBlank:
+			got["_:"+t.Value] = t.num
+		default:
+			if t.num != 0 {
+				got[t.Value] = t.num
+			}
+		}
+	}
+	for _, it := range q.Select {
+		note(it.Var)
+	}
+	Walk(q.Where, func(p Pattern) bool {
+		if tp, ok := p.(*TriplePattern); ok {
+			note(tp.S)
+			note(tp.P)
+			note(tp.O)
+		}
+		return true
+	})
+	if !maps.Equal(got, want) {
+		t.Errorf("numbers %v, want %v", got, want)
+	}
+	if n := unsafe.Sizeof(Term{}); n != 64 {
+		t.Errorf("a Term is %d bytes, want 64", n)
 	}
 }

@@ -99,12 +99,18 @@ func (s *VarSet) union(t VarSet) {
 	}
 }
 
-// Scope is the variable analysis of one query, computed by ScopeOf in
-// a single walk: the query's variables numbered densely, and every set
-// a scope question needs as a VarSet over those numbers. It is the one
-// place that decides which variables a pattern mentions, binds or has
-// in scope; the linter and the study's projection test read it, and
-// the evaluator's slots are its numbers. Its sets must not be modified.
+// Scope is the variable analysis of one query, computed by ScopeOf (or
+// Analyze) in a single walk: the query's variables numbered densely,
+// and every set a scope question needs as a VarSet over those numbers.
+// It is the one place that decides which variables a pattern mentions,
+// binds or has in scope; the linter and the study's projection test
+// read it, and the evaluator's slots are its numbers. Its sets must not
+// be modified.
+//
+// A term the parser numbered (every variable and blank node label of a
+// parsed text) is numbered here by an array lookup on the parser's
+// number; only a term built by other code is looked up by name. So the
+// terms of a query's tree must come from its own parse.
 type Scope struct {
 	Query *Query
 
@@ -141,9 +147,6 @@ type Scope struct {
 	// MinusOnly is what only MINUS bodies bind: bound inside one, and
 	// in no solution of the query.
 	MinusOnly VarSet
-	// Bound is every variable and blank node label some pattern binds
-	// anywhere in the query, EXISTS and MINUS bodies included.
-	Bound VarSet
 
 	subs map[*Query]*Scope
 	// index is the inverse of Names, name to number, built by ScopeOf
@@ -151,9 +154,19 @@ type Scope struct {
 	// found by a scan of Names. It is never built on a read: a Scope
 	// may be read concurrently.
 	index map[string]int
-	// names is the first storage of Names, so a query with few
-	// variables allocates only its Scope.
+	// byNum maps the parser's numbers to this scope's: byNum[n-1] is
+	// one more than the number of the name the parser numbered n, 0
+	// while that name has none.
+	byNum []int32
+	// loose is whether a name was numbered by its spelling alone (from a
+	// term the parser did not number, or a subquery's projection); a
+	// parser-numbered term that misses byNum is then looked up by name,
+	// since its name may have a number already.
+	loose bool
+	// names and nums are the first storage of Names and byNum, so a
+	// query with few variables allocates only its Scope.
 	names [8]string
+	nums  [8]int32
 }
 
 // scanNames is the most names a Scope numbers by a scan of Names; past
@@ -172,16 +185,31 @@ const (
 
 // ScopeOf analyses the variables of q and of each of its subqueries.
 func ScopeOf(q *Query) *Scope {
-	s := &Scope{Query: q}
-	s.Names = s.names[:0]
+	s := new(Scope)
+	s.Analyze(q)
+	return s
+}
+
+// Analyze makes s the Scope of q, as ScopeOf(q) returns it, in the
+// storage s held: a caller that analyses one query after another
+// reuses one Scope, and what it held before is gone.
+func (s *Scope) Analyze(q *Query) {
+	names, byNum := s.Names, s.byNum
+	clear(names)
+	clear(byNum)
+	*s = Scope{Query: q}
+	if names == nil {
+		names, byNum = s.names[:0], s.nums[:0]
+	}
+	s.Names, s.byNum = names[:0], byNum[:0]
 	if q.Where != nil {
 		s.Mentioned = s.pattern(q.Where, outward)
 	}
 	var trailing VarSet
 	if q.TrailingValues != nil {
 		for _, v := range q.TrailingValues.Vars {
-			if name, ok := varOf(v); ok {
-				s.bind(name, outward, &trailing)
+			if isVar(v) {
+				s.bind(s.numberOf("", v), outward, &trailing)
 			}
 		}
 	}
@@ -200,8 +228,8 @@ func ScopeOf(q *Query) *Scope {
 		s.expr(h)
 	}
 	project := func(t Term) {
-		if name, ok := varOf(t); ok {
-			s.Projected.add(s.number("", name))
+		if isVar(t) {
+			s.Projected.add(s.numberOf("", t))
 		}
 	}
 	star := false
@@ -218,8 +246,8 @@ func ScopeOf(q *Query) *Scope {
 		}
 	}
 	for _, g := range q.Mods.GroupBy {
-		if name, ok := varOf(g.Var); ok && g.AsVar {
-			s.Bindable.add(s.number("", name))
+		if isVar(g.Var) && g.AsVar {
+			s.Bindable.add(s.numberOf("", g.Var))
 		}
 	}
 	// A variable bound both by BIND and by a pattern is simply in scope.
@@ -230,7 +258,6 @@ func ScopeOf(q *Query) *Scope {
 		s.Projected.union(s.BindOnly)
 		s.Projected.union(trailing)
 	}
-	return s
 }
 
 // In reports whether the named variable is in set.
@@ -260,7 +287,7 @@ func (s *Scope) Sub(q *Query) *Scope { return s.subs[q] }
 // a scratch Scope that shares s's numbering, and leaves s unchanged
 // (its Names are capped, so the scratch cannot append into them).
 func (s *Scope) Elems(g *Group) []VarSet {
-	t := Scope{Names: s.Names[:len(s.Names):len(s.Names)], index: s.index, subs: s.subs}
+	t := Scope{Names: s.Names[:len(s.Names):len(s.Names)], index: s.index, subs: s.subs, byNum: s.byNum, loose: s.loose}
 	out := make([]VarSet, len(g.Elems))
 	for i, el := range g.Elems {
 		_, out[i] = t.element(el, outward)
@@ -270,7 +297,8 @@ func (s *Scope) Elems(g *Group) []VarSet {
 
 // Find returns the number of the name prefix+name, where prefix is ""
 // for a variable and "_:" for a blank node label; the two are compared
-// in place, not concatenated.
+// in place, not concatenated. It is for names from outside the tree,
+// such as the evaluator's hidden ones.
 func (s *Scope) Find(prefix, name string) (int, bool) {
 	if s.index != nil {
 		i, ok := s.index[prefix+name]
@@ -284,13 +312,49 @@ func (s *Scope) Find(prefix, name string) (int, bool) {
 	return 0, false
 }
 
+// numberOf returns the number of a variable (prefix "") or blank node
+// label (prefix "_:") term, numbering it next if it is new: by the
+// parser's number when the term has one, otherwise by name.
+func (s *Scope) numberOf(prefix string, t Term) int {
+	n := int(t.num)
+	if n == 0 {
+		return s.number(prefix, t.Value)
+	}
+	if n > len(s.byNum) {
+		// Past the length, the array holds zeros: Analyze clears all
+		// that an analysis used.
+		if n > cap(s.byNum) {
+			s.byNum = append(make([]int32, 0, max(n, 2*cap(s.byNum))), s.byNum...)
+		}
+		s.byNum = s.byNum[:n]
+	} else if i := s.byNum[n-1]; i > 0 {
+		return int(i - 1)
+	}
+	var i int
+	switch {
+	case s.loose:
+		i = s.number(prefix, t.Value)
+	case prefix == "":
+		i = s.add(t.Value)
+	default:
+		i = s.add(prefix + t.Value)
+	}
+	s.byNum[n-1] = int32(i + 1)
+	return i
+}
+
 // number returns the number of the name prefix+name (see Find),
 // numbering it next if it is new.
 func (s *Scope) number(prefix, name string) int {
 	if i, ok := s.Find(prefix, name); ok {
 		return i
 	}
-	name = prefix + name
+	s.loose = true
+	return s.add(prefix + name)
+}
+
+// add numbers a name that has no number yet.
+func (s *Scope) add(name string) int {
 	i := len(s.Names)
 	s.Names = append(s.Names, name)
 	switch {
@@ -305,12 +369,10 @@ func (s *Scope) number(prefix, name string) int {
 	return i
 }
 
-// bind numbers a variable a pattern of region r binds and records it,
-// where r is outward, in scope too: scope is InScope, BindOnly or one
-// for trailing VALUES columns.
-func (s *Scope) bind(name string, r region, scope *VarSet) int {
-	i := s.number("", name)
-	s.Bound.add(i)
+// bind records variable i as one a pattern of region r binds, where r
+// is outward in scope too: scope is InScope, BindOnly or one for
+// trailing VALUES columns.
+func (s *Scope) bind(i int, r region, scope *VarSet) int {
 	switch r {
 	case outward:
 		s.Bindable.add(i)
@@ -350,8 +412,8 @@ func (s *Scope) element(p Pattern, r region) (m, edge VarSet) {
 		m, _ = s.nodes(r, n.Name)
 		m.union(s.pattern(n.Inner, r))
 	case *ServiceGraph:
-		if name, ok := varOf(n.Name); ok {
-			i := s.number("", name)
+		if isVar(n.Name) {
+			i := s.numberOf("", n.Name)
 			m.add(i)
 			if r == outward {
 				s.InScope.add(i)
@@ -366,14 +428,14 @@ func (s *Scope) element(p Pattern, r region) (m, edge VarSet) {
 	case *Filter:
 		m = s.expr(n.Constraint)
 	case *Bind:
-		if name, ok := varOf(n.Var); ok {
-			m.add(s.bind(name, r, &s.BindOnly))
+		if isVar(n.Var) {
+			m.add(s.bind(s.numberOf("", n.Var), r, &s.BindOnly))
 		}
 		m.union(s.expr(n.Expr))
 	case *InlineData:
 		for _, v := range n.Vars {
-			if name, ok := varOf(v); ok {
-				m.add(s.bind(name, r, &s.InScope))
+			if isVar(v) {
+				m.add(s.bind(s.numberOf("", v), r, &s.InScope))
 			}
 		}
 	case *SubSelect:
@@ -389,7 +451,7 @@ func (s *Scope) element(p Pattern, r region) (m, edge VarSet) {
 			s.subs[n.Query] = sub
 		}
 		for j := range sub.Projected.All() {
-			m.add(s.bind(sub.Names[j], r, &s.InScope))
+			m.add(s.bind(s.number("", sub.Names[j]), r, &s.InScope))
 		}
 	}
 	return m, m
@@ -401,12 +463,10 @@ func (s *Scope) element(p Pattern, r region) (m, edge VarSet) {
 func (s *Scope) nodes(r region, ts ...Term) (vars, nodes VarSet) {
 	var blanks VarSet
 	for _, t := range ts {
-		if name, ok := varOf(t); ok {
-			vars.add(s.bind(name, r, &s.InScope))
+		if isVar(t) {
+			vars.add(s.bind(s.numberOf("", t), r, &s.InScope))
 		} else if t.Kind == TermBlank {
-			i := s.number("_:", t.Value)
-			s.Bound.add(i)
-			blanks.add(i)
+			blanks.add(s.numberOf("_:", t))
 		}
 	}
 	return vars, vars.Or(blanks)
@@ -419,8 +479,8 @@ func (s *Scope) expr(e Expr) VarSet {
 	WalkExpr(e, func(x Expr) bool {
 		switch t := x.(type) {
 		case *TermExpr:
-			if name, ok := varOf(t.Term); ok {
-				m.add(s.number("", name))
+			if isVar(t.Term) {
+				m.add(s.numberOf("", t.Term))
 			}
 		case *ExistsExpr:
 			m.union(s.pattern(t.Pattern, inExists))
@@ -430,6 +490,4 @@ func (s *Scope) expr(e Expr) VarSet {
 	return m
 }
 
-func varOf(t Term) (string, bool) {
-	return t.Value, t.Kind == TermVar && t.Value != ""
-}
+func isVar(t Term) bool { return t.Kind == TermVar && t.Value != "" }

@@ -282,11 +282,14 @@ func checkScope(t *testing.T, src string, q *sparql.Query, s *sparql.Scope) int 
 }
 
 // TestScopeOracleCorpus compares ScopeOf with the oracles on every
-// distinct parseable loggen text at scale 1e-4, seeds 1 and 2017.
+// distinct parseable loggen text at scale 1e-4, seeds 1 and 2017, and
+// its numbering by the parser's numbers with one by name, on a fresh
+// Scope and on one reused from text to text.
 func TestScopeOracleCorpus(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus replay")
 	}
+	var reused sparql.Scope
 	seen := map[string]bool{}
 	queries, scopes := 0, 0
 	for _, seed := range []int64{1, 2017} {
@@ -302,6 +305,7 @@ func TestScopeOracleCorpus(t *testing.T) {
 				}
 				queries++
 				scopes += checkScopeOracle(t, q)
+				checkNumbering(t, e, &reused)
 			}
 		}
 	}
@@ -311,7 +315,8 @@ func TestScopeOracleCorpus(t *testing.T) {
 }
 
 // FuzzScopeOracle compares ScopeOf with the oracles on arbitrary
-// parseable text, seeded with FuzzParse's corpus.
+// parseable text, seeded with FuzzParse's corpus, and its numbering by
+// the parser's numbers with one by name.
 func FuzzScopeOracle(f *testing.F) {
 	for _, s := range parseSeeds {
 		f.Add(s)
@@ -324,5 +329,74 @@ func FuzzScopeOracle(f *testing.F) {
 			return
 		}
 		checkScopeOracle(t, q)
+		var reused sparql.Scope
+		checkNumbering(t, src, &reused)
+		checkNumbering(t, src, &reused)
 	})
+}
+
+// checkNumbering parses src twice and clears the parser's numbers of
+// one tree (Unnumber): the Scope numbered by the parser's numbers, and
+// the same numbering reused, must be exactly the Scope numbered by
+// name, in Names and every set, Elems and subquery Scope included.
+func checkNumbering(t *testing.T, src string, reused *sparql.Scope) {
+	t.Helper()
+	q, err := sparql.Parse(src)
+	if err != nil {
+		return
+	}
+	byName, _ := sparql.Parse(src)
+	sparql.Unnumber(byName)
+	want := sparql.ScopeOf(byName)
+	sameScope(t, src, q, sparql.ScopeOf(q), byName, want)
+	reused.Analyze(q)
+	sameScope(t, src, q, reused, byName, want)
+}
+
+func sameScope(t *testing.T, src string, q *sparql.Query, got *sparql.Scope, wq *sparql.Query, want *sparql.Scope) {
+	t.Helper()
+	if !slices.Equal(got.Names, want.Names) {
+		t.Fatalf("%s: Names %q, numbered by name %q", src, got.Names, want.Names)
+	}
+	for _, set := range []func(*sparql.Scope) sparql.VarSet{
+		func(s *sparql.Scope) sparql.VarSet { return s.Mentioned },
+		func(s *sparql.Scope) sparql.VarSet { return s.InScope },
+		func(s *sparql.Scope) sparql.VarSet { return s.BindOnly },
+		func(s *sparql.Scope) sparql.VarSet { return s.Projected },
+		func(s *sparql.Scope) sparql.VarSet { return s.Bindable },
+		func(s *sparql.Scope) sparql.VarSet { return s.MinusOnly },
+	} {
+		if g, w := got.NamesOf(set(got)), want.NamesOf(set(want)); !slices.Equal(g, w) {
+			t.Fatalf("%s: a set is %q, numbered by name %q", src, g, w)
+		}
+	}
+	groups, wgroups := nodesOf[*sparql.Group](q), nodesOf[*sparql.Group](wq)
+	for i, g := range groups {
+		if g, w := got.Elems(g), want.Elems(wgroups[i]); !slices.EqualFunc(g, w, func(a, b sparql.VarSet) bool {
+			return slices.Equal(got.NamesOf(a), want.NamesOf(b))
+		}) {
+			t.Fatalf("%s: Elems of group %d differ from the Elems numbered by name", src, i)
+		}
+	}
+	subs, wsubs := nodesOf[*sparql.SubSelect](q), nodesOf[*sparql.SubSelect](wq)
+	for i, ss := range subs {
+		sameScope(t, src, ss.Query, got.Sub(ss.Query), wsubs[i].Query, want.Sub(wsubs[i].Query))
+	}
+}
+
+// nodesOf returns the nodes of type T of q's own body, in walk order:
+// those of a subquery's body belong to its Scope.
+func nodesOf[T sparql.Pattern](q *sparql.Query) []T {
+	var out []T
+	sparql.Walk(q.Where, func(p sparql.Pattern) bool {
+		switch n := p.(type) {
+		case T:
+			out = append(out, n)
+		case *sparql.Filter, *sparql.Bind:
+			return false
+		}
+		_, sub := p.(*sparql.SubSelect)
+		return !sub
+	})
+	return out
 }

@@ -94,7 +94,7 @@ func TestScopeNumbersPastScan(t *testing.T) {
 			t.Errorf("%q is number %d, found as %d %v", n, i, j, ok)
 		}
 	}
-	if !s.In(s.Bound, "v31") || !s.In(s.Mentioned, "late") || s.In(s.Bound, "late") || s.In(s.Bound, "b0") {
+	if !s.In(s.Bindable, "v31") || !s.In(s.Mentioned, "late") || s.In(s.Bindable, "late") || s.In(s.Bindable, "b0") {
 		t.Error("In misreads the indexed numbering")
 	}
 	elems := s.Elems(q.Where.(*Group))
@@ -129,9 +129,9 @@ func TestScopeConcurrentReads(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for _, n := range s.Names {
-					s.In(s.Bound, n)
+					s.In(s.Bindable, n)
 				}
-				s.In(s.Bound, "absent")
+				s.In(s.Bindable, "absent")
 				s.NamesOf(s.Mentioned)
 				s.Elems(q.Where.(*Group))
 				Walk(q.Where, func(p Pattern) bool {
