@@ -442,7 +442,13 @@ func (la *LiveAnalyzer) process(s *liveSlot, e *logEntry, idx uint64) {
 			la.settle(e, 0)
 			return
 		}
-		f := analysis.Scan(q)
+		// A linted parse was scanned by the linter (lint.Result.Features).
+		var f analysis.Features
+		if e.lr != nil {
+			f = e.lr.Features
+		} else {
+			f = analysis.Scan(q)
+		}
 		shape = shapeOf(q, &f)
 		switch {
 		case la.opts.KeepDuplicates || e.state == claimedNew:

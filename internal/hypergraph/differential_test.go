@@ -12,8 +12,8 @@ import (
 	"sparqlog/internal/sparql"
 )
 
-// checkAgainstOracle compares Acyclic, MaximalEdges, GHW(3),
-// EdgeComponents and Components of h with the oracle's.
+// checkAgainstOracle compares Acyclic, MaximalEdges and GHW(3) of h
+// with the oracle's.
 func checkAgainstOracle(t *testing.T, name string, h *hypergraph.Hypergraph) {
 	t.Helper()
 	if got, want := h.Acyclic(), refAcyclic(h.Edges()); got != want {
@@ -26,13 +26,6 @@ func checkAgainstOracle(t *testing.T, name string, h *hypergraph.Hypergraph) {
 	rd, rok := refGHW(h, 3)
 	if gd != rd || gok != rok {
 		t.Fatalf("%s: GHW(3) = %+v %v, oracle %+v %v", name, gd, gok, rd, rok)
-	}
-	labels, want := h.EdgeComponents(), refEdgeComponents(h.Edges())
-	if !slices.Equal(labels, want) {
-		t.Fatalf("%s: EdgeComponents = %v, oracle %v", name, labels, want)
-	}
-	if h.Components() != slices.Max(append([]int{-1}, want...))+1 {
-		t.Fatalf("%s: Components = %d, oracle labels %v", name, h.Components(), want)
 	}
 }
 

@@ -270,57 +270,6 @@ func sliceSubset(a, b []int) bool {
 	return i == len(a)
 }
 
-// EdgeComponents labels every hyperedge with a connected-component
-// index (0-based, in order of first appearance): two edges are
-// connected when they share a vertex, transitively. Isolated vertices
-// contribute no component; with no edges the result is empty.
-func (h *Hypergraph) EdgeComponents() []int {
-	// Union-find over vertices, then edges inherit their root.
-	parent := make([]int, h.n)
-	for v := range parent {
-		parent[v] = v
-	}
-	find := func(v int) int {
-		for parent[v] != v {
-			parent[v] = parent[parent[v]]
-			v = parent[v]
-		}
-		return v
-	}
-	for _, e := range h.edges {
-		for _, v := range e[1:] {
-			parent[find(v)] = find(e[0])
-		}
-	}
-	labels := make([]int, len(h.edges))
-	label := make([]int, h.n) // root -> its component index + 1
-	next := 0
-	for i, e := range h.edges {
-		r := find(e[0])
-		if label[r] == 0 {
-			next++
-			label[r] = next
-		}
-		labels[i] = label[r] - 1
-	}
-	return labels
-}
-
-// Components returns the number of connected components among the
-// hyperedges (see EdgeComponents). A hypergraph whose edges split into
-// two or more components is a cartesian product when read as a join
-// query — the lint pass SQL002 builds on this.
-func (h *Hypergraph) Components() int {
-	labels := h.EdgeComponents()
-	max := -1
-	for _, c := range labels {
-		if c > max {
-			max = c
-		}
-	}
-	return max + 1
-}
-
 // Decomposition summarizes a witnessing generalized hypertree
 // decomposition found by GHW.
 type Decomposition struct {

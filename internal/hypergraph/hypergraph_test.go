@@ -204,34 +204,3 @@ func TestGHWSubedgeInvariance(t *testing.T) {
 		t.Errorf("width changed by contained edge: %+v vs %+v", d1, d2)
 	}
 }
-
-func TestEdgeComponents(t *testing.T) {
-	// Two chains sharing no vertices, plus an isolated self-edge:
-	// {0-1, 1-2} | {3-4} | {5}.
-	h := New(6)
-	h.AddEdge(0, 1)
-	h.AddEdge(1, 2)
-	h.AddEdge(3, 4)
-	h.AddEdge(5)
-	labels := h.EdgeComponents()
-	if len(labels) != 4 {
-		t.Fatalf("labels = %v, want 4 entries", labels)
-	}
-	if labels[0] != labels[1] {
-		t.Fatalf("edges sharing vertex 1 in different components: %v", labels)
-	}
-	if labels[0] == labels[2] || labels[0] == labels[3] || labels[2] == labels[3] {
-		t.Fatalf("disjoint edges merged: %v", labels)
-	}
-	if got := h.Components(); got != 3 {
-		t.Fatalf("Components = %d, want 3", got)
-	}
-	// Bridging edge collapses everything into one component.
-	h.AddEdge(2, 3, 5)
-	if got := h.Components(); got != 1 {
-		t.Fatalf("Components after bridge = %d, want 1", got)
-	}
-	if empty := New(3); empty.Components() != 0 {
-		t.Fatalf("edgeless hypergraph should have 0 edge components")
-	}
-}

@@ -118,45 +118,6 @@ func isSubset(a, b map[int]bool) bool {
 	return true
 }
 
-// refEdgeComponents is the union-find over a map of vertices.
-func refEdgeComponents(edges [][]int) []int {
-	labels := make([]int, len(edges))
-	for i := range labels {
-		labels[i] = -1
-	}
-	// Union-find over vertices, then edges inherit their root.
-	parent := make(map[int]int)
-	var find func(v int) int
-	find = func(v int) int {
-		p, ok := parent[v]
-		if !ok || p == v {
-			parent[v] = v
-			return v
-		}
-		r := find(p)
-		parent[v] = r
-		return r
-	}
-	for _, e := range edges {
-		for _, v := range e[1:] {
-			parent[find(v)] = find(e[0])
-		}
-	}
-	next := 0
-	roots := make(map[int]int)
-	for i, e := range edges {
-		r := find(e[0])
-		c, ok := roots[r]
-		if !ok {
-			c = next
-			roots[r] = c
-			next++
-		}
-		labels[i] = c
-	}
-	return labels
-}
-
 // refGHW is GHW with refAcyclic as its width-one test; the exact search
 // behind it is the package's own.
 func refGHW(h *hypergraph.Hypergraph, maxK int) (hypergraph.Decomposition, bool) {

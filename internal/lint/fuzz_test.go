@@ -8,8 +8,10 @@ import (
 )
 
 // FuzzLintNoPanic feeds arbitrary query text through the whole static
-// surface: whatever parses must lint without panicking and Empty must
-// decide. Seeded with planner shapes, every pass's trigger, and the
+// surface: whatever parses must lint without panicking, its diagnostics
+// must come in nondecreasing code order, each pattern-located one at a
+// path the eager walk produces, and Empty must decide. Seeded with
+// planner shapes, every pass's trigger, nested subqueries, and the
 // Table-5 path corpus wrapped into queries.
 func FuzzLintNoPanic(f *testing.F) {
 	for _, ex := range paths.Corpus() {
@@ -30,6 +32,7 @@ func FuzzLintNoPanic(f *testing.F) {
 		`SELECT * WHERE { ?s ?p "01" . FILTER(?o = "1" && ?o = "01") } ORDER BY ?s LIMIT 3 OFFSET 1`,
 		`SELECT * WHERE { ?x <urn:p> ?y . FILTER(?x != ?x || COALESCE(?y, 1) > 0) }`,
 		`SELECT * WHERE { ?x <urn:p> ?y . FILTER(EXISTS { ?y <urn:q> ?z }) . BIND(?x + 1 AS ?w) }`,
+		`SELECT ?x WHERE { ?x <urn:p> ?y { SELECT ?y WHERE { ?y <urn:q> ?z . ?u <urn:r> ?w { SELECT ?w WHERE { ?w ?a ?b FILTER(?no > 1) } } } } ?c ?d ?e FILTER(false) { SELECT ?k { ?k ?l ?m FILTER(?m = ?n) } } } ORDER BY ?gone`,
 	} {
 		f.Add(src)
 	}
@@ -39,9 +42,22 @@ func FuzzLintNoPanic(f *testing.F) {
 			return
 		}
 		r := Run(q) // must not panic on any parsable query
-		for _, d := range r.Diagnostics {
+		var paths map[string]bool
+		for i, d := range r.Diagnostics {
 			if d.Code == "" || d.Path == "" || d.Message == "" {
 				t.Fatalf("malformed diagnostic %+v on %q", d, src)
+			}
+			if i > 0 && d.Code < r.Diagnostics[i-1].Code {
+				t.Fatalf("%s after %s on %q: diagnostics out of code order", d.Code, r.Diagnostics[i-1].Code, src)
+			}
+			if !patternLocated(d) {
+				continue
+			}
+			if paths == nil {
+				paths = eagerPaths(q)
+			}
+			if !paths[d.Path] {
+				t.Fatalf("%s reported at %q on %q, which the eager walk never produced", d.Code, d.Path, src)
 			}
 		}
 		// A statically-empty query must carry the proof in some form the

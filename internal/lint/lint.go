@@ -1,9 +1,9 @@
-// Package lint is a pass-based static-analysis framework over the
-// sparql AST, modeled on go/analysis: each pass registers itself with
-// a stable diagnostic code and severity, walks the query, and emits
-// positioned diagnostics. The AST carries no byte offsets, so a
-// diagnostic's position is a structural path ("where.group[2].filter")
-// plus a serialized snippet of the offending fragment.
+// Package lint is static analysis over the sparql AST: a fixed table of
+// passes, each with a stable diagnostic code and severity, run in one
+// walk of each variable scope that emits positioned diagnostics. The
+// AST carries no byte offsets, so a diagnostic's position is a
+// structural path ("where.group[2].filter") plus a serialized snippet
+// of the offending fragment.
 //
 // The pass suite is grounded in the paper's findings about real query
 // logs (Bonifati, Martens, Timm: "An Analytical Study of Large SPARQL
@@ -27,6 +27,7 @@ import (
 	"strconv"
 	"strings"
 
+	"sparqlog/internal/analysis"
 	"sparqlog/internal/sparql"
 )
 
@@ -71,50 +72,17 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s %s %s: %s", d.Code, d.Severity, d.Path, d.Message)
 }
 
-// Pass is one registered analysis. Run receives a per-query context
-// and reports diagnostics through it.
+// Pass describes one analysis: its stable diagnostic code, name,
+// documentation and the severity of what it reports.
 type Pass struct {
 	Code     string
 	Name     string
 	Doc      string
 	Severity Severity
-	Run      func(c *Ctx)
 }
 
-// passes is the registry, kept sorted by code as passes register.
-var passes []*Pass
-
-func register(p *Pass) {
-	passes = append(passes, p)
-	slices.SortFunc(passes, func(a, b *Pass) int { return strings.Compare(a.Code, b.Code) })
-}
-
-// Passes returns a copy of the registered passes, sorted by code.
+// Passes returns a copy of the passes, sorted by code.
 func Passes() []*Pass { return slices.Clone(passes) }
-
-// Ctx is the shared state one Run invocation exposes to every pass.
-type Ctx struct {
-	Query *sparql.Query
-
-	// scopes is the query's variable scopes (the top query first, then
-	// each subquery), built once per Run from one sparql.ScopeOf and
-	// shared by every pass; passes only read them.
-	scopes []*scope
-
-	current *Pass
-	diags   []Diagnostic
-}
-
-// Report emits one diagnostic for the running pass.
-func (c *Ctx) Report(path, snippet, format string, args ...any) {
-	c.diags = append(c.diags, Diagnostic{
-		Code:     c.current.Code,
-		Severity: c.current.Severity,
-		Path:     path,
-		Message:  fmt.Sprintf(format, args...),
-		Snippet:  snippet,
-	})
-}
 
 // Result is the outcome of linting one query.
 type Result struct {
@@ -129,6 +97,9 @@ type Result struct {
 	// which the passes expanded prefixed names against. It may be shared
 	// with other callers and must not be modified.
 	Prefixes sparql.Prefixes
+	// Features is the query's analysis.Scan, which SQL005 reads, for a
+	// caller that would scan the query again.
+	Features analysis.Features
 }
 
 // Codes returns the distinct diagnostic codes, sorted.
@@ -160,17 +131,60 @@ func (r *Result) Max() (Severity, bool) {
 	return max, true
 }
 
-// Run applies every registered pass to the query and returns the
-// combined diagnostics in pass-code order.
+// Run applies every pass to the query and returns the combined
+// diagnostics in pass-code order, and within one pass's, scope by
+// scope (the top query first, then its subqueries in pre-order) and
+// each scope's in pre-order.
+//
+// One walk of each scope's WHERE clause runs every pass that fires on
+// a node of it (visit); a subquery met on the walk is queued right
+// after its scope, which keeps the scopes in pre-order. Every pass
+// reports a scope's diagnostics before the next scope's, so a stable
+// sort by code puts them in order.
 func Run(q *sparql.Query) *Result {
-	c := &Ctx{Query: q, scopes: scopes(sparql.ScopeOf(q))}
-	for _, p := range passes {
-		c.current = p
-		p.Run(c)
+	l := &linter{q: q, prefixes: q.Prologue.PrefixMap()}
+	top := l.scope(sparql.ScopeOf(q), "")
+	var f analysis.Features
+	scopes := []*scope{top}
+	for i := 0; i < len(scopes); i++ {
+		s := scopes[i]
+		l.checkDeadProjection(s)
+		if fs := l.checkNonWellDesigned(s); s == top {
+			f = fs
+		}
+		l.checkUnboundOrderKey(s)
+		var subs []*scope
+		if s.sc.Query.Where != nil {
+			walkPath(s.sc.Query.Where, s.wherePath(), func(p sparql.Pattern, at *location) {
+				if ss, ok := p.(*sparql.SubSelect); ok && ss.Query != nil {
+					subs = append(subs, l.scope(s.sc.Sub(ss.Query), at.String()+"."))
+				}
+				l.visit(s, p, at)
+			})
+		}
+		scopes = slices.Insert(scopes, i+1, subs...)
 	}
-	top := c.scopes[0]
-	prefixes := top.f[0].prefixes
-	return &Result{Diagnostics: c.diags, Empty: EmptyUnder(top.sc, prefixes), Scope: top.sc, Prefixes: prefixes}
+	slices.SortStableFunc(l.diags, func(a, b Diagnostic) int { return strings.Compare(a.Code, b.Code) })
+	return &Result{Diagnostics: l.diags, Empty: EmptyUnder(top.sc, l.prefixes), Scope: top.sc, Prefixes: l.prefixes, Features: f}
+}
+
+// linter is the state of one Run: the query, the prefix map its
+// scopes fold under, and the diagnostics reported so far.
+type linter struct {
+	q        *sparql.Query
+	prefixes sparql.Prefixes
+	diags    []Diagnostic
+}
+
+// report emits one diagnostic of pass p.
+func (l *linter) report(p *Pass, path, snippet, format string, args ...any) {
+	l.diags = append(l.diags, Diagnostic{
+		Code:     p.Code,
+		Severity: p.Severity,
+		Path:     path,
+		Message:  fmt.Sprintf(format, args...),
+		Snippet:  snippet,
+	})
 }
 
 // location is where a walk stands: the structural path of the node
@@ -205,10 +219,10 @@ func (l *location) String() string {
 // walkPath visits every pattern node reachable from p in pre-order,
 // telling fn where each one is; fn renders at only to report, and must
 // not keep it past the call. The walk stays within one variable scope:
-// it does not descend into EXISTS bodies or subquery bodies (passes
-// visit those through their own scope; see scopes in passes.go). Use
-// sparql.Walk when cross-scope traversal matters.
-func walkPath(p sparql.Pattern, root string, fn func(p sparql.Pattern, at *location) bool) {
+// it does not descend into EXISTS bodies or subquery bodies (Run walks
+// a subquery as a scope of its own). Use sparql.Walk when cross-scope
+// traversal matters.
+func walkPath(p sparql.Pattern, root string, fn func(p sparql.Pattern, at *location)) {
 	w := &walker{fn: fn}
 	w.at = location{root: root, steps: w.space[:0]}
 	w.walk(p)
@@ -217,7 +231,7 @@ func walkPath(p sparql.Pattern, root string, fn func(p sparql.Pattern, at *locat
 // walker is one walkPath traversal; space holds the steps of the usual
 // nesting depths without a further allocation.
 type walker struct {
-	fn    func(p sparql.Pattern, at *location) bool
+	fn    func(p sparql.Pattern, at *location)
 	at    location
 	space [4]step
 }
@@ -229,9 +243,10 @@ func (w *walker) down(p sparql.Pattern, st step) {
 }
 
 func (w *walker) walk(p sparql.Pattern) {
-	if p == nil || !w.fn(p, &w.at) {
+	if p == nil {
 		return
 	}
+	w.fn(p, &w.at)
 	switch n := p.(type) {
 	case *sparql.Group:
 		for i, e := range n.Elems {

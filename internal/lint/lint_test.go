@@ -334,15 +334,15 @@ func TestDiagnosticString(t *testing.T) {
 	}
 }
 
-// TestPassesRegistry checks registration: eight passes, sorted, with
+// TestPassesRegistry checks the pass table: eight passes, sorted, with
 // docs.
 func TestPassesRegistry(t *testing.T) {
 	ps := Passes()
 	if len(ps) != 8 {
-		t.Fatalf("registered %d passes, want 8", len(ps))
+		t.Fatalf("%d passes, want 8", len(ps))
 	}
 	for i, p := range ps {
-		if p.Code == "" || p.Name == "" || p.Doc == "" || p.Run == nil {
+		if p.Code == "" || p.Name == "" || p.Doc == "" {
 			t.Fatalf("pass %d incomplete: %+v", i, p)
 		}
 		if i > 0 && ps[i-1].Code >= p.Code {
@@ -351,12 +351,12 @@ func TestPassesRegistry(t *testing.T) {
 	}
 }
 
-// TestScopesBuiltOncePerRun counts the call sites of scopes in the
-// package's non-test source: there is one, in Run, so a Run builds the
-// scopes once however many passes range over them (each of the eight
-// used to rebuild them). The count is taken from the source so that
-// production code carries no counter.
-func TestScopesBuiltOncePerRun(t *testing.T) {
+// TestOneWalkPerScope counts the call sites of walkPath in the
+// package's non-test source: there is one, in Run, so a Run walks each
+// scope's WHERE clause once however many passes fire on its nodes. The
+// count is taken from the source so that production code carries no
+// counter.
+func TestOneWalkPerScope(t *testing.T) {
 	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", func(fi fs.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
 	}, 0)
@@ -373,7 +373,7 @@ func TestScopesBuiltOncePerRun(t *testing.T) {
 				}
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
 					if call, ok := n.(*ast.CallExpr); ok {
-						if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "scopes" {
+						if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "walkPath" {
 							callers = append(callers, fd.Name.Name)
 						}
 					}
@@ -383,6 +383,6 @@ func TestScopesBuiltOncePerRun(t *testing.T) {
 		}
 	}
 	if len(callers) != 1 || callers[0] != "Run" {
-		t.Fatalf("scopes is called from %v, want one call, from Run", callers)
+		t.Fatalf("walkPath is called from %v, want one call, from Run", callers)
 	}
 }

@@ -324,15 +324,6 @@ func (pa *Path) HoldsCtx(check Check, s, o rdf.ID) (bool, error) {
 	return found, err
 }
 
-// Direction reports the end Holds would search from for the given
-// endpoints ("forward" or "reverse"), for explain output.
-func (pa *Path) Direction(s, o rdf.ID) string {
-	if pa.dirCost(o, true) < pa.dirCost(s, false) {
-		return "reverse"
-	}
-	return "forward"
-}
-
 // dirCost estimates the two-step expansion cost of starting at node:
 // the node's exact first-step degree under the automaton's initial
 // labels, times the statistics' average continuation fan-out. Lower
