@@ -23,7 +23,6 @@ package lint
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -102,17 +101,16 @@ type Result struct {
 	Features analysis.Features
 }
 
-// Codes returns the distinct diagnostic codes, sorted.
+// Codes returns the distinct diagnostic codes, sorted. It relies on
+// Diagnostics being ordered by code, as Run returns them, and drops
+// adjacent duplicates.
 func (r *Result) Codes() []string {
-	seen := make(map[string]bool, len(r.Diagnostics))
 	var out []string
 	for _, d := range r.Diagnostics {
-		if !seen[d.Code] {
-			seen[d.Code] = true
+		if len(out) == 0 || out[len(out)-1] != d.Code {
 			out = append(out, d.Code)
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 

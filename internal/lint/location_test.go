@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"sparqlog/internal/loggen"
@@ -185,28 +187,61 @@ func outputDigest(qs []*sparql.Query) (digest string, diags int) {
 	return hex.EncodeToString(h.Sum(nil)), diags
 }
 
+// loggenQueries parses the distinct valid texts of the loggen corpus at
+// scale 1e-4.
+func loggenQueries(seed int64) []*sparql.Query {
+	seen := map[string]bool{}
+	var qs []*sparql.Query
+	for _, ds := range loggen.GenerateCorpus(1e-4, seed) {
+		for _, e := range ds.Entries {
+			if seen[e] {
+				continue
+			}
+			seen[e] = true
+			if q, err := sparql.Parse(e); err == nil {
+				qs = append(qs, q)
+			}
+		}
+	}
+	return qs
+}
+
+// TestCodesMatchMapAndSort checks Codes, which drops adjacent duplicates
+// of Run's code-ordered diagnostics, against collecting the codes in a
+// set and sorting them, over the location corpus and the distinct
+// loggen texts.
+func TestCodesMatchMapAndSort(t *testing.T) {
+	qs := append(locationCorpus(t), loggenQueries(1)...)
+	flagged := 0
+	for _, q := range qs {
+		r := Run(q)
+		seen := map[string]bool{}
+		var want []string
+		for _, d := range r.Diagnostics {
+			if !seen[d.Code] {
+				seen[d.Code] = true
+				want = append(want, d.Code)
+			}
+		}
+		sort.Strings(want)
+		if got := r.Codes(); !slices.Equal(got, want) {
+			t.Fatalf("Codes() = %v, want %v for\n%s", got, want, sparql.QueryString(q))
+		}
+		if len(want) > 1 {
+			flagged++
+		}
+	}
+	if flagged == 0 {
+		t.Fatal("no query has two distinct codes: the corpus does not test the merge")
+	}
+}
+
 // TestOutputPinned pins lint's whole output, byte for byte, over the
 // location corpus and the distinct valid texts of the loggen corpus at
 // two seeds. The digests were taken before the passes shared one walk
 // per scope; any change to a code, severity, path, message, snippet,
 // their order or Empty fails it.
 func TestOutputPinned(t *testing.T) {
-	loggenQueries := func(seed int64) []*sparql.Query {
-		seen := map[string]bool{}
-		var qs []*sparql.Query
-		for _, ds := range loggen.GenerateCorpus(1e-4, seed) {
-			for _, e := range ds.Entries {
-				if seen[e] {
-					continue
-				}
-				seen[e] = true
-				if q, err := sparql.Parse(e); err == nil {
-					qs = append(qs, q)
-				}
-			}
-		}
-		return qs
-	}
 	for _, tc := range []struct {
 		name string
 		qs   []*sparql.Query

@@ -50,3 +50,14 @@ func FuzzNTriplesRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadNTriplesReference checks the reader and the store against the
+// reference (reference_test.go) on any input: the same count and error
+// text, the same terms in ID order, the same triples, and the same ID
+// for every term.
+func FuzzReadNTriplesReference(f *testing.F) {
+	for _, src := range referenceSeeds() {
+		f.Add([]byte(src))
+	}
+	f.Fuzz(func(t *testing.T, src []byte) { checkReference(t, src) })
+}

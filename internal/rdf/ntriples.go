@@ -2,6 +2,7 @@ package rdf
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -15,37 +16,127 @@ import (
 // so `"x"@en` stores as `x`. Comment lines (#) and blank lines are
 // skipped. It returns the number of triple lines read, duplicates
 // included.
+//
+// A line is tokenized in the scanner's buffer: an IRI, a blank node or
+// a literal without a backslash is interned straight from it, so a line
+// whose terms are all known allocates nothing. A line with an escape,
+// or one that may not parse, goes through readTerm on a string copy.
 func (s *Store) ReadNTriples(r io.Reader) (int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
 	n := 0
 	lineNo := 0
+	var t [3][]byte
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		sub, rest, err := readTerm(line)
-		if err != nil {
-			return n, fmt.Errorf("rdf: line %d: %v", lineNo, err)
+		if splitLine(line, &t) {
+			s.AddIDs(s.internBytes(t[0]), s.internBytes(t[1]), s.internBytes(t[2]))
+		} else {
+			sub, pred, obj, err := readLine(string(line))
+			if err != nil {
+				return n, fmt.Errorf("rdf: line %d: %v", lineNo, err)
+			}
+			s.Add(sub, pred, obj)
 		}
-		pred, rest, err := readTerm(rest)
-		if err != nil {
-			return n, fmt.Errorf("rdf: line %d: %v", lineNo, err)
-		}
-		obj, rest, err := readTerm(rest)
-		if err != nil {
-			return n, fmt.Errorf("rdf: line %d: %v", lineNo, err)
-		}
-		rest = strings.TrimSpace(rest)
-		if rest != "." && rest != "" {
-			return n, fmt.Errorf("rdf: line %d: trailing content %q", lineNo, rest)
-		}
-		s.Add(sub, pred, obj)
 		n++
 	}
 	return n, sc.Err()
+}
+
+// splitLine is readLine's fast path over a trimmed line: it sets the
+// three terms' store text as subslices of line and reports true, or
+// reports false if the line has an escape or may be malformed, for
+// readLine to decide. It accepts a line only where readLine would
+// return the same terms.
+func splitLine(line []byte, t *[3][]byte) bool {
+	rest := line
+	for k := range t {
+		// readTerm trims Unicode space; a byte past ASCII may be one.
+		for len(rest) > 0 && asciiSpace(rest[0]) {
+			rest = rest[1:]
+		}
+		if len(rest) == 0 {
+			return false
+		}
+		switch rest[0] {
+		case '<':
+			end := bytes.IndexByte(rest, '>')
+			if end < 0 {
+				return false
+			}
+			t[k], rest = rest[1:end], rest[end+1:]
+		case '_':
+			if len(rest) < 2 || rest[1] != ':' {
+				return false
+			}
+			end := bytes.IndexAny(rest, " \t")
+			if end < 0 {
+				end = len(rest)
+			}
+			t[k], rest = rest[:end], rest[end:]
+			// The line is trimmed, so nothing but the terminator can
+			// follow a label that reaches its end (see readTerm).
+			if len(rest) == 0 && t[k][end-1] == '.' {
+				t[k], rest = t[k][:end-1], line[len(line)-1:]
+			}
+		case '"':
+			end := bytes.IndexByte(rest[1:], '"')
+			if end < 0 || bytes.IndexByte(rest[1:1+end], '\\') >= 0 {
+				return false
+			}
+			t[k], rest = rest[1:1+end], rest[2+end:]
+			if len(rest) > 0 && rest[0] == '@' {
+				end := bytes.IndexAny(rest, " \t")
+				if end < 0 {
+					end = len(rest)
+				}
+				rest = rest[end:]
+			} else if bytes.HasPrefix(rest, []byte("^^<")) {
+				end := bytes.IndexByte(rest, '>')
+				if end < 0 {
+					return false
+				}
+				rest = rest[end+1:]
+			}
+		default:
+			return false
+		}
+	}
+	for len(rest) > 0 && asciiSpace(rest[0]) {
+		rest = rest[1:]
+	}
+	return len(rest) == 0 || len(rest) == 1 && rest[0] == '.'
+}
+
+// asciiSpace reports whether c is one of the ASCII bytes
+// strings.TrimSpace trims.
+func asciiSpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
+}
+
+// readLine parses a trimmed, non-comment line into its three terms'
+// store text.
+func readLine(line string) (sub, pred, obj string, err error) {
+	sub, rest, err := readTerm(line)
+	if err != nil {
+		return
+	}
+	pred, rest, err = readTerm(rest)
+	if err != nil {
+		return
+	}
+	obj, rest, err = readTerm(rest)
+	if err != nil {
+		return
+	}
+	if rest = strings.TrimSpace(rest); rest != "." && rest != "" {
+		err = fmt.Errorf("trailing content %q", rest)
+	}
+	return
 }
 
 // readTerm consumes one term from the front of line, returning its store

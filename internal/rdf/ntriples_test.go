@@ -95,14 +95,46 @@ func TestReadNTriplesUnicodeEscapes(t *testing.T) {
 }
 
 // Regression: a term read from a line is a substring of it, and the
-// dictionary must not keep the whole line alive through it. 200 lines
-// share one 64 KB object IRI; only that IRI, once, and the short
-// subjects may stay on the heap.
+// dictionary must not keep the whole line alive through it. In the
+// first input, 200 lines share one 64 KB object IRI; only that IRI,
+// once, and the short subjects may stay on the heap. In the second, an
+// escaped literal sends each line through readTerm: 200 distinct 2 KB
+// subject IRIs may stay, but not the 64 KB literal beside each of them.
 func TestReadNTriplesDoesNotPinLines(t *testing.T) {
-	obj := "http://ex/" + strings.Repeat("x", 64<<10)
-	var b strings.Builder
+	long := strings.Repeat("x", 64<<10)
+	var fast, escaped strings.Builder
 	for i := 0; i < 200; i++ {
-		fmt.Fprintf(&b, "<http://ex/s%d> <http://ex/p> <%s> .\n", i, obj)
+		fmt.Fprintf(&fast, "<http://ex/s%d> <http://ex/p> <http://ex/%s> .\n", i, long)
+		fmt.Fprintf(&escaped, "<http://ex/%s%d> <http://ex/p> \"\\t%s\" .\n", long[:2<<10], i, long)
+	}
+	for _, src := range []string{fast.String(), escaped.String()} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		st := NewStore()
+		if _, err := st.ReadNTriples(strings.NewReader(src)); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(st)
+		runtime.KeepAlive(src)
+		if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 2<<20 {
+			t.Errorf("heap grew %d KB: the dictionary pins input lines", grew>>10)
+		}
+	}
+}
+
+// TestLoadHeapObjects pins that a loaded store keeps no heap object per
+// term: 100k distinct terms leave its arena chunks, term table, index
+// and triple array, where a string per term and a map's tables would
+// leave over 100k objects. The terms are longer than the 32 bytes a
+// conversion may borrow from the stack, so reading them allocates no
+// garbage per term either.
+func TestLoadHeapObjects(t *testing.T) {
+	var b strings.Builder
+	for i := 0; i < 50000; i++ {
+		fmt.Fprintf(&b, "<http://example.org/resource/subject/%d> <http://ex/p> \"object literal number %d\" .\n", i, i)
 	}
 	src := b.String()
 	var before, after runtime.MemStats
@@ -114,10 +146,13 @@ func TestReadNTriplesDoesNotPinLines(t *testing.T) {
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	runtime.KeepAlive(st)
 	runtime.KeepAlive(src)
-	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 2<<20 {
-		t.Errorf("heap grew %d KB holding 200 short subjects and one 64 KB IRI: the dictionary pins input lines", grew>>10)
+	objects := int64(after.HeapObjects) - int64(before.HeapObjects)
+	allocs := after.Mallocs - before.Mallocs
+	terms := st.Freeze().NumTerms()
+	t.Logf("%d terms: %d new heap objects, %d allocations", terms, objects, allocs)
+	if terms != 100001 || objects >= 1000 || allocs >= 1000 {
+		t.Errorf("loading %d distinct terms left %d new heap objects and made %d allocations, want fewer than 1,000 of each", terms, objects, allocs)
 	}
 }
 

@@ -1,6 +1,9 @@
 package rdf
 
-import "sort"
+import (
+	"hash/maphash"
+	"sort"
+)
 
 // Snapshot is an immutable, goroutine-shareable view of a Store's
 // contents at Freeze time: its dictionary and its distinct triples in
@@ -11,8 +14,9 @@ import "sort"
 // mutation, so any number of goroutines may query one Snapshot
 // concurrently.
 type Snapshot struct {
-	dict  map[string]ID // shared with the Store, which never writes it again
-	terms []string      // shares the Store's backing array up to len
+	// dict shares the Store's index, which it never writes again, and
+	// its term table's backing array up to len.
+	dict
 
 	spo csr // subject -> (predicate, object)
 	pos csr // predicate -> (object, subject)
@@ -112,7 +116,8 @@ func (r *radix) place(es []entry) csr {
 func (s *Store) Freeze() *Snapshot {
 	n, nTerms := len(s.triples), len(s.terms)
 	s.shared = true
-	sn := &Snapshot{dict: s.dict, terms: s.terms[:nTerms:nTerms]}
+	sn := &Snapshot{dict: s.dict}
+	sn.terms = s.terms[:nTerms:nTerms]
 	r := &radix{es: make([]entry, n), tmp: make([]entry, n), count: make([]uint32, nTerms+1)}
 
 	// Three stable passes sort by (s, p, o); duplicates end up adjacent
@@ -153,7 +158,7 @@ func (sn *Snapshot) Stats() *Stats { return sn.stats }
 
 // Lookup returns the ID of a term if it is known.
 func (sn *Snapshot) Lookup(term string) (ID, bool) {
-	id, ok := sn.dict[term]
+	_, id, ok := find(&sn.dict, maphash.String(sn.seed, term), term)
 	return id, ok
 }
 

@@ -1,17 +1,21 @@
 // Package rdf implements an in-memory RDF triple store with dictionary
 // encoding. The mutable Store is a single-writer, append-only builder:
 // terms are interned to dense IDs and triples appended as they arrive,
-// duplicates included. Freeze drops the duplicates and converts the
-// triples into an immutable Snapshot: the dictionary plus three index
-// orderings (SPO, POS, OSP) as compact sorted posting lists, which hold
-// the only copies of the triples. Every scan reads an index row. The
-// Snapshot is safe to share across goroutines and is the data substrate
-// of the query executor and of the engines of package engine (the
-// chain/cycle experiment of Section 5.1, Figure 3).
+// duplicates included. Term text lives in shared arena chunks and the
+// dictionary from text to ID is a flat table of IDs, so a loaded store
+// is a few dozen heap objects, not a string and a map entry per term.
+// Freeze drops the duplicates and converts the triples into an
+// immutable Snapshot: the dictionary plus three index orderings (SPO,
+// POS, OSP) as compact sorted posting lists, which hold the only copies
+// of the triples. Every scan reads an index row. The Snapshot is safe
+// to share across goroutines and is the data substrate of the query
+// executor and of the engines of package engine (the chain/cycle
+// experiment of Section 5.1, Figure 3).
 package rdf
 
 import (
-	"maps"
+	"hash/maphash"
+	"slices"
 	"strings"
 )
 
@@ -31,36 +35,128 @@ type Triple struct {
 // mutation.
 //
 // A Snapshot shares the store's dictionary rather than copying it. Once
-// frozen, the map is never written again: the store's next insert of a
-// new term first clones it, so an earlier Snapshot never sees later
-// interning.
+// frozen, the table is never written again: the store's next insert of
+// a new term first clones it, so an earlier Snapshot never sees later
+// interning. A new term's text is appended to the current arena chunk,
+// which a Snapshot may be reading below the append point.
 type Store struct {
-	dict    map[string]ID
-	terms   []string
-	triples []Triple // every Add, duplicates included
-	shared  bool     // a Snapshot reads dict: clone it before inserting
+	dict
+	chunk   strings.Builder // arena: new terms' text, appended
+	triples []Triple        // every Add, duplicates included
+	shared  bool            // a Snapshot reads dict.index: clone it before inserting
 }
+
+// dict is the term table: each ID's text, and an open-addressing index
+// from text to ID. The index is a power-of-two array of ID+1 (0 is an
+// empty slot), probed linearly from a hash of the text and compared
+// against terms; it holds no pointers, so the collector never traces
+// it.
+type dict struct {
+	seed  maphash.Seed
+	index []uint32
+	terms []string
+}
+
+const (
+	// chunkSize is the size of an arena chunk; a new term that does not
+	// fit in what is left of the chunk starts the next one.
+	chunkSize = 64 << 10
+	// ownTerm is the length past which a term gets its own allocation
+	// instead of arena space.
+	ownTerm = 1 << 10
+)
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{dict: make(map[string]ID)}
+	return &Store{dict: dict{seed: maphash.MakeSeed(), index: make([]uint32, 64)}}
 }
 
-// Intern returns the ID for a term, creating it if needed. A new term
-// is copied, so the store never pins the larger string (an input line,
-// say) it may be a substring of.
-func (s *Store) Intern(term string) ID {
-	if id, ok := s.dict[term]; ok {
+// find returns the ID of text if it is in the table, and otherwise the
+// empty slot where it would go. h is text's hash under d.seed.
+func find[T string | []byte](d *dict, h uint64, text T) (slot int, id ID, ok bool) {
+	mask := len(d.index) - 1
+	for i := int(h) & mask; ; i = (i + 1) & mask {
+		v := d.index[i]
+		if v == 0 {
+			return i, 0, false
+		}
+		if d.terms[v-1] == string(text) {
+			return i, v - 1, true
+		}
+	}
+}
+
+// Intern returns the ID for a term, creating it if needed. A new term's
+// text is copied into the store's arena (or, past 1 KiB, into its own
+// allocation), so the store never pins the larger string (an input
+// line, say) it may be a substring of.
+func (s *Store) Intern(term string) ID { return intern(s, maphash.String(s.seed, term), term) }
+
+// internBytes is Intern from a byte slice, which it does not retain; a
+// known term costs no allocation.
+func (s *Store) internBytes(term []byte) ID { return intern(s, maphash.Bytes(s.seed, term), term) }
+
+// intern returns the ID of text, whose hash is h, giving a new term the
+// next ID and the next bytes of the arena chunk. The index doubles past
+// 3/4 load.
+func intern[T string | []byte](s *Store, h uint64, text T) ID {
+	slot, id, ok := find(&s.dict, h, text)
+	if ok {
 		return id
 	}
-	if s.shared {
-		s.dict, s.shared = maps.Clone(s.dict), false
+	id = ID(len(s.terms))
+	s.terms = append(s.terms, keep(&s.chunk, text))
+	if 4*len(s.terms) > 3*len(s.index) {
+		s.rehash(2 * len(s.index))
+	} else {
+		if s.shared {
+			s.index = slices.Clone(s.index)
+		}
+		s.index[slot] = id + 1
 	}
-	term = strings.Clone(term)
-	id := ID(len(s.terms))
-	s.dict[term] = id
-	s.terms = append(s.terms, term)
+	s.shared = false
 	return id
+}
+
+// keep returns a copy of text that shares no memory with it: a slice of
+// the arena chunk, or its own string if text is long.
+func keep[T string | []byte](chunk *strings.Builder, text T) string {
+	if len(text) > ownTerm {
+		var own strings.Builder
+		own.Grow(len(text))
+		return appendTo(&own, text)
+	}
+	if chunk.Len()+len(text) > chunk.Cap() {
+		chunk.Reset()
+		chunk.Grow(chunkSize)
+	}
+	return appendTo(chunk, text)
+}
+
+// appendTo writes text to b and returns the slice of b's String that
+// holds it.
+func appendTo[T string | []byte](b *strings.Builder, text T) string {
+	start := b.Len()
+	switch text := any(text).(type) {
+	case string:
+		b.WriteString(text)
+	case []byte:
+		b.Write(text)
+	}
+	return b.String()[start:]
+}
+
+// rehash rebuilds the index at size slots, a power of two.
+func (s *Store) rehash(size int) {
+	s.index = make([]uint32, size)
+	mask := size - 1
+	for id, t := range s.terms {
+		i := int(maphash.String(s.seed, t)) & mask
+		for s.index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.index[i] = uint32(id) + 1
+	}
 }
 
 // Add appends a triple given as strings; Freeze drops duplicates.

@@ -2,7 +2,6 @@ package rdf
 
 import (
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 )
@@ -82,12 +81,13 @@ func TestSnapshotIsolation(t *testing.T) {
 }
 
 // TestFreezeSharesDictionary pins the copy-on-write dictionary: Freeze
-// hands the store's map to the snapshot, re-adding known terms leaves it
-// shared, and the first new term clones it, while readers of the earlier
-// snapshot run alongside (run with -race: no write may reach a map a
-// snapshot reads).
+// hands the store's index to the snapshot, re-adding known terms leaves
+// it shared, and the first new term clones it, while readers of the
+// earlier snapshot run alongside (run with -race: no write may reach an
+// index a snapshot reads, and new terms' text goes into the arena chunk
+// the earlier snapshot's terms are read from).
 func TestFreezeSharesDictionary(t *testing.T) {
-	mapOf := func(m map[string]ID) uintptr { return reflect.ValueOf(m).Pointer() }
+	mapOf := func(d dict) *uint32 { return &d.index[0] }
 	s := NewStore()
 	for i := 0; i < 100; i++ {
 		s.Add(fmt.Sprint("s", i), "p", fmt.Sprint("o", i%10))
@@ -103,6 +103,10 @@ func TestFreezeSharesDictionary(t *testing.T) {
 	}
 	pid, _ := sn1.Lookup("p")
 	n1 := sn1.NumTerms()
+	s.Intern("first-new")
+	if mapOf(sn1.dict) == mapOf(s.dict) {
+		t.Fatal("a new term was inserted into the snapshot's index")
+	}
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
