@@ -17,147 +17,72 @@ import (
 // skipped. It returns the number of triple lines read, duplicates
 // included.
 //
-// A line is tokenized in the scanner's buffer: an IRI, a blank node or
-// a literal without a backslash is interned straight from it, so a line
-// whose terms are all known allocates nothing. A line with an escape,
-// or one that may not parse, goes through readTerm on a string copy.
+// A line is read in the scanner's buffer and its terms are interned
+// from it, so a line whose terms are all known allocates nothing.
 func (s *Store) ReadNTriples(r io.Reader) (int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
 	n := 0
 	lineNo := 0
-	var t [3][]byte
+	var buf []byte
 	for sc.Scan() {
 		lineNo++
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 || line[0] == '#' {
 			continue
 		}
-		if splitLine(line, &t) {
-			s.AddIDs(s.internBytes(t[0]), s.internBytes(t[1]), s.internBytes(t[2]))
-		} else {
-			sub, pred, obj, err := readLine(string(line))
-			if err != nil {
-				return n, fmt.Errorf("rdf: line %d: %v", lineNo, err)
-			}
-			s.Add(sub, pred, obj)
+		buf = buf[:0]
+		sub, pred, obj, err := readLine(line, &buf)
+		if err != nil {
+			return n, fmt.Errorf("rdf: line %d: %v", lineNo, err)
 		}
+		s.AddIDs(s.internBytes(sub), s.internBytes(pred), s.internBytes(obj))
 		n++
 	}
 	return n, sc.Err()
 }
 
-// splitLine is readLine's fast path over a trimmed line: it sets the
-// three terms' store text as subslices of line and reports true, or
-// reports false if the line has an escape or may be malformed, for
-// readLine to decide. It accepts a line only where readLine would
-// return the same terms.
-func splitLine(line []byte, t *[3][]byte) bool {
-	rest := line
-	for k := range t {
-		// readTerm trims Unicode space; a byte past ASCII may be one.
-		for len(rest) > 0 && asciiSpace(rest[0]) {
-			rest = rest[1:]
-		}
-		if len(rest) == 0 {
-			return false
-		}
-		switch rest[0] {
-		case '<':
-			end := bytes.IndexByte(rest, '>')
-			if end < 0 {
-				return false
-			}
-			t[k], rest = rest[1:end], rest[end+1:]
-		case '_':
-			if len(rest) < 2 || rest[1] != ':' {
-				return false
-			}
-			end := bytes.IndexAny(rest, " \t")
-			if end < 0 {
-				end = len(rest)
-			}
-			t[k], rest = rest[:end], rest[end:]
-			// The line is trimmed, so nothing but the terminator can
-			// follow a label that reaches its end (see readTerm).
-			if len(rest) == 0 && t[k][end-1] == '.' {
-				t[k], rest = t[k][:end-1], line[len(line)-1:]
-			}
-		case '"':
-			end := bytes.IndexByte(rest[1:], '"')
-			if end < 0 || bytes.IndexByte(rest[1:1+end], '\\') >= 0 {
-				return false
-			}
-			t[k], rest = rest[1:1+end], rest[2+end:]
-			if len(rest) > 0 && rest[0] == '@' {
-				end := bytes.IndexAny(rest, " \t")
-				if end < 0 {
-					end = len(rest)
-				}
-				rest = rest[end:]
-			} else if bytes.HasPrefix(rest, []byte("^^<")) {
-				end := bytes.IndexByte(rest, '>')
-				if end < 0 {
-					return false
-				}
-				rest = rest[end+1:]
-			}
-		default:
-			return false
-		}
-	}
-	for len(rest) > 0 && asciiSpace(rest[0]) {
-		rest = rest[1:]
-	}
-	return len(rest) == 0 || len(rest) == 1 && rest[0] == '.'
-}
-
-// asciiSpace reports whether c is one of the ASCII bytes
-// strings.TrimSpace trims.
-func asciiSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
-}
-
 // readLine parses a trimmed, non-comment line into its three terms'
-// store text.
-func readLine(line string) (sub, pred, obj string, err error) {
-	sub, rest, err := readTerm(line)
+// store text, decoding escaped literals onto the end of *buf.
+func readLine(line []byte, buf *[]byte) (sub, pred, obj []byte, err error) {
+	sub, rest, err := readTerm(line, buf)
 	if err != nil {
 		return
 	}
-	pred, rest, err = readTerm(rest)
+	pred, rest, err = readTerm(rest, buf)
 	if err != nil {
 		return
 	}
-	obj, rest, err = readTerm(rest)
+	obj, rest, err = readTerm(rest, buf)
 	if err != nil {
 		return
 	}
-	if rest = strings.TrimSpace(rest); rest != "." && rest != "" {
+	if rest = bytes.TrimSpace(rest); len(rest) != 0 && string(rest) != "." {
 		err = fmt.Errorf("trailing content %q", rest)
 	}
 	return
 }
 
 // readTerm consumes one term from the front of line, returning its store
-// text and the remainder.
-func readTerm(line string) (string, string, error) {
-	line = strings.TrimSpace(line)
-	if line == "" {
-		return "", "", fmt.Errorf("unexpected end of line")
+// text and the remainder. The text is a subslice of line unless it is a
+// literal with escapes, which is decoded onto the end of *buf.
+func readTerm(line []byte, buf *[]byte) ([]byte, []byte, error) {
+	line = bytes.TrimSpace(line)
+	if len(line) == 0 {
+		return nil, nil, fmt.Errorf("unexpected end of line")
 	}
 	switch line[0] {
 	case '<':
-		end := strings.IndexByte(line, '>')
+		end := bytes.IndexByte(line, '>')
 		if end < 0 {
-			return "", "", fmt.Errorf("unterminated IRI")
+			return nil, nil, fmt.Errorf("unterminated IRI")
 		}
 		return line[1:end], line[end+1:], nil
 	case '_':
-		if !strings.HasPrefix(line, "_:") {
-			return "", "", fmt.Errorf("bad blank node")
+		if !bytes.HasPrefix(line, []byte("_:")) {
+			return nil, nil, fmt.Errorf("bad blank node")
 		}
-		end := strings.IndexAny(line, " \t")
+		end := bytes.IndexAny(line, " \t")
 		if end < 0 {
 			end = len(line)
 		}
@@ -165,82 +90,89 @@ func readTerm(line string) (string, string, error) {
 		// A label cannot end with the statement terminator: in `_:c.` at
 		// the end of a line (or with only whitespace after), the final
 		// `.` closes the triple, not the label.
-		if strings.HasSuffix(label, ".") && strings.TrimSpace(rest) == "" {
-			label, rest = label[:len(label)-1], "."
+		if bytes.HasSuffix(label, []byte(".")) && len(bytes.TrimSpace(rest)) == 0 {
+			label, rest = label[:len(label)-1], label[len(label)-1:]
 		}
 		return label, rest, nil
 	case '"':
-		// Find the closing quote, honoring escapes.
-		i := 1
-		var sb strings.Builder
-		for i < len(line) {
-			c := line[i]
-			if c == '\\' && i+1 < len(line) {
-				switch line[i+1] {
-				case 'n':
-					sb.WriteByte('\n')
-				case 't':
-					sb.WriteByte('\t')
-				case 'r':
-					sb.WriteByte('\r')
-				case '"':
-					sb.WriteByte('"')
-				case '\\':
-					sb.WriteByte('\\')
-				case 'u', 'U':
-					// UCHAR escapes: \uXXXX and \UXXXXXXXX.
-					digits := 4
-					if line[i+1] == 'U' {
-						digits = 8
+		// Find the closing quote. Without a backslash before it, the
+		// literal is the bytes between the quotes.
+		i := bytes.IndexByte(line[1:], '"') + 1
+		var lit []byte
+		if i > 0 && bytes.IndexByte(line[1:i], '\\') < 0 {
+			lit = line[1:i]
+		} else {
+			start := len(*buf)
+			for i = 1; i < len(line); {
+				c := line[i]
+				if c == '\\' && i+1 < len(line) {
+					switch line[i+1] {
+					case 'n':
+						*buf = append(*buf, '\n')
+					case 't':
+						*buf = append(*buf, '\t')
+					case 'r':
+						*buf = append(*buf, '\r')
+					case '"':
+						*buf = append(*buf, '"')
+					case '\\':
+						*buf = append(*buf, '\\')
+					case 'u', 'U':
+						// UCHAR escapes: \uXXXX and \UXXXXXXXX.
+						digits := 4
+						if line[i+1] == 'U' {
+							digits = 8
+						}
+						hex := line[i+2:]
+						if len(hex) < digits {
+							return nil, nil, fmt.Errorf("truncated \\%c escape", line[i+1])
+						}
+						r, err := parseHexRune(hex[:digits])
+						if err != nil {
+							return nil, nil, err
+						}
+						*buf = utf8.AppendRune(*buf, r)
+						i += 2 + digits
+						continue
+					default:
+						*buf = append(*buf, line[i+1])
 					}
-					hex := line[i+2:]
-					if len(hex) < digits {
-						return "", "", fmt.Errorf("truncated \\%c escape", line[i+1])
-					}
-					r, err := parseHexRune(hex[:digits])
-					if err != nil {
-						return "", "", err
-					}
-					sb.WriteRune(r)
-					i += 2 + digits
+					i += 2
 					continue
-				default:
-					sb.WriteByte(line[i+1])
 				}
-				i += 2
-				continue
+				if c == '"' {
+					break
+				}
+				*buf = append(*buf, c)
+				i++
 			}
-			if c == '"' {
-				break
+			if i >= len(line) {
+				return nil, nil, fmt.Errorf("unterminated literal")
 			}
-			sb.WriteByte(c)
-			i++
-		}
-		if i >= len(line) {
-			return "", "", fmt.Errorf("unterminated literal")
+			lit = (*buf)[start:]
 		}
 		rest := line[i+1:]
 		// Skip language tag or datatype annotation.
-		if strings.HasPrefix(rest, "@") {
-			end := strings.IndexAny(rest, " \t")
+		if bytes.HasPrefix(rest, []byte("@")) {
+			end := bytes.IndexAny(rest, " \t")
 			if end < 0 {
 				end = len(rest)
 			}
 			rest = rest[end:]
-		} else if strings.HasPrefix(rest, "^^<") {
-			end := strings.IndexByte(rest, '>')
+		} else if bytes.HasPrefix(rest, []byte("^^<")) {
+			end := bytes.IndexByte(rest, '>')
 			if end < 0 {
-				return "", "", fmt.Errorf("unterminated datatype IRI")
+				return nil, nil, fmt.Errorf("unterminated datatype IRI")
 			}
 			rest = rest[end+1:]
 		}
-		return sb.String(), rest, nil
+		return lit, rest, nil
 	}
-	return "", "", fmt.Errorf("unexpected term start %q", line[0])
+	return nil, nil, fmt.Errorf("unexpected term start %q", line[0])
 }
 
 // parseHexRune decodes a fixed-width hex code point.
-func parseHexRune(hex string) (rune, error) {
+func parseHexRune(hex []byte) (rune, error) {
 	var r rune
 	for i := 0; i < len(hex); i++ {
 		c := hex[i]

@@ -97,9 +97,10 @@ func TestReadNTriplesUnicodeEscapes(t *testing.T) {
 // Regression: a term read from a line is a substring of it, and the
 // dictionary must not keep the whole line alive through it. In the
 // first input, 200 lines share one 64 KB object IRI; only that IRI,
-// once, and the short subjects may stay on the heap. In the second, an
-// escaped literal sends each line through readTerm: 200 distinct 2 KB
-// subject IRIs may stay, but not the 64 KB literal beside each of them.
+// once, and the short subjects may stay on the heap. In the second,
+// each line has a distinct 2 KB subject IRI and a 64 KB escaped
+// literal, decoded into the reader's scratch buffer: the IRIs may stay,
+// but not the literals.
 func TestReadNTriplesDoesNotPinLines(t *testing.T) {
 	long := strings.Repeat("x", 64<<10)
 	var fast, escaped strings.Builder
@@ -128,9 +129,9 @@ func TestReadNTriplesDoesNotPinLines(t *testing.T) {
 // TestLoadHeapObjects pins that a loaded store keeps no heap object per
 // term: 100k distinct terms leave its arena chunks, term table, index
 // and triple array, where a string per term and a map's tables would
-// leave over 100k objects. The terms are longer than the 32 bytes a
-// conversion may borrow from the stack, so reading them allocates no
-// garbage per term either.
+// leave over 100k objects. The reader interns each term from the
+// line's bytes without converting it to a string, so reading allocates
+// no garbage per term either.
 func TestLoadHeapObjects(t *testing.T) {
 	var b strings.Builder
 	for i := 0; i < 50000; i++ {

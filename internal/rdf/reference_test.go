@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // refStore is the dictionary and reader as they were before term text
@@ -139,7 +140,7 @@ func refReadTerm(line string) (string, string, error) {
 					if len(hex) < digits {
 						return "", "", fmt.Errorf("truncated \\%c escape", line[i+1])
 					}
-					r, err := parseHexRune(hex[:digits])
+					r, err := refParseHexRune(hex[:digits])
 					if err != nil {
 						return "", "", err
 					}
@@ -181,6 +182,30 @@ func refReadTerm(line string) (string, string, error) {
 	return "", "", fmt.Errorf("unexpected term start %q", line[0])
 }
 
+// refParseHexRune decodes a fixed-width hex code point.
+func refParseHexRune(hex string) (rune, error) {
+	var r rune
+	for i := 0; i < len(hex); i++ {
+		c := hex[i]
+		var d rune
+		switch {
+		case c >= '0' && c <= '9':
+			d = rune(c - '0')
+		case c >= 'a' && c <= 'f':
+			d = rune(c-'a') + 10
+		case c >= 'A' && c <= 'F':
+			d = rune(c-'A') + 10
+		default:
+			return 0, fmt.Errorf("bad hex digit %q in UCHAR escape", c)
+		}
+		r = r<<4 | d
+	}
+	if r > utf8.MaxRune || (r >= 0xD800 && r <= 0xDFFF) {
+		return 0, fmt.Errorf("UCHAR escape out of range: %#x", r)
+	}
+	return r, nil
+}
+
 // checkReference reads src into a Store and into the oracle and fails t
 // unless they agree on the count, the error text, every term in ID
 // order, the distinct triples and the ID Lookup finds for every term.
@@ -214,8 +239,8 @@ func checkReference(t *testing.T, src []byte) {
 	}
 }
 
-// referenceSeeds are inputs on the edges of the fast path: escapes,
-// Unicode space, CRLF, comments, the `_:c.` terminator, tags, datatypes,
+// referenceSeeds are inputs on the edges of the byte reader: escapes
+// (several to a line, and lines of them in a row), Unicode space, CRLF, comments, the `_:c.` terminator, tags, datatypes,
 // empty literals, errors and a line past the scanner's first buffer.
 func referenceSeeds() []string {
 	long := "<http://ex/s> <http://ex/p> \"" + strings.Repeat("y", 70<<10) + "\" .\n"
@@ -223,6 +248,7 @@ func referenceSeeds() []string {
 		"<http://ex/a> <http://ex/p> <http://ex/b> .\n<http://ex/a> <http://ex/p> <http://ex/c> .\n<http://ex/a> <http://ex/p> <http://ex/b> .\n",
 		`<http://ex/a> <http://ex/p> "café \U0001F600 A" .`,
 		`<http://ex/a> <http://ex/p> "esc\"aped\nline\ttab\r\\ back\q" .`,
+		"\"s\\u00e9\" <http://ex/p> \"o\\tx\" .\n\"s\\n2\" \"p\\\"\" \"a longer escaped literal \\U0001F600 than the first\" .\n\"\\\\\" <http://ex/p> \"s\\u00e9\" .\n",
 		`<http://ex/a> <http://ex/p> "bad \u00G1" .`,
 		`<http://ex/a> <http://ex/p> "trunc \u12" .`,
 		`<http://ex/a> <http://ex/p> "surrogate \uD800" .`,

@@ -90,22 +90,49 @@ func find[T string | []byte](d *dict, h uint64, text T) (slot int, id ID, ok boo
 // text is copied into the store's arena (or, past 1 KiB, into its own
 // allocation), so the store never pins the larger string (an input
 // line, say) it may be a substring of.
-func (s *Store) Intern(term string) ID { return intern(s, maphash.String(s.seed, term), term) }
-
-// internBytes is Intern from a byte slice, which it does not retain; a
-// known term costs no allocation.
-func (s *Store) internBytes(term []byte) ID { return intern(s, maphash.Bytes(s.seed, term), term) }
-
-// intern returns the ID of text, whose hash is h, giving a new term the
-// next ID and the next bytes of the arena chunk. The index doubles past
-// 3/4 load.
-func intern[T string | []byte](s *Store, h uint64, text T) ID {
-	slot, id, ok := find(&s.dict, h, text)
+func (s *Store) Intern(term string) ID {
+	slot, id, ok := find(&s.dict, maphash.String(s.seed, term), term)
 	if ok {
 		return id
 	}
-	id = ID(len(s.terms))
-	s.terms = append(s.terms, keep(&s.chunk, text))
+	if len(term) > ownTerm {
+		return s.insert(slot, strings.Clone(term))
+	}
+	at := s.arena(len(term))
+	s.chunk.WriteString(term)
+	return s.insert(slot, s.chunk.String()[at:])
+}
+
+// internBytes is Intern from a byte slice, which it does not retain; a
+// known term costs no allocation.
+func (s *Store) internBytes(term []byte) ID {
+	slot, id, ok := find(&s.dict, maphash.Bytes(s.seed, term), term)
+	if ok {
+		return id
+	}
+	if len(term) > ownTerm {
+		return s.insert(slot, string(term))
+	}
+	at := s.arena(len(term))
+	s.chunk.Write(term)
+	return s.insert(slot, s.chunk.String()[at:])
+}
+
+// arena returns the offset in the arena chunk where n more bytes will
+// be written, starting the next chunk if they do not fit in this one.
+func (s *Store) arena(n int) int {
+	if s.chunk.Len()+n > s.chunk.Cap() {
+		s.chunk.Reset()
+		s.chunk.Grow(chunkSize)
+	}
+	return s.chunk.Len()
+}
+
+// insert gives text, a new term, the next ID and the empty index slot
+// find returned for it. The index doubles past 3/4 load.
+func (s *Store) insert(slot int, text string) ID {
+	id := ID(len(s.terms))
+	s.terms = append(s.terms, text)
 	if 4*len(s.terms) > 3*len(s.index) {
 		s.rehash(2 * len(s.index))
 	} else {
@@ -116,34 +143,6 @@ func intern[T string | []byte](s *Store, h uint64, text T) ID {
 	}
 	s.shared = false
 	return id
-}
-
-// keep returns a copy of text that shares no memory with it: a slice of
-// the arena chunk, or its own string if text is long.
-func keep[T string | []byte](chunk *strings.Builder, text T) string {
-	if len(text) > ownTerm {
-		var own strings.Builder
-		own.Grow(len(text))
-		return appendTo(&own, text)
-	}
-	if chunk.Len()+len(text) > chunk.Cap() {
-		chunk.Reset()
-		chunk.Grow(chunkSize)
-	}
-	return appendTo(chunk, text)
-}
-
-// appendTo writes text to b and returns the slice of b's String that
-// holds it.
-func appendTo[T string | []byte](b *strings.Builder, text T) string {
-	start := b.Len()
-	switch text := any(text).(type) {
-	case string:
-		b.WriteString(text)
-	case []byte:
-		b.Write(text)
-	}
-	return b.String()[start:]
 }
 
 // rehash rebuilds the index at size slots, a power of two.
