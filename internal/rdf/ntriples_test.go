@@ -100,7 +100,8 @@ func TestReadNTriplesUnicodeEscapes(t *testing.T) {
 // once, and the short subjects may stay on the heap. In the second,
 // each line has a distinct 2 KB subject IRI and a 64 KB escaped
 // literal, decoded into the reader's scratch buffer: the IRIs may stay,
-// but not the literals.
+// but not the literals. The third hands Add substrings of 200 distinct
+// 64 KB strings: the 2 KB and 100-byte terms may stay, the strings not.
 func TestReadNTriplesDoesNotPinLines(t *testing.T) {
 	long := strings.Repeat("x", 64<<10)
 	var fast, escaped strings.Builder
@@ -108,18 +109,30 @@ func TestReadNTriplesDoesNotPinLines(t *testing.T) {
 		fmt.Fprintf(&fast, "<http://ex/s%d> <http://ex/p> <http://ex/%s> .\n", i, long)
 		fmt.Fprintf(&escaped, "<http://ex/%s%d> <http://ex/p> \"\\t%s\" .\n", long[:2<<10], i, long)
 	}
-	for _, src := range []string{fast.String(), escaped.String()} {
+	read := func(src string) func(*Store) error {
+		return func(st *Store) error {
+			_, err := st.ReadNTriples(strings.NewReader(src))
+			return err
+		}
+	}
+	add := func(st *Store) error {
+		for i := 0; i < 200; i++ {
+			line := fmt.Sprint(i) + long
+			st.Add(line[:2<<10], "http://ex/p", line[:100])
+		}
+		return nil
+	}
+	for _, load := range []func(*Store) error{read(fast.String()), read(escaped.String()), add} {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 		st := NewStore()
-		if _, err := st.ReadNTriples(strings.NewReader(src)); err != nil {
+		if err := load(st); err != nil {
 			t.Fatal(err)
 		}
 		runtime.GC()
 		runtime.ReadMemStats(&after)
 		runtime.KeepAlive(st)
-		runtime.KeepAlive(src)
 		if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 2<<20 {
 			t.Errorf("heap grew %d KB: the dictionary pins input lines", grew>>10)
 		}
